@@ -6,7 +6,8 @@
 //! thresholds, and both sides are deduplicated by structural hash — so the
 //! pair `(query hash, class hash, config fingerprint)` fully determines
 //! the answer. This module memoizes that function across `query()` calls
-//! (and, via snapshots, across processes).
+//! (and, via the persisted cache segments of a sharded index, across
+//! processes).
 //!
 //! The map is sharded: workers in the work-stealing VCP scheduler hit
 //! disjoint shards most of the time, so a single global lock would
@@ -25,7 +26,7 @@ use crate::vcp::VcpPair;
 /// VcpConfig fingerprint)`.
 pub type VcpKey = (u64, u64, u64);
 
-/// One persisted cache entry (the snapshot's on-disk row format).
+/// One persisted cache entry (a row of an index's cache segment).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VcpCacheEntry {
     /// Structural hash of the query strand.
@@ -147,7 +148,7 @@ impl VcpCache {
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// Exports every entry, sorted by key for deterministic snapshots.
+    /// Exports every entry, sorted by key for deterministic indexes.
     pub fn entries(&self) -> Vec<VcpCacheEntry> {
         let mut out: Vec<VcpCacheEntry> = Vec::with_capacity(self.len());
         for shard in &self.shards {

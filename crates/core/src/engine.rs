@@ -6,7 +6,9 @@
 //! GES per target. Pairwise comparison is embarrassingly parallel (§5.5);
 //! the engine distributes (query strand × class range) tiles over a
 //! work-stealing queue and memoizes verifier results in a cross-query
-//! [`VcpCache`]. Corpus state persists via [`crate::snapshot`].
+//! [`VcpCache`]. Corpus state persists as a sharded `.eshx` index
+//! (the `esh-index` crate), built from [`SimilarityEngine::export_corpus`]
+//! and reopened through [`SimilarityEngine::from_lazy_parts`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -65,8 +67,7 @@ pub struct EngineConfig {
     pub prefilter_threshold: f64,
     /// The semantic-sketch prefilter tier (concrete-execution fingerprints
     /// and banded LSH; see [`crate::prefilter`]). `None` reproduces the
-    /// pre-sketch engine exactly — snapshots written before format v3
-    /// load as `None`, preserving their recorded fingerprint.
+    /// pre-sketch engine exactly, fingerprint included.
     pub sketch: Option<PrefilterConfig>,
     /// Worker threads (0 = use available parallelism).
     pub threads: usize,
@@ -89,7 +90,7 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Stable digest of every scoring-relevant knob. Two engines with the
     /// same fingerprint produce identical scores for identical corpora, so
-    /// snapshots and caches key on it. `threads` only changes scheduling,
+    /// indexes and caches key on it. `threads` only changes scheduling,
     /// never results, and is deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -108,8 +109,7 @@ impl EngineConfig {
         mix(u64::from(self.prefilter));
         mix(self.prefilter_threshold.to_bits());
         // Mixed only when present so configs without a sketch tier keep
-        // the fingerprint they had before format v3 — a v2 snapshot's
-        // recorded fingerprint must still verify after an upgrade.
+        // the fingerprint they had before the tier existed.
         if let Some(sketch) = &self.sketch {
             mix(sketch.fingerprint());
         }
@@ -128,24 +128,23 @@ impl EngineConfig {
 pub struct TargetId(pub usize);
 
 /// One deduplicated strand shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct StrandClass {
     pub(crate) proc_: Proc,
     pub(crate) signature: Signature,
     pub(crate) vars: usize,
-    /// Structural hash — the dedup key, kept so snapshots can rebuild the
+    /// Structural hash — the dedup key, kept so an index can rebuild the
     /// hash index and the VCP cache can key on it without re-hashing.
     pub(crate) hash: u64,
     /// Total occurrences across the whole corpus (drives H0).
     pub(crate) corpus_count: u64,
     /// Semantic sketch under the configured [`PrefilterConfig`]. `None`
-    /// when the tier is off or the class came from a pre-v3 snapshot;
-    /// missing sketches are rebuilt lazily on the first sketch-enabled
-    /// query.
+    /// when the tier was off at build time; missing sketches are rebuilt
+    /// lazily on the first sketch-enabled query.
     pub(crate) sketch: Option<SemanticSketch>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TargetRecord {
     pub(crate) name: String,
     /// `(class index, occurrences in this target)`.
@@ -385,11 +384,11 @@ impl std::ops::Deref for ClassProcRef<'_> {
 
 /// The similarity engine. Add targets once, query many times.
 ///
-/// The corpus can be persisted with [`SimilarityEngine::save`] /
-/// [`SimilarityEngine::save_with_cache`] and restored with
-/// [`SimilarityEngine::load`]; repeated queries reuse verifier results
-/// through the cross-query [`VcpCache`] (see
-/// [`SimilarityEngine::cache_stats`]).
+/// The corpus can be persisted as a sharded `.eshx` index (the
+/// `esh-index` crate's `write_sharded`, fed by
+/// [`SimilarityEngine::export_corpus`]) and reopened lazily; repeated
+/// queries reuse verifier results through the cross-query [`VcpCache`]
+/// (see [`SimilarityEngine::cache_stats`]).
 ///
 /// ```
 /// use esh_cc::{Compiler, Vendor, VendorVersion};
@@ -418,12 +417,12 @@ pub struct SimilarityEngine {
     solver: SolverCounters,
     prefilter_stats: PrefilterStats,
     /// Banded LSH index over the corpus classes' sketches, built lazily on
-    /// the first sketch-enabled query (so pre-v3 snapshots without
-    /// persisted sketches just rebuild them) and dropped whenever the
-    /// corpus changes.
+    /// the first sketch-enabled query (so classes without persisted
+    /// sketches just rebuild them) and dropped whenever the corpus
+    /// changes.
     sketch_index: Mutex<Option<Arc<SketchIndex>>>,
-    /// Lazy backing store when the engine was opened from a sharded (v5)
-    /// index: class procedures and per-segment cache entries load on
+    /// Lazy backing store when the engine was opened from a sharded
+    /// `.eshx` index: class procedures and per-segment cache entries load on
     /// first use. `None` for fully resident engines.
     shards: Option<LazyShards>,
 }
@@ -534,41 +533,16 @@ impl SimilarityEngine {
         *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
     }
 
-    pub(crate) fn cache(&self) -> &VcpCache {
-        &self.cache
-    }
-
-    /// Every memoized VCP-cache entry, sorted by key — what
-    /// `save_with_cache` persists and the sharded-index writer segments.
+    /// Every memoized VCP-cache entry, sorted by key — what the
+    /// sharded-index writer segments.
     pub fn cache_entries(&self) -> Vec<VcpCacheEntry> {
         self.cache.entries()
-    }
-
-    /// Classes as they should be serialized. On a lazily-backed engine
-    /// this **materializes** every shard first: a placeholder procedure
-    /// must never reach disk.
-    pub(crate) fn classes_for_snapshot(&self) -> Vec<StrandClass> {
-        self.classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut c = c.clone();
-                if self.shards.is_some() {
-                    c.proc_ = self.class_proc(i).clone();
-                }
-                c
-            })
-            .collect()
-    }
-
-    pub(crate) fn targets_for_snapshot(&self) -> &[TargetRecord] {
-        &self.targets
     }
 
     /// The lifted procedure of class `ci`, pulling its shard into memory
     /// (again, if evicted) on demand when the engine is lazily backed.
     ///
-    /// Panics when the backing shard is corrupted — cold paths (snapshot
+    /// Panics when the backing shard is corrupted — cold paths (corpus
     /// export, sketch builds, calibration) have no error channel. The
     /// query hot path runs the fallible [`Self::ensure_class_shard`]
     /// before any cell touches the shard, so corruption surfaces there as
@@ -627,17 +601,6 @@ impl SimilarityEngine {
     pub fn set_shard_budget(&self, bytes: u64) {
         if let Some(lazy) = &self.shards {
             lazy.set_budget(bytes);
-        }
-    }
-
-    /// Switches between per-record demand decoding (the default: a
-    /// touched shard decodes only the classes a query actually needs)
-    /// and whole-shard decoding (every record decodes at shard open —
-    /// the pre-demand-decode behavior, kept as a baseline and escape
-    /// hatch). No effect on fully resident engines.
-    pub fn set_shard_demand_decode(&mut self, demand: bool) {
-        if let Some(lazy) = &mut self.shards {
-            lazy.eager = !demand;
         }
     }
 
@@ -793,27 +756,6 @@ impl SimilarityEngine {
         })
     }
 
-    pub(crate) fn from_snapshot_parts(
-        config: EngineConfig,
-        classes: Vec<StrandClass>,
-        class_by_hash: HashMap<u64, usize>,
-        targets: Vec<TargetRecord>,
-        cache: VcpCache,
-    ) -> SimilarityEngine {
-        SimilarityEngine {
-            config,
-            classes,
-            class_by_hash,
-            targets,
-            cache,
-            sessions: Mutex::new(Vec::new()),
-            solver: SolverCounters::default(),
-            prefilter_stats: PrefilterStats::default(),
-            sketch_index: Mutex::new(None),
-            shards: None,
-        }
-    }
-
     /// Number of targets.
     pub fn target_count(&self) -> usize {
         self.targets.len()
@@ -886,7 +828,7 @@ impl SimilarityEngine {
         // Canonical class order: S-VCP sums floats over this list, so it
         // must not inherit HashMap iteration order — two engines built
         // from the same corpus would otherwise disagree by ULPs (and
-        // snapshots would not be byte-reproducible).
+        // indexes would not be byte-reproducible).
         let mut strands: Vec<(usize, u64)> = per_class.into_iter().collect();
         strands.sort_unstable_by_key(|&(class, _)| class);
         self.targets.push(TargetRecord {
@@ -991,10 +933,9 @@ impl SimilarityEngine {
     }
 
     /// Returns the banded LSH index over the corpus sketches, building it
-    /// on first use. Classes missing a persisted sketch (pre-v3 snapshots,
-    /// or targets added while the tier was off) are sketched here — the
-    /// forward-compat path: a v2 snapshot loads cleanly and pays the
-    /// sketching cost once, on its first prefilter-enabled query.
+    /// on first use. Classes missing a persisted sketch (targets added
+    /// while the tier was off) are sketched here, paying the sketching
+    /// cost once, on the first prefilter-enabled query.
     fn ensure_sketch_index(&self) -> Option<Arc<SketchIndex>> {
         let cfg = self.config.active_sketch()?;
         let mut slot = self.sketch_index.lock().expect("sketch index poisoned");
@@ -1005,10 +946,9 @@ impl SimilarityEngine {
                 .enumerate()
                 .map(|(i, c)| match &c.sketch {
                     Some(s) => s.clone(),
-                    // Missing sketches (pre-v3 snapshots, or a sharded
-                    // index written without the tier) rebuild from the
-                    // real procedure — on a lazily backed engine this
-                    // loads the class's shard.
+                    // Missing sketches (a sharded index written without
+                    // the tier) rebuild from the real procedure — on a
+                    // lazily backed engine this loads the class's shard.
                     None => compute_sketch(&self.class_proc(i), cfg),
                 })
                 .collect();
@@ -1253,7 +1193,7 @@ impl SimilarityEngine {
         // decode errors are swallowed here so the authoritative tile
         // pass latches the typed corruption error for exactly the items
         // that touch the bad record.
-        if let Some(lazy) = self.shards.as_ref().filter(|l| !l.eager) {
+        if let Some(lazy) = &self.shards {
             let limit = lazy.class_limit().min(nc);
             let mut plan: Vec<(usize, Vec<u64>)> = Vec::new();
             for ci in 0..limit {
@@ -1402,13 +1342,12 @@ impl SimilarityEngine {
                                 // refined bounds; anything else goes to the
                                 // exact verifier. An LSH band collision is
                                 // recorded for observability; under the
-                                // pre-probe rule (no ambiguity window —
-                                // pre-v4 snapshot configs) a collision
-                                // still forces exact verification, while
-                                // staged pricing lets the margin prune
-                                // spurious band matches too (a true
-                                // same-source pair has bound 1.0 and always
-                                // verifies either way).
+                                // pre-probe rule (no ambiguity window) a
+                                // collision still forces exact
+                                // verification, while staged pricing lets
+                                // the margin prune spurious band matches
+                                // too (a true same-source pair has bound
+                                // 1.0 and always verifies either way).
                                 if let Some(ctx) = sketch_ctx {
                                     if let (Some(mask), Some(qs)) = (&ctx.masks[b][qi], &q.sketch) {
                                         let collided = mask[ci];
@@ -1994,8 +1933,8 @@ impl SimilarityEngine {
     /// than two classes, or no sampled pair survives the filters. Exact
     /// results are memoized in the [`VcpCache`], so calibration work is
     /// shared with later queries. Note the installed margin changes the
-    /// config fingerprint — calibrate before saving a snapshot, not after
-    /// loading one.
+    /// config fingerprint — calibrate before writing an index, not after
+    /// opening one.
     pub fn calibrate_margin(
         &mut self,
         sample_pairs: usize,
@@ -2094,8 +2033,8 @@ impl SimilarityEngine {
 
     /// Overrides the worker-thread count for subsequent queries. Threads
     /// only change scheduling, never scores (the VCP matrix is a pure
-    /// function per cell), so this is safe to adjust after loading a
-    /// snapshot — a daemon running N concurrent queries over one shared
+    /// function per cell), so this is safe to adjust after opening an
+    /// index — a daemon running N concurrent queries over one shared
     /// engine caps each query's parallelism this way instead of letting
     /// every request claim the whole machine.
     pub fn set_threads(&mut self, threads: usize) {
@@ -2462,5 +2401,60 @@ mod tests {
         engine.add_target("b", &p);
         assert_eq!(engine.class_count(), n1, "identical target adds no classes");
         assert_eq!(engine.target_count(), 2);
+    }
+
+    #[test]
+    fn thread_count_is_excluded_from_the_fingerprint() {
+        // `threads` is an execution detail, not a corpus property: an
+        // index built at one parallelism level must open under another.
+        let base = quick_config();
+        let other = EngineConfig {
+            threads: base.threads + 3,
+            ..base.clone()
+        };
+        assert_eq!(other.fingerprint(), base.fingerprint());
+        let stricter = EngineConfig {
+            prefilter_threshold: base.prefilter_threshold + 0.125,
+            ..base.clone()
+        };
+        assert_ne!(stricter.fingerprint(), base.fingerprint());
+    }
+
+    #[test]
+    fn warm_query_hits_cache_with_zero_solver_calls() {
+        let sources = [
+            demo::saturating_sum(),
+            demo::wget_like(),
+            demo::ws_snmp_like(),
+        ];
+        let mut engine = SimilarityEngine::new(quick_config());
+        for (i, g) in sources.iter().enumerate() {
+            engine.add_target(format!("clang:{i}"), &clang().compile_function(g));
+            engine.add_target(format!("icc:{i}"), &icc().compile_function(g));
+        }
+        let query = gcc().compile_function(&sources[0]);
+
+        let cold = engine.query(&query);
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hits, 0, "first query must not hit");
+        assert!(stats.misses > 0, "first query must populate the cache");
+        // Refine-top-K re-pricings insert entries without touching the
+        // hit/miss counters; they are tracked by `refined_pairs` instead.
+        assert_eq!(
+            stats.entries as u64,
+            stats.misses + engine.prefilter_stats().refined_pairs
+        );
+
+        engine.reset_cache_counters();
+        let warm = engine.query(&query);
+        let stats = engine.cache_stats();
+        // Zero misses ⇒ zero vcp_pair computations ⇒ zero new solver calls.
+        assert_eq!(stats.misses, 0, "warm query must not invoke the verifier");
+        assert!(stats.hits > 0);
+        for (x, y) in cold.scores.iter().zip(&warm.scores) {
+            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+            assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+            assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+        }
     }
 }

@@ -14,16 +14,18 @@
 //! [`ScoringMode::SVcp`] (no statistics), [`ScoringMode::SLog`]
 //! (statistics, no sigmoid) and [`ScoringMode::Esh`] (the full method).
 //!
-//! The engine is a persistent service component: a built corpus can be
-//! saved to a versioned [`snapshot`] and reloaded by later processes, and
-//! verifier results are memoized across queries in a sharded
-//! [`VcpCache`]. See `docs/ARCHITECTURE.md` for the full data-flow and
-//! the on-disk format specification.
+//! The engine is a persistent service component: the `esh-index` crate
+//! writes its corpus state to a sharded `.eshx` index (from
+//! [`SimilarityEngine::export_corpus`]) and reopens it lazily through
+//! [`SimilarityEngine::from_lazy_parts`], and verifier results are
+//! memoized across queries in a sharded [`VcpCache`]. See
+//! `docs/ARCHITECTURE.md` for the full data-flow and the on-disk format
+//! specification.
 //!
 //! # Examples
 //!
-//! Build a corpus, persist it, reload it, and query — the reloaded engine
-//! produces scores identical to the in-memory one:
+//! Build a corpus and query it — a repeated query is answered from the
+//! cross-query cache with identical scores:
 //!
 //! ```
 //! use esh_cc::{Compiler, Vendor, VendorVersion};
@@ -37,14 +39,10 @@
 //! let mut engine = SimilarityEngine::new(EngineConfig::default());
 //! engine.add_target("clang-build", &clang);
 //!
-//! let path = std::env::temp_dir().join("esh-core-doc-example.esh");
-//! engine.save(&path).unwrap();
-//! let reloaded = SimilarityEngine::load(&path).unwrap();
-//! std::fs::remove_file(&path).ok();
-//!
 //! let a = engine.query(&gcc);
-//! let b = reloaded.query(&gcc);
+//! let b = engine.query(&gcc);
 //! assert_eq!(a.scores[0].ges, b.scores[0].ges);
+//! assert!(engine.cache_stats().hits > 0);
 //! ```
 //!
 //! Compare one strand pair directly with [`vcp_pair`]:
@@ -68,7 +66,6 @@ mod cache;
 mod engine;
 pub mod prefilter;
 mod shard;
-pub mod snapshot;
 mod stats;
 mod vcp;
 
@@ -87,6 +84,5 @@ pub use shard::{
     Bloom, ClassExport, CorpusExport, LazyClassMeta, ShardBandSummary, ShardError, ShardRecords,
     ShardSource, ShardSpec, ShardStats, TargetExport,
 };
-pub use snapshot::{ConfigMismatchKind, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use stats::{ges, les, likelihood, H0Accumulator, ScoringMode, SIGMOID_K, SIGMOID_MIDPOINT};
 pub use vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};

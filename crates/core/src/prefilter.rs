@@ -34,8 +34,8 @@
 //!    exactly**.
 //!
 //! Sketches are pure functions of the lifted strand and the sketch
-//! parameters, so snapshots persist them (format v3) and `esh index
-//! build` amortizes the sketching work across queries.
+//! parameters, so sharded indexes persist them and `esh index build`
+//! amortizes the sketching work across queries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ pub struct PrefilterConfig {
     /// deciding (the PEM-style "more probes where the evidence is thin").
     /// Wider windows trade extra concrete evaluation for fewer wrong
     /// prune/fallback calls near the margin. `None` disables probing
-    /// (the pre-probe decision rule; also what pre-v4 snapshots load as).
+    /// (the pre-probe decision rule).
     /// Default: `Some(0.2)`.
     pub ambiguity_window: Option<f64>,
     /// Extra eval-battery vectors an ambiguous pair's strands are probed
@@ -124,7 +124,7 @@ impl PrefilterConfig {
     ///
     /// The post-v3 knobs (`ambiguity_window`, `probe_vectors`,
     /// `refine_top_k`) are mixed **only when present**, so a config
-    /// loaded from a pre-v4 snapshot (where they deserialize as `None`)
+    /// recorded before they existed (where they deserialize as `None`)
     /// keeps the fingerprint it was recorded with.
     pub fn fingerprint(&self) -> u64 {
         let mut fields = vec![
@@ -392,7 +392,7 @@ fn compute_sketch_rounds(proc_: &Proc, config: &PrefilterConfig, vectors: usize)
 
 /// The banded LSH index over every corpus strand class's sketch.
 ///
-/// Built lazily on the first prefilter-enabled query (so v2 snapshots
+/// Built lazily on the first prefilter-enabled query (so classes
 /// without persisted sketches just rebuild them) and invalidated whenever
 /// a target is added.
 #[derive(Debug)]

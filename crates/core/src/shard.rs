@@ -446,10 +446,6 @@ pub(crate) struct LazyShards {
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
     /// Per-shard band summaries (pruning disabled while `None`).
     pub(crate) summaries: Option<Vec<ShardBandSummary>>,
-    /// Whole-decode compatibility mode: decode every record at open
-    /// (the pre-demand-decode behaviour, kept as the bench baseline and
-    /// the `--whole-decode` escape hatch).
-    pub(crate) eager: bool,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,
     /// Monotonic LRU clock; `stamps[i]` is shard `i`'s last touch.
@@ -475,7 +471,6 @@ impl LazyShards {
             source,
             slots,
             summaries: None,
-            eager: false,
             budget: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             stamps,
@@ -492,7 +487,7 @@ impl LazyShards {
     }
 
     /// One past the highest class index any shard owns. Classes at or
-    /// beyond this (added after the snapshot was opened) are resident in
+    /// beyond this (added after the index was opened) are resident in
     /// the engine itself.
     pub(crate) fn class_limit(&self) -> usize {
         self.specs.last().map_or(0, |s| s.class_end)
@@ -556,8 +551,7 @@ impl LazyShards {
     /// (load-before-lookup covers the cache segment, which is why opening
     /// alone satisfies the invariant), and returns a handle pinning the
     /// records. Only the structural base is budget-accounted here;
-    /// records account as they decode. In `eager` mode every record is
-    /// decoded before the handle is returned (the whole-decode baseline).
+    /// records account as they decode.
     pub(crate) fn ensure_loaded(
         &self,
         shard: usize,
@@ -600,12 +594,6 @@ impl LazyShards {
         });
         self.loaded.fetch_add(1, Ordering::Relaxed);
         *slot = Some(Arc::clone(&resident));
-        drop(slot);
-        if self.eager {
-            for i in 0..resident.records.class_count() {
-                self.decode_slot(shard, &resident, i)?;
-            }
-        }
         Ok(resident)
     }
 

@@ -8,7 +8,7 @@
 //! pairs, the layered checker confirms them. The result is the maximal
 //! fraction of query variables with an equivalent counterpart.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use esh_ivl::{Proc, Sort, VarId};
 use esh_solver::eval::{eval_many, Assignment, CVal};
@@ -45,7 +45,7 @@ impl Default for VcpConfig {
 impl VcpConfig {
     /// Stable FNV-1a digest over every threshold. Cached VCP results are
     /// only valid under the exact configuration that produced them, so the
-    /// cross-query cache and on-disk snapshots key on this value.
+    /// cross-query cache and on-disk indexes key on this value.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for field in [
@@ -81,9 +81,11 @@ pub fn size_ratio_ok(config: &VcpConfig, q_vars: usize, t_vars: usize) -> bool {
     r >= config.size_ratio && r <= 1.0 / config.size_ratio
 }
 
-/// Groups input ids of a procedure by sort.
-fn inputs_by_sort(p: &Proc) -> HashMap<Sort, Vec<VarId>> {
-    let mut m: HashMap<Sort, Vec<VarId>> = HashMap::new();
+/// Groups input ids of a procedure by sort, in sort order: the γ cross
+/// product is truncated at the cap, so the group order decides which
+/// correspondences are enumerated and must not vary between calls.
+fn inputs_by_sort(p: &Proc) -> BTreeMap<Sort, Vec<VarId>> {
+    let mut m: BTreeMap<Sort, Vec<VarId>> = BTreeMap::new();
     for i in p.inputs() {
         m.entry(p.var(i).sort).or_default().push(i);
     }
@@ -395,6 +397,32 @@ mod tests {
         let mut session = VerifierSession::new();
         let v = vcp_pair(&mut session, &q, &t, &quick_config());
         assert_eq!(v.q_in_t, 0.0);
+    }
+
+    #[test]
+    fn gamma_enumeration_is_deterministic_under_the_cap() {
+        use esh_ivl::InputKind;
+        // Two sort groups whose injection counts multiply past the cap
+        // (4·3 × 3·2 = 72 > 24): the truncated product must be the same
+        // list on every call.
+        fn strand(name: &str, wide: usize, narrow: usize) -> Proc {
+            let mut p = Proc::new(name);
+            for i in 0..wide {
+                p.declare(format!("w{i}"), Sort::Bv(64), Some(InputKind::Register));
+            }
+            for i in 0..narrow {
+                p.declare(format!("n{i}"), Sort::Bv(32), Some(InputKind::Register));
+            }
+            p
+        }
+        let q = strand("q", 2, 2);
+        let t = strand("t", 4, 3);
+        let cap = VcpConfig::default().max_correspondences;
+        let first = enumerate_gammas(&q, &t, cap);
+        assert_eq!(first.len(), cap);
+        for _ in 0..32 {
+            assert_eq!(enumerate_gammas(&q, &t, cap), first);
+        }
     }
 
     #[test]

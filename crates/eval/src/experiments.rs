@@ -55,31 +55,6 @@ pub fn build_engine(corpus: &Corpus, config: EngineConfig) -> SimilarityEngine {
     engine
 }
 
-/// Like [`build_engine`], but reuses a snapshot at `snapshot_path` when one
-/// exists and was built under the same configuration fingerprint; otherwise
-/// builds from the corpus and writes the snapshot (with the warmed VCP
-/// cache) for the next run. Experiments repeating the same corpus — ablation
-/// sweeps, ROC reruns, bench iterations — skip decomposition and lifting
-/// entirely on every run after the first.
-pub fn load_or_build_engine(
-    corpus: &Corpus,
-    config: EngineConfig,
-    snapshot_path: &std::path::Path,
-) -> SimilarityEngine {
-    if snapshot_path.exists() {
-        match SimilarityEngine::load_compatible(snapshot_path, &config) {
-            Ok(engine) => return engine,
-            // Stale version, other thresholds, corruption: rebuild below.
-            Err(e) => eprintln!("snapshot {}: {e}; rebuilding", snapshot_path.display()),
-        }
-    }
-    let engine = build_engine(corpus, config);
-    if let Err(e) = engine.save_with_cache(snapshot_path) {
-        eprintln!("snapshot {}: {e}; continuing in-memory", snapshot_path.display());
-    }
-    engine
-}
-
 /// Labels a query's scores against ground truth, excluding the query's own
 /// corpus entry.
 fn labelled(
@@ -756,22 +731,6 @@ mod tests {
             threads: 2,
             ..EngineConfig::default()
         }
-    }
-
-    #[test]
-    fn load_or_build_reuses_matching_snapshot() {
-        let c = smoke_corpus();
-        let path = std::env::temp_dir().join(format!(
-            "esh-eval-load-or-build-{}.esh",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        let built = load_or_build_engine(&c, quick_engine_config(), &path);
-        assert!(path.exists(), "first call must write the snapshot");
-        let reused = load_or_build_engine(&c, quick_engine_config(), &path);
-        assert_eq!(reused.class_count(), built.class_count());
-        assert_eq!(reused.target_count(), built.target_count());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,13 +1,12 @@
 #![warn(missing_docs)]
 
-//! # esh-index — the scale tier's on-disk format (v6)
+//! # esh-index — the engine's on-disk format (v6)
 //!
-//! JSON snapshots (format v2–v4, `esh-core::snapshot`) serialize every
-//! strand class **including its lifted IVL procedure** into one document;
-//! loading a 10k-procedure corpus means parsing hundreds of megabytes of
-//! JSON before the first query can run. This crate replaces that with a
-//! compact binary, **segment-sharded** layout that loads the pricing
-//! metadata eagerly and everything else lazily:
+//! The offline phase decomposes, lifts and hashes every target once; this
+//! crate persists the result as a compact binary, **segment-sharded**
+//! layout that loads the pricing metadata eagerly and everything else
+//! lazily, so a 10k-procedure corpus opens in milliseconds instead of
+//! being rebuilt:
 //!
 //! ```text
 //! index.eshx/
@@ -39,12 +38,8 @@
 //! a query's pricing actually demands one (v6 demand decoding). The
 //! mapping (or owned buffer) therefore lives for the shard's whole
 //! residency, not just the open call. Ranked responses and cache
-//! hit/miss counters are byte-identical to the same corpus loaded from
-//! JSON — pinned by this crate's round-trip proptests.
-//!
-//! **Migration.** [`migrate_json`] reads any JSON snapshot the engine
-//! accepts (formats v2–v4) and writes the sharded layout — the additive
-//! upgrade path.
+//! hit/miss counters are byte-identical to the resident engine the index
+//! was written from — pinned by this crate's round-trip proptests.
 //!
 //! **Checksums** (all FNV-1a) are layered to match decode granularity:
 //! the manifest records a whole-file `checksum` per file (tooling and
@@ -62,7 +57,7 @@ use std::path::{Path, PathBuf};
 
 use esh_core::{
     Bloom, CorpusExport, EngineConfig, LazyClassMeta, ShardBandSummary, ShardRecords, ShardSource,
-    ShardSpec, SimilarityEngine, SnapshotError, TargetExport, VcpCacheEntry, VcpPair,
+    ShardSpec, SimilarityEngine, TargetExport, VcpCacheEntry, VcpPair,
 };
 use esh_ivl::Proc;
 use esh_strands::Signature;
@@ -76,11 +71,11 @@ pub use mmap::Mmap;
 use mmap::{read_file, FileBytes};
 use wire::{checksum, checksum_parts, Reader, Writer};
 
-/// Format version of the sharded directory layout. Versions 2–4 are the
-/// JSON snapshot lineage (`esh-core::SNAPSHOT_FORMAT_VERSION`); version 5
-/// introduced the binary layout (whole-shard decode), version 6 adds
-/// per-record checksums to the shard offset tables plus a structural
-/// `meta_checksum` per shard, enabling per-procedure demand decoding.
+/// Format version of the sharded directory layout. Versions 2–4 were a
+/// retired JSON snapshot format; version 5 introduced the binary layout
+/// (whole-shard decode), version 6 adds per-record checksums to the
+/// shard offset tables plus a structural `meta_checksum` per shard,
+/// enabling per-procedure demand decoding.
 pub const SHARDED_FORMAT_VERSION: u32 = 6;
 
 /// Manifest file name inside an index directory.
@@ -135,8 +130,6 @@ pub enum IndexError {
         /// Fingerprint recomputed from the embedded config.
         expected: u64,
     },
-    /// A JSON snapshot error surfaced during [`migrate_json`].
-    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for IndexError {
@@ -161,7 +154,6 @@ impl fmt::Display for IndexError {
                  configuration — the manifest was edited or corrupted",
                 path.display()
             ),
-            IndexError::Snapshot(e) => write!(f, "migrating json snapshot: {e}"),
         }
     }
 }
@@ -170,15 +162,8 @@ impl std::error::Error for IndexError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IndexError::Io { source, .. } => Some(source),
-            IndexError::Snapshot(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<SnapshotError> for IndexError {
-    fn from(e: SnapshotError) -> IndexError {
-        IndexError::Snapshot(e)
     }
 }
 
@@ -246,12 +231,6 @@ impl WriteSummary {
     pub fn total_bytes(&self) -> u64 {
         self.core_bytes + self.shard_bytes
     }
-}
-
-/// True when `path` looks like a sharded index directory (used by the
-/// CLI to dispatch between JSON snapshots and sharded directories).
-pub fn is_sharded_index(path: impl AsRef<Path>) -> bool {
-    path.as_ref().join(MANIFEST_FILE).is_file()
 }
 
 fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> IndexError + '_ {
@@ -782,17 +761,11 @@ pub struct EshxOpenOptions {
     /// present) so queries can skip whole shards with zero sketch
     /// collisions before fan-out.
     pub prune: bool,
-    /// Decode shard records per procedure, on demand (the default): a
-    /// touched shard decodes only the classes a query actually needs.
-    /// When false every record of a touched shard decodes at shard open
-    /// — the v5 behavior, kept as the bench baseline and an escape
-    /// hatch. Both modes produce byte-identical rankings and counters.
-    pub demand: bool,
 }
 
 impl Default for EshxOpenOptions {
     fn default() -> EshxOpenOptions {
-        EshxOpenOptions { mmap: true, prune: true, demand: true }
+        EshxOpenOptions { mmap: true, prune: true }
     }
 }
 
@@ -938,8 +911,8 @@ pub fn shard_record_ranges(
 
 /// Opens a sharded v6 index directory as a lazily backed
 /// [`SimilarityEngine`] with default options (mmap on, pruning on).
-/// Ranked responses are byte-identical to the same corpus loaded from a
-/// JSON snapshot.
+/// Ranked responses are byte-identical to the resident engine the index
+/// was written from.
 pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexError> {
     open_sharded_with(dir, EshxOpenOptions::default())
 }
@@ -1025,19 +998,7 @@ pub fn open_sharded_with(
             .set_shard_band_summaries(summaries)
             .map_err(|e| format_err(&manifest_path, e))?;
     }
-    engine.set_shard_demand_decode(options.demand);
     Ok(engine)
-}
-
-/// Migrates a JSON snapshot (any readable format, v2–v4) to a sharded v6
-/// index directory. The JSON file is left untouched.
-pub fn migrate_json(
-    json_path: impl AsRef<Path>,
-    dir: impl AsRef<Path>,
-    targets_per_shard: usize,
-) -> Result<WriteSummary, IndexError> {
-    let engine = SimilarityEngine::load(json_path.as_ref())?;
-    write_sharded(&engine, dir, targets_per_shard)
 }
 
 #[cfg(test)]
@@ -1091,7 +1052,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let summary = write_sharded(&engine, &dir, 2).unwrap();
         assert!(summary.shards >= 2);
-        assert!(is_sharded_index(&dir));
+        assert!(dir.join(MANIFEST_FILE).is_file());
         let lazy = open_sharded(&dir).unwrap();
         assert_eq!(lazy.target_count(), engine.target_count());
         assert_eq!(lazy.class_count(), engine.class_count());
@@ -1179,24 +1140,47 @@ mod tests {
     }
 
     #[test]
-    fn saving_a_lazy_engine_materializes_procedures() {
+    fn rewriting_a_lazy_engine_materializes_procedures() {
         // A lazily backed engine must never serialize placeholder
-        // procedures: a JSON snapshot written from it has to load into an
-        // engine that scores identically.
+        // procedures: an index rewritten from it — at a different shard
+        // size, warmed cache included — has to score like the resident
+        // engine it descends from, both on the query its cache covers
+        // and on one that must price class procedures afresh.
         let engine = small_engine();
-        let dir = temp_dir("materialize");
-        write_sharded(&engine, &dir, 2).unwrap();
-        let lazy = open_sharded(&dir).unwrap();
-        let json = dir.join("resaved.esh");
-        lazy.save(&json).unwrap();
-        let resaved = SimilarityEngine::load(&json).unwrap();
         let q = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0))
             .compile_function(&demo::venom_like());
+        engine.query(&q);
+        let dir = temp_dir("materialize");
+        write_sharded(&engine, dir.join("a.eshx"), 2).unwrap();
+        let lazy = open_sharded(dir.join("a.eshx")).unwrap();
+        let summary = write_sharded(&lazy, dir.join("b.eshx"), 3).unwrap();
+        assert_eq!(summary.targets, engine.target_count());
+        assert_eq!(summary.cache_entries, engine.cache_stats().entries);
+        let rewritten = open_sharded(dir.join("b.eshx")).unwrap();
+        let (h0, m0) = (engine.cache_stats().hits, engine.cache_stats().misses);
         let a = engine.query(&q);
-        let b = resaved.query(&q);
+        let b = rewritten.query(&q);
         for (x, y) in a.scores.iter().zip(&b.scores) {
             assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
         }
+        let (ca, cb) = (engine.cache_stats(), rewritten.cache_stats());
+        assert_eq!((ca.hits - h0, ca.misses - m0), (cb.hits, cb.misses));
+        assert_eq!(cb.misses, 0, "the persisted cache must cover the repeat");
+        let fresh = Compiler::new(Vendor::Clang, VendorVersion::new(3, 4))
+            .compile_function(&demo::ws_snmp_like());
+        let a = engine.query(&fresh);
+        let b = rewritten.query(&fresh);
+        for (x, y) in a.scores.iter().zip(&b.scores) {
+            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+            assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+            assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+        }
+        let (ca2, cb2) = (engine.cache_stats(), rewritten.cache_stats());
+        assert_eq!(
+            (ca2.hits - ca.hits, ca2.misses - ca.misses),
+            (cb2.hits - cb.hits, cb2.misses - cb.misses)
+        );
+        assert!(cb2.misses > cb.misses, "the second query must price uncached pairs");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1275,27 +1259,6 @@ mod tests {
             assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
             assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
             assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn migrate_json_round_trips_scores() {
-        let engine = small_engine();
-        let dir = temp_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("old.esh");
-        engine.save_with_cache(&json).unwrap();
-        let out = dir.join("new.eshx");
-        let summary = migrate_json(&json, &out, 3).unwrap();
-        assert_eq!(summary.targets, engine.target_count());
-        let lazy = open_sharded(&out).unwrap();
-        let q = Compiler::new(Vendor::Clang, VendorVersion::new(3, 4))
-            .compile_function(&demo::ws_snmp_like());
-        let a = engine.query(&q);
-        let b = lazy.query(&q);
-        for (x, y) in a.scores.iter().zip(&b.scores) {
-            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,7 +3,8 @@
 //! # esh-serve — the serving layer
 //!
 //! A long-running query daemon over the similarity engine: load a corpus
-//! (and optionally a snapshot index) once, then answer many queries
+//! and the engine over it — built in memory or opened from a sharded
+//! `.eshx` index — once, then answer many queries
 //! concurrently behind a *bounded* admission queue. The paper frames Esh
 //! as a search engine over binaries (§1); this crate supplies the
 //! missing operational half — admission control, per-request deadlines,

@@ -271,8 +271,8 @@ impl ServerStats {
             prefilter.refine_passes
         ));
         // Scale tier: shard residency (gauges) and query fan-out
-        // (counter). A fully resident engine (JSON snapshot) reports
-        // all-zero; a lazy v5 index reports loaded < total until queries
+        // (counter). A fully resident engine (built in memory) reports
+        // all-zero; a lazy `.eshx` index reports loaded < total until queries
         // have touched every segment, evictions and resident bytes only
         // move under a `--shard-budget-mb` cap, and the pruned counter
         // only under a sketch-band prune sidecar.
@@ -301,8 +301,7 @@ impl ServerStats {
         // Sub-shard demand decoding: decoded-vs-mapped byte gauges show
         // how much of the mapped corpus queries actually paid to decode,
         // and `partial` counts shards serving with raw neighbours still
-        // undecoded. Under `--whole-decode` (or a JSON snapshot)
-        // decoded == resident and partial stays 0.
+        // undecoded. Fully resident engines report zeros.
         out.push_str(&format!(
             "esh_shard_decoded_bytes {}\n",
             shards.decoded_bytes

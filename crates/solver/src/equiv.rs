@@ -94,7 +94,7 @@ impl Default for EquivConfig {
 
 impl EquivConfig {
     /// Stable FNV-1a digest over every budget. Two configs with the same
-    /// fingerprint decide term pairs identically, so cached or snapshotted
+    /// fingerprint decide term pairs identically, so cached or persisted
     /// results keyed by it are safe to reuse.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -32,7 +32,7 @@ pub const SIGNATURE_SEEDS: [u64; 2] = [0x00c0_ffee, 0x0bad_f00d];
 /// hasher and is therefore tied to the toolchain that produced it), this
 /// is a fixed function: values derived from it — per-class semantic
 /// sketches, minhash signatures, LSH band keys — can be persisted in
-/// snapshots and compared across builds.
+/// indexes and compared across builds.
 pub fn stable_mix(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
         h ^= u64::from(b);

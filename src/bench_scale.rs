@@ -6,42 +6,33 @@
 //! ([`esh_corpus::scale::stream_scale_corpus_with_threads`]) straight
 //! into an engine running the pure-LSH scale profile
 //! ([`esh_core::PrefilterConfig::lsh_only`]), persists it as a sharded
-//! binary index (format v6) — plus a JSON snapshot (format v4) at sizes
-//! where parsing one is still tolerable — then measures what the scale
-//! tier exists to improve:
+//! binary index (format v6), then measures what the scale tier exists to
+//! improve:
 //!
 //! * **build throughput** — procedures ingested per second (streamed
 //!   generation + compilation + decompose/lift/dedup/sketch),
 //! * **cold-load time** — [`esh_index::open_sharded_with`] with `mmap`
 //!   on *and* off (manifest + `core.bin` only; procedure bodies stay on
-//!   disk until a query needs them), vs `SimilarityEngine::load`
-//!   (parse the whole JSON document) where the baseline is measured,
+//!   disk until a query needs them),
 //! * **query latency and shard fan-out** — ranked queries against the
 //!   lazily loaded engine under per-record demand decoding, with shard
 //!   residency, whole-shard prunes (the sketch-band sidecar), peak
 //!   resident bytes, and decoded-vs-mapped bytes reported,
-//! * **whole-decode baseline** — the same queries with demand decoding
-//!   off (`EshxOpenOptions { demand: false }`, the v5 behavior where a
-//!   touched shard decodes every record at open), for the latency and
-//!   residency comparison the demand-decode tier is gated on,
 //! * **memory-bounded serving** — the same queries repeated under a
 //!   one-shard [`set_shard_budget`](esh_core::SimilarityEngine::set_shard_budget),
 //!   gated on evictions happening, settled residency staying under the
 //!   budget, and the ranked output staying bit-identical to the
 //!   unbudgeted run.
 //!
-//! The bench *gates* on: the sharded cold-load beating the JSON load at
-//! every size it is measured; the mmap cold-load never losing to the
+//! The bench *gates* on: the mmap cold-load never losing to the
 //! read-into-buffer fallback; at least one whole shard pruned per query;
 //! demand decoding decoding strictly fewer bytes than it maps, with at
-//! least one partially-decoded shard after every query and rankings
-//! bit-identical to the whole-decode baseline; at the 100k rung, the
-//! cold demand-decode query at least 2× faster than whole-decode with
-//! strictly lower peak residency; the budgeted invariants above; and a
-//! byte-identity check — the ranked output of a sharded engine must
-//! equal the JSON-loaded engine's bit for bit on the cross-compiler
-//! paper corpus (371 procedures; `--smoke` uses the small 28-procedure
-//! matrix). Results land in `BENCH_scale.json`.
+//! least one partially-decoded shard after every query; the budgeted
+//! invariants above; and a byte-identity check — the ranked output of a
+//! sharded engine must equal the resident engine it was written from,
+//! bit for bit, on the cross-compiler paper corpus (371 procedures;
+//! `--smoke` uses the small 28-procedure matrix). Results land in
+//! `BENCH_scale.json`.
 
 use std::time::Instant;
 
@@ -64,12 +55,6 @@ const TARGETS_PER_SHARD: usize = 8;
 
 /// Ranked queries issued against each lazily loaded index.
 const QUERIES_PER_SIZE: usize = 2;
-
-/// Largest size at which the JSON snapshot baseline is still measured.
-/// Above it (the 100k rung) the near-gigabyte JSON document is the
-/// failure mode the scale tier exists to retire, not a baseline worth
-/// building — those entries report `null` for the JSON fields.
-const JSON_BASELINE_CEILING: usize = 10_000;
 
 /// Knobs the `esh bench-scale` CLI exposes.
 pub struct BenchScaleOptions {
@@ -98,18 +83,14 @@ impl Default for BenchScaleOptions {
 struct SizeRun {
     procs: usize,
     build_ms: u128,
-    json_bytes: u64,
-    json_load_ms: Option<u128>,
     sharded_bytes: u64,
     mmap_load_ms: u128,
     buffered_load_ms: u128,
     query_ms: Vec<u128>,
-    query_ms_whole: Vec<u128>,
     shards_total: u64,
     shards_loaded: u64,
     shards_pruned: u64,
     resident_bytes_peak: u64,
-    resident_bytes_peak_whole: u64,
     decoded_bytes: u64,
     mapped_bytes: u64,
     classes_decoded: u64,
@@ -123,11 +104,6 @@ struct SizeRun {
 impl SizeRun {
     fn throughput(&self) -> f64 {
         self.procs as f64 / (self.build_ms.max(1) as f64 / 1000.0)
-    }
-
-    /// Cold-load time of the backing the query phases ran on.
-    fn sharded_load_ms(&self, mmap: bool) -> u128 {
-        if mmap { self.mmap_load_ms } else { self.buffered_load_ms }
     }
 }
 
@@ -158,7 +134,7 @@ fn cold_load_ms(eshx: &std::path::Path) -> Result<(u128, u128), String> {
             let t = Instant::now();
             let engine = esh_index::open_sharded_with(
                 eshx,
-                EshxOpenOptions { mmap, prune: true, demand: true },
+                EshxOpenOptions { mmap, prune: true },
             )
             .map_err(|e| e.to_string())?;
             best[i] = best[i].min(t.elapsed().as_millis());
@@ -196,7 +172,6 @@ fn assert_identical(a: &QueryScores, b: &QueryScores, what: &str) -> Result<(), 
 fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, String> {
     let dir = scratch_dir();
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let json_path = dir.join(format!("scale-{procs}.esh"));
     let eshx_path = dir.join(format!("scale-{procs}.eshx"));
     let threads = if opts.threads == 0 { scale_matrix().len() } else { opts.threads };
 
@@ -212,30 +187,14 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
 
     let summary =
         esh_index::write_sharded(&engine, &eshx_path, TARGETS_PER_SHARD).map_err(|e| e.to_string())?;
-    let (json_bytes, json_load_ms) = if procs <= JSON_BASELINE_CEILING {
-        engine.save(&json_path).map_err(|e| e.to_string())?;
-        drop(engine);
-        let bytes = std::fs::metadata(&json_path).map_err(|e| e.to_string())?.len();
-        let t1 = Instant::now();
-        let json_engine = SimilarityEngine::load(&json_path).map_err(|e| e.to_string())?;
-        let ms = t1.elapsed().as_millis();
-        drop(json_engine);
-        (bytes, Some(ms))
-    } else {
-        drop(engine);
-        (0, None)
-    };
+    drop(engine);
 
     eprintln!(
         "bench-scale: [{procs}] built in {build_ms}ms ({:.0} procs/s); sharded {}B across {} \
-         shards{}",
+         shards",
         procs as f64 / (build_ms.max(1) as f64 / 1000.0),
         summary.total_bytes(),
         summary.shards,
-        match json_load_ms {
-            Some(ms) => format!("; json {json_bytes}B loads in {ms}ms"),
-            None => "; json baseline skipped at this size".to_string(),
-        },
     );
 
     let (mmap_load_ms, buffered_load_ms) = cold_load_ms(&eshx_path)?;
@@ -244,20 +203,23 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
     );
 
     let queries = query_battery();
-    let open = |demand: bool| {
+    let open = || {
         esh_index::open_sharded_with(
             &eshx_path,
-            EshxOpenOptions { mmap: opts.mmap, prune: true, demand },
+            EshxOpenOptions {
+                mmap: opts.mmap,
+                prune: true,
+            },
         )
         .map_err(|e| e.to_string())
     };
 
-    // Unbudgeted demand-decode pass: latency, whole-shard prunes, peak
-    // residency, decoded-vs-mapped bytes. `shards_partial_min` is the
+    // Unbudgeted pass: latency, whole-shard prunes, peak residency,
+    // decoded-vs-mapped bytes. `shards_partial_min` is the
     // smallest count of partially-decoded resident shards observed
     // after any query — the gate that demand decoding actually leaves
     // neighbour records raw on every query, not just in aggregate.
-    let lazy = open(true)?;
+    let lazy = open()?;
     let mut query_ms = Vec::with_capacity(queries.len());
     let mut baselines = Vec::with_capacity(queries.len());
     let mut shards_partial_min = u64::MAX;
@@ -285,32 +247,13 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
         shards_partial_min,
     );
 
-    // Whole-decode baseline: the same queries with demand decoding off
-    // (every touched shard decodes all records at open — the v5
-    // behavior). Rankings must not move by a bit; the latency and
-    // residency deltas are what the demand-decode tier is gated on.
-    let whole = open(false)?;
-    let mut query_ms_whole = Vec::with_capacity(queries.len());
-    for (i, q) in queries.iter().enumerate() {
-        let tq = Instant::now();
-        let scores = whole.query(q);
-        query_ms_whole.push(tq.elapsed().as_millis());
-        assert_identical(&baselines[i], &scores, &format!("[{procs}] whole-decode query {i}"))?;
-    }
-    let wstats = whole.shard_stats();
-    drop(whole);
-    eprintln!(
-        "bench-scale: [{procs}] whole-decode baseline {query_ms_whole:?}ms, peak resident {}B",
-        wstats.resident_bytes_peak,
-    );
-
     // Budgeted pass: one-shard budget, same queries. Evictions must
     // happen, settled residency must respect the budget, and the ranked
     // output must not move by a bit.
     let budget_bytes = esh_index::read_manifest(&eshx_path)
         .map_err(|e| e.to_string())?
         .largest_shard_bytes;
-    let budgeted = open(true)?;
+    let budgeted = open()?;
     budgeted.set_shard_budget(budget_bytes);
     for (i, q) in queries.iter().enumerate() {
         let scores = budgeted.query(q);
@@ -323,24 +266,19 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
         bstats.evicted_total, bstats.resident_bytes, bstats.resident_bytes_peak,
     );
 
-    std::fs::remove_file(&json_path).ok();
     std::fs::remove_dir_all(&eshx_path).ok();
 
     Ok(SizeRun {
         procs,
         build_ms,
-        json_bytes,
-        json_load_ms,
         sharded_bytes: summary.total_bytes(),
         mmap_load_ms,
         buffered_load_ms,
         query_ms,
-        query_ms_whole,
         shards_total: stats.shards_total,
         shards_loaded: stats.shards_loaded,
         shards_pruned: stats.pruned_total,
         resident_bytes_peak: stats.resident_bytes_peak,
-        resident_bytes_peak_whole: wstats.resident_bytes_peak,
         decoded_bytes: stats.decoded_bytes,
         mapped_bytes: stats.mapped_bytes,
         classes_decoded: stats.classes_decoded_total,
@@ -353,8 +291,8 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
 }
 
 /// Byte-identity on the cross-compiler matrix: a sharded engine's ranked
-/// output must equal the JSON-loaded engine's, bit for bit, scores and
-/// order alike. Returns `(corpus procs, queries checked)`.
+/// output must equal the resident engine it was written from, bit for
+/// bit, scores and order alike. Returns `(corpus procs, queries checked)`.
 fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
     let corpus_config = if smoke { CorpusConfig::small() } else { CorpusConfig::default() };
     let corpus = Corpus::build(&corpus_config);
@@ -362,18 +300,14 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
         "bench-scale: identity check on the {}-procedure compiler matrix...",
         corpus.procs.len()
     );
-    let mut engine = SimilarityEngine::new(esh_core::EngineConfig::default());
+    let mut resident = SimilarityEngine::new(esh_core::EngineConfig::default());
     for p in &corpus.procs {
-        engine.add_target(p.display(), &p.proc_);
+        resident.add_target(p.display(), &p.proc_);
     }
     let dir = scratch_dir();
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let json_path = dir.join("identity.esh");
     let eshx_path = dir.join("identity.eshx");
-    engine.save(&json_path).map_err(|e| e.to_string())?;
-    esh_index::write_sharded(&engine, &eshx_path, 32).map_err(|e| e.to_string())?;
-    drop(engine);
-    let from_json = SimilarityEngine::load(&json_path).map_err(|e| e.to_string())?;
+    esh_index::write_sharded(&resident, &eshx_path, 32).map_err(|e| e.to_string())?;
     let from_shards = esh_index::open_sharded(&eshx_path).map_err(|e| e.to_string())?;
 
     let queries: Vec<usize> = corpus
@@ -386,7 +320,7 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
         .take(3)
         .collect();
     for &qi in &queries {
-        let a = from_json.query(&corpus.procs[qi].proc_);
+        let a = resident.query(&corpus.procs[qi].proc_);
         let b = from_shards.query(&corpus.procs[qi].proc_);
         let ra = a.ranked();
         let rb = b.ranked();
@@ -408,33 +342,22 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
     }
     // The counter contract too: both engines saw the same queries, so
     // their hit/miss counters must agree exactly.
-    let ca = from_json.cache_stats();
+    let ca = resident.cache_stats();
     let cb = from_shards.cache_stats();
     if (ca.hits, ca.misses) != (cb.hits, cb.misses) {
         return Err(format!(
-            "identity: cache counters diverge — json {}h/{}m, sharded {}h/{}m",
+            "identity: cache counters diverge — resident {}h/{}m, sharded {}h/{}m",
             ca.hits, ca.misses, cb.hits, cb.misses
         ));
     }
-    std::fs::remove_file(&json_path).ok();
     std::fs::remove_dir_all(&eshx_path).ok();
     Ok((corpus.procs.len(), queries.len()))
 }
 
 /// All the pass/fail conditions over the measured runs, separated from
 /// measurement so a failure still leaves every number printed above it.
-fn apply_gates(runs: &[SizeRun], mmap: bool) -> Result<(), String> {
+fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
     for r in runs {
-        if let Some(json_ms) = r.json_load_ms {
-            if r.sharded_load_ms(mmap) >= json_ms {
-                return Err(format!(
-                    "cold-load gate failed at {} procs: sharded {}ms is not faster than json {}ms",
-                    r.procs,
-                    r.sharded_load_ms(mmap),
-                    json_ms
-                ));
-            }
-        }
         if r.mmap_load_ms > r.buffered_load_ms {
             return Err(format!(
                 "mmap gate failed at {} procs: mmap cold-load {}ms lost to the buffered \
@@ -463,27 +386,6 @@ fn apply_gates(runs: &[SizeRun], mmap: bool) -> Result<(), String> {
                 r.procs
             ));
         }
-        // The headline demand-decode gates bind where whole-shard decode
-        // actually hurts: at 100k-scale, shard decode dominates a cold
-        // query. Below that, SAT work dominates and the ratio is noise.
-        if r.procs >= 100_000 {
-            let cold = r.query_ms[0].max(1);
-            let cold_whole = r.query_ms_whole[0];
-            if cold_whole < cold.saturating_mul(2) {
-                return Err(format!(
-                    "demand-decode speedup gate failed at {} procs: cold query {}ms vs \
-                     whole-decode {}ms (need ≥2×)",
-                    r.procs, r.query_ms[0], cold_whole
-                ));
-            }
-            if r.resident_bytes_peak >= r.resident_bytes_peak_whole {
-                return Err(format!(
-                    "residency gate failed at {} procs: demand-decode peak {}B is not below \
-                     whole-decode peak {}B",
-                    r.procs, r.resident_bytes_peak, r.resident_bytes_peak_whole
-                ));
-            }
-        }
         if r.budget_evicted == 0 {
             return Err(format!(
                 "eviction gate failed at {} procs: a one-shard budget ({}B) never evicted",
@@ -502,8 +404,8 @@ fn apply_gates(runs: &[SizeRun], mmap: bool) -> Result<(), String> {
 
 /// Runs the scale bench and writes `BENCH_scale.json`. `--smoke` keeps
 /// the 1k size and the small identity matrix for CI. Returns an error
-/// when any gate fails — cold-load, mmap-vs-buffered, whole-shard
-/// pruning, eviction under budget, or ranked-output identity.
+/// when any gate fails — mmap-vs-buffered, whole-shard pruning, demand
+/// decoding, eviction under budget, or ranked-output identity.
 pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let t0 = Instant::now();
     let ladder: &[usize] = if opts.smoke { &[1000] } else { &[1000, 5000, 10_000, 100_000] };
@@ -523,35 +425,19 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let (identity_procs, identity_queries) = check_identity(opts.smoke)?;
     std::fs::remove_dir_all(scratch_dir()).ok();
 
-    apply_gates(&runs, opts.mmap)?;
+    apply_gates(&runs)?;
 
     let size_entries: Vec<String> = runs
         .iter()
         .map(|r| {
             let q: Vec<String> = r.query_ms.iter().map(|m| m.to_string()).collect();
-            let qw: Vec<String> = r.query_ms_whole.iter().map(|m| m.to_string()).collect();
-            let cold_speedup = r.query_ms_whole.first().copied().unwrap_or(0) as f64
-                / (*r.query_ms.first().unwrap_or(&1)).max(1) as f64;
-            let json_side = match r.json_load_ms {
-                Some(ms) => format!(
-                    "\"json_bytes\": {}, \"json_load_ms\": {}, \"cold_load_speedup\": {:.2}",
-                    r.json_bytes,
-                    ms,
-                    ms as f64 / r.sharded_load_ms(opts.mmap).max(1) as f64,
-                ),
-                None => "\"json_bytes\": null, \"json_load_ms\": null, \
-                         \"cold_load_speedup\": null"
-                    .to_string(),
-            };
             format!(
                 "    {{ \"procs\": {}, \"build_ms\": {}, \
-                 \"build_throughput_procs_per_s\": {:.1}, {json_side}, \
+                 \"build_throughput_procs_per_s\": {:.1}, \
                  \"sharded_bytes\": {}, \"mmap_load_ms\": {}, \"buffered_load_ms\": {}, \
-                 \"query_ms\": [{}], \"query_ms_whole_decode\": [{}], \
-                 \"cold_query_speedup\": {:.2}, \"shards_total\": {}, \
+                 \"query_ms\": [{}], \"shards_total\": {}, \
                  \"shards_loaded_after_queries\": {}, \
-                 \"shards_pruned\": {}, \"resident_bytes_peak\": {}, \
-                 \"resident_bytes_peak_whole_decode\": {}, \"decoded_bytes\": {}, \
+                 \"shards_pruned\": {}, \"resident_bytes_peak\": {}, \"decoded_bytes\": {}, \
                  \"mapped_bytes\": {}, \"classes_decoded\": {}, \"shards_partial_min\": {}, \
                  \"shard_budget_bytes\": {}, \"budget_resident_bytes\": {}, \
                  \"budget_resident_bytes_peak\": {}, \"shards_evicted\": {} }}",
@@ -562,13 +448,10 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
                 r.mmap_load_ms,
                 r.buffered_load_ms,
                 q.join(", "),
-                qw.join(", "),
-                cold_speedup,
                 r.shards_total,
                 r.shards_loaded,
                 r.shards_pruned,
                 r.resident_bytes_peak,
-                r.resident_bytes_peak_whole,
                 r.decoded_bytes,
                 r.mapped_bytes,
                 r.classes_decoded,

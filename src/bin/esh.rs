@@ -5,15 +5,13 @@
 //! esh build-corpus [smoke|default|paper] <corpus.json>
 //! esh corpus gen --procs N [--seed S] [--out corpus.json] [--threads N]
 //! esh search <corpus.json> <query-substring> [top_n]
-//! esh index build <corpus.json> <index.esh | index.eshx> [targets-per-shard]
-//! esh index migrate <index.esh> <index.eshx> [targets-per-shard]
-//! esh query --index <index.esh | index.eshx> <corpus.json> <query-substring>
-//!           [top_n] [--json] [--no-prefilter] [--whole-decode]
+//! esh index build <corpus.json> <index.eshx> [targets-per-shard]
+//! esh query --index <index.eshx> <corpus.json> <query-substring>
+//!           [top_n] [--json] [--no-prefilter]
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
-//! esh serve --index <index.esh | index.eshx> <corpus.json> [--addr A] [--workers N]
+//! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
 //!           [--queue N] [--deadline-ms N] [--threads N]
 //!           [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]
-//!           [--whole-decode]
 //! esh bench-serve [--smoke]
 //! esh bench-prefilter [--smoke]
 //! esh bench-rankquality [--smoke]
@@ -23,13 +21,14 @@
 //! ```
 //!
 //! `index build` persists the engine's derived corpus state (strand
-//! classes, signatures, hashes) to a versioned snapshot; `query --index`
-//! restores it — skipping decomposition/lifting of every target — runs the
-//! query, reports VCP-cache statistics, and writes the warmed cache back
-//! into the snapshot so repeat queries skip the verifier almost entirely.
+//! classes, signatures, hashes, lifted procedures) as a sharded binary
+//! `.eshx` index (format v6); `query --index` opens it — skipping
+//! decomposition/lifting of every target — runs the query and reports
+//! VCP-cache statistics. Indexes are immutable once written: a warm
+//! cache belongs to a long-running `serve`.
 //!
-//! `serve` turns the same engine into a long-running daemon: snapshot
-//! loaded once, queries answered concurrently over pipelined
+//! `serve` turns the same engine into a long-running daemon: index
+//! opened once, queries answered concurrently over pipelined
 //! newline-delimited JSON with bounded admission, per-request deadlines,
 //! batch coalescing (`--batch-max` / `--batch-window-ms`) and
 //! `/metrics`.
@@ -49,19 +48,14 @@
 //!
 //! The **scale tier**: `corpus gen` streams a seeded synthetic corpus
 //! (10k+ procedures across the 21-configuration compiler matrix) without
-//! materializing it in memory (`--threads` caps the compile pool); an
-//! index path ending in `.eshx` selects the sharded binary format (v6)
-//! whose shards mmap lazily at query time and decode *per procedure* on
-//! demand (`--whole-decode` reverts to eager whole-shard decode), can be
-//! skipped wholesale by the sketch-band sidecar, and are evicted LRU
-//! under `serve --shard-budget-mb`; `index migrate` upgrades an existing
-//! JSON snapshot in place; `bench-scale` measures build throughput,
-//! cold-load time (mmap vs the `--no-mmap` buffered fallback), query
-//! latency (demand-decode vs whole-decode), whole-shard pruning and
+//! materializing it in memory (`--threads` caps the compile pool); index
+//! shards mmap lazily at query time and decode *per procedure* on
+//! demand, can be skipped wholesale by the sketch-band sidecar, and are
+//! evicted LRU under `serve --shard-budget-mb`; `bench-scale` measures
+//! build throughput, cold-load time (mmap vs the `--no-mmap` buffered
+//! fallback), query latency, demand decoding, whole-shard pruning and
 //! budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
-//! and writes `BENCH_scale.json`. Sharded indexes are immutable at
-//! query time: `query --index` skips the cache write-back that JSON
-//! snapshots receive.
+//! and writes `BENCH_scale.json`.
 
 use esh::prelude::*;
 use esh_eval::experiments::Scale;
@@ -72,15 +66,13 @@ fn usage() -> ExitCode {
         "usage:\n  esh build-corpus [smoke|default|paper] <corpus.json>\n  \
          esh corpus gen --procs N [--seed S] [--out corpus.json] [--threads N]\n  \
          esh search <corpus.json> <query-substring> [top_n]\n  \
-         esh index build <corpus.json> <index.esh | index.eshx> [targets-per-shard]\n  \
-         esh index migrate <index.esh> <index.eshx> [targets-per-shard]\n  \
-         esh query --index <index.esh | index.eshx> <corpus.json> <query-substring>\n  \
-         \x20         [top_n] [--json] [--no-prefilter] [--whole-decode]\n  \
+         esh index build <corpus.json> <index.eshx> [targets-per-shard]\n  \
+         esh query --index <index.eshx> <corpus.json> <query-substring>\n  \
+         \x20         [top_n] [--json] [--no-prefilter]\n  \
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
-         esh serve --index <index.esh | index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
+         esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
          \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
          \x20         [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]\n  \
-         \x20         [--whole-decode]\n  \
          esh bench-serve [--smoke]\n  \
          esh bench-prefilter [--smoke]\n  \
          esh bench-rankquality [--smoke]\n  \
@@ -191,12 +183,6 @@ fn engine_over_corpus(corpus: &Corpus) -> SimilarityEngine {
 /// Default shard granularity when the CLI does not specify one.
 const DEFAULT_TARGETS_PER_SHARD: usize = 64;
 
-/// True when `path` names (or will name) a sharded v5 index: an existing
-/// directory with a manifest, or a fresh path with the `.eshx` extension.
-fn wants_sharded(path: &str) -> bool {
-    esh::index::is_sharded_index(path) || path.ends_with(".eshx")
-}
-
 fn parse_shard_size(arg: Option<&String>) -> Result<usize, String> {
     match arg {
         None => Ok(DEFAULT_TARGETS_PER_SHARD),
@@ -208,9 +194,22 @@ fn parse_shard_size(arg: Option<&String>) -> Result<usize, String> {
     }
 }
 
-fn report_sharded(path: &str, summary: &esh::index::WriteSummary) {
+fn index(args: &[String]) -> Result<(), String> {
+    let (corpus_path, index_path, per_shard) = match args {
+        [sub, corpus_path, index_path, rest @ ..] if sub == "build" && rest.len() <= 1 => {
+            (corpus_path, index_path, parse_shard_size(rest.first())?)
+        }
+        _ => {
+            return Err("index takes: build <corpus.json> <index.eshx> [targets-per-shard]".into())
+        }
+    };
+    let corpus = load(corpus_path)?;
+    eprintln!("indexing {} procedures...", corpus.procs.len());
+    let engine = engine_over_corpus(&corpus);
+    let summary =
+        esh::index::write_sharded(&engine, index_path, per_shard).map_err(|e| e.to_string())?;
     println!(
-        "wrote sharded index {path}: {} targets, {} classes, {} shards, \
+        "wrote sharded index {index_path}: {} targets, {} classes, {} shards, \
          {}B core + {}B shards, format v{}",
         summary.targets,
         summary.classes,
@@ -219,46 +218,7 @@ fn report_sharded(path: &str, summary: &esh::index::WriteSummary) {
         summary.shard_bytes,
         esh::index::SHARDED_FORMAT_VERSION,
     );
-}
-
-fn index(args: &[String]) -> Result<(), String> {
-    match args {
-        [sub, corpus_path, index_path, rest @ ..] if sub == "build" && rest.len() <= 1 => {
-            let corpus = load(corpus_path)?;
-            eprintln!("indexing {} procedures...", corpus.procs.len());
-            let engine = engine_over_corpus(&corpus);
-            if wants_sharded(index_path) {
-                let per_shard = parse_shard_size(rest.first())?;
-                let summary = esh::index::write_sharded(&engine, index_path, per_shard)
-                    .map_err(|e| e.to_string())?;
-                report_sharded(index_path, &summary);
-            } else {
-                if !rest.is_empty() {
-                    return Err("targets-per-shard only applies to .eshx outputs".into());
-                }
-                engine.save(index_path).map_err(|e| e.to_string())?;
-                println!(
-                    "wrote index: {} targets, {} strand classes, format v{}, config {:#018x}",
-                    engine.target_count(),
-                    engine.class_count(),
-                    esh::core::SNAPSHOT_FORMAT_VERSION,
-                    engine.config().fingerprint(),
-                );
-            }
-            Ok(())
-        }
-        [sub, json_path, eshx_path, rest @ ..] if sub == "migrate" && rest.len() <= 1 => {
-            let per_shard = parse_shard_size(rest.first())?;
-            let summary = esh::index::migrate_json(json_path, eshx_path, per_shard)
-                .map_err(|e| e.to_string())?;
-            report_sharded(eshx_path, &summary);
-            Ok(())
-        }
-        _ => Err("index takes: build <corpus.json> <index.esh | index.eshx> \
-                  [targets-per-shard], or migrate <index.esh> <index.eshx> \
-                  [targets-per-shard]"
-            .into()),
-    }
+    Ok(())
 }
 
 /// Streams the scale-tier corpus to disk as a `Corpus`-compatible JSON
@@ -339,24 +299,20 @@ fn corpus_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn query(args: &[String]) -> Result<(), String> {
-    // `--json` / `--no-prefilter` / `--whole-decode` may appear anywhere;
-    // strip them before positional matching.
+    // `--json` / `--no-prefilter` may appear anywhere; strip them before
+    // positional matching.
     let json = args.iter().any(|a| a == "--json");
     let no_prefilter = args.iter().any(|a| a == "--no-prefilter");
-    let whole_decode = args.iter().any(|a| a == "--whole-decode");
     let args: Vec<&String> = args
         .iter()
-        .filter(|a| *a != "--json" && *a != "--no-prefilter" && *a != "--whole-decode")
+        .filter(|a| *a != "--json" && *a != "--no-prefilter")
         .collect();
-    if (no_prefilter || whole_decode) && args.first().map(|a| a.as_str()) == Some("--remote") {
-        return Err(
-            "--no-prefilter/--whole-decode apply to --index queries (the daemon owns its engine)"
-                .into(),
-        );
+    if no_prefilter && args.first().map(|a| a.as_str()) == Some("--remote") {
+        return Err("--no-prefilter applies to --index queries (the daemon owns its engine)".into());
     }
     match args.as_slice() {
         [flag, index, corpus, needle] if *flag == "--index" => {
-            query_index(index, corpus, needle, 10, json, no_prefilter, whole_decode)
+            query_index(index, corpus, needle, 10, json, no_prefilter)
         }
         [flag, index, corpus, needle, n] if *flag == "--index" => query_index(
             index,
@@ -365,7 +321,6 @@ fn query(args: &[String]) -> Result<(), String> {
             n.parse().map_err(|_| format!("bad top_n `{n}`"))?,
             json,
             no_prefilter,
-            whole_decode,
         ),
         [flag, addr, needle] if *flag == "--remote" => query_remote(addr, needle, 10, json),
         [flag, addr, needle, n] if *flag == "--remote" => query_remote(
@@ -374,9 +329,9 @@ fn query(args: &[String]) -> Result<(), String> {
             n.parse().map_err(|_| format!("bad top_n `{n}`"))?,
             json,
         ),
-        _ => Err("query takes --index <index.esh> <corpus.json> <query-substring> [top_n] \
-                  [--json] [--no-prefilter] [--whole-decode], or --remote <addr> \
-                  <query-substring> [top_n] [--json]"
+        _ => Err("query takes --index <index.eshx> <corpus.json> <query-substring> [top_n] \
+                  [--json] [--no-prefilter], or --remote <addr> <query-substring> [top_n] \
+                  [--json]"
             .into()),
     }
 }
@@ -389,27 +344,6 @@ fn print_matches(matches: &[esh::serve::RankedMatch]) {
     }
 }
 
-/// Opens an index either way: sharded v6 directories load lazily,
-/// anything else is a JSON snapshot. Returns `(engine, sharded)` — a
-/// sharded index is immutable at query time, so callers must skip the
-/// warmed-cache write-back for it. `whole_decode` is the escape hatch
-/// that turns per-procedure demand decoding back into eager whole-shard
-/// decoding (ignored for JSON snapshots, which are always resident).
-fn open_index(index_path: &str, whole_decode: bool) -> Result<(SimilarityEngine, bool), String> {
-    if esh::index::is_sharded_index(index_path) {
-        let options = esh::index::EshxOpenOptions {
-            demand: !whole_decode,
-            ..Default::default()
-        };
-        let engine =
-            esh::index::open_sharded_with(index_path, options).map_err(|e| e.to_string())?;
-        Ok((engine, true))
-    } else {
-        let engine = SimilarityEngine::load(index_path).map_err(|e| e.to_string())?;
-        Ok((engine, false))
-    }
-}
-
 fn query_index(
     index_path: &str,
     corpus_path: &str,
@@ -417,17 +351,13 @@ fn query_index(
     top_n: usize,
     json: bool,
     no_prefilter: bool,
-    whole_decode: bool,
 ) -> Result<(), String> {
     let corpus = load(corpus_path)?;
     let qi =
         find_proc(&corpus, needle).ok_or_else(|| format!("no procedure matching `{needle}`"))?;
     eprintln!("query: {}", corpus.procs[qi].display());
-    let (mut engine, sharded) = open_index(index_path, whole_decode)?;
+    let mut engine = esh::index::open_sharded(index_path).map_err(|e| e.to_string())?;
     // The escape hatch: answer this one query with the exhaustive engine.
-    // The index's own configuration is restored before the snapshot is
-    // written back, so the stored fingerprint is untouched.
-    let saved_sketch = engine.config().sketch;
     if no_prefilter {
         engine.set_prefilter_enabled(false);
     }
@@ -470,15 +400,6 @@ fn query_index(
             sp.solver_resets,
         );
     }
-    // Persist the warmed cache: the next identical query skips the
-    // verifier entirely. Sharded indexes are immutable at query time —
-    // their persisted cache segments are the ones written at build.
-    if !sharded {
-        if no_prefilter && saved_sketch.is_some_and(|s| s.enabled) {
-            engine.set_prefilter_enabled(true);
-        }
-        engine.save_with_cache(index_path).map_err(|e| e.to_string())?;
-    }
     Ok(())
 }
 
@@ -519,7 +440,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut corpus_path = None;
     let mut config = esh::serve::ServeConfig::default();
     let mut threads = 1usize;
-    let mut whole_decode = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -562,16 +482,15 @@ fn serve(args: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("--shard-budget-mb: {e}"))?,
                 )
             }
-            "--whole-decode" => whole_decode = true,
             path if corpus_path.is_none() => corpus_path = Some(path.to_string()),
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
-    let index_path = index_path.ok_or("serve needs --index <index.esh>")?;
+    let index_path = index_path.ok_or("serve needs --index <index.eshx>")?;
     let corpus_path = corpus_path.ok_or("serve needs <corpus.json>")?;
 
     let corpus = load(&corpus_path)?;
-    let (mut engine, _sharded) = open_index(&index_path, whole_decode)?;
+    let mut engine = esh::index::open_sharded(&index_path).map_err(|e| e.to_string())?;
     if engine.target_count() != corpus.procs.len() {
         return Err(format!(
             "index {} has {} targets but {} has {} procedures — rebuild with `esh index build`",
