@@ -3,14 +3,10 @@
 //! performance discussion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use esh_cc::{Compiler, Vendor, VendorVersion};
-use esh_core::{EngineConfig, SimilarityEngine, SolverPerf};
-use esh_minic::demo;
 use esh_solver::equiv::{EquivChecker, Verdict};
 use esh_solver::eval::{eval, Assignment};
 use esh_solver::TermPool;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_normalization(c: &mut Criterion) {
     c.bench_function("solver/normalize_linear_combination", |b| {
@@ -79,108 +75,9 @@ fn bench_sat_mul(c: &mut Criterion) {
     });
 }
 
-/// Whether the bench runs in CI smoke mode (`ESH_BENCH_QUICK=1`): a
-/// smaller corpus and fewer samples, enough to prove the harness works.
-fn quick_mode() -> bool {
-    std::env::var("ESH_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Runs the full query pipeline (decompose → prefilter → vcp_matrix →
-/// scoring) over a demo CVE corpus with the SAT backend in the given
-/// mode, and returns total query wall time plus the engine's aggregate
-/// solver counters.
-fn run_vcp_workload(incremental: bool, nfuncs: usize) -> (f64, SolverPerf) {
-    let mut config = EngineConfig {
-        threads: 2,
-        ..EngineConfig::default()
-    };
-    config.equiv.incremental = incremental;
-    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
-    let icc = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0));
-    let mut engine = SimilarityEngine::new(config);
-    for (i, (_, f)) in demo::cve_functions().into_iter().take(nfuncs).enumerate() {
-        engine.add_target(format!("clang-{i}"), &clang.compile_function(&f));
-        engine.add_target(format!("icc-{i}"), &icc.compile_function(&f));
-    }
-    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
-    let queries: Vec<_> = demo::cve_functions()
-        .into_iter()
-        .take(nfuncs)
-        .map(|(_, f)| gcc.compile_function(&f))
-        .collect();
-    let t0 = Instant::now();
-    for q in &queries {
-        black_box(engine.query(q));
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, engine.solver_stats())
-}
-
-fn perf_json(wall_ms: f64, p: &SolverPerf) -> String {
-    format!(
-        "{{\n      \"wall_ms\": {wall_ms:.2},\n      \"sat_queries\": {},\n      \
-         \"conflicts\": {},\n      \"conflicts_per_query\": {:.3},\n      \
-         \"sat_time_ms\": {:.2},\n      \"blast_cache_hits\": {},\n      \
-         \"blast_cache_misses\": {},\n      \"retained_learnts\": {},\n      \
-         \"learnts_dropped\": {},\n      \"solver_resets\": {}\n    }}",
-        p.sat_queries,
-        p.conflicts,
-        p.conflicts_per_query(),
-        p.sat_time_ns as f64 / 1e6,
-        p.blast_cache_hits,
-        p.blast_cache_misses,
-        p.retained_learnts,
-        p.learnts_dropped,
-        p.solver_resets,
-    )
-}
-
-/// Head-to-head: the whole vcp_matrix workload with fresh-blaster SAT
-/// decisions vs the shared incremental solver. Writes the comparison to
-/// `BENCH_solver.json` at the repo root (the ISSUE-2 acceptance record).
-fn bench_fresh_vs_incremental(c: &mut Criterion) {
-    let nfuncs = if quick_mode() {
-        2
-    } else {
-        demo::cve_functions().len()
-    };
-    let (fresh_ms, fresh) = run_vcp_workload(false, nfuncs);
-    let (inc_ms, inc) = run_vcp_workload(true, nfuncs);
-    let json = format!(
-        "{{\n  \"bench\": \"solver/vcp_matrix_fresh_vs_incremental\",\n  \
-         \"quick_mode\": {},\n  \"functions\": {nfuncs},\n  \
-         \"fresh\": {},\n  \"incremental\": {},\n  \
-         \"wall_speedup\": {:.3},\n  \"conflict_ratio\": {:.3}\n}}\n",
-        quick_mode(),
-        perf_json(fresh_ms, &fresh),
-        perf_json(inc_ms, &inc),
-        fresh_ms / inc_ms.max(1e-9),
-        inc.conflicts as f64 / (fresh.conflicts as f64).max(1.0),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    std::fs::write(path, &json).expect("write BENCH_solver.json");
-    println!(
-        "vcp_matrix workload ({nfuncs} funcs): fresh {fresh_ms:.1} ms / {} conflicts, \
-         incremental {inc_ms:.1} ms / {} conflicts -> {path}",
-        fresh.conflicts, inc.conflicts,
-    );
-
-    let samples = if quick_mode() { 1 } else { 5 };
-    let timed = |name: &str, incremental: bool| {
-        let mut group = Criterion::default().sample_size(samples);
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(run_vcp_workload(incremental, nfuncs)))
-        });
-    };
-    timed("solver/vcp_matrix_fresh_blast", false);
-    timed("solver/vcp_matrix_incremental", true);
-    let _ = c;
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_normalization, bench_random_refutation, bench_sat_identity, bench_sat_mul,
-        bench_fresh_vs_incremental
+    targets = bench_normalization, bench_random_refutation, bench_sat_identity, bench_sat_mul
 );
 criterion_main!(benches);

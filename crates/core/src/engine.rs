@@ -12,13 +12,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use esh_asm::Procedure;
 use esh_ivl::Proc;
-use esh_solver::{EquivConfig, SolverPerf};
+use esh_solver::{EquivConfig, EquivStats, SolverPerf};
 use esh_strands::{
     extract_proc_strands, lift_strand, semantic_signature, stable_hash64, structural_hash,
     Signature,
@@ -411,8 +411,9 @@ pub struct SimilarityEngine {
     targets: Vec<TargetRecord>,
     cache: VcpCache,
     /// Idle verifier sessions, checked out one per worker thread so term
-    /// pools, verdict caches, and the incremental solver survive across
-    /// queries — not just across one query's tiles.
+    /// pools and pair-verdict caches survive across queries — not just
+    /// across one query's tiles. SAT queries never share a solver: each
+    /// runs on its own fresh blaster.
     sessions: Mutex<Vec<VerifierSession>>,
     solver: SolverCounters,
     prefilter_stats: PrefilterStats,
@@ -427,49 +428,19 @@ pub struct SimilarityEngine {
     shards: Option<LazyShards>,
 }
 
-/// Engine-lifetime SAT counters aggregated across worker sessions.
-/// Mirrors [`SolverPerf`] with atomic fields; pure counters add, the
-/// retained-learnts gauge takes the max over sessions.
+/// Engine-lifetime decision counters: the sum of the [`EquivStats`]
+/// deltas of every worker session, added once per tile run, refine pass
+/// or calibration rather than once per pair.
 #[derive(Debug, Default)]
-struct SolverCounters {
-    sat_queries: AtomicU64,
-    blast_cache_hits: AtomicU64,
-    blast_cache_misses: AtomicU64,
-    conflicts: AtomicU64,
-    sat_time_ns: AtomicU64,
-    retained_learnts: AtomicU64,
-    learnts_dropped: AtomicU64,
-    solver_resets: AtomicU64,
-}
+struct SolverCounters(Mutex<EquivStats>);
 
 impl SolverCounters {
-    fn add(&self, d: &SolverPerf) {
-        self.sat_queries.fetch_add(d.sat_queries, Ordering::Relaxed);
-        self.blast_cache_hits
-            .fetch_add(d.blast_cache_hits, Ordering::Relaxed);
-        self.blast_cache_misses
-            .fetch_add(d.blast_cache_misses, Ordering::Relaxed);
-        self.conflicts.fetch_add(d.conflicts, Ordering::Relaxed);
-        self.sat_time_ns.fetch_add(d.sat_time_ns, Ordering::Relaxed);
-        self.retained_learnts
-            .fetch_max(d.retained_learnts, Ordering::Relaxed);
-        self.learnts_dropped
-            .fetch_add(d.learnts_dropped, Ordering::Relaxed);
-        self.solver_resets
-            .fetch_add(d.solver_resets, Ordering::Relaxed);
+    fn add(&self, d: &EquivStats) {
+        self.0.lock().expect("solver counters poisoned").add(d);
     }
 
-    fn snapshot(&self) -> SolverPerf {
-        SolverPerf {
-            sat_queries: self.sat_queries.load(Ordering::Relaxed),
-            blast_cache_hits: self.blast_cache_hits.load(Ordering::Relaxed),
-            blast_cache_misses: self.blast_cache_misses.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            sat_time_ns: self.sat_time_ns.load(Ordering::Relaxed),
-            retained_learnts: self.retained_learnts.load(Ordering::Relaxed),
-            learnts_dropped: self.learnts_dropped.load(Ordering::Relaxed),
-            solver_resets: self.solver_resets.load(Ordering::Relaxed),
-        }
+    fn snapshot(&self) -> EquivStats {
+        *self.0.lock().expect("solver counters poisoned")
     }
 }
 
@@ -506,9 +477,16 @@ impl SimilarityEngine {
     }
 
     /// Aggregate SAT-solver counters across all worker sessions this
-    /// engine has run (CNF-cache hits, conflicts, wall time, clause
-    /// retention — see [`SolverPerf`]).
+    /// engine has run (CNF-cache hits, conflicts, search time — see
+    /// [`SolverPerf`]).
     pub fn solver_stats(&self) -> SolverPerf {
+        self.solver.snapshot().solver
+    }
+
+    /// Aggregate decision counters across all worker sessions this engine
+    /// has run: how many term pairs each layer of the equivalence checker
+    /// decided, plus the SAT counters of [`Self::solver_stats`].
+    pub fn equiv_stats(&self) -> EquivStats {
         self.solver.snapshot()
     }
 
@@ -967,8 +945,8 @@ impl SimilarityEngine {
     const SESSION_TERM_CAP: usize = 2_000_000;
 
     /// Checks a verifier session out of the engine-owned pool so its term
-    /// pool, verdict cache, and incremental solver stay warm across
-    /// queries — not just across one query's tiles.
+    /// pool and verdict cache stay warm across queries — not just across
+    /// one query's tiles.
     fn checkout_session(&self) -> VerifierSession {
         self.sessions
             .lock()
@@ -1276,7 +1254,7 @@ impl SimilarityEngine {
                     let prefilter_stats = &self.prefilter_stats;
                     scope.spawn(move || {
                         let mut session = self.checkout_session();
-                        let perf0 = session.stats().solver;
+                        let stats0 = session.stats();
                         let mut out: Vec<(usize, usize, usize, Vec<VcpPair>)> = Vec::new();
                         loop {
                             let tile = cursor.fetch_add(1, Ordering::Relaxed);
@@ -1450,7 +1428,7 @@ impl SimilarityEngine {
                             }
                             out.push((b, qi, start, row));
                         }
-                        solver.add(&session.stats().solver.delta_since(&perf0));
+                        solver.add(&session.stats().delta_since(&stats0));
                         self.return_session(session);
                         out
                     })
@@ -1549,8 +1527,8 @@ impl SimilarityEngine {
             && self.ensure_sketch_index().is_some();
         let mut refine_session = refine_enabled.then(|| {
             let s = self.checkout_session();
-            let perf0 = s.stats().solver;
-            (s, perf0)
+            let stats0 = s.stats();
+            (s, stats0)
         });
         let mut probes: HashMap<u64, SemanticSketch> = HashMap::new();
         let mut results = Vec::with_capacity(items.len());
@@ -1587,8 +1565,8 @@ impl SimilarityEngine {
                 query_strand_occurrences: query.iter().map(|q| q.count as usize).sum(),
             }));
         }
-        if let Some((session, perf0)) = refine_session {
-            self.solver.add(&session.stats().solver.delta_since(&perf0));
+        if let Some((session, stats0)) = refine_session {
+            self.solver.add(&session.stats().delta_since(&stats0));
             self.return_session(session);
         }
         if let Some(lazy) = &self.shards {
@@ -1947,7 +1925,7 @@ impl SimilarityEngine {
         }
         let vcp_fp = self.config.vcp.fingerprint();
         let mut session = self.checkout_session();
-        let perf0 = session.stats().solver;
+        let stats0 = session.stats();
         let mut samples = Vec::with_capacity(sample_pairs);
         let mut seen = std::collections::HashSet::new();
         let mut sketches: HashMap<usize, SemanticSketch> = HashMap::new();
@@ -2019,7 +1997,7 @@ impl SimilarityEngine {
             };
             samples.push(MarginSample { bound, exact });
         }
-        self.solver.add(&session.stats().solver.delta_since(&perf0));
+        self.solver.add(&session.stats().delta_since(&stats0));
         self.return_session(session);
         if samples.is_empty() {
             return None;
@@ -2418,6 +2396,28 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(stricter.fingerprint(), base.fingerprint());
+    }
+
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        // Every index written with the default config records this value;
+        // if it changes, none of them opens any more.
+        assert_eq!(
+            EngineConfig::default().fingerprint(),
+            2_857_819_738_583_454_794
+        );
+    }
+
+    #[test]
+    fn equiv_stats_aggregate_session_decisions() {
+        let mut engine = SimilarityEngine::new(quick_config());
+        let f = demo::wget_like();
+        engine.add_target("clang", &clang().compile_function(&f));
+        engine.add_target("icc", &icc().compile_function(&f));
+        engine.query(&gcc().compile_function(&f));
+        let stats = engine.equiv_stats();
+        assert!(stats.decisions().iter().map(|(_, n)| n).sum::<u64>() > 0);
+        assert_eq!(stats.solver, engine.solver_stats());
     }
 
     #[test]

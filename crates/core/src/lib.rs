@@ -74,12 +74,12 @@ pub use engine::{
     BatchQuery, CancelToken, EngineConfig, Granularity, QueryCancelled, QueryError, QueryScores,
     SimilarityEngine, TargetId, TargetScore,
 };
+pub use esh_solver::{EquivStats, SolverPerf};
 pub use prefilter::{
     bounds_decision, calibrated_margin, compute_probe_sketch, compute_sketch, MarginCalibration,
     MarginSample, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
     SketchDecision, SketchIndex,
 };
-pub use esh_solver::SolverPerf;
 pub use shard::{
     Bloom, ClassExport, CorpusExport, LazyClassMeta, ShardBandSummary, ShardError, ShardRecords,
     ShardSource, ShardSpec, ShardStats, TargetExport,

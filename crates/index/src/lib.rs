@@ -1115,6 +1115,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Rewrites the manifest's equiv config with the four solver keys an
+    /// older writer recorded, and its fingerprint with `fingerprint`.
+    fn add_retired_solver_keys(dir: &Path, incremental: bool, fingerprint: u64) {
+        let path = dir.join(MANIFEST_FILE);
+        let default_fp = EngineConfig::default().fingerprint();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (fp_old, equiv_old) = (
+            format!("\"config_fingerprint\":{default_fp}"),
+            "\"max_mul_cost\":1100}",
+        );
+        assert!(
+            text.contains(&fp_old) && text.contains(equiv_old),
+            "manifest shape changed"
+        );
+        let text = text.replace(&fp_old, &format!("\"config_fingerprint\":{fingerprint}"));
+        let text = text.replace(
+            equiv_old,
+            &format!(
+                "\"max_mul_cost\":1100,\"incremental\":{incremental},\"solver_max_vars\":1200,\
+                 \"solver_max_clauses\":5000,\"reduce_learnts_at\":1000}}"
+            ),
+        );
+        std::fs::write(&path, text).unwrap();
+    }
+
+    #[test]
+    fn manifest_with_retired_solver_keys_still_opens() {
+        let engine = small_engine();
+        let dir = temp_dir("retired-keys");
+        write_sharded(&engine, &dir, 2).unwrap();
+        add_retired_solver_keys(&dir, true, engine.config().fingerprint());
+        let lazy = open_sharded(&dir).expect("unknown manifest keys are ignored");
+        assert_eq!(lazy.config().fingerprint(), engine.config().fingerprint());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_with_non_default_retired_knobs_is_rejected() {
+        // What an older writer recorded for the default config with the
+        // shared solver switched off (`incremental: false`).
+        const OLD_FRESH_FP: u64 = 17_652_901_017_515_691_063;
+        let engine = small_engine();
+        let dir = temp_dir("retired-knobs");
+        write_sharded(&engine, &dir, 2).unwrap();
+        add_retired_solver_keys(&dir, false, OLD_FRESH_FP);
+        match open_sharded(&dir) {
+            Err(IndexError::ConfigMismatch {
+                found: OLD_FRESH_FP,
+                expected,
+                ..
+            }) => assert_eq!(expected, engine.config().fingerprint()),
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn wrong_version_is_rejected_at_open() {
         let engine = small_engine();

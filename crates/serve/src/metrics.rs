@@ -11,8 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use esh_core::{CacheStats, PrefilterStatsSnapshot, ShardStats};
-use esh_solver::SolverPerf;
+use esh_core::{CacheStats, EquivStats, PrefilterStatsSnapshot, ShardStats};
 
 use crate::protocol::Outcome;
 
@@ -163,12 +162,13 @@ impl ServerStats {
     }
 
     /// Renders the Prometheus-style `/metrics` payload, folding in the
-    /// engine's VCP-cache, SAT-solver, sketch-prefilter and lazy-shard
-    /// counters so one scrape shows the whole serving stack.
+    /// engine's VCP-cache, equivalence-decision, SAT-solver,
+    /// sketch-prefilter and lazy-shard counters so one scrape shows the
+    /// whole serving stack.
     pub fn render(
         &self,
         cache: &CacheStats,
-        solver: &SolverPerf,
+        equiv: &EquivStats,
         prefilter: &PrefilterStatsSnapshot,
         shards: &ShardStats,
         queue_depth: usize,
@@ -231,17 +231,18 @@ impl ServerStats {
             "esh_vcp_cache_hit_rate {:.6}\n",
             cache.hit_rate()
         ));
+        for (layer, n) in equiv.decisions() {
+            out.push_str(&format!(
+                "esh_equiv_decisions_total{{layer=\"{layer}\"}} {n}\n"
+            ));
+        }
+        let solver = &equiv.solver;
         out.push_str(&format!("esh_sat_queries_total {}\n", solver.sat_queries));
         out.push_str(&format!("esh_sat_conflicts_total {}\n", solver.conflicts));
         out.push_str(&format!(
             "esh_sat_time_ms {:.3}\n",
             solver.sat_time_ns as f64 / 1e6
         ));
-        out.push_str(&format!(
-            "esh_sat_learnts_retained {}\n",
-            solver.retained_learnts
-        ));
-        out.push_str(&format!("esh_sat_solver_resets_total {}\n", solver.solver_resets));
         out.push_str(&format!(
             "esh_prefilter_pairs_pruned_total {}\n",
             prefilter.pairs_pruned
@@ -460,7 +461,7 @@ mod tests {
                 misses: 0,
                 entries: 0,
             },
-            &SolverPerf::default(),
+            &EquivStats::default(),
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
             0,
@@ -482,7 +483,7 @@ mod tests {
                 misses: 0,
                 entries: 0,
             },
-            &SolverPerf::default(),
+            &EquivStats::default(),
             &PrefilterStatsSnapshot {
                 pairs_pruned: 41,
                 sketch_collisions: 7,
@@ -506,6 +507,43 @@ mod tests {
     }
 
     #[test]
+    fn render_includes_equiv_decision_counters() {
+        let equiv = EquivStats {
+            by_normalization: 11,
+            by_random: 7,
+            by_directed: 5,
+            sat_equal: 3,
+            sat_not_equal: 2,
+            unknown: 1,
+            cache_hits: 99,
+            ..EquivStats::default()
+        };
+        let text = ServerStats::new().render(
+            &CacheStats {
+                hits: 0,
+                misses: 0,
+                entries: 0,
+            },
+            &equiv,
+            &PrefilterStatsSnapshot::default(),
+            &ShardStats::default(),
+            0,
+            0,
+        );
+        for line in [
+            "esh_equiv_decisions_total{layer=\"normalization\"} 11\n",
+            "esh_equiv_decisions_total{layer=\"random\"} 7\n",
+            "esh_equiv_decisions_total{layer=\"directed\"} 5\n",
+            "esh_equiv_decisions_total{layer=\"sat_equal\"} 3\n",
+            "esh_equiv_decisions_total{layer=\"sat_not_equal\"} 2\n",
+            "esh_equiv_decisions_total{layer=\"unknown\"} 1\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?}");
+        }
+        assert_eq!(text.matches("esh_equiv_decisions_total").count(), 6);
+    }
+
+    #[test]
     fn render_includes_shard_residency_gauges() {
         let shards = ShardStats {
             shards_total: 9,
@@ -526,7 +564,7 @@ mod tests {
                 misses: 0,
                 entries: 0,
             },
-            &SolverPerf::default(),
+            &EquivStats::default(),
             &PrefilterStatsSnapshot::default(),
             &shards,
             0,
@@ -582,7 +620,7 @@ mod tests {
                 misses: 0,
                 entries: 0,
             },
-            &SolverPerf::default(),
+            &EquivStats::default(),
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
             0,

@@ -724,7 +724,7 @@ fn render_metrics(shared: &Shared) -> String {
     let pending_depth = shared.pending.lock().expect("pending poisoned").len();
     shared.stats.render(
         &shared.engine.cache_stats(),
-        &shared.engine.solver_stats(),
+        &shared.engine.equiv_stats(),
         &shared.engine.prefilter_stats(),
         &shared.engine.shard_stats(),
         queue_depth,

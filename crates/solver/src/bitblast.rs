@@ -6,12 +6,11 @@
 //! constraints. This keeps mixed-width load/store reasoning sound.
 //!
 //! The blaster owns no reference to the [`TermPool`]; every encoding call
-//! takes the pool as an argument instead. Because the pool is append-only
-//! and hash-consing (a `TermId` never changes meaning), encodings memoized
-//! in [`BitBlaster::blast`]'s CNF cache stay valid across many queries —
-//! this is what the incremental layer (see [`crate::incremental`]) builds
-//! on to share one solver instance between closely-related equality
-//! queries.
+//! takes the pool as an argument instead. One blaster encodes one
+//! equality query: [`BitBlaster::blast`] memoizes encodings by `TermId`,
+//! so a sub-DAG shared by both sides (or reached twice within one side)
+//! is encoded once, and the checker discards the blaster with its solver
+//! once the query is decided.
 
 use std::collections::HashMap;
 
@@ -32,8 +31,6 @@ pub struct BitBlaster {
     /// Memoized byte reads keyed by (memory term, address bits).
     #[allow(clippy::type_complexity)]
     byte_memo: HashMap<(TermId, Vec<Lit>), Vec<Lit>>,
-    /// Memoized equality comparators keyed by the (ordered) term pair.
-    eq_memo: HashMap<(TermId, TermId), Lit>,
     true_lit: Lit,
     /// Term encodings served from the CNF cache (counted per `blast`
     /// lookup, including recursive sub-DAG lookups).
@@ -60,7 +57,6 @@ impl BitBlaster {
             var_bits: HashMap::new(),
             mem_reads: HashMap::new(),
             byte_memo: HashMap::new(),
-            eq_memo: HashMap::new(),
             true_lit: Lit::pos(t),
             blast_hits: 0,
             blast_misses: 0,
@@ -527,17 +523,14 @@ impl BitBlaster {
         out
     }
 
-    /// The (memoized) comparator literal asserting `a == b` bitwise.
+    /// The comparator literal asserting `a == b` bitwise. The lower id is
+    /// encoded first, so the CNF is the same whichever way round the pair
+    /// is asked.
     pub fn eq_lit(&mut self, pool: &TermPool, a: TermId, b: TermId) -> Lit {
-        let key = if a < b { (a, b) } else { (b, a) };
-        if let Some(&l) = self.eq_memo.get(&key) {
-            return l;
-        }
-        let ab = self.blast(pool, key.0);
-        let bb = self.blast(pool, key.1);
-        let eq = self.eq_bits(&ab, &bb);
-        self.eq_memo.insert(key, eq);
-        eq
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let lo_bits = self.blast(pool, lo);
+        let hi_bits = self.blast(pool, hi);
+        self.eq_bits(&lo_bits, &hi_bits)
     }
 
     /// Checks the validity of `a == b` (same width) with a conflict budget:

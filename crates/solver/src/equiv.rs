@@ -20,7 +20,9 @@
 //!    conflict budget; over budget (or structurally oversized) yields
 //!    [`Verdict::Unknown`], which VCP counts as "not matched" —
 //!    conservative in the direction the paper prefers (missing a match
-//!    can only lower similarity, never produce a false positive).
+//!    can only lower similarity, never produce a false positive). Every
+//!    SAT query runs on its own fresh [`BitBlaster`], so no clause
+//!    learned on one pair ever decides another.
 //!
 //! Memory-sorted terms (whole store chains) are compared by normalization
 //! and random refutation only; a full array-theory decision is not needed
@@ -28,12 +30,13 @@
 //! bitvector values.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bitblast::BitBlaster;
 use crate::eval::{eval, Assignment, CVal, EvalPlan};
-use crate::incremental::{IncrementalBlaster, IncrementalLimits, SolverPerf};
+use crate::sat::SatResult;
 use crate::term::{TermId, TermPool};
 
 /// The equivalence verdict for a pair of terms.
@@ -61,33 +64,16 @@ pub struct EquivConfig {
     /// Maximum multiplier blast cost (Σ width² over variable×variable
     /// multiplications).
     pub max_mul_cost: usize,
-    /// Decide SAT queries on the shared incremental solver (see
-    /// [`IncrementalBlaster`]) instead of a fresh blaster per query.
-    pub incremental: bool,
-    /// Incremental only: rebuild the shared solver past this many
-    /// variables.
-    pub solver_max_vars: usize,
-    /// Incremental only: rebuild the shared solver past this many
-    /// clauses.
-    pub solver_max_clauses: usize,
-    /// Incremental only: reduce the learnt-clause database past this many
-    /// retained learnts.
-    pub reduce_learnts_at: usize,
 }
 
 impl Default for EquivConfig {
     fn default() -> EquivConfig {
-        let lim = IncrementalLimits::default();
         EquivConfig {
             random_rounds: 6,
             sat_budget: 4_000,
             max_dag: 4_000,
             max_mem_cost: 16,
             max_mul_cost: 1_100,
-            incremental: true,
-            solver_max_vars: lim.max_vars,
-            solver_max_clauses: lim.max_clauses,
-            reduce_learnts_at: lim.reduce_learnts_at,
         }
     }
 }
@@ -104,14 +90,17 @@ impl EquivConfig {
             self.max_dag as u64,
             self.max_mem_cost as u64,
             self.max_mul_cost as u64,
-            // The incremental-solver knobs cannot change verdicts (both
-            // paths decide the same theory under the same conflict
-            // budget), but they are part of the config surface; keep the
-            // fingerprint an honest digest of every field.
-            u64::from(self.incremental),
-            self.solver_max_vars as u64,
-            self.solver_max_clauses as u64,
-            self.reduce_learnts_at as u64,
+            // Four retired fields of the shared incremental solver, which
+            // has since been removed: `incremental`, `solver_max_vars`,
+            // `solver_max_clauses` and `reduce_learnts_at`. They are
+            // folded in as their old defaults so that every index written
+            // with the default config keeps its fingerprint and opens.
+            // An index written with other values records a fingerprint
+            // no current config reproduces, and is rejected.
+            1,
+            1_200,
+            5_000,
+            1_000,
         ] {
             for b in field.to_le_bytes() {
                 h ^= u64::from(b);
@@ -122,10 +111,57 @@ impl EquivConfig {
     }
 }
 
+/// SAT-solver cost counters of one checker.
+///
+/// Aggregated per worker by the engine and surfaced in `esh query`
+/// output and `/metrics`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolverPerf {
+    /// SAT queries issued (one per pair that reached the solver).
+    pub sat_queries: u64,
+    /// Tseitin encodings served from the per-query CNF cache (a sub-DAG
+    /// reached twice within one query is encoded once).
+    pub blast_cache_hits: u64,
+    /// Tseitin encodings built fresh.
+    pub blast_cache_misses: u64,
+    /// Total CDCL conflicts across all queries.
+    pub conflicts: u64,
+    /// Wall time spent in the CDCL search, in nanoseconds. Tseitin
+    /// encoding is not included.
+    pub sat_time_ns: u64,
+    /// Always 0: every SAT query gets its own solver, so no shared
+    /// solver is ever rebuilt. Kept so that readers of this counter set
+    /// still compile.
+    pub solver_resets: u64,
+}
+
+impl SolverPerf {
+    /// Mean conflicts per SAT query, `0.0` when no query ran.
+    pub fn conflicts_per_query(&self) -> f64 {
+        if self.sat_queries == 0 {
+            0.0
+        } else {
+            self.conflicts as f64 / self.sat_queries as f64
+        }
+    }
+
+    fn zip(&self, o: &SolverPerf, f: impl Fn(u64, u64) -> u64) -> SolverPerf {
+        SolverPerf {
+            sat_queries: f(self.sat_queries, o.sat_queries),
+            blast_cache_hits: f(self.blast_cache_hits, o.blast_cache_hits),
+            blast_cache_misses: f(self.blast_cache_misses, o.blast_cache_misses),
+            conflicts: f(self.conflicts, o.conflicts),
+            sat_time_ns: f(self.sat_time_ns, o.sat_time_ns),
+            solver_resets: f(self.solver_resets, o.solver_resets),
+        }
+    }
+}
+
 /// Counters describing how queries were decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EquivStats {
-    /// Decided by handle identity (normalization).
+    /// Decided structurally: handle identity (normalization) or a width
+    /// mismatch.
     pub by_normalization: u64,
     /// Refuted by a random assignment.
     pub by_random: u64,
@@ -140,9 +176,48 @@ pub struct EquivStats {
     pub unknown: u64,
     /// Served from the pair cache.
     pub cache_hits: u64,
-    /// SAT-solver cost counters (filled by both the incremental and the
-    /// fresh-blaster paths).
+    /// SAT-solver cost counters.
     pub solver: SolverPerf,
+}
+
+impl EquivStats {
+    /// Counters accumulated since `earlier`, a previous snapshot of the
+    /// same checker.
+    pub fn delta_since(&self, earlier: &EquivStats) -> EquivStats {
+        self.zip(earlier, |now, then| now - then)
+    }
+
+    /// Adds `other`'s counters to these.
+    pub fn add(&mut self, other: &EquivStats) {
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// Pairs decided per layer, labelled as `/metrics` and `esh query`
+    /// report them. Pair-cache hits are not a layer: a cached verdict
+    /// was counted under its layer when first decided.
+    pub fn decisions(&self) -> [(&'static str, u64); 6] {
+        [
+            ("normalization", self.by_normalization),
+            ("random", self.by_random),
+            ("directed", self.by_directed),
+            ("sat_equal", self.sat_equal),
+            ("sat_not_equal", self.sat_not_equal),
+            ("unknown", self.unknown),
+        ]
+    }
+
+    fn zip(&self, o: &EquivStats, f: impl Fn(u64, u64) -> u64) -> EquivStats {
+        EquivStats {
+            by_normalization: f(self.by_normalization, o.by_normalization),
+            by_random: f(self.by_random, o.by_random),
+            by_directed: f(self.by_directed, o.by_directed),
+            sat_equal: f(self.sat_equal, o.sat_equal),
+            sat_not_equal: f(self.sat_not_equal, o.sat_not_equal),
+            unknown: f(self.unknown, o.unknown),
+            cache_hits: f(self.cache_hits, o.cache_hits),
+            solver: self.solver.zip(&o.solver, f),
+        }
+    }
 }
 
 /// A term pool plus decision machinery and a pair cache.
@@ -155,7 +230,6 @@ pub struct EquivChecker {
     /// Decision counters.
     pub stats: EquivStats,
     cache: HashMap<(TermId, TermId), Verdict>,
-    blaster: IncrementalBlaster,
 }
 
 impl std::fmt::Debug for EquivChecker {
@@ -189,7 +263,7 @@ impl EquivChecker {
             return Verdict::Equal;
         }
         if self.pool.width(a) != self.pool.width(b) {
-            self.stats.by_random += 1;
+            self.stats.by_normalization += 1;
             return Verdict::NotEqual;
         }
         let key = if a < b { (a, b) } else { (b, a) };
@@ -395,42 +469,30 @@ impl EquivChecker {
     }
 
     fn sat_decide(&mut self, a: TermId, b: TermId) -> Verdict {
-        let res = if self.config.incremental {
-            let limits = IncrementalLimits {
-                max_vars: self.config.solver_max_vars,
-                max_clauses: self.config.solver_max_clauses,
-                reduce_learnts_at: self.config.reduce_learnts_at,
-            };
-            self.blaster.prove_equal(
-                &self.pool,
-                a,
-                b,
-                self.config.sat_budget,
-                &limits,
-                &mut self.stats.solver,
-            )
-        } else {
-            let mut bb = BitBlaster::new();
-            let t0 = std::time::Instant::now();
-            let r = bb.prove_equal(&self.pool, a, b, self.config.sat_budget);
-            let perf = &mut self.stats.solver;
-            perf.sat_queries += 1;
-            perf.blast_cache_hits += bb.blast_hits;
-            perf.blast_cache_misses += bb.blast_misses;
-            perf.conflicts += bb.sat.conflicts;
-            perf.sat_time_ns += t0.elapsed().as_nanos() as u64;
-            r
-        };
+        let mut bb = BitBlaster::new();
+        let eq = bb.eq_lit(&self.pool, a, b);
+        // Timed apart from the encoding above: `sat_time_ns` is search
+        // time only.
+        let t0 = Instant::now();
+        let res = bb
+            .sat
+            .solve_with_budget(&[eq.negate()], self.config.sat_budget);
+        let perf = &mut self.stats.solver;
+        perf.sat_time_ns += t0.elapsed().as_nanos() as u64;
+        perf.sat_queries += 1;
+        perf.blast_cache_hits += bb.blast_hits;
+        perf.blast_cache_misses += bb.blast_misses;
+        perf.conflicts += bb.sat.conflicts;
         match res {
-            Some(true) => {
+            SatResult::Unsat => {
                 self.stats.sat_equal += 1;
                 Verdict::Equal
             }
-            Some(false) => {
+            SatResult::Sat => {
                 self.stats.sat_not_equal += 1;
                 Verdict::NotEqual
             }
-            None => {
+            SatResult::Unknown => {
                 self.stats.unknown += 1;
                 Verdict::Unknown
             }
@@ -505,42 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn checker_survives_solver_watermark_fallback() {
-        // A watermark so tight that every SAT query trips a solver
-        // rebuild: verdicts must be unaffected.
-        let mut ec = EquivChecker::with_config(EquivConfig {
-            solver_max_vars: 8,
-            solver_max_clauses: 16,
-            ..Default::default()
-        });
-        for w in [16u32, 24, 32] {
-            let x = ec.pool.var(0, w);
-            let y = ec.pool.var(1, w);
-            let xor = ec.pool.xor(vec![x, y]);
-            let or = ec.pool.or(vec![x, y]);
-            let and = ec.pool.and(vec![x, y]);
-            let diff = ec.pool.sub(or, and);
-            assert_eq!(ec.check_eq(xor, diff), Verdict::Equal);
-            let one = ec.pool.constant(1, w);
-            let x1 = ec.pool.add2(x, one);
-            let nand = ec.pool.not(and);
-            let a = ec.pool.and(vec![x1, nand]);
-            let b = ec.pool.and(vec![x, nand]);
-            assert_eq!(ec.check_eq(a, b), Verdict::NotEqual);
-        }
-        assert!(
-            ec.stats.solver.solver_resets > 0,
-            "tight watermark must force solver rebuilds"
-        );
-        assert_eq!(ec.stats.sat_equal, 3);
-    }
-
-    #[test]
     fn width_mismatch_is_instantly_unequal() {
         let mut ec = EquivChecker::new();
         let a = ec.pool.var(0, 32);
         let b = ec.pool.var(1, 64);
         assert_eq!(ec.check_eq(a, b), Verdict::NotEqual);
+        // Decided structurally, before any evaluation.
+        assert_eq!(ec.stats.by_normalization, 1);
+        assert_eq!(ec.stats.by_random, 0);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * [`sat`] — a from-scratch CDCL SAT solver;
 //! * [`bitblast`] — Tseitin encoding with byte-accurate memory and
 //!   Ackermann congruence for base-memory reads;
-//! * [`incremental`] — one long-lived solver shared across queries via
-//!   activation literals, with learnt-clause retention and hygiene;
-//! * [`equiv`] — the layered [`equiv::EquivChecker`] with a pair cache.
+//! * [`equiv`] — the layered [`equiv::EquivChecker`] with a pair cache;
+//!   each SAT query runs on its own fresh blaster and solver.
 //!
 //! ```
 //! use esh_solver::equiv::{EquivChecker, Verdict};
@@ -37,10 +36,8 @@
 pub mod bitblast;
 pub mod equiv;
 pub mod eval;
-pub mod incremental;
 pub mod sat;
 pub mod term;
 
-pub use equiv::{EquivChecker, EquivConfig, EquivStats, Verdict};
-pub use incremental::{IncrementalBlaster, IncrementalLimits, SolverPerf};
+pub use equiv::{EquivChecker, EquivConfig, EquivStats, SolverPerf, Verdict};
 pub use term::{TermId, TermPool};

@@ -61,14 +61,6 @@ const UNDEF_CLAUSE: u32 = u32::MAX;
 pub struct Solver {
     num_vars: usize,
     clauses: Vec<Vec<Lit>>,
-    /// Per-clause learnt flag; learnt clauses are eligible for
-    /// [`Solver::reduce_learnts`] garbage collection.
-    learnt: Vec<bool>,
-    /// Per-clause activity (bumped when a clause participates in conflict
-    /// analysis), the GC's retention signal.
-    cla_activity: Vec<f64>,
-    cla_inc: f64,
-    num_learnts: usize,
     watches: Vec<Vec<u32>>,
     assign: Vec<i8>, // 0 undef, 1 true, -1 false (per var)
     phase: Vec<bool>,
@@ -97,25 +89,9 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             var_inc: 1.0,
-            cla_inc: 1.0,
             ok: true,
             ..Solver::default()
         }
-    }
-
-    /// Number of stored clauses (problem + retained learnt).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Number of retained learnt clauses.
-    pub fn learnt_count(&self) -> usize {
-        self.num_learnts
-    }
-
-    /// False once the clause database is known unsatisfiable at the root.
-    pub fn is_ok(&self) -> bool {
-        self.ok
     }
 
     /// Allocates a fresh variable.
@@ -132,11 +108,6 @@ impl Solver {
         self.watches.push(Vec::new());
         self.heap.push((act_key(0.0), v));
         v
-    }
-
-    /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
@@ -186,34 +157,18 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(lits, false);
+                self.attach_clause(lits);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
         let idx = self.clauses.len() as u32;
         self.watches[lits[0].negate().code()].push(idx);
         self.watches[lits[1].negate().code()].push(idx);
         self.clauses.push(lits);
-        self.learnt.push(learnt);
-        self.cla_activity.push(0.0);
-        if learnt {
-            self.num_learnts += 1;
-        }
         idx
-    }
-
-    fn bump_clause(&mut self, ci: u32) {
-        let a = &mut self.cla_activity[ci as usize];
-        *a += self.cla_inc;
-        if *a > 1e20 {
-            for x in &mut self.cla_activity {
-                *x *= 1e-20;
-            }
-            self.cla_inc *= 1e-20;
-        }
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: u32) {
@@ -307,9 +262,6 @@ impl Solver {
         let mut clause = conflict;
         let cur_level = self.trail_lim.len() as u32;
         loop {
-            if self.learnt[clause as usize] {
-                self.bump_clause(clause);
-            }
             let lits: Vec<Lit> = self.clauses[clause as usize].clone();
             let skip = usize::from(p.is_some());
             for &q in lits.iter().skip(if p.is_some() && lits[0] == p.unwrap() {
@@ -413,98 +365,6 @@ impl Solver {
         None
     }
 
-    /// Root-level clause-database reduction: removes clauses satisfied at
-    /// the root (notably per-query clauses deactivated through their
-    /// activation literal), strips root-false literals, and drops the
-    /// lower-activity half of the long learnt clauses. Returns how many
-    /// learnt clauses were removed.
-    ///
-    /// Sound because root assignments are permanent and learnt clauses are
-    /// logical consequences of the problem clauses: deleting them can never
-    /// change satisfiability, only solving speed.
-    pub fn reduce_learnts(&mut self) -> usize {
-        if !self.ok {
-            return 0;
-        }
-        self.cancel_until(0);
-        // Rank the long learnt clauses by activity; the lower half goes.
-        // Binary learnt clauses are kept unconditionally — they are cheap
-        // to propagate and disproportionately valuable.
-        let mut ranked: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| self.learnt[i as usize] && self.clauses[i as usize].len() > 2)
-            .collect();
-        ranked.sort_by(|&a, &b| {
-            self.cla_activity[a as usize]
-                .partial_cmp(&self.cla_activity[b as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        ranked.truncate(ranked.len() / 2);
-        let low_half: std::collections::HashSet<u32> = ranked.into_iter().collect();
-
-        let old = std::mem::take(&mut self.clauses);
-        let old_learnt = std::mem::take(&mut self.learnt);
-        let old_act = std::mem::take(&mut self.cla_activity);
-        for w in &mut self.watches {
-            w.clear();
-        }
-        // Clause indices are about to be remapped; root-level literals are
-        // the only survivors on the trail and `analyze` never resolves
-        // level-0 reasons, so a blanket reset is safe.
-        for r in &mut self.reason {
-            *r = UNDEF_CLAUSE;
-        }
-        self.num_learnts = 0;
-        let mut dropped = 0usize;
-        let mut units: Vec<Lit> = Vec::new();
-        for (i, ((mut lits, learnt), act)) in
-            old.into_iter().zip(old_learnt).zip(old_act).enumerate()
-        {
-            if learnt && low_half.contains(&(i as u32)) {
-                dropped += 1;
-                continue;
-            }
-            if lits.iter().any(|&l| self.value_lit(l) == 1) {
-                if learnt {
-                    dropped += 1;
-                }
-                continue;
-            }
-            lits.retain(|&l| self.value_lit(l) != -1);
-            match lits.len() {
-                0 => {
-                    self.ok = false;
-                    return dropped;
-                }
-                1 => units.push(lits[0]),
-                _ => {
-                    let idx = self.clauses.len() as u32;
-                    self.watches[lits[0].negate().code()].push(idx);
-                    self.watches[lits[1].negate().code()].push(idx);
-                    self.clauses.push(lits);
-                    self.learnt.push(learnt);
-                    self.cla_activity.push(act);
-                    if learnt {
-                        self.num_learnts += 1;
-                    }
-                }
-            }
-        }
-        for u in units {
-            match self.value_lit(u) {
-                0 => self.unchecked_enqueue(u, UNDEF_CLAUSE),
-                -1 => {
-                    self.ok = false;
-                    return dropped;
-                }
-                _ => {}
-            }
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-        }
-        dropped
-    }
-
     /// Solves under assumptions with a conflict budget.
     pub fn solve_with_budget(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SatResult {
         if !self.ok {
@@ -532,12 +392,10 @@ impl Solver {
                     self.cancel_until(0);
                     self.unchecked_enqueue(asserting, UNDEF_CLAUSE);
                 } else {
-                    let ci = self.attach_clause(learnt, true);
-                    self.bump_clause(ci);
+                    let ci = self.attach_clause(learnt);
                     self.unchecked_enqueue(asserting, ci);
                 }
                 self.var_inc *= 1.05;
-                self.cla_inc *= 1.001;
                 continue;
             }
             // Assumptions first.

@@ -1,10 +1,11 @@
 //! Property tests for the solver: the normalizing constructors must be
 //! semantics-preserving (checked against a shadow interpreter over the
-//! un-normalized expression tree), and the bit-blaster must agree with the
-//! concrete evaluator.
+//! un-normalized expression tree), the bit-blaster must agree with the
+//! concrete evaluator, and the layered checker's verdicts must hold
+//! against exhaustive truth at a width small enough to enumerate.
 
 use esh_solver::bitblast::BitBlaster;
-use esh_solver::equiv::{EquivChecker, EquivConfig};
+use esh_solver::equiv::{EquivChecker, EquivConfig, Verdict};
 use esh_solver::eval::{eval, Assignment, CVal};
 use esh_solver::{TermId, TermPool};
 use proptest::prelude::*;
@@ -27,98 +28,106 @@ enum Tree {
     AShrC(Box<Tree>, u32),
 }
 
+/// Width of the random-input properties.
 const WIDTH: u32 = 16;
 
-fn mask(v: u64) -> u64 {
-    v & 0xffff
+/// Width of the exhaustive-truth property: three 4-bit variables span
+/// 4096 inputs.
+const SMALL: u32 = 4;
+
+fn mask(v: u64, w: u32) -> u64 {
+    v & ((1 << w) - 1)
 }
 
-fn sext16(v: u64) -> i64 {
-    ((mask(v) << 48) as i64) >> 48
+fn sext(v: u64, w: u32) -> i64 {
+    ((mask(v, w) << (64 - w)) as i64) >> (64 - w)
 }
 
 impl Tree {
-    /// Direct (shadow) interpretation, independent of the term pool.
-    fn shadow_eval(&self, vars: &[u64; 4]) -> u64 {
+    /// Direct (shadow) interpretation at width `w`, independent of the
+    /// term pool.
+    fn shadow_eval(&self, vars: &[u64; 4], w: u32) -> u64 {
+        let ev = |t: &Tree| t.shadow_eval(vars, w);
         match self {
-            Tree::Var(i) => mask(vars[*i as usize % 4]),
-            Tree::Const(c) => mask(*c),
-            Tree::Add(a, b) => mask(a.shadow_eval(vars).wrapping_add(b.shadow_eval(vars))),
-            Tree::Sub(a, b) => mask(a.shadow_eval(vars).wrapping_sub(b.shadow_eval(vars))),
-            Tree::Mul(a, b) => mask(a.shadow_eval(vars).wrapping_mul(b.shadow_eval(vars))),
-            Tree::And(a, b) => a.shadow_eval(vars) & b.shadow_eval(vars),
-            Tree::Or(a, b) => a.shadow_eval(vars) | b.shadow_eval(vars),
-            Tree::Xor(a, b) => a.shadow_eval(vars) ^ b.shadow_eval(vars),
-            Tree::Not(a) => mask(!a.shadow_eval(vars)),
-            Tree::Neg(a) => mask(a.shadow_eval(vars).wrapping_neg()),
-            Tree::ShlC(a, k) => mask(a.shadow_eval(vars) << (k % WIDTH)),
-            Tree::LShrC(a, k) => mask(a.shadow_eval(vars)) >> (k % WIDTH),
-            Tree::AShrC(a, k) => mask((sext16(a.shadow_eval(vars)) >> (k % WIDTH)) as u64),
+            Tree::Var(i) => mask(vars[*i as usize % 4], w),
+            Tree::Const(c) => mask(*c, w),
+            Tree::Add(a, b) => mask(ev(a).wrapping_add(ev(b)), w),
+            Tree::Sub(a, b) => mask(ev(a).wrapping_sub(ev(b)), w),
+            Tree::Mul(a, b) => mask(ev(a).wrapping_mul(ev(b)), w),
+            Tree::And(a, b) => ev(a) & ev(b),
+            Tree::Or(a, b) => ev(a) | ev(b),
+            Tree::Xor(a, b) => ev(a) ^ ev(b),
+            Tree::Not(a) => mask(!ev(a), w),
+            Tree::Neg(a) => mask(ev(a).wrapping_neg(), w),
+            Tree::ShlC(a, k) => mask(ev(a) << (k % w), w),
+            Tree::LShrC(a, k) => ev(a) >> (k % w),
+            Tree::AShrC(a, k) => mask((sext(ev(a), w) >> (k % w)) as u64, w),
         }
     }
 
-    /// Construction through the normalizing pool.
-    fn build(&self, pool: &mut TermPool) -> TermId {
+    /// Construction at width `w` through the normalizing pool.
+    fn build(&self, pool: &mut TermPool, w: u32) -> TermId {
         match self {
-            Tree::Var(i) => pool.var(i % 4, WIDTH),
-            Tree::Const(c) => pool.constant(*c, WIDTH),
+            Tree::Var(i) => pool.var(i % 4, w),
+            Tree::Const(c) => pool.constant(*c, w),
             Tree::Add(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.add2(x, y)
             }
             Tree::Sub(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.sub(x, y)
             }
             Tree::Mul(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.mul(vec![x, y])
             }
             Tree::And(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.and(vec![x, y])
             }
             Tree::Or(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.or(vec![x, y])
             }
             Tree::Xor(a, b) => {
-                let (x, y) = (a.build(pool), b.build(pool));
+                let (x, y) = (a.build(pool, w), b.build(pool, w));
                 pool.xor(vec![x, y])
             }
             Tree::Not(a) => {
-                let x = a.build(pool);
+                let x = a.build(pool, w);
                 pool.not(x)
             }
             Tree::Neg(a) => {
-                let x = a.build(pool);
+                let x = a.build(pool, w);
                 pool.neg(x)
             }
             Tree::ShlC(a, k) => {
-                let x = a.build(pool);
-                let c = pool.constant(u64::from(*k), WIDTH);
+                let x = a.build(pool, w);
+                let c = pool.constant(u64::from(*k), w);
                 pool.shl(x, c)
             }
             Tree::LShrC(a, k) => {
-                let x = a.build(pool);
-                let c = pool.constant(u64::from(*k), WIDTH);
+                let x = a.build(pool, w);
+                let c = pool.constant(u64::from(*k), w);
                 pool.lshr(x, c)
             }
             Tree::AShrC(a, k) => {
-                let x = a.build(pool);
-                let c = pool.constant(u64::from(*k), WIDTH);
+                let x = a.build(pool, w);
+                let c = pool.constant(u64::from(*k), w);
                 pool.ashr(x, c)
             }
         }
     }
 }
 
-fn arb_tree() -> impl Strategy<Value = Tree> {
+/// Random trees of width `w` over the first `vars` variables.
+fn arb_tree(vars: u32, w: u32) -> impl Strategy<Value = Tree> {
     let leaf = prop_oneof![
-        (0u32..4).prop_map(Tree::Var),
-        (0u64..0x10000).prop_map(Tree::Const),
+        (0u32..vars).prop_map(Tree::Var),
+        (0u64..1 << w).prop_map(Tree::Const),
     ];
-    leaf.prop_recursive(4, 24, 2, |inner| {
+    leaf.prop_recursive(4, 24, 2, move |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Tree::Add(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Tree::Sub(a.into(), b.into())),
@@ -128,9 +137,9 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Tree::Xor(a.into(), b.into())),
             inner.clone().prop_map(|a| Tree::Not(a.into())),
             inner.clone().prop_map(|a| Tree::Neg(a.into())),
-            (inner.clone(), 0u32..16).prop_map(|(a, k)| Tree::ShlC(a.into(), k)),
-            (inner.clone(), 0u32..16).prop_map(|(a, k)| Tree::LShrC(a.into(), k)),
-            (inner, 0u32..16).prop_map(|(a, k)| Tree::AShrC(a.into(), k)),
+            (inner.clone(), 0u32..w).prop_map(|(a, k)| Tree::ShlC(a.into(), k)),
+            (inner.clone(), 0u32..w).prop_map(|(a, k)| Tree::LShrC(a.into(), k)),
+            (inner, 0u32..w).prop_map(|(a, k)| Tree::AShrC(a.into(), k)),
         ]
     })
 }
@@ -140,29 +149,29 @@ proptest! {
 
     /// Normalizing construction preserves semantics on random inputs.
     #[test]
-    fn normalization_is_semantics_preserving(tree in arb_tree(), vals in [any::<u64>(); 4]) {
+    fn normalization_is_semantics_preserving(tree in arb_tree(4, WIDTH), vals in [any::<u64>(); 4]) {
         let mut pool = TermPool::new();
-        let t = tree.build(&mut pool);
+        let t = tree.build(&mut pool, WIDTH);
         let mut asn = Assignment::random(0);
         for (i, v) in vals.iter().enumerate() {
-            asn.vars.insert(i as u32, mask(*v));
+            asn.vars.insert(i as u32, mask(*v, WIDTH));
         }
         let got = match eval(&pool, t, &asn) {
             CVal::Bv(v) => v,
             CVal::Mem(_) => unreachable!(),
         };
-        prop_assert_eq!(got, tree.shadow_eval(&vals), "tree: {:?}", tree);
+        prop_assert_eq!(got, tree.shadow_eval(&vals, WIDTH), "tree: {:?}", tree);
     }
 
     /// The bit-blaster agrees with the evaluator: pinning the variables to
     /// concrete values makes `term == eval(term)` valid.
     #[test]
-    fn bitblast_agrees_with_eval(tree in arb_tree(), vals in [any::<u64>(); 4]) {
+    fn bitblast_agrees_with_eval(tree in arb_tree(4, WIDTH), vals in [any::<u64>(); 4]) {
         let mut pool = TermPool::new();
-        let t = tree.build(&mut pool);
+        let t = tree.build(&mut pool, WIDTH);
         let mut asn = Assignment::random(0);
         for (i, v) in vals.iter().enumerate() {
-            asn.vars.insert(i as u32, mask(*v));
+            asn.vars.insert(i as u32, mask(*v, WIDTH));
         }
         let want = match eval(&pool, t, &asn) {
             CVal::Bv(v) => v,
@@ -173,7 +182,7 @@ proptest! {
         // Pin the variables.
         for i in 0..4u32 {
             let vt = pool_var_bits(&mut bb, &pool, i);
-            let v = mask(vals[i as usize]);
+            let v = mask(vals[i as usize], WIDTH);
             for (j, l) in vt.iter().enumerate() {
                 let bit = (v >> j) & 1 == 1;
                 let unit = if bit { *l } else { l.negate() };
@@ -187,65 +196,71 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Whether `a` and `b` agree on every assignment of three `w`-bit
+/// variables.
+fn truly_equal(a: &Tree, b: &Tree, w: u32) -> bool {
+    let n = 1u64 << w;
+    (0..n * n * n).all(|k| {
+        let vars = [k % n, k / n % n, k / (n * n), 0];
+        a.shadow_eval(&vars, w) == b.shadow_eval(&vars, w)
+    })
+}
 
-    /// The incremental solving path is verdict-for-verdict identical to a
-    /// fresh-blaster checker, including across the retained state of many
-    /// back-to-back queries on one session.
+/// A `w`-bit tree that is 1 when every bit of variables 0–2 is set and 0
+/// otherwise: XOR-ing it into a tree changes exactly one of the 4096
+/// inputs at 4 bits, which random rounds and boundary probes all but
+/// never hit, so the pair reaches the SAT layer.
+fn all_ones_indicator(w: u32) -> Tree {
+    let bits = (0..3).flat_map(|v| (0..w).map(move |k| Tree::LShrC(Tree::Var(v).into(), k)));
+    bits.fold(Tree::Const(1), |acc, bit| Tree::And(acc.into(), bit.into()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The layered checker against exhaustive truth. At 4 bits over at
+    /// most three variables every pair is decided by enumerating all 4096
+    /// inputs, independently of the term pool and of every checker layer.
     ///
-    /// The conflict budget is unbounded so `Unknown` can only arise from
-    /// the structural cost gates, which both checkers compute identically
-    /// — any divergence is a soundness bug in the incremental layer.
-    /// Variable×variable multiplications are gated out (`max_mul_cost:
-    /// 0`, again identically on both sides) because unbounded-budget
-    /// multiplier equivalences take minutes each; multiplier correctness
-    /// is covered by `bitblast_agrees_with_eval` above.
+    /// Under the default budgets a verdict must be sound: `Equal` only for
+    /// truly-equal pairs, `NotEqual` only when some input distinguishes
+    /// them. With the conflict and multiplier budgets unbounded nothing
+    /// can end `Unknown`, so every truly-equal pair must be proven
+    /// `Equal`. Each checker answers several pairs in a row, repeats
+    /// reach its pair cache, and each random pair comes with two
+    /// companions for the SAT layer: a truly-equal one to prove and one
+    /// that differs on a single input to refute.
     #[test]
-    fn incremental_matches_fresh_blaster(trees in proptest::collection::vec(
-        (arb_tree(), arb_tree()), 1..4,
+    fn checker_verdicts_match_exhaustive_truth(pairs in proptest::collection::vec(
+        (arb_tree(3, SMALL), arb_tree(3, SMALL)), 1..5,
     )) {
-        let mut inc = EquivChecker::with_config(EquivConfig {
+        let mut budgeted = EquivChecker::new();
+        let mut exact = EquivChecker::with_config(EquivConfig {
             sat_budget: u64::MAX,
-            max_mul_cost: 0,
-            incremental: true,
+            max_mul_cost: usize::MAX,
             ..Default::default()
         });
-        let mut fresh = EquivChecker::with_config(EquivConfig {
-            sat_budget: u64::MAX,
-            max_mul_cost: 0,
-            incremental: false,
-            ..Default::default()
-        });
-        for (ta, tb) in &trees {
-            // Identical construction order keeps the two pools (and hence
-            // ids, DAG sizes, and cost gates) in lockstep.
-            let (a1, b1) = (ta.build(&mut inc.pool), tb.build(&mut inc.pool));
-            let (a2, b2) = (ta.build(&mut fresh.pool), tb.build(&mut fresh.pool));
-            prop_assert_eq!(inc.check_eq(a1, b1), fresh.check_eq(a2, b2),
-                "verdicts diverged on {:?} vs {:?}", ta, tb);
-            // Include a guaranteed SAT-Equal query so learnt-clause and
-            // lemma retention is exercised, not just refutations.
-            let lhs1 = {
-                let x = ta.build(&mut inc.pool);
-                let y = tb.build(&mut inc.pool);
-                let xor = inc.pool.xor(vec![x, y]);
-                let or = inc.pool.or(vec![x, y]);
-                let and = inc.pool.and(vec![x, y]);
-                let diff = inc.pool.sub(or, and);
-                (xor, diff)
-            };
-            let lhs2 = {
-                let x = ta.build(&mut fresh.pool);
-                let y = tb.build(&mut fresh.pool);
-                let xor = fresh.pool.xor(vec![x, y]);
-                let or = fresh.pool.or(vec![x, y]);
-                let and = fresh.pool.and(vec![x, y]);
-                let diff = fresh.pool.sub(or, and);
-                (xor, diff)
-            };
-            prop_assert_eq!(inc.check_eq(lhs1.0, lhs1.1), fresh.check_eq(lhs2.0, lhs2.1),
-                "xor/or-and identity diverged after {:?} vs {:?}", ta, tb);
+        for (ta, tb) in &pairs {
+            // (a ^ b) == (a | b) - (a & b) for all a, b.
+            let xor = Tree::Xor(ta.clone().into(), tb.clone().into());
+            let or = Tree::Or(ta.clone().into(), tb.clone().into());
+            let and = Tree::And(ta.clone().into(), tb.clone().into());
+            let diff = Tree::Sub(or.into(), and.into());
+            let flipped = Tree::Xor(ta.clone().into(), all_ones_indicator(SMALL).into());
+            for (x, y) in [(ta, tb), (&xor, &diff), (ta, &flipped), (tb, ta)] {
+                let truth = truly_equal(x, y, SMALL);
+                for (ec, unbounded) in [(&mut budgeted, false), (&mut exact, true)] {
+                    let (a, b) = (x.build(&mut ec.pool, SMALL), y.build(&mut ec.pool, SMALL));
+                    let verdict = ec.check_eq(a, b);
+                    let sound = match verdict {
+                        Verdict::Equal => truth,
+                        Verdict::NotEqual => !truth,
+                        Verdict::Unknown => !unbounded,
+                    };
+                    prop_assert!(sound, "{verdict:?} (truly equal: {truth}, unbounded: {unbounded}) \
+                        on {x:?} vs {y:?}");
+                }
+            }
         }
     }
 }

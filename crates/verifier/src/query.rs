@@ -83,11 +83,10 @@ impl<'a> JointQuery<'a> {
 
 /// A long-lived verifier session: one term pool and decision cache shared
 /// by many joint queries (the paper's batching, §5.5 — repeated strands
-/// and repeated subterms are decided once). The checker's SAT backend is
-/// incremental by default (one shared solver, CNF cache, learned-clause
-/// retention — see `esh_solver::incremental`), so the longer a session
+/// and repeated subterms are decided once), so the longer a session
 /// lives, the cheaper its queries get; the engine keeps sessions alive
-/// across whole queries for exactly this reason.
+/// across whole queries for exactly this reason. Only terms and verdicts
+/// are shared: each SAT query runs on its own fresh solver.
 #[derive(Debug, Default)]
 pub struct VerifierSession {
     checker: EquivChecker,

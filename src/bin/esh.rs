@@ -386,19 +386,23 @@ fn query_index(
             stats.hit_rate() * 100.0,
             stats.entries,
         );
-        let sp = engine.solver_stats();
+        let equiv = engine.equiv_stats();
+        let sp = equiv.solver;
         println!(
             "sat solver: {} queries, {:.1} conflicts/query, {:.1} ms sat time, \
-             {} blast hits / {} misses, {} learnts retained ({} dropped, {} resets)",
+             {} blast hits / {} misses",
             sp.sat_queries,
             sp.conflicts_per_query(),
             sp.sat_time_ns as f64 / 1e6,
             sp.blast_cache_hits,
             sp.blast_cache_misses,
-            sp.retained_learnts,
-            sp.learnts_dropped,
-            sp.solver_resets,
         );
+        let layers: Vec<String> = equiv
+            .decisions()
+            .iter()
+            .map(|(layer, n)| format!("{n} {layer}"))
+            .collect();
+        println!("equiv decisions: {}", layers.join(", "));
     }
     Ok(())
 }
