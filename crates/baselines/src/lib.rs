@@ -6,18 +6,10 @@
 //!   TRACY (David & Yahav, PLDI 2014), the "TRACY (Ratio-70)" column of
 //!   Table 2;
 //! * [`bindiff`] — a structural whole-library matcher in the style of
-//!   zynamics BinDiff, the subject of Table 3;
-//! * [`blex`] — a blanket-execution dynamic baseline in the style of
-//!   Egele et al. (§7 "dynamic methods");
-//! * [`ngram`] — a mnemonic n-gram baseline (§7's weak-representation
-//!   observation).
+//!   zynamics BinDiff, the subject of Table 3.
 
 pub mod bindiff;
-pub mod blex;
-pub mod ngram;
 pub mod tracy;
 
 pub use bindiff::{feature_similarity, features, match_libraries, Features, PairMatch};
-pub use blex::{blex_similarity, observe, SideEffects, DEFAULT_ENVIRONMENTS};
-pub use ngram::{ngram_similarity, ngram_vector};
 pub use tracy::{tracelet_similarity, tracelets, tracy_similarity, RATIO_70};

@@ -26,7 +26,7 @@ use esh_strands::{
 use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, VcpCache, VcpCacheEntry};
+use crate::cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 use crate::prefilter::{
     bounds_decision, calibrated_margin, compute_probe_sketch, compute_sketch, MarginCalibration,
     MarginSample, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
@@ -169,6 +169,62 @@ struct QueryStrand {
 struct PreparedStrand {
     signature: Signature,
     sketch: Option<SemanticSketch>,
+}
+
+/// What one [`SimilarityEngine::query_batch`] call shares between its
+/// matrix pass and its refine pass.
+struct BatchPass<'a> {
+    items: &'a [BatchQuery<'a>],
+    /// Prepared strands per item; `None` for items cancelled before
+    /// preparation.
+    queries: Vec<Option<Vec<QueryStrand>>>,
+    /// Which shards each item consulted, for the fan-out counter.
+    touched: ShardTouch,
+    probes: ProbeSketches,
+}
+
+/// Probe sketches (base battery plus probe rounds) by structural hash.
+/// They are pure per strand, so one batch-wide cache probes each side of
+/// an ambiguous pair at most once per batch, however many pairs, items
+/// or passes it takes part in, without changing any result.
+#[derive(Default)]
+struct ProbeSketches(Mutex<HashMap<u64, Arc<SemanticSketch>>>);
+
+impl ProbeSketches {
+    /// The refined containment bounds `(q in t, t in q)` of query strand
+    /// `q` against the class hashed `class_hash`. `class_proc` runs only
+    /// when the class's sketch is not cached yet, so a cached sketch never
+    /// loads or decodes a shard, and is fallible so a corrupted record
+    /// surfaces instead of panicking.
+    fn bounds<'p>(
+        &self,
+        cfg: &PrefilterConfig,
+        q: &QueryStrand,
+        class_hash: u64,
+        class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
+    ) -> Result<(f64, f64), ShardError> {
+        let pq = self.sketch(cfg, q.hash, || Ok(&q.proc_))?;
+        let pt = self.sketch(cfg, class_hash, class_proc)?;
+        Ok((pq.containment_in(&pt), pt.containment_in(&pq)))
+    }
+
+    /// The cached probe sketch for the strand hashed `key`, computed under
+    /// the lock on first use (serializing duplicate computes is cheaper
+    /// than racing the concrete evaluation).
+    fn sketch<P: std::ops::Deref<Target = Proc>>(
+        &self,
+        cfg: &PrefilterConfig,
+        key: u64,
+        proc_: impl FnOnce() -> Result<P, ShardError>,
+    ) -> Result<Arc<SemanticSketch>, ShardError> {
+        let mut map = self.0.lock().expect("probe cache poisoned");
+        if let Some(s) = map.get(&key) {
+            return Ok(Arc::clone(s));
+        }
+        let s = Arc::new(compute_probe_sketch(&*proc_()?, cfg));
+        map.insert(key, Arc::clone(&s));
+        Ok(s)
+    }
 }
 
 /// One query in a [`SimilarityEngine::query_batch`] call: the procedure
@@ -975,25 +1031,21 @@ impl SimilarityEngine {
     /// cursor, so workers that land on cheap tiles (size-ratio or
     /// prefilter rejections, cache hits) immediately steal more instead of
     /// idling behind a static split — and tiles of different batch items
-    /// interleave freely. Results for pairs that reach the verifier are
-    /// memoized in the cross-query [`VcpCache`]. Cancellation stays
-    /// per-item: a cancelled item's remaining tiles are skipped while the
-    /// rest of the batch keeps computing; its partial matrix is discarded
-    /// by the caller.
+    /// interleave freely. Every cell is priced by [`Self::price_cell`].
+    /// Cancellation stays per-item: a cancelled item's remaining tiles are
+    /// skipped while the rest of the batch keeps computing; its partial
+    /// matrix is discarded by the caller.
     /// On a lazily backed engine the same pass is the **fan-out** step:
     /// the flat tile space already spans every shard's class range, a
-    /// pair that survives pricing pulls its shard (procedures + cache
-    /// segment) into memory via [`ensure_class_shard`]
-    /// (Self::ensure_class_shard), and `touched` records which `(item,
-    /// shard)` pairs were consulted. The final row copy-back below is the
-    /// merge step — because shards partition the class index space in
-    /// order, it concatenates per-shard submatrices into exactly the
-    /// matrix a resident engine computes, bit for bit.
+    /// pair that survives pricing pulls its shard into memory (and its
+    /// record is decoded on a cache miss), and `batch.touched` records
+    /// which `(item, shard)` pairs were consulted. The final row
+    /// copy-back below is the merge step — because shards partition the
+    /// class index space in order, it concatenates per-shard submatrices
+    /// into exactly the matrix a resident engine computes, bit for bit.
     fn vcp_matrix_batch(
         &self,
-        queries: &[Option<Vec<QueryStrand>>],
-        cancels: &[&CancelToken],
-        touched: &ShardTouch,
+        batch: &BatchPass<'_>,
     ) -> (Vec<Vec<Vec<VcpPair>>>, Vec<Option<ShardError>>) {
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
@@ -1002,6 +1054,7 @@ impl SimilarityEngine {
         } else {
             self.config.threads
         };
+        let queries = &batch.queries;
         let nc = self.classes.len();
         let mut matrices: Vec<Vec<Vec<VcpPair>>> = queries
             .iter()
@@ -1027,52 +1080,15 @@ impl SimilarityEngine {
             let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
             return (matrices, errors);
         }
-        let queries_ref = &queries;
         let offsets = &offsets;
         let cursor = AtomicUsize::new(0);
-        let vcp_fp = self.config.vcp.fingerprint();
         let workers = threads.max(1).min(total_tiles);
-        // Sketch tier context, resolved once before the workers spawn: the
-        // LSH index over corpus sketches, one candidate mask per query
-        // strand of every item (mask[ci] = class ci shares a band → exact
-        // verify), and one batch-wide cache of probe sketches keyed by
-        // structural hash — ambiguous pairs re-sketch per *strand*, not
-        // per pair, so each side is probed at most once per batch no
-        // matter how many ambiguous pairs (or batch items) it
-        // participates in.
-        struct SketchCtx {
-            index: Arc<SketchIndex>,
-            masks: Vec<Vec<Option<Vec<bool>>>>,
-            margin: f64,
-            window: f64,
-            cfg: PrefilterConfig,
-            probes: Mutex<HashMap<u64, Arc<SemanticSketch>>>,
-        }
-        impl SketchCtx {
-            /// The cached probe sketch for the strand hashed `key`,
-            /// computing it under the cache lock on first use (serializing
-            /// duplicate computes is cheaper than racing the concrete
-            /// evaluation). `compute` is fallible so a corrupted shard on
-            /// the class side surfaces instead of panicking — and runs
-            /// only on a cache miss, preserving shard-load laziness.
-            fn probed(
-                &self,
-                key: u64,
-                compute: impl FnOnce() -> Result<SemanticSketch, ShardError>,
-            ) -> Result<Arc<SemanticSketch>, ShardError> {
-                let mut map = self.probes.lock().expect("probe cache poisoned");
-                match map.get(&key) {
-                    Some(s) => Ok(s.clone()),
-                    None => {
-                        let s = Arc::new(compute()?);
-                        map.insert(key, s.clone());
-                        Ok(s)
-                    }
-                }
-            }
-        }
-        let sketch_ctx: Option<SketchCtx> = self.ensure_sketch_index().map(|index| {
-            let masks = queries
+        // The sketch rung's inputs, resolved once before the workers
+        // spawn: the LSH index over corpus sketches and one candidate
+        // mask per query strand of every item (mask[ci] = class ci
+        // shares a band).
+        let sketch = self.ensure_sketch_index().map(|index| {
+            let masks: Vec<Vec<Option<Vec<bool>>>> = queries
                 .iter()
                 .map(|q| {
                     q.as_ref().map_or_else(Vec::new, |q| {
@@ -1082,21 +1098,9 @@ impl SimilarityEngine {
                     })
                 })
                 .collect();
-            let cfg = self
-                .config
-                .active_sketch()
-                .cloned()
-                .unwrap_or_default();
-            SketchCtx {
-                index,
-                masks,
-                margin: cfg.exact_fallback_margin,
-                window: cfg.probe_window(),
-                cfg,
-                probes: Mutex::new(HashMap::new()),
-            }
+            (index, masks)
         });
-        let sketch_ctx = &sketch_ctx;
+        let sketch = &sketch;
         // Whole-shard pruning (sub-linear fan-out): when the index shipped
         // per-shard band summaries, decide per `(item, shard)` — before
         // any per-cell work — whether every cell of the shard is provably
@@ -1110,8 +1114,9 @@ impl SimilarityEngine {
         let shard_skip: Option<(Vec<u32>, Vec<Vec<bool>>)> =
             self.shards.as_ref().and_then(|lazy| {
                 let summaries = lazy.summaries.as_ref()?;
-                let ctx = sketch_ctx.as_ref()?;
-                if ctx.margin <= ctx.window {
+                let cfg = self.config.active_sketch()?;
+                let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
+                if margin <= window {
                     return None;
                 }
                 let limit = lazy.class_limit();
@@ -1133,7 +1138,7 @@ impl SimilarityEngine {
                                 s.sketch
                                     .as_ref()
                                     .expect("checked above")
-                                    .band_keys(ctx.cfg.bands, ctx.cfg.rows)
+                                    .band_keys(cfg.bands, cfg.rows)
                             })
                             .collect();
                         summaries
@@ -1143,8 +1148,8 @@ impl SimilarityEngine {
                                     sum.can_skip(
                                         s.sketch.as_ref().expect("checked above"),
                                         k,
-                                        ctx.margin,
-                                        ctx.window,
+                                        margin,
+                                        window,
                                     )
                                 })
                             })
@@ -1159,99 +1164,11 @@ impl SimilarityEngine {
                 Some((class_shard, skip))
             });
         let shard_skip = &shard_skip;
-        // Demand-decode fan-out planner: before the tile workers start,
-        // sweep the (item, strand, class) space with the *cheap* pricing
-        // filters only — whole-shard prune, LSH candidate mask, size
-        // ratio, signature overlap — and pre-decode the surviving
-        // classes whose memoized verdict is not already cached, spread
-        // across the same worker pool the tiles use. Purely an
-        // optimization: the plan is conservative (a class it misses
-        // decodes on demand inside its tile; a class it over-includes
-        // wastes one decode), a decode never touches a VCP counter, and
-        // decode errors are swallowed here so the authoritative tile
-        // pass latches the typed corruption error for exactly the items
-        // that touch the bad record.
-        if let Some(lazy) = &self.shards {
-            let limit = lazy.class_limit().min(nc);
-            let mut plan: Vec<(usize, Vec<u64>)> = Vec::new();
-            for ci in 0..limit {
-                let class = &self.classes[ci];
-                let mut hashes: Vec<u64> = Vec::new();
-                for (b, q) in queries_ref.iter().enumerate() {
-                    let Some(query) = q else { continue };
-                    if cancels[b].is_cancelled() {
-                        continue;
-                    }
-                    if let Some((class_shard, skip)) = shard_skip {
-                        if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
-                            continue;
-                        }
-                    }
-                    for (qi, qs) in query.iter().enumerate() {
-                        if !size_ratio_ok(&self.config.vcp, qs.vars, class.vars) {
-                            continue;
-                        }
-                        if self.config.prefilter {
-                            let fwd = qs.signature.overlap_bound(&class.signature);
-                            let bwd = class.signature.overlap_bound(&qs.signature);
-                            if fwd < self.config.prefilter_threshold
-                                && bwd < self.config.prefilter_threshold
-                            {
-                                continue;
-                            }
-                        }
-                        if let Some(ctx) = sketch_ctx {
-                            if let (Some(mask), Some(_)) = (&ctx.masks[b][qi], &qs.sketch) {
-                                if !mask[ci] {
-                                    continue;
-                                }
-                            }
-                        }
-                        if !hashes.contains(&qs.hash) {
-                            hashes.push(qs.hash);
-                        }
-                    }
-                }
-                if !hashes.is_empty() {
-                    plan.push((ci, hashes));
-                }
-            }
-            if !plan.is_empty() {
-                let plan = &plan;
-                let plan_cursor = AtomicUsize::new(0);
-                let decode_workers = workers.min(plan.len());
-                std::thread::scope(|scope| {
-                    for _ in 0..decode_workers {
-                        let plan_cursor = &plan_cursor;
-                        scope.spawn(move || loop {
-                            let i = plan_cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(ci, ref hashes)) = plan.get(i) else { break };
-                            let shard = lazy.shard_of_class(ci);
-                            if lazy.ensure_loaded(shard, &self.cache).is_err() {
-                                continue;
-                            }
-                            let ch = self.classes[ci].hash;
-                            if hashes
-                                .iter()
-                                .any(|&qh| self.cache.peek(&(qh, ch, vcp_fp)).is_none())
-                            {
-                                let _ = lazy.proc_ref(ci, &self.cache);
-                            }
-                        });
-                    }
-                });
-            }
-        }
         let shard_errors_ref = &shard_errors;
         let tiles: Vec<(usize, usize, usize, Vec<VcpPair>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
-                    let config = &self.config;
-                    let classes = &self.classes;
-                    let cache = &self.cache;
-                    let solver = &self.solver;
-                    let prefilter_stats = &self.prefilter_stats;
                     scope.spawn(move || {
                         let mut session = self.checkout_session();
                         let stats0 = session.stats();
@@ -1269,21 +1186,23 @@ impl SimilarityEngine {
                             // or corruption-failed item stops issuing
                             // verifier work within one tile's latency
                             // while the rest of the batch keeps going.
-                            if cancels[b].is_cancelled() || shard_errors_ref[b].get().is_some() {
+                            if batch.items[b].cancel.is_cancelled()
+                                || shard_errors_ref[b].get().is_some()
+                            {
                                 continue;
                             }
                             let local = tile - offsets[b];
                             let qi = local / tiles_per_query;
                             let start = (local % tiles_per_query) * Self::VCP_TILE;
                             let end = (start + Self::VCP_TILE).min(nc);
-                            let query: &[QueryStrand] =
-                                queries_ref[b].as_ref().expect("tiles only for live items");
-                            let q = &query[qi];
+                            let q = &queries[b].as_ref().expect("tiles only for live items")[qi];
+                            let lsh = sketch.as_ref().and_then(|(index, masks)| {
+                                masks[b][qi].as_deref().map(|mask| (&**index, mask))
+                            });
                             let mut row = vec![VcpPair::default(); end - start];
-                            for (k, class) in classes[start..end].iter().enumerate() {
-                                let ci = start + k;
+                            for (cell, ci) in row.iter_mut().zip(start..end) {
                                 // Whole-shard prune: provably equivalent to
-                                // the per-cell Prune below, decided without
+                                // the per-cell sketch prune, decided without
                                 // touching the class.
                                 if let Some((class_shard, skip)) = shard_skip {
                                     if ci < class_shard.len()
@@ -1292,143 +1211,16 @@ impl SimilarityEngine {
                                         continue;
                                     }
                                 }
-                                if !size_ratio_ok(&config.vcp, q.vars, class.vars) {
-                                    continue;
-                                }
-                                if config.prefilter {
-                                    let fwd = q.signature.overlap_bound(&class.signature);
-                                    let bwd = class.signature.overlap_bound(&q.signature);
-                                    if fwd < config.prefilter_threshold
-                                        && bwd < config.prefilter_threshold
-                                    {
-                                        continue;
-                                    }
-                                }
-                                // Sketch tier pricing. Every pair is priced
-                                // by its containment bounds: both below the
-                                // margin drops the pair to the zero pair,
-                                // same as a legacy-signature rejection
-                                // above (sound: the bounds never
-                                // underestimate VCP, so no pair at or above
-                                // the margin is ever skipped — and a
-                                // below-margin pair contributes the
-                                // no-evidence likelihood floor rather than
-                                // an inflated estimate). Bounds inside the
-                                // ambiguity window around the margin
-                                // re-sketch both strands on extra probe
-                                // vectors and re-apply the margin to the
-                                // refined bounds; anything else goes to the
-                                // exact verifier. An LSH band collision is
-                                // recorded for observability; under the
-                                // pre-probe rule (no ambiguity window) a
-                                // collision still forces exact
-                                // verification, while staged pricing lets
-                                // the margin prune spurious band matches
-                                // too (a true same-source pair has bound
-                                // 1.0 and always verifies either way).
-                                if let Some(ctx) = sketch_ctx {
-                                    if let (Some(mask), Some(qs)) = (&ctx.masks[b][qi], &q.sketch) {
-                                        let collided = mask[ci];
-                                        if collided {
-                                            prefilter_stats.record_collision();
-                                        }
-                                        if !collided || ctx.window > 0.0 {
-                                            let ts = ctx.index.sketch(ci);
-                                            let c_q = qs.containment_in(ts);
-                                            let c_t = ts.containment_in(qs);
-                                            match bounds_decision(
-                                                c_q, c_t, ctx.margin, ctx.window,
-                                            ) {
-                                                SketchDecision::Prune => {
-                                                    prefilter_stats.record_pruned();
-                                                    continue;
-                                                }
-                                                SketchDecision::Probe => {
-                                                    prefilter_stats.record_probe();
-                                                    let pair = ctx
-                                                        .probed(q.hash, || {
-                                                            Ok(compute_probe_sketch(
-                                                                &q.proc_, &ctx.cfg,
-                                                            ))
-                                                        })
-                                                        .and_then(|pq| {
-                                                            let pt = ctx.probed(class.hash, || {
-                                                                if let Some(s) =
-                                                                    self.ensure_class_shard(ci)?
-                                                                {
-                                                                    touched.mark(b, s);
-                                                                }
-                                                                let tp =
-                                                                    self.class_proc_checked(ci)?;
-                                                                Ok(compute_probe_sketch(
-                                                                    &tp, &ctx.cfg,
-                                                                ))
-                                                            })?;
-                                                            Ok((pq, pt))
-                                                        });
-                                                    let (pq, pt) = match pair {
-                                                        Ok(p) => p,
-                                                        Err(e) => {
-                                                            let _ = shard_errors_ref[b].set(e);
-                                                            continue;
-                                                        }
-                                                    };
-                                                    let r_q = pq.containment_in(&pt);
-                                                    let r_t = pt.containment_in(&pq);
-                                                    if r_q < ctx.margin && r_t < ctx.margin {
-                                                        prefilter_stats.record_pruned();
-                                                        continue;
-                                                    }
-                                                    prefilter_stats.record_probe_escalation();
-                                                    prefilter_stats.record_fallback();
-                                                }
-                                                SketchDecision::Exact => {
-                                                    prefilter_stats.record_fallback();
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                // The pair survived pricing: open its
-                                // shard *before* the counted lookup so the
-                                // persisted cache segment can answer it
-                                // (open-before-lookup invariant). The
-                                // class record itself is only decoded on a
-                                // miss — a cache hit never pays the
-                                // decode.
-                                match self.ensure_class_shard(ci) {
-                                    Ok(Some(s)) => touched.mark(b, s),
-                                    Ok(None) => {}
+                                match self.price_cell(batch, lsh, &mut session, b, q, ci) {
+                                    Ok(v) => *cell = v,
                                     Err(e) => {
                                         let _ = shard_errors_ref[b].set(e);
-                                        continue;
                                     }
                                 }
-                                let key = (q.hash, class.hash, vcp_fp);
-                                row[k] = match cache.get(&key) {
-                                    Some(v) => v,
-                                    None => {
-                                        let tproc = match self.class_proc_checked(ci) {
-                                            Ok(p) => p,
-                                            Err(e) => {
-                                                let _ = shard_errors_ref[b].set(e);
-                                                continue;
-                                            }
-                                        };
-                                        let v = vcp_pair(
-                                            &mut session,
-                                            &q.proc_,
-                                            &tproc,
-                                            &config.vcp,
-                                        );
-                                        cache.insert(key, v);
-                                        v
-                                    }
-                                };
                             }
                             out.push((b, qi, start, row));
                         }
-                        solver.add(&session.stats().delta_since(&stats0));
+                        self.solver.add(&session.stats().delta_since(&stats0));
                         self.return_session(session);
                         out
                     })
@@ -1444,6 +1236,137 @@ impl SimilarityEngine {
         }
         let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
         (matrices, errors)
+    }
+
+    /// Prices one matrix cell down the ladder: the cheap filters, the
+    /// sketch rung (when the query strand carries an LSH candidate mask,
+    /// `lsh`), then the exact step behind a counted cache lookup. A pair
+    /// dropped by any rung prices as the zero pair.
+    fn price_cell(
+        &self,
+        batch: &BatchPass<'_>,
+        lsh: Option<(&SketchIndex, &[bool])>,
+        session: &mut VerifierSession,
+        item: usize,
+        q: &QueryStrand,
+        ci: usize,
+    ) -> Result<VcpPair, ShardError> {
+        let class = &self.classes[ci];
+        if !self.passes_cheap_filters(q.vars, &q.signature, class) {
+            return Ok(VcpPair::default());
+        }
+        if let Some((index, mask)) = lsh {
+            if !self.sketch_rung(batch, index, mask, item, q, ci)? {
+                return Ok(VcpPair::default());
+            }
+        }
+        self.open_cell(ci, item, &batch.touched)?;
+        let key = (q.hash, class.hash, self.config.vcp.fingerprint());
+        match self.cache.get(&key) {
+            Some(v) => Ok(v),
+            None => self.verify_cell(session, &q.proc_, ci, key),
+        }
+    }
+
+    /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
+    /// legacy semantic-signature bound, which rejects a pair only when
+    /// its overlap falls below the threshold in both directions.
+    fn passes_cheap_filters(
+        &self,
+        vars: usize,
+        signature: &Signature,
+        class: &StrandClass,
+    ) -> bool {
+        let t = self.config.prefilter_threshold;
+        size_ratio_ok(&self.config.vcp, vars, class.vars)
+            && !(self.config.prefilter
+                && signature.overlap_bound(&class.signature) < t
+                && class.signature.overlap_bound(signature) < t)
+    }
+
+    /// The sketch rung for one cell; `Ok(false)` prunes the pair. Every
+    /// pair is priced by its containment bounds: both below the margin
+    /// prunes it (sound: the bounds never underestimate VCP, so no pair
+    /// at or above the margin is ever skipped, and a below-margin pair
+    /// contributes the no-evidence likelihood floor rather than an
+    /// inflated estimate). Bounds inside the ambiguity window around the
+    /// margin re-sketch both strands on extra probe vectors and re-apply
+    /// the margin to the refined bounds; anything else goes to the exact
+    /// verifier. An LSH band collision is recorded for observability;
+    /// under the pre-probe rule (no ambiguity window) a collision still
+    /// forces exact verification, while staged pricing lets the margin
+    /// prune spurious band matches too (a true same-source pair has bound
+    /// 1.0 and always verifies either way).
+    fn sketch_rung(
+        &self,
+        batch: &BatchPass<'_>,
+        index: &SketchIndex,
+        mask: &[bool],
+        item: usize,
+        q: &QueryStrand,
+        ci: usize,
+    ) -> Result<bool, ShardError> {
+        let (Some(cfg), Some(qs)) = (self.config.active_sketch(), &q.sketch) else {
+            return Ok(true);
+        };
+        let stats = &self.prefilter_stats;
+        let collided = mask[ci];
+        if collided {
+            stats.record_collision();
+        }
+        let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
+        if collided && window <= 0.0 {
+            return Ok(true);
+        }
+        let ts = index.sketch(ci);
+        match bounds_decision(qs.containment_in(ts), ts.containment_in(qs), margin, window) {
+            SketchDecision::Prune => {
+                stats.record_pruned();
+                return Ok(false);
+            }
+            SketchDecision::Probe => {
+                stats.record_probe();
+                let (r_q, r_t) = batch.probes.bounds(cfg, q, self.classes[ci].hash, || {
+                    self.open_cell(ci, item, &batch.touched)?;
+                    self.class_proc_checked(ci)
+                })?;
+                if r_q < margin && r_t < margin {
+                    stats.record_pruned();
+                    return Ok(false);
+                }
+                stats.record_probe_escalation();
+            }
+            SketchDecision::Exact => {}
+        }
+        stats.record_fallback();
+        Ok(true)
+    }
+
+    /// Opens class `ci`'s shard for batch item `item` and records the
+    /// fan-out. Runs before any cache lookup on the cell, so the
+    /// persisted cache segment can answer it (see
+    /// [`Self::ensure_class_shard`]); the class record itself is only
+    /// decoded on a miss — a cache hit never pays the decode.
+    fn open_cell(&self, ci: usize, item: usize, touched: &ShardTouch) -> Result<(), ShardError> {
+        if let Some(shard) = self.ensure_class_shard(ci)? {
+            touched.mark(item, shard);
+        }
+        Ok(())
+    }
+
+    /// Prices one cache-missed cell exactly: decodes class `ci`, runs the
+    /// verifier against `q` and memoizes the verdict under `key`.
+    fn verify_cell(
+        &self,
+        session: &mut VerifierSession,
+        q: &Proc,
+        ci: usize,
+        key: VcpKey,
+    ) -> Result<VcpPair, ShardError> {
+        let class = self.class_proc_checked(ci)?;
+        let v = vcp_pair(session, q, &class, &self.config.vcp);
+        self.cache.insert(key, v);
+        Ok(v)
     }
 
     /// Scores every target against `proc_`.
@@ -1501,24 +1424,23 @@ impl SimilarityEngine {
     /// shard keep serving).
     pub fn query_batch(&self, items: &[BatchQuery<'_>]) -> Vec<Result<QueryScores, QueryError>> {
         let mut prep_memo: HashMap<u64, PreparedStrand> = HashMap::new();
-        let prepared: Vec<Option<Vec<QueryStrand>>> = items
-            .iter()
-            .map(|it| {
-                (!it.cancel.is_cancelled())
-                    .then(|| self.prepare_query_memo(it.proc_, &mut prep_memo))
-            })
-            .collect();
-        let cancels: Vec<&CancelToken> = items.iter().map(|it| &it.cancel).collect();
-        // Fan-out bookkeeping for lazily backed engines: which shards
-        // each item consulted, across the matrix pass *and* refine.
-        let touched = ShardTouch::new(
-            items.len(),
-            self.shards.as_ref().map_or(0, |l| l.shard_count()),
-        );
-        let (matrices, shard_errors) = self.vcp_matrix_batch(&prepared, &cancels, &touched);
-        // Refine resources shared across the batch: one verifier session,
-        // one probe-sketch cache (probe sketches are pure per strand, so
-        // sharing them across items cannot change any item's result).
+        let batch = BatchPass {
+            items,
+            queries: items
+                .iter()
+                .map(|it| {
+                    (!it.cancel.is_cancelled())
+                        .then(|| self.prepare_query_memo(it.proc_, &mut prep_memo))
+                })
+                .collect(),
+            touched: ShardTouch::new(
+                items.len(),
+                self.shards.as_ref().map_or(0, |l| l.shard_count()),
+            ),
+            probes: ProbeSketches::default(),
+        };
+        let (matrices, shard_errors) = self.vcp_matrix_batch(&batch);
+        // One verifier session refines the whole batch.
         let refine_enabled = self
             .config
             .active_sketch()
@@ -1530,10 +1452,9 @@ impl SimilarityEngine {
             let stats0 = s.stats();
             (s, stats0)
         });
-        let mut probes: HashMap<u64, SemanticSketch> = HashMap::new();
         let mut results = Vec::with_capacity(items.len());
         for (i, it) in items.iter().enumerate() {
-            let (Some(query), matrix) = (&prepared[i], &matrices[i]) else {
+            let (Some(query), matrix) = (&batch.queries[i], &matrices[i]) else {
                 results.push(Err(QueryError::Cancelled));
                 continue;
             };
@@ -1547,16 +1468,9 @@ impl SimilarityEngine {
             }
             let mut scores = self.score_targets(query, matrix);
             let refined = match &mut refine_session {
-                Some((session, _)) => self.refine_served_window(
-                    query,
-                    matrix,
-                    &mut scores,
-                    &it.cancel,
-                    session,
-                    &mut probes,
-                    i,
-                    &touched,
-                ),
+                Some((session, _)) => {
+                    self.refine_served_window(&batch, i, query, matrix, &mut scores, session)
+                }
                 None => Ok(()),
             };
             results.push(refined.map(|()| QueryScores {
@@ -1570,7 +1484,7 @@ impl SimilarityEngine {
             self.return_session(session);
         }
         if let Some(lazy) = &self.shards {
-            lazy.add_fanout(touched.count());
+            lazy.add_fanout(batch.touched.count());
         }
         results
     }
@@ -1703,30 +1617,25 @@ impl SimilarityEngine {
     /// that H0 offset, identically for every window target).
     ///
     /// Terminates because the refined-target set grows monotonically and
-    /// is bounded by the corpus. No-op when the sketch tier or
-    /// [`PrefilterConfig::refine_top_k`] is off.
-    #[allow(clippy::too_many_arguments)]
+    /// is bounded by the corpus. Runs only when the sketch tier and
+    /// [`PrefilterConfig::refine_top_k`] are on (`query_batch` checks).
     fn refine_served_window(
         &self,
+        batch: &BatchPass<'_>,
+        item: usize,
         query: &[QueryStrand],
         matrix: &[Vec<VcpPair>],
         scores: &mut [TargetScore],
-        cancel: &CancelToken,
         session: &mut VerifierSession,
-        probes: &mut HashMap<u64, SemanticSketch>,
-        item: usize,
-        touched: &ShardTouch,
     ) -> Result<(), QueryError> {
-        let Some(cfg) = self.config.active_sketch().cloned() else {
+        let Some(cfg) = self.config.active_sketch() else {
             return Ok(());
         };
         let k = cfg.effective_refine_top_k();
-        if k == 0 || query.is_empty() || self.targets.is_empty() {
+        if query.is_empty() {
             return Ok(());
         }
-        if self.ensure_sketch_index().is_none() {
-            return Ok(());
-        }
+        let cancel = &batch.items[item].cancel;
         // Frozen at the estimated matrix (see the method docs): every
         // refined score shares these accumulators, keeping responses
         // cache-state-independent.
@@ -1734,165 +1643,131 @@ impl SimilarityEngine {
         let vcp_fp = self.config.vcp.fingerprint();
         let mut refined_targets = vec![false; self.targets.len()];
         let mut refined_pairs = 0u64;
-        // Probe sketches (base battery + probe rounds) for refine's
-        // bounds, cached per strand (by structural hash, shared across a
-        // whole batch of queries): a few extra concrete-eval rounds per
-        // side buy the tightest available upper bound, and every
-        // tightened bound is another chance to dominance-skip an exact
-        // verification.
         self.prefilter_stats.record_refine_pass();
-        let outcome = 'refine: loop {
-            // The served window under the current scores — the same order
-            // `QueryScores::ranked` serves (GES desc, TargetId asc).
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| {
-                scores[b]
-                    .ges
-                    .partial_cmp(&scores[a].ges)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(scores[a].target.cmp(&scores[b].target))
-            });
-            // 2× slack: refining only the estimated top-K decides the
-            // window *boundary* on estimated scores — a target whose
-            // pruned evidence would lift it from rank 12 to rank 8 never
-            // enters the window. Scanning twice the served depth prices
-            // the contenders exactly too, so membership at rank K is
-            // decided among exact scores (bounded, and deterministic
-            // because the scan depth depends only on config).
-            let pending: Vec<usize> = order
-                .into_iter()
-                .take(k.saturating_mul(2))
-                .filter(|&ti| !refined_targets[ti])
-                .collect();
-            if pending.is_empty() {
-                break Ok(());
-            }
-            for ti in pending {
-                refined_targets[ti] = true;
-                if cancel.is_cancelled() {
-                    break 'refine Err(QueryError::Cancelled);
+        let mut refine = || -> Result<(), QueryError> {
+            loop {
+                // The served window under the current scores — the same
+                // order `QueryScores::ranked` serves (GES desc, TargetId
+                // asc).
+                let mut order: Vec<usize> = (0..scores.len()).collect();
+                order.sort_by(|&a, &b| {
+                    scores[b]
+                        .ges
+                        .partial_cmp(&scores[a].ges)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(scores[a].target.cmp(&scores[b].target))
+                });
+                // 2× slack: refining only the estimated top-K decides the
+                // window *boundary* on estimated scores — a target whose
+                // pruned evidence would lift it from rank 12 to rank 8
+                // never enters the window. Scanning twice the served depth
+                // prices the contenders exactly too, so membership at
+                // rank K is decided among exact scores (bounded, and
+                // deterministic because the scan depth depends only on
+                // config).
+                let pending: Vec<usize> = order
+                    .into_iter()
+                    .take(k.saturating_mul(2))
+                    .filter(|&ti| !refined_targets[ti])
+                    .collect();
+                if pending.is_empty() {
+                    return Ok(());
                 }
-                let strands = &self.targets[ti].strands;
-                // Exact maxima this target already has: per query strand
-                // (drives GES/S-LOG) and per class (drives S-VCP). Seeded
-                // from cache-known cells; unknown cells are sketch-pruned.
-                let mut max_q = vec![0.0f64; query.len()];
-                let mut max_t: HashMap<usize, f64> = HashMap::new();
-                // Sketch-pruned cells: `(bound_q, bound_t, qi, ci)`.
-                let mut unknown: Vec<(f64, f64, usize, usize)> = Vec::new();
-                for &(ci, _) in strands {
-                    let class = &self.classes[ci];
-                    for (qi, q) in query.iter().enumerate() {
-                        if !size_ratio_ok(&self.config.vcp, q.vars, class.vars) {
-                            continue;
-                        }
-                        if self.config.prefilter {
-                            let fwd = q.signature.overlap_bound(&class.signature);
-                            let bwd = class.signature.overlap_bound(&q.signature);
-                            if fwd < self.config.prefilter_threshold
-                                && bwd < self.config.prefilter_threshold
-                            {
+                for ti in pending {
+                    refined_targets[ti] = true;
+                    if cancel.is_cancelled() {
+                        return Err(QueryError::Cancelled);
+                    }
+                    // Exact maxima this target already has: per query
+                    // strand (drives GES/S-LOG) and per class (drives
+                    // S-VCP). Seeded from cache-known cells; unknown cells
+                    // are sketch-pruned.
+                    let mut max_q = vec![0.0f64; query.len()];
+                    let mut max_t: HashMap<usize, f64> = HashMap::new();
+                    // Sketch-pruned cells: `(bound_q, bound_t, qi, ci)`.
+                    let mut unknown: Vec<(f64, f64, usize, usize)> = Vec::new();
+                    for &(ci, _) in &self.targets[ti].strands {
+                        let class = &self.classes[ci];
+                        for (qi, q) in query.iter().enumerate() {
+                            if !self.passes_cheap_filters(q.vars, &q.signature, class) {
                                 continue;
                             }
-                        }
-                        // The window scan must see the persisted cache
-                        // segment of every class it peeks, so the shard
-                        // opens first (open-before-lookup) — and counts
-                        // toward this item's fan-out. The record itself
-                        // stays undecoded unless the peek misses.
-                        match self.ensure_class_shard(ci) {
-                            Ok(Some(s)) => touched.mark(item, s),
-                            Ok(None) => {}
-                            Err(e) => break 'refine Err(QueryError::Corrupted(e)),
-                        }
-                        let key = (q.hash, class.hash, vcp_fp);
-                        // `peek`, not `get`: this scan separates known from
-                        // pruned cells and must not distort the miss
-                        // counter the benches report as verifier calls.
-                        if let Some(v) = self.cache.peek(&key) {
-                            max_q[qi] = max_q[qi].max(v.q_in_t);
-                            let m = max_t.entry(ci).or_insert(0.0);
-                            *m = m.max(v.t_in_q);
-                        } else {
-                            let (c_q, c_t) = if q.sketch.is_some() {
-                                probes
-                                    .entry(q.hash)
-                                    .or_insert_with(|| compute_probe_sketch(&q.proc_, &cfg));
-                                if let std::collections::hash_map::Entry::Vacant(slot) =
-                                    probes.entry(class.hash)
-                                {
-                                    // Fallible decode: under demand
-                                    // decoding this may be the first time
-                                    // the record's bytes are checksummed.
-                                    let pt = match self.class_proc_checked(ci) {
-                                        Ok(p) => compute_probe_sketch(&p, &cfg),
-                                        Err(e) => break 'refine Err(QueryError::Corrupted(e)),
-                                    };
-                                    slot.insert(pt);
-                                }
-                                let pq = &probes[&q.hash];
-                                let pt = &probes[&class.hash];
-                                (pq.containment_in(pt), pt.containment_in(pq))
-                            } else {
-                                // No sketch to bound with: always verify.
-                                (1.0, 1.0)
+                            // The window scan must see the persisted cache
+                            // segment of every class it peeks, and counts
+                            // toward this item's fan-out.
+                            self.open_cell(ci, item, &batch.touched)?;
+                            let key = (q.hash, class.hash, vcp_fp);
+                            // `peek`, not `get`: this scan separates known
+                            // from pruned cells and must not distort the
+                            // miss counter the benches report as verifier
+                            // calls.
+                            if let Some(v) = self.cache.peek(&key) {
+                                max_q[qi] = max_q[qi].max(v.q_in_t);
+                                let m = max_t.entry(ci).or_insert(0.0);
+                                *m = m.max(v.t_in_q);
+                                continue;
+                            }
+                            // Probe-sketch bounds are the tightest
+                            // available: every tightened bound is another
+                            // chance to dominance-skip a verification. No
+                            // sketch to bound with: always verify.
+                            let (c_q, c_t) = match q.sketch {
+                                Some(_) => batch
+                                    .probes
+                                    .bounds(cfg, q, class.hash, || self.class_proc_checked(ci))?,
+                                None => (1.0, 1.0),
                             };
                             unknown.push((c_q, c_t, qi, ci));
                         }
                     }
-                }
-                // Verify pruned cells best-bound-first so early exact
-                // results raise the maxima and dominate the rest away.
-                unknown.sort_by(|a, b| {
-                    b.0.max(b.1)
-                        .partial_cmp(&a.0.max(a.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.2.cmp(&b.2))
-                        .then(a.3.cmp(&b.3))
-                });
-                for (c_q, c_t, qi, ci) in unknown {
-                    let dominated = c_q <= max_q[qi] && c_t <= *max_t.get(&ci).unwrap_or(&0.0);
-                    if dominated {
-                        // True VCP ≤ bound ≤ an exact value already in the
-                        // matrix: this cell cannot move any maximum.
-                        continue;
-                    }
-                    if cancel.is_cancelled() {
-                        break 'refine Err(QueryError::Cancelled);
-                    }
-                    let q = &query[qi];
-                    let class = &self.classes[ci];
-                    let key = (q.hash, class.hash, vcp_fp);
-                    // `peek` again (see above): refine's lookups are
-                    // state-dependent (a warm repeat verifies nothing), so
-                    // counting them would make the hit/miss totals
-                    // nondeterministic. [`PrefilterStats::refined_pairs`]
-                    // carries refine's verifier work instead. The re-peek
-                    // also picks up a value a concurrent query inserted
-                    // since the scan.
-                    let v = match self.cache.peek(&key) {
-                        Some(v) => v,
-                        None => {
-                            let tproc = match self.class_proc_checked(ci) {
-                                Ok(p) => p,
-                                Err(e) => break 'refine Err(QueryError::Corrupted(e)),
-                            };
-                            let v = vcp_pair(session, &q.proc_, &tproc, &self.config.vcp);
-                            self.cache.insert(key, v);
-                            refined_pairs += 1;
-                            v
+                    // Verify pruned cells best-bound-first so early exact
+                    // results raise the maxima and dominate the rest away.
+                    unknown.sort_by(|a, b| {
+                        b.0.max(b.1)
+                            .partial_cmp(&a.0.max(a.1))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.2.cmp(&b.2))
+                            .then(a.3.cmp(&b.3))
+                    });
+                    for (c_q, c_t, qi, ci) in unknown {
+                        if c_q <= max_q[qi] && c_t <= *max_t.get(&ci).unwrap_or(&0.0) {
+                            // True VCP ≤ bound ≤ an exact value already in
+                            // the matrix: this cell cannot move any maximum.
+                            continue;
                         }
-                    };
-                    max_q[qi] = max_q[qi].max(v.q_in_t);
-                    let m = max_t.entry(ci).or_insert(0.0);
-                    *m = m.max(v.t_in_q);
+                        if cancel.is_cancelled() {
+                            return Err(QueryError::Cancelled);
+                        }
+                        let q = &query[qi];
+                        let key = (q.hash, self.classes[ci].hash, vcp_fp);
+                        // `peek` again (see above): refine's lookups are
+                        // state-dependent (a warm repeat verifies nothing),
+                        // so counting them would make the hit/miss totals
+                        // nondeterministic. [`PrefilterStats::refined_pairs`]
+                        // carries refine's verifier work instead. The
+                        // re-peek also picks up a value a concurrent query
+                        // inserted since the scan.
+                        let v = match self.cache.peek(&key) {
+                            Some(v) => v,
+                            None => {
+                                let v = self.verify_cell(session, &q.proc_, ci, key)?;
+                                refined_pairs += 1;
+                                v
+                            }
+                        };
+                        max_q[qi] = max_q[qi].max(v.q_in_t);
+                        let m = max_t.entry(ci).or_insert(0.0);
+                        *m = m.max(v.t_in_q);
+                    }
+                    // Exact maxima in hand: rebuild this target's score
+                    // against the frozen H0. `scores` is in target order
+                    // (score_targets builds it that way), so `ti` indexes
+                    // it.
+                    scores[ti] = self.score_refined_target(ti, query, &max_q, &max_t, &h0);
                 }
-                // Exact maxima in hand: rebuild this target's score
-                // against the frozen H0. `scores` is in target order
-                // (score_targets builds it that way), so `ti` indexes it.
-                scores[ti] = self.score_refined_target(ti, query, &max_q, &max_t, &h0);
             }
         };
+        let outcome = refine();
         self.prefilter_stats.record_refined_pairs(refined_pairs);
         outcome
     }
@@ -1918,7 +1793,7 @@ impl SimilarityEngine {
         sample_pairs: usize,
         max_pruned_vcp: f64,
     ) -> Option<MarginCalibration> {
-        let cfg = *self.config.active_sketch()?;
+        let index = self.ensure_sketch_index()?;
         let n = self.classes.len();
         if n < 2 || sample_pairs == 0 {
             return None;
@@ -1928,7 +1803,6 @@ impl SimilarityEngine {
         let stats0 = session.stats();
         let mut samples = Vec::with_capacity(sample_pairs);
         let mut seen = std::collections::HashSet::new();
-        let mut sketches: HashMap<usize, SemanticSketch> = HashMap::new();
         // Deterministic pseudo-random pair stream: the sample (and hence
         // the calibrated margin) is a pure function of the corpus.
         for draw in 0..(sample_pairs as u64).saturating_mul(64) {
@@ -1945,25 +1819,11 @@ impl SimilarityEngine {
                 continue;
             }
             let (qa, qb) = (&self.classes[a], &self.classes[b]);
-            if !size_ratio_ok(&self.config.vcp, qa.vars, qb.vars) {
+            if !self.passes_cheap_filters(qa.vars, &qa.signature, qb) {
                 continue;
             }
-            if self.config.prefilter {
-                let fwd = qa.signature.overlap_bound(&qb.signature);
-                let bwd = qb.signature.overlap_bound(&qa.signature);
-                if fwd < self.config.prefilter_threshold && bwd < self.config.prefilter_threshold {
-                    continue;
-                }
-            }
-            for i in [a, b] {
-                sketches.entry(i).or_insert_with(|| match &self.classes[i].sketch {
-                    Some(s) => s.clone(),
-                    None => compute_sketch(&self.class_proc(i), &cfg),
-                });
-            }
-            let bound = sketches[&a]
-                .containment_in(&sketches[&b])
-                .max(sketches[&b].containment_in(&sketches[&a]));
+            let (sa, sb) = (index.sketch(a), index.sketch(b));
+            let bound = sa.containment_in(sb).max(sb.containment_in(sa));
             // Exact pricing only where it can matter: a sample whose
             // *bound* already clears the safety cap has exact VCP ≤ bound
             // ≤ cap and can never veto a margin, so recording the bound
@@ -1982,16 +1842,9 @@ impl SimilarityEngine {
                 let key = (qa.hash, qb.hash, vcp_fp);
                 let v = match self.cache.get(&key) {
                     Some(v) => v,
-                    None => {
-                        let v = vcp_pair(
-                            &mut session,
-                            &self.class_proc(a),
-                            &self.class_proc(b),
-                            &self.config.vcp,
-                        );
-                        self.cache.insert(key, v);
-                        v
-                    }
+                    None => self
+                        .verify_cell(&mut session, &self.class_proc(a), b, key)
+                        .unwrap_or_else(|e| panic!("{e}")),
                 };
                 v.q_in_t.max(v.t_in_q)
             };

@@ -214,11 +214,11 @@ pub fn vcp_pair(session: &mut VerifierSession, q: &Proc, t: &Proc, config: &VcpC
             .collect();
         let mut q_digests: Vec<(u64, u32)> = q_term_list
             .iter()
-            .map(|t| (0xcbf2_9ce4u64, session.width(*t)))
+            .map(|t| (0xcbf2_9ce4u64, session.pool().width(*t)))
             .collect();
         let mut t_digests: Vec<(u64, u32)> = t_term_list
             .iter()
-            .map(|t| (0xcbf2_9ce4u64, session.width(*t)))
+            .map(|t| (0xcbf2_9ce4u64, session.pool().width(*t)))
             .collect();
         for round in DIGEST_ROUNDS {
             let asn = Assignment::random(round);

@@ -18,7 +18,7 @@
 //! Between admission and the engine sits a coalescing tier that collects
 //! concurrent requests for a bounded window and scores each batch in one
 //! shared `query_batch` pass. Load, latency and batch occupancy are
-//! observable via [`metrics`]; `esh bench-serve` ([`bench`]) drives a
+//! observable via [`metrics`]; `esh bench-serve` ([`mod@bench`]) drives a
 //! loopback load test whose acceptance property is that concurrent —
 //! and batched — responses are *byte-identical* to offline `esh query`
 //! rankings.

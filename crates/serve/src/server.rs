@@ -11,7 +11,7 @@
 //! *pipelined*, so one socket may carry many newline-delimited requests
 //! and the reader keeps parsing while earlier requests are still being
 //! scored. Responses come back in request order per connection — a
-//! per-connection sequence number and reorder buffer ([`ConnWriter`])
+//! per-connection sequence number and reorder buffer (`ConnWriter`)
 //! guarantee it — so one-shot clients (one request, one response, close)
 //! keep working unchanged.
 //!

@@ -3,12 +3,34 @@
 //! exchange artifacts (like the paper's `.bpl` files).
 
 use esh_asm::parse_proc;
-use esh_ivl::{lift, parse_proc_text, proc_to_text};
-use esh_verifier::{JointQuery, VerifierSession};
+use esh_ivl::{lift, parse_proc_text, proc_to_text, Proc, VarId};
+use esh_verifier::{InputNamer, Verdict, VerifierSession};
 
-fn lift_text(text: &str) -> esh_ivl::Proc {
+fn lift_text(text: &str) -> Proc {
     let p = parse_proc(&format!("proc t\nentry:\n{text}")).expect("parses");
     lift("t", &p.blocks[0].insts)
+}
+
+/// Decides every `(q var, t var)` pair of `asserts` on a fresh session,
+/// with each `assumes` input pair unified to one shared name.
+fn decide(
+    (q, t): (&Proc, &Proc),
+    assumes: &[(VarId, VarId)],
+    asserts: &[(VarId, VarId)],
+) -> Vec<Verdict> {
+    let mut namer = InputNamer::new();
+    for &(qi, ti) in assumes {
+        let shared = namer.fresh();
+        namer.unify(0, qi, shared);
+        namer.unify(1, ti, shared);
+    }
+    let mut session = VerifierSession::new();
+    let q_terms = session.encode(q, |v| namer.id_for(0, v));
+    let t_terms = session.encode(t, |v| namer.id_for(1, v));
+    asserts
+        .iter()
+        .map(|(qv, tv)| session.check_eq(q_terms[qv.index()], t_terms[tv.index()]))
+        .collect()
 }
 
 #[test]
@@ -18,18 +40,22 @@ fn parsed_strands_verify_like_originals() {
     let q2 = parse_proc_text(&proc_to_text(&q)).expect("q roundtrips");
     let t2 = parse_proc_text(&proc_to_text(&t)).expect("t roundtrips");
 
-    let run = |q: &esh_ivl::Proc, t: &esh_ivl::Proc| {
-        let mut session = VerifierSession::new();
-        let mut jq = JointQuery::new(q, t);
-        jq.assume_eq(q.inputs()[0], t.inputs()[0]);
+    let run = |q: &Proc, t: &Proc| {
         // Compare the zero-extended 32-bit results (the final temps).
         let qv = *q.temps().last().expect("temps");
         let tv = *t.temps().last().expect("temps");
-        jq.assert_eq(qv, tv);
-        session.solve(&jq)
+        decide((q, t), &[(q.inputs()[0], t.inputs()[0])], &[(qv, tv)])
     };
-    assert_eq!(run(&q, &t), run(&q2, &t2), "verdicts must survive the text roundtrip");
-    assert_eq!(run(&q, &t2), run(&q2, &t), "mixed original/parsed pairs agree too");
+    assert_eq!(
+        run(&q, &t),
+        run(&q2, &t2),
+        "verdicts must survive the text roundtrip"
+    );
+    assert_eq!(
+        run(&q, &t2),
+        run(&q2, &t),
+        "mixed original/parsed pairs agree too"
+    );
 }
 
 #[test]
@@ -49,11 +75,13 @@ fn text_dump_of_compiled_strand_is_parseable_and_equivalent() {
 
     // Every temp of the original must verify equal to its same-named twin
     // under identity input matching.
-    let mut session = VerifierSession::new();
-    let mut jq = JointQuery::new(&lifted, &parsed);
-    for (qi, ti) in lifted.inputs().into_iter().zip(parsed.inputs()) {
-        assert_eq!(lifted.var(qi).name, parsed.var(ti).name, "input order preserved");
-        jq.assume_eq(qi, ti);
+    let assumes: Vec<_> = lifted.inputs().into_iter().zip(parsed.inputs()).collect();
+    for &(qi, ti) in &assumes {
+        assert_eq!(
+            lifted.var(qi).name,
+            parsed.var(ti).name,
+            "input order preserved"
+        );
     }
     let pairs: Vec<_> = lifted
         .temps()
@@ -68,12 +96,9 @@ fn text_dump_of_compiled_strand_is_parseable_and_equivalent() {
             (qv, tv)
         })
         .collect();
-    for (qv, tv) in &pairs {
-        jq.assert_eq(*qv, *tv);
-    }
-    let verdicts = session.solve(&jq);
+    let verdicts = decide((&lifted, &parsed), &assumes, &pairs);
     assert!(
-        verdicts.iter().all(|v| *v == esh_verifier::Verdict::Equal),
+        verdicts.iter().all(|v| *v == Verdict::Equal),
         "all {} temps must match: {verdicts:?}",
         pairs.len()
     );

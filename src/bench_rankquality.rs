@@ -1,10 +1,9 @@
 //! `esh bench-rankquality`: ranking fidelity of the pruned pipeline.
 //!
-//! `esh bench-prefilter` gates on top-1 identity and SAT savings;
-//! this bench measures what the prefilter historically traded away —
-//! **retrieval depth**. It builds the cross-compiler corpus twice (default
-//! prefiltered config vs no sketch tier), runs the same CVE queries
-//! through both, and scores the pruned ranking *against the exhaustive
+//! This bench measures what the prefilter historically traded away —
+//! **retrieval depth** — alongside top-1 identity and SAT savings. It
+//! builds the cross-compiler corpus twice (default prefiltered config vs
+//! no sketch tier), runs the same CVE queries through both, and scores the pruned ranking *against the exhaustive
 //! ranking* with the `esh-eval` rank-fidelity metrics:
 //!
 //! * per-query top-10 agreement (set overlap of the served windows),
@@ -156,8 +155,8 @@ pub fn run(smoke: bool) -> Result<(), String> {
         .iter()
         .map(|p| (p.display(), p.func.as_str()))
         .collect();
-    // Distinct CVE procedures, by corpus index — the bench-prefilter /
-    // bench-serve query set.
+    // Distinct CVE procedures, by corpus index — the bench-serve query
+    // set.
     let mut names: Vec<String> = corpus
         .procs
         .iter()

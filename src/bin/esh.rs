@@ -13,7 +13,6 @@
 //!           [--queue N] [--deadline-ms N] [--threads N]
 //!           [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]
 //! esh bench-serve [--smoke]
-//! esh bench-prefilter [--smoke]
 //! esh bench-rankquality [--smoke]
 //! esh bench-scale [--smoke] [--threads N] [--no-mmap] [--max-procs N]
 //! esh stats <corpus.json>
@@ -35,11 +34,9 @@
 //! `query --remote` is the matching client; `--json` prints the shared
 //! machine-readable response schema from either path. `bench-serve`
 //! load-tests the daemon over loopback and writes `BENCH_serve.json`;
-//! `bench-prefilter` compares the sketch-prefiltered engine against the
-//! exhaustive one and writes `BENCH_prefilter.json`; `bench-rankquality`
-//! scores the pruned ranking against the exhaustive one (top-K agreement,
-//! Kendall tau, ROC/CROC — see `docs/RANK_QUALITY.md`) and writes
-//! `BENCH_rankquality.json`.
+//! `bench-rankquality` scores the pruned ranking against the exhaustive
+//! one (top-1 identity, top-K agreement, Kendall tau, ROC/CROC — see
+//! `docs/RANK_QUALITY.md`) and writes `BENCH_rankquality.json`.
 //!
 //! `query --index ... --no-prefilter` disables the semantic-sketch tier
 //! for that one query — the escape hatch when a sketch-estimated pair
@@ -74,7 +71,6 @@ fn usage() -> ExitCode {
          \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
          \x20         [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]\n  \
          esh bench-serve [--smoke]\n  \
-         esh bench-prefilter [--smoke]\n  \
          esh bench-rankquality [--smoke]\n  \
          esh bench-scale [--smoke] [--threads N] [--no-mmap] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
@@ -105,7 +101,6 @@ fn main() -> ExitCode {
         Some("query") => query(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("bench-serve") => bench_serve(&args[1..]),
-        Some("bench-prefilter") => bench_prefilter(&args[1..]),
         Some("bench-rankquality") => bench_rankquality(&args[1..]),
         Some("bench-scale") => bench_scale(&args[1..]),
         Some("stats") => stats(&args[1..]),
@@ -546,15 +541,6 @@ fn bench_serve(args: &[String]) -> Result<(), String> {
         _ => return Err("bench-serve takes [--smoke]".into()),
     };
     esh::serve::bench::run(smoke)
-}
-
-fn bench_prefilter(args: &[String]) -> Result<(), String> {
-    let smoke = match args {
-        [] => false,
-        [flag] if flag == "--smoke" => true,
-        _ => return Err("bench-prefilter takes [--smoke]".into()),
-    };
-    esh::bench_prefilter::run(smoke)
 }
 
 fn bench_rankquality(args: &[String]) -> Result<(), String> {

@@ -32,7 +32,6 @@
 //! assert_eq!(scores.ranked()[0].target, t);
 //! ```
 
-pub mod bench_prefilter;
 pub mod bench_rankquality;
 pub mod bench_scale;
 
