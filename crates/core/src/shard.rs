@@ -69,12 +69,11 @@ pub struct ShardSpec {
 
 /// An opened shard: the structural parts (offset table, persisted cache
 /// segment) are decoded eagerly, the per-class procedure records stay
-/// raw — typically borrowed straight out of an `Mmap` the handle keeps
-/// alive — until [`ShardRecords::decode_record`] is asked for one.
+/// undecoded — for the on-disk format, unread on disk — until
+/// [`ShardRecords::decode_record`] is asked for one.
 ///
-/// A handle is held resident for as long as its shard occupies a slot,
-/// so for file-backed sources the mapping outlives every query that
-/// decoded from it.
+/// A handle is held resident for as long as its shard occupies a slot;
+/// a file-backed handle reads each demanded record from its file then.
 pub trait ShardRecords: Send + Sync + fmt::Debug {
     /// Number of class records in the shard (its spec's class range).
     fn class_count(&self) -> usize;
@@ -89,19 +88,19 @@ pub trait ShardRecords: Send + Sync + fmt::Debug {
     /// is opened.
     fn base_bytes(&self) -> u64;
 
-    /// Bytes the handle keeps mapped (or buffered) while resident — the
-    /// whole backing file for the on-disk format. Kernel-managed pages,
-    /// *not* accounted against the residency budget.
+    /// Bytes of the open shard's backing file — the whole file for the
+    /// on-disk format. They stay on disk until records are read, so they
+    /// are *not* accounted against the residency budget.
     fn mapped_bytes(&self) -> u64;
 
     /// Encoded size of record `i` — the unit one decoded slot accounts
     /// against the residency budget.
     fn record_bytes(&self, i: usize) -> u64;
 
-    /// Checksum-verifies and decodes record `i` (class `class_start +
-    /// i`) out of the raw bytes, leaving every neighbour record
-    /// untouched. Errors name the backing file and the class for
-    /// file-backed sources.
+    /// Reads, checksum-verifies and decodes record `i` (class
+    /// `class_start + i`), leaving every neighbour record untouched.
+    /// Errors name the backing file and the class for file-backed
+    /// sources.
     fn decode_record(&self, i: usize) -> Result<Proc, String>;
 }
 
@@ -168,8 +167,8 @@ pub struct ShardStats {
     /// Encoded bytes of the class records currently decoded (excludes
     /// the structural base `resident_bytes` also carries).
     pub decoded_bytes: u64,
-    /// Backing bytes kept mapped (or buffered) by currently-open shards.
-    /// Kernel-managed for mmap-backed sources; never budget-accounted.
+    /// Bytes of the backing files of currently-open shards (see
+    /// [`ShardRecords::mapped_bytes`]); never budget-accounted.
     pub mapped_bytes: u64,
     /// Class records demand-decoded over the engine's lifetime
     /// (re-decodes after an eviction count again).
@@ -386,13 +385,12 @@ impl ShardBandSummary {
     }
 }
 
-/// One open shard: the records handle (which keeps the backing mapping
-/// alive) plus a per-class slot table. Each slot is either **decoded**
-/// (`Some(Arc<Proc>)`) or still **raw** (`None` — the record's bytes sit
-/// undecoded behind the handle; an absent/corrupt record stays `None`
-/// and re-errors on every decode attempt). Handed out as an `Arc` so
-/// eviction can drop the shard's slot while in-flight readers keep their
-/// decoded procedures alive.
+/// One open shard: the records handle plus a per-class slot table. Each
+/// slot is either **decoded** (`Some(Arc<Proc>)`) or still **raw**
+/// (`None` — the record's bytes sit undecoded behind the handle; an
+/// absent/corrupt record stays `None` and re-errors on every decode
+/// attempt). Handed out as an `Arc` so eviction can drop the shard's
+/// slot while in-flight readers keep their decoded procedures alive.
 #[derive(Debug)]
 pub(crate) struct ShardResident {
     records: Box<dyn ShardRecords>,

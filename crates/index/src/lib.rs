@@ -34,12 +34,18 @@
 //! engine's open-before-lookup rule: a shard's structural parts —
 //! header, per-record offset table, VCP-cache segment — decode when the
 //! shard is first touched, before the first counted cache lookup into
-//! the segment, while the procedure records stay raw mapped bytes until
-//! a query's pricing actually demands one (v6 demand decoding). The
-//! mapping (or owned buffer) therefore lives for the shard's whole
-//! residency, not just the open call. Ranked responses and cache
-//! hit/miss counters are byte-identical to the resident engine the index
-//! was written from — pinned by this crate's round-trip proptests.
+//! the segment, while the procedure records stay on disk until a
+//! query's pricing actually demands one (v6 demand decoding). Every read
+//! is a positioned read of exactly the bytes being decoded: the shard
+//! open reads the structural parts, each demanded record reads its own
+//! byte range, and an open shard holds no file descriptor or file
+//! buffer in between — its memory is its structural base plus its
+//! decoded records, the two quantities the residency budget counts. A
+//! file that shrinks under an open shard fails the next record read
+//! past the cut with a typed error naming the file and the class.
+//! Ranked responses and cache hit/miss counters are byte-identical to
+//! the resident engine the index was written from — pinned by this
+//! crate's round-trip proptests.
 //!
 //! **Checksums** (all FNV-1a) are layered to match decode granularity:
 //! the manifest records a whole-file `checksum` per file (tooling and
@@ -53,6 +59,8 @@
 //! class.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use esh_core::{
@@ -63,12 +71,8 @@ use esh_ivl::Proc;
 use esh_strands::Signature;
 use serde::{Deserialize, Serialize};
 
-mod mmap;
 mod wire;
 
-pub use mmap::Mmap;
-
-use mmap::{read_file, FileBytes};
 use wire::{checksum, checksum_parts, Reader, Writer};
 
 /// Format version of the sharded directory layout. Versions 2–4 were a
@@ -411,90 +415,123 @@ fn encode_shard(
 }
 
 /// A shard file's structural parts: everything except the record blobs
-/// themselves, which stay raw until [`ShardRecords::decode_record`].
+/// themselves, which stay on disk until [`ShardRecords::decode_record`].
 struct ShardStructure {
     class_start: usize,
     /// Per record: `(offset into the blob region, length, checksum)`.
-    table: Vec<(usize, usize, u64)>,
+    table: Vec<(u64, u64, u64)>,
     /// Absolute file offset where the blob region starts.
-    blob_start: usize,
-    blob_len: usize,
+    blob_start: u64,
+    blob_len: u64,
     cache: Vec<VcpCacheEntry>,
 }
 
-/// Parses a shard file's structural parts (header, offset table, cache
-/// segment), leaving the record blobs raw. When `expect_meta` carries
-/// the manifest's structural checksum it is verified as soon as the
-/// blob bounds are known — *before* the cache segment is parsed — so a
-/// corrupted cache region reports "checksum mismatch" rather than
-/// whatever decode error the garbage happens to produce.
-fn parse_shard_structure(
-    bytes: &[u8],
+/// Shard header: magic, shard index, first class, record count.
+const SHARD_HEAD: u64 = 32;
+/// One offset-table row: offset, length, checksum.
+const TABLE_ROW: u64 = 24;
+
+/// Reads exactly `len` bytes of `file` starting at `offset`.
+fn read_at(file: &mut File, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(offset))?;
+    let mut buf = vec![0; usize::try_from(len).map_err(|_| ErrorKind::OutOfMemory)?];
+    file.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
+/// Reads a shard file's structural parts (header, offset table, cache
+/// segment) with positioned reads, leaving the record blobs on disk.
+/// The file's size must match the manifest's `bytes`, and every length
+/// field is checked against it before anything is allocated, so a
+/// damaged or shrunken file is an `Err`, never a huge read. The
+/// manifest's structural checksum covers exactly the bytes read and is
+/// verified *before* the cache segment is parsed, so a corrupted cache
+/// region reports "checksum mismatch" rather than whatever decode error
+/// the garbage happens to produce.
+fn read_shard_structure(
+    path: &Path,
     expect_index: usize,
-    expect_start: usize,
-    expect_meta: Option<u64>,
+    m: &ShardManifest,
 ) -> Result<ShardStructure, String> {
-    let mut r = Reader::new(bytes);
+    let meta = m.meta_checksum.ok_or("manifest records no structural checksum")?;
+    let mut file = File::open(path).map_err(|e| e.to_string())?;
+    let file_len = file.metadata().map_err(|e| e.to_string())?.len();
+    if file_len != m.bytes {
+        return Err(format!(
+            "checksum mismatch — file has {file_len} bytes, manifest says {}",
+            m.bytes
+        ));
+    }
+    let truncated = |what: &str| format!("truncated: {what} overruns the {file_len}-byte file");
+    if file_len < SHARD_HEAD + 8 {
+        return Err(truncated("shard header"));
+    }
+    let mut head = read_at(&mut file, 0, SHARD_HEAD).map_err(|e| e.to_string())?;
+    let mut r = Reader::new(&head);
     if r.raw(8)? != SHARD_MAGIC {
         return Err("bad shard magic".into());
     }
     let index = r.u64()? as usize;
     let class_start = r.u64()? as usize;
+    let expect_start = m.class_start as usize;
     if index != expect_index || class_start != expect_start {
         return Err(format!(
             "shard identity mismatch: file says shard {index} @ class {class_start}, \
              manifest says shard {expect_index} @ class {expect_start}"
         ));
     }
-    let nprocs = r.u64()? as usize;
-    // Corrupted counts must surface as truncation errors from the
-    // reader, not as allocator panics: clamp pre-allocation to what the
-    // file could possibly hold (24 bytes per table row, 8 per cache
-    // field).
-    let mut table = Vec::with_capacity(nprocs.min(bytes.len() / 24 + 1));
+    let nprocs = r.u64()?;
+    let table_len = nprocs
+        .checked_mul(TABLE_ROW)
+        .filter(|&n| n <= file_len - SHARD_HEAD - 8)
+        .ok_or_else(|| truncated(&format!("offset table of {nprocs} records")))?;
+    head.extend(read_at(&mut file, SHARD_HEAD, table_len + 8).map_err(|e| e.to_string())?);
+    let mut r = Reader::new(&head[SHARD_HEAD as usize..]);
+    let mut table = Vec::with_capacity(nprocs as usize);
     for _ in 0..nprocs {
-        table.push((r.u64()? as usize, r.u64()? as usize, r.u64()?));
+        table.push((r.u64()?, r.u64()?, r.u64()?));
     }
-    let blob_len = r.u64()? as usize;
-    let blob_start = r.pos();
-    let _ = r.raw(blob_len)?;
+    let blob_len = r.u64()?;
+    let blob_start = head.len() as u64;
+    let blob_end = blob_start
+        .checked_add(blob_len)
+        .filter(|&e| e <= file_len)
+        .ok_or_else(|| truncated(&format!("blob region of {blob_len} bytes")))?;
     for (i, &(off, len, _)) in table.iter().enumerate() {
         off.checked_add(len).filter(|&e| e <= blob_len).ok_or_else(|| {
             format!("blob table entry {i} out of range ({off}+{len} > {blob_len})")
         })?;
     }
-    if let Some(meta) = expect_meta {
-        let blob_end = blob_start + blob_len;
-        if checksum_parts(&[&bytes[..blob_start], &bytes[blob_end..]]) != meta {
-            return Err("checksum mismatch — the shard's structural bytes were \
-                        modified after the manifest was written"
-                .into());
-        }
+    let tail = read_at(&mut file, blob_end, file_len - blob_end).map_err(|e| e.to_string())?;
+    if checksum_parts(&[&head, &tail]) != meta {
+        return Err("checksum mismatch — the shard's structural bytes were \
+                    modified after the manifest was written"
+            .into());
     }
+    let mut r = Reader::new(&tail);
     let ncache = r.u64()? as usize;
-    let mut cache = Vec::with_capacity(ncache.min(bytes.len() / 8 + 1));
+    let mut cache = Vec::with_capacity(ncache.min(tail.len() / 8));
     for _ in 0..ncache {
         cache.push(decode_cache_entry(&mut r).map_err(|e| format!("cache segment: {e}"))?);
     }
     if !r.at_end() {
-        return Err(format!("{} trailing bytes after shard document", bytes.len() - r.pos()));
+        return Err(format!("{} trailing bytes after shard document", tail.len() - r.pos()));
     }
     Ok(ShardStructure { class_start, table, blob_start, blob_len, cache })
 }
 
 /// An open shard: structural parts decoded and verified, record blobs
-/// raw. Holds the file's mapping (or owned buffer) for as long as the
-/// engine keeps the shard resident — every record the engine demands
-/// later is checksummed and decoded straight out of these bytes, with
-/// every neighbour record left untouched (kernel-managed pages that
-/// were never faulted in stay on disk).
+/// still on disk. Holds no file descriptor — every record the engine
+/// demands later is read by its own positioned read, checksummed and
+/// decoded, with every neighbour record left unread. A file that shrank
+/// since the open fails that record's decode with a typed error.
 #[derive(Debug)]
 struct EshxShardRecords {
     path: PathBuf,
-    bytes: FileBytes,
+    file_bytes: u64,
     class_start: usize,
-    table: Vec<(usize, usize, u64)>,
-    blob_start: usize,
+    table: Vec<(u64, u64, u64)>,
+    blob_start: u64,
     cache: Vec<VcpCacheEntry>,
     /// Structural bytes (file minus blob region): decoded eagerly at
     /// open, so accounted against the residency budget up front.
@@ -515,26 +552,38 @@ impl ShardRecords for EshxShardRecords {
     }
 
     fn mapped_bytes(&self) -> u64 {
-        self.bytes.len() as u64
+        self.file_bytes
     }
 
     fn record_bytes(&self, i: usize) -> u64 {
-        self.table[i].1 as u64
+        self.table[i].1
     }
 
     fn decode_record(&self, i: usize) -> Result<Proc, String> {
         let (off, len, sum) = self.table[i];
         let ci = self.class_start + i;
         let start = self.blob_start + off;
-        let blob = &self.bytes[start..start + len];
-        if checksum(blob) != sum {
+        let blob = File::open(&self.path)
+            .and_then(|mut f| read_at(&mut f, start, len))
+            .map_err(|e| {
+                let why = match e.kind() {
+                    ErrorKind::UnexpectedEof => "the file was truncated".to_string(),
+                    _ => e.to_string(),
+                };
+                format!(
+                    "{}: class {ci}: reading record bytes {start}..{}: {why}",
+                    self.path.display(),
+                    start + len
+                )
+            })?;
+        if checksum(&blob) != sum {
             return Err(format!(
                 "{}: class {ci}: checksum mismatch — the record's bytes were \
                  modified after the manifest was written",
                 self.path.display()
             ));
         }
-        let text = std::str::from_utf8(blob).map_err(|e| {
+        let text = std::str::from_utf8(&blob).map_err(|e| {
             format!("{}: class {ci}: record is not utf-8: {e}", self.path.display())
         })?;
         serde_json::from_str(text)
@@ -747,16 +796,11 @@ pub fn write_sharded(
 // Open
 // ---------------------------------------------------------------------
 
-/// How [`open_sharded_with`] maps and prices an index directory. The
-/// defaults are the fast path; the flags exist so benches and CI can
-/// pin down each mechanism's contribution (and fall back when a
-/// platform has no `mmap`).
+/// How [`open_sharded_with`] prices an index directory. The default is
+/// the fast path; the flag exists so benches and tests can pin down
+/// pruning's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EshxOpenOptions {
-    /// Map index files with `mmap` (zero-copy, evictable by unmapping)
-    /// instead of reading them into owned buffers. Platforms without
-    /// `mmap` silently use the owned fallback.
-    pub mmap: bool,
     /// Load the per-shard sketch-band summaries (when the sidecar is
     /// present) so queries can skip whole shards with zero sketch
     /// collisions before fan-out.
@@ -765,7 +809,7 @@ pub struct EshxOpenOptions {
 
 impl Default for EshxOpenOptions {
     fn default() -> EshxOpenOptions {
-        EshxOpenOptions { mmap: true, prune: true }
+        EshxOpenOptions { prune: true }
     }
 }
 
@@ -833,46 +877,30 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ManifestSummary, IndexErro
     })
 }
 
-/// Opens shard files on demand, verifying each file's *structural*
-/// checksum (everything but the record-blob region) against the
-/// manifest at open. With `mmap` set the file is mapped and the handle
-/// keeps the mapping alive for the shard's whole residency — records
-/// decode straight out of it later, each against its own per-record
-/// checksum, so untouched records never leave the kernel page cache.
+/// Opens shard files on demand: reads each file's structural parts and
+/// verifies their checksum (everything but the record-blob region)
+/// against the manifest at open. Records are read later, one positioned
+/// read each, and verified against their own per-record checksums.
 #[derive(Debug)]
 struct FileShardSource {
     dir: PathBuf,
     shards: Vec<ShardManifest>,
-    mmap: bool,
 }
 
 impl ShardSource for FileShardSource {
     fn open_shard(&self, shard: usize) -> Result<Box<dyn ShardRecords>, String> {
         let m = &self.shards[shard];
         let path = self.dir.join(&m.file);
-        let bytes = read_file(&path, self.mmap).map_err(|e| format!("{}: {e}", path.display()))?;
-        if bytes.len() as u64 != m.bytes {
-            return Err(format!(
-                "{}: checksum mismatch — file has {} bytes, manifest says {}",
-                path.display(),
-                bytes.len(),
-                m.bytes
-            ));
-        }
-        let meta = m.meta_checksum.ok_or_else(|| {
-            format!("{}: manifest records no structural checksum", path.display())
-        })?;
-        let s = parse_shard_structure(&bytes, shard, m.class_start as usize, Some(meta))
+        let s = read_shard_structure(&path, shard, m)
             .map_err(|e| format!("{}: {e}", path.display()))?;
-        let base = (bytes.len() - s.blob_len) as u64;
         Ok(Box::new(EshxShardRecords {
             path,
-            bytes,
+            file_bytes: m.bytes,
             class_start: s.class_start,
             table: s.table,
             blob_start: s.blob_start,
             cache: s.cache,
-            base,
+            base: m.bytes - s.blob_len,
         }))
     }
 
@@ -898,19 +926,17 @@ pub fn shard_record_ranges(
         )
     })?;
     let path = dir.join(&m.file);
-    let bytes = read_file(&path, false).map_err(io_err(&path))?;
-    let s = parse_shard_structure(&bytes, shard, m.class_start as usize, m.meta_checksum)
-        .map_err(|e| format_err(&path, e))?;
+    let s = read_shard_structure(&path, shard, m).map_err(|e| format_err(&path, e))?;
     Ok(s
         .table
         .iter()
         .enumerate()
-        .map(|(i, &(off, len, _))| (s.class_start + i, (s.blob_start + off) as u64, len as u64))
+        .map(|(i, &(off, len, _))| (s.class_start + i, s.blob_start + off, len))
         .collect())
 }
 
 /// Opens a sharded v6 index directory as a lazily backed
-/// [`SimilarityEngine`] with default options (mmap on, pruning on).
+/// [`SimilarityEngine`] with default options (pruning on).
 /// Ranked responses are byte-identical to the resident engine the index
 /// was written from.
 pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexError> {
@@ -920,9 +946,9 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
 /// Opens a sharded v6 index directory as a lazily backed
 /// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
 /// files load on first use, each checksum-verified at that first touch.
-/// Pruning and mmap are both behaviour-preserving: rankings, H0 and VCP
-/// cache counters are byte-identical across every option combination
-/// (pinned by this crate's round-trip proptests).
+/// Pruning is behaviour-preserving: rankings, H0 and VCP cache counters
+/// are byte-identical with and without it (pinned by this crate's
+/// round-trip proptests).
 pub fn open_sharded_with(
     dir: impl AsRef<Path>,
     options: EshxOpenOptions,
@@ -932,7 +958,7 @@ pub fn open_sharded_with(
     let manifest = load_manifest(dir)?;
 
     let core_path = dir.join(&manifest.core_file);
-    let core_bytes = read_file(&core_path, options.mmap).map_err(io_err(&core_path))?;
+    let core_bytes = std::fs::read(&core_path).map_err(io_err(&core_path))?;
     if core_bytes.len() as u64 != manifest.core_bytes
         || checksum(&core_bytes) != manifest.core_checksum
     {
@@ -970,7 +996,7 @@ pub fn open_sharded_with(
     let prune = match (&manifest.prune_file, manifest.prune_bytes, manifest.prune_checksum) {
         (Some(file), Some(nbytes), Some(sum)) if options.prune => {
             let path = dir.join(file);
-            let bytes = read_file(&path, options.mmap).map_err(io_err(&path))?;
+            let bytes = std::fs::read(&path).map_err(io_err(&path))?;
             if bytes.len() as u64 != nbytes || checksum(&bytes) != sum {
                 return Err(format_err(
                     &path,
@@ -982,8 +1008,7 @@ pub fn open_sharded_with(
         _ => None,
     };
 
-    let source =
-        FileShardSource { dir: dir.to_path_buf(), shards: manifest.shards, mmap: options.mmap };
+    let source = FileShardSource { dir: dir.to_path_buf(), shards: manifest.shards };
     let mut engine = SimilarityEngine::from_lazy_parts(
         manifest.config,
         parts.classes,
@@ -1087,11 +1112,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&victim, &bytes).unwrap();
         let lazy = open_sharded(&dir).expect("open is lazy; tamper undetected until load");
-        let source = FileShardSource {
-            dir: dir.clone(),
-            shards: manifest.shards.clone(),
-            mmap: true,
-        };
+        let source = FileShardSource { dir: dir.clone(), shards: manifest.shards.clone() };
         let err = source.open_shard(manifest.shards.len() - 1).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
         drop(lazy);
@@ -1277,8 +1298,7 @@ mod tests {
             .compile_function(&demo::heartbleed_like());
         let with = open_sharded_with(&dir, EshxOpenOptions::default()).unwrap();
         let without =
-            open_sharded_with(&dir, EshxOpenOptions { prune: false, ..Default::default() })
-                .unwrap();
+            open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
         let a = with.query(&q);
         let b = without.query(&q);
         for (x, y) in a.scores.iter().zip(&b.scores) {
@@ -1299,23 +1319,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Hostile shard structure: truncations at every structural boundary
+    /// and at seeded offsets, and the length fields (`nprocs`,
+    /// `blob_len`, each table row's offset and length) set to 0,
+    /// `u64::MAX`, `u64::MAX / 24` and the file length ± 1. The reader checks every length
+    /// against the file size before it allocates or reads, so each case
+    /// must be an `Err` — a panic, or an allocation sized from a hostile
+    /// field, would abort this test.
     #[test]
-    fn fallback_open_matches_mmap_open() {
+    fn hostile_shard_structure_is_an_error_never_a_panic() {
         let engine = small_engine();
-        let dir = temp_dir("no-mmap");
+        let dir = temp_dir("hostile");
         write_sharded(&engine, &dir, 2).unwrap();
-        let mapped = open_sharded_with(&dir, EshxOpenOptions::default()).unwrap();
-        let owned =
-            open_sharded_with(&dir, EshxOpenOptions { mmap: false, ..Default::default() }).unwrap();
-        let q = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0))
-            .compile_function(&demo::venom_like());
-        let a = mapped.query(&q);
-        let b = owned.query(&q);
-        for (x, y) in a.scores.iter().zip(&b.scores) {
-            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
-            assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
-            assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+        let manifest: Manifest =
+            serde_json::from_str(&std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap())
+                .unwrap();
+        let m = manifest.shards[0].clone();
+        let path = dir.join(&m.file);
+        let original = std::fs::read(&path).unwrap();
+        let len = original.len() as u64;
+        let s = read_shard_structure(&path, 0, &m).unwrap();
+        let rows: Vec<u64> = (0..s.table.len() as u64).map(|i| SHARD_HEAD + i * TABLE_ROW).collect();
+        let blob_len_at = s.blob_start - 8;
+        let blob_end = s.blob_start + s.blob_len;
+
+        let mut cuts = vec![0, 8, 16, 24, SHARD_HEAD, blob_len_at, s.blob_start, blob_end];
+        cuts.extend([blob_end + 8, len - 1]);
+        cuts.extend(rows.iter().flat_map(|&r| [r, r + 8, r + 16]));
+        cuts.extend(s.table.iter().map(|&(off, _, _)| s.blob_start + off));
+        let mut x = 0x5EED_0FF5_E7E7_0001u64;
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cuts.push(x % len);
         }
+        // A cut at the file's end (an empty cache segment) is no cut.
+        cuts.retain(|&c| c < len);
+        let mut cases: Vec<Vec<u8>> = cuts.iter().map(|&c| original[..c as usize].to_vec()).collect();
+        let mut fields = vec![24, blob_len_at];
+        fields.extend(rows.iter().flat_map(|&r| [r, r + 8]));
+        for &at in &fields {
+            // `u64::MAX / TABLE_ROW`: the largest record count whose
+            // table size does not overflow.
+            for v in [0, u64::MAX, u64::MAX / TABLE_ROW, len - 1, len, len + 1] {
+                let mut bytes = original.clone();
+                bytes[at as usize..at as usize + 8].copy_from_slice(&v.to_le_bytes());
+                // An edit that writes the field's own value is no edit.
+                if bytes != original {
+                    cases.push(bytes);
+                }
+            }
+        }
+
+        for (k, bytes) in cases.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            // Against the recorded size, and against a manifest that
+            // agrees with the damaged size — the latter drives the
+            // reader's own length checks instead of the size check.
+            for recorded in [m.bytes, bytes.len() as u64] {
+                let source = FileShardSource {
+                    dir: dir.clone(),
+                    shards: vec![ShardManifest { bytes: recorded, ..m.clone() }],
+                };
+                assert!(source.open_shard(0).is_err(), "case {k} (recorded {recorded}B) opened");
+            }
+        }
+        std::fs::write(&path, &original).unwrap();
+        let source = FileShardSource { dir: dir.clone(), shards: vec![m] };
+        assert!(source.open_shard(0).is_ok(), "the restored shard must open");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

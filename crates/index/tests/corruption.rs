@@ -5,8 +5,9 @@
 //! demand decoding the blast radius shrinks further, to a single
 //! record: a byte flipped in an *undecoded neighbour record* fails only
 //! queries that actually price that record, with an error naming the
-//! file and the class. Corruption is a per-item failure, never a
-//! poisoned engine.
+//! file and the class. A shard file cut short after it opened fails the
+//! same way, on the first record read past the cut. Corruption is a
+//! per-item failure, never a poisoned engine.
 
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{CancelToken, EngineConfig, PrefilterConfig, QueryError, SimilarityEngine};
@@ -203,6 +204,82 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
         stats.shards_partial >= 1,
         "the surviving shard should be partially decoded: {stats:?}"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard file that shrinks under an open shard: with two targets in
+/// one shard and the file cut at the first record only the victim
+/// target owns, the victim's query fails with a typed error naming the
+/// file and the class, while the healthy target's records — decoded
+/// before the cut — keep serving bit-identically.
+#[test]
+fn shard_truncated_after_open_fails_only_queries_reading_past_the_cut() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let (healthy_name, healthy_f) = &funcs[0];
+    let (victim_name, victim_f) = funcs.last().unwrap();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 2,
+        sketch: Some(PrefilterConfig {
+            refine_top_k: None,
+            ..PrefilterConfig::lsh_only()
+        }),
+        ..EngineConfig::default()
+    });
+    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
+    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    let export = engine.export_corpus();
+    let dir = scratch("truncate");
+    write_sharded(&engine, &dir, 2).unwrap();
+    drop(engine);
+
+    let healthy_classes: std::collections::BTreeSet<usize> =
+        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let cut = esh_index::shard_record_ranges(&dir, 0)
+        .unwrap()
+        .into_iter()
+        .filter(|(ci, _, _)| !healthy_classes.contains(ci))
+        .map(|(_, start, _)| start)
+        .min()
+        .expect("victim target shares every class");
+
+    let lazy = open_sharded(&dir).unwrap();
+    let healthy_q = gcc.compile_function(healthy_f);
+    let ok = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("the intact shard must serve");
+    assert_eq!(ok.ranked()[0].name, format!("t-{healthy_name}"));
+
+    let shard_file = dir.join("shard-0000.bin");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&shard_file)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+
+    let victim_q = gcc.compile_function(victim_f);
+    match lazy.query_cancellable(&victim_q, &CancelToken::new()) {
+        Err(QueryError::Corrupted(e)) => {
+            let msg = e.to_string();
+            assert!(msg.contains("shard-0000.bin"), "error must name the shard file: {msg}");
+            assert!(msg.contains("class "), "error must name the class: {msg}");
+            assert!(msg.contains("truncated"), "error must say why: {msg}");
+        }
+        Ok(_) => panic!("query past the cut reported success"),
+        Err(e) => panic!("expected Corrupted, got {e}"),
+    }
+
+    let again = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("records decoded before the cut must keep serving");
+    assert_eq!(ok.scores.len(), again.scores.len());
+    for (x, y) in ok.scores.iter().zip(&again.scores) {
+        assert_eq!(x.name, y.name);
+        assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

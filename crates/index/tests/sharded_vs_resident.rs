@@ -154,7 +154,7 @@ proptest! {
 
         let full = esh_index::open_sharded_with(
             &dir,
-            EshxOpenOptions { prune: false, ..Default::default() },
+            EshxOpenOptions { prune: false },
         )
         .unwrap();
         let pruned = esh_index::open_sharded(&dir).unwrap();
@@ -245,10 +245,7 @@ fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
 
     let full = esh_index::open_sharded_with(
         &dir,
-        EshxOpenOptions {
-            prune: false,
-            ..EshxOpenOptions::default()
-        },
+        EshxOpenOptions { prune: false },
     )
     .unwrap();
     let pruned = esh_index::open_sharded(&dir).unwrap();

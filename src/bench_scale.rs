@@ -11,35 +11,34 @@
 //!
 //! * **build throughput** — procedures ingested per second (streamed
 //!   generation + compilation + decompose/lift/dedup/sketch),
-//! * **cold-load time** — [`esh_index::open_sharded_with`] with `mmap`
-//!   on *and* off (manifest + `core.bin` only; procedure bodies stay on
-//!   disk until a query needs them),
+//! * **cold-load time** — [`esh_index::open_sharded`], best of 5
+//!   (manifest + `core.bin` only; procedure bodies stay on disk until a
+//!   query needs them),
 //! * **query latency and shard fan-out** — ranked queries against the
 //!   lazily loaded engine under per-record demand decoding, with shard
 //!   residency, whole-shard prunes (the sketch-band sidecar), peak
-//!   resident bytes, and decoded-vs-mapped bytes reported,
+//!   resident bytes, and decoded bytes against the open shard files'
+//!   bytes reported,
 //! * **memory-bounded serving** — the same queries repeated under a
 //!   one-shard [`set_shard_budget`](esh_core::SimilarityEngine::set_shard_budget),
 //!   gated on evictions happening, settled residency staying under the
 //!   budget, and the ranked output staying bit-identical to the
 //!   unbudgeted run.
 //!
-//! The bench *gates* on: the mmap cold-load never losing to the
-//! read-into-buffer fallback; at least one whole shard pruned per query;
-//! demand decoding decoding strictly fewer bytes than it maps, with at
-//! least one partially-decoded shard after every query; the budgeted
-//! invariants above; and a byte-identity check — the ranked output of a
-//! sharded engine must equal the resident engine it was written from,
-//! bit for bit, on the cross-compiler paper corpus (371 procedures;
-//! `--smoke` uses the small 28-procedure matrix). Results land in
-//! `BENCH_scale.json`.
+//! The bench *gates* on: at least one whole shard pruned per query;
+//! demand decoding decoding strictly fewer bytes than the shards it
+//! opened hold, with at least one partially-decoded shard after every
+//! query; the budgeted invariants above; and a byte-identity check —
+//! the ranked output of a sharded engine must equal the resident engine
+//! it was written from, bit for bit, on the cross-compiler paper corpus
+//! (371 procedures; `--smoke` uses the small 28-procedure matrix).
+//! Results land in `BENCH_scale.json`.
 
 use std::time::Instant;
 
 use esh_core::{EngineConfig, PrefilterConfig, QueryScores, SimilarityEngine};
 use esh_corpus::scale::{scale_matrix, stream_scale_corpus_with_threads, ScaleConfig};
 use esh_corpus::{Corpus, CorpusConfig};
-use esh_index::EshxOpenOptions;
 
 /// Generation seed for the synthetic corpus (fixed: the bench is a
 /// regression harness, not a fuzzer).
@@ -57,26 +56,17 @@ const TARGETS_PER_SHARD: usize = 8;
 const QUERIES_PER_SIZE: usize = 2;
 
 /// Knobs the `esh bench-scale` CLI exposes.
+#[derive(Default)]
 pub struct BenchScaleOptions {
     /// Keep the 1k size and the small identity matrix (CI).
     pub smoke: bool,
     /// Compile threads for the streamed corpus build; `0` means one per
     /// matrix configuration.
     pub threads: usize,
-    /// Query through mmap-backed shards (`false` = the read-into-buffer
-    /// fallback). Both cold loads are measured either way; this picks
-    /// which backing the query phases run on.
-    pub mmap: bool,
     /// Skip corpus rungs above this size (`0` = run them all). The full
     /// ladder's 100k rung dominates wall time; `--max-procs 10000`
     /// keeps a local full run fast.
     pub max_procs: usize,
-}
-
-impl Default for BenchScaleOptions {
-    fn default() -> BenchScaleOptions {
-        BenchScaleOptions { smoke: false, threads: 0, mmap: true, max_procs: 0 }
-    }
 }
 
 /// One corpus size's measurements.
@@ -84,8 +74,7 @@ struct SizeRun {
     procs: usize,
     build_ms: u128,
     sharded_bytes: u64,
-    mmap_load_ms: u128,
-    buffered_load_ms: u128,
+    load_ms: u128,
     query_ms: Vec<u128>,
     shards_total: u64,
     shards_loaded: u64,
@@ -120,28 +109,18 @@ fn scale_engine() -> SimilarityEngine {
     })
 }
 
-/// Best-of-5 open times for both shard backings, in ms, interleaved
-/// (`mmap, buffered, mmap, buffered, ...`). Interleaved and best-of,
-/// not sequential and first-of: the first open after a build pays the
-/// page-cache fill, and a block of same-mode runs would charge cache
-/// churn from the preceding phase to whichever mode ran first —
-/// alternating gives both modes identical cache conditions, and the
-/// minimum is the steady-state open cost.
-fn cold_load_ms(eshx: &std::path::Path) -> Result<(u128, u128), String> {
-    let mut best = [u128::MAX; 2];
+/// Best-of-5 open time, in ms. Best-of, not first-of: the first open
+/// after a build pays the page-cache fill, and the minimum is the
+/// steady-state open cost.
+fn cold_load_ms(eshx: &std::path::Path) -> Result<u128, String> {
+    let mut best = u128::MAX;
     for _ in 0..5 {
-        for (i, mmap) in [(0usize, true), (1, false)] {
-            let t = Instant::now();
-            let engine = esh_index::open_sharded_with(
-                eshx,
-                EshxOpenOptions { mmap, prune: true },
-            )
-            .map_err(|e| e.to_string())?;
-            best[i] = best[i].min(t.elapsed().as_millis());
-            drop(engine);
-        }
+        let t = Instant::now();
+        let engine = esh_index::open_sharded(eshx).map_err(|e| e.to_string())?;
+        best = best.min(t.elapsed().as_millis());
+        drop(engine);
     }
-    Ok((best[0], best[1]))
+    Ok(best)
 }
 
 /// The per-size query battery: distinct sources compiled with one matrix
@@ -169,11 +148,10 @@ fn assert_identical(a: &QueryScores, b: &QueryScores, what: &str) -> Result<(), 
     Ok(())
 }
 
-fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, String> {
+fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
     let dir = scratch_dir();
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let eshx_path = dir.join(format!("scale-{procs}.eshx"));
-    let threads = if opts.threads == 0 { scale_matrix().len() } else { opts.threads };
 
     eprintln!("bench-scale: [{procs}] streaming corpus into engine ({threads} threads)...");
     let config = ScaleConfig::new(procs, SEED);
@@ -197,28 +175,18 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
         summary.shards,
     );
 
-    let (mmap_load_ms, buffered_load_ms) = cold_load_ms(&eshx_path)?;
-    eprintln!(
-        "bench-scale: [{procs}] cold load: mmap {mmap_load_ms}ms, buffered {buffered_load_ms}ms"
-    );
+    let load_ms = cold_load_ms(&eshx_path)?;
+    eprintln!("bench-scale: [{procs}] cold load: {load_ms}ms");
 
     let queries = query_battery();
-    let open = || {
-        esh_index::open_sharded_with(
-            &eshx_path,
-            EshxOpenOptions {
-                mmap: opts.mmap,
-                prune: true,
-            },
-        )
-        .map_err(|e| e.to_string())
-    };
+    let open = || esh_index::open_sharded(&eshx_path).map_err(|e| e.to_string());
 
     // Unbudgeted pass: latency, whole-shard prunes, peak residency,
-    // decoded-vs-mapped bytes. `shards_partial_min` is the
-    // smallest count of partially-decoded resident shards observed
-    // after any query — the gate that demand decoding actually leaves
-    // neighbour records raw on every query, not just in aggregate.
+    // decoded bytes against the open shard files' bytes.
+    // `shards_partial_min` is the smallest count of partially-decoded
+    // resident shards observed after any query — the gate that demand
+    // decoding actually leaves neighbour records raw on every query, not
+    // just in aggregate.
     let lazy = open()?;
     let mut query_ms = Vec::with_capacity(queries.len());
     let mut baselines = Vec::with_capacity(queries.len());
@@ -235,7 +203,7 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
     drop(lazy);
     eprintln!(
         "bench-scale: [{procs}] queries {query_ms:?}ms; shards loaded {}/{} (fanout {}, pruned \
-         {}), peak resident {}B; decoded {}B of {}B mapped ({} classes, ≥{} shards partial)",
+         {}), peak resident {}B; decoded {}B of {}B open ({} classes, ≥{} shards partial)",
         stats.shards_loaded,
         stats.shards_total,
         stats.fanout_total,
@@ -272,8 +240,7 @@ fn measure_size(procs: usize, opts: &BenchScaleOptions) -> Result<SizeRun, Strin
         procs,
         build_ms,
         sharded_bytes: summary.total_bytes(),
-        mmap_load_ms,
-        buffered_load_ms,
+        load_ms,
         query_ms,
         shards_total: stats.shards_total,
         shards_loaded: stats.shards_loaded,
@@ -358,13 +325,6 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
 /// measurement so a failure still leaves every number printed above it.
 fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
     for r in runs {
-        if r.mmap_load_ms > r.buffered_load_ms {
-            return Err(format!(
-                "mmap gate failed at {} procs: mmap cold-load {}ms lost to the buffered \
-                 fallback's {}ms",
-                r.procs, r.mmap_load_ms, r.buffered_load_ms
-            ));
-        }
         if r.shards_pruned < QUERIES_PER_SIZE as u64 {
             return Err(format!(
                 "pruning gate failed at {} procs: {} whole-shard prunes over {} queries \
@@ -404,7 +364,7 @@ fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
 
 /// Runs the scale bench and writes `BENCH_scale.json`. `--smoke` keeps
 /// the 1k size and the small identity matrix for CI. Returns an error
-/// when any gate fails — mmap-vs-buffered, whole-shard pruning, demand
+/// when any gate fails — whole-shard pruning, demand
 /// decoding, eviction under budget, or ranked-output identity.
 pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let t0 = Instant::now();
@@ -418,9 +378,10 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
             if kept.is_empty() { vec![ladder[0]] } else { kept }
         }
     };
+    let threads = if opts.threads == 0 { scale_matrix().len() } else { opts.threads };
     let mut runs = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        runs.push(measure_size(n, opts)?);
+        runs.push(measure_size(n, threads)?);
     }
     let (identity_procs, identity_queries) = check_identity(opts.smoke)?;
     std::fs::remove_dir_all(scratch_dir()).ok();
@@ -434,7 +395,7 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
             format!(
                 "    {{ \"procs\": {}, \"build_ms\": {}, \
                  \"build_throughput_procs_per_s\": {:.1}, \
-                 \"sharded_bytes\": {}, \"mmap_load_ms\": {}, \"buffered_load_ms\": {}, \
+                 \"sharded_bytes\": {}, \"load_ms\": {}, \
                  \"query_ms\": [{}], \"shards_total\": {}, \
                  \"shards_loaded_after_queries\": {}, \
                  \"shards_pruned\": {}, \"resident_bytes_peak\": {}, \"decoded_bytes\": {}, \
@@ -445,8 +406,7 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
                 r.build_ms,
                 r.throughput(),
                 r.sharded_bytes,
-                r.mmap_load_ms,
-                r.buffered_load_ms,
+                r.load_ms,
                 q.join(", "),
                 r.shards_total,
                 r.shards_loaded,
@@ -466,13 +426,12 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"mode\": \"{mode}\",\n  \"seed\": {SEED},\n  \
          \"matrix_configs\": {matrix},\n  \"targets_per_shard\": {TARGETS_PER_SHARD},\n  \
-         \"profile\": \"lsh_only\",\n  \"mmap\": {mmap},\n  \
+         \"profile\": \"lsh_only\",\n  \
          \"sizes\": [\n{sizes}\n  ],\n  \
          \"identity\": {{ \"corpus_procs\": {ip}, \"queries\": {iq}, \"identical\": true }},\n  \
          \"elapsed_ms\": {elapsed}\n}}\n",
         mode = if opts.smoke { "smoke" } else { "full" },
         matrix = scale_matrix().len(),
-        mmap = opts.mmap,
         sizes = size_entries.join(",\n"),
         ip = identity_procs,
         iq = identity_queries,

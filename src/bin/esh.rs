@@ -14,7 +14,7 @@
 //!           [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]
 //! esh bench-serve [--smoke]
 //! esh bench-rankquality [--smoke]
-//! esh bench-scale [--smoke] [--threads N] [--no-mmap] [--max-procs N]
+//! esh bench-scale [--smoke] [--threads N] [--max-procs N]
 //! esh stats <corpus.json>
 //! esh pair <corpus.json> <query-substring> <target-substring>
 //! ```
@@ -46,12 +46,11 @@
 //! The **scale tier**: `corpus gen` streams a seeded synthetic corpus
 //! (10k+ procedures across the 21-configuration compiler matrix) without
 //! materializing it in memory (`--threads` caps the compile pool); index
-//! shards mmap lazily at query time and decode *per procedure* on
-//! demand, can be skipped wholesale by the sketch-band sidecar, and are
-//! evicted LRU under `serve --shard-budget-mb`; `bench-scale` measures
-//! build throughput, cold-load time (mmap vs the `--no-mmap` buffered
-//! fallback), query latency, demand decoding, whole-shard pruning and
-//! budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
+//! shards open lazily at query time and read and decode *per procedure*
+//! on demand, can be skipped wholesale by the sketch-band sidecar, and
+//! are evicted LRU under `serve --shard-budget-mb`; `bench-scale`
+//! measures build throughput, cold-load time, query latency, demand
+//! decoding, whole-shard pruning and budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
 //! and writes `BENCH_scale.json`.
 
 use esh::prelude::*;
@@ -72,7 +71,7 @@ fn usage() -> ExitCode {
          \x20         [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]\n  \
          esh bench-serve [--smoke]\n  \
          esh bench-rankquality [--smoke]\n  \
-         esh bench-scale [--smoke] [--threads N] [--no-mmap] [--max-procs N]\n  \
+         esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
          esh pair <corpus.json> <query-substring> <target-substring>"
     );
@@ -558,7 +557,6 @@ fn bench_scale(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => opts.smoke = true,
-            "--no-mmap" => opts.mmap = false,
             "--threads" => {
                 opts.threads = it
                     .next()
@@ -575,7 +573,7 @@ fn bench_scale(args: &[String]) -> Result<(), String> {
             }
             extra => {
                 return Err(format!(
-                    "bench-scale takes [--smoke] [--threads N] [--no-mmap] [--max-procs N], \
+                    "bench-scale takes [--smoke] [--threads N] [--max-procs N], \
                      not `{extra}`"
                 ))
             }
