@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use esh_asm::Procedure;
@@ -142,6 +142,31 @@ pub(crate) struct StrandClass {
     /// when the tier was off at build time; missing sketches are rebuilt
     /// lazily on the first sketch-enabled query.
     pub(crate) sketch: Option<SemanticSketch>,
+    /// Probe sketch (base battery plus probe rounds), filled by the first
+    /// ambiguous pair this class takes part in and kept until the tier's
+    /// config changes. Query strands equal to the class share the slot.
+    pub(crate) probe: ProbeSlot,
+}
+
+/// A strand's probe-sketch slot; see [`probe_sketch`].
+type ProbeSlot = Arc<OnceLock<SemanticSketch>>;
+
+/// The probe sketch in `slot`, computed from the fallible `proc_` on first
+/// use and outside any lock: workers racing on one slot compute the same
+/// pure value, and only the one that stores it counts it.
+fn probe_sketch<'s, P: std::ops::Deref<Target = Proc>>(
+    slot: &'s OnceLock<SemanticSketch>,
+    cfg: &PrefilterConfig,
+    stats: &PrefilterStats,
+    proc_: impl FnOnce() -> Result<P, ShardError>,
+) -> Result<&'s SemanticSketch, ShardError> {
+    if let Some(s) = slot.get() {
+        return Ok(s);
+    }
+    if slot.set(compute_probe_sketch(&*proc_()?, cfg)).is_ok() {
+        stats.record_probe_sketch();
+    }
+    Ok(slot.get().expect("slot filled above"))
 }
 
 #[derive(Debug, Clone)]
@@ -158,17 +183,21 @@ struct QueryStrand {
     proc_: Proc,
     signature: Signature,
     sketch: Option<SemanticSketch>,
+    probe: ProbeSlot,
     vars: usize,
     hash: u64,
     count: u64,
 }
 
 /// Per-strand artifacts memoized across one batch of queries (keyed by
-/// structural hash): both are pure functions of the lifted strand.
+/// structural hash): all are pure functions of the lifted strand.
 #[derive(Debug, Clone)]
 struct PreparedStrand {
     signature: Signature,
     sketch: Option<SemanticSketch>,
+    /// The corpus class's slot when the strand is one, else a slot
+    /// shared by the batch.
+    probe: ProbeSlot,
 }
 
 /// What one [`SimilarityEngine::query_batch`] call shares between its
@@ -180,51 +209,6 @@ struct BatchPass<'a> {
     queries: Vec<Option<Vec<QueryStrand>>>,
     /// Which shards each item consulted, for the fan-out counter.
     touched: ShardTouch,
-    probes: ProbeSketches,
-}
-
-/// Probe sketches (base battery plus probe rounds) by structural hash.
-/// They are pure per strand, so one batch-wide cache probes each side of
-/// an ambiguous pair at most once per batch, however many pairs, items
-/// or passes it takes part in, without changing any result.
-#[derive(Default)]
-struct ProbeSketches(Mutex<HashMap<u64, Arc<SemanticSketch>>>);
-
-impl ProbeSketches {
-    /// The refined containment bounds `(q in t, t in q)` of query strand
-    /// `q` against the class hashed `class_hash`. `class_proc` runs only
-    /// when the class's sketch is not cached yet, so a cached sketch never
-    /// loads or decodes a shard, and is fallible so a corrupted record
-    /// surfaces instead of panicking.
-    fn bounds<'p>(
-        &self,
-        cfg: &PrefilterConfig,
-        q: &QueryStrand,
-        class_hash: u64,
-        class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
-    ) -> Result<(f64, f64), ShardError> {
-        let pq = self.sketch(cfg, q.hash, || Ok(&q.proc_))?;
-        let pt = self.sketch(cfg, class_hash, class_proc)?;
-        Ok((pq.containment_in(&pt), pt.containment_in(&pq)))
-    }
-
-    /// The cached probe sketch for the strand hashed `key`, computed under
-    /// the lock on first use (serializing duplicate computes is cheaper
-    /// than racing the concrete evaluation).
-    fn sketch<P: std::ops::Deref<Target = Proc>>(
-        &self,
-        cfg: &PrefilterConfig,
-        key: u64,
-        proc_: impl FnOnce() -> Result<P, ShardError>,
-    ) -> Result<Arc<SemanticSketch>, ShardError> {
-        let mut map = self.0.lock().expect("probe cache poisoned");
-        if let Some(s) = map.get(&key) {
-            return Ok(Arc::clone(s));
-        }
-        let s = Arc::new(compute_probe_sketch(&*proc_()?, cfg));
-        map.insert(key, Arc::clone(&s));
-        Ok(s)
-    }
 }
 
 /// One query in a [`SimilarityEngine::query_batch`] call: the procedure
@@ -565,6 +549,9 @@ impl SimilarityEngine {
             None => {}
         }
         *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
+        for class in &mut self.classes {
+            class.probe = ProbeSlot::default();
+        }
     }
 
     /// Every memoized VCP-cache entry, sorted by key — what the
@@ -766,6 +753,7 @@ impl SimilarityEngine {
                 hash: c.hash,
                 corpus_count: c.corpus_count,
                 sketch: c.sketch,
+                probe: ProbeSlot::default(),
             })
             .collect();
         let targets = targets
@@ -848,6 +836,7 @@ impl SimilarityEngine {
                         hash: h,
                         corpus_count: 0,
                         sketch,
+                        probe: ProbeSlot::default(),
                     });
                     self.class_by_hash.insert(h, i);
                     i
@@ -930,6 +919,7 @@ impl SimilarityEngine {
                 QueryStrand {
                     signature: prep.signature,
                     sketch: prep.sketch,
+                    probe: prep.probe,
                     proc_: lifted,
                     vars,
                     hash: h,
@@ -946,11 +936,12 @@ impl SimilarityEngine {
         strands
     }
 
-    /// Signature + sketch for one query strand. When the strand is
-    /// already a corpus class (equal structural hash — the same identity
-    /// the dedup and cache layers rely on), the class's stored artifacts
-    /// are reused instead of recomputed; both are pure functions of the
-    /// lifted strand, so the values are identical either way.
+    /// Signature, sketch and probe slot for one query strand. When the
+    /// strand is already a corpus class (equal structural hash — the same
+    /// identity the dedup and cache layers rely on), the class's stored
+    /// artifacts and its probe slot are reused instead of recomputed; all
+    /// are pure functions of the lifted strand, so the values are
+    /// identical either way.
     fn prepare_strand(&self, h: u64, lifted: &Proc) -> PreparedStrand {
         let class = self.class_by_hash.get(&h).map(|&i| &self.classes[i]);
         let signature = match class {
@@ -963,7 +954,11 @@ impl SimilarityEngine {
                 None => compute_sketch(lifted, cfg),
             }
         });
-        PreparedStrand { signature, sketch }
+        PreparedStrand {
+            signature,
+            sketch,
+            probe: class.map_or_else(ProbeSlot::default, |c| Arc::clone(&c.probe)),
+        }
     }
 
     /// Returns the banded LSH index over the corpus sketches, building it
@@ -1326,7 +1321,7 @@ impl SimilarityEngine {
             }
             SketchDecision::Probe => {
                 stats.record_probe();
-                let (r_q, r_t) = batch.probes.bounds(cfg, q, self.classes[ci].hash, || {
+                let (r_q, r_t) = self.probe_bounds(cfg, q, ci, || {
                     self.open_cell(ci, item, &batch.touched)?;
                     self.class_proc_checked(ci)
                 })?;
@@ -1340,6 +1335,23 @@ impl SimilarityEngine {
         }
         stats.record_fallback();
         Ok(true)
+    }
+
+    /// The refined containment bounds `(q in t, t in q)` of query strand
+    /// `q` against class `ci`, from both sides' probe sketches.
+    /// `class_proc` runs only while the class's slot is empty, so a filled
+    /// slot never loads or decodes a shard.
+    fn probe_bounds<'p>(
+        &'p self,
+        cfg: &PrefilterConfig,
+        q: &QueryStrand,
+        ci: usize,
+        class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
+    ) -> Result<(f64, f64), ShardError> {
+        let stats = &self.prefilter_stats;
+        let pq = probe_sketch(&q.probe, cfg, stats, || Ok(&q.proc_))?;
+        let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, class_proc)?;
+        Ok((pq.containment_in(pt), pt.containment_in(pq)))
     }
 
     /// Opens class `ci`'s shard for batch item `item` and records the
@@ -1409,9 +1421,11 @@ impl SimilarityEngine {
     /// cannot tell: strand classes are prepared once per distinct strand
     /// (signatures and sketches are pure functions of the lifted strand),
     /// the VCP matrices compute in a single work-stealing pass over the
-    /// flattened `(item, strand, class-range)` tile space, probe-sketch
-    /// rounds are computed once per strand per batch, and the refine pass
-    /// checks out one verifier session for the whole batch. Every item's
+    /// flattened `(item, strand, class-range)` tile space, and the refine
+    /// pass checks out one verifier session for the whole batch. Probe
+    /// sketches outlive the batch: a corpus class's is computed once per
+    /// engine and kept on the class, and a strand that is no corpus class
+    /// is probe-sketched at most once per batch. Every item's
     /// scores are still built from its own matrix with its own frozen H0,
     /// so each result is byte-identical to what a sequential
     /// [`query`](Self::query) of that procedure would return — the serve
@@ -1437,7 +1451,6 @@ impl SimilarityEngine {
                 items.len(),
                 self.shards.as_ref().map_or(0, |l| l.shard_count()),
             ),
-            probes: ProbeSketches::default(),
         };
         let (matrices, shard_errors) = self.vcp_matrix_batch(&batch);
         // One verifier session refines the whole batch.
@@ -1628,7 +1641,8 @@ impl SimilarityEngine {
         scores: &mut [TargetScore],
         session: &mut VerifierSession,
     ) -> Result<(), QueryError> {
-        let Some(cfg) = self.config.active_sketch() else {
+        let (Some(cfg), Some(index)) = (self.config.active_sketch(), self.ensure_sketch_index())
+        else {
             return Ok(());
         };
         let k = cfg.effective_refine_top_k();
@@ -1709,12 +1723,17 @@ impl SimilarityEngine {
                             }
                             // Probe-sketch bounds are the tightest
                             // available: every tightened bound is another
-                            // chance to dominance-skip a verification. No
-                            // sketch to bound with: always verify.
-                            let (c_q, c_t) = match q.sketch {
-                                Some(_) => batch
-                                    .probes
-                                    .bounds(cfg, q, class.hash, || self.class_proc_checked(ci))?,
+                            // chance to dominance-skip a verification. With
+                            // probing off (`lsh_only`) that is the base
+                            // sketch. No sketch to bound with: always verify.
+                            let (c_q, c_t) = match &q.sketch {
+                                Some(qs) if cfg.effective_probe_vectors() == 0 => {
+                                    let ts = index.sketch(ci);
+                                    (qs.containment_in(ts), ts.containment_in(qs))
+                                }
+                                Some(_) => {
+                                    self.probe_bounds(cfg, q, ci, || self.class_proc_checked(ci))?
+                                }
                                 None => (1.0, 1.0),
                             };
                             unknown.push((c_q, c_t, qi, ci));

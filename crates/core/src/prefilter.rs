@@ -88,9 +88,11 @@ pub struct PrefilterConfig {
     /// Extra eval-battery vectors an ambiguous pair's strands are probed
     /// on (on top of [`PrefilterConfig::vectors`]). More probe vectors
     /// make the refined bound tighter — spurious digest agreements
-    /// separate — at linear concrete-evaluation cost per *strand class*
-    /// (probe sketches are cached per class, not per pair). `None`
-    /// disables probing. Default: `Some(24)`.
+    /// separate — at linear concrete-evaluation cost per *strand class*,
+    /// paid once per engine: a class's probe sketch is kept on the class
+    /// after its first ambiguous pair, not recomputed per pair or per
+    /// batch (a query strand that is no corpus class pays once per
+    /// batch). `None` disables probing. Default: `Some(24)`.
     pub probe_vectors: Option<usize>,
     /// Size of the served ranking window that is re-priced through the
     /// full solver path after the pruned ranking (the refine-top-K pass):
@@ -460,6 +462,7 @@ pub struct PrefilterStats {
     exact_fallbacks: AtomicU64,
     ambiguous_probes: AtomicU64,
     probe_escalations: AtomicU64,
+    probe_sketches: AtomicU64,
     refined_pairs: AtomicU64,
     refine_passes: AtomicU64,
 }
@@ -493,6 +496,11 @@ impl PrefilterStats {
         self.probe_escalations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one probe sketch stored in its strand's slot.
+    pub fn record_probe_sketch(&self) {
+        self.probe_sketches.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts `n` sketch-pruned pairs re-verified by a refine-top-K pass.
     pub fn record_refined_pairs(&self, n: u64) {
         self.refined_pairs.fetch_add(n, Ordering::Relaxed);
@@ -511,6 +519,7 @@ impl PrefilterStats {
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ambiguous_probes: self.ambiguous_probes.load(Ordering::Relaxed),
             probe_escalations: self.probe_escalations.load(Ordering::Relaxed),
+            probe_sketches: self.probe_sketches.load(Ordering::Relaxed),
             refined_pairs: self.refined_pairs.load(Ordering::Relaxed),
             refine_passes: self.refine_passes.load(Ordering::Relaxed),
         }
@@ -533,6 +542,9 @@ pub struct PrefilterStatsSnapshot {
     /// Probed pairs whose refined bounds still reached the margin and
     /// escalated to exact verification (the rest of the probes pruned).
     pub probe_escalations: u64,
+    /// Probe sketches stored: at most one per corpus class per engine,
+    /// plus one per query strand that is no corpus class per batch.
+    pub probe_sketches: u64,
     /// Sketch-pruned pairs the refine-top-K pass re-priced through the
     /// verifier (cache-known and dominance-skipped cells excluded — see
     /// the refine pass in `SimilarityEngine`).
@@ -681,6 +693,7 @@ mod tests {
         stats.record_probe();
         stats.record_probe();
         stats.record_probe_escalation();
+        stats.record_probe_sketch();
         stats.record_refined_pairs(5);
         stats.record_refine_pass();
         let s = stats.snapshot();
@@ -689,6 +702,7 @@ mod tests {
         assert_eq!(s.exact_fallbacks, 1);
         assert_eq!(s.ambiguous_probes, 2);
         assert_eq!(s.probe_escalations, 1);
+        assert_eq!(s.probe_sketches, 1);
         assert_eq!(s.refined_pairs, 5);
         assert_eq!(s.refine_passes, 1);
     }

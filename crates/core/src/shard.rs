@@ -150,8 +150,8 @@ pub struct ShardStats {
     pub shards_loaded: u64,
     /// Total (query, shard) consultations: for each query (or batch
     /// item), every distinct shard whose payload the query needed —
-    /// surviving pricing into a cache lookup, a probe sketch, or a
-    /// refine-window scan.
+    /// surviving pricing into a cache lookup, a class's first probe
+    /// sketch, or a refine-window scan.
     pub fanout_total: u64,
     /// Shards evicted to stay under the memory budget (cumulative).
     pub evicted_total: u64,
@@ -745,8 +745,8 @@ impl LazyShards {
 
 /// Per-batch fan-out bookkeeping: one flag per `(batch item, shard)`
 /// pair, set when that item's pricing survives into the shard's payload
-/// (cache lookup, probe sketch, or refine scan). Counted once per pair at
-/// batch end, whatever order the work-stealing workers touched it in.
+/// (cache lookup, first probe sketch or refine scan). Counted once per
+/// pair at batch end, whatever order the work-stealing workers touched it in.
 #[derive(Debug)]
 pub(crate) struct ShardTouch {
     flags: Vec<std::sync::atomic::AtomicBool>,

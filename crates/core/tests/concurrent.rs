@@ -5,31 +5,55 @@
 //! Two properties are checked: results are deterministic (every thread
 //! sees scores bit-identical to a sequential baseline, no matter how the
 //! threads interleave on the shared VCP cache and session pool), and the
-//! cache hit/miss counters stay consistent under contention (every lookup
-//! is counted exactly once, so `hits + misses` equals the known per-query
-//! lookup count times the number of queries).
+//! cache hit/miss and probe-sketch counters stay consistent under
+//! contention (every lookup is counted exactly once, so `hits + misses`
+//! equals the known per-query lookup count times the number of queries,
+//! and every probe sketch is counted once, when it fills its slot).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{EngineConfig, QueryScores, SimilarityEngine};
 use esh_minic::demo;
+use esh_strands::{extract_proc_strands, lift_strand, structural_hash};
 
-fn build_engine() -> SimilarityEngine {
+fn targets() -> Vec<(String, esh_asm::Procedure)> {
     let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
     let icc = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0));
+    [demo::saturating_sum(), demo::wget_like(), demo::heartbleed_like()]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, f)| {
+            [
+                (format!("clang:{i}"), clang.compile_function(f)),
+                (format!("icc:{i}"), icc.compile_function(f)),
+            ]
+        })
+        .collect()
+}
+
+fn build_engine() -> SimilarityEngine {
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
         ..EngineConfig::default()
     });
-    for (i, f) in [demo::saturating_sum(), demo::wget_like(), demo::heartbleed_like()]
-        .iter()
-        .enumerate()
-    {
-        engine.add_target(format!("clang:{i}"), &clang.compile_function(f));
-        engine.add_target(format!("icc:{i}"), &icc.compile_function(f));
+    for (name, p) in targets() {
+        engine.add_target(name, &p);
     }
     engine
+}
+
+/// Structural hashes of the strands the engine keeps for `p` (the
+/// identity its strand classes and query strands dedup on).
+fn strand_hashes(p: &esh_asm::Procedure) -> HashSet<u64> {
+    let min_vars = EngineConfig::default().vcp.min_strand_vars;
+    extract_proc_strands(p)
+        .iter()
+        .map(lift_strand)
+        .filter(|lifted| lifted.vars.len() >= min_vars)
+        .map(|lifted| structural_hash(&lifted))
+        .collect()
 }
 
 fn queries() -> Vec<esh_asm::Procedure> {
@@ -136,4 +160,30 @@ fn cache_counters_are_exact_under_contention() {
     let refined = shared.prefilter_stats().refined_pairs;
     assert!(stats.entries as u64 <= stats.misses + refined);
     assert!(stats.hits > 0, "repeated queries must hit the shared cache");
+
+    // Probe sketches count when they fill their slot, so racing workers
+    // that both compute one still count it once: the shared engine
+    // matches one sequential engine over the same queries.
+    let sequential = build_engine();
+    for p in &procs {
+        for _ in 0..REPEATS {
+            sequential.query(p);
+        }
+    }
+    let sketched = shared.prefilter_stats().probe_sketches;
+    assert_eq!(sketched, sequential.prefilter_stats().probe_sketches);
+    assert!(sketched > 0, "the default window must probe something");
+    // At most one per corpus class, plus one per foreign query strand
+    // (no corpus class) per query, each query being its own batch.
+    let classes: HashSet<u64> = targets().iter().flat_map(|(_, p)| strand_hashes(p)).collect();
+    assert_eq!(classes.len(), shared.class_count());
+    let foreign: usize = procs
+        .iter()
+        .map(|p| strand_hashes(p).difference(&classes).count())
+        .sum();
+    assert!(
+        sketched <= (classes.len() + foreign * REPEATS) as u64,
+        "{sketched} probe sketches for {} classes and {foreign} foreign strands",
+        classes.len()
+    );
 }

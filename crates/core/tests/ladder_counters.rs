@@ -93,6 +93,7 @@ fn default_profile_counters_are_pinned() {
             exact_fallbacks: 765,
             ambiguous_probes: 1247,
             probe_escalations: 470,
+            probe_sketches: 113,
             refined_pairs: 362,
             refine_passes: 9,
         }
@@ -133,6 +134,7 @@ fn lsh_only_profile_counters_are_pinned() {
             exact_fallbacks: 0,
             ambiguous_probes: 0,
             probe_escalations: 0,
+            probe_sketches: 0,
             refined_pairs: 470,
             refine_passes: 9,
         }
@@ -190,6 +192,7 @@ fn calibrated_margin_counters_are_pinned() {
             exact_fallbacks: 295,
             ambiguous_probes: 774,
             probe_escalations: 295,
+            probe_sketches: 121,
             refined_pairs: 526,
             refine_passes: 9,
         }

@@ -291,3 +291,54 @@ fn tight_budget_evicts_and_still_scores_correctly() {
     assert!(s.shards_loaded < s.shards_total, "loaded gauge ignores evictions: {s:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Probe sketches live on their strand class, so they survive shard
+/// eviction: under a one-shard budget, a repeat of the same queries finds
+/// every cell in the VCP cache and every probed class's sketch in its
+/// slot, and decodes no class record at all — while scoring bit-identically
+/// to the first pass and to the resident engine.
+#[test]
+fn repeat_pass_under_one_shard_budget_decodes_nothing() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let mut resident = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for vendor in [
+        Compiler::new(Vendor::Clang, VendorVersion::new(3, 5)),
+        Compiler::new(Vendor::Icc, VendorVersion::new(15, 0)),
+    ] {
+        for (name, f) in demo::cve_functions() {
+            resident.add_target(format!("{name}-{vendor:?}"), &vendor.compile_function(&f));
+        }
+    }
+    let queries: Vec<Procedure> = demo::cve_functions()
+        .iter()
+        .take(4)
+        .map(|(_, f)| gcc.compile_function(f))
+        .collect();
+    let dir = scratch("repeat-budget");
+    std::fs::remove_dir_all(&dir).ok();
+    esh_index::write_sharded(&resident, &dir, 1).unwrap();
+
+    // The reopened engine keeps the recorded `threads: 1`.
+    let budget = esh_index::read_manifest(&dir).unwrap().largest_shard_bytes;
+    let budgeted = esh_index::open_sharded(&dir).unwrap();
+    budgeted.set_shard_budget(budget);
+
+    let first: Vec<QueryScores> = queries.iter().map(|q| budgeted.query(q)).collect();
+    let decoded = budgeted.shard_stats().classes_decoded_total;
+    assert!(decoded > 0, "the first pass must decode class records");
+    for (i, q) in queries.iter().enumerate() {
+        let again = budgeted.query(q);
+        assert_scores_identical(&first[i], &again, &format!("repeat query {i}"));
+        assert_scores_identical(&resident.query(q), &again, &format!("resident query {i}"));
+    }
+    let s = budgeted.shard_stats();
+    assert_eq!(
+        s.classes_decoded_total, decoded,
+        "the repeat pass decoded class records: {s:?}"
+    );
+    assert!(s.evicted_total > 0, "a one-shard budget never evicted: {s:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

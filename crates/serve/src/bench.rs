@@ -10,8 +10,9 @@
 //!    16× the phase-1 concurrency, run once with coalescing disabled
 //!    (`batch_max = 1`) and once batched, on identically warmed servers.
 //!    Every batched response must stay byte-identical to the offline
-//!    baseline, and in full mode the batched 16× run must deliver ≥ 2×
-//!    the unbatched throughput.
+//!    baseline, no run may compute a probe sketch after its warm-up
+//!    (the hot path stays free of concrete evaluation), and in full mode
+//!    the batched 16× run must deliver ≥ 2× the unbatched throughput.
 //! 3. **Admission control** — a burst against a one-worker,
 //!    one-slot-queue server must produce typed `Overloaded` rejections,
 //!    never hangs or silent drops.
@@ -20,10 +21,12 @@
 //! 5. **Observability & drain** — `/healthz` and `/metrics` answer over
 //!    HTTP, and a wire `@shutdown` drains the daemon cleanly.
 //!
-//! Results land in `BENCH_serve.json` at the repo root. `--smoke`
-//! shrinks the client counts for CI but keeps a short sustained phase
-//! (batching enabled) so the byte-identity gate covers batched execution
-//! on every CI run.
+//! Latency quantiles are the client's: every request's send-to-receive
+//! time is recorded, and p50, p99 and max are read off those samples by
+//! nearest rank. Results land in `BENCH_serve.json` at the repo root.
+//! `--smoke` shrinks the client counts for CI but keeps a short
+//! sustained phase (batching enabled) so the byte-identity and
+//! probe-sketch gates cover batched execution on every CI run.
 
 use std::time::{Duration, Instant};
 
@@ -79,6 +82,37 @@ fn identical(a: &[RankedMatch], b: &[RankedMatch]) -> bool {
         })
 }
 
+/// `[p50, p99, max]` in ms of one phase's client-side latencies, each
+/// the sample at nearest rank `ceil(p·n)`; an error unless
+/// `p50 ≤ p99 ≤ max` (which an empty phase fails too).
+fn quantiles(what: &str, mut samples: Vec<Duration>) -> Result<[f64; 3], String> {
+    samples.sort_unstable();
+    let n = samples.len() as f64;
+    let q = [0.5, 0.99, 1.0].map(|p: f64| {
+        let rank = (p * n).ceil().max(1.0) as usize;
+        samples.get(rank - 1).map_or(f64::NAN, |d| d.as_secs_f64() * 1e3)
+    });
+    if q[0] <= q[1] && q[1] <= q[2] {
+        Ok(q)
+    } else {
+        Err(format!("{what}: client latency quantiles {q:?} out of order"))
+    }
+}
+
+/// The value of the label-free series `name` in a `/metrics` payload.
+fn metric(text: &str, name: &str) -> Option<f64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+}
+
+/// The daemon's probe-sketch counter, scraped from `/metrics`.
+fn probe_sketches(addr: &str) -> Result<f64, String> {
+    let (_, body) =
+        http_get(addr, "/metrics", CLIENT_TIMEOUT).map_err(|e| format!("metrics probe: {e}"))?;
+    metric(&body, "esh_prefilter_probe_sketches_total")
+        .ok_or_else(|| "/metrics has no probe-sketch counter".into())
+}
+
 /// One sustained-load run: fixed client count, fixed batching mode.
 struct Sustained {
     label: &'static str,
@@ -87,9 +121,7 @@ struct Sustained {
     batch_window_ms: u64,
     requests: usize,
     throughput_rps: f64,
-    p50_ms: u64,
-    p99_ms: u64,
-    max_ms: u64,
+    latency: [f64; 3],
     batches: u64,
     coalesced: u64,
     occupancy_hwm: u64,
@@ -102,8 +134,8 @@ impl Sustained {
             "{{ \"phase\": \"{label}\", \"clients\": {clients}, \
              \"batch_max\": {bmax}, \"batch_window_ms\": {bwin}, \
              \"requests\": {req}, \"identical_to_offline\": true, \
-             \"throughput_rps\": {rps:.1}, \"p50_ms\": {p50}, \
-             \"p99_ms\": {p99}, \"max_ms\": {max}, \
+             \"throughput_rps\": {rps:.1}, \"p50_ms\": {p50:.3}, \
+             \"p99_ms\": {p99:.3}, \"max_ms\": {max:.3}, \
              \"batches\": {batches}, \"avg_batch_occupancy\": {avg:.2}, \
              \"batch_occupancy_high_water\": {hwm}, \
              \"coalesced\": {coal} }}",
@@ -113,9 +145,9 @@ impl Sustained {
             bwin = self.batch_window_ms,
             req = self.requests,
             rps = self.throughput_rps,
-            p50 = self.p50_ms,
-            p99 = self.p99_ms,
-            max = self.max_ms,
+            p50 = self.latency[0],
+            p99 = self.latency[1],
+            max = self.latency[2],
             batches = self.batches,
             avg = self.avg_occupancy,
             hwm = self.occupancy_hwm,
@@ -129,7 +161,8 @@ impl Sustained {
 /// checked byte-identical against the offline baseline. The server is
 /// warmed with one pass over the query set first, so batched and
 /// unbatched runs compare steady-state serving rather than first-touch
-/// verifier cost.
+/// verifier cost — and the run fails if it computes a single probe
+/// sketch after that pass.
 #[allow(clippy::too_many_arguments)]
 fn sustained_phase(
     corpus: &Corpus,
@@ -179,14 +212,15 @@ fn sustained_phase(
         }
     }
     drop(warm);
+    let warm_sketches = probe_sketches(&addr)?;
 
     let per_client = reps * queries.len();
     let t0 = Instant::now();
-    std::thread::scope(|scope| -> Result<(), String> {
+    let samples = std::thread::scope(|scope| -> Result<Vec<Duration>, String> {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let (addr, baselines, request_for) = (&addr, baselines, &request_for);
-                scope.spawn(move || -> Result<(), String> {
+                scope.spawn(move || -> Result<Vec<Duration>, String> {
                     let mut client = PipelinedClient::connect(addr, CLIENT_TIMEOUT)
                         .map_err(|e| format!("sustained client {c} connect: {e}"))?;
                     // Offset the cycle per client so different names are
@@ -194,7 +228,12 @@ fn sustained_phase(
                     // keep on a mixed stream, not a single hot query.
                     let pick = |i: usize| (c + i) % baselines.len();
                     let window = baselines.len().min(per_client);
+                    // Responses come back in request order, so request
+                    // `i`'s latency runs from `sent[i]` to its `recv`.
+                    let mut sent = Vec::with_capacity(per_client);
+                    let mut latencies = Vec::with_capacity(per_client);
                     for i in 0..window {
+                        sent.push(Instant::now());
                         client
                             .send(&request_for(pick(i)))
                             .map_err(|e| format!("sustained client {c} send {i}: {e}"))?;
@@ -203,6 +242,7 @@ fn sustained_phase(
                         let resp = client
                             .recv()
                             .map_err(|e| format!("sustained client {c} recv {i}: {e}"))?;
+                        latencies.push(sent[i].elapsed());
                         if resp.outcome != Outcome::Ok {
                             return Err(format!(
                                 "sustained client {c} response {i}: {:?} ({:?})",
@@ -217,22 +257,28 @@ fn sustained_phase(
                         }
                         let next = i + window;
                         if next < per_client {
+                            sent.push(Instant::now());
                             client
                                 .send(&request_for(pick(next)))
                                 .map_err(|e| format!("sustained client {c} send {next}: {e}"))?;
                         }
                     }
-                    Ok(())
+                    Ok(latencies)
                 })
             })
             .collect();
+        let mut samples = Vec::new();
         for h in handles {
-            h.join().expect("sustained client panicked")?;
+            samples.extend(h.join().expect("sustained client panicked")?);
         }
-        Ok(())
+        Ok(samples)
     })?;
     let elapsed = t0.elapsed();
     let requests = clients * per_client;
+    let sketched = probe_sketches(&addr)? - warm_sketches;
+    if sketched > 0.0 {
+        return Err(format!("sustained {label} computed {sketched} probe sketches after warm-up"));
+    }
 
     let ack = remote_query(&addr, &QueryRequest::new("@shutdown"), CLIENT_TIMEOUT)
         .map_err(|e| format!("sustained {label} @shutdown: {e}"))?;
@@ -257,9 +303,7 @@ fn sustained_phase(
         batch_window_ms,
         requests,
         throughput_rps: requests as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ms: stats.p50_ms,
-        p99_ms: stats.p99_ms,
-        max_ms: stats.max_ms,
+        latency: quantiles(&format!("sustained {label}"), samples)?,
         batches: stats.batches,
         coalesced: stats.coalesced_queries,
         occupancy_hwm: stats.batch_occupancy_hwm,
@@ -324,11 +368,12 @@ pub fn run(smoke: bool) -> Result<(), String> {
 
     let load_start = Instant::now();
     let total_requests = clients * repeats * queries.len();
-    std::thread::scope(|scope| -> Result<(), String> {
+    let samples = std::thread::scope(|scope| -> Result<Vec<Duration>, String> {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let (addr, queries, baselines) = (&addr, &queries, &baselines);
-                scope.spawn(move || -> Result<(), String> {
+                scope.spawn(move || -> Result<Vec<Duration>, String> {
+                    let mut latencies = Vec::with_capacity(repeats * queries.len());
                     for r in 0..repeats {
                         for (qi, q) in queries.iter().enumerate() {
                             let request = QueryRequest {
@@ -336,8 +381,10 @@ pub fn run(smoke: bool) -> Result<(), String> {
                                 top_n: Some(top_n as u64),
                                 deadline_ms: None,
                             };
+                            let sent = Instant::now();
                             let resp = remote_query(addr, &request, CLIENT_TIMEOUT)
                                 .map_err(|e| format!("client {c} rep {r} query {qi}: {e}"))?;
+                            latencies.push(sent.elapsed());
                             if resp.outcome != Outcome::Ok {
                                 return Err(format!(
                                     "client {c} rep {r} query {qi}: outcome {:?} ({:?})",
@@ -352,16 +399,18 @@ pub fn run(smoke: bool) -> Result<(), String> {
                             }
                         }
                     }
-                    Ok(())
+                    Ok(latencies)
                 })
             })
             .collect();
+        let mut samples = Vec::new();
         for h in handles {
-            h.join().expect("client thread panicked")?;
+            samples.extend(h.join().expect("client thread panicked")?);
         }
-        Ok(())
+        Ok(samples)
     })?;
     let load_elapsed = load_start.elapsed();
+    let [p50, p99, max] = quantiles("load phase", samples)?;
 
     // Phase 5a (same server, still warm): observability probes.
     let (status, body) = http_get(&addr, "/healthz", CLIENT_TIMEOUT)
@@ -391,15 +440,10 @@ pub fn run(smoke: bool) -> Result<(), String> {
     let throughput = total_requests as f64 / load_elapsed.as_secs_f64().max(1e-9);
     // The serve engine's cross-query cache hit rate, scraped from the
     // /metrics payload fetched while the server was still up.
-    let hit_rate: f64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("esh_vcp_cache_hit_rate "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0.0);
+    let hit_rate = metric(&metrics, "esh_vcp_cache_hit_rate").unwrap_or(0.0);
     eprintln!(
         "bench-serve: load ok ({total_requests} requests, {throughput:.1} req/s, \
-         p50 {}ms p99 {}ms max {}ms)",
-        load_stats.p50_ms, load_stats.p99_ms, load_stats.max_ms
+         p50 {p50:.1}ms p99 {p99:.1}ms max {max:.1}ms)"
     );
 
     // Phase 2: sustained pipelined load, unbatched vs batched. Each run
@@ -550,7 +594,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
          \"clients\": {clients},\n  \"requests\": {total_requests},\n  \
          \"identical_to_offline\": true,\n  \
          \"throughput_rps\": {throughput:.1},\n  \
-         \"p50_ms\": {p50},\n  \"p99_ms\": {p99},\n  \"max_ms\": {max},\n  \
+         \"p50_ms\": {p50:.3},\n  \"p99_ms\": {p99:.3},\n  \"max_ms\": {max:.3},\n  \
          \"queue_depth_high_water\": {hwm},\n  \
          \"sustained\": [\n{sustained_json}\n  ],\n  \
          \"sustained_speedup_16x\": {speedup_16x:.2},\n  \
@@ -561,9 +605,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
         mode = if smoke { "smoke" } else { "full" },
         procs = corpus.procs.len(),
         nq = queries.len(),
-        p50 = load_stats.p50_ms,
-        p99 = load_stats.p99_ms,
-        max = load_stats.max_ms,
         hwm = load_stats.queue_depth_hwm,
         speedup_16x = speedup_16x,
         dl = deadline_stats.deadline_exceeded,

@@ -264,6 +264,10 @@ impl ServerStats {
             prefilter.probe_escalations
         ));
         out.push_str(&format!(
+            "esh_prefilter_probe_sketches_total {}\n",
+            prefilter.probe_sketches
+        ));
+        out.push_str(&format!(
             "esh_prefilter_refined_pairs_total {}\n",
             prefilter.refined_pairs
         ));
@@ -490,6 +494,7 @@ mod tests {
                 exact_fallbacks: 3,
                 ambiguous_probes: 11,
                 probe_escalations: 5,
+                probe_sketches: 17,
                 refined_pairs: 13,
                 refine_passes: 2,
             },
@@ -502,6 +507,7 @@ mod tests {
         assert!(text.contains("esh_prefilter_exact_fallbacks_total 3\n"));
         assert!(text.contains("esh_prefilter_ambiguous_probes_total 11\n"));
         assert!(text.contains("esh_prefilter_probe_escalations_total 5\n"));
+        assert!(text.contains("esh_prefilter_probe_sketches_total 17\n"));
         assert!(text.contains("esh_prefilter_refined_pairs_total 13\n"));
         assert!(text.contains("esh_prefilter_refine_passes_total 2\n"));
     }

@@ -23,7 +23,8 @@
 //! corpus procedure collapse into a single engine item (their responses
 //! are built from the one shared score set, which batching keeps
 //! byte-identical to a sequential query), and distinct queries share the
-//! batch's strand preparation, probe-sketch rounds and verifier session.
+//! batch's strand preparation and verifier session (and the engine's
+//! per-class probe sketches, which outlive every batch).
 //!
 //! Deadlines are measured from *admission*, so queue wait counts against
 //! a request's budget; expired work is dropped at batch assembly before

@@ -248,9 +248,28 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-            // Stale heap keys are fine: entries are validated on pop.
+            self.rebuild_heap();
         }
+        self.push_candidate(v);
+    }
+
+    /// Pushes `v` under its current activity. Each bump and unassignment
+    /// pushes (unbounded, a long search reaches tens of MiB), so past two
+    /// entries per variable the heap is rebuilt from the unassigned ones.
+    /// Between rescales (which rebuild too) a pop accepts exactly those
+    /// variables' current entries, so the branching is unchanged.
+    fn push_candidate(&mut self, v: Var) {
         self.heap.push((act_key(self.activity[v as usize]), v));
+        if self.heap.len() > 2 * self.num_vars + 64 {
+            self.rebuild_heap();
+        }
+    }
+
+    fn rebuild_heap(&mut self) {
+        let live = (0..self.num_vars).filter(|&v| self.assign[v] == 0);
+        self.heap = live
+            .map(|v| (act_key(self.activity[v]), v as Var))
+            .collect();
     }
 
     /// First-UIP conflict analysis. Returns (learnt clause, backjump level).
@@ -329,40 +348,30 @@ impl Solver {
                 let v = l.var();
                 self.assign[v as usize] = 0;
                 self.reason[v as usize] = UNDEF_CLAUSE;
-                self.heap.push((act_key(self.activity[v as usize]), v));
+                self.push_candidate(v);
             }
         }
         self.qhead = self.trail.len();
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
+        let unassigned = |s: &Self, v: Var| s.assign[v as usize] == 0;
+        let mut pick = None;
         while let Some((key, v)) = self.heap.pop() {
-            if self.assign[v as usize] != 0 {
-                continue;
+            // Assigned variables and stale keys (a fresher entry exists in
+            // the heap) are skipped.
+            if unassigned(self, v) && key == act_key(self.activity[v as usize]) {
+                pick = Some(v);
+                break;
             }
-            // Skip stale entries whose activity has since grown (a fresher
-            // entry exists in the heap).
-            if key != act_key(self.activity[v as usize]) && key < act_key(self.activity[v as usize])
-            {
-                continue;
-            }
-            return Some(if self.phase[v as usize] {
-                Lit::pos(v)
-            } else {
-                Lit::neg(v)
-            });
         }
         // Heap exhausted: fall back to a scan (covers any bookkeeping gap).
-        for v in 0..self.num_vars {
-            if self.assign[v] == 0 {
-                return Some(if self.phase[v] {
-                    Lit::pos(v as Var)
-                } else {
-                    Lit::neg(v as Var)
-                });
-            }
-        }
-        None
+        let v = pick.or_else(|| (0..self.num_vars as Var).find(|&v| unassigned(self, v)))?;
+        Some(if self.phase[v as usize] {
+            Lit::pos(v)
+        } else {
+            Lit::neg(v)
+        })
     }
 
     /// Solves under assumptions with a conflict budget.
@@ -403,25 +412,15 @@ impl Solver {
                 .iter()
                 .find(|a| self.value_lit(**a) == 0)
                 .copied();
-            if let Some(a) = assumptions.iter().find(|a| self.value_lit(**a) == -1) {
-                let _ = a;
+            if assumptions.iter().any(|a| self.value_lit(*a) == -1) {
                 self.cancel_until(0);
                 return SatResult::Unsat;
             }
-            let decision = match next_assumption {
-                Some(a) => Some(a),
-                None => self.pick_branch(),
+            let Some(d) = next_assumption.or_else(|| self.pick_branch()) else {
+                return SatResult::Sat;
             };
-            match decision {
-                None => {
-                    let r = SatResult::Sat;
-                    return r;
-                }
-                Some(d) => {
-                    self.trail_lim.push(self.trail.len());
-                    self.unchecked_enqueue(d, UNDEF_CLAUSE);
-                }
-            }
+            self.trail_lim.push(self.trail.len());
+            self.unchecked_enqueue(d, UNDEF_CLAUSE);
         }
     }
 
@@ -601,5 +600,44 @@ mod tests {
             }
         }
         assert_eq!(s.solve_with_budget(&[], 10), SatResult::Unknown);
+    }
+
+    #[test]
+    fn branching_heap_stays_bounded_and_keeps_the_search() {
+        // Seeded 3-CNF at the satisfiability threshold (100 vars, 426
+        // clauses). The pinned outcomes and conflict counts are those of a
+        // heap that never drops an entry: dropping only entries no pop
+        // would accept must not move a single decision.
+        for (seed, want, conflicts) in [
+            (2u64, SatResult::Unsat, 509),
+            (3, SatResult::Sat, 222),
+            (6, SatResult::Unsat, 579),
+        ] {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ seed;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut s = Solver::new();
+            let vars: Vec<Var> = (0..100).map(|_| s.new_var()).collect();
+            for _ in 0..426 {
+                let cl = (0..3)
+                    .map(|_| {
+                        let v = vars[(next() % 100) as usize];
+                        if next() & 1 == 1 {
+                            nl(v)
+                        } else {
+                            l(v)
+                        }
+                    })
+                    .collect();
+                s.add_clause(cl);
+            }
+            assert_eq!(s.solve_with_budget(&[], 4_000), want, "seed {seed}");
+            assert_eq!(s.conflicts, conflicts, "seed {seed}");
+            assert!(s.heap.len() <= 2 * s.num_vars + 64, "seed {seed}");
+        }
     }
 }
