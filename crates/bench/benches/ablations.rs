@@ -40,7 +40,7 @@ fn bench_prefilter_ablation(c: &mut Criterion) {
     let off = engine_with(
         &corpus,
         EngineConfig {
-            prefilter: false,
+            prefilter_threshold: 0.0,
             ..EngineConfig::default()
         },
     );

@@ -59,16 +59,17 @@ pub struct EngineConfig {
     pub vcp: VcpConfig,
     /// Verifier budgets.
     pub equiv: EquivConfig,
-    /// Enable the semantic-signature prefilter (exactness-preserving upper
-    /// bound; see `esh-strands`).
-    pub prefilter: bool,
-    /// Pairs whose signature overlap bound is below this skip verification
-    /// (0.5 matches the paper's minimum-VCP filter).
+    /// The semantic-signature prefilter (exactness-preserving upper
+    /// bound; see `esh-strands`): pairs whose signature overlap bound is
+    /// below this in both directions skip verification. 0.5 matches the
+    /// paper's minimum-VCP filter; 0 turns the filter off, since no
+    /// overlap bound is negative.
     pub prefilter_threshold: f64,
     /// The semantic-sketch prefilter tier (concrete-execution fingerprints
-    /// and banded LSH; see [`crate::prefilter`]). `None` reproduces the
+    /// and banded LSH; see [`crate::prefilter`]). With
+    /// [`PrefilterConfig::enabled`] off the engine reproduces the
     /// pre-sketch engine exactly, fingerprint included.
-    pub sketch: Option<PrefilterConfig>,
+    pub sketch: PrefilterConfig,
     /// Worker threads (0 = use available parallelism).
     pub threads: usize,
 }
@@ -79,9 +80,8 @@ impl Default for EngineConfig {
             granularity: Granularity::Strands,
             vcp: VcpConfig::default(),
             equiv: EquivConfig::default(),
-            prefilter: true,
             prefilter_threshold: 0.5,
-            sketch: Some(PrefilterConfig::default()),
+            sketch: PrefilterConfig::default(),
             threads: 0,
         }
     }
@@ -92,34 +92,26 @@ impl EngineConfig {
     /// same fingerprint produce identical scores for identical corpora, so
     /// indexes and caches key on it. `threads` only changes scheduling,
     /// never results, and is deliberately excluded.
+    ///
+    /// The sketch tier is mixed only when enabled: a disabled tier
+    /// computes no sketches, so its knobs cannot move a score, and a
+    /// tier-off config keeps the fingerprint it had before the tier
+    /// existed.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |field: u64| {
-            for b in field.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(match self.granularity {
+        let granularity = match self.granularity {
             Granularity::Strands => 1,
             Granularity::WholeBlocks => 2,
-        });
-        mix(self.vcp.fingerprint());
-        mix(self.equiv.fingerprint());
-        mix(u64::from(self.prefilter));
-        mix(self.prefilter_threshold.to_bits());
-        // Mixed only when present so configs without a sketch tier keep
-        // the fingerprint they had before the tier existed.
-        if let Some(sketch) = &self.sketch {
-            mix(sketch.fingerprint());
-        }
-        h
+        };
+        let t = self.prefilter_threshold;
+        let fields = [granularity, self.vcp.fingerprint(), self.equiv.fingerprint()];
+        let filter = [u64::from(t > 0.0), t.to_bits()];
+        let sketch = self.active_sketch().map(PrefilterConfig::fingerprint);
+        stable_hash64(fields.into_iter().chain(filter).chain(sketch))
     }
 
-    /// The sketch-prefilter parameters when the tier is configured *and*
-    /// switched on.
+    /// The sketch-prefilter parameters when the tier is switched on.
     pub fn active_sketch(&self) -> Option<&PrefilterConfig> {
-        self.sketch.as_ref().filter(|s| s.enabled)
+        self.sketch.enabled.then_some(&self.sketch)
     }
 }
 
@@ -538,16 +530,11 @@ impl SimilarityEngine {
     }
 
     /// Switches the sketch prefilter tier on or off for subsequent
-    /// queries (the `esh query --no-prefilter` escape hatch). Enabling it
-    /// on an engine configured without the tier installs the default
-    /// [`PrefilterConfig`]; note both directions change the config
-    /// fingerprint, since pruned pairs carry estimated VCP values.
+    /// queries (the `esh query --no-prefilter` escape hatch), keeping
+    /// its other knobs. Both directions change the config fingerprint,
+    /// since pruned pairs carry estimated VCP values.
     pub fn set_prefilter_enabled(&mut self, enabled: bool) {
-        match &mut self.config.sketch {
-            Some(sketch) => sketch.enabled = enabled,
-            None if enabled => self.config.sketch = Some(PrefilterConfig::default()),
-            None => {}
-        }
+        self.config.sketch.enabled = enabled;
         *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
         for class in &mut self.classes {
             class.probe = ProbeSlot::default();
@@ -699,8 +686,10 @@ impl SimilarityEngine {
     /// normally empty) — they are resident from the start.
     ///
     /// Validates that `specs` tile both index spaces contiguously from
-    /// zero, that class hashes are unique, and that target strand
-    /// references are in range.
+    /// zero, that class hashes are unique, that target strand
+    /// references are in range, and, under an enabled sketch tier, that
+    /// its knobs are usable and every persisted sketch has its
+    /// `bands × rows` minhash words.
     pub fn from_lazy_parts(
         config: EngineConfig,
         classes: Vec<LazyClassMeta>,
@@ -738,6 +727,14 @@ impl SimilarityEngine {
         for t in &targets {
             if t.strands.iter().any(|&(ci, _)| ci >= classes.len()) {
                 return Err(format!("target `{}` references a class out of range", t.name));
+            }
+        }
+        if let Some(cfg) = config.active_sketch() {
+            cfg.validate()?;
+            let k = cfg.bands * cfg.rows;
+            let bad = |c: &&LazyClassMeta| c.sketch.as_ref().is_some_and(|s| s.minhash.len() != k);
+            if let Some(c) = classes.iter().find(bad) {
+                return Err(format!("class `{}`: sketch is not {k} minhash words", c.name));
             }
         }
         let classes = classes
@@ -1120,35 +1117,18 @@ impl SimilarityEngine {
                 let skip: Vec<Vec<bool>> = queries
                     .iter()
                     .map(|q| {
-                        let all_sketched = q
-                            .as_ref()
-                            .is_some_and(|q| q.iter().all(|s| s.sketch.is_some()));
-                        if !all_sketched {
+                        let sketches: Option<Vec<&SemanticSketch>> =
+                            q.as_ref().and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
+                        let Some(sketches) = sketches else {
                             return vec![false; summaries.len()];
-                        }
-                        let strands = q.as_ref().expect("checked above");
-                        let keys: Vec<Vec<u64>> = strands
-                            .iter()
-                            .map(|s| {
-                                s.sketch
-                                    .as_ref()
-                                    .expect("checked above")
-                                    .band_keys(cfg.bands, cfg.rows)
-                            })
-                            .collect();
-                        summaries
-                            .iter()
-                            .map(|sum| {
-                                strands.iter().zip(&keys).all(|(s, k)| {
-                                    sum.can_skip(
-                                        s.sketch.as_ref().expect("checked above"),
-                                        k,
-                                        margin,
-                                        window,
-                                    )
-                                })
-                            })
-                            .collect()
+                        };
+                        let keys: Vec<Vec<u64>> =
+                            sketches.iter().map(|s| s.band_keys(cfg.bands, cfg.rows)).collect();
+                        let can_skip = |sum: &ShardBandSummary| {
+                            let mut strands = sketches.iter().zip(&keys);
+                            strands.all(|(s, k)| sum.can_skip(s, k, margin, window))
+                        };
+                        summaries.iter().map(can_skip).collect()
                     })
                     .collect();
                 let pruned: u64 = skip
@@ -1274,8 +1254,7 @@ impl SimilarityEngine {
     ) -> bool {
         let t = self.config.prefilter_threshold;
         size_ratio_ok(&self.config.vcp, vars, class.vars)
-            && !(self.config.prefilter
-                && signature.overlap_bound(&class.signature) < t
+            && !(signature.overlap_bound(&class.signature) < t
                 && class.signature.overlap_bound(signature) < t)
     }
 
@@ -1457,7 +1436,7 @@ impl SimilarityEngine {
         let refine_enabled = self
             .config
             .active_sketch()
-            .is_some_and(|cfg| cfg.effective_refine_top_k() > 0)
+            .is_some_and(|cfg| cfg.refine_top_k > 0)
             && !self.targets.is_empty()
             && self.ensure_sketch_index().is_some();
         let mut refine_session = refine_enabled.then(|| {
@@ -1522,72 +1501,48 @@ impl SimilarityEngine {
     /// rankings agree bit-for-bit.
     fn score_targets(&self, query: &[QueryStrand], matrix: &[Vec<VcpPair>]) -> Vec<TargetScore> {
         let h0 = self.h0_accumulators(query, matrix);
-        let mut scores = Vec::with_capacity(self.targets.len());
-        for (ti, target) in self.targets.iter().enumerate() {
-            let mut ges_terms = Vec::with_capacity(query.len());
-            let mut slog_terms = Vec::with_capacity(query.len());
-            for (qi, q) in query.iter().enumerate() {
-                let mut max_vcp = 0.0f64;
-                for (ci, _) in &target.strands {
-                    let v = matrix[qi][*ci].q_in_t;
-                    if v > max_vcp {
-                        max_vcp = v;
-                    }
+        // Each class's best VCP against any query strand (S-VCP).
+        let max_t: Vec<f64> = (0..self.classes.len())
+            .map(|ci| matrix.iter().map(|row| row[ci].t_in_q).fold(0.0f64, f64::max))
+            .collect();
+        let mut max_q = vec![0.0f64; query.len()];
+        (0..self.targets.len())
+            .map(|ti| {
+                let strands = &self.targets[ti].strands;
+                for (m, row) in max_q.iter_mut().zip(matrix) {
+                    *m = strands.iter().map(|&(ci, _)| row[ci].q_in_t).fold(0.0f64, f64::max);
                 }
-                let l_esh = les(likelihood(max_vcp), h0[qi].mean_pr());
-                let l_slog = les(max_vcp.max(1e-12), h0[qi].mean_vcp());
-                ges_terms.push(l_esh * q.count as f64);
-                slog_terms.push(l_slog * q.count as f64);
-            }
-            // S-VCP: Σ over target strand occurrences of the best VCP of
-            // that strand against any query strand (no statistics).
-            let mut s_vcp = 0.0;
-            for (ci, n) in &target.strands {
-                let best = matrix
-                    .iter()
-                    .map(|row| row[*ci].t_in_q)
-                    .fold(0.0f64, f64::max);
-                s_vcp += best * *n as f64;
-            }
-            scores.push(TargetScore {
-                target: TargetId(ti),
-                name: target.name.clone(),
-                ges: ges(ges_terms),
-                s_log: ges(slog_terms),
-                s_vcp,
-            });
-        }
-        scores
+                self.score_target(ti, query, &max_q, |ci| max_t[ci], &h0)
+            })
+            .collect()
     }
 
-    /// One refined target's score, rebuilt from its **exact** per-query-
-    /// strand and per-class VCP maxima plus the estimated matrix's H0
-    /// accumulators. Mirrors [`SimilarityEngine::score_targets`]
-    /// float-for-float: the maxima are the very values an exhaustive
-    /// matrix's column scans would produce, so S-VCP comes out
-    /// bit-identical to exhaustive scoring, and GES differs from it only
-    /// by the per-strand H0 offset every target shares.
-    fn score_refined_target(
+    /// One target's scores from its VCP maxima: `max_q[qi]`, the best
+    /// VCP of query strand `qi` in any of the target's classes (GES and
+    /// S-LOG, Eq. 1's LES terms against H0), and `max_t(ci)`, the best
+    /// VCP of class `ci` against any query strand (S-VCP). The matrix
+    /// pass and the refine pass both score through here, so two sets of
+    /// equal maxima give bit-identical scores.
+    fn score_target(
         &self,
         ti: usize,
         query: &[QueryStrand],
         max_q: &[f64],
-        max_t: &HashMap<usize, f64>,
+        max_t: impl Fn(usize) -> f64,
         h0: &[H0Accumulator],
     ) -> TargetScore {
         let target = &self.targets[ti];
         let mut ges_terms = Vec::with_capacity(query.len());
         let mut slog_terms = Vec::with_capacity(query.len());
-        for (qi, q) in query.iter().enumerate() {
-            let max_vcp = max_q[qi];
-            let l_esh = les(likelihood(max_vcp), h0[qi].mean_pr());
-            let l_slog = les(max_vcp.max(1e-12), h0[qi].mean_vcp());
-            ges_terms.push(l_esh * q.count as f64);
-            slog_terms.push(l_slog * q.count as f64);
+        for ((q, &max_vcp), h0) in query.iter().zip(max_q).zip(h0) {
+            ges_terms.push(les(likelihood(max_vcp), h0.mean_pr()) * q.count as f64);
+            slog_terms.push(les(max_vcp.max(1e-12), h0.mean_vcp()) * q.count as f64);
         }
+        // S-VCP: Σ over target strand occurrences of the best VCP of
+        // that strand against any query strand (no statistics).
         let mut s_vcp = 0.0;
-        for (ci, n) in &target.strands {
-            s_vcp += max_t.get(ci).copied().unwrap_or(0.0) * *n as f64;
+        for &(ci, n) in &target.strands {
+            s_vcp += max_t(ci) * n as f64;
         }
         TargetScore {
             target: TargetId(ti),
@@ -1615,7 +1570,7 @@ impl SimilarityEngine {
     /// its true maxima, whatever subset of cells the cache already knew.
     ///
     /// Scores are rebuilt from those maxima via
-    /// [`SimilarityEngine::score_refined_target`], with the H0
+    /// [`SimilarityEngine::score_target`], with the H0
     /// accumulators **frozen at the estimated matrix**. The matrix itself
     /// is never mutated: which cells the pass verifies (and which it
     /// dominance-skips or finds pre-cached) depends on cross-query cache
@@ -1645,7 +1600,6 @@ impl SimilarityEngine {
         else {
             return Ok(());
         };
-        let k = cfg.effective_refine_top_k();
         if query.is_empty() {
             return Ok(());
         }
@@ -1681,7 +1635,7 @@ impl SimilarityEngine {
                 // config).
                 let pending: Vec<usize> = order
                     .into_iter()
-                    .take(k.saturating_mul(2))
+                    .take(cfg.refine_top_k.saturating_mul(2))
                     .filter(|&ti| !refined_targets[ti])
                     .collect();
                 if pending.is_empty() {
@@ -1727,7 +1681,7 @@ impl SimilarityEngine {
                             // probing off (`lsh_only`) that is the base
                             // sketch. No sketch to bound with: always verify.
                             let (c_q, c_t) = match &q.sketch {
-                                Some(qs) if cfg.effective_probe_vectors() == 0 => {
+                                Some(qs) if cfg.probe_window() == 0.0 => {
                                     let ts = index.sketch(ci);
                                     (qs.containment_in(ts), ts.containment_in(qs))
                                 }
@@ -1782,7 +1736,8 @@ impl SimilarityEngine {
                     // against the frozen H0. `scores` is in target order
                     // (score_targets builds it that way), so `ti` indexes
                     // it.
-                    scores[ti] = self.score_refined_target(ti, query, &max_q, &max_t, &h0);
+                    let max_t = |ci| max_t.get(&ci).copied().unwrap_or(0.0);
+                    scores[ti] = self.score_target(ti, query, &max_q, max_t, &h0);
                 }
             }
         };
@@ -1875,9 +1830,7 @@ impl SimilarityEngine {
             return None;
         }
         let cal = calibrated_margin(&samples, max_pruned_vcp);
-        if let Some(sketch) = &mut self.config.sketch {
-            sketch.exact_fallback_margin = cal.margin;
-        }
+        self.config.sketch.exact_fallback_margin = cal.margin;
         Some(cal)
     }
 
@@ -2086,14 +2039,11 @@ mod tests {
         // default K=10 window, so refine would re-price every pair and
         // erase the solver saving this test asserts.
         let mut on = SimilarityEngine::new(EngineConfig {
-            sketch: Some(PrefilterConfig {
-                refine_top_k: None,
-                ..PrefilterConfig::default()
-            }),
+            sketch: PrefilterConfig { refine_top_k: 0, ..PrefilterConfig::default() },
             ..quick_config()
         });
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: None,
+            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
             ..quick_config()
         });
         for (name, p) in &corpus {
@@ -2124,7 +2074,7 @@ mod tests {
         let f = demo::venom_like();
         let mut with = SimilarityEngine::new(quick_config());
         let mut without = SimilarityEngine::new(EngineConfig {
-            sketch: None,
+            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
             ..quick_config()
         });
         for (i, (_, p)) in demo::cve_functions().into_iter().enumerate() {
@@ -2154,7 +2104,7 @@ mod tests {
         let f = demo::heartbleed_like();
         let mut on = SimilarityEngine::new(quick_config());
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: None,
+            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
             ..quick_config()
         });
         for (name, p) in demo::cve_functions() {
@@ -2165,9 +2115,8 @@ mod tests {
         let q = gcc().compile_function(&f);
         let a = on.query(&q);
         let b = off.query(&q);
-        let order = |s: &QueryScores| -> Vec<TargetId> {
-            s.ranked().iter().map(|t| t.target).collect()
-        };
+        let order =
+            |s: &QueryScores| -> Vec<TargetId> { s.ranked().iter().map(|t| t.target).collect() };
         assert_eq!(order(&a), order(&b), "served order diverged");
         for (x, y) in a.scores.iter().zip(&b.scores) {
             assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
@@ -2184,16 +2133,16 @@ mod tests {
         // every probe must resolve to a prune or an escalation.
         let f = demo::heartbleed_like();
         let probing = PrefilterConfig {
-            ambiguity_window: Some(1.0),
-            refine_top_k: None,
+            ambiguity_window: 1.0,
+            refine_top_k: 0,
             ..PrefilterConfig::default()
         };
         let mut on = SimilarityEngine::new(EngineConfig {
-            sketch: Some(probing),
+            sketch: probing,
             ..quick_config()
         });
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: None,
+            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
             ..quick_config()
         });
         for (name, p) in demo::cve_functions() {
@@ -2227,7 +2176,11 @@ mod tests {
         assert!(cal.sampled_pairs > 0);
         assert!((0.3..=0.9).contains(&cal.margin), "off-grid: {cal:?}");
         assert!(cal.max_pruned_exact <= 0.5, "distortion cap violated");
-        let installed = engine.config().active_sketch().unwrap().exact_fallback_margin;
+        let installed = engine
+            .config()
+            .active_sketch()
+            .unwrap()
+            .exact_fallback_margin;
         assert_eq!(installed, cal.margin);
         if (cal.margin - PrefilterConfig::default().exact_fallback_margin).abs() > 1e-9 {
             assert_ne!(engine.config().fingerprint(), fp0);
@@ -2272,12 +2225,19 @@ mod tests {
 
     #[test]
     fn default_fingerprint_is_pinned() {
-        // Every index written with the default config records this value;
-        // if it changes, none of them opens any more.
-        assert_eq!(
-            EngineConfig::default().fingerprint(),
-            2_857_819_738_583_454_794
-        );
+        // Every index written with these configs records these values; if
+        // one changes, none of those indexes opens any more. The tier-off
+        // value is also what a config recorded without a tier
+        // (`"sketch": null`) computes.
+        let with_sketch = |sketch| EngineConfig { sketch, ..EngineConfig::default() };
+        let off = PrefilterConfig { enabled: false, ..PrefilterConfig::default() };
+        for (config, pinned) in [
+            (EngineConfig::default(), 2_857_819_738_583_454_794),
+            (with_sketch(PrefilterConfig::lsh_only()), 5_186_482_440_749_417_900),
+            (with_sketch(off), 17_071_739_695_097_612_108),
+        ] {
+            assert_eq!(config.fingerprint(), pinned, "{:?}", config.sketch);
+        }
     }
 
     #[test]

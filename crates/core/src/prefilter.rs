@@ -36,6 +36,11 @@
 //! Sketches are pure functions of the lifted strand and the sketch
 //! parameters, so sharded indexes persist them and `esh index build`
 //! amortizes the sketching work across queries.
+//!
+//! [`PrefilterConfig`] holds plain values: `enabled` is the tier's one
+//! switch, a zero `ambiguity_window` or `probe_vectors` turns probing off
+//! and a zero `refine_top_k` turns refinement off. A disabled tier and
+//! zero knobs fold nothing into the config fingerprint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,13 +50,16 @@ use esh_solver::eval::{eval_battery, cval_digest, Assignment};
 use esh_solver::TermPool;
 use esh_strands::{stable_hash64, stable_mix, STABLE_HASH_SEED};
 use esh_verifier::encode_proc;
-use serde::{Deserialize, Serialize};
+use serde::{field, DeError, Deserialize, Serialize, Value};
 
-/// Tuning for the semantic sketch prefilter tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Tuning for the semantic sketch prefilter tier. Every knob is a plain
+/// value; a zero turns its stage off.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PrefilterConfig {
-    /// Master switch. Disabled, the engine behaves exactly like the
-    /// pre-sketch pipeline (`esh query --no-prefilter`).
+    /// The tier's one switch. Disabled, the engine behaves exactly like
+    /// the pre-sketch pipeline (`esh query --no-prefilter`), and the
+    /// other knobs are ignored: no sketch is computed, so they cannot
+    /// move a score.
     pub enabled: bool,
     /// Number of concrete input vectors every strand class is evaluated
     /// on. More vectors tighten the containment bound (fewer spurious
@@ -81,10 +89,9 @@ pub struct PrefilterConfig {
     /// [`PrefilterConfig::probe_vectors`] extra concrete vectors before
     /// deciding (the PEM-style "more probes where the evidence is thin").
     /// Wider windows trade extra concrete evaluation for fewer wrong
-    /// prune/fallback calls near the margin. `None` disables probing
-    /// (the pre-probe decision rule).
-    /// Default: `Some(0.2)`.
-    pub ambiguity_window: Option<f64>,
+    /// prune/fallback calls near the margin. 0 disables probing (the
+    /// pre-probe decision rule). Default: 0.2.
+    pub ambiguity_window: f64,
     /// Extra eval-battery vectors an ambiguous pair's strands are probed
     /// on (on top of [`PrefilterConfig::vectors`]). More probe vectors
     /// make the refined bound tighter — spurious digest agreements
@@ -92,16 +99,15 @@ pub struct PrefilterConfig {
     /// paid once per engine: a class's probe sketch is kept on the class
     /// after its first ambiguous pair, not recomputed per pair or per
     /// batch (a query strand that is no corpus class pays once per
-    /// batch). `None` disables probing. Default: `Some(24)`.
-    pub probe_vectors: Option<usize>,
+    /// batch). 0 disables probing. Default: 24.
+    pub probe_vectors: usize,
     /// Size of the served ranking window that is re-priced through the
     /// full solver path after the pruned ranking (the refine-top-K pass):
     /// every pair behind the top-K targets users actually see is exact,
     /// so the window's internal order equals the exhaustive order.
     /// Larger K buys ranking depth with SAT work proportional to the
-    /// window's class count. `None`/`Some(0)` disables refinement.
-    /// Default: `Some(10)`.
-    pub refine_top_k: Option<usize>,
+    /// window's class count. 0 disables refinement. Default: 10.
+    pub refine_top_k: usize,
 }
 
 impl Default for PrefilterConfig {
@@ -112,10 +118,32 @@ impl Default for PrefilterConfig {
             bands: 4,
             rows: 4,
             exact_fallback_margin: 0.7,
-            ambiguity_window: Some(0.2),
-            probe_vectors: Some(24),
-            refine_top_k: Some(10),
+            ambiguity_window: 0.2,
+            probe_vectors: 24,
+            refine_top_k: 10,
         }
+    }
+}
+
+/// Reads a manifest's recorded tier. A `null` (or absent) tier is a
+/// disabled default tier, and a `null` knob reads as 0 — the forms an
+/// older writer recorded for "off".
+impl Deserialize for PrefilterConfig {
+    fn deserialize(v: &Value) -> Result<PrefilterConfig, DeError> {
+        if matches!(v, Value::Null) {
+            return Ok(PrefilterConfig { enabled: false, ..PrefilterConfig::default() });
+        }
+        let obj = v.as_object().ok_or_else(|| DeError::new("expected a sketch object"))?;
+        Ok(PrefilterConfig {
+            enabled: field(obj, "enabled")?,
+            vectors: field(obj, "vectors")?,
+            bands: field(obj, "bands")?,
+            rows: field(obj, "rows")?,
+            exact_fallback_margin: field(obj, "exact_fallback_margin")?,
+            ambiguity_window: field::<Option<f64>>(obj, "ambiguity_window")?.unwrap_or(0.0),
+            probe_vectors: field::<Option<usize>>(obj, "probe_vectors")?.unwrap_or(0),
+            refine_top_k: field::<Option<usize>>(obj, "refine_top_k")?.unwrap_or(0),
+        })
     }
 }
 
@@ -124,10 +152,9 @@ impl PrefilterConfig {
     /// estimates are only valid under the parameters that produced them,
     /// so [`crate::EngineConfig::fingerprint`] folds this in.
     ///
-    /// The post-v3 knobs (`ambiguity_window`, `probe_vectors`,
-    /// `refine_top_k`) are mixed **only when present**, so a config
-    /// recorded before they existed (where they deserialize as `None`)
-    /// keeps the fingerprint it was recorded with.
+    /// `ambiguity_window`, `probe_vectors` and `refine_top_k` are mixed
+    /// **only when nonzero**, so a zero knob keeps the fingerprint an
+    /// older writer recorded for the same knob as `null`.
     pub fn fingerprint(&self) -> u64 {
         let mut fields = vec![
             u64::from(self.enabled),
@@ -136,42 +163,42 @@ impl PrefilterConfig {
             self.rows as u64,
             self.exact_fallback_margin.to_bits(),
         ];
-        if let Some(w) = self.ambiguity_window {
-            fields.push(0xa3b1);
-            fields.push(w.to_bits());
+        if self.ambiguity_window != 0.0 {
+            fields.extend([0xa3b1, self.ambiguity_window.to_bits()]);
         }
-        if let Some(p) = self.probe_vectors {
-            fields.push(0xa3b2);
-            fields.push(p as u64);
+        if self.probe_vectors != 0 {
+            fields.extend([0xa3b2, self.probe_vectors as u64]);
         }
-        if let Some(k) = self.refine_top_k {
-            fields.push(0xa3b3);
-            fields.push(k as u64);
+        if self.refine_top_k != 0 {
+            fields.extend([0xa3b3, self.refine_top_k as u64]);
         }
         stable_hash64(fields)
     }
 
     /// Effective ambiguity-window half-width: 0.0 (probing off) unless
-    /// both `ambiguity_window` and `probe_vectors` are configured.
+    /// both `ambiguity_window` and `probe_vectors` are positive.
     pub fn probe_window(&self) -> f64 {
-        match (self.ambiguity_window, self.probe_vectors) {
-            (Some(w), Some(p)) if w > 0.0 && p > 0 => w,
-            _ => 0.0,
-        }
-    }
-
-    /// Effective extra probe-vector count (0 = probing off).
-    pub fn effective_probe_vectors(&self) -> usize {
-        if self.probe_window() > 0.0 {
-            self.probe_vectors.unwrap_or(0)
+        if self.ambiguity_window > 0.0 && self.probe_vectors > 0 {
+            self.ambiguity_window
         } else {
-            0
+            0.0
         }
     }
 
-    /// Effective refine window size (0 = refinement off).
-    pub fn effective_refine_top_k(&self) -> usize {
-        self.refine_top_k.unwrap_or(0)
+    /// Checks the knobs a persisted config can carry against what the
+    /// tier can run with: a nonzero LSH shape whose `bands × rows` and
+    /// `vectors + probe_vectors` fit a `usize`, and a finite margin and
+    /// window. A hand-edited manifest could otherwise ask a query for an
+    /// absurd allocation.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (b, r, v, p) = (self.bands, self.rows, self.vectors, self.probe_vectors);
+        if b.checked_mul(r).is_none_or(|k| k == 0) || v.checked_add(p).is_none() {
+            return Err(format!("unusable sketch shape: {b} × {r} minhash, {v} + {p} vectors"));
+        }
+        if !(self.exact_fallback_margin.is_finite() && self.ambiguity_window.is_finite()) {
+            return Err("non-finite sketch margin or ambiguity window".into());
+        }
+        Ok(())
     }
 
     /// The pure-LSH profile the 100k scale tier indexes under: only pairs
@@ -191,8 +218,8 @@ impl PrefilterConfig {
             // pair can reach this margin: bounds-based exact fallbacks
             // and probing are off, band collisions alone escalate.
             exact_fallback_margin: 2.0,
-            ambiguity_window: None,
-            probe_vectors: None,
+            ambiguity_window: 0.0,
+            probe_vectors: 0,
             ..PrefilterConfig::default()
         }
     }
@@ -312,7 +339,7 @@ pub fn compute_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch 
 
 /// Computes the **probe** sketch of a lifted strand: the same
 /// construction as [`compute_sketch`] over the base battery *extended*
-/// by [`PrefilterConfig::effective_probe_vectors`] extra rounds.
+/// by [`PrefilterConfig::probe_vectors`] extra rounds.
 ///
 /// More rounds make each per-temp digest fold more evidence, so two
 /// temps that agreed on the base battery by coincidence separate, while
@@ -321,11 +348,7 @@ pub fn compute_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch 
 /// therefore still a true upper bound on the exact VCP — the property
 /// the ambiguity-window decision relies on.
 pub fn compute_probe_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch {
-    compute_sketch_rounds(
-        proc_,
-        config,
-        config.vectors + config.effective_probe_vectors(),
-    )
+    compute_sketch_rounds(proc_, config, config.vectors + config.probe_vectors)
 }
 
 fn compute_sketch_rounds(proc_: &Proc, config: &PrefilterConfig, vectors: usize) -> SemanticSketch {
@@ -718,12 +741,12 @@ mod tests {
             PrefilterConfig { bands: 8, ..base },
             PrefilterConfig { rows: 3, ..base },
             PrefilterConfig { exact_fallback_margin: 0.5, ..base },
-            PrefilterConfig { ambiguity_window: Some(0.3), ..base },
-            PrefilterConfig { ambiguity_window: None, ..base },
-            PrefilterConfig { probe_vectors: Some(48), ..base },
-            PrefilterConfig { probe_vectors: None, ..base },
-            PrefilterConfig { refine_top_k: Some(5), ..base },
-            PrefilterConfig { refine_top_k: None, ..base },
+            PrefilterConfig { ambiguity_window: 0.3, ..base },
+            PrefilterConfig { ambiguity_window: 0.0, ..base },
+            PrefilterConfig { probe_vectors: 48, ..base },
+            PrefilterConfig { probe_vectors: 0, ..base },
+            PrefilterConfig { refine_top_k: 5, ..base },
+            PrefilterConfig { refine_top_k: 0, ..base },
         ] {
             assert!(seen.insert(cfg.fingerprint()), "collision for {cfg:?}");
         }

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use esh_ivl::{Proc, Sort, VarId};
 use esh_solver::eval::{eval_many, Assignment, CVal};
 use esh_solver::Verdict;
+use esh_strands::stable_hash64;
 use esh_verifier::{InputNamer, VerifierSession};
 use serde::{Deserialize, Serialize};
 
@@ -47,19 +48,12 @@ impl VcpConfig {
     /// only valid under the exact configuration that produced them, so the
     /// cross-query cache and on-disk indexes key on this value.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for field in [
+        stable_hash64([
             self.min_strand_vars as u64,
             self.size_ratio.to_bits(),
             self.max_correspondences as u64,
             self.verified_gammas as u64,
-        ] {
-            for b in field.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        ])
     }
 }
 

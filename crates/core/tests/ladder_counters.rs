@@ -123,7 +123,7 @@ fn default_profile_counters_are_pinned() {
 #[test]
 fn lsh_only_profile_counters_are_pinned() {
     let (prefilter, cache, equiv) = run(&engine(EngineConfig {
-        sketch: Some(PrefilterConfig::lsh_only()),
+        sketch: PrefilterConfig::lsh_only(),
         ..EngineConfig::default()
     }));
     assert_eq!(

@@ -124,7 +124,10 @@ proptest! {
             ..EngineConfig::default()
         };
         let mut with = SimilarityEngine::new(base.clone());
-        let mut without = SimilarityEngine::new(EngineConfig { sketch: None, ..base });
+        let mut without = SimilarityEngine::new(EngineConfig {
+            sketch: PrefilterConfig { enabled: false, ..base.sketch },
+            ..base
+        });
         for (i, t) in targets.iter().enumerate() {
             with.add_target(format!("t{i}"), t);
             without.add_target(format!("t{i}"), t);
@@ -162,7 +165,10 @@ proptest! {
             e
         };
         let off = {
-            let mut e = SimilarityEngine::new(EngineConfig { sketch: None, ..base });
+            let mut e = SimilarityEngine::new(EngineConfig {
+                sketch: PrefilterConfig { enabled: false, ..base.sketch },
+                ..base
+            });
             for (i, t) in targets.iter().enumerate() {
                 e.add_target(format!("t{i}"), t);
             }
@@ -241,7 +247,10 @@ proptest! {
             ..EngineConfig::default()
         };
         let mut on = SimilarityEngine::new(base.clone());
-        let mut off = SimilarityEngine::new(EngineConfig { sketch: None, ..base });
+        let mut off = SimilarityEngine::new(EngineConfig {
+            sketch: PrefilterConfig { enabled: false, ..base.sketch },
+            ..base
+        });
         for (i, t) in targets.iter().enumerate() {
             on.add_target(format!("t{i}"), t);
             off.add_target(format!("t{i}"), t);

@@ -741,8 +741,8 @@ pub fn write_sharded(
     // member classes' sketch digests and LSH band keys. Written only
     // when the sketch tier is on — without sketches every summary would
     // be incomplete and pruning could never trigger.
-    let prune = match &export.config.sketch {
-        Some(sketch_cfg) if sketch_cfg.enabled => {
+    let prune = match export.config.active_sketch() {
+        Some(sketch_cfg) => {
             let summaries: Vec<ShardBandSummary> = specs
                 .iter()
                 .map(|spec| {
@@ -760,7 +760,7 @@ pub fn write_sharded(
             std::fs::write(&path, &bytes).map_err(io_err(&path))?;
             Some((bytes.len() as u64, checksum(&bytes)))
         }
-        _ => None,
+        None => None,
     };
 
     let manifest = Manifest {
@@ -1030,6 +1030,7 @@ pub fn open_sharded_with(
 mod tests {
     use super::*;
     use esh_cc::{Compiler, Vendor, VendorVersion};
+    use esh_core::PrefilterConfig;
     use esh_minic::demo;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1190,6 +1191,63 @@ mod tests {
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rewrites the manifest's config into the form an older writer
+    /// recorded: the retired `"prefilter":true` key, the sketch tier as
+    /// `old_sketch`, and the fingerprint as `fingerprint`.
+    fn record_older_config(dir: &Path, config: &EngineConfig, old_sketch: &str, fingerprint: u64) {
+        let path = dir.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (fp_new, sketch_new) = (
+            format!("\"config_fingerprint\":{}", config.fingerprint()),
+            format!("\"sketch\":{}", serde_json::to_string(&config.sketch).unwrap()),
+        );
+        assert!(text.contains(&fp_new) && text.contains(&sketch_new), "manifest shape changed");
+        let text = text
+            .replace(&fp_new, &format!("\"config_fingerprint\":{fingerprint}"))
+            .replace(&sketch_new, &format!("\"sketch\":{old_sketch}"))
+            .replace("\"prefilter_threshold\":", "\"prefilter\":true,\"prefilter_threshold\":");
+        std::fs::write(&path, text).unwrap();
+    }
+
+    #[test]
+    fn manifests_with_null_knobs_and_null_tier_still_open() {
+        // What an older writer recorded for `lsh_only` (probe knobs as
+        // `null`) and for a config without the tier (`"sketch":null`),
+        // with the fingerprints it recorded for them.
+        let lsh = PrefilterConfig::lsh_only();
+        let lsh_old = serde_json::to_string(&lsh).unwrap().replace(
+            "\"ambiguity_window\":0.0,\"probe_vectors\":0",
+            "\"ambiguity_window\":null,\"probe_vectors\":null",
+        );
+        let off = PrefilterConfig { enabled: false, ..PrefilterConfig::default() };
+        let q = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0))
+            .compile_function(&demo::venom_like());
+        for (sketch, old_sketch, old_fp) in [
+            (lsh, lsh_old.as_str(), 5_186_482_440_749_417_900),
+            (off, "null", 17_071_739_695_097_612_108),
+        ] {
+            let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+            let config = EngineConfig { sketch, threads: 2, ..EngineConfig::default() };
+            let mut engine = SimilarityEngine::new(config);
+            for (name, f) in demo::cve_functions() {
+                engine.add_target(name, &gcc.compile_function(&f));
+            }
+            let dir = temp_dir("older-config");
+            write_sharded(&engine, &dir, 2).unwrap();
+            record_older_config(&dir, engine.config(), old_sketch, old_fp);
+            let lazy = open_sharded(&dir).expect("older config forms open");
+            assert_eq!(lazy.config().fingerprint(), old_fp);
+            assert_eq!(lazy.config().sketch, sketch);
+            let (a, b) = (engine.query(&q), lazy.query(&q));
+            for (x, y) in a.scores.iter().zip(&b.scores) {
+                assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+                assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+                assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{CancelToken, EngineConfig, PrefilterConfig, QueryError, SimilarityEngine};
-use esh_index::{open_sharded, write_sharded};
+use esh_index::{open_sharded, write_sharded, IndexError};
 use esh_minic::demo;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -32,10 +32,10 @@ fn byte_flip_in_unloaded_shard_fails_only_queries_touching_it() {
     // 8-target corpus and would trip over the tampered file.)
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
-        sketch: Some(PrefilterConfig {
-            refine_top_k: None,
+        sketch: PrefilterConfig {
+            refine_top_k: 0,
             ..PrefilterConfig::lsh_only()
-        }),
+        },
         ..EngineConfig::default()
     });
     for (name, f) in &funcs {
@@ -126,10 +126,10 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
     let (victim_name, victim_f) = funcs.last().unwrap();
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
-        sketch: Some(PrefilterConfig {
-            refine_top_k: None,
+        sketch: PrefilterConfig {
+            refine_top_k: 0,
             ..PrefilterConfig::lsh_only()
-        }),
+        },
         ..EngineConfig::default()
     });
     engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
@@ -222,10 +222,10 @@ fn shard_truncated_after_open_fails_only_queries_reading_past_the_cut() {
     let (victim_name, victim_f) = funcs.last().unwrap();
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
-        sketch: Some(PrefilterConfig {
-            refine_top_k: None,
+        sketch: PrefilterConfig {
+            refine_top_k: 0,
             ..PrefilterConfig::lsh_only()
-        }),
+        },
         ..EngineConfig::default()
     });
     engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
@@ -321,5 +321,58 @@ fn repairing_the_shard_restores_service_without_reopening() {
         .expect("repaired shard must load on retry");
     assert_eq!(scores.ranked()[0].name, format!("t-{}", funcs[0].0));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A manifest edited to sketch knobs no query can run with — its
+/// fingerprint recomputed, so the fingerprint check passes — is refused
+/// at open with a typed error. (Unchecked, a zero-row shape with 2^34
+/// bands opened fine and the first query aborted allocating its band
+/// keys.)
+#[test]
+fn hostile_sketch_knobs_are_rejected_at_open() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("knobs");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let path = dir.join("manifest.json");
+    let pristine = std::fs::read_to_string(&path).unwrap();
+    let base = engine.config().sketch;
+    let recorded = serde_json::to_string(&base).unwrap();
+    let recorded_fp = format!("\"config_fingerprint\":{}", engine.config().fingerprint());
+    assert!(pristine.contains(&recorded) && pristine.contains(&recorded_fp));
+    let huge = 1usize << 34;
+    let margin = "\"exact_fallback_margin\":0.7";
+    let infinite = recorded.replace(margin, "\"exact_fallback_margin\":1e999");
+    for (sketch, json, why) in [
+        (PrefilterConfig { bands: huge, rows: 0, ..base }, None, "shape"),
+        (PrefilterConfig { bands: huge, rows: huge, ..base }, None, "shape"),
+        (PrefilterConfig { vectors: usize::MAX, ..base }, None, "shape"),
+        (
+            PrefilterConfig { exact_fallback_margin: f64::INFINITY, ..base },
+            Some(infinite),
+            "finite",
+        ),
+        // Sane knobs, but `core.bin` holds 4 × 4 minhash words per sketch.
+        (PrefilterConfig { bands: 2, ..base }, None, "minhash words"),
+    ] {
+        let json = json.unwrap_or_else(|| serde_json::to_string(&sketch).unwrap());
+        let fp = EngineConfig { sketch, ..engine.config().clone() }.fingerprint();
+        let text = pristine
+            .replace(&recorded, &json)
+            .replace(&recorded_fp, &format!("\"config_fingerprint\":{fp}"));
+        std::fs::write(&path, text).unwrap();
+        match open_sharded(&dir) {
+            Err(IndexError::Format { detail, .. }) => assert!(detail.contains(why), "{detail}"),
+            Ok(_) => panic!("{json} opened"),
+            Err(e) => panic!("{json}: expected a format error, got {e}"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

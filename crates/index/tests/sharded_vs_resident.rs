@@ -232,7 +232,7 @@ fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
     let (corpus, queries) = corpus_and_queries();
     let mut built = SimilarityEngine::new(EngineConfig {
         threads: 2,
-        sketch: Some(PrefilterConfig::lsh_only()),
+        sketch: PrefilterConfig::lsh_only(),
         ..EngineConfig::default()
     });
     for (name, p) in &corpus {

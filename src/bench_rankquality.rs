@@ -78,14 +78,8 @@ struct ModeRun {
 }
 
 fn run_mode(corpus: &Corpus, queries: &[usize], sketch: bool) -> ModeRun {
-    let config = if sketch {
-        EngineConfig::default()
-    } else {
-        EngineConfig {
-            sketch: None,
-            ..EngineConfig::default()
-        }
-    };
+    let mut config = EngineConfig::default();
+    config.sketch.enabled = sketch;
     let mut engine = SimilarityEngine::new(config);
     for p in &corpus.procs {
         engine.add_target(p.display(), &p.proc_);

@@ -104,7 +104,7 @@ fn scratch_dir() -> std::path::PathBuf {
 /// sketch-band sidecar can prove whole shards irrelevant before fan-out.
 fn scale_engine() -> SimilarityEngine {
     SimilarityEngine::new(EngineConfig {
-        sketch: Some(PrefilterConfig::lsh_only()),
+        sketch: PrefilterConfig::lsh_only(),
         ..EngineConfig::default()
     })
 }
