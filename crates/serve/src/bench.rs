@@ -11,8 +11,11 @@
 //!    (`batch_max = 1`) and once batched, on identically warmed servers.
 //!    Every batched response must stay byte-identical to the offline
 //!    baseline, no run may compute a probe sketch after its warm-up
-//!    (the hot path stays free of concrete evaluation), and in full mode
-//!    the batched 16× run must deliver ≥ 2× the unbatched throughput.
+//!    (the hot path stays free of concrete evaluation), every batched
+//!    run must coalesce at least one request (the daemon holds no
+//!    timed window, so coalescing rests on queueing alone), and in full
+//!    mode the batched 16× run must deliver ≥ 2× the unbatched
+//!    throughput.
 //! 3. **Admission control** — a burst against a one-worker,
 //!    one-slot-queue server must produce typed `Overloaded` rejections,
 //!    never hangs or silent drops.
@@ -118,7 +121,6 @@ struct Sustained {
     label: &'static str,
     clients: usize,
     batch_max: usize,
-    batch_window_ms: u64,
     requests: usize,
     throughput_rps: f64,
     latency: [f64; 3],
@@ -132,8 +134,8 @@ impl Sustained {
     fn json(&self) -> String {
         format!(
             "{{ \"phase\": \"{label}\", \"clients\": {clients}, \
-             \"batch_max\": {bmax}, \"batch_window_ms\": {bwin}, \
-             \"requests\": {req}, \"identical_to_offline\": true, \
+             \"batch_max\": {bmax}, \"requests\": {req}, \
+             \"identical_to_offline\": true, \
              \"throughput_rps\": {rps:.1}, \"p50_ms\": {p50:.3}, \
              \"p99_ms\": {p99:.3}, \"max_ms\": {max:.3}, \
              \"batches\": {batches}, \"avg_batch_occupancy\": {avg:.2}, \
@@ -142,7 +144,6 @@ impl Sustained {
             label = self.label,
             clients = self.clients,
             bmax = self.batch_max,
-            bwin = self.batch_window_ms,
             req = self.requests,
             rps = self.throughput_rps,
             p50 = self.latency[0],
@@ -173,7 +174,6 @@ fn sustained_phase(
     clients: usize,
     reps: usize,
     batch_max: usize,
-    batch_window_ms: u64,
 ) -> Result<Sustained, String> {
     let request_for = |qi: usize| QueryRequest {
         query: queries[qi].clone(),
@@ -191,7 +191,6 @@ fn sustained_phase(
             workers: clients,
             queue_capacity: clients.max(8),
             batch_max,
-            batch_window_ms,
             ..ServeConfig::default()
         },
     )
@@ -300,7 +299,6 @@ fn sustained_phase(
         label,
         clients,
         batch_max,
-        batch_window_ms,
         requests,
         throughput_rps: requests as f64 / elapsed.as_secs_f64().max(1e-9),
         latency: quantiles(&format!("sustained {label}"), samples)?,
@@ -447,11 +445,11 @@ pub fn run(smoke: bool) -> Result<(), String> {
     );
 
     // Phase 2: sustained pipelined load, unbatched vs batched. Each run
-    // is a fresh warmed server; the batched 16× run carries the ≥2×
-    // throughput gate (full mode only — smoke keeps the byte-identity
-    // gate but is too short for stable throughput ratios).
+    // is a fresh warmed server; every batched run must coalesce, and the
+    // batched 16× run carries the ≥2× throughput gate (full mode only —
+    // smoke keeps the byte-identity and coalescing gates but is too
+    // short for stable throughput ratios).
     let batched_max = 16;
-    let batched_window_ms = 3;
     let sustained_runs: &[(&'static str, usize, usize)] = if smoke {
         &[("16x", 16, 1)]
     } else {
@@ -465,7 +463,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
              unbatched then batched)..."
         );
         let unbatched = sustained_phase(
-            &corpus, &queries, &baselines, top_n, label, sustained_clients, reps, 1, 0,
+            &corpus, &queries, &baselines, top_n, label, sustained_clients, reps, 1,
         )?;
         let batched = sustained_phase(
             &corpus,
@@ -476,7 +474,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
             sustained_clients,
             reps,
             batched_max,
-            batched_window_ms,
         )?;
         let speedup = batched.throughput_rps / unbatched.throughput_rps.max(1e-9);
         eprintln!(
@@ -485,6 +482,12 @@ pub fn run(smoke: bool) -> Result<(), String> {
             unbatched.throughput_rps, batched.throughput_rps, batched.avg_occupancy,
             batched.coalesced
         );
+        if batched.coalesced == 0 {
+            return Err(format!(
+                "sustained {label} batched run coalesced no request ({} batches)",
+                batched.batches
+            ));
+        }
         if label == "16x" {
             speedup_16x = speedup;
         }

@@ -15,9 +15,11 @@
 //! connections — any number of requests per socket, responses in
 //! request order ([`protocol`]) — with a minimal HTTP/1.1 shim on the
 //! same port for `GET /healthz` and `GET /metrics` ([`server`]).
-//! Between admission and the engine sits a coalescing tier that collects
-//! concurrent requests for a bounded window and scores each batch in one
-//! shared `query_batch` pass. Load, latency and batch occupancy are
+//! Between admission and the engine sit the batch executors, one per
+//! core: an idle executor takes every request already queued (up to a
+//! cap) and scores them in one shared `query_batch` pass at once, so
+//! requests coalesce only when they queued behind busy executors — no
+//! timed window. Load, latency and batch occupancy are
 //! observable via [`metrics`]; `esh bench-serve` ([`mod@bench`]) drives a
 //! loopback load test whose acceptance property is that concurrent —
 //! and batched — responses are *byte-identical* to offline `esh query`

@@ -1,8 +1,9 @@
 //! The daemon: accept loop, bounded admission, pipelined connection
-//! readers, a batch-coalescing tier and graceful drain.
+//! readers, batch executors and graceful drain.
 //!
 //! Thread shape: one acceptor, `workers` connection readers, and one
-//! batch executor, all sharing one read-only [`SimilarityEngine`]. The
+//! batch executor per core ([`std::thread::available_parallelism`]), all
+//! sharing one read-only [`SimilarityEngine`]. The
 //! acceptor admits connections into a bounded queue (capacity
 //! [`ServeConfig::queue_capacity`]) and rejects the overflow
 //! *immediately* with a typed [`Outcome::Overloaded`] response —
@@ -12,14 +13,17 @@
 //! and the reader keeps parsing while earlier requests are still being
 //! scored. Responses come back in request order per connection — a
 //! per-connection sequence number and reorder buffer (`ConnWriter`)
-//! guarantee it — so one-shot clients (one request, one response, close)
+//! guarantee it, also when two executors finish a connection's requests
+//! out of order — so one-shot clients (one request, one response, close)
 //! keep working unchanged.
 //!
 //! Between the readers and the engine sits the batching tier: parsed
-//! queries land in a pending queue, and the executor coalesces them for
-//! a bounded window ([`ServeConfig::batch_window_ms`], at most
-//! [`ServeConfig::batch_max`] requests) before submitting one
-//! [`SimilarityEngine::query_batch`] call. Requests naming the same
+//! queries land in a pending queue, and an idle executor takes the
+//! oldest one plus whatever is already queued behind it (at most
+//! [`ServeConfig::batch_max`] requests) and submits one
+//! [`SimilarityEngine::query_batch`] call at once, without waiting for
+//! more. Coalescing therefore comes only from work that queued while
+//! every executor was busy. Requests naming the same
 //! corpus procedure collapse into a single engine item (their responses
 //! are built from the one shared score set, which batching keeps
 //! byte-identical to a sequential query), and distinct queries share the
@@ -40,7 +44,7 @@
 //! wakes every thread, and self-connects once to unblock `accept`; the
 //! acceptor stops admitting, readers finish every connection already
 //! admitted (requests received before the idle timeout are still
-//! answered), the executor drains the pending queue, and
+//! answered), the executors drain the pending queue, and
 //! [`Server::join`] returns the final counters.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -88,10 +92,6 @@ pub struct ServeConfig {
     /// Most requests one engine batch may carry. `1` disables
     /// coalescing entirely (every request is its own engine pass).
     pub batch_max: usize,
-    /// How long the executor holds an open batch waiting for more
-    /// requests, in milliseconds, measured from the batch's first
-    /// member. `0` batches only what is already queued.
-    pub batch_window_ms: u64,
     /// Memory budget for lazily loaded index shards, in mebibytes.
     /// `None` (the default) never evicts; `Some(mb)` bounds resident
     /// shard payload bytes, evicting least-recently-used shards under
@@ -110,7 +110,6 @@ impl Default for ServeConfig {
             default_top_n: 10,
             read_timeout_ms: 2_000,
             batch_max: 8,
-            batch_window_ms: 2,
             shard_budget_mb: None,
         }
     }
@@ -200,7 +199,7 @@ impl ConnWriter {
     }
 }
 
-/// One parsed query waiting for the batch executor.
+/// One parsed query waiting for a batch executor.
 struct Pending {
     conn: Arc<ConnWriter>,
     seq: u64,
@@ -212,18 +211,21 @@ struct Pending {
     budget_ms: u64,
 }
 
-/// State shared by the acceptor, readers, executor and the [`Server`]
+/// State shared by the acceptor, readers, executors and the [`Server`]
 /// handle.
 struct Shared {
     engine: SimilarityEngine,
     corpus: Corpus,
+    /// Every corpus procedure's display name, formatted once: requests
+    /// resolve against these, and responses echo them.
+    names: Vec<String>,
     config: ServeConfig,
     stats: ServerStats,
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     pending: Mutex<VecDeque<Pending>>,
     pending_ready: Condvar,
-    /// Connections currently owned by a reader — the executor must not
+    /// Connections currently owned by a reader — the executors must not
     /// exit while one of these could still submit work.
     active_conns: AtomicUsize,
     shutdown: AtomicBool,
@@ -235,7 +237,12 @@ impl Shared {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return; // already draining
         }
+        // Notify under each queue's lock: a thread that checked the flag
+        // before the swap still holds that lock until its wait begins, so
+        // the wake-up cannot slip in between and leave it waiting forever.
+        drop(self.queue.lock().expect("queue poisoned"));
         self.ready.notify_all();
+        drop(self.pending.lock().expect("pending poisoned"));
         self.pending_ready.notify_all();
         // Unblock the acceptor's `accept()`; it re-checks the flag before
         // admitting, so this dummy connection is dropped on the floor.
@@ -257,7 +264,7 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     readers: Vec<JoinHandle<()>>,
-    executor: JoinHandle<()>,
+    executors: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -283,9 +290,12 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let readers = config.workers.max(1);
+        let executors = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let names = corpus.procs.iter().map(|p| p.display()).collect();
         let shared = Arc::new(Shared {
             engine,
             corpus,
+            names,
             config,
             stats: ServerStats::new(),
             queue: Mutex::new(VecDeque::new()),
@@ -307,22 +317,29 @@ impl Server {
                 std::thread::spawn(move || reader_loop(&shared))
             })
             .collect();
-        let executor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || executor_loop(&shared))
-        };
+        let executors = (0..executors)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || executor_loop(&shared))
+            })
+            .collect();
 
         Ok(Server {
             shared,
             acceptor,
             readers,
-            executor,
+            executors,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.addr
+    }
+
+    /// Batch executor threads: one per core.
+    pub fn executors(&self) -> usize {
+        self.executors.len()
     }
 
     /// Point-in-time server counters.
@@ -349,7 +366,9 @@ impl Server {
         for r in self.readers {
             r.join().expect("reader thread panicked");
         }
-        self.executor.join().expect("executor thread panicked");
+        for e in self.executors {
+            e.join().expect("executor thread panicked");
+        }
         self.shared.stats.snapshot()
     }
 
@@ -388,7 +407,7 @@ fn reader_loop(shared: &Shared) {
             let mut queue = shared.queue.lock().expect("queue poisoned");
             loop {
                 if let Some(job) = queue.pop_front() {
-                    // Claimed under the queue lock, so the executor's exit
+                    // Claimed under the queue lock, so an executor's exit
                     // check (queue empty AND no active connections) can
                     // never miss a connection in hand-off.
                     shared.active_conns.fetch_add(1, Ordering::SeqCst);
@@ -403,7 +422,7 @@ fn reader_loop(shared: &Shared) {
         };
         serve_connection(shared, job);
         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-        shared.pending_ready.notify_all(); // let the executor re-check exit
+        shared.pending_ready.notify_all(); // let the executors re-check exit
     }
 }
 
@@ -496,10 +515,9 @@ fn process_request(
         return false;
     }
     let Some(qi) = shared
-        .corpus
-        .procs
+        .names
         .iter()
-        .position(|p| p.display().contains(&request.query))
+        .position(|name| name.contains(&request.query))
     else {
         let response = QueryResponse::status(
             Outcome::NotFound,
@@ -532,7 +550,7 @@ fn process_request(
         budget_ms,
     });
     drop(pending);
-    shared.pending_ready.notify_all();
+    shared.pending_ready.notify_one();
     true
 }
 
@@ -552,21 +570,18 @@ fn respond_now(
     conn.deliver(seq, encode_line(&response));
 }
 
-/// The batching tier: pops the oldest pending request, holds the batch
-/// open for `batch_window_ms` (or until `batch_max`), then executes one
-/// shared engine pass. Exits only when the daemon is draining and no
-/// reader could still submit work.
+/// The batching tier, one loop per core: an idle executor takes the
+/// next batch off the pending queue ([`take_batch`]) and executes it at
+/// once. Exits only when the daemon is draining and no reader could
+/// still submit work.
 fn executor_loop(shared: &Shared) {
-    let window = Duration::from_millis(shared.config.batch_window_ms);
-    let batch_max = shared.config.batch_max.max(1);
+    let batch_max = shared.config.batch_max;
     loop {
-        let mut batch: Vec<Pending> = Vec::new();
-        {
+        let batch = {
             let mut pending = shared.pending.lock().expect("pending poisoned");
             loop {
-                if let Some(p) = pending.pop_front() {
-                    batch.push(p);
-                    break;
+                if !pending.is_empty() {
+                    break take_batch(&mut pending, batch_max);
                 }
                 if shared.shutdown.load(Ordering::SeqCst)
                     && shared.active_conns.load(Ordering::SeqCst) == 0
@@ -580,35 +595,32 @@ fn executor_loop(shared: &Shared) {
                     .expect("pending poisoned");
                 pending = guard;
             }
-            let opened = Instant::now();
-            while batch.len() < batch_max {
-                while batch.len() < batch_max {
-                    match pending.pop_front() {
-                        Some(p) => batch.push(p),
-                        None => break,
-                    }
-                }
-                if batch.len() >= batch_max {
-                    break;
-                }
-                let Some(remaining) = window.checked_sub(opened.elapsed()) else {
-                    break;
-                };
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, _) = shared
-                    .pending_ready
-                    .wait_timeout(pending, remaining)
-                    .expect("pending poisoned");
-                pending = guard;
-                if pending.is_empty() && opened.elapsed() >= window {
-                    break;
-                }
-            }
-        }
+        };
         execute_batch(shared, batch);
     }
+}
+
+/// Assembles one batch: the oldest pending request plus every request
+/// already queued behind it, up to `batch_max` (at least one). Never
+/// waits for more — coalescing comes only from work that queued while
+/// every executor was busy.
+fn take_batch<T>(pending: &mut VecDeque<T>, batch_max: usize) -> Vec<T> {
+    let n = pending.len().min(batch_max.max(1));
+    pending.drain(..n).collect()
+}
+
+/// Collapses batch members naming the same corpus procedure (`qi`) into
+/// one group, groups in first-seen order, members in queue order.
+fn group_by_proc<T>(members: Vec<T>, qi: impl Fn(&T) -> usize) -> Vec<(usize, Vec<T>)> {
+    let mut groups: Vec<(usize, Vec<T>)> = Vec::new();
+    for m in members {
+        let key = qi(&m);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(m),
+            None => groups.push((key, vec![m])),
+        }
+    }
+    groups
 }
 
 /// Runs one coalesced batch: expires dead requests, collapses members
@@ -632,17 +644,10 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     if live.is_empty() {
         return;
     }
-    // Group by corpus index, preserving first-seen order. The group's
-    // cancel deadline is its latest member's, so an impatient rider never
-    // cancels work a batch-mate still wants.
-    let mut groups: Vec<(usize, Vec<Pending>)> = Vec::new();
-    for p in live {
-        match groups.iter_mut().find(|(qi, _)| *qi == p.qi) {
-            Some((_, members)) => members.push(p),
-            None => groups.push((p.qi, vec![p])),
-        }
-    }
-    let size = groups.iter().map(|(_, m)| m.len()).sum::<usize>();
+    // The group's cancel deadline is its latest member's, so an impatient
+    // rider never cancels work a batch-mate still wants.
+    let size = live.len();
+    let groups = group_by_proc(live, |p| p.qi);
     shared.stats.record_batch(size, groups.len());
     let items: Vec<BatchQuery> = groups
         .iter()
@@ -666,7 +671,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                     let response = QueryResponse {
                         outcome: Outcome::Ok,
                         error: None,
-                        query: Some(shared.corpus.procs[qi].display()),
+                        query: Some(shared.names[qi].clone()),
                         matches: ranked_matches(&scores, Some(TargetId(qi)), p.top_n),
                         queue_ms: 0,
                         latency_ms: 0,
@@ -760,4 +765,49 @@ fn reject(shared: &Shared, mut stream: TcpStream, outcome: Outcome, detail: &str
         let _ = stream.write_all(encode_line(&response).as_bytes());
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn take_batch_takes_the_head_and_what_is_queued_up_to_the_cap() {
+        let mut pending: VecDeque<u32> = (0..5).collect();
+        assert_eq!(take_batch(&mut pending, 3), [0, 1, 2]);
+        assert_eq!(take_batch(&mut pending, 3), [3, 4], "never waits to fill the cap");
+        assert!(take_batch(&mut pending, 3).is_empty());
+        // A cap of 0 still makes progress; a cap of 1 never coalesces.
+        let mut pending: VecDeque<u32> = (0..2).collect();
+        assert_eq!(take_batch(&mut pending, 0), [0]);
+        assert_eq!(take_batch(&mut pending, 1), [1]);
+    }
+
+    #[test]
+    fn queued_duplicate_names_share_one_engine_item() {
+        // A pipeline naming each of four corpus procedures twice, all
+        // queued before an executor goes idle: one batch, four engine
+        // items, four coalesced requests.
+        let mut pending: VecDeque<(u64, usize)> = [0, 1, 2, 3, 0, 1, 2, 3]
+            .into_iter()
+            .enumerate()
+            .map(|(seq, qi)| (seq as u64, qi))
+            .collect();
+        let batch = take_batch(&mut pending, 8);
+        assert!(pending.is_empty());
+        let size = batch.len();
+        let groups = group_by_proc(batch, |&(_, qi)| qi);
+        let keys: Vec<usize> = groups.iter().map(|(qi, _)| *qi).collect();
+        assert_eq!(keys, [0, 1, 2, 3], "groups keep first-seen order");
+        for (qi, members) in &groups {
+            let seqs: Vec<u64> = members.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(seqs, [*qi as u64, *qi as u64 + 4], "members keep queue order");
+        }
+        let stats = ServerStats::new();
+        stats.record_batch(size, groups.len());
+        let s = stats.snapshot();
+        assert_eq!(s.batches, 1);
+        assert_eq!(s.coalesced_queries, 4);
+        assert_eq!(s.batch_occupancy_hwm, 8);
+    }
 }

@@ -234,33 +234,11 @@ fn shutdown_drains_admitted_requests() {
     assert_eq!(stats.ok, 2);
 }
 
-/// Starts a server whose coalescing window is wide enough that requests
-/// pipelined back-to-back land in one engine batch.
-fn start_batching(workers: usize, batch_max: usize, batch_window_ms: u64) -> (Server, String) {
-    let corpus = tiny_corpus();
-    let server = Server::start(
-        engine_over(&corpus),
-        corpus,
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            workers,
-            queue_capacity: 8,
-            read_timeout_ms: 2_000,
-            batch_max,
-            batch_window_ms,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr().to_string();
-    (server, addr)
-}
-
-#[test]
-fn pipelined_requests_answer_in_order_and_match_offline() {
-    let corpus = tiny_corpus();
-    let offline = engine_over(&corpus);
-    let expected: Vec<_> = (0..corpus.procs.len())
+/// Every corpus procedure's offline top-10, the reference served
+/// responses must match bit for bit.
+fn offline_top10(corpus: &Corpus) -> Vec<Vec<esh_serve::protocol::RankedMatch>> {
+    let offline = engine_over(corpus);
+    (0..corpus.procs.len())
         .map(|qi| {
             ranked_matches(
                 &offline.query(&corpus.procs[qi].proc_),
@@ -268,20 +246,18 @@ fn pipelined_requests_answer_in_order_and_match_offline() {
                 10,
             )
         })
-        .collect();
+        .collect()
+}
 
-    let (server, addr) = start_batching(1, 8, 50);
-    let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
-    // Write the whole pipeline before reading anything: every corpus
-    // procedure twice, plus an unknown name in the middle. The window is
-    // wide, so these coalesce into shared batches — and must still come
-    // back in request order.
-    let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
-    for name in names.iter().chain(names.iter()) {
-        client.send(&QueryRequest::new(name)).unwrap();
-    }
-    client.send(&QueryRequest::new("no-such-proc")).unwrap();
-    for (k, qi) in (0..names.len()).chain(0..names.len()).enumerate() {
+/// Receives one response per name in `order` and checks each arrives in
+/// request order, bit-identical to the offline ranking.
+fn expect_in_order(
+    client: &mut PipelinedClient,
+    names: &[String],
+    expected: &[Vec<esh_serve::protocol::RankedMatch>],
+    order: impl Iterator<Item = usize>,
+) {
+    for (k, qi) in order.enumerate() {
         let resp = client.recv().unwrap();
         assert_eq!(resp.outcome, Outcome::Ok, "response {k}");
         assert_eq!(resp.query.as_deref(), Some(names[qi].as_str()), "order {k}");
@@ -293,27 +269,70 @@ fn pipelined_requests_answer_in_order_and_match_offline() {
             assert_eq!(got.s_vcp.to_bits(), want.s_vcp.to_bits(), "response {k}");
         }
     }
+}
+
+#[test]
+fn pipelined_requests_answer_in_order_and_match_offline() {
+    let corpus = tiny_corpus();
+    let expected = offline_top10(&corpus);
+    let (server, addr) = start(1, 8, 2_000);
+    let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
+    // Write the whole pipeline before reading anything: every corpus
+    // procedure twice, plus an unknown name in the middle. However the
+    // executors split these into batches, they must come back in request
+    // order. (That queued duplicates share one engine item is pinned by
+    // the server's `queued_duplicate_names_share_one_engine_item`.)
+    let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
+    for name in names.iter().chain(names.iter()) {
+        client.send(&QueryRequest::new(name)).unwrap();
+    }
+    client.send(&QueryRequest::new("no-such-proc")).unwrap();
+    expect_in_order(&mut client, &names, &expected, (0..names.len()).chain(0..names.len()));
     let resp = client.recv().unwrap();
     assert_eq!(resp.outcome, Outcome::NotFound);
     drop(client);
     let stats = server.shutdown();
     assert_eq!(stats.ok, 8);
     assert_eq!(stats.not_found, 1);
-    assert!(stats.batches >= 1, "the coalescing tier never ran");
-    assert!(
-        stats.coalesced_queries >= 1,
-        "duplicate queries in one window should share an engine pass \
-         (occupancy high-water {})",
-        stats.batch_occupancy_hwm
-    );
+    assert!(stats.batches >= 1, "the batching tier never ran");
+}
+
+#[test]
+fn concurrent_pipelines_complete_out_of_order_and_answer_in_order() {
+    // Four pipelined connections, each naming every corpus procedure
+    // twice, against a daemon with one executor per core: batches from
+    // different connections run concurrently, so a connection's later
+    // requests can finish before its earlier ones. The reorder buffer
+    // must still answer each socket in request order, bit-identical to
+    // the offline ranking.
+    let corpus = tiny_corpus();
+    let expected = offline_top10(&corpus);
+    let (server, addr) = start(4, 8, 2_000);
+    let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
+    let order = || (0..names.len()).chain(0..names.len());
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
+                for qi in order() {
+                    client.send(&QueryRequest::new(&names[qi])).unwrap();
+                }
+                expect_in_order(&mut client, &names, &expected, order());
+            });
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.ok, 4 * 2 * names.len() as u64);
+    assert_eq!(stats.batched_queries, stats.ok);
 }
 
 #[test]
 fn deadline_expiry_interleaves_with_live_pipelined_requests() {
-    // A wide window forces all three requests into one batch: the
-    // zero-budget member must expire at batch assembly while its
-    // batch-mates complete, and order on the wire is preserved.
-    let (server, addr) = start_batching(1, 8, 100);
+    // A zero budget has expired by the time any executor takes the
+    // request, whichever batch it lands in: the zero-budget member must
+    // expire at batch assembly while the requests around it complete,
+    // and order on the wire is preserved.
+    let (server, addr) = start(1, 8, 2_000);
     let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     client.send(&QueryRequest::new("ftp_syst")).unwrap();
     client
@@ -343,9 +362,10 @@ fn deadline_expiry_interleaves_with_live_pipelined_requests() {
 fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
     // A 3ms budget expires either at batch assembly or mid-scoring
     // (cooperative cancellation between VCP tiles) — both are legal, but
-    // the server must answer it *and* its unconstrained batch-mate, and
-    // a follow-up request on the same socket must still work.
-    let (server, addr) = start_batching(1, 8, 60);
+    // the server must answer it *and* the unconstrained request behind
+    // it (a batch-mate or not), and a follow-up request on the same
+    // socket must still work.
+    let (server, addr) = start(1, 8, 2_000);
     let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     client
         .send(&QueryRequest {
@@ -371,16 +391,21 @@ fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
 
 #[test]
 fn shutdown_drains_a_batch_in_flight() {
-    // Requests pipelined into a still-open coalescing window, then an
-    // immediate drain: every admitted request must be answered before
-    // join returns, and the responses stay in order.
-    let (server, addr) = start_batching(2, 8, 150);
+    // Requests pipelined on connections a reader already owns, then an
+    // immediate drain while they are queued or being scored: every
+    // admitted request must be answered before join returns, and the
+    // responses stay in order.
+    let (server, addr) = start(2, 8, 2_000);
     let mut a = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     let mut b = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
+    // One unscored round trip each proves a reader owns the connection.
+    for c in [&mut a, &mut b] {
+        let resp = c.query(&QueryRequest::new("no-such-proc")).unwrap();
+        assert_eq!(resp.outcome, Outcome::NotFound);
+    }
     a.send(&QueryRequest::new("ftp_syst")).unwrap();
     a.send(&QueryRequest::new("saturating_sum [icc")).unwrap();
     b.send(&QueryRequest::new("saturating_sum [clang")).unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // inside the window
     server.request_shutdown();
     for resp in [a.recv().unwrap(), a.recv().unwrap(), b.recv().unwrap()] {
         assert_eq!(resp.outcome, Outcome::Ok, "in-flight batch was dropped");
@@ -389,6 +414,7 @@ fn shutdown_drains_a_batch_in_flight() {
     drop(b);
     let stats = server.join();
     assert_eq!(stats.ok, 3);
+    assert_eq!(stats.not_found, 2);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
 //! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
 //!           [--queue N] [--deadline-ms N] [--threads N]
-//!           [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]
+//!           [--batch-max N] [--shard-budget-mb N]
 //! esh bench-serve [--smoke]
 //! esh bench-rankquality [--smoke]
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
@@ -29,8 +29,8 @@
 //! `serve` turns the same engine into a long-running daemon: index
 //! opened once, queries answered concurrently over pipelined
 //! newline-delimited JSON with bounded admission, per-request deadlines,
-//! batch coalescing (`--batch-max` / `--batch-window-ms`) and
-//! `/metrics`.
+//! one batch executor per core coalescing whatever queued while every
+//! executor was busy (up to `--batch-max`), and `/metrics`.
 //! `query --remote` is the matching client; `--json` prints the shared
 //! machine-readable response schema from either path. `bench-serve`
 //! load-tests the daemon over loopback and writes `BENCH_serve.json`;
@@ -68,7 +68,7 @@ fn usage() -> ExitCode {
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
          esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
          \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
-         \x20         [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]\n  \
+         \x20         [--batch-max N] [--shard-budget-mb N]\n  \
          esh bench-serve [--smoke]\n  \
          esh bench-rankquality [--smoke]\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
@@ -460,11 +460,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--batch-max: {e}"))?
             }
-            "--batch-window-ms" => {
-                config.batch_window_ms = value("--batch-window-ms")?
-                    .parse()
-                    .map_err(|e| format!("--batch-window-ms: {e}"))?
-            }
             "--deadline-ms" => {
                 config.default_deadline_ms = value("--deadline-ms")?
                     .parse()
@@ -480,7 +475,9 @@ fn serve(args: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("--shard-budget-mb: {e}"))?,
                 )
             }
-            path if corpus_path.is_none() => corpus_path = Some(path.to_string()),
+            path if corpus_path.is_none() && !path.starts_with("--") => {
+                corpus_path = Some(path.to_string())
+            }
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
@@ -498,8 +495,9 @@ fn serve(args: &[String]) -> Result<(), String> {
             corpus.procs.len(),
         ));
     }
-    // Under a worker pool, per-query parallelism multiplies: keep each
-    // query narrow by default and let concurrency come from requests.
+    // Batches already run on one executor per core, so per-query
+    // parallelism multiplies: keep each query narrow by default and let
+    // concurrency come from requests.
     engine.set_threads(threads);
 
     let server = esh::serve::Server::start(engine, corpus, config.clone())
@@ -507,12 +505,12 @@ fn serve(args: &[String]) -> Result<(), String> {
     let addr = server.local_addr();
     eprintln!(
         "esh serve: listening on {addr} ({} workers, queue {}, default deadline {}ms, \
-         batch {}x{}ms)",
+         {} executors, batch max {})",
         config.workers,
         config.queue_capacity,
         config.default_deadline_ms,
-        config.batch_max,
-        config.batch_window_ms
+        server.executors(),
+        config.batch_max
     );
     eprintln!("esh serve: GET /healthz and /metrics on the same port");
     eprintln!("esh serve: send {{\"query\":\"@shutdown\"}} to drain and exit");
