@@ -28,9 +28,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 use crate::prefilter::{
-    bounds_decision, calibrated_margin, compute_probe_sketch, compute_sketch, MarginCalibration,
-    MarginSample, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
-    SketchDecision, SketchIndex,
+    bounds_decision, compute_probe_sketch, compute_sketch, PrefilterConfig, PrefilterStats,
+    PrefilterStatsSnapshot, SemanticSketch, SketchDecision, SketchIndex,
 };
 use crate::shard::{
     ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary, ShardError,
@@ -461,8 +460,8 @@ pub struct SimilarityEngine {
 }
 
 /// Engine-lifetime decision counters: the sum of the [`EquivStats`]
-/// deltas of every worker session, added once per tile run, refine pass
-/// or calibration rather than once per pair.
+/// deltas of every worker session, added once per tile run or refine
+/// pass rather than once per pair.
 #[derive(Debug, Default)]
 struct SolverCounters(Mutex<EquivStats>);
 
@@ -551,10 +550,10 @@ impl SimilarityEngine {
     /// (again, if evicted) on demand when the engine is lazily backed.
     ///
     /// Panics when the backing shard is corrupted — cold paths (corpus
-    /// export, sketch builds, calibration) have no error channel. The
-    /// query hot path runs the fallible [`Self::ensure_class_shard`]
-    /// before any cell touches the shard, so corruption surfaces there as
-    /// a typed [`QueryError`] first.
+    /// export, sketch builds) have no error channel. The query hot path
+    /// runs the fallible [`Self::ensure_class_shard`] before any cell
+    /// touches the shard, so corruption surfaces there as a typed
+    /// [`QueryError`] first.
     fn class_proc(&self, ci: usize) -> ClassProcRef<'_> {
         match &self.shards {
             Some(lazy) if ci < lazy.class_limit() => ClassProcRef::Shared(
@@ -1746,94 +1745,6 @@ impl SimilarityEngine {
         outcome
     }
 
-    /// Calibrates [`PrefilterConfig::exact_fallback_margin`] from a
-    /// held-out sample of this corpus and installs the chosen margin.
-    ///
-    /// Samples up to `sample_pairs` deterministic pseudo-random distinct
-    /// class pairs that survive the size and legacy-signature filters,
-    /// prices each pair's sketch containment bound **and** exact VCP, and
-    /// picks the largest grid margin whose would-pruned samples all have
-    /// exact VCP at most `max_pruned_vcp` (see
-    /// [`calibrated_margin`](crate::prefilter::calibrated_margin)).
-    ///
-    /// Returns `None` when the sketch tier is off, the corpus has fewer
-    /// than two classes, or no sampled pair survives the filters. Exact
-    /// results are memoized in the [`VcpCache`], so calibration work is
-    /// shared with later queries. Note the installed margin changes the
-    /// config fingerprint — calibrate before writing an index, not after
-    /// opening one.
-    pub fn calibrate_margin(
-        &mut self,
-        sample_pairs: usize,
-        max_pruned_vcp: f64,
-    ) -> Option<MarginCalibration> {
-        let index = self.ensure_sketch_index()?;
-        let n = self.classes.len();
-        if n < 2 || sample_pairs == 0 {
-            return None;
-        }
-        let vcp_fp = self.config.vcp.fingerprint();
-        let mut session = self.checkout_session();
-        let stats0 = session.stats();
-        let mut samples = Vec::with_capacity(sample_pairs);
-        let mut seen = std::collections::HashSet::new();
-        // Deterministic pseudo-random pair stream: the sample (and hence
-        // the calibrated margin) is a pure function of the corpus.
-        for draw in 0..(sample_pairs as u64).saturating_mul(64) {
-            if samples.len() >= sample_pairs {
-                break;
-            }
-            let a = (stable_hash64([0x6361_6c69_u64, draw]) % n as u64) as usize;
-            let b = (stable_hash64([0x6d61_7267_u64, draw]) % n as u64) as usize;
-            if a == b {
-                continue;
-            }
-            let (a, b) = (a.min(b), a.max(b));
-            if !seen.insert((a, b)) {
-                continue;
-            }
-            let (qa, qb) = (&self.classes[a], &self.classes[b]);
-            if !self.passes_cheap_filters(qa.vars, &qa.signature, qb) {
-                continue;
-            }
-            let (sa, sb) = (index.sketch(a), index.sketch(b));
-            let bound = sa.containment_in(sb).max(sb.containment_in(sa));
-            // Exact pricing only where it can matter: a sample whose
-            // *bound* already clears the safety cap has exact VCP ≤ bound
-            // ≤ cap and can never veto a margin, so recording the bound
-            // as its (upper-bounded) exact value leaves the calibration
-            // decision unchanged and skips the solver entirely. Only
-            // samples in the risky band above the cap pay for a
-            // verification.
-            let exact = if bound <= max_pruned_vcp {
-                bound
-            } else {
-                // Load-before-lookup (see `ensure_class_shard`): the
-                // segment owning `qb.hash`'s entry must be resident
-                // before the counted `get`. Calibration is a cold offline
-                // path with no error channel, so corruption panics here.
-                self.ensure_class_shard(b).unwrap_or_else(|e| panic!("{e}"));
-                let key = (qa.hash, qb.hash, vcp_fp);
-                let v = match self.cache.get(&key) {
-                    Some(v) => v,
-                    None => self
-                        .verify_cell(&mut session, &self.class_proc(a), b, key)
-                        .unwrap_or_else(|e| panic!("{e}")),
-                };
-                v.q_in_t.max(v.t_in_q)
-            };
-            samples.push(MarginSample { bound, exact });
-        }
-        self.solver.add(&session.stats().delta_since(&stats0));
-        self.return_session(session);
-        if samples.is_empty() {
-            return None;
-        }
-        let cal = calibrated_margin(&samples, max_pruned_vcp);
-        self.config.sketch.exact_fallback_margin = cal.margin;
-        Some(cal)
-    }
-
     /// Overrides the worker-thread count for subsequent queries. Threads
     /// only change scheduling, never scores (the VCP matrix is a pure
     /// function per cell), so this is safe to adjust after opening an
@@ -2161,37 +2072,6 @@ mod tests {
             stats.ambiguous_probes,
             "every probe resolves to a prune or an escalation: {stats:?}"
         );
-    }
-
-    #[test]
-    fn calibrate_margin_installs_a_grid_margin_and_changes_fingerprint() {
-        let mut engine = SimilarityEngine::new(quick_config());
-        for (name, p) in demo::cve_functions() {
-            engine.add_target(name, &gcc().compile_function(&p));
-        }
-        let fp0 = engine.config().fingerprint();
-        let cal = engine
-            .calibrate_margin(40, 0.5)
-            .expect("corpus yields samples");
-        assert!(cal.sampled_pairs > 0);
-        assert!((0.3..=0.9).contains(&cal.margin), "off-grid: {cal:?}");
-        assert!(cal.max_pruned_exact <= 0.5, "distortion cap violated");
-        let installed = engine
-            .config()
-            .active_sketch()
-            .unwrap()
-            .exact_fallback_margin;
-        assert_eq!(installed, cal.margin);
-        if (cal.margin - PrefilterConfig::default().exact_fallback_margin).abs() > 1e-9 {
-            assert_ne!(engine.config().fingerprint(), fp0);
-        }
-        // Calibration is a pure function of the corpus: re-running on an
-        // identical engine picks the same margin.
-        let mut twin = SimilarityEngine::new(quick_config());
-        for (name, p) in demo::cve_functions() {
-            twin.add_target(name, &gcc().compile_function(&p));
-        }
-        assert_eq!(twin.calibrate_margin(40, 0.5).unwrap().margin, cal.margin);
     }
 
     #[test]

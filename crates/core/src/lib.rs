@@ -76,9 +76,8 @@ pub use engine::{
 };
 pub use esh_solver::{EquivStats, SolverPerf};
 pub use prefilter::{
-    bounds_decision, calibrated_margin, compute_probe_sketch, compute_sketch, MarginCalibration,
-    MarginSample, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
-    SketchDecision, SketchIndex,
+    bounds_decision, compute_probe_sketch, compute_sketch, PrefilterConfig, PrefilterStats,
+    PrefilterStatsSnapshot, SemanticSketch, SketchDecision, SketchIndex,
 };
 pub use shard::{
     Bloom, ClassExport, CorpusExport, LazyClassMeta, ShardBandSummary, ShardError, ShardRecords,

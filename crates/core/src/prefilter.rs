@@ -75,11 +75,8 @@ pub struct PrefilterConfig {
     /// reaches this margin is guaranteed an exact verdict, because the
     /// bound never underestimates VCP. Lower margins prune less (deeper
     /// rank fidelity, more SAT work); higher margins prune more. Default
-    /// 0.7; [`SimilarityEngine::calibrate_margin`] picks a per-corpus
-    /// value from a held-out sample.
-    ///
-    /// [`SimilarityEngine::calibrate_margin`]:
-    ///     crate::SimilarityEngine::calibrate_margin
+    /// 0.7: `esh index build` writes it, and `bench-rankquality` scores
+    /// it against the no-sketch ranking (docs/RANK_QUALITY.md).
     pub exact_fallback_margin: f64,
     /// Half-width of the **ambiguity window** around
     /// `exact_fallback_margin`. A non-candidate pair whose larger
@@ -576,78 +573,6 @@ pub struct PrefilterStatsSnapshot {
     pub refine_passes: u64,
 }
 
-/// One held-out observation for margin calibration: the larger of a
-/// pair's two sketch containment bounds against the larger of its two
-/// exact VCP directions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MarginSample {
-    /// `max(containment(q→t), containment(t→q))` from the base sketches.
-    pub bound: f64,
-    /// `max(VCP(q,t), VCP(t,q))` from the exact verifier.
-    pub exact: f64,
-}
-
-/// Result of calibrating `exact_fallback_margin` against a held-out
-/// sample (see [`calibrated_margin`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MarginCalibration {
-    /// The chosen margin.
-    pub margin: f64,
-    /// Sampled pairs the choice was driven by.
-    pub sampled_pairs: usize,
-    /// Fraction of the sample the chosen margin would prune.
-    pub pruned_fraction: f64,
-    /// Largest exact VCP among sampled pairs the chosen margin prunes
-    /// (the calibration's realized score-distortion bound).
-    pub max_pruned_exact: f64,
-}
-
-/// Margin grid the calibration searches (ascending).
-const MARGIN_GRID: [f64; 13] = [
-    0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90,
-];
-
-/// Picks the largest margin on a fixed grid such that **no sampled pair
-/// the margin would prune has exact VCP above `max_pruned_vcp`**.
-///
-/// The containment bound already guarantees pruned pairs have exact VCP
-/// below the margin; calibration tightens that to a per-corpus bound on
-/// the VCP evidence pruning may discard. `max_pruned_vcp` is the knob:
-/// at most this much true VCP may be zeroed per pruned pair. Sub-sigmoid
-/// values (≤ 0.5, where `likelihood` contributes almost nothing) keep
-/// pruned pairs out of the scoring's sensitive region entirely.
-///
-/// With an empty sample the grid's most conservative margin is returned.
-pub fn calibrated_margin(samples: &[MarginSample], max_pruned_vcp: f64) -> MarginCalibration {
-    let mut best = MARGIN_GRID[0];
-    if samples.is_empty() {
-        // No evidence: every grid point is vacuously "safe"; stay at the
-        // grid's most conservative margin instead of its largest.
-        return MarginCalibration {
-            margin: best,
-            sampled_pairs: 0,
-            pruned_fraction: 0.0,
-            max_pruned_exact: 0.0,
-        };
-    }
-    for &m in &MARGIN_GRID {
-        let safe = samples
-            .iter()
-            .filter(|s| s.bound < m)
-            .all(|s| s.exact <= max_pruned_vcp);
-        if safe {
-            best = m;
-        }
-    }
-    let pruned: Vec<&MarginSample> = samples.iter().filter(|s| s.bound < best).collect();
-    MarginCalibration {
-        margin: best,
-        sampled_pairs: samples.len(),
-        pruned_fraction: pruned.len() as f64 / samples.len().max(1) as f64,
-        max_pruned_exact: pruned.iter().map(|s| s.exact).fold(0.0, f64::max),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,31 +726,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn calibrated_margin_picks_largest_safe_grid_point() {
-        // Bounds dominate exacts (as containment guarantees). A margin of
-        // 0.7 would prune the (0.65, 0.6) sample whose exact exceeds the
-        // 0.5 distortion cap, so calibration must stop at 0.65.
-        let samples = [
-            MarginSample { bound: 0.2, exact: 0.1 },
-            MarginSample { bound: 0.5, exact: 0.4 },
-            MarginSample { bound: 0.65, exact: 0.6 },
-            MarginSample { bound: 0.9, exact: 0.85 },
-        ];
-        let cal = calibrated_margin(&samples, 0.5);
-        assert_eq!(cal.margin, 0.65);
-        assert_eq!(cal.sampled_pairs, 4);
-        assert_eq!(cal.pruned_fraction, 0.5);
-        assert_eq!(cal.max_pruned_exact, 0.4);
-    }
-
-    #[test]
-    fn calibrated_margin_on_empty_sample_is_most_conservative() {
-        let cal = calibrated_margin(&[], 0.5);
-        assert_eq!(cal.margin, MARGIN_GRID[0]);
-        assert_eq!(cal.sampled_pairs, 0);
-        assert_eq!(cal.pruned_fraction, 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Exact counter pins for the per-cell pricing ladder.
 //!
-//! Every matrix cell, refine cell and calibration sample is priced by
-//! the same layered sequence: size ratio and signature filters, the
+//! Every matrix cell and refine cell is priced by the same layered
+//! sequence: size ratio and signature filters, the
 //! sketch rung (LSH mask → containment bounds → probe), then the cache
 //! and the verifier. Rankings are pinned bit-for-bit elsewhere; this
 //! file pins *how much work each rung did* on a fixed corpus and query
@@ -15,8 +15,8 @@
 use esh_asm::Procedure;
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{
-    BatchQuery, CacheStats, CancelToken, EngineConfig, EquivStats, MarginCalibration,
-    PrefilterConfig, PrefilterStatsSnapshot, SimilarityEngine, SolverPerf,
+    BatchQuery, CacheStats, CancelToken, EngineConfig, EquivStats, PrefilterConfig,
+    PrefilterStatsSnapshot, SimilarityEngine, SolverPerf,
 };
 use esh_minic::demo;
 
@@ -161,29 +161,17 @@ fn lsh_only_profile_counters_are_pinned() {
     );
 }
 
+/// A margin above the default prunes more and probes less, so every
+/// sketch-rung counter moves off the default profile's pin.
 #[test]
-fn calibrated_margin_counters_are_pinned() {
-    let mut engine = engine(EngineConfig::default());
-    let cal = engine.calibrate_margin(32, 0.75).expect("sketch tier on");
-    assert_eq!(
-        cal,
-        MarginCalibration {
-            margin: 0.9,
-            sampled_pairs: 32,
-            pruned_fraction: 0.9375,
-            max_pruned_exact: 0.75,
-        }
-    );
-    assert_eq!(
-        engine.cache_stats(),
-        CacheStats {
-            hits: 0,
-            misses: 9,
-            entries: 9,
-        }
-    );
-    // The same queries under the calibrated margin.
-    let (prefilter, cache, equiv) = run(&engine);
+fn margin_0_9_counters_are_pinned() {
+    let (prefilter, cache, equiv) = run(&engine(EngineConfig {
+        sketch: PrefilterConfig {
+            exact_fallback_margin: 0.9,
+            ..PrefilterConfig::default()
+        },
+        ..EngineConfig::default()
+    }));
     assert_eq!(
         prefilter,
         PrefilterStatsSnapshot {
@@ -193,7 +181,7 @@ fn calibrated_margin_counters_are_pinned() {
             ambiguous_probes: 774,
             probe_escalations: 295,
             probe_sketches: 121,
-            refined_pairs: 526,
+            refined_pairs: 527,
             refine_passes: 9,
         }
     );
@@ -201,18 +189,18 @@ fn calibrated_margin_counters_are_pinned() {
         cache,
         CacheStats {
             hits: 172,
-            misses: 132,
-            entries: 658,
+            misses: 123,
+            entries: 650,
         }
     );
-    assert_eq!(layers(&equiv), [4448, 252, 685, 26, 341, 0, 3839]);
+    assert_eq!(layers(&equiv), [4405, 250, 685, 26, 341, 0, 3824]);
     assert_eq!(
         equiv.solver,
         SolverPerf {
             sat_queries: 367,
             blast_cache_hits: 635,
             blast_cache_misses: 3828,
-            conflicts: 2334,
+            conflicts: 2282,
             sat_time_ns: 0,
             solver_resets: 0,
         }

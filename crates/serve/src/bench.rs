@@ -26,7 +26,8 @@
 //!
 //! Latency quantiles are the client's: every request's send-to-receive
 //! time is recorded, and p50, p99 and max are read off those samples by
-//! nearest rank. Results land in `BENCH_serve.json` at the repo root.
+//! nearest rank. Results land in `BENCH_serve.json` in the working
+//! directory.
 //! `--smoke` shrinks the client counts for CI but keeps a short
 //! sustained phase (batching enabled) so the byte-identity and
 //! probe-sketch gates cover batched execution on every CI run.
@@ -613,8 +614,8 @@ pub fn run(smoke: bool) -> Result<(), String> {
         dl = deadline_stats.deadline_exceeded,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing BENCH_serve.json: {e}"))?;
+    std::fs::write("BENCH_serve.json", &json)
+        .map_err(|e| format!("writing BENCH_serve.json: {e}"))?;
     println!("{json}");
     println!("bench-serve: all phases passed; wrote BENCH_serve.json");
     Ok(())

@@ -61,7 +61,9 @@ pub enum Outcome {
     DeadlineExceeded,
     /// No corpus procedure matched the query substring.
     NotFound,
-    /// The request line was not a valid [`QueryRequest`].
+    /// The request line was not a valid [`QueryRequest`]: not JSON,
+    /// nested deeper than the parser accepts, or longer than 64 KiB (the
+    /// daemon then closes that connection).
     BadRequest,
     /// Acknowledges an `@shutdown` request; the daemon is draining.
     ShuttingDown,

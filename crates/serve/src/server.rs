@@ -65,6 +65,11 @@ use crate::protocol::{encode_line, ranked_matches, Outcome, QueryRequest, QueryR
 /// shutdown and account idle time without holding a long blocking read.
 const READ_CHUNK: Duration = Duration::from_millis(100);
 
+/// Longest request line a reader buffers. A client that sends more bytes
+/// than this without a newline gets one `BadRequest` and its connection
+/// is closed, so neither its memory nor its scanning cost can grow.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// The pending (parsed-but-unscored) queue is bounded at
 /// `queue_capacity * PENDING_FACTOR`; a pipelined client that floods one
 /// connection gets typed `Overloaded` responses past the bound.
@@ -439,12 +444,16 @@ fn serve_connection(shared: &Shared, job: Job) {
     let conn = Arc::new(ConnWriter::new(stream));
     let idle_limit = Duration::from_millis(shared.config.read_timeout_ms.max(1));
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` is known to hold no newline: each byte is scanned
+    // once, not once per read.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     let mut idle = Duration::ZERO;
     let mut first_request = true;
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let raw: Vec<u8> = buf.drain(..=scanned + pos).collect();
+            scanned = 0;
             let line = String::from_utf8_lossy(&raw).trim().to_string();
             if line.is_empty() {
                 continue;
@@ -462,6 +471,15 @@ fn serve_connection(shared: &Shared, job: Job) {
             if !process_request(shared, &conn, &line, request_admitted) {
                 return; // @shutdown acknowledged; stop reading
             }
+        }
+        scanned = buf.len();
+        if scanned > MAX_LINE_BYTES {
+            let response = QueryResponse::status(
+                Outcome::BadRequest,
+                Some(format!("bad request: line longer than {MAX_LINE_BYTES} bytes")),
+            );
+            respond_now(shared, &conn, conn.alloc_seq(), Instant::now(), response);
+            return;
         }
         match read_half.read(&mut chunk) {
             Ok(0) => return, // client closed; late deliveries fail silently

@@ -135,6 +135,78 @@ fn malformed_line_is_bad_request() {
     server.shutdown();
 }
 
+/// Sends `payload` on a fresh connection from a writer thread, then
+/// half-closes it (the daemon may close first, so write errors are
+/// ignored). Returns the first response line and everything after it.
+fn hostile_exchange(addr: &str, payload: Vec<u8>) -> (String, String) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = w.write_all(&payload);
+        let _ = w.shutdown(std::net::Shutdown::Write);
+    });
+    let mut reader = std::io::BufReader::new(stream);
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+    let mut rest = String::new();
+    let _ = std::io::Read::read_to_string(&mut reader, &mut rest);
+    writer.join().unwrap();
+    (line, rest)
+}
+
+/// A query on a new connection, checked bit for bit against offline.
+fn assert_still_serves(addr: &str) {
+    let corpus = tiny_corpus();
+    let needle = corpus.procs[0].display();
+    let expected = ranked_matches(
+        &engine_over(&corpus).query(&corpus.procs[0].proc_),
+        Some(TargetId(0)),
+        10,
+    );
+    let resp = remote_query(addr, &QueryRequest::new(&needle), TIMEOUT).unwrap();
+    assert_eq!(resp.outcome, Outcome::Ok);
+    assert_eq!(resp.matches.len(), expected.len());
+    for (got, want) in resp.matches.iter().zip(&expected) {
+        assert_eq!(got.name, want.name);
+        assert_eq!(got.ges.to_bits(), want.ges.to_bits(), "{}", want.name);
+        assert_eq!(got.s_log.to_bits(), want.s_log.to_bits(), "{}", want.name);
+        assert_eq!(got.s_vcp.to_bits(), want.s_vcp.to_bits(), "{}", want.name);
+    }
+}
+
+#[test]
+fn deeply_nested_json_is_bad_request_and_the_daemon_keeps_serving() {
+    // Under the line cap, but deep enough to overflow a reader's stack
+    // if the parser recursed without a depth limit.
+    let (server, addr) = start(1, 8, 2_000);
+    let mut payload = vec![b'['; 60_000];
+    payload.push(b'\n');
+    let (line, rest) = hostile_exchange(&addr, payload);
+    let resp: esh_serve::protocol::QueryResponse =
+        esh_serve::protocol::decode_line(&line).unwrap();
+    assert_eq!(resp.outcome, Outcome::BadRequest);
+    assert!(resp.error.unwrap().contains("nesting"));
+    assert!(rest.is_empty());
+    assert_still_serves(&addr);
+    let stats = server.shutdown();
+    assert_eq!((stats.bad_request, stats.ok), (1, 1));
+}
+
+#[test]
+fn unterminated_line_is_bad_request_and_closes_only_that_connection() {
+    let (server, addr) = start(1, 8, 2_000);
+    let (line, rest) = hostile_exchange(&addr, vec![b'x'; 1 << 20]);
+    let resp: esh_serve::protocol::QueryResponse =
+        esh_serve::protocol::decode_line(&line).unwrap();
+    assert_eq!(resp.outcome, Outcome::BadRequest);
+    assert!(resp.error.unwrap().contains("line longer than"));
+    assert!(rest.is_empty(), "one response, then the connection closes");
+    assert_still_serves(&addr);
+    let stats = server.shutdown();
+    assert_eq!((stats.bad_request, stats.ok), (1, 1));
+}
+
 #[test]
 fn zero_deadline_expires_in_the_queue() {
     let (server, addr) = start(1, 8, 2_000);

@@ -11,10 +11,13 @@
 //! * ROC/CROC of both rankings against same-source ground truth,
 //! * SAT-query reduction plus the multi-probe / refine-top-K counters.
 //!
-//! The full run enforces the tentpole acceptance bar — mean top-10
-//! agreement ≥ 0.9 with ≥ 50% SAT-query reduction; `--smoke` shrinks the
-//! query count for CI and gates on [`SMOKE_TOP10_FLOOR`]. Results land in
-//! `BENCH_rankquality.json` at the repo root (schema:
+//! The prefiltered pass runs the configuration that ships,
+//! `EngineConfig::default()` unmodified: the bench fails unless its
+//! config fingerprint equals the default's, which is what `esh index
+//! build` writes. The reference pass is the same config with the sketch
+//! tier off. The gates: top-1 identical, mean top-10 agreement ≥ 0.9,
+//! and ≥ 50% SAT-query reduction. Results land in
+//! `BENCH_rankquality.json` in the working directory (schema:
 //! `docs/BENCH_SCHEMAS.md`).
 
 use std::collections::HashMap;
@@ -28,39 +31,12 @@ use esh_eval::{compare_rankings, RankComparison};
 /// default [`esh_core::PrefilterConfig::refine_top_k`] window.
 const TOP_K: usize = 10;
 
-/// Smoke-mode regression floor on mean top-10 agreement. CI fails when a
-/// change drops the smoke bench below this; the full bench holds the
-/// stricter 0.9 bar.
-pub const SMOKE_TOP10_FLOOR: f64 = 0.9;
-
-/// Held-out class pairs sampled by per-corpus margin calibration. Each
-/// sample pays one exact verification, so the sample size trades margin
-/// confidence against the very SAT budget the bench gates on; 32 pairs
-/// keep calibration under ~5% of the exhaustive bill.
-const CALIBRATION_SAMPLES: usize = 32;
-
-/// Calibration's score-distortion cap: the largest exact VCP a calibrated
-/// prune may zero (0.5 sits at the sigmoid midpoint, below which a pair
-/// contributes almost no likelihood evidence).
-const CALIBRATION_MAX_PRUNED_VCP: f64 = 0.75;
-
-/// The bench corpus. Ranking *depth* only exists when the served window
-/// is a small slice of the ranking **and** the window ranks are held by
-/// genuinely similar targets: the full run uses the default corpus (the
-/// paper's toolchain matrix with patched variants, template family,
-/// wrappers, and the distractor pool), where each query has enough
-/// toolchain/patch/wrapper variants to fill the top-10 with
-/// sketch-visible similarity. `--smoke` reuses the 28-procedure test
-/// corpus — there the window covers a third of the ranking, which is
-/// fine for the agreement regression gate but meaningless for SAT
-/// accounting (which smoke does not gate).
-fn bench_corpus(smoke: bool) -> CorpusConfig {
-    if smoke {
-        CorpusConfig::small()
-    } else {
-        CorpusConfig::default()
-    }
-}
+/// CVE queries scored. The default corpus (the paper's toolchain matrix
+/// with patched variants, template family, wrappers and the distractor
+/// pool) gives each one enough variants to fill the top-10 window with
+/// sketch-visible similarity, so the window is a small, genuinely
+/// contested slice of the ranking.
+const QUERIES: usize = 4;
 
 /// One engine mode's rankings and cost counters.
 struct ModeRun {
@@ -75,32 +51,14 @@ struct ModeRun {
     query_ms: u128,
     /// Prefilter counters (zero for the exhaustive mode).
     prefilter: esh_core::PrefilterStatsSnapshot,
+    /// The engine's [`EngineConfig::fingerprint`].
+    config_fingerprint: u64,
 }
 
-fn run_mode(corpus: &Corpus, queries: &[usize], sketch: bool) -> ModeRun {
-    let mut config = EngineConfig::default();
-    config.sketch.enabled = sketch;
+fn run_mode(corpus: &Corpus, queries: &[usize], config: EngineConfig) -> ModeRun {
     let mut engine = SimilarityEngine::new(config);
     for p in &corpus.procs {
         engine.add_target(p.display(), &p.proc_);
-    }
-    if sketch {
-        // Per-corpus margin calibration (the tentpole's staged design:
-        // prune aggressively under a calibrated margin, recover window
-        // exactness via probing + refine-top-K). Calibration's own solver
-        // work lands in this engine's counters — the reported SAT
-        // reduction pays for it honestly.
-        if let Some(cal) = engine.calibrate_margin(CALIBRATION_SAMPLES, CALIBRATION_MAX_PRUNED_VCP)
-        {
-            eprintln!(
-                "bench-rankquality: calibrated margin {:.2} from {} pairs \
-                 (prunes {:.0}%, max pruned VCP {:.2})",
-                cal.margin,
-                cal.sampled_pairs,
-                cal.pruned_fraction * 100.0,
-                cal.max_pruned_exact,
-            );
-        }
     }
     let t0 = Instant::now();
     let rankings = queries
@@ -122,6 +80,7 @@ fn run_mode(corpus: &Corpus, queries: &[usize], sketch: bool) -> ModeRun {
         verifier_calls: engine.cache_stats().misses + prefilter.refined_pairs,
         query_ms: t0.elapsed().as_millis(),
         prefilter,
+        config_fingerprint: engine.config().fingerprint(),
     }
 }
 
@@ -131,17 +90,15 @@ fn json_floats(xs: &[f64]) -> String {
     format!("[{}]", body.join(", "))
 }
 
-/// Runs the comparison and writes `BENCH_rankquality.json`. `smoke`
-/// shrinks the query count for CI. Returns an error when a rank-fidelity
-/// gate fails: full mode demands mean top-10 agreement ≥ 0.9 **and**
-/// SAT-query reduction ≥ 50%; smoke mode demands mean top-10 agreement ≥
-/// [`SMOKE_TOP10_FLOOR`]. Top-1 must be identical in both modes.
-pub fn run(smoke: bool) -> Result<(), String> {
+/// Runs the comparison and writes `BENCH_rankquality.json`. Returns an
+/// error when the prefiltered pass did not run the shipped configuration
+/// or a rank-fidelity gate fails: top-1 must be identical, mean top-10
+/// agreement ≥ 0.9 and SAT-query reduction ≥ 50%.
+pub fn run() -> Result<(), String> {
     let t0 = Instant::now();
-    let n_queries = if smoke { 2 } else { 4 };
 
     eprintln!("bench-rankquality: building corpus...");
-    let corpus = Corpus::build(&bench_corpus(smoke));
+    let corpus = Corpus::build(&CorpusConfig::default());
     // Ground truth: two targets are relevant to each other iff they were
     // compiled from the same source function.
     let func_of: HashMap<String, &str> = corpus
@@ -159,7 +116,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         .collect();
     names.sort();
     names.dedup();
-    names.truncate(n_queries);
+    names.truncate(QUERIES);
     let queries: Vec<usize> = names
         .iter()
         .map(|q| {
@@ -170,9 +127,9 @@ pub fn run(smoke: bool) -> Result<(), String> {
                 .expect("query name came from the corpus")
         })
         .collect();
-    if queries.len() < n_queries {
+    if queries.len() < QUERIES {
         return Err(format!(
-            "corpus has only {} CVE queries, need {n_queries}",
+            "corpus has only {} CVE queries, need {QUERIES}",
             queries.len()
         ));
     }
@@ -181,9 +138,18 @@ pub fn run(smoke: bool) -> Result<(), String> {
         "bench-rankquality: exhaustive pass ({} queries)...",
         queries.len()
     );
-    let off = run_mode(&corpus, &queries, false);
+    let mut reference = EngineConfig::default();
+    reference.sketch.enabled = false;
+    let off = run_mode(&corpus, &queries, reference);
     eprintln!("bench-rankquality: prefiltered pass...");
-    let on = run_mode(&corpus, &queries, true);
+    let shipped = EngineConfig::default().fingerprint();
+    let on = run_mode(&corpus, &queries, EngineConfig::default());
+    if on.config_fingerprint != shipped {
+        return Err(format!(
+            "prefiltered pass ran config {:#018x}, not the shipped default {shipped:#018x}",
+            on.config_fingerprint
+        ));
+    }
 
     let per_query: Vec<RankComparison> = queries
         .iter()
@@ -227,7 +193,8 @@ pub fn run(smoke: bool) -> Result<(), String> {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"rankquality\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"bench\": \"rankquality\",\n  \
+         \"config_fingerprint\": {shipped},\n  \
          \"corpus_procs\": {procs},\n  \"queries\": {nq},\n  \
          \"top_k\": {TOP_K},\n  \
          \"top1_identical\": {top1_identical},\n  \
@@ -247,7 +214,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
          \"refined_pairs\": {rp}, \"refine_passes\": {rf} }},\n  \
          \"sat_query_reduction\": {sat_reduction:.4},\n  \
          \"elapsed_ms\": {elapsed}\n}}\n",
-        mode = if smoke { "smoke" } else { "full" },
         procs = corpus.procs.len(),
         nq = queries.len(),
         top10_pq = json_floats(&top10),
@@ -267,32 +233,23 @@ pub fn run(smoke: bool) -> Result<(), String> {
         rf = on.prefilter.refine_passes,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_rankquality.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing BENCH_rankquality.json: {e}"))?;
+    std::fs::write("BENCH_rankquality.json", &json)
+        .map_err(|e| format!("writing BENCH_rankquality.json: {e}"))?;
     println!("{json}");
 
     if !top1_identical {
         return Err("top-1 rankings diverged between prefiltered and exhaustive".into());
     }
-    if smoke {
-        if top10_mean < SMOKE_TOP10_FLOOR {
-            return Err(format!(
-                "smoke top-10 agreement {top10_mean:.3} regressed below the \
-                 {SMOKE_TOP10_FLOOR} floor"
-            ));
-        }
-    } else {
-        if top10_mean < 0.9 {
-            return Err(format!(
-                "top-10 agreement {top10_mean:.3} misses the 0.9 bar"
-            ));
-        }
-        if sat_reduction < 0.50 {
-            return Err(format!(
-                "SAT-query reduction {:.1}% misses the 50% bar",
-                sat_reduction * 100.0
-            ));
-        }
+    if top10_mean < 0.9 {
+        return Err(format!(
+            "top-10 agreement {top10_mean:.3} misses the 0.9 bar"
+        ));
+    }
+    if sat_reduction < 0.50 {
+        return Err(format!(
+            "SAT-query reduction {:.1}% misses the 50% bar",
+            sat_reduction * 100.0
+        ));
     }
     println!("bench-rankquality: passed; wrote BENCH_rankquality.json");
     Ok(())

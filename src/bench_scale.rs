@@ -32,7 +32,7 @@
 //! the ranked output of a sharded engine must equal the resident engine
 //! it was written from, bit for bit, on the cross-compiler paper corpus
 //! (371 procedures; `--smoke` uses the small 28-procedure matrix).
-//! Results land in `BENCH_scale.json`.
+//! Results land in `BENCH_scale.json` in the working directory.
 
 use std::time::Instant;
 
@@ -437,9 +437,8 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
         iq = identity_queries,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_scale.json");
-    std::fs::write(path, &json).map_err(|e| e.to_string())?;
-    eprintln!("bench-scale: wrote {path}");
+    std::fs::write("BENCH_scale.json", &json).map_err(|e| e.to_string())?;
+    eprintln!("bench-scale: wrote BENCH_scale.json");
     print!("{json}");
     Ok(())
 }

@@ -13,7 +13,7 @@
 //!           [--queue N] [--deadline-ms N] [--threads N]
 //!           [--batch-max N] [--shard-budget-mb N]
 //! esh bench-serve [--smoke]
-//! esh bench-rankquality [--smoke]
+//! esh bench-rankquality
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
 //! esh stats <corpus.json>
 //! esh pair <corpus.json> <query-substring> <target-substring>
@@ -36,7 +36,8 @@
 //! load-tests the daemon over loopback and writes `BENCH_serve.json`;
 //! `bench-rankquality` scores the pruned ranking against the exhaustive
 //! one (top-1 identity, top-K agreement, Kendall tau, ROC/CROC — see
-//! `docs/RANK_QUALITY.md`) and writes `BENCH_rankquality.json`.
+//! `docs/RANK_QUALITY.md`) and writes `BENCH_rankquality.json`. Every
+//! `bench-*` writes its `BENCH_*.json` to the working directory.
 //!
 //! `query --index ... --no-prefilter` disables the semantic-sketch tier
 //! for that one query — the escape hatch when a sketch-estimated pair
@@ -70,7 +71,7 @@ fn usage() -> ExitCode {
          \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
          \x20         [--batch-max N] [--shard-budget-mb N]\n  \
          esh bench-serve [--smoke]\n  \
-         esh bench-rankquality [--smoke]\n  \
+         esh bench-rankquality\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
          esh pair <corpus.json> <query-substring> <target-substring>"
@@ -541,12 +542,10 @@ fn bench_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn bench_rankquality(args: &[String]) -> Result<(), String> {
-    let smoke = match args {
-        [] => false,
-        [flag] if flag == "--smoke" => true,
-        _ => return Err("bench-rankquality takes [--smoke]".into()),
-    };
-    esh::bench_rankquality::run(smoke)
+    if let Some(arg) = args.first() {
+        return Err(format!("bench-rankquality takes no arguments, got `{arg}`"));
+    }
+    esh::bench_rankquality::run()
 }
 
 fn bench_scale(args: &[String]) -> Result<(), String> {
