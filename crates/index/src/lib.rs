@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # esh-index — the engine's on-disk format (v6)
+//! # esh-index — the engine's on-disk format (v7)
 //!
 //! The offline phase decomposes, lifts and hashes every target once; this
 //! crate persists the result as a compact binary, **segment-sharded**
@@ -16,8 +16,9 @@
 //!                      + residual cache entries; fixed little-endian
 //!                      layout, loaded at open
 //!   shard-0000.bin   — one per target segment: the segment's lifted
-//!   shard-0001.bin     procedures behind a per-class offset table, plus
-//!   ...                the VCP-cache entries keyed into the segment
+//!   shard-0001.bin     procedures as fixed-layout binary records behind
+//!   ...                a per-class offset table, plus the VCP-cache
+//!                      entries keyed into the segment
 //! ```
 //!
 //! **Sharding rule.** Targets are split into contiguous segments of
@@ -35,14 +36,16 @@
 //! header, per-record offset table, VCP-cache segment — decode when the
 //! shard is first touched, before the first counted cache lookup into
 //! the segment, while the procedure records stay on disk until a
-//! query's pricing actually demands one (v6 demand decoding). Every read
+//! query's pricing actually demands one (demand decoding). Every read
 //! is a positioned read of exactly the bytes being decoded: the shard
 //! open reads the structural parts, each demanded record reads its own
 //! byte range, and an open shard holds no file descriptor or file
 //! buffer in between — its memory is its structural base plus its
 //! decoded records, the two quantities the residency budget counts. A
 //! file that shrinks under an open shard fails the next record read
-//! past the cut with a typed error naming the file and the class.
+//! past the cut with a typed error naming the file and the class, and
+//! so does a record whose bytes decode to a procedure that fails
+//! [`Proc::validate`].
 //! Ranked responses and cache hit/miss counters are byte-identical to
 //! the resident engine the index was written from — pinned by this
 //! crate's round-trip proptests.
@@ -67,7 +70,7 @@ use esh_core::{
     Bloom, CorpusExport, EngineConfig, LazyClassMeta, ShardBandSummary, ShardRecords, ShardSource,
     ShardSpec, SimilarityEngine, TargetExport, VcpCacheEntry, VcpPair,
 };
-use esh_ivl::Proc;
+use esh_ivl::{InputKind, Op, Operand, Proc, Sort, Stmt, Var, VarId};
 use esh_strands::Signature;
 use serde::{Deserialize, Serialize};
 
@@ -77,10 +80,12 @@ use wire::{checksum, checksum_parts, Reader, Writer};
 
 /// Format version of the sharded directory layout. Versions 2–4 were a
 /// retired JSON snapshot format; version 5 introduced the binary layout
-/// (whole-shard decode), version 6 adds per-record checksums to the
+/// (whole-shard decode), version 6 added per-record checksums to the
 /// shard offset tables plus a structural `meta_checksum` per shard,
-/// enabling per-procedure demand decoding.
-pub const SHARDED_FORMAT_VERSION: u32 = 6;
+/// enabling per-procedure demand decoding, and version 7 stores each
+/// class record in the binary layout of [`encode_record`] instead of
+/// JSON.
+pub const SHARDED_FORMAT_VERSION: u32 = 7;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -92,7 +97,7 @@ pub const CORE_FILE: &str = "core.bin";
 pub const PRUNE_FILE: &str = "prune.bin";
 
 const CORE_MAGIC: &[u8; 8] = b"ESHXCOR1";
-const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD2";
+const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD3";
 const PRUNE_MAGIC: &[u8; 8] = b"ESHXPRN1";
 
 /// Why a sharded index failed to write or open.
@@ -374,21 +379,211 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
     Ok(CoreParts { classes, targets, residual })
 }
 
+// ---------------------------------------------------------------------
+// Class records
+// ---------------------------------------------------------------------
+
+/// Operations without immediates, in tag order: tag `i` is
+/// `PLAIN_OPS[i]`. The five ops with `u32` immediates follow.
+const PLAIN_OPS: [Op; 20] = [
+    Op::Copy,
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Shl,
+    Op::LShr,
+    Op::AShr,
+    Op::Not,
+    Op::Neg,
+    Op::Eq,
+    Op::Ne,
+    Op::Ult,
+    Op::Ule,
+    Op::Slt,
+    Op::Sle,
+    Op::Ite,
+    Op::Concat,
+];
+const OP_ZEXT: u8 = 20;
+const OP_SEXT: u8 = 21;
+const OP_EXTRACT: u8 = 22;
+const OP_LOAD: u8 = 23;
+const OP_STORE: u8 = 24;
+
+/// Input kinds in tag order, after tag 0 (a temporary).
+const INPUT_KINDS: [InputKind; 4] =
+    [InputKind::Register, InputKind::Memory, InputKind::CallResult, InputKind::Clobber];
+
+/// Smallest encodings, which cap every count read from a record.
+const MIN_VAR_BYTES: usize = 6;
+const MIN_STMT_BYTES: usize = 9;
+const MIN_OPERAND_BYTES: usize = 5;
+
+fn op_tag(op: Op) -> u8 {
+    match op {
+        Op::Copy => 0,
+        Op::Add => 1,
+        Op::Sub => 2,
+        Op::Mul => 3,
+        Op::And => 4,
+        Op::Or => 5,
+        Op::Xor => 6,
+        Op::Shl => 7,
+        Op::LShr => 8,
+        Op::AShr => 9,
+        Op::Not => 10,
+        Op::Neg => 11,
+        Op::Eq => 12,
+        Op::Ne => 13,
+        Op::Ult => 14,
+        Op::Ule => 15,
+        Op::Slt => 16,
+        Op::Sle => 17,
+        Op::Ite => 18,
+        Op::Concat => 19,
+        Op::Zext(_) => OP_ZEXT,
+        Op::Sext(_) => OP_SEXT,
+        Op::Extract(..) => OP_EXTRACT,
+        Op::Load(_) => OP_LOAD,
+        Op::Store(_) => OP_STORE,
+    }
+}
+
+/// Encodes one class's lifted procedure as a shard record (layout in
+/// docs/ARCHITECTURE.md, "On-disk index format"): the name; per
+/// variable its name, sort tag (+ width) and input-kind tag; per
+/// statement `dst`, op tag (+ `u32` immediates) and operands, each a
+/// var id or a `(value, width)` constant. Little-endian, counts `u32`.
+pub fn encode_record(p: &Proc) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.str(&p.name);
+    w.u32(p.vars.len() as u32);
+    for v in &p.vars {
+        w.str(&v.name);
+        match v.sort {
+            Sort::Bv(width) => {
+                w.u8(0);
+                w.u32(width);
+            }
+            Sort::Mem => w.u8(1),
+        }
+        w.u8(match v.input {
+            None => 0,
+            Some(InputKind::Register) => 1,
+            Some(InputKind::Memory) => 2,
+            Some(InputKind::CallResult) => 3,
+            Some(InputKind::Clobber) => 4,
+        });
+    }
+    w.u32(p.stmts.len() as u32);
+    for s in &p.stmts {
+        w.u32(s.dst.0);
+        w.u8(op_tag(s.op));
+        match s.op {
+            Op::Zext(n) | Op::Sext(n) | Op::Load(n) | Op::Store(n) => w.u32(n),
+            Op::Extract(hi, lo) => {
+                w.u32(hi);
+                w.u32(lo);
+            }
+            _ => {}
+        }
+        w.u32(s.args.len() as u32);
+        for a in &s.args {
+            match *a {
+                Operand::Var(v) => {
+                    w.u8(0);
+                    w.u32(v.0);
+                }
+                Operand::Const { value, width } => {
+                    w.u8(1);
+                    w.u64(value);
+                    w.u32(width);
+                }
+            }
+        }
+    }
+    w.into_bytes()
+}
+
+/// Decodes a record written by [`encode_record`]. Every tag is checked,
+/// no count sizes an allocation beyond what the remaining bytes could
+/// hold, trailing bytes are refused, and the result must pass
+/// [`Proc::validate`] — so hostile bytes give `Err`, never a panic or an
+/// ill-formed procedure.
+pub fn decode_record(bytes: &[u8]) -> Result<Proc, String> {
+    let mut r = Reader::new(bytes);
+    let name = r.str()?;
+    let nvars = r.u32()? as usize;
+    let mut vars = Vec::with_capacity(nvars.min(r.remaining() / MIN_VAR_BYTES));
+    for _ in 0..nvars {
+        let name = r.str()?;
+        let sort = match r.u8()? {
+            0 => Sort::Bv(r.u32()?),
+            1 => Sort::Mem,
+            t => return Err(format!("bad sort tag {t}")),
+        };
+        let input = match r.u8()? {
+            0 => None,
+            t => Some(
+                *INPUT_KINDS
+                    .get(t as usize - 1)
+                    .ok_or_else(|| format!("bad input tag {t}"))?,
+            ),
+        };
+        vars.push(Var { name, sort, input });
+    }
+    let nstmts = r.u32()? as usize;
+    let mut stmts = Vec::with_capacity(nstmts.min(r.remaining() / MIN_STMT_BYTES));
+    for _ in 0..nstmts {
+        let dst = VarId(r.u32()?);
+        let op = match r.u8()? {
+            OP_ZEXT => Op::Zext(r.u32()?),
+            OP_SEXT => Op::Sext(r.u32()?),
+            OP_EXTRACT => Op::Extract(r.u32()?, r.u32()?),
+            OP_LOAD => Op::Load(r.u32()?),
+            OP_STORE => Op::Store(r.u32()?),
+            t => *PLAIN_OPS.get(t as usize).ok_or_else(|| format!("bad op tag {t}"))?,
+        };
+        let nargs = r.u32()? as usize;
+        let mut args = Vec::with_capacity(nargs.min(r.remaining() / MIN_OPERAND_BYTES));
+        for _ in 0..nargs {
+            args.push(match r.u8()? {
+                0 => Operand::Var(VarId(r.u32()?)),
+                1 => Operand::Const { value: r.u64()?, width: r.u32()? },
+                t => return Err(format!("bad operand tag {t}")),
+            });
+        }
+        stmts.push(Stmt { dst, op, args });
+    }
+    if !r.at_end() {
+        return Err(format!("{} trailing bytes after record", r.remaining()));
+    }
+    let p = Proc { name, vars, stmts };
+    let errors = p.validate();
+    match errors.first() {
+        None => Ok(p),
+        Some(first) => Err(format!(
+            "invalid record: {first} ({} problem(s) in all)",
+            errors.len()
+        )),
+    }
+}
+
 fn encode_shard(
     index: usize,
     spec: &ShardSpec,
     procs: &[&Proc],
     cache: &[VcpCacheEntry],
-) -> Result<(Vec<u8>, u64), IndexError> {
+) -> (Vec<u8>, u64) {
     let mut blobs = Writer::new();
     let mut table: Vec<(u64, u64, u64)> = Vec::with_capacity(procs.len());
     for p in procs {
-        let blob = serde_json::to_string(p).map_err(|e| IndexError::Format {
-            path: PathBuf::from(shard_file_name(index)),
-            detail: format!("serializing procedure `{}`: {e}", p.name),
-        })?;
-        table.push((blobs.len() as u64, blob.len() as u64, checksum(blob.as_bytes())));
-        blobs.raw(blob.as_bytes());
+        let blob = encode_record(p);
+        table.push((blobs.len() as u64, blob.len() as u64, checksum(&blob)));
+        blobs.raw(&blob);
     }
     let mut w = Writer::new();
     w.raw(SHARD_MAGIC);
@@ -411,7 +606,7 @@ fn encode_shard(
     }
     let bytes = w.into_bytes();
     let meta = checksum_parts(&[&bytes[..blob_start], &bytes[blob_end..]]);
-    Ok((bytes, meta))
+    (bytes, meta)
 }
 
 /// A shard file's structural parts: everything except the record blobs
@@ -583,11 +778,7 @@ impl ShardRecords for EshxShardRecords {
                 self.path.display()
             ));
         }
-        let text = std::str::from_utf8(&blob).map_err(|e| {
-            format!("{}: class {ci}: record is not utf-8: {e}", self.path.display())
-        })?;
-        serde_json::from_str(text)
-            .map_err(|e| format!("{}: class {ci}: parsing record: {e}", self.path.display()))
+        decode_record(&blob).map_err(|e| format!("{}: class {ci}: {e}", self.path.display()))
     }
 }
 
@@ -678,7 +869,7 @@ fn partition(export: &CorpusExport, targets_per_shard: usize) -> Vec<ShardSpec> 
 // Write
 // ---------------------------------------------------------------------
 
-/// Writes `engine`'s corpus as a sharded v6 index into directory `dir`
+/// Writes `engine`'s corpus as a sharded v7 index into directory `dir`
 /// (created if missing; existing index files are overwritten), with at
 /// most `targets_per_shard` targets per shard.
 pub fn write_sharded(
@@ -720,7 +911,7 @@ pub fn write_sharded(
             .iter()
             .map(|c| &c.proc_)
             .collect();
-        let (bytes, meta) = encode_shard(i, spec, &procs, &segmented[i])?;
+        let (bytes, meta) = encode_shard(i, spec, &procs, &segmented[i]);
         let file = shard_file_name(i);
         let path = dir.join(&file);
         std::fs::write(&path, &bytes).map_err(io_err(&path))?;
@@ -935,7 +1126,7 @@ pub fn shard_record_ranges(
         .collect())
 }
 
-/// Opens a sharded v6 index directory as a lazily backed
+/// Opens a sharded v7 index directory as a lazily backed
 /// [`SimilarityEngine`] with default options (pruning on).
 /// Ranked responses are byte-identical to the resident engine the index
 /// was written from.
@@ -943,7 +1134,7 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
     open_sharded_with(dir, EshxOpenOptions::default())
 }
 
-/// Opens a sharded v6 index directory as a lazily backed
+/// Opens a sharded v7 index directory as a lazily backed
 /// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
 /// files load on first use, each checksum-verified at that first touch.
 /// Pruning is behaviour-preserving: rankings, H0 and VCP cache counters

@@ -1,4 +1,5 @@
-//! Little-endian byte-level encoding for the v5 binary files.
+//! Little-endian byte-level encoding for the index's binary files
+//! (`core.bin`, `prune.bin`, the shard files and their class records).
 //!
 //! Fixed layout, no self-description: every field is written and read in
 //! one agreed order, lengths are explicit, and integers are
@@ -95,6 +96,11 @@ impl<'a> Reader<'a> {
     /// Current read offset.
     pub fn pos(&self) -> usize {
         self.pos
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// True when every byte has been consumed.

@@ -1,7 +1,7 @@
 //! Shard corruption on the lazy path: a byte flipped in a
 //! *not-yet-loaded* shard file must surface as a typed `Corrupted`
 //! error — naming the shard file — on the first query that touches the
-//! shard, while every other shard keeps serving. Under v6 sub-shard
+//! shard, while every other shard keeps serving. Under sub-shard
 //! demand decoding the blast radius shrinks further, to a single
 //! record: a byte flipped in an *undecoded neighbour record* fails only
 //! queries that actually price that record, with an error naming the
@@ -12,6 +12,7 @@
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{CancelToken, EngineConfig, PrefilterConfig, QueryError, SimilarityEngine};
 use esh_index::{open_sharded, write_sharded, IndexError};
+use esh_ivl::{Operand, VarId};
 use esh_minic::demo;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -204,6 +205,128 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
         stats.shards_partial >= 1,
         "the surviving shard should be partially decoded: {stats:?}"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a, the index's checksum, over the concatenation of `parts`.
+fn fnv(parts: &[&[u8]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in parts.iter().flat_map(|p| p.iter()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Header, offset table and record-blob region of a shard file: the
+/// table row of record `i` is at `32 + 24 i` (offset, length, checksum),
+/// and the `u64` blob length sits just before the blobs.
+fn blob_region(bytes: &[u8], records: usize) -> std::ops::Range<usize> {
+    let start = 32 + 24 * records + 8;
+    let len = u64::from_le_bytes(bytes[start - 8..start].try_into().unwrap()) as usize;
+    start..start + len
+}
+
+/// Checksums catch bytes changed after the manifest was written, not
+/// bytes that were wrong when it was: a record re-encoded with an
+/// out-of-range operand, with its offset-table checksum, the shard's
+/// structural `meta_checksum` and the file `checksum` in the manifest
+/// all recomputed, passes every checksum. Decoding must still refuse
+/// it — a typed `Corrupted` error naming the file, the class and the
+/// defect — while a query over a co-resident record keeps serving.
+#[test]
+fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let (healthy_name, healthy_f) = &funcs[0];
+    let (victim_name, victim_f) = funcs.last().unwrap();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 2,
+        sketch: PrefilterConfig {
+            refine_top_k: 0,
+            ..PrefilterConfig::lsh_only()
+        },
+        ..EngineConfig::default()
+    });
+    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
+    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    let export = engine.export_corpus();
+    let dir = scratch("reencoded");
+    write_sharded(&engine, &dir, 2).unwrap();
+    drop(engine);
+
+    let healthy_classes: std::collections::BTreeSet<usize> =
+        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let shard_file = dir.join("shard-0000.bin");
+    let mut bytes = std::fs::read(&shard_file).unwrap();
+    let ranges = esh_index::shard_record_ranges(&dir, 0).unwrap();
+    let blobs = blob_region(&bytes, ranges.len());
+    let old_sum = fnv(&[&bytes]);
+    let old_meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
+    let mut poisoned = 0usize;
+    for (i, &(ci, start, len)) in ranges.iter().enumerate() {
+        if healthy_classes.contains(&ci) {
+            continue;
+        }
+        let at = start as usize..(start + len) as usize;
+        let mut p = esh_index::decode_record(&bytes[at.clone()]).unwrap();
+        let out_of_range = Operand::Var(VarId(p.vars.len() as u32));
+        let Some(arg) = p
+            .stmts
+            .iter_mut()
+            .flat_map(|s| s.args.iter_mut())
+            .find(|a| matches!(a, Operand::Var(_)))
+        else {
+            continue;
+        };
+        *arg = out_of_range;
+        let record = esh_index::encode_record(&p);
+        assert_eq!(record.len(), at.len(), "a var id re-encodes in place");
+        bytes[at].copy_from_slice(&record);
+        let row = 32 + 24 * i + 16;
+        bytes[row..row + 8].copy_from_slice(&fnv(&[&record]).to_le_bytes());
+        poisoned += 1;
+    }
+    assert!(poisoned > 0, "victim target shares every class");
+    std::fs::write(&shard_file, &bytes).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let sum_key = format!("\"checksum\":{old_sum}");
+    let meta_key = format!("\"meta_checksum\":{old_meta}");
+    assert!(text.contains(&sum_key) && text.contains(&meta_key), "manifest shape changed");
+    let meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
+    let text = text
+        .replace(&sum_key, &format!("\"checksum\":{}", fnv(&[&bytes])))
+        .replace(&meta_key, &format!("\"meta_checksum\":{meta}"));
+    std::fs::write(&manifest, text).unwrap();
+
+    let lazy = open_sharded(&dir).unwrap();
+    let healthy_q = gcc.compile_function(healthy_f);
+    let ok = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("the co-resident records are intact");
+    assert_eq!(ok.ranked()[0].name, format!("t-{healthy_name}"));
+
+    let poisoned_q = gcc.compile_function(victim_f);
+    match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
+        Err(QueryError::Corrupted(e)) => {
+            let msg = e.to_string();
+            assert!(msg.contains("shard-0000.bin"), "error must name the shard file: {msg}");
+            assert!(msg.contains("class "), "error must name the class: {msg}");
+            assert!(msg.contains("out-of-range var"), "error must say why: {msg}");
+        }
+        Ok(_) => panic!("query over an invalid record reported success"),
+        Err(e) => panic!("expected Corrupted, got {e}"),
+    }
+
+    let again = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("engine must survive an invalid-record error");
+    for (x, y) in ok.scores.iter().zip(&again.scores) {
+        assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

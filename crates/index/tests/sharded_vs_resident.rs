@@ -1,4 +1,4 @@
-//! The index's load-bearing pin: an engine opened from a sharded v6
+//! The index's load-bearing pin: an engine opened from a sharded
 //! index is **indistinguishable** from the resident engine it was written
 //! from — the engine `add_target` built, which is exactly what
 //! `write_sharded` serialises. Not just same ranked names, but

@@ -6,11 +6,10 @@
 //! expressed through extract/concat, and memory is an SSA array threaded
 //! through `store` operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The sort of an IVL variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Sort {
     /// A bitvector of the given width (1..=64).
     Bv(u32),
@@ -29,7 +28,7 @@ impl fmt::Display for Sort {
 
 /// Why an input variable exists — used for type-respecting input
 /// correspondences in the VCP search (§5.5 "maintaining typing").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputKind {
     /// The value of a register at strand entry.
     Register,
@@ -42,7 +41,7 @@ pub enum InputKind {
 }
 
 /// A variable index into [`Proc::vars`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -53,7 +52,7 @@ impl VarId {
 }
 
 /// A variable declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Var {
     /// Human-readable name (`v1`, `rax_in`, `mem0`).
     pub name: String,
@@ -64,7 +63,7 @@ pub struct Var {
 }
 
 /// An operand: a variable or a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A variable reference.
     Var(VarId),
@@ -86,7 +85,7 @@ impl Operand {
 
 /// IVL operations. Except where noted, all bitvector arguments share one
 /// width, which is also the result width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Identity (a plain copy).
     Copy,
@@ -141,7 +140,7 @@ pub enum Op {
 }
 
 /// One SSA assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stmt {
     /// Destination variable (assigned exactly once).
     pub dst: VarId,
@@ -152,7 +151,7 @@ pub struct Stmt {
 }
 
 /// A non-branching IVL procedure: the lifted form of one strand.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Proc {
     /// Name (diagnostic only).
     pub name: String,
@@ -222,27 +221,36 @@ impl Proc {
         }
     }
 
-    /// Validates SSA form and operand sorts, returning human-readable
-    /// problems (empty when well-formed).
+    /// Validates SSA form, widths and operand sorts, returning
+    /// human-readable problems (empty when well-formed). Never panics,
+    /// whatever the procedure holds: a statement with an out-of-range
+    /// variable is reported and its sorts are not checked.
     pub fn validate(&self) -> Vec<String> {
         let mut errors = Vec::new();
-        let mut assigned = vec![false; self.vars.len()];
-        for (i, v) in self.vars.iter().enumerate() {
-            if v.input.is_some() {
-                assigned[i] = true;
+        let mut assigned: Vec<bool> = self.vars.iter().map(|v| v.input.is_some()).collect();
+        for v in &self.vars {
+            if let Sort::Bv(w) = v.sort {
+                if !BV_WIDTHS.contains(&w) {
+                    errors.push(format!("`{}`: width {w} outside 1..=64", v.name));
+                }
             }
         }
         for (k, s) in self.stmts.iter().enumerate() {
+            let mut in_range = true;
             for a in &s.args {
-                if let Operand::Var(v) = a {
-                    if v.index() >= self.vars.len() {
+                match *a {
+                    Operand::Var(v) if v.index() >= self.vars.len() => {
                         errors.push(format!("stmt {k}: out-of-range var"));
-                    } else if !assigned[v.index()] {
-                        errors.push(format!(
-                            "stmt {k}: use of `{}` before assignment",
-                            self.var(*v).name
-                        ));
+                        in_range = false;
                     }
+                    Operand::Var(v) if !assigned[v.index()] => errors.push(format!(
+                        "stmt {k}: use of `{}` before assignment",
+                        self.var(v).name
+                    )),
+                    Operand::Const { width, .. } if !BV_WIDTHS.contains(&width) => {
+                        errors.push(format!("stmt {k}: constant width {width} outside 1..=64"));
+                    }
+                    _ => {}
                 }
             }
             if s.dst.index() >= self.vars.len() {
@@ -256,6 +264,9 @@ impl Proc {
                 ));
             }
             assigned[s.dst.index()] = true;
+            if !in_range {
+                continue;
+            }
             if let Some(err) = self.check_stmt_sorts(s) {
                 errors.push(format!("stmt {k}: {err}"));
             }
@@ -307,6 +318,7 @@ impl Proc {
             ),
             Op::Zext(to) | Op::Sext(to) => expect(
                 sorts.len() == 1
+                    && BV_WIDTHS.contains(&to)
                     && matches!(sorts[0], Sort::Bv(w) if w <= to)
                     && dst == Sort::Bv(to),
                 "extension sort mismatch",
@@ -314,6 +326,7 @@ impl Proc {
             Op::Extract(hi, lo) => expect(
                 sorts.len() == 1
                     && hi >= lo
+                    && hi < 64
                     && matches!(sorts[0], Sort::Bv(w) if hi < w)
                     && dst == Sort::Bv(hi - lo + 1),
                 "extract sort mismatch",
@@ -321,21 +334,24 @@ impl Proc {
             Op::Concat => {
                 let widths: Option<Vec<u32>> = sorts.iter().map(bv).collect();
                 match widths {
-                    Some(ws) if ws.len() == 2 => {
-                        expect(dst == Sort::Bv(ws[0] + ws[1]), "concat width mismatch")
-                    }
+                    Some(ws) if ws.len() == 2 => expect(
+                        ws[0].checked_add(ws[1]).is_some_and(|w| dst == Sort::Bv(w)),
+                        "concat width mismatch",
+                    ),
                     _ => Some("concat needs two bitvectors".into()),
                 }
             }
             Op::Load(w) => expect(
-                sorts.len() == 2
+                is_access_width(w)
+                    && sorts.len() == 2
                     && sorts[0] == Sort::Mem
                     && sorts[1] == Sort::Bv(64)
                     && dst == Sort::Bv(w),
                 "load sort mismatch",
             ),
             Op::Store(w) => expect(
-                sorts.len() == 3
+                is_access_width(w)
+                    && sorts.len() == 3
                     && sorts[0] == Sort::Mem
                     && sorts[1] == Sort::Bv(64)
                     && sorts[2] == Sort::Bv(w)
@@ -344,6 +360,14 @@ impl Proc {
             ),
         }
     }
+}
+
+/// The widths [`Sort::Bv`] may carry.
+const BV_WIDTHS: std::ops::RangeInclusive<u32> = 1..=64;
+
+/// Whether `w` is a memory access width: whole bytes, at most 64 bits.
+fn is_access_width(w: u32) -> bool {
+    w.is_multiple_of(8) && BV_WIDTHS.contains(&w)
 }
 
 impl fmt::Display for Operand {
@@ -441,6 +465,85 @@ mod tests {
         p.assign(hi, Op::Extract(63, 8), vec![Operand::Var(a)]);
         p.assign(back, Op::Concat, vec![Operand::Var(hi), Operand::Var(lo)]);
         assert!(p.validate().is_empty(), "{:?}", p.validate());
+    }
+
+    #[test]
+    fn validate_reports_out_of_range_operand_without_panicking() {
+        let mut p = Proc::new("s");
+        let a = p.declare("a", Sort::Bv(64), Some(InputKind::Register));
+        let v = p.declare("v", Sort::Bv(64), None);
+        p.assign(v, Op::Add, vec![Operand::Var(a), Operand::Var(VarId(7))]);
+        let errs = p.validate();
+        assert_eq!(errs, vec!["stmt 0: out-of-range var".to_string()]);
+    }
+
+    #[test]
+    fn validate_rejects_widths_outside_1_to_64() {
+        for w in [0, 65, 1000] {
+            let mut p = Proc::new("s");
+            let a = p.declare("a", Sort::Bv(w), Some(InputKind::Register));
+            let v = p.declare("v", Sort::Bv(w), None);
+            p.assign(v, Op::Zext(w), vec![Operand::Var(a)]);
+            assert!(!p.validate().is_empty(), "bv{w} validated");
+        }
+        for w in [0, 65] {
+            let mut p = Proc::new("s");
+            let v = p.declare("v", Sort::Bv(64), None);
+            p.assign(v, Op::Zext(64), vec![Operand::Const { value: 0, width: w }]);
+            assert!(!p.validate().is_empty(), "constant bv{w} validated");
+        }
+    }
+
+    #[test]
+    fn validate_bounds_op_immediates() {
+        let one = |op: Op, dst: Sort| {
+            let mut p = Proc::new("s");
+            let a = p.declare("a", Sort::Bv(64), Some(InputKind::Register));
+            let v = p.declare("v", dst, None);
+            p.assign(v, op, vec![Operand::Var(a)]);
+            p.validate()
+        };
+        assert!(one(Op::Zext(64), Sort::Bv(64)).is_empty());
+        assert!(!one(Op::Zext(65), Sort::Bv(65)).is_empty());
+        assert!(!one(Op::Sext(128), Sort::Bv(128)).is_empty());
+        assert!(!one(Op::Extract(64, 1), Sort::Bv(64)).is_empty());
+        assert!(!one(Op::Extract(u32::MAX, 0), Sort::Bv(64)).is_empty());
+        let access = |op: Op, value: u32| {
+            let mut p = Proc::new("s");
+            let m = p.declare("mem0", Sort::Mem, Some(InputKind::Memory));
+            let a = p.declare("a", Sort::Bv(64), Some(InputKind::Register));
+            let x = p.declare("x", Sort::Bv(value), Some(InputKind::Register));
+            match op {
+                Op::Load(_) => {
+                    let v = p.declare("v", Sort::Bv(value), None);
+                    p.assign(v, op, vec![Operand::Var(m), Operand::Var(a)]);
+                }
+                _ => {
+                    let m1 = p.declare("mem1", Sort::Mem, None);
+                    p.assign(m1, op, vec![Operand::Var(m), Operand::Var(a), Operand::Var(x)]);
+                }
+            }
+            p.validate()
+        };
+        for w in [8, 16, 32, 64] {
+            assert!(access(Op::Load(w), w).is_empty(), "load {w}");
+            assert!(access(Op::Store(w), w).is_empty(), "store {w}");
+        }
+        for w in [0, 7, 12, 72] {
+            assert!(!access(Op::Load(w), w.clamp(1, 64)).is_empty(), "load {w}");
+            assert!(!access(Op::Store(w), w.clamp(1, 64)).is_empty(), "store {w}");
+        }
+    }
+
+    #[test]
+    fn validate_concat_width_sum_does_not_overflow() {
+        let mut p = Proc::new("s");
+        let a = p.declare("a", Sort::Bv(u32::MAX), Some(InputKind::Register));
+        let b = p.declare("b", Sort::Bv(2), Some(InputKind::Register));
+        let v = p.declare("v", Sort::Bv(1), None);
+        p.assign(v, Op::Concat, vec![Operand::Var(a), Operand::Var(b)]);
+        let errs = p.validate();
+        assert!(errs.iter().any(|e| e.contains("concat width mismatch")), "{errs:?}");
     }
 
     #[test]

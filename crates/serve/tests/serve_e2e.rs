@@ -593,15 +593,15 @@ fn serving_from_a_sharded_index_is_lazy_and_identical() {
 #[test]
 fn shard_budget_mb_caps_residency_while_serving_identically() {
     use esh_corpus::scale::{stream_scale_corpus, ScaleConfig};
-    // A corpus whose shard payload comfortably exceeds 1MB (~420
-    // procedures × ~5KB each, one target per shard), served under
-    // `--shard-budget-mb 1`. Demand decoding only makes the records a
+    // A corpus whose shard payload comfortably exceeds 2MB (1600
+    // procedures × ~1.9KB each, ~2.8MB, one target per shard), served
+    // under `--shard-budget-mb 1`. Demand decoding only makes the records a
     // query prices resident, so one query stays well under the cap; a
     // run of queries from distinct sources accumulates past it, so the
     // daemon must evict shards — and still answer byte-identically to a
     // fully resident engine, with peak residency never crossing the cap.
     const BUDGET_MB: u64 = 1;
-    let config = ScaleConfig::new(420, 0x5e7e);
+    let config = ScaleConfig::new(1600, 0x5e7e);
     let mut resident = SimilarityEngine::new(EngineConfig {
         threads: 1,
         ..EngineConfig::default()

@@ -21,7 +21,7 @@
 //!
 //! `index build` persists the engine's derived corpus state (strand
 //! classes, signatures, hashes, lifted procedures) as a sharded binary
-//! `.eshx` index (format v6); `query --index` opens it — skipping
+//! `.eshx` index (format v7); `query --index` opens it — skipping
 //! decomposition/lifting of every target — runs the query and reports
 //! VCP-cache statistics. Indexes are immutable once written: a warm
 //! cache belongs to a long-running `serve`.
