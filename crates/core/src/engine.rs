@@ -344,19 +344,6 @@ impl CancelToken {
     }
 }
 
-/// Error returned when a query is abandoned via its [`CancelToken`]
-/// (deadline passed or cancelled explicitly) before scoring finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryCancelled;
-
-impl fmt::Display for QueryCancelled {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("query cancelled before completion")
-    }
-}
-
-impl std::error::Error for QueryCancelled {}
-
 /// Why a query failed: abandoned via its [`CancelToken`], or a
 /// lazily-backed shard it needed could not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -373,19 +360,13 @@ pub enum QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::Cancelled => QueryCancelled.fmt(f),
+            QueryError::Cancelled => f.write_str("query cancelled before completion"),
             QueryError::Corrupted(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for QueryError {}
-
-impl From<QueryCancelled> for QueryError {
-    fn from(_: QueryCancelled) -> QueryError {
-        QueryError::Cancelled
-    }
-}
 
 impl From<ShardError> for QueryError {
     fn from(e: ShardError) -> QueryError {
@@ -528,14 +509,16 @@ impl SimilarityEngine {
         self.prefilter_stats.snapshot()
     }
 
-    /// Switches the sketch prefilter tier on or off for subsequent
-    /// queries (the `esh query --no-prefilter` escape hatch), keeping
-    /// its other knobs. Both directions change the config fingerprint,
-    /// since pruned pairs carry estimated VCP values.
-    pub fn set_prefilter_enabled(&mut self, enabled: bool) {
-        self.config.sketch.enabled = enabled;
+    /// Switches the sketch prefilter tier off for subsequent queries
+    /// (the `esh query --no-prefilter` escape hatch), dropping every
+    /// class sketch with it: sketches exist exactly when the tier is on.
+    /// The config fingerprint changes, since pruned pairs carry
+    /// estimated VCP values.
+    pub fn disable_prefilter(&mut self) {
+        self.config.sketch.enabled = false;
         *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
         for class in &mut self.classes {
+            class.sketch = None;
             class.probe = ProbeSlot::default();
         }
     }
@@ -548,29 +531,11 @@ impl SimilarityEngine {
 
     /// The lifted procedure of class `ci`, pulling its shard into memory
     /// (again, if evicted) on demand when the engine is lazily backed.
-    ///
-    /// Panics when the backing shard is corrupted — cold paths (corpus
-    /// export, sketch builds) have no error channel. The query hot path
-    /// runs the fallible [`Self::ensure_class_shard`] before any cell
-    /// touches the shard, so corruption surfaces there as a typed
-    /// [`QueryError`] first.
-    fn class_proc(&self, ci: usize) -> ClassProcRef<'_> {
-        match &self.shards {
-            Some(lazy) if ci < lazy.class_limit() => ClassProcRef::Shared(
-                lazy.proc_ref(ci, &self.cache)
-                    .unwrap_or_else(|e| panic!("{e}")),
-            ),
-            _ => ClassProcRef::Resident(&self.classes[ci].proc_),
-        }
-    }
-
-    /// Fallible twin of [`Self::class_proc`] for the query hot path:
-    /// under per-record demand decoding a corrupt record is only
+    /// Under per-record demand decoding a corrupt record is only
     /// discovered when its class is first decoded — which happens *here*,
-    /// at proc-need time, not at shard open — so the sites that feed the
-    /// verifier must surface the checksum error as a typed
-    /// [`QueryError::Corrupted`] instead of panicking.
-    fn class_proc_checked(&self, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
+    /// at proc-need time, not at shard open — so the checksum error
+    /// surfaces as a typed [`ShardError`], never a panic.
+    fn class_proc(&self, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
         match &self.shards {
             Some(lazy) if ci < lazy.class_limit() => {
                 Ok(ClassProcRef::Shared(lazy.proc_ref(ci, &self.cache)?))
@@ -587,7 +552,7 @@ impl SimilarityEngine {
     /// invariant survives eviction: a reopen re-inserts the same segment
     /// idempotently before the next counted lookup.) Procedure records
     /// are *not* decoded here: that happens per class at proc-need time
-    /// via [`Self::class_proc_checked`], after the counted lookup — the
+    /// via [`Self::class_proc`], after the counted lookup — the
     /// decode-before-lookup rule degenerates to decode-*on-miss*, which
     /// is safe because a decode never touches a counter.
     fn ensure_class_shard(&self, ci: usize) -> Result<Option<usize>, ShardError> {
@@ -648,23 +613,30 @@ impl SimilarityEngine {
     /// Dumps the whole corpus — config, materialized classes, targets,
     /// sorted cache entries — for the sharded-index writer. On a lazily
     /// backed engine this loads every shard.
-    pub fn export_corpus(&self) -> CorpusExport {
-        CorpusExport {
+    ///
+    /// # Errors
+    ///
+    /// Fails when a lazily backed class's shard or record is corrupted
+    /// or unreadable.
+    pub fn export_corpus(&self) -> Result<CorpusExport, ShardError> {
+        Ok(CorpusExport {
             config: self.config.clone(),
             classes: self
                 .classes
                 .iter()
                 .enumerate()
-                .map(|(i, c)| ClassExport {
-                    name: c.proc_.name.clone(),
-                    proc_: self.class_proc(i).clone(),
-                    signature: c.signature.clone(),
-                    vars: c.vars,
-                    hash: c.hash,
-                    corpus_count: c.corpus_count,
-                    sketch: c.sketch.clone(),
+                .map(|(i, c)| {
+                    Ok(ClassExport {
+                        name: c.proc_.name.clone(),
+                        proc_: self.class_proc(i)?.clone(),
+                        signature: c.signature.clone(),
+                        vars: c.vars,
+                        hash: c.hash,
+                        corpus_count: c.corpus_count,
+                        sketch: c.sketch.clone(),
+                    })
                 })
-                .collect(),
+                .collect::<Result<_, ShardError>>()?,
             targets: self
                 .targets
                 .iter()
@@ -675,7 +647,7 @@ impl SimilarityEngine {
                 })
                 .collect(),
             cache: self.cache.entries(),
-        }
+        })
     }
 
     /// Builds an engine over a lazily-loaded sharded backing store: class
@@ -686,9 +658,9 @@ impl SimilarityEngine {
     ///
     /// Validates that `specs` tile both index spaces contiguously from
     /// zero, that class hashes are unique, that target strand
-    /// references are in range, and, under an enabled sketch tier, that
-    /// its knobs are usable and every persisted sketch has its
-    /// `bands × rows` minhash words.
+    /// references are in range, that classes carry sketches exactly when
+    /// the sketch tier is on, and, under an enabled tier, that its knobs
+    /// are usable and every sketch has its `bands × rows` minhash words.
     pub fn from_lazy_parts(
         config: EngineConfig,
         classes: Vec<LazyClassMeta>,
@@ -727,6 +699,15 @@ impl SimilarityEngine {
             if t.strands.iter().any(|&(ci, _)| ci >= classes.len()) {
                 return Err(format!("target `{}` references a class out of range", t.name));
             }
+        }
+        let tier = config.active_sketch().is_some();
+        if let Some(c) = classes.iter().find(|c| c.sketch.is_some() != tier) {
+            let why = if tier {
+                "has no sketch under an enabled"
+            } else {
+                "has a sketch under a disabled"
+            };
+            return Err(format!("class `{}` {why} sketch tier", c.name));
         }
         if let Some(cfg) = config.active_sketch() {
             cfg.validate()?;
@@ -782,11 +763,6 @@ impl SimilarityEngine {
     /// Number of deduplicated strand classes across the corpus.
     pub fn class_count(&self) -> usize {
         self.classes.len()
-    }
-
-    /// Name of a target.
-    pub fn target_name(&self, id: TargetId) -> &str {
-        &self.targets[id.0].name
     }
 
     /// Decomposes a procedure according to the configured granularity.
@@ -856,11 +832,6 @@ impl SimilarityEngine {
             basic_blocks: proc_.blocks.len(),
         });
         id
-    }
-
-    /// Basic-block count recorded for a target.
-    pub fn target_basic_blocks(&self, id: TargetId) -> usize {
-        self.targets[id.0].basic_blocks
     }
 
     /// The most common strand classes in the corpus — the H0 mass the
@@ -958,9 +929,9 @@ impl SimilarityEngine {
     }
 
     /// Returns the banded LSH index over the corpus sketches, building it
-    /// on first use. Classes missing a persisted sketch (targets added
-    /// while the tier was off) are sketched here, paying the sketching
-    /// cost once, on the first prefilter-enabled query.
+    /// on first use. Every class carries its sketch while the tier is on:
+    /// `add_target` computes it, and `from_lazy_parts` refuses an index
+    /// whose classes lack one.
     fn ensure_sketch_index(&self) -> Option<Arc<SketchIndex>> {
         let cfg = self.config.active_sketch()?;
         let mut slot = self.sketch_index.lock().expect("sketch index poisoned");
@@ -968,14 +939,7 @@ impl SimilarityEngine {
             let sketches = self
                 .classes
                 .iter()
-                .enumerate()
-                .map(|(i, c)| match &c.sketch {
-                    Some(s) => s.clone(),
-                    // Missing sketches (a sharded index written without
-                    // the tier) rebuild from the real procedure — on a
-                    // lazily backed engine this loads the class's shard.
-                    None => compute_sketch(&self.class_proc(i), cfg),
-                })
+                .map(|c| c.sketch.clone().expect("an enabled sketch tier sketches every class"))
                 .collect();
             *slot = Some(Arc::new(SketchIndex::build(sketches, cfg)));
         }
@@ -1301,7 +1265,7 @@ impl SimilarityEngine {
                 stats.record_probe();
                 let (r_q, r_t) = self.probe_bounds(cfg, q, ci, || {
                     self.open_cell(ci, item, &batch.touched)?;
-                    self.class_proc_checked(ci)
+                    self.class_proc(ci)
                 })?;
                 if r_q < margin && r_t < margin {
                     stats.record_pruned();
@@ -1353,7 +1317,7 @@ impl SimilarityEngine {
         ci: usize,
         key: VcpKey,
     ) -> Result<VcpPair, ShardError> {
-        let class = self.class_proc_checked(ci)?;
+        let class = self.class_proc(ci)?;
         let v = vcp_pair(session, q, &class, &self.config.vcp);
         self.cache.insert(key, v);
         Ok(v)
@@ -1685,7 +1649,7 @@ impl SimilarityEngine {
                                     (qs.containment_in(ts), ts.containment_in(qs))
                                 }
                                 Some(_) => {
-                                    self.probe_bounds(cfg, q, ci, || self.class_proc_checked(ci))?
+                                    self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?
                                 }
                                 None => (1.0, 1.0),
                             };
@@ -1992,7 +1956,7 @@ mod tests {
             with.add_target(format!("t{i}"), &gcc().compile_function(&p));
             without.add_target(format!("t{i}"), &gcc().compile_function(&p));
         }
-        with.set_prefilter_enabled(false);
+        with.disable_prefilter();
         let q = clang().compile_function(&f);
         let a = with.query(&q);
         let b = without.query(&q);

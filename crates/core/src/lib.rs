@@ -71,7 +71,7 @@ mod vcp;
 
 pub use cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 pub use engine::{
-    BatchQuery, CancelToken, EngineConfig, Granularity, QueryCancelled, QueryError, QueryScores,
+    BatchQuery, CancelToken, EngineConfig, Granularity, QueryError, QueryScores,
     SimilarityEngine, TargetId, TargetScore,
 };
 pub use esh_solver::{EquivStats, SolverPerf};

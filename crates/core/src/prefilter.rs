@@ -50,11 +50,11 @@ use esh_solver::eval::{eval_battery, cval_digest, Assignment};
 use esh_solver::TermPool;
 use esh_strands::{stable_hash64, stable_mix, STABLE_HASH_SEED};
 use esh_verifier::encode_proc;
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Tuning for the semantic sketch prefilter tier. Every knob is a plain
 /// value; a zero turns its stage off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrefilterConfig {
     /// The tier's one switch. Disabled, the engine behaves exactly like
     /// the pre-sketch pipeline (`esh query --no-prefilter`), and the
@@ -122,36 +122,14 @@ impl Default for PrefilterConfig {
     }
 }
 
-/// Reads a manifest's recorded tier. A `null` (or absent) tier is a
-/// disabled default tier, and a `null` knob reads as 0 — the forms an
-/// older writer recorded for "off".
-impl Deserialize for PrefilterConfig {
-    fn deserialize(v: &Value) -> Result<PrefilterConfig, DeError> {
-        if matches!(v, Value::Null) {
-            return Ok(PrefilterConfig { enabled: false, ..PrefilterConfig::default() });
-        }
-        let obj = v.as_object().ok_or_else(|| DeError::new("expected a sketch object"))?;
-        Ok(PrefilterConfig {
-            enabled: field(obj, "enabled")?,
-            vectors: field(obj, "vectors")?,
-            bands: field(obj, "bands")?,
-            rows: field(obj, "rows")?,
-            exact_fallback_margin: field(obj, "exact_fallback_margin")?,
-            ambiguity_window: field::<Option<f64>>(obj, "ambiguity_window")?.unwrap_or(0.0),
-            probe_vectors: field::<Option<usize>>(obj, "probe_vectors")?.unwrap_or(0),
-            refine_top_k: field::<Option<usize>>(obj, "refine_top_k")?.unwrap_or(0),
-        })
-    }
-}
-
 impl PrefilterConfig {
     /// Stable FNV-1a digest over every knob. Sketches and pruned-pair
     /// estimates are only valid under the parameters that produced them,
     /// so [`crate::EngineConfig::fingerprint`] folds this in.
     ///
     /// `ambiguity_window`, `probe_vectors` and `refine_top_k` are mixed
-    /// **only when nonzero**, so a zero knob keeps the fingerprint an
-    /// older writer recorded for the same knob as `null`.
+    /// **only when nonzero**: a zero knob folds nothing, which keeps
+    /// every fingerprint recorded since these knobs were added.
     pub fn fingerprint(&self) -> u64 {
         let mut fields = vec![
             u64::from(self.enabled),

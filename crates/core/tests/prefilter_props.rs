@@ -132,7 +132,7 @@ proptest! {
             with.add_target(format!("t{i}"), t);
             without.add_target(format!("t{i}"), t);
         }
-        with.set_prefilter_enabled(false);
+        with.disable_prefilter();
         let a = with.query(&query);
         let b = without.query(&query);
         prop_assert_eq!(a.scores.len(), b.scores.len());

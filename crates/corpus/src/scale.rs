@@ -18,7 +18,7 @@
 use esh_cc::{Compiler, OptLevel, Toolchain};
 use esh_minic::gen::generate_scale_source;
 
-use crate::{CompiledProc, Corpus, PatchTag};
+use crate::{CompiledProc, PatchTag};
 
 /// Sources generated (and compiled across the matrix) per streaming
 /// chunk. Bounds peak memory to `SCALE_CHUNK × matrix` procedures.
@@ -123,14 +123,6 @@ pub fn stream_scale_corpus_with_threads(
         }
     }
     emitted
-}
-
-/// Materializes the full scale corpus — convenient for benches and
-/// tests; prefer [`stream_scale_corpus`] at 10k+ scale.
-pub fn build_scale_corpus(config: &ScaleConfig) -> Corpus {
-    let mut procs = Vec::with_capacity(config.procs);
-    stream_scale_corpus(config, |p| procs.push(p));
-    Corpus { procs }
 }
 
 #[cfg(test)]

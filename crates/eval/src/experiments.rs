@@ -1,9 +1,9 @@
 //! Drivers regenerating every table and figure of the paper's evaluation.
 //!
 //! Each `run_*` function returns a structured result and can render itself
-//! as text; the `esh-eval` binaries and the `esh-bench` criterion harness
-//! call these. Scales control corpus size: `Smoke` for CI, `Default` for
-//! a laptop run, `Paper` for the full ~1500-procedure corpus.
+//! as text; the `esh-eval` binaries call these. Scales control corpus
+//! size: `Smoke` for CI, `Default` for a laptop run, `Paper` for the
+//! full ~1500-procedure corpus.
 
 use esh_baselines::{match_libraries, tracy_similarity};
 use esh_core::{EngineConfig, QueryScores, ScoringMode, SimilarityEngine, TargetId};

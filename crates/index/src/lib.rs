@@ -190,10 +190,8 @@ struct ShardManifest {
     // region. Verified at shard *open*, so header, offset table and
     // cache segment are trusted before any record decodes — the record
     // blobs themselves are covered one by one by the per-record
-    // checksums in the offset table. `Option` only so a pre-v6 manifest
-    // parses far enough to be rejected with a version message instead
-    // of a field error.
-    meta_checksum: Option<u64>,
+    // checksums in the offset table.
+    meta_checksum: u64,
 }
 
 /// The manifest document (`manifest.json`).
@@ -648,7 +646,6 @@ fn read_shard_structure(
     expect_index: usize,
     m: &ShardManifest,
 ) -> Result<ShardStructure, String> {
-    let meta = m.meta_checksum.ok_or("manifest records no structural checksum")?;
     let mut file = File::open(path).map_err(|e| e.to_string())?;
     let file_len = file.metadata().map_err(|e| e.to_string())?.len();
     if file_len != m.bytes {
@@ -698,7 +695,7 @@ fn read_shard_structure(
         })?;
     }
     let tail = read_at(&mut file, blob_end, file_len - blob_end).map_err(|e| e.to_string())?;
-    if checksum_parts(&[&head, &tail]) != meta {
+    if checksum_parts(&[&head, &tail]) != m.meta_checksum {
         return Err("checksum mismatch — the shard's structural bytes were \
                     modified after the manifest was written"
             .into());
@@ -871,15 +868,19 @@ fn partition(export: &CorpusExport, targets_per_shard: usize) -> Vec<ShardSpec> 
 
 /// Writes `engine`'s corpus as a sharded v7 index into directory `dir`
 /// (created if missing; existing index files are overwritten), with at
-/// most `targets_per_shard` targets per shard.
+/// most `targets_per_shard` targets per shard. A lazily backed engine
+/// loads every record first; a corrupt one fails the write with a
+/// [`IndexError::Format`] naming its shard, before any file is written.
 pub fn write_sharded(
     engine: &SimilarityEngine,
     dir: impl AsRef<Path>,
     targets_per_shard: usize,
 ) -> Result<WriteSummary, IndexError> {
     let dir = dir.as_ref();
+    let export = engine
+        .export_corpus()
+        .map_err(|e| format_err(dir, format!("exporting the engine's corpus: {e}")))?;
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
-    let export = engine.export_corpus();
     let specs = partition(&export, targets_per_shard);
 
     // Assign each cache entry to the shard owning its class hash;
@@ -924,7 +925,7 @@ pub fn write_sharded(
             target_end: spec.target_end as u64,
             bytes: bytes.len() as u64,
             checksum: checksum(&bytes),
-            meta_checksum: Some(meta),
+            meta_checksum: meta,
         });
     }
 
@@ -1027,19 +1028,24 @@ pub struct ManifestSummary {
 }
 
 /// Reads and validates `manifest.json` (version + config fingerprint)
-/// without opening any other file in the directory.
+/// without opening any other file in the directory. The version is
+/// checked before the rest decodes, so a manifest of another format
+/// version gets [`IndexError::VersionMismatch`], whatever its fields.
 fn load_manifest(dir: &Path) -> Result<Manifest, IndexError> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let text = std::fs::read_to_string(&manifest_path).map_err(io_err(&manifest_path))?;
-    let manifest: Manifest = serde_json::from_str(&text)
-        .map_err(|e| format_err(&manifest_path, e.to_string()))?;
-    if manifest.format_version != SHARDED_FORMAT_VERSION {
+    let malformed = |e: &dyn fmt::Display| format_err(&manifest_path, e.to_string());
+    let value: serde::Value = serde_json::from_str(&text).map_err(|e| malformed(&e))?;
+    let fields = value.as_object().ok_or_else(|| malformed(&"expected a JSON object"))?;
+    let found: u32 = serde::field(fields, "format_version").map_err(|e| malformed(&e))?;
+    if found != SHARDED_FORMAT_VERSION {
         return Err(IndexError::VersionMismatch {
             path: manifest_path,
-            found: manifest.format_version,
+            found,
             expected: SHARDED_FORMAT_VERSION,
         });
     }
+    let manifest = Manifest::deserialize(&value).map_err(|e| malformed(&e))?;
     let recomputed = manifest.config.fingerprint();
     if manifest.config_fingerprint != recomputed {
         return Err(IndexError::ConfigMismatch {
@@ -1221,7 +1227,6 @@ pub fn open_sharded_with(
 mod tests {
     use super::*;
     use esh_cc::{Compiler, Vendor, VendorVersion};
-    use esh_core::PrefilterConfig;
     use esh_minic::demo;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1245,7 +1250,7 @@ mod tests {
     #[test]
     fn partition_tiles_classes_and_targets_contiguously() {
         let engine = small_engine();
-        let export = engine.export_corpus();
+        let export = engine.export_corpus().unwrap();
         for per in [1, 2, 3, 100] {
             let specs = partition(&export, per);
             let mut c = 0;
@@ -1384,61 +1389,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Rewrites the manifest's config into the form an older writer
-    /// recorded: the retired `"prefilter":true` key, the sketch tier as
-    /// `old_sketch`, and the fingerprint as `fingerprint`.
-    fn record_older_config(dir: &Path, config: &EngineConfig, old_sketch: &str, fingerprint: u64) {
-        let path = dir.join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (fp_new, sketch_new) = (
-            format!("\"config_fingerprint\":{}", config.fingerprint()),
-            format!("\"sketch\":{}", serde_json::to_string(&config.sketch).unwrap()),
-        );
-        assert!(text.contains(&fp_new) && text.contains(&sketch_new), "manifest shape changed");
-        let text = text
-            .replace(&fp_new, &format!("\"config_fingerprint\":{fingerprint}"))
-            .replace(&sketch_new, &format!("\"sketch\":{old_sketch}"))
-            .replace("\"prefilter_threshold\":", "\"prefilter\":true,\"prefilter_threshold\":");
-        std::fs::write(&path, text).unwrap();
-    }
-
-    #[test]
-    fn manifests_with_null_knobs_and_null_tier_still_open() {
-        // What an older writer recorded for `lsh_only` (probe knobs as
-        // `null`) and for a config without the tier (`"sketch":null`),
-        // with the fingerprints it recorded for them.
-        let lsh = PrefilterConfig::lsh_only();
-        let lsh_old = serde_json::to_string(&lsh).unwrap().replace(
-            "\"ambiguity_window\":0.0,\"probe_vectors\":0",
-            "\"ambiguity_window\":null,\"probe_vectors\":null",
-        );
-        let off = PrefilterConfig { enabled: false, ..PrefilterConfig::default() };
-        let q = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0))
-            .compile_function(&demo::venom_like());
-        for (sketch, old_sketch, old_fp) in [
-            (lsh, lsh_old.as_str(), 5_186_482_440_749_417_900),
-            (off, "null", 17_071_739_695_097_612_108),
-        ] {
-            let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
-            let config = EngineConfig { sketch, threads: 2, ..EngineConfig::default() };
-            let mut engine = SimilarityEngine::new(config);
-            for (name, f) in demo::cve_functions() {
-                engine.add_target(name, &gcc.compile_function(&f));
-            }
-            let dir = temp_dir("older-config");
-            write_sharded(&engine, &dir, 2).unwrap();
-            record_older_config(&dir, engine.config(), old_sketch, old_fp);
-            let lazy = open_sharded(&dir).expect("older config forms open");
-            assert_eq!(lazy.config().fingerprint(), old_fp);
-            assert_eq!(lazy.config().sketch, sketch);
-            let (a, b) = (engine.query(&q), lazy.query(&q));
-            for (x, y) in a.scores.iter().zip(&b.scores) {
-                assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
-                assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
-                assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
-            }
-            std::fs::remove_dir_all(&dir).ok();
+    /// Drops every `"meta_checksum":N` field from a manifest's text.
+    fn strip_meta_checksums(text: &str) -> String {
+        let key = ",\"meta_checksum\":";
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find(key) {
+            out.push_str(&rest[..at]);
+            rest = rest[at + key.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
         }
+        out.push_str(rest);
+        out
     }
 
     #[test]
@@ -1448,19 +1409,33 @@ mod tests {
         write_sharded(&engine, &dir, 2).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(
-            &path,
-            text.replace(
-                &format!("\"format_version\":{SHARDED_FORMAT_VERSION}"),
-                "\"format_version\":9",
-            ),
-        )
-        .unwrap();
-        match open_sharded(&dir) {
-            Err(IndexError::VersionMismatch { found: 9, expected, .. }) => {
-                assert_eq!(expected, SHARDED_FORMAT_VERSION);
+        let version = format!("\"format_version\":{SHARDED_FORMAT_VERSION}");
+        let sketch = serde_json::to_string(&engine.config().sketch).unwrap();
+        let sketch = format!("\"sketch\":{sketch}");
+        let probe_knobs = "\"ambiguity_window\":0.2,\"probe_vectors\":24,\"refine_top_k\":10";
+        assert!(
+            [version.as_str(), &sketch, probe_knobs].iter().all(|k| text.contains(k)),
+            "manifest shape changed"
+        );
+        // A future version, and v6-shaped manifests: no structural shard
+        // checksums, with the tier recorded as `null` or its probe knobs
+        // as `null` — fields the v7 layout cannot decode, so only the
+        // version check can name what is wrong.
+        let v6 = strip_meta_checksums(&text.replace(&version, "\"format_version\":6"));
+        assert!(!v6.contains("meta_checksum"));
+        let null_knobs = "\"ambiguity_window\":null,\"probe_vectors\":null,\"refine_top_k\":null";
+        for (manifest, found) in [
+            (text.replace(&version, "\"format_version\":9"), 9),
+            (v6.replace(&sketch, "\"sketch\":null"), 6),
+            (v6.replace(probe_knobs, null_knobs), 6),
+        ] {
+            std::fs::write(&path, manifest).unwrap();
+            match open_sharded(&dir) {
+                Err(IndexError::VersionMismatch { found: f, expected, .. }) if f == found => {
+                    assert_eq!(expected, SHARDED_FORMAT_VERSION);
+                }
+                other => panic!("v{found}: expected VersionMismatch, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

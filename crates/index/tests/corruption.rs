@@ -135,7 +135,7 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
     });
     engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
     engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
-    let export = engine.export_corpus();
+    let export = engine.export_corpus().unwrap();
     let dir = scratch("neighbour");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
@@ -252,7 +252,7 @@ fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries()
     });
     engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
     engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
-    let export = engine.export_corpus();
+    let export = engine.export_corpus().unwrap();
     let dir = scratch("reencoded");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
@@ -353,7 +353,7 @@ fn shard_truncated_after_open_fails_only_queries_reading_past_the_cut() {
     });
     engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
     engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
-    let export = engine.export_corpus();
+    let export = engine.export_corpus().unwrap();
     let dir = scratch("truncate");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
@@ -496,6 +496,101 @@ fn hostile_sketch_knobs_are_rejected_at_open() {
             Ok(_) => panic!("{json} opened"),
             Err(e) => panic!("{json}: expected a format error, got {e}"),
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewriting an opened index loads every record, so a corrupt one must
+/// fail the write with a typed error naming its shard — not panic
+/// inside `write_sharded` — before any file is written.
+#[test]
+fn rewriting_a_lazy_engine_with_a_corrupt_record_is_an_error() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("rewrite");
+    write_sharded(&engine, dir.join("a.eshx"), 2).unwrap();
+    let shard_file = dir.join("a.eshx").join("shard-0000.bin");
+    let mut bytes = std::fs::read(&shard_file).unwrap();
+    let (_, start, len) = esh_index::shard_record_ranges(dir.join("a.eshx"), 0).unwrap()[0];
+    bytes[(start + len / 2) as usize] ^= 0x40;
+    std::fs::write(&shard_file, &bytes).unwrap();
+
+    let lazy = open_sharded(dir.join("a.eshx")).unwrap();
+    match write_sharded(&lazy, dir.join("b.eshx"), 2) {
+        Err(IndexError::Format { detail, .. }) => {
+            assert!(detail.contains("shard-0000.bin"), "error must name the shard file: {detail}");
+            assert!(detail.contains("checksum mismatch"), "error must say why: {detail}");
+        }
+        Ok(_) => panic!("an index with a corrupt record was rewritten"),
+        Err(e) => panic!("expected a format error, got {e}"),
+    }
+    assert!(!dir.join("b.eshx").exists(), "a failed rewrite writes nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte range of the first class's sketch in `core.bin`: its flag byte,
+/// then the digest and minhash vectors (each a `u32` count and that many
+/// `u64`s). The class row before it is the name (`u32` length + bytes),
+/// hash, vars, corpus count, then the signature's `u32` round count and
+/// its `u64` vectors.
+fn first_sketch(core: &[u8]) -> std::ops::Range<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(core[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 8 + 16;
+    at += 4 + u32_at(at) + 24;
+    let rounds = u32_at(at);
+    at += 4;
+    for _ in 0..rounds {
+        at += 4 + 8 * u32_at(at);
+    }
+    let start = at;
+    assert_eq!(core[at], 1, "the first class carries a sketch");
+    at += 1;
+    for _ in 0..2 {
+        at += 4 + 8 * u32_at(at);
+    }
+    start..at
+}
+
+/// Under an enabled sketch tier every class carries its sketch. A
+/// `core.bin` whose first class has none — its checksum and size in the
+/// manifest recomputed, so every checksum passes — is refused at open
+/// with a typed error. (Accepted, the first query rebuilt the missing
+/// sketch from the class's record under the sketch-index lock, where a
+/// corrupt record panicked and poisoned the lock for every later query.)
+#[test]
+fn sketchless_class_under_an_enabled_tier_is_rejected_at_open() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("sketchless");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let core_path = dir.join("core.bin");
+    let mut core = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let old = format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[&core]));
+    assert!(text.contains(&old), "manifest shape changed");
+    core.splice(first_sketch(&core), [0u8]);
+    std::fs::write(&core_path, &core).unwrap();
+    let new = format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[&core]));
+    std::fs::write(&manifest, text.replace(&old, &new)).unwrap();
+    match open_sharded(&dir) {
+        Err(IndexError::Format { detail, .. }) => {
+            assert!(detail.contains("has no sketch"), "{detail}")
+        }
+        Ok(_) => panic!("a sketchless class opened under an enabled tier"),
+        Err(e) => panic!("expected a format error, got {e}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

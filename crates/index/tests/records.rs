@@ -98,7 +98,7 @@ fn digest(path: &Path) -> u64 {
 #[test]
 fn every_scale_class_round_trips_through_its_record_and_the_index() {
     let engine = scale_engine();
-    let export = engine.export_corpus();
+    let export = engine.export_corpus().unwrap();
     assert!(export.targets.len() >= 1000 && !export.classes.is_empty());
     for (ci, c) in export.classes.iter().enumerate() {
         assert_eq!(
@@ -109,7 +109,7 @@ fn every_scale_class_round_trips_through_its_record_and_the_index() {
     }
     let dir = scratch("roundtrip");
     write_sharded(engine, &dir, 8).unwrap();
-    let reopened = open_sharded(&dir).unwrap().export_corpus();
+    let reopened = open_sharded(&dir).unwrap().export_corpus().unwrap();
     assert_eq!(reopened.classes.len(), export.classes.len());
     for (ci, (a, b)) in export.classes.iter().zip(&reopened.classes).enumerate() {
         assert_eq!(a.hash, b.hash, "class {ci}");

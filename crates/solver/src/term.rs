@@ -706,25 +706,6 @@ impl TermPool {
         })
     }
 
-    /// The set of free variables (bitvector and memory) under `t`.
-    pub fn free_vars(&self, t: TermId) -> Vec<TermId> {
-        let mut seen = vec![false; self.terms.len()];
-        let mut out = Vec::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if seen[x.index()] {
-                continue;
-            }
-            seen[x.index()] = true;
-            match self.data(x).op {
-                TermOp::Var(_) | TermOp::MemVar(_) => out.push(x),
-                _ => stack.extend(self.data(x).args.iter().copied()),
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Number of nodes in the DAG rooted at `t`.
     pub fn dag_size(&self, t: TermId) -> usize {
         let mut seen = vec![false; self.terms.len()];

@@ -354,7 +354,7 @@ fn query_index(
     let mut engine = esh::index::open_sharded(index_path).map_err(|e| e.to_string())?;
     // The escape hatch: answer this one query with the exhaustive engine.
     if no_prefilter {
-        engine.set_prefilter_enabled(false);
+        engine.disable_prefilter();
     }
     let started = std::time::Instant::now();
     let scores = engine.query(&corpus.procs[qi].proc_);
