@@ -38,22 +38,9 @@ use crate::shard::{
 use crate::stats::{ges, les, likelihood, H0Accumulator, ScoringMode};
 use crate::vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};
 
-/// Decomposition granularity — the §3.2 design axis. Strands (block-level
-/// backward slices) are the paper's choice; whole basic blocks are the
-/// coarser alternative its "extended graphlets" discussion contrasts with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Granularity {
-    /// Algorithm 1 strands (the paper's unit).
-    Strands,
-    /// One unit per basic block.
-    WholeBlocks,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Decomposition granularity (§3.2).
-    pub granularity: Granularity,
     /// VCP search tuning (§5.5 thresholds).
     pub vcp: VcpConfig,
     /// Verifier budgets.
@@ -76,7 +63,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            granularity: Granularity::Strands,
             vcp: VcpConfig::default(),
             equiv: EquivConfig::default(),
             prefilter_threshold: 0.5,
@@ -97,12 +83,10 @@ impl EngineConfig {
     /// tier-off config keeps the fingerprint it had before the tier
     /// existed.
     pub fn fingerprint(&self) -> u64 {
-        let granularity = match self.granularity {
-            Granularity::Strands => 1,
-            Granularity::WholeBlocks => 2,
-        };
         let t = self.prefilter_threshold;
-        let fields = [granularity, self.vcp.fingerprint(), self.equiv.fingerprint()];
+        // The leading 1 names strand decomposition, once one of two
+        // granularities; it stays so recorded fingerprints still hold.
+        let fields = [1, self.vcp.fingerprint(), self.equiv.fingerprint()];
         let filter = [u64::from(t > 0.0), t.to_bits()];
         let sketch = self.active_sketch().map(PrefilterConfig::fingerprint);
         stable_hash64(fields.into_iter().chain(filter).chain(sketch))
@@ -129,9 +113,9 @@ pub(crate) struct StrandClass {
     pub(crate) hash: u64,
     /// Total occurrences across the whole corpus (drives H0).
     pub(crate) corpus_count: u64,
-    /// Semantic sketch under the configured [`PrefilterConfig`]. `None`
-    /// when the tier was off at build time; missing sketches are rebuilt
-    /// lazily on the first sketch-enabled query.
+    /// Semantic sketch under the configured [`PrefilterConfig`]: present
+    /// exactly when the tier is on (`add_target` computes it, and
+    /// `from_lazy_parts` refuses an index class without one).
     pub(crate) sketch: Option<SemanticSketch>,
     /// Probe sketch (base battery plus probe rounds), filled by the first
     /// ambiguous pair this class takes part in and kept until the tier's
@@ -429,10 +413,9 @@ pub struct SimilarityEngine {
     sessions: Mutex<Vec<VerifierSession>>,
     solver: SolverCounters,
     prefilter_stats: PrefilterStats,
-    /// Banded LSH index over the corpus classes' sketches, built lazily on
-    /// the first sketch-enabled query (so classes without persisted
-    /// sketches just rebuild them) and dropped whenever the corpus
-    /// changes.
+    /// Banded LSH index over the corpus classes' sketches, built on the
+    /// first sketch-enabled query from the sketches every class carries
+    /// under the tier, and dropped whenever the corpus changes.
     sketch_index: Mutex<Option<Arc<SketchIndex>>>,
     /// Lazy backing store when the engine was opened from a sharded
     /// `.eshx` index: class procedures and per-segment cache entries load on
@@ -576,34 +559,6 @@ impl SimilarityEngine {
         }
     }
 
-    /// Installs per-shard band summaries enabling whole-shard pruning at
-    /// query time (see [`ShardBandSummary`]). `summaries` must have one
-    /// entry per shard.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the engine is not shard-backed or the length does not
-    /// match the shard count.
-    pub fn set_shard_band_summaries(
-        &mut self,
-        summaries: Vec<ShardBandSummary>,
-    ) -> Result<(), String> {
-        match &mut self.shards {
-            Some(lazy) => {
-                if summaries.len() != lazy.shard_count() {
-                    return Err(format!(
-                        "{} band summaries for {} shards",
-                        summaries.len(),
-                        lazy.shard_count()
-                    ));
-                }
-                lazy.summaries = Some(summaries);
-                Ok(())
-            }
-            None => Err("engine is not backed by a sharded index".into()),
-        }
-    }
-
     /// Shard counters: total/loaded shard counts and query fan-out. All
     /// zero for fully resident engines.
     pub fn shard_stats(&self) -> ShardStats {
@@ -661,6 +616,12 @@ impl SimilarityEngine {
     /// references are in range, that classes carry sketches exactly when
     /// the sketch tier is on, and, under an enabled tier, that its knobs
     /// are usable and every sketch has its `bands × rows` minhash words.
+    ///
+    /// With `prune` set and the sketch tier on, it then derives one band
+    /// summary per shard from the validated class sketches, so queries
+    /// skip shards whose every cell is provably sketch-pruned. Pruning
+    /// never moves a score; `prune: false` keeps the full fan-out as a
+    /// reference.
     pub fn from_lazy_parts(
         config: EngineConfig,
         classes: Vec<LazyClassMeta>,
@@ -668,6 +629,7 @@ impl SimilarityEngine {
         specs: Vec<ShardSpec>,
         source: Box<dyn ShardSource>,
         eager_cache: Vec<VcpCacheEntry>,
+        prune: bool,
     ) -> Result<SimilarityEngine, String> {
         let mut class_cursor = 0usize;
         let mut target_cursor = 0usize;
@@ -717,6 +679,19 @@ impl SimilarityEngine {
                 return Err(format!("class `{}`: sketch is not {k} minhash words", c.name));
             }
         }
+        let summaries = config.active_sketch().filter(|_| prune).map(|cfg| {
+            specs
+                .iter()
+                .map(|s| {
+                    let members = classes[s.class_start..s.class_end].iter().map(|c| {
+                        c.sketch
+                            .as_ref()
+                            .expect("an enabled sketch tier sketches every class")
+                    });
+                    ShardBandSummary::build(members, cfg.bands, cfg.rows)
+                })
+                .collect()
+        });
         let classes = classes
             .into_iter()
             .map(|c| StrandClass {
@@ -751,7 +726,7 @@ impl SimilarityEngine {
             solver: SolverCounters::default(),
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
-            shards: Some(LazyShards::new(specs, source)),
+            shards: Some(LazyShards::new(specs, source, summaries)),
         })
     }
 
@@ -765,27 +740,10 @@ impl SimilarityEngine {
         self.classes.len()
     }
 
-    /// Decomposes a procedure according to the configured granularity.
-    fn decompose(&self, proc_: &Procedure) -> Vec<esh_strands::Strand> {
-        match self.config.granularity {
-            Granularity::Strands => extract_proc_strands(proc_),
-            Granularity::WholeBlocks => proc_
-                .blocks
-                .iter()
-                .map(|b| esh_strands::Strand {
-                    block: b.label.clone(),
-                    indices: (0..b.insts.len()).collect(),
-                    insts: b.insts.clone(),
-                    inputs: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
     /// Adds a target procedure, returning its id.
     pub fn add_target(&mut self, name: impl Into<String>, proc_: &Procedure) -> TargetId {
         let mut per_class: HashMap<usize, u64> = HashMap::new();
-        for strand in self.decompose(proc_) {
+        for strand in extract_proc_strands(proc_) {
             let lifted = lift_strand(&strand);
             let vars = lifted.vars.len();
             if vars < self.config.vcp.min_strand_vars {
@@ -862,7 +820,7 @@ impl SimilarityEngine {
         memo: &mut HashMap<u64, PreparedStrand>,
     ) -> Vec<QueryStrand> {
         let mut by_hash: HashMap<u64, QueryStrand> = HashMap::new();
-        for strand in self.decompose(proc_) {
+        for strand in extract_proc_strands(proc_) {
             let lifted = lift_strand(&strand);
             let vars = lifted.vars.len();
             if vars < self.config.vcp.min_strand_vars {
@@ -1056,7 +1014,7 @@ impl SimilarityEngine {
             (index, masks)
         });
         let sketch = &sketch;
-        // Whole-shard pruning (sub-linear fan-out): when the index shipped
+        // Whole-shard pruning (sub-linear fan-out): when the engine holds
         // per-shard band summaries, decide per `(item, shard)` — before
         // any per-cell work — whether every cell of the shard is provably
         // sketch-pruned ([`ShardBandSummary::can_skip`]). Skipped cells
@@ -1804,31 +1762,6 @@ mod tests {
         for (_, v) in scores.normalized() {
             assert!((0.0..=1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn whole_block_granularity_still_retrieves_but_differs() {
-        // The §3.2 ablation: whole-block units also work on clean pairs,
-        // but produce a different decomposition.
-        let f = demo::heartbleed_like();
-        let config = EngineConfig {
-            granularity: Granularity::WholeBlocks,
-            threads: 2,
-            ..EngineConfig::default()
-        };
-        let mut engine = SimilarityEngine::new(config);
-        let tp = engine.add_target("tp", &clang().compile_function(&f));
-        engine.add_target("fp", &clang().compile_function(&demo::venom_like()));
-        let scores = engine.query(&gcc().compile_function(&f));
-        assert_eq!(scores.ranked()[0].target, tp);
-
-        let mut strands_engine = SimilarityEngine::new(quick_config());
-        strands_engine.add_target("tp", &clang().compile_function(&f));
-        assert_ne!(
-            strands_engine.class_count(),
-            engine.class_count() - 1, // minus the venom target's classes... counts differ anyway
-            "granularities should decompose differently"
-        );
     }
 
     #[test]

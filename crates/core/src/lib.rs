@@ -71,7 +71,7 @@ mod vcp;
 
 pub use cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 pub use engine::{
-    BatchQuery, CancelToken, EngineConfig, Granularity, QueryError, QueryScores,
+    BatchQuery, CancelToken, EngineConfig, QueryError, QueryScores,
     SimilarityEngine, TargetId, TargetScore,
 };
 pub use esh_solver::{EquivStats, SolverPerf};
@@ -80,8 +80,8 @@ pub use prefilter::{
     PrefilterStatsSnapshot, SemanticSketch, SketchDecision, SketchIndex,
 };
 pub use shard::{
-    Bloom, ClassExport, CorpusExport, LazyClassMeta, ShardBandSummary, ShardError, ShardRecords,
-    ShardSource, ShardSpec, ShardStats, TargetExport,
+    ClassExport, CorpusExport, LazyClassMeta, ShardError, ShardRecords, ShardSource, ShardSpec,
+    ShardStats, TargetExport,
 };
 pub use stats::{ges, les, likelihood, H0Accumulator, ScoringMode, SIGMOID_K, SIGMOID_MIDPOINT};
 pub use vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};

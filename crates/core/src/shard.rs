@@ -35,11 +35,13 @@
 //!   float sum (H0, GES, S-VCP) runs in the same order and produces the
 //!   same bits.
 //! * **Pruning may only skip certain misses.** A shard may be skipped for
-//!   a query item only when the band summary proves every one of its
+//!   a query item only when its band summary proves every one of its
 //!   cells would have been sketch-pruned anyway (see
 //!   [`ShardBandSummary::can_skip`]) — the skipped cells stay at
 //!   `VcpPair::default()` exactly as the priced path would have left
-//!   them.
+//!   them. Summaries are derived from the resident class sketches when
+//!   the engine is built over its shards, never read from a file, so a
+//!   summary cannot disagree with the classes it summarises.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,13 +133,6 @@ pub trait ShardSource: Send + Sync + fmt::Debug {
     /// opened again later, so this must be repeatable; errors fail the
     /// query that needed the shard (other shards keep serving).
     fn open_shard(&self, shard: usize) -> Result<Box<dyn ShardRecords>, String>;
-
-    /// Expected backing size of `shard` in bytes, when the source knows
-    /// it without opening (the manifest records per-shard file sizes).
-    fn shard_bytes(&self, shard: usize) -> Option<u64> {
-        let _ = shard;
-        None
-    }
 }
 
 /// Point-in-time shard counters for an engine (all zero when the engine
@@ -181,10 +176,10 @@ pub struct ShardStats {
 /// A compact Bloom filter over 64-bit keys, used for shard band
 /// summaries. No false negatives: [`Bloom::may_contain`] returning
 /// `false` proves the key was never inserted.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Bloom {
-    /// The bit array, 64 bits per word.
-    pub bits: Vec<u64>,
+#[derive(Debug)]
+pub(crate) struct Bloom {
+    /// The bit array, 64 bits per word (never empty).
+    bits: Vec<u64>,
 }
 
 /// Bloom probe count. With ~12 bits per key (see [`Bloom::with_capacity`])
@@ -194,8 +189,8 @@ const BLOOM_PROBES: u64 = 4;
 
 impl Bloom {
     /// An empty filter sized for `keys` insertions at ~12 bits per key
-    /// (minimum one word). An empty `Bloom::default()` contains nothing.
-    pub fn with_capacity(keys: usize) -> Bloom {
+    /// (minimum one word).
+    fn with_capacity(keys: usize) -> Bloom {
         let words = (keys * 12).div_ceil(64).max(1);
         Bloom {
             bits: vec![0u64; words],
@@ -212,81 +207,56 @@ impl Bloom {
         })
     }
 
-    /// Inserts `key`.
-    pub fn insert(&mut self, key: u64) {
-        if self.bits.is_empty() {
-            self.bits = vec![0u64; 1];
-        }
+    fn insert(&mut self, key: u64) {
         for (word, mask) in self.probes(key) {
             self.bits[word] |= mask;
         }
     }
 
     /// True when `key` *may* have been inserted; `false` is definitive.
-    pub fn may_contain(&self, key: u64) -> bool {
-        if self.bits.is_empty() {
-            return false;
-        }
+    fn may_contain(&self, key: u64) -> bool {
         self.probes(key).all(|(word, mask)| self.bits[word] & mask != 0)
     }
 }
 
 /// Per-shard sketch-band summary: Bloom filters over every member
 /// class's sketch digests and LSH band keys, plus the two scalars the
-/// class-side containment bound needs, written by
-/// `esh-index::write_sharded` and consulted at query time to skip whole
-/// shards before fan-out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardBandSummary {
+/// class-side containment bound needs. The engine builds one per shard
+/// from the class sketches when it is opened over a sharded index (see
+/// `SimilarityEngine::from_lazy_parts`) and consults them at query time
+/// to skip whole shards before fan-out.
+#[derive(Debug)]
+pub(crate) struct ShardBandSummary {
     /// Bloom over the sketch digests of every class in the shard.
-    pub digests: Bloom,
+    digests: Bloom,
     /// Bloom over the LSH band keys of every class in the shard.
-    pub bands: Bloom,
-    /// True when *every* class in the shard had a persisted sketch at
-    /// write time. When false the summary is incomplete and the shard is
-    /// never skipped.
-    pub complete: bool,
+    bands: Bloom,
     /// Smallest digest count over member classes with a non-empty digest
     /// list (`u64::MAX` when every member is empty) — the denominator of
     /// the class-side containment bound.
-    pub min_digests: u64,
+    min_digests: u64,
     /// Largest multiplicity of a single digest value *within one* member
     /// class — the multiplier of the class-side containment bound.
-    pub max_mult: u64,
-}
-
-impl Default for ShardBandSummary {
-    fn default() -> ShardBandSummary {
-        ShardBandSummary {
-            digests: Bloom::default(),
-            bands: Bloom::default(),
-            complete: false,
-            min_digests: u64::MAX,
-            max_mult: 0,
-        }
-    }
+    max_mult: u64,
 }
 
 impl ShardBandSummary {
-    /// Builds a summary over `sketches` (one per class in the shard,
-    /// `None` for classes without a persisted sketch) with LSH geometry
-    /// `bands × rows`.
-    pub fn build<'a>(
-        sketches: impl Iterator<Item = Option<&'a SemanticSketch>>,
+    /// Builds a summary over `sketches` (one per class in the shard) with
+    /// LSH geometry `bands × rows`.
+    pub(crate) fn build<'a>(
+        sketches: impl Iterator<Item = &'a SemanticSketch>,
         bands: usize,
         rows: usize,
     ) -> ShardBandSummary {
-        let sketches: Vec<_> = sketches.collect();
-        let complete = sketches.iter().all(|s| s.is_some());
-        let present: Vec<&SemanticSketch> = sketches.into_iter().flatten().collect();
-        let digest_keys: usize = present.iter().map(|s| s.digests.len()).sum();
+        let sketches: Vec<&SemanticSketch> = sketches.collect();
+        let digest_keys: usize = sketches.iter().map(|s| s.digests.len()).sum();
         let mut summary = ShardBandSummary {
             digests: Bloom::with_capacity(digest_keys),
-            bands: Bloom::with_capacity(present.len() * bands),
-            complete,
-            ..ShardBandSummary::default()
+            bands: Bloom::with_capacity(sketches.len() * bands),
+            min_digests: u64::MAX,
+            max_mult: 0,
         };
-        for s in present {
+        for s in sketches {
             for &d in &s.digests {
                 summary.digests.insert(d);
             }
@@ -340,16 +310,13 @@ impl ShardBandSummary {
     /// Bloom false positives only ever answer "may collide", which keeps
     /// the shard in the fan-out — pruning is conservative by
     /// construction.
-    pub fn can_skip(
+    pub(crate) fn can_skip(
         &self,
         sketch: &SemanticSketch,
         band_keys: &[u64],
         margin: f64,
         window: f64,
     ) -> bool {
-        if !self.complete {
-            return false;
-        }
         let threshold = margin - window;
         if threshold <= 0.0 {
             return false;
@@ -435,14 +402,14 @@ impl std::ops::Deref for ShardProcRef {
 }
 
 /// The engine's view of a sharded backing store: specs, one slot per
-/// shard (evictable under a byte budget), optional band summaries for
-/// pruning, and the gauges `/metrics` exports.
+/// shard (evictable under a byte budget), band summaries for pruning,
+/// and the gauges `/metrics` exports.
 #[derive(Debug)]
 pub(crate) struct LazyShards {
     specs: Vec<ShardSpec>,
     source: Box<dyn ShardSource>,
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
-    /// Per-shard band summaries (pruning disabled while `None`).
+    /// Per-shard band summaries, one per spec (`None`: pruning off).
     pub(crate) summaries: Option<Vec<ShardBandSummary>>,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,
@@ -461,14 +428,18 @@ pub(crate) struct LazyShards {
 }
 
 impl LazyShards {
-    pub(crate) fn new(specs: Vec<ShardSpec>, source: Box<dyn ShardSource>) -> LazyShards {
+    pub(crate) fn new(
+        specs: Vec<ShardSpec>,
+        source: Box<dyn ShardSource>,
+        summaries: Option<Vec<ShardBandSummary>>,
+    ) -> LazyShards {
         let slots = (0..specs.len()).map(|_| RwLock::new(None)).collect();
         let stamps = (0..specs.len()).map(|_| AtomicU64::new(0)).collect();
         LazyShards {
             specs,
             source,
             slots,
-            summaries: None,
+            summaries,
             budget: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             stamps,
@@ -852,7 +823,7 @@ mod tests {
             b.insert(k);
         }
         assert!(keys.iter().all(|&k| b.may_contain(k)));
-        assert!(!Bloom::default().may_contain(42));
+        assert!(!Bloom::with_capacity(0).may_contain(42));
         // With ~12 bits/key the filter must reject the vast majority of
         // absent keys.
         let misses = (1000..3000u64)
@@ -863,28 +834,12 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_summary_never_skips() {
-        let s = SemanticSketch {
-            digests: vec![1, 2, 3],
-            minhash: vec![9; 16],
-        };
-        let summary = ShardBandSummary::build([Some(&s), None].into_iter(), 4, 4);
-        assert!(!summary.complete);
-        let other = SemanticSketch {
-            digests: vec![777],
-            minhash: vec![5; 16],
-        };
-        assert!(!summary.can_skip(&other, &other.band_keys(4, 4), 0.7, 0.2));
-    }
-
-    #[test]
     fn summary_skips_disjoint_sketches_and_keeps_overlapping_ones() {
         let member = SemanticSketch {
             digests: vec![10, 20, 30],
             minhash: vec![3; 16],
         };
-        let summary = ShardBandSummary::build([Some(&member)].into_iter(), 4, 4);
-        assert!(summary.complete);
+        let summary = ShardBandSummary::build([&member].into_iter(), 4, 4);
         assert_eq!(summary.min_digests, 3);
         assert_eq!(summary.max_mult, 1);
 
@@ -914,7 +869,7 @@ mod tests {
             digests: (0..10).map(|i| 100 + i).collect(),
             minhash: vec![3; 16],
         };
-        let summary = ShardBandSummary::build([Some(&wide)].into_iter(), 4, 4);
+        let summary = ShardBandSummary::build([&wide].into_iter(), 4, 4);
         let query = SemanticSketch {
             digests: vec![100, 900, 901, 902, 903],
             minhash: vec![4; 16],
@@ -928,7 +883,7 @@ mod tests {
             digests: vec![100, 101],
             minhash: vec![5; 16],
         };
-        let summary = ShardBandSummary::build([Some(&wide), Some(&tiny)].into_iter(), 4, 4);
+        let summary = ShardBandSummary::build([&wide, &tiny].into_iter(), 4, 4);
         assert_eq!(summary.min_digests, 2);
         assert!(!summary.can_skip(&query, &query.band_keys(4, 4), 0.7, 0.2));
     }
@@ -942,7 +897,7 @@ mod tests {
             digests: vec![7, 7, 7, 8],
             minhash: vec![6; 16],
         };
-        let summary = ShardBandSummary::build([Some(&repeated)].into_iter(), 4, 4);
+        let summary = ShardBandSummary::build([&repeated].into_iter(), 4, 4);
         assert_eq!(summary.max_mult, 3);
         let query = SemanticSketch {
             digests: vec![7, 900, 901, 902, 903, 904],
@@ -960,7 +915,7 @@ mod tests {
             digests: vec![10, 20, 30],
             minhash: vec![3; 16],
         };
-        let summary = ShardBandSummary::build([Some(&member)].into_iter(), 4, 4);
+        let summary = ShardBandSummary::build([&member].into_iter(), 4, 4);
         let contained = SemanticSketch {
             digests: vec![10, 20, 30],
             minhash: vec![9; 16],

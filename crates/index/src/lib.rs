@@ -56,10 +56,20 @@
 //! `meta_checksum` covering every byte *except* the record-blob region
 //! — verified when the shard opens — while the shard's offset table
 //! carries one checksum per procedure record, verified when that record
-//! is first decoded. `core.bin` and `prune.bin` are verified whole at
-//! open. A byte flip inside one record therefore fails only the queries
-//! that decode that record, with an error naming the file and the
-//! class.
+//! is first decoded. `core.bin` is verified whole at open, after its
+//! size is checked against the manifest, so an oversized or endless
+//! file is refused before it is read. A byte flip inside one record
+//! therefore fails only the queries that decode that record, with an
+//! error naming the file and the class.
+//!
+//! **Nothing derived is stored, and the manifest names no files.** The
+//! per-shard sketch-band summaries that let queries skip whole shards
+//! are a pure function of the class sketches in `core.bin`, so the
+//! engine builds them at open (see [`EshxOpenOptions::prune`]) instead
+//! of trusting a second copy. File names are fixed: [`CORE_FILE`] and
+//! `shard-NNNN.bin` for shard `NNNN`. Keys an older writer added for
+//! either (`core_file`, a shard's `file`, the `prune_*` fields of a
+//! retired `prune.bin` sidecar) are ignored, as is that sidecar.
 
 use std::fmt;
 use std::fs::File;
@@ -67,8 +77,8 @@ use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use esh_core::{
-    Bloom, CorpusExport, EngineConfig, LazyClassMeta, ShardBandSummary, ShardRecords, ShardSource,
-    ShardSpec, SimilarityEngine, TargetExport, VcpCacheEntry, VcpPair,
+    CorpusExport, EngineConfig, LazyClassMeta, ShardRecords, ShardSource, ShardSpec,
+    SimilarityEngine, TargetExport, VcpCacheEntry, VcpPair,
 };
 use esh_ivl::{InputKind, Op, Operand, Proc, Sort, Stmt, Var, VarId};
 use esh_strands::Signature;
@@ -93,12 +103,8 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// Core (eager) file name inside an index directory.
 pub const CORE_FILE: &str = "core.bin";
 
-/// Sketch-band prune sidecar file name inside an index directory.
-pub const PRUNE_FILE: &str = "prune.bin";
-
 const CORE_MAGIC: &[u8; 8] = b"ESHXCOR1";
 const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD3";
-const PRUNE_MAGIC: &[u8; 8] = b"ESHXPRN1";
 
 /// Why a sharded index failed to write or open.
 #[derive(Debug)]
@@ -176,10 +182,10 @@ impl std::error::Error for IndexError {
     }
 }
 
-/// One shard's row in the manifest table.
+/// One shard's row in the manifest table. Row `i` describes
+/// `shard_file_name(i)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ShardManifest {
-    file: String,
     class_start: u64,
     class_end: u64,
     target_start: u64,
@@ -202,18 +208,9 @@ struct Manifest {
     config: EngineConfig,
     class_count: u64,
     target_count: u64,
-    core_file: String,
     core_bytes: u64,
     core_checksum: u64,
     shards: Vec<ShardManifest>,
-    // Sketch-band prune sidecar (v5 additive extension). Absent in
-    // indexes written before the sidecar existed, or when the sketch
-    // tier was disabled at write time — both open fine, with pruning
-    // simply unavailable. The vendored serde maps a missing field to
-    // `None`, so older manifests stay readable.
-    prune_file: Option<String>,
-    prune_bytes: Option<u64>,
-    prune_checksum: Option<u64>,
 }
 
 /// What [`write_sharded`] produced — sizes for benches and logs.
@@ -779,51 +776,6 @@ impl ShardRecords for EshxShardRecords {
     }
 }
 
-fn encode_prune(summaries: &[ShardBandSummary]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.raw(PRUNE_MAGIC);
-    w.u32(summaries.len() as u32);
-    for s in summaries {
-        w.u8(s.complete as u8);
-        w.u64(s.min_digests);
-        w.u64(s.max_mult);
-        w.u64s(&s.digests.bits);
-        w.u64s(&s.bands.bits);
-    }
-    w.into_bytes()
-}
-
-fn decode_prune(bytes: &[u8]) -> Result<Vec<ShardBandSummary>, String> {
-    let mut r = Reader::new(bytes);
-    if r.raw(8)? != PRUNE_MAGIC {
-        return Err("bad prune.bin magic".into());
-    }
-    let n = r.u32()? as usize;
-    let mut summaries = Vec::with_capacity(n);
-    for i in 0..n {
-        let complete = match r.u8()? {
-            0 => false,
-            1 => true,
-            k => return Err(format!("summary {i}: bad complete flag {k}")),
-        };
-        let min_digests = r.u64()?;
-        let max_mult = r.u64()?;
-        let digests = Bloom { bits: r.u64s()? };
-        let bands = Bloom { bits: r.u64s()? };
-        summaries.push(ShardBandSummary {
-            digests,
-            bands,
-            complete,
-            min_digests,
-            max_mult,
-        });
-    }
-    if !r.at_end() {
-        return Err(format!("{} trailing bytes after prune document", bytes.len() - r.pos()));
-    }
-    Ok(summaries)
-}
-
 // ---------------------------------------------------------------------
 // Partitioning
 // ---------------------------------------------------------------------
@@ -913,12 +865,10 @@ pub fn write_sharded(
             .map(|c| &c.proc_)
             .collect();
         let (bytes, meta) = encode_shard(i, spec, &procs, &segmented[i]);
-        let file = shard_file_name(i);
-        let path = dir.join(&file);
+        let path = dir.join(shard_file_name(i));
         std::fs::write(&path, &bytes).map_err(io_err(&path))?;
         shard_total += bytes.len() as u64;
         shard_manifests.push(ShardManifest {
-            file,
             class_start: spec.class_start as u64,
             class_end: spec.class_end as u64,
             target_start: spec.target_start as u64,
@@ -929,45 +879,15 @@ pub fn write_sharded(
         });
     }
 
-    // Sketch-band prune sidecar: one Bloom summary per shard over its
-    // member classes' sketch digests and LSH band keys. Written only
-    // when the sketch tier is on — without sketches every summary would
-    // be incomplete and pruning could never trigger.
-    let prune = match export.config.active_sketch() {
-        Some(sketch_cfg) => {
-            let summaries: Vec<ShardBandSummary> = specs
-                .iter()
-                .map(|spec| {
-                    ShardBandSummary::build(
-                        export.classes[spec.class_start..spec.class_end]
-                            .iter()
-                            .map(|c| c.sketch.as_ref()),
-                        sketch_cfg.bands,
-                        sketch_cfg.rows,
-                    )
-                })
-                .collect();
-            let bytes = encode_prune(&summaries);
-            let path = dir.join(PRUNE_FILE);
-            std::fs::write(&path, &bytes).map_err(io_err(&path))?;
-            Some((bytes.len() as u64, checksum(&bytes)))
-        }
-        None => None,
-    };
-
     let manifest = Manifest {
         format_version: SHARDED_FORMAT_VERSION,
         config_fingerprint: export.config.fingerprint(),
         config: export.config.clone(),
         class_count: export.classes.len() as u64,
         target_count: export.targets.len() as u64,
-        core_file: CORE_FILE.to_string(),
         core_bytes: core_bytes.len() as u64,
         core_checksum: checksum(&core_bytes),
         shards: shard_manifests,
-        prune_file: prune.map(|_| PRUNE_FILE.to_string()),
-        prune_bytes: prune.map(|(b, _)| b),
-        prune_checksum: prune.map(|(_, c)| c),
     };
     let manifest_path = dir.join(MANIFEST_FILE);
     let json = serde_json::to_string(&manifest)
@@ -993,9 +913,9 @@ pub fn write_sharded(
 /// pruning's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EshxOpenOptions {
-    /// Load the per-shard sketch-band summaries (when the sidecar is
-    /// present) so queries can skip whole shards with zero sketch
-    /// collisions before fan-out.
+    /// Build per-shard sketch-band summaries from the class sketches at
+    /// open (when the sketch tier is on), so queries can skip whole
+    /// shards with zero sketch collisions before fan-out.
     pub prune: bool,
 }
 
@@ -1006,7 +926,7 @@ impl Default for EshxOpenOptions {
 }
 
 /// What [`read_manifest`] reports about an index directory without
-/// touching `core.bin`, any shard file, or the prune sidecar.
+/// touching `core.bin` or any shard file.
 #[derive(Debug, Clone)]
 pub struct ManifestSummary {
     /// Engine configuration the index was built with.
@@ -1023,8 +943,6 @@ pub struct ManifestSummary {
     pub core_bytes: u64,
     /// Size of the largest single shard file.
     pub largest_shard_bytes: u64,
-    /// Whether a sketch-band prune sidecar is recorded.
-    pub has_prune: bool,
 }
 
 /// Reads and validates `manifest.json` (version + config fingerprint)
@@ -1069,7 +987,6 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ManifestSummary, IndexErro
         shard_bytes: manifest.shards.iter().map(|s| s.bytes).sum(),
         core_bytes: manifest.core_bytes,
         largest_shard_bytes: manifest.shards.iter().map(|s| s.bytes).max().unwrap_or(0),
-        has_prune: manifest.prune_file.is_some(),
         config: manifest.config,
     })
 }
@@ -1087,7 +1004,7 @@ struct FileShardSource {
 impl ShardSource for FileShardSource {
     fn open_shard(&self, shard: usize) -> Result<Box<dyn ShardRecords>, String> {
         let m = &self.shards[shard];
-        let path = self.dir.join(&m.file);
+        let path = self.dir.join(shard_file_name(shard));
         let s = read_shard_structure(&path, shard, m)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(Box::new(EshxShardRecords {
@@ -1099,10 +1016,6 @@ impl ShardSource for FileShardSource {
             cache: s.cache,
             base: m.bytes - s.blob_len,
         }))
-    }
-
-    fn shard_bytes(&self, shard: usize) -> Option<u64> {
-        Some(self.shards[shard].bytes)
     }
 }
 
@@ -1122,7 +1035,7 @@ pub fn shard_record_ranges(
             format!("shard {shard} out of range ({} shards)", manifest.shards.len()),
         )
     })?;
-    let path = dir.join(&m.file);
+    let path = dir.join(shard_file_name(shard));
     let s = read_shard_structure(&path, shard, m).map_err(|e| format_err(&path, e))?;
     Ok(s
         .table
@@ -1141,10 +1054,12 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
 }
 
 /// Opens a sharded v7 index directory as a lazily backed
-/// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
-/// files load on first use, each checksum-verified at that first touch.
-/// Pruning is behaviour-preserving: rankings, H0 and VCP cache counters
-/// are byte-identical with and without it (pinned by this crate's
+/// [`SimilarityEngine`]: the manifest and `core.bin` load now (and, with
+/// [`EshxOpenOptions::prune`], the engine derives its shard band
+/// summaries from the class sketches), shard files load on first use,
+/// each checksum-verified at that first touch. Pruning is
+/// behaviour-preserving: rankings, H0 and VCP cache counters are
+/// byte-identical with and without it (pinned by this crate's
 /// round-trip proptests).
 pub fn open_sharded_with(
     dir: impl AsRef<Path>,
@@ -1154,11 +1069,9 @@ pub fn open_sharded_with(
     let manifest_path = dir.join(MANIFEST_FILE);
     let manifest = load_manifest(dir)?;
 
-    let core_path = dir.join(&manifest.core_file);
-    let core_bytes = std::fs::read(&core_path).map_err(io_err(&core_path))?;
-    if core_bytes.len() as u64 != manifest.core_bytes
-        || checksum(&core_bytes) != manifest.core_checksum
-    {
+    let core_path = dir.join(CORE_FILE);
+    let core_bytes = read_core(&core_path, manifest.core_bytes)?;
+    if checksum(&core_bytes) != manifest.core_checksum {
         return Err(format_err(
             &core_path,
             "checksum mismatch — the file was modified after the manifest was written",
@@ -1190,37 +1103,34 @@ pub fn open_sharded_with(
             target_end: m.target_end as usize,
         })
         .collect();
-    let prune = match (&manifest.prune_file, manifest.prune_bytes, manifest.prune_checksum) {
-        (Some(file), Some(nbytes), Some(sum)) if options.prune => {
-            let path = dir.join(file);
-            let bytes = std::fs::read(&path).map_err(io_err(&path))?;
-            if bytes.len() as u64 != nbytes || checksum(&bytes) != sum {
-                return Err(format_err(
-                    &path,
-                    "checksum mismatch — the file was modified after the manifest was written",
-                ));
-            }
-            Some(decode_prune(&bytes).map_err(|e| format_err(&path, e))?)
-        }
-        _ => None,
-    };
-
     let source = FileShardSource { dir: dir.to_path_buf(), shards: manifest.shards };
-    let mut engine = SimilarityEngine::from_lazy_parts(
+    SimilarityEngine::from_lazy_parts(
         manifest.config,
         parts.classes,
         parts.targets,
         specs,
         Box::new(source),
         parts.residual,
+        options.prune,
     )
-    .map_err(|e| format_err(&manifest_path, e))?;
-    if let Some(summaries) = prune {
-        engine
-            .set_shard_band_summaries(summaries)
-            .map_err(|e| format_err(&manifest_path, e))?;
+    .map_err(|e| format_err(&manifest_path, e))
+}
+
+/// Reads `core.bin`, whose size the manifest records as `expect` bytes.
+/// The size is checked before anything is read, and the read is of
+/// exactly those bytes, so a file of another size — a device such as
+/// `/dev/zero` reports none — is a [`IndexError::Format`], never an
+/// unbounded read.
+fn read_core(path: &Path, expect: u64) -> Result<Vec<u8>, IndexError> {
+    let mut file = File::open(path).map_err(io_err(path))?;
+    let len = file.metadata().map_err(io_err(path))?.len();
+    if len != expect {
+        return Err(format_err(
+            path,
+            format!("checksum mismatch — the file has {len} bytes, the manifest says {expect}"),
+        ));
     }
-    Ok(engine)
+    read_at(&mut file, 0, expect).map_err(io_err(path))
 }
 
 #[cfg(test)]
@@ -1303,7 +1213,7 @@ mod tests {
         let manifest: Manifest =
             serde_json::from_str(&std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap())
                 .unwrap();
-        let victim = dir.join(&manifest.shards.last().unwrap().file);
+        let victim = dir.join(shard_file_name(manifest.shards.len() - 1));
         let mut bytes = std::fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -1496,7 +1406,6 @@ mod tests {
         for i in 0..summary.shards {
             std::fs::remove_file(dir.join(shard_file_name(i))).unwrap();
         }
-        std::fs::remove_file(dir.join(PRUNE_FILE)).ok();
         let m = read_manifest(&dir).unwrap();
         assert_eq!(m.target_count as usize, engine.target_count());
         assert_eq!(m.class_count as usize, engine.class_count());
@@ -1507,38 +1416,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Indexes written before band summaries were derived at open carry
+    /// a `prune.bin` sidecar, and their manifests name their files. Both
+    /// are ignored. The manifest below names `/dev/zero` as its core file
+    /// and `../elsewhere` as every shard file. The sidecar is
+    /// checksum-consistent but claims every shard holds nothing (empty
+    /// Blooms, `complete = 1`, `min_digests = u64::MAX`); trusted, it
+    /// would skip every shard for every query. The index must still open
+    /// and score bit-identically to the resident engine, with and
+    /// without pruning.
     #[test]
-    fn prune_sidecar_round_trips_and_is_optional() {
+    fn retired_file_keys_and_a_hostile_prune_sidecar_are_ignored() {
         let engine = small_engine();
-        let dir = temp_dir("prune-sidecar");
-        write_sharded(&engine, &dir, 1).unwrap();
-        assert!(read_manifest(&dir).unwrap().has_prune);
-        let bytes = std::fs::read(dir.join(PRUNE_FILE)).unwrap();
-        let summaries = decode_prune(&bytes).unwrap();
-        assert_eq!(summaries.len(), read_manifest(&dir).unwrap().shards);
-        // Opening with pruning disabled must still work, as must a
-        // manifest with the sidecar fields absent (pre-sidecar index).
-        let q = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5))
-            .compile_function(&demo::heartbleed_like());
-        let with = open_sharded_with(&dir, EshxOpenOptions::default()).unwrap();
-        let without =
-            open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
-        let a = with.query(&q);
-        let b = without.query(&q);
-        for (x, y) in a.scores.iter().zip(&b.scores) {
-            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+        let dir = temp_dir("retired-files");
+        let summary = write_sharded(&engine, &dir, 1).unwrap();
+        assert!(!dir.join("prune.bin").exists());
+        // The retired sidecar layout: magic and shard count, then per
+        // shard the complete flag, min_digests, max_mult and two Bloom
+        // word vectors.
+        let mut w = Writer::new();
+        w.raw(b"ESHXPRN1");
+        w.u32(summary.shards as u32);
+        for _ in 0..summary.shards {
+            w.u8(1);
+            w.u64(u64::MAX);
+            w.u64(0);
+            w.u64s(&[]);
+            w.u64s(&[]);
         }
+        let sidecar = w.into_bytes();
+        std::fs::write(dir.join("prune.bin"), &sidecar).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        let stripped = text
-            .replace("\"prune_file\":\"prune.bin\"", "\"prune_file\":null")
-            .replace(",\"prune_bytes\"", ",\"ignored_bytes\"")
-            .replace(",\"prune_checksum\"", ",\"ignored_checksum\"");
-        std::fs::write(&path, stripped).unwrap();
-        let legacy = open_sharded(&dir).unwrap();
-        let c = legacy.query(&q);
-        for (x, y) in a.scores.iter().zip(&c.scores) {
-            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+        let (core_key, row) = ("\"core_bytes\":", "{\"class_start\":");
+        assert!(
+            text.contains(core_key) && text.matches(row).count() == summary.shards,
+            "manifest shape changed"
+        );
+        let text = text
+            .replacen(
+                core_key,
+                &format!("\"core_file\":\"/dev/zero\",{core_key}"),
+                1,
+            )
+            .replace(row, "{\"file\":\"../elsewhere\",\"class_start\":");
+        let text = format!(
+            "{},\"prune_file\":\"prune.bin\",\"prune_bytes\":{},\"prune_checksum\":{}}}",
+            text.strip_suffix('}').unwrap(),
+            sidecar.len(),
+            checksum(&sidecar)
+        );
+        std::fs::write(&path, text).unwrap();
+
+        let q = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5))
+            .compile_function(&demo::heartbleed_like());
+        let resident = engine.query(&q);
+        for prune in [true, false] {
+            let lazy = open_sharded_with(&dir, EshxOpenOptions { prune }).unwrap();
+            let b = lazy.query(&q);
+            assert_eq!(resident.scores.len(), b.scores.len());
+            for (x, y) in resident.scores.iter().zip(&b.scores) {
+                assert_eq!(x.name, y.name);
+                assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+                assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+                assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+            }
+            assert!(
+                lazy.shard_stats().fanout_total > 0,
+                "prune {prune}: no shard consulted"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1559,7 +1505,7 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap())
                 .unwrap();
         let m = manifest.shards[0].clone();
-        let path = dir.join(&m.file);
+        let path = dir.join(shard_file_name(0));
         let original = std::fs::read(&path).unwrap();
         let len = original.len() as u64;
         let s = read_shard_structure(&path, 0, &m).unwrap();

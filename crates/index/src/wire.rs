@@ -1,5 +1,5 @@
 //! Little-endian byte-level encoding for the index's binary files
-//! (`core.bin`, `prune.bin`, the shard files and their class records).
+//! (`core.bin`, the shard files and their class records).
 //!
 //! Fixed layout, no self-description: every field is written and read in
 //! one agreed order, lengths are explicit, and integers are

@@ -594,3 +594,48 @@ fn sketchless_class_under_an_enabled_tier_is_rejected_at_open() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `core.bin` is read only once its size matches the manifest's
+/// `core_bytes`, and then only those bytes. A `core.bin` replaced by a
+/// symlink to `/dev/zero` (a device that reports no size and never
+/// ends) or grown past its recorded size is a typed format error at
+/// open. (Read whole before the size check, the symlink read until
+/// memory ran out.)
+#[cfg(unix)]
+#[test]
+fn core_bin_of_the_wrong_size_is_refused_before_it_is_read() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("core-size");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let core_path = dir.join("core.bin");
+    let original = std::fs::read(&core_path).unwrap();
+    let expect_refused = |what: &str| match open_sharded(&dir) {
+        Err(IndexError::Format { path, detail }) => {
+            assert_eq!(path, core_path, "{what}");
+            assert!(detail.contains("manifest says"), "{what}: {detail}");
+        }
+        Ok(_) => panic!("{what}: opened"),
+        Err(e) => panic!("{what}: expected a format error, got {e}"),
+    };
+
+    std::fs::remove_file(&core_path).unwrap();
+    std::os::unix::fs::symlink("/dev/zero", &core_path).unwrap();
+    expect_refused("symlink to /dev/zero");
+
+    std::fs::remove_file(&core_path).unwrap();
+    let mut grown = original.clone();
+    grown.extend_from_slice(&[0u8; 64]);
+    std::fs::write(&core_path, &grown).unwrap();
+    expect_refused("oversized core.bin");
+
+    std::fs::write(&core_path, &original).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,7 @@
 //! Class records in their binary layout. Every class of a generated
 //! scale corpus round-trips through `encode_record`/`decode_record` and
 //! through a written and reopened index; writing is deterministic;
-//! `core.bin` and `prune.bin` keep their pinned bytes; and hostile record
+//! `core.bin` keeps its pinned bytes; and hostile record
 //! bytes decode to `Err` or to a procedure that validates — never a
 //! panic, and never an allocation sized from a count the bytes cannot
 //! back.
@@ -142,24 +142,16 @@ fn writing_one_engine_twice_gives_identical_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `core.bin` and `prune.bin` as the format-6 writer wrote them for this
-/// engine: the record layout changed only the shard files (and so the
-/// manifest's sizes and checksums).
+/// `core.bin` as the format-6 writer wrote it for this engine: the
+/// record layout changed only the shard files (and so the manifest's
+/// sizes and checksums).
 #[test]
-fn core_and_prune_bytes_are_pinned() {
+fn core_bytes_are_pinned() {
     const CORE_DIGEST: u64 = 0x0d73_613c_3e28_f96a;
-    const PRUNE_DIGEST: u64 = 0x6b56_29ad_e7de_9e19;
     let dir = scratch("pinned");
     write_sharded(scale_engine(), &dir, 8).unwrap();
-    let (core, prune) = (
-        digest(&dir.join("core.bin")),
-        digest(&dir.join("prune.bin")),
-    );
-    assert_eq!(
-        (core, prune),
-        (CORE_DIGEST, PRUNE_DIGEST),
-        "{core:#x} {prune:#x}"
-    );
+    let core = digest(&dir.join("core.bin"));
+    assert_eq!(core, CORE_DIGEST, "{core:#x}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
