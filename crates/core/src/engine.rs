@@ -21,7 +21,7 @@ use esh_ivl::Proc;
 use esh_solver::{EquivConfig, EquivStats, SolverPerf};
 use esh_strands::{
     extract_proc_strands, lift_strand, semantic_signature, stable_hash64, structural_hash,
-    Signature,
+    Signature, SIGNATURE_SEEDS,
 };
 use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
@@ -613,9 +613,12 @@ impl SimilarityEngine {
     ///
     /// Validates that `specs` tile both index spaces contiguously from
     /// zero, that class hashes are unique, that target strand
-    /// references are in range, that classes carry sketches exactly when
-    /// the sketch tier is on, and, under an enabled tier, that its knobs
-    /// are usable and every sketch has its `bands × rows` minhash words.
+    /// references are in range, that every class signature has one
+    /// sorted round per [`SIGNATURE_SEEDS`] entry and every sketch sorted
+    /// digests (the prefilter merges assume both), that classes carry
+    /// sketches exactly when the sketch tier is on, and, under an enabled
+    /// tier, that its knobs are usable and every sketch has its
+    /// `bands × rows` minhash words.
     ///
     /// With `prune` set and the sketch tier on, it then derives one band
     /// summary per shard from the validated class sketches, so queries
@@ -670,6 +673,25 @@ impl SimilarityEngine {
                 "has a sketch under a disabled"
             };
             return Err(format!("class `{}` {why} sketch tier", c.name));
+        }
+        // The signature and sketch-containment merges assume sorted
+        // input; unsorted rounds or digests would silently flip prune
+        // decisions.
+        let rounds = SIGNATURE_SEEDS.len();
+        for c in &classes {
+            if c.signature.rounds.len() != rounds {
+                return Err(format!(
+                    "class `{}`: signature has {} rounds, not {rounds}",
+                    c.name,
+                    c.signature.rounds.len()
+                ));
+            }
+            if !c.signature.rounds.iter().all(|r| r.is_sorted()) {
+                return Err(format!("class `{}`: signature round is not sorted", c.name));
+            }
+            if c.sketch.as_ref().is_some_and(|s| !s.digests.is_sorted()) {
+                return Err(format!("class `{}`: sketch digests are not sorted", c.name));
+            }
         }
         if let Some(cfg) = config.active_sketch() {
             cfg.validate()?;
@@ -1165,18 +1187,20 @@ impl SimilarityEngine {
     }
 
     /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
-    /// legacy semantic-signature bound, which rejects a pair only when
-    /// its overlap falls below the threshold in both directions.
+    /// semantic-signature bound, which rejects a pair only when its
+    /// overlap falls below the threshold in both directions. Both
+    /// directions come from one merge per signature round
+    /// ([`Signature::either_overlap_reaches`]), which stops at the first
+    /// round where both are below. The matrix pass and the served-window
+    /// refine both price cells through here.
     fn passes_cheap_filters(
         &self,
         vars: usize,
         signature: &Signature,
         class: &StrandClass,
     ) -> bool {
-        let t = self.config.prefilter_threshold;
         size_ratio_ok(&self.config.vcp, vars, class.vars)
-            && !(signature.overlap_bound(&class.signature) < t
-                && class.signature.overlap_bound(signature) < t)
+            && signature.either_overlap_reaches(&class.signature, self.config.prefilter_threshold)
     }
 
     /// The sketch rung for one cell; `Ok(false)` prunes the pair. Every

@@ -262,7 +262,7 @@ fn encode_signature(w: &mut Writer, s: &Signature) {
 
 fn decode_signature(r: &mut Reader<'_>) -> Result<Signature, String> {
     let n = r.u32()? as usize;
-    let mut rounds = Vec::with_capacity(n);
+    let mut rounds = Vec::with_capacity(n.min(r.remaining() / 4));
     for _ in 0..n {
         rounds.push(r.u64s()?);
     }
@@ -331,6 +331,15 @@ struct CoreParts {
     residual: Vec<VcpCacheEntry>,
 }
 
+/// Smallest encodings of a `core.bin` class row (name length, hash,
+/// vars, corpus count, round count, sketch flag), target row (name
+/// length, basic blocks, strand count) and cache entry, which cap the
+/// counts read from `core.bin`: no count sizes an allocation beyond what
+/// the remaining bytes could hold.
+const MIN_CLASS_ROW_BYTES: usize = 33;
+const MIN_TARGET_ROW_BYTES: usize = 16;
+const CACHE_ENTRY_BYTES: usize = 40;
+
 fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
     let mut r = Reader::new(bytes);
     if r.raw(8)? != CORE_MAGIC {
@@ -338,7 +347,7 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
     }
     let nclasses = r.u64()? as usize;
     let ntargets = r.u64()? as usize;
-    let mut classes = Vec::with_capacity(nclasses);
+    let mut classes = Vec::with_capacity(nclasses.min(r.remaining() / MIN_CLASS_ROW_BYTES));
     for _ in 0..nclasses {
         let name = r.str()?;
         let hash = r.u64()?;
@@ -352,19 +361,19 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
         };
         classes.push(LazyClassMeta { name, signature, vars, hash, corpus_count, sketch });
     }
-    let mut targets = Vec::with_capacity(ntargets);
+    let mut targets = Vec::with_capacity(ntargets.min(r.remaining() / MIN_TARGET_ROW_BYTES));
     for _ in 0..ntargets {
         let name = r.str()?;
         let basic_blocks = r.u64()? as usize;
         let nstrands = r.u32()? as usize;
-        let mut strands = Vec::with_capacity(nstrands);
+        let mut strands = Vec::with_capacity(nstrands.min(r.remaining() / 16));
         for _ in 0..nstrands {
             strands.push((r.u64()? as usize, r.u64()?));
         }
         targets.push(TargetExport { name, strands, basic_blocks });
     }
     let nresidual = r.u32()? as usize;
-    let mut residual = Vec::with_capacity(nresidual);
+    let mut residual = Vec::with_capacity(nresidual.min(r.remaining() / CACHE_ENTRY_BYTES));
     for _ in 0..nresidual {
         residual.push(decode_cache_entry(&mut r)?);
     }
@@ -945,15 +954,30 @@ pub struct ManifestSummary {
     pub largest_shard_bytes: u64,
 }
 
+/// Largest `manifest.json` an open reads. The manifest records no size of
+/// its own to check against; a 100k-procedure index at 8 targets per
+/// shard writes ~2.2 MB, and a manifest grows ~180 bytes per shard.
+const MANIFEST_CAP: u64 = 64 << 20;
+
 /// Reads and validates `manifest.json` (version + config fingerprint)
-/// without opening any other file in the directory. The version is
-/// checked before the rest decodes, so a manifest of another format
-/// version gets [`IndexError::VersionMismatch`], whatever its fields.
+/// without opening any other file in the directory. The read stops past
+/// [`MANIFEST_CAP`] bytes, so a manifest that never ends (a symlink to
+/// `/dev/zero`) is an [`IndexError::Format`], not an unbounded read. The
+/// version is checked before the rest decodes, so a manifest of another
+/// format version gets [`IndexError::VersionMismatch`], whatever its
+/// fields.
 fn load_manifest(dir: &Path) -> Result<Manifest, IndexError> {
     let manifest_path = dir.join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&manifest_path).map_err(io_err(&manifest_path))?;
+    let mut bytes = Vec::new();
+    File::open(&manifest_path)
+        .and_then(|f| f.take(MANIFEST_CAP + 1).read_to_end(&mut bytes))
+        .map_err(io_err(&manifest_path))?;
     let malformed = |e: &dyn fmt::Display| format_err(&manifest_path, e.to_string());
-    let value: serde::Value = serde_json::from_str(&text).map_err(|e| malformed(&e))?;
+    if bytes.len() as u64 > MANIFEST_CAP {
+        return Err(malformed(&format!("larger than the {MANIFEST_CAP}-byte manifest cap")));
+    }
+    let text = std::str::from_utf8(&bytes).map_err(|e| malformed(&e))?;
+    let value: serde::Value = serde_json::from_str(text).map_err(|e| malformed(&e))?;
     let fields = value.as_object().ok_or_else(|| malformed(&"expected a JSON object"))?;
     let found: u32 = serde::field(fields, "format_version").map_err(|e| malformed(&e))?;
     if found != SHARDED_FORMAT_VERSION {

@@ -639,3 +639,215 @@ fn core_bin_of_the_wrong_size_is_refused_before_it_is_read() {
     assert!(open_sharded(&dir).is_ok(), "the restored index must open");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Byte ranges of one class row's sorted vectors in `core.bin`: each
+/// signature round's words, then its sketch digests (when it has a
+/// sketch). The ranges hold the `u64` words only, after their `u32`
+/// counts.
+struct SortedVectors {
+    rounds: Vec<std::ops::Range<usize>>,
+    digests: Option<std::ops::Range<usize>>,
+}
+
+/// The sorted vectors of every class row in `core.bin`; see
+/// [`first_sketch`] for the row layout.
+fn sorted_vectors(core: &[u8]) -> Vec<SortedVectors> {
+    let u32_at = |at: usize| u32::from_le_bytes(core[at..at + 4].try_into().unwrap()) as usize;
+    let classes = u64::from_le_bytes(core[8..16].try_into().unwrap()) as usize;
+    let mut at = 8 + 16;
+    let words = |at: &mut usize| {
+        let n = u32_at(*at);
+        *at += 4 + 8 * n;
+        *at - 8 * n..*at
+    };
+    (0..classes)
+        .map(|_| {
+            at += 4 + u32_at(at) + 24;
+            let rounds = u32_at(at);
+            at += 4;
+            let rounds = (0..rounds).map(|_| words(&mut at)).collect();
+            at += 1;
+            let digests = (core[at - 1] == 1).then(|| {
+                let digests = words(&mut at);
+                words(&mut at);
+                digests
+            });
+            SortedVectors { rounds, digests }
+        })
+        .collect()
+}
+
+/// Reverses the `u64` words in `range` of `core`.
+fn reverse_words(core: &mut [u8], range: std::ops::Range<usize>) {
+    let mut words: Vec<[u8; 8]> = core[range.clone()]
+        .chunks_exact(8)
+        .map(|w| w.try_into().unwrap())
+        .collect();
+    words.reverse();
+    core[range].copy_from_slice(&words.concat());
+}
+
+/// The prefilter's signature and sketch-containment merges assume
+/// sorted input. A `core.bin` with one signature round reversed, one
+/// sketch's digests reversed, or one signature missing a round — its
+/// size and checksum in the manifest recomputed, so every checksum
+/// passes — is refused at open with a typed error. (Accepted, the
+/// reversed vectors silently flipped prune decisions and so moved
+/// rankings.)
+#[test]
+fn unsorted_or_short_signatures_and_sketches_are_rejected_at_open() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("unsorted");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let core_path = dir.join("core.bin");
+    let pristine = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let core_key = |core: &[u8]| {
+        format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[core]))
+    };
+    assert!(text.contains(&core_key(&pristine)), "manifest shape changed");
+    let expect_refused = |core: &[u8], why: &str| {
+        std::fs::write(&core_path, core).unwrap();
+        std::fs::write(&manifest, text.replace(&core_key(&pristine), &core_key(core))).unwrap();
+        match open_sharded(&dir) {
+            Err(IndexError::Format { detail, .. }) => assert!(detail.contains(why), "{detail}"),
+            Ok(_) => panic!("`{why}` opened"),
+            Err(e) => panic!("`{why}`: expected a format error, got {e}"),
+        }
+    };
+    // A vector whose reversal is out of order: at least two distinct words.
+    let unsorted_when_reversed = |r: &std::ops::Range<usize>| {
+        pristine[r.clone()].chunks_exact(8).collect::<std::collections::BTreeSet<_>>().len() > 1
+    };
+    let rows = sorted_vectors(&pristine);
+
+    let round = rows
+        .iter()
+        .flat_map(|row| &row.rounds)
+        .find(|r| unsorted_when_reversed(r))
+        .expect("some signature round has two distinct values")
+        .clone();
+    let mut core = pristine.clone();
+    reverse_words(&mut core, round);
+    expect_refused(&core, "signature round is not sorted");
+
+    let digests = rows
+        .iter()
+        .filter_map(|row| row.digests.clone())
+        .find(unsorted_when_reversed)
+        .expect("some sketch has two distinct digests");
+    let mut core = pristine.clone();
+    reverse_words(&mut core, digests);
+    expect_refused(&core, "sketch digests are not sorted");
+
+    // Drop the first class's second round: its count word and words.
+    let rounds = &rows[0].rounds;
+    assert_eq!(rounds.len(), 2, "two signature seeds");
+    let mut core = pristine.clone();
+    core.drain(rounds[1].start - 4..rounds[1].end);
+    let count_at = rounds[0].start - 8;
+    core[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    expect_refused(&core, "signature has 1 rounds, not 2");
+
+    std::fs::write(&core_path, &pristine).unwrap();
+    std::fs::write(&manifest, &text).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Counts in `core.bin` size no allocation beyond what the rest of the
+/// file could hold. A class count, a target count or a signature round
+/// count rewritten to a huge value — checksum recomputed — is a typed
+/// format error at open. (Sized from the count, the first two aborted
+/// the process on a failed multi-terabyte allocation.)
+#[test]
+fn huge_counts_in_core_bin_are_a_format_error() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("huge-counts");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let core_path = dir.join("core.bin");
+    let pristine = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let checksum_key = |core: &[u8]| format!("\"core_checksum\":{}", fnv(&[core]));
+    assert!(text.contains(&checksum_key(&pristine)), "manifest shape changed");
+    let round_count_at = sorted_vectors(&pristine)[0].rounds[0].start - 8;
+    for (what, at, word) in [
+        ("class count", 8, (1u64 << 40).to_le_bytes().to_vec()),
+        ("target count", 16, (1u64 << 40).to_le_bytes().to_vec()),
+        ("round count", round_count_at, u32::MAX.to_le_bytes().to_vec()),
+    ] {
+        let mut core = pristine.clone();
+        core[at..at + word.len()].copy_from_slice(&word);
+        std::fs::write(&core_path, &core).unwrap();
+        std::fs::write(&manifest, text.replace(&checksum_key(&pristine), &checksum_key(&core)))
+            .unwrap();
+        match open_sharded(&dir) {
+            Err(IndexError::Format { path, .. }) => assert_eq!(path, core_path, "{what}"),
+            Ok(_) => panic!("{what}: opened"),
+            Err(e) => panic!("{what}: expected a format error, got {e}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `manifest.json` records no size of its own, so its read stops at a
+/// fixed cap. A manifest replaced by a symlink to `/dev/zero` (a device
+/// that never ends) or by a sparse file past the cap is a typed format
+/// error at open and at `read_manifest`. (Read whole, the symlink read
+/// until memory ran out.)
+#[cfg(unix)]
+#[test]
+fn manifest_past_the_size_cap_is_refused_without_reading_it_whole() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in demo::cve_functions().iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let dir = scratch("manifest-size");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let path = dir.join("manifest.json");
+    let original = std::fs::read(&path).unwrap();
+    let expect_refused = |what: &str| {
+        for result in [open_sharded(&dir).map(drop), esh_index::read_manifest(&dir).map(drop)] {
+            match result {
+                Err(IndexError::Format { path: p, detail }) => {
+                    assert_eq!(p, path, "{what}");
+                    assert!(detail.contains("manifest cap"), "{what}: {detail}");
+                }
+                Ok(()) => panic!("{what}: opened"),
+                Err(e) => panic!("{what}: expected a format error, got {e}"),
+            }
+        }
+    };
+
+    std::fs::remove_file(&path).unwrap();
+    std::os::unix::fs::symlink("/dev/zero", &path).unwrap();
+    expect_refused("symlink to /dev/zero");
+
+    std::fs::remove_file(&path).unwrap();
+    std::fs::File::create(&path).unwrap().set_len((64 << 20) + 1).unwrap();
+    expect_refused("sparse manifest one byte past the cap");
+
+    std::fs::write(&path, &original).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}

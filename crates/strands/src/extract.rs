@@ -37,39 +37,43 @@ impl Strand {
 /// Extracts all strands from one basic block (paper Algorithm 1).
 ///
 /// The backward iteration from the *last* unused instruction minimizes the
-/// number of strands, exactly as the paper notes.
+/// number of strands, exactly as the paper notes. Each instruction's defs
+/// and refs are computed once per block, and the slice buffers are reused
+/// across the block's strands.
 pub fn extract_block_strands(block: &BasicBlock) -> Vec<Strand> {
     let n = block.insts.len();
+    let defs: Vec<Vec<Loc>> = block.insts.iter().map(Inst::defs).collect();
+    let refs: Vec<Vec<Loc>> = block.insts.iter().map(Inst::refs).collect();
     let mut unused: Vec<bool> = vec![true; n];
+    let mut member: Vec<bool> = vec![false; n];
+    let mut vars_refed: Vec<Loc> = Vec::new();
+    let mut vars_defed: Vec<Loc> = Vec::new();
     let mut strands = Vec::new();
     // maxUsed ← max(unusedInsts)
     while let Some(max_used) = (0..n).rev().find(|i| unused[*i]) {
         unused[max_used] = false;
-        let mut member = vec![false; n];
+        member.fill(false);
         member[max_used] = true;
-        let mut vars_refed: Vec<Loc> = block.insts[max_used].refs();
-        let mut vars_defed: Vec<Loc> = block.insts[max_used].defs();
+        vars_refed.clone_from(&refs[max_used]);
+        vars_defed.clone_from(&defs[max_used]);
         for i in (0..max_used).rev() {
-            let defs = block.insts[i].defs();
-            let needed: Vec<Loc> = defs
-                .iter()
-                .filter(|d| vars_refed.contains(d))
-                .copied()
-                .collect();
-            if !needed.is_empty() {
-                member[i] = true;
-                for r in block.insts[i].refs() {
-                    if !vars_refed.contains(&r) {
-                        vars_refed.push(r);
-                    }
-                }
-                for d in needed {
-                    if !vars_defed.contains(&d) {
-                        vars_defed.push(d);
-                    }
-                }
-                unused[i] = false;
+            if !defs[i].iter().any(|d| vars_refed.contains(d)) {
+                continue;
             }
+            member[i] = true;
+            // The defs this strand needs are the ones it referenced before
+            // adding instruction `i`'s own refs.
+            for d in &defs[i] {
+                if vars_refed.contains(d) && !vars_defed.contains(d) {
+                    vars_defed.push(*d);
+                }
+            }
+            for r in &refs[i] {
+                if !vars_refed.contains(r) {
+                    vars_refed.push(*r);
+                }
+            }
+            unused[i] = false;
         }
         let indices: Vec<usize> = (0..n).filter(|i| member[*i]).collect();
         let insts: Vec<Inst> = indices.iter().map(|i| block.insts[*i].clone()).collect();

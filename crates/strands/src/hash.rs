@@ -71,6 +71,13 @@ pub fn structural_hash(p: &Proc) -> u64 {
 
 /// The semantic signature of a lifted strand: for each signature seed, the
 /// sorted values of all non-input variables under the uniform assignment.
+///
+/// Both comparisons merge rounds pairwise and assume every round is
+/// sorted (non-decreasing), as [`semantic_signature`] builds it; an
+/// index reader refuses a stored signature that is not.
+/// [`overlap_bound`](Self::overlap_bound) is the bound in one direction;
+/// [`either_overlap_reaches`](Self::either_overlap_reaches) decides the
+/// prefilter's two-direction test in a single pass.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Signature {
     /// Per-seed sorted output values (memory outputs are hashed to u64).
@@ -79,32 +86,61 @@ pub struct Signature {
 
 impl Signature {
     /// Upper bound on the fraction of `self`'s values that can be matched
-    /// in `other` (per-round minimum).
+    /// in `other` (per-round minimum; an empty round of `self` bounds it
+    /// at 0). This is the per-direction bound; the engine's prefilter asks
+    /// [`either_overlap_reaches`](Self::either_overlap_reaches) instead.
     pub fn overlap_bound(&self, other: &Signature) -> f64 {
         let mut bound: f64 = 1.0;
         for (a, b) in self.rounds.iter().zip(&other.rounds) {
             if a.is_empty() {
                 return 0.0;
             }
-            // Both sides are sorted: count multiset intersection.
-            let mut i = 0;
-            let mut j = 0;
-            let mut matched = 0usize;
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        matched += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            bound = bound.min(matched as f64 / a.len() as f64);
+            bound = bound.min(intersection_count(a, b) as f64 / a.len() as f64);
         }
         bound
     }
+
+    /// Whether the overlap bound reaches `t` in either direction: exactly
+    /// `!(self.overlap_bound(other) < t && other.overlap_bound(self) < t)`,
+    /// for every input, in one merge per round. A round's multiset
+    /// intersection is symmetric, so one count gives both directions'
+    /// ratios; the running minima can only fall, so the pair is rejected
+    /// as soon as both are below `t`, without reading later rounds.
+    pub fn either_overlap_reaches(&self, other: &Signature, t: f64) -> bool {
+        // No bound falls below a NaN or non-positive threshold, and none
+        // exceeds 1.
+        if t.is_nan() || t <= 0.0 {
+            return true;
+        }
+        if t > 1.0 {
+            return false;
+        }
+        let (mut self_below, mut other_below) = (false, false);
+        for (a, b) in self.rounds.iter().zip(&other.rounds) {
+            let matched = intersection_count(a, b) as f64;
+            // An empty round bounds its direction at 0, which is below t.
+            self_below |= a.is_empty() || matched / (a.len() as f64) < t;
+            other_below |= b.is_empty() || matched / (b.len() as f64) < t;
+            if self_below && other_below {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Size of the multiset intersection of two sorted slices, by one merge.
+/// Branch-free: each step advances the smaller side (both on a match),
+/// so it takes as many steps as the classic three-way merge.
+fn intersection_count(a: &[u64], b: &[u64]) -> usize {
+    let (mut i, mut j, mut matched) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        matched += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    matched
 }
 
 fn uniform_inputs(p: &Proc, seed: u64) -> Vec<(VarId, Val)> {
@@ -217,6 +253,84 @@ mod tests {
         let t = lift_text("mov rbx, rdi\nshr rbx, 0x7\nor rbx, 0x8000");
         let bound = semantic_signature(&q).overlap_bound(&semantic_signature(&t));
         assert!(bound < 0.5, "bound = {bound}");
+    }
+
+    /// What the fused kernel must equal: each direction's bound compared
+    /// with `t` on its own.
+    fn reference_reaches(a: &Signature, b: &Signature, t: f64) -> bool {
+        !(a.overlap_bound(b) < t && b.overlap_bound(a) < t)
+    }
+
+    const THRESHOLDS: [f64; 6] = [0.0, 0.25, 0.5, 0.75, 1.0, f64::NAN];
+
+    #[test]
+    fn fused_kernel_matches_the_two_bound_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Small value alphabets force duplicates and partial overlaps;
+        // round counts of 0–3 per side cover empty signatures and zipped
+        // rounds of unequal count; round lengths of 0–6 cover empty rounds
+        // on either side and every ratio with a small denominator.
+        let mut rng = StdRng::seed_from_u64(0x5167_0a1e);
+        let random_signature = |rng: &mut StdRng| {
+            let alphabet = rng.gen_range(1u64..=6);
+            let rounds = (0..rng.gen_range(0..=3usize))
+                .map(|_| {
+                    let mut round: Vec<u64> = (0..rng.gen_range(0..=6usize))
+                        .map(|_| rng.gen_range(0..alphabet))
+                        .collect();
+                    round.sort_unstable();
+                    round
+                })
+                .collect();
+            Signature { rounds }
+        };
+        let thresholds: Vec<f64> = THRESHOLDS
+            .iter()
+            .copied()
+            .chain([-0.5, 1.0 / 3.0, 2.0 / 3.0, 0.8, 1.5, f64::INFINITY])
+            .collect();
+        let mut outcomes = [0usize; 2];
+        for _ in 0..20_000 {
+            let a = random_signature(&mut rng);
+            let b = random_signature(&mut rng);
+            for &t in &thresholds {
+                let want = reference_reaches(&a, &b, t);
+                assert_eq!(a.either_overlap_reaches(&b, t), want, "{a:?} vs {b:?} at t = {t}");
+                outcomes[usize::from(want)] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 10_000), "both outcomes exercised: {outcomes:?}");
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_reference_on_lifted_strands() {
+        let texts = [
+            "lea r14d, [r12+0x13]\nmov rsi, 0x18\nlea rax, [rsi+r14]",
+            "mov r9, 0x13\nmov rbx, r12\nlea r13d, [rbx+r9]\nadd r9, 0x5\nmov rsi, r9\nlea rax, [rsi+r13]",
+            "mov rax, rdi\nimul rax, rsi\nxor rax, 0x1234",
+            "mov rbx, rdi\nshr rbx, 0x7\nor rbx, 0x8000",
+            "mov rax, rdi\nadd rax, 0x2",
+            "mov rax, rdi\nadd rax, 0x2\nmov rbx, rdi\nimul rbx, rbx\nxor rbx, rax",
+            "mov r13, rbx\nlea rcx, [r13+0x3]",
+            "mov rax, rdi\ncmp rax, rsi\njl somewhere",
+            "push rbp\npush rbx\npush r12\npush r13",
+            "mov byte ptr [r13+0x1], al\nmov byte ptr [r13+0x2], r12b",
+            "mov rax, rdi",
+        ];
+        let sigs: Vec<Signature> =
+            texts.iter().map(|t| semantic_signature(&lift_text(t))).collect();
+        let mut outcomes = [0usize; 2];
+        for a in &sigs {
+            for b in &sigs {
+                for &t in &THRESHOLDS {
+                    let want = reference_reaches(a, b, t);
+                    assert_eq!(a.either_overlap_reaches(b, t), want, "{a:?} vs {b:?} at t = {t}");
+                    outcomes[usize::from(want)] += 1;
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "both outcomes exercised: {outcomes:?}");
     }
 
     #[test]
