@@ -18,8 +18,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vcp::VcpPair;
 
 /// Cache key: `(query structural hash, class structural hash,
@@ -27,7 +25,7 @@ use crate::vcp::VcpPair;
 pub type VcpKey = (u64, u64, u64);
 
 /// One persisted cache entry (a row of an index's cache segment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcpCacheEntry {
     /// Structural hash of the query strand.
     pub query_hash: u64,
@@ -161,15 +159,6 @@ impl VcpCache {
         out.sort_by_key(|e| (e.query_hash, e.class_hash, e.vcp_fingerprint));
         out
     }
-
-    /// Rebuilds a cache from persisted entries (counters start at zero).
-    pub fn from_entries(entries: &[VcpCacheEntry]) -> VcpCache {
-        let cache = VcpCache::new();
-        for e in entries {
-            cache.insert((e.query_hash, e.class_hash, e.vcp_fingerprint), e.pair);
-        }
-        cache
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +189,10 @@ mod tests {
         let entries = cache.entries();
         assert_eq!(entries.len(), 2);
         assert!(entries[0].query_hash < entries[1].query_hash);
-        let rebuilt = VcpCache::from_entries(&entries);
+        let rebuilt = VcpCache::new();
+        for e in &entries {
+            rebuilt.insert((e.query_hash, e.class_hash, e.vcp_fingerprint), e.pair);
+        }
         assert_eq!(rebuilt.get(&(9, 1, 7)), Some(pair(1.0, 0.0)));
         assert_eq!(rebuilt.get(&(2, 5, 7)), Some(pair(0.0, 1.0)));
         assert_eq!(rebuilt.stats().entries, 2);

@@ -53,8 +53,9 @@ pub struct EngineConfig {
     pub prefilter_threshold: f64,
     /// The semantic-sketch prefilter tier (concrete-execution fingerprints
     /// and banded LSH; see [`crate::prefilter`]). With
-    /// [`PrefilterConfig::enabled`] off the engine reproduces the
-    /// pre-sketch engine exactly, fingerprint included.
+    /// [`PrefilterConfig::enabled`] off the engine computes no sketches
+    /// and prunes no pair by sketch, and the tier's other knobs leave the
+    /// fingerprint alone.
     pub sketch: PrefilterConfig,
     /// Worker threads (0 = use available parallelism).
     pub threads: usize,
@@ -79,14 +80,10 @@ impl EngineConfig {
     /// never results, and is deliberately excluded.
     ///
     /// The sketch tier is mixed only when enabled: a disabled tier
-    /// computes no sketches, so its knobs cannot move a score, and a
-    /// tier-off config keeps the fingerprint it had before the tier
-    /// existed.
+    /// computes no sketches, so its knobs cannot move a score.
     pub fn fingerprint(&self) -> u64 {
         let t = self.prefilter_threshold;
-        // The leading 1 names strand decomposition, once one of two
-        // granularities; it stays so recorded fingerprints still hold.
-        let fields = [1, self.vcp.fingerprint(), self.equiv.fingerprint()];
+        let fields = [self.vcp.fingerprint(), self.equiv.fingerprint()];
         let filter = [u64::from(t > 0.0), t.to_bits()];
         let sketch = self.active_sketch().map(PrefilterConfig::fingerprint);
         stable_hash64(fields.into_iter().chain(filter).chain(sketch))
@@ -149,7 +146,6 @@ pub(crate) struct TargetRecord {
     pub(crate) name: String,
     /// `(class index, occurrences in this target)`.
     pub(crate) strands: Vec<(usize, u64)>,
-    pub(crate) basic_blocks: usize,
 }
 
 /// A prepared query strand.
@@ -521,7 +517,8 @@ impl SimilarityEngine {
     fn class_proc(&self, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
         match &self.shards {
             Some(lazy) if ci < lazy.class_limit() => {
-                Ok(ClassProcRef::Shared(lazy.proc_ref(ci, &self.cache)?))
+                let expect = (self.classes[ci].hash, self.classes[ci].vars);
+                Ok(ClassProcRef::Shared(lazy.proc_ref(ci, expect, &self.cache)?))
             }
             _ => Ok(ClassProcRef::Resident(&self.classes[ci].proc_)),
         }
@@ -587,7 +584,6 @@ impl SimilarityEngine {
                         signature: c.signature.clone(),
                         vars: c.vars,
                         hash: c.hash,
-                        corpus_count: c.corpus_count,
                         sketch: c.sketch.clone(),
                     })
                 })
@@ -598,7 +594,6 @@ impl SimilarityEngine {
                 .map(|t| TargetExport {
                     name: t.name.clone(),
                     strands: t.strands.clone(),
-                    basic_blocks: t.basic_blocks,
                 })
                 .collect(),
             cache: self.cache.entries(),
@@ -607,13 +602,14 @@ impl SimilarityEngine {
 
     /// Builds an engine over a lazily-loaded sharded backing store: class
     /// pricing metadata and targets are resident, procedures and
-    /// per-segment cache entries come from `source` on demand.
-    /// `eager_cache` holds entries that belong to no shard (defensive;
-    /// normally empty) — they are resident from the start.
+    /// per-segment cache entries come from `source` on demand. Each
+    /// class's corpus count, its H0 weight, is the sum of its occurrences
+    /// over the target strand lists.
     ///
     /// Validates that `specs` tile both index spaces contiguously from
     /// zero, that class hashes are unique, that target strand
-    /// references are in range, that every class signature has one
+    /// references are in range and no class's occurrences overflow a
+    /// `u64` when summed, that every class signature has one
     /// sorted round per [`SIGNATURE_SEEDS`] entry and every sketch sorted
     /// digests (the prefilter merges assume both), that classes carry
     /// sketches exactly when the sketch tier is on, and, under an enabled
@@ -631,7 +627,6 @@ impl SimilarityEngine {
         targets: Vec<TargetExport>,
         specs: Vec<ShardSpec>,
         source: Box<dyn ShardSource>,
-        eager_cache: Vec<VcpCacheEntry>,
         prune: bool,
     ) -> Result<SimilarityEngine, String> {
         let mut class_cursor = 0usize;
@@ -660,9 +655,15 @@ impl SimilarityEngine {
                 return Err("duplicate strand-class hashes".into());
             }
         }
+        let mut corpus_counts = vec![0u64; classes.len()];
         for t in &targets {
-            if t.strands.iter().any(|&(ci, _)| ci >= classes.len()) {
-                return Err(format!("target `{}` references a class out of range", t.name));
+            for &(ci, n) in &t.strands {
+                let count = corpus_counts
+                    .get_mut(ci)
+                    .ok_or_else(|| format!("target `{}` references a class out of range", t.name))?;
+                *count = count.checked_add(n).ok_or_else(|| {
+                    format!("class `{}`: its occurrence counts overflow u64", classes[ci].name)
+                })?;
             }
         }
         let tier = config.active_sketch().is_some();
@@ -716,7 +717,8 @@ impl SimilarityEngine {
         });
         let classes = classes
             .into_iter()
-            .map(|c| StrandClass {
+            .zip(corpus_counts)
+            .map(|(c, corpus_count)| StrandClass {
                 // Placeholder body; every code path that needs the real
                 // procedure goes through `class_proc`. The name is kept so
                 // diagnostics (`common_classes`) stay useful without a
@@ -725,25 +727,21 @@ impl SimilarityEngine {
                 signature: c.signature,
                 vars: c.vars,
                 hash: c.hash,
-                corpus_count: c.corpus_count,
+                corpus_count,
                 sketch: c.sketch,
                 probe: ProbeSlot::default(),
             })
             .collect();
         let targets = targets
             .into_iter()
-            .map(|t| TargetRecord {
-                name: t.name,
-                strands: t.strands,
-                basic_blocks: t.basic_blocks,
-            })
+            .map(|t| TargetRecord { name: t.name, strands: t.strands })
             .collect();
         Ok(SimilarityEngine {
             config,
             classes,
             class_by_hash,
             targets,
-            cache: VcpCache::from_entries(&eager_cache),
+            cache: VcpCache::new(),
             sessions: Mutex::new(Vec::new()),
             solver: SolverCounters::default(),
             prefilter_stats: PrefilterStats::default(),
@@ -806,11 +804,7 @@ impl SimilarityEngine {
         // indexes would not be byte-reproducible).
         let mut strands: Vec<(usize, u64)> = per_class.into_iter().collect();
         strands.sort_unstable_by_key(|&(class, _)| class);
-        self.targets.push(TargetRecord {
-            name: name.into(),
-            strands,
-            basic_blocks: proc_.blocks.len(),
-        });
+        self.targets.push(TargetRecord { name: name.into(), strands });
         id
     }
 
@@ -2027,15 +2021,14 @@ mod tests {
     #[test]
     fn default_fingerprint_is_pinned() {
         // Every index written with these configs records these values; if
-        // one changes, none of those indexes opens any more. The tier-off
-        // value is also what a config recorded without a tier
-        // (`"sketch": null`) computes.
+        // one changes, none of those indexes opens any more, so a value
+        // moves here only together with the index format version.
         let with_sketch = |sketch| EngineConfig { sketch, ..EngineConfig::default() };
         let off = PrefilterConfig { enabled: false, ..PrefilterConfig::default() };
         for (config, pinned) in [
-            (EngineConfig::default(), 2_857_819_738_583_454_794),
-            (with_sketch(PrefilterConfig::lsh_only()), 5_186_482_440_749_417_900),
-            (with_sketch(off), 17_071_739_695_097_612_108),
+            (EngineConfig::default(), 3_703_170_601_230_773_672),
+            (with_sketch(PrefilterConfig::lsh_only()), 16_594_287_068_245_332_234),
+            (with_sketch(off), 12_009_758_868_313_995_649),
         ] {
             assert_eq!(config.fingerprint(), pinned, "{:?}", config.sketch);
         }

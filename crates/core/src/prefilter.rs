@@ -126,28 +126,17 @@ impl PrefilterConfig {
     /// Stable FNV-1a digest over every knob. Sketches and pruned-pair
     /// estimates are only valid under the parameters that produced them,
     /// so [`crate::EngineConfig::fingerprint`] folds this in.
-    ///
-    /// `ambiguity_window`, `probe_vectors` and `refine_top_k` are mixed
-    /// **only when nonzero**: a zero knob folds nothing, which keeps
-    /// every fingerprint recorded since these knobs were added.
     pub fn fingerprint(&self) -> u64 {
-        let mut fields = vec![
+        stable_hash64([
             u64::from(self.enabled),
             self.vectors as u64,
             self.bands as u64,
             self.rows as u64,
             self.exact_fallback_margin.to_bits(),
-        ];
-        if self.ambiguity_window != 0.0 {
-            fields.extend([0xa3b1, self.ambiguity_window.to_bits()]);
-        }
-        if self.probe_vectors != 0 {
-            fields.extend([0xa3b2, self.probe_vectors as u64]);
-        }
-        if self.refine_top_k != 0 {
-            fields.extend([0xa3b3, self.refine_top_k as u64]);
-        }
-        stable_hash64(fields)
+            self.ambiguity_window.to_bits(),
+            self.probe_vectors as u64,
+            self.refine_top_k as u64,
+        ])
     }
 
     /// Effective ambiguity-window half-width: 0.0 (probing off) unless

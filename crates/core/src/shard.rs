@@ -6,7 +6,7 @@
 //! insertion order, each segment also owns a contiguous range of class
 //! indices: the classes first introduced by its targets. Everything a
 //! query needs to *price* a pair — structural hash, variable count,
-//! semantic signature, sketch, corpus count — stays eagerly loaded, while
+//! semantic signature, sketch — stays eagerly loaded, while
 //! the heavyweight per-class payload (the lifted IVL procedure and the
 //! segment's slice of the persisted VCP cache) lives behind a
 //! [`ShardSource`] and is pulled in only when some pair of that segment
@@ -14,8 +14,9 @@
 //! result. Residency is two-level: *opening* a shard decodes only its
 //! structural parts (offset table, cache segment) and keeps the record
 //! bytes raw behind a [`ShardRecords`] handle; each class record is
-//! checksummed and decoded individually, on first demand, into a
-//! per-class slot table.
+//! checksummed, decoded and checked against its class's structural hash
+//! and variable count individually, on first demand, into a per-class
+//! slot table.
 //!
 //! Invariants the engine relies on (and the round-trip proptests pin):
 //!
@@ -48,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use esh_ivl::Proc;
-use esh_strands::{stable_mix, Signature, STABLE_HASH_SEED};
+use esh_strands::{stable_mix, structural_hash, Signature, STABLE_HASH_SEED};
 
 use crate::cache::{VcpCache, VcpCacheEntry};
 use crate::engine::EngineConfig;
@@ -568,13 +569,17 @@ impl LazyShards {
 
     /// Checksum-verifies and decodes record `idx` of an open shard if its
     /// slot is still raw, accounting the record's encoded bytes against
-    /// the budget (evicting other shards as needed). A decode error is
+    /// the budget (evicting other shards as needed). The decoded strand
+    /// must have the class's structural hash and variable count
+    /// (`expect`): a record holding another strand would otherwise be
+    /// verified, and cached, under this class's key. A decode error is
     /// returned — never latched — so a repaired file recovers on retry.
     fn decode_slot(
         &self,
         shard: usize,
         r: &Arc<ShardResident>,
         idx: usize,
+        expect: (u64, usize),
     ) -> Result<Arc<Proc>, ShardError> {
         if let Some(p) = r.slots[idx].read().unwrap_or_else(|e| e.into_inner()).as_ref() {
             return Ok(Arc::clone(p));
@@ -585,7 +590,22 @@ impl LazyShards {
         }
         let need = r.records.record_bytes(idx);
         self.reserve(need, shard);
-        let proc_ = match r.records.decode_record(idx) {
+        let checked = r.records.decode_record(idx).and_then(|p| {
+            let found = (structural_hash(&p), p.vars.len());
+            if found == expect {
+                return Ok(p);
+            }
+            Err(format!(
+                "class {}: the record holds a strand with structural hash {:#018x} \
+                 and {} variables, not the class's {:#018x} and {}",
+                r.class_start + idx,
+                found.0,
+                found.1,
+                expect.0,
+                expect.1
+            ))
+        });
+        let proc_ = match checked {
             Ok(p) => Arc::new(p),
             Err(detail) => {
                 self.resident.fetch_sub(need, Ordering::Relaxed);
@@ -665,13 +685,18 @@ impl LazyShards {
         any
     }
 
-    /// A pinned reference to the lifted procedure of class `ci`, opening
-    /// its shard (again, if evicted) and demand-decoding exactly that
-    /// record.
-    pub(crate) fn proc_ref(&self, ci: usize, cache: &VcpCache) -> Result<ShardProcRef, ShardError> {
+    /// A pinned reference to the lifted procedure of class `ci`, whose
+    /// structural hash and variable count are `expect`, opening its shard
+    /// (again, if evicted) and demand-decoding exactly that record.
+    pub(crate) fn proc_ref(
+        &self,
+        ci: usize,
+        expect: (u64, usize),
+        cache: &VcpCache,
+    ) -> Result<ShardProcRef, ShardError> {
         let shard = self.shard_of_class(ci);
         let resident = self.ensure_loaded(shard, cache)?;
-        let proc_ = self.decode_slot(shard, &resident, ci - resident.class_start)?;
+        let proc_ = self.decode_slot(shard, &resident, ci - resident.class_start, expect)?;
         Ok(ShardProcRef { proc_ })
     }
 
@@ -762,14 +787,14 @@ pub struct ClassExport {
     pub vars: usize,
     /// Structural hash — the dedup and cache key.
     pub hash: u64,
-    /// Total occurrences across the corpus (drives H0).
-    pub corpus_count: u64,
     /// Semantic sketch, when the engine's sketch tier was on.
     pub sketch: Option<SemanticSketch>,
 }
 
 /// Pricing metadata of one strand class **without** its procedure — what
-/// a sharded index keeps eagerly resident.
+/// a sharded index keeps eagerly resident. The class's corpus-wide
+/// occurrence count is not part of it: the engine sums it from the
+/// target strand lists.
 #[derive(Debug, Clone)]
 pub struct LazyClassMeta {
     /// Display name.
@@ -780,8 +805,6 @@ pub struct LazyClassMeta {
     pub vars: usize,
     /// Structural hash.
     pub hash: u64,
-    /// Corpus-wide occurrence count.
-    pub corpus_count: u64,
     /// Semantic sketch, if persisted.
     pub sketch: Option<SemanticSketch>,
 }
@@ -793,8 +816,6 @@ pub struct TargetExport {
     pub name: String,
     /// `(class index, occurrences in this target)`, in class order.
     pub strands: Vec<(usize, u64)>,
-    /// Basic-block count of the original procedure.
-    pub basic_blocks: usize,
 }
 
 /// A full dump of an engine's corpus state — the exchange format between

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # esh-index — the engine's on-disk format (v7)
+//! # esh-index — the engine's on-disk format (v8)
 //!
 //! The offline phase decomposes, lifts and hashes every target once; this
 //! crate persists the result as a compact binary, **segment-sharded**
@@ -11,10 +11,9 @@
 //! ```text
 //! index.eshx/
 //!   manifest.json    — format version, config + fingerprint, shard table
-//!   core.bin         — per-class pricing metadata (hash, vars, corpus
-//!                      count, signature, sketch, name) + target records
-//!                      + residual cache entries; fixed little-endian
-//!                      layout, loaded at open
+//!   core.bin         — per-class pricing metadata (hash, vars,
+//!                      signature, sketch, name) + target records; fixed
+//!                      little-endian layout, loaded at open
 //!   shard-0000.bin   — one per target segment: the segment's lifted
 //!   shard-0001.bin     procedures as fixed-layout binary records behind
 //!   ...                a per-class offset table, plus the VCP-cache
@@ -26,9 +25,9 @@
 //! order, so each segment owns the contiguous class-index range its
 //! targets introduced (computed as a cumulative maximum over the
 //! segment's class references). A persisted VCP-cache entry lives in the
-//! shard owning the class its `class_hash` names; entries naming no
-//! class (possible only in hand-edited files) fall back to the eagerly
-//! loaded residual section of `core.bin`.
+//! shard owning the class its `class_hash` names. Every lookup keys on a
+//! corpus class's hash, so an entry naming no class could never be read:
+//! the writer drops it.
 //!
 //! **Lazy-load contract.** [`open_sharded`] returns a
 //! [`SimilarityEngine`] whose shards *open* on first use, through the
@@ -45,31 +44,32 @@
 //! file that shrinks under an open shard fails the next record read
 //! past the cut with a typed error naming the file and the class, and
 //! so does a record whose bytes decode to a procedure that fails
-//! [`Proc::validate`].
+//! [`Proc::validate`], or to a strand whose structural hash or variable
+//! count is not its class's.
 //! Ranked responses and cache hit/miss counters are byte-identical to
 //! the resident engine the index was written from — pinned by this
 //! crate's round-trip proptests.
 //!
-//! **Checksums** (all FNV-1a) are layered to match decode granularity:
-//! the manifest records a whole-file `checksum` per file (tooling and
-//! full-verification passes), plus, per shard, a structural
-//! `meta_checksum` covering every byte *except* the record-blob region
-//! — verified when the shard opens — while the shard's offset table
-//! carries one checksum per procedure record, verified when that record
-//! is first decoded. `core.bin` is verified whole at open, after its
-//! size is checked against the manifest, so an oversized or endless
-//! file is refused before it is read. A byte flip inside one record
-//! therefore fails only the queries that decode that record, with an
-//! error naming the file and the class.
+//! **Checksums** (all FNV-1a) are layered to match decode granularity,
+//! and every byte a reader consumes from `core.bin` or a shard file is
+//! covered by exactly one of them. `core.bin` has a whole-file
+//! `core_checksum`, verified at open after its size is checked against
+//! the manifest, so an oversized or endless file is refused before it
+//! is read; each shard has a structural `meta_checksum` covering every
+//! byte *except* the record-blob region, verified when the shard opens;
+//! and the shard's offset table carries one checksum per procedure
+//! record, verified when that record is first decoded. A byte flip inside one record therefore fails only the
+//! queries that decode that record, with an error naming the file and
+//! the class.
 //!
-//! **Nothing derived is stored, and the manifest names no files.** The
-//! per-shard sketch-band summaries that let queries skip whole shards
-//! are a pure function of the class sketches in `core.bin`, so the
-//! engine builds them at open (see [`EshxOpenOptions::prune`]) instead
-//! of trusting a second copy. File names are fixed: [`CORE_FILE`] and
-//! `shard-NNNN.bin` for shard `NNNN`. Keys an older writer added for
-//! either (`core_file`, a shard's `file`, the `prune_*` fields of a
-//! retired `prune.bin` sidecar) are ignored, as is that sidecar.
+//! **Nothing derived is stored, and the manifest names no files.** Each
+//! class's corpus count (its H0 weight) is the sum of its occurrences
+//! over the target strand lists, and the per-shard sketch-band summaries
+//! that let queries skip whole shards are a pure function of the class
+//! sketches, so the engine derives both at open (see
+//! [`EshxOpenOptions::prune`]) instead of trusting a second copy. File
+//! names are fixed: [`CORE_FILE`] and `shard-NNNN.bin` for shard `NNNN`;
+//! unknown manifest keys are ignored.
 
 use std::fmt;
 use std::fs::File;
@@ -92,10 +92,12 @@ use wire::{checksum, checksum_parts, Reader, Writer};
 /// retired JSON snapshot format; version 5 introduced the binary layout
 /// (whole-shard decode), version 6 added per-record checksums to the
 /// shard offset tables plus a structural `meta_checksum` per shard,
-/// enabling per-procedure demand decoding, and version 7 stores each
-/// class record in the binary layout of [`encode_record`] instead of
-/// JSON.
-pub const SHARDED_FORMAT_VERSION: u32 = 7;
+/// enabling per-procedure demand decoding, version 7 stores each class
+/// record in the binary layout of [`encode_record`] instead of JSON, and
+/// version 8 stores nothing a reader derives or never reads: no class
+/// corpus counts, target basic-block counts, residual cache section or
+/// whole-file shard checksums.
+pub const SHARDED_FORMAT_VERSION: u32 = 8;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -103,7 +105,7 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// Core (eager) file name inside an index directory.
 pub const CORE_FILE: &str = "core.bin";
 
-const CORE_MAGIC: &[u8; 8] = b"ESHXCOR1";
+const CORE_MAGIC: &[u8; 8] = b"ESHXCOR2";
 const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD3";
 
 /// Why a sharded index failed to write or open.
@@ -191,7 +193,6 @@ struct ShardManifest {
     target_start: u64,
     target_end: u64,
     bytes: u64,
-    checksum: u64,
     // Structural checksum: FNV-1a over the file minus its record-blob
     // region. Verified at shard *open*, so header, offset table and
     // cache segment are trusted before any record decodes — the record
@@ -226,7 +227,7 @@ pub struct WriteSummary {
     pub classes: usize,
     /// Targets persisted.
     pub targets: usize,
-    /// VCP-cache entries persisted (segmented + residual).
+    /// VCP-cache entries persisted across the shard cache segments.
     pub cache_entries: usize,
 }
 
@@ -286,10 +287,7 @@ fn decode_cache_entry(r: &mut Reader<'_>) -> Result<VcpCacheEntry, String> {
     })
 }
 
-fn encode_core(
-    export: &CorpusExport,
-    residual: &[VcpCacheEntry],
-) -> Vec<u8> {
+fn encode_core(export: &CorpusExport) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(CORE_MAGIC);
     w.u64(export.classes.len() as u64);
@@ -298,7 +296,6 @@ fn encode_core(
         w.str(&c.name);
         w.u64(c.hash);
         w.u64(c.vars as u64);
-        w.u64(c.corpus_count);
         encode_signature(&mut w, &c.signature);
         match &c.sketch {
             Some(s) => {
@@ -311,16 +308,11 @@ fn encode_core(
     }
     for t in &export.targets {
         w.str(&t.name);
-        w.u64(t.basic_blocks as u64);
         w.u32(t.strands.len() as u32);
         for &(ci, n) in &t.strands {
             w.u64(ci as u64);
             w.u64(n);
         }
-    }
-    w.u32(residual.len() as u32);
-    for e in residual {
-        encode_cache_entry(&mut w, e);
     }
     w.into_bytes()
 }
@@ -328,17 +320,14 @@ fn encode_core(
 struct CoreParts {
     classes: Vec<LazyClassMeta>,
     targets: Vec<TargetExport>,
-    residual: Vec<VcpCacheEntry>,
 }
 
 /// Smallest encodings of a `core.bin` class row (name length, hash,
-/// vars, corpus count, round count, sketch flag), target row (name
-/// length, basic blocks, strand count) and cache entry, which cap the
-/// counts read from `core.bin`: no count sizes an allocation beyond what
-/// the remaining bytes could hold.
-const MIN_CLASS_ROW_BYTES: usize = 33;
-const MIN_TARGET_ROW_BYTES: usize = 16;
-const CACHE_ENTRY_BYTES: usize = 40;
+/// vars, round count, sketch flag) and target row (name length, strand
+/// count), which cap the counts read from `core.bin`: no count sizes an
+/// allocation beyond what the remaining bytes could hold.
+const MIN_CLASS_ROW_BYTES: usize = 25;
+const MIN_TARGET_ROW_BYTES: usize = 8;
 
 fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
     let mut r = Reader::new(bytes);
@@ -352,35 +341,28 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
         let name = r.str()?;
         let hash = r.u64()?;
         let vars = r.u64()? as usize;
-        let corpus_count = r.u64()?;
         let signature = decode_signature(&mut r)?;
         let sketch = match r.u8()? {
             0 => None,
             1 => Some(esh_core::SemanticSketch { digests: r.u64s()?, minhash: r.u64s()? }),
             k => return Err(format!("bad sketch flag {k}")),
         };
-        classes.push(LazyClassMeta { name, signature, vars, hash, corpus_count, sketch });
+        classes.push(LazyClassMeta { name, signature, vars, hash, sketch });
     }
     let mut targets = Vec::with_capacity(ntargets.min(r.remaining() / MIN_TARGET_ROW_BYTES));
     for _ in 0..ntargets {
         let name = r.str()?;
-        let basic_blocks = r.u64()? as usize;
         let nstrands = r.u32()? as usize;
         let mut strands = Vec::with_capacity(nstrands.min(r.remaining() / 16));
         for _ in 0..nstrands {
             strands.push((r.u64()? as usize, r.u64()?));
         }
-        targets.push(TargetExport { name, strands, basic_blocks });
-    }
-    let nresidual = r.u32()? as usize;
-    let mut residual = Vec::with_capacity(nresidual.min(r.remaining() / CACHE_ENTRY_BYTES));
-    for _ in 0..nresidual {
-        residual.push(decode_cache_entry(&mut r)?);
+        targets.push(TargetExport { name, strands });
     }
     if !r.at_end() {
         return Err(format!("{} trailing bytes after core document", bytes.len() - r.pos()));
     }
-    Ok(CoreParts { classes, targets, residual })
+    Ok(CoreParts { classes, targets })
 }
 
 // ---------------------------------------------------------------------
@@ -827,7 +809,7 @@ fn partition(export: &CorpusExport, targets_per_shard: usize) -> Vec<ShardSpec> 
 // Write
 // ---------------------------------------------------------------------
 
-/// Writes `engine`'s corpus as a sharded v7 index into directory `dir`
+/// Writes `engine`'s corpus as a sharded v8 index into directory `dir`
 /// (created if missing; existing index files are overwritten), with at
 /// most `targets_per_shard` targets per shard. A lazily backed engine
 /// loads every record first; a corrupt one fails the write with a
@@ -844,8 +826,8 @@ pub fn write_sharded(
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let specs = partition(&export, targets_per_shard);
 
-    // Assign each cache entry to the shard owning its class hash;
-    // unknown hashes go to the eagerly loaded residual section.
+    // Assign each cache entry to the shard owning its class hash. An
+    // entry naming no class could never be looked up, so it is dropped.
     let shard_of_class = |ci: usize| specs.partition_point(|s| s.class_end <= ci);
     let class_of_hash: std::collections::HashMap<u64, usize> = export
         .classes
@@ -854,15 +836,13 @@ pub fn write_sharded(
         .map(|(i, c)| (c.hash, i))
         .collect();
     let mut segmented: Vec<Vec<VcpCacheEntry>> = vec![Vec::new(); specs.len()];
-    let mut residual: Vec<VcpCacheEntry> = Vec::new();
     for e in &export.cache {
-        match class_of_hash.get(&e.class_hash) {
-            Some(&ci) => segmented[shard_of_class(ci)].push(*e),
-            None => residual.push(*e),
+        if let Some(&ci) = class_of_hash.get(&e.class_hash) {
+            segmented[shard_of_class(ci)].push(*e);
         }
     }
 
-    let core_bytes = encode_core(&export, &residual);
+    let core_bytes = encode_core(&export);
     let core_path = dir.join(CORE_FILE);
     std::fs::write(&core_path, &core_bytes).map_err(io_err(&core_path))?;
 
@@ -883,7 +863,6 @@ pub fn write_sharded(
             target_start: spec.target_start as u64,
             target_end: spec.target_end as u64,
             bytes: bytes.len() as u64,
-            checksum: checksum(&bytes),
             meta_checksum: meta,
         });
     }
@@ -909,7 +888,7 @@ pub fn write_sharded(
         shard_bytes: shard_total,
         classes: export.classes.len(),
         targets: export.targets.len(),
-        cache_entries: export.cache.len(),
+        cache_entries: segmented.iter().map(Vec::len).sum(),
     })
 }
 
@@ -1069,7 +1048,7 @@ pub fn shard_record_ranges(
         .collect())
 }
 
-/// Opens a sharded v7 index directory as a lazily backed
+/// Opens a sharded v8 index directory as a lazily backed
 /// [`SimilarityEngine`] with default options (pruning on).
 /// Ranked responses are byte-identical to the resident engine the index
 /// was written from.
@@ -1077,7 +1056,7 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
     open_sharded_with(dir, EshxOpenOptions::default())
 }
 
-/// Opens a sharded v7 index directory as a lazily backed
+/// Opens a sharded v8 index directory as a lazily backed
 /// [`SimilarityEngine`]: the manifest and `core.bin` load now (and, with
 /// [`EshxOpenOptions::prune`], the engine derives its shard band
 /// summaries from the class sketches), shard files load on first use,
@@ -1134,7 +1113,6 @@ pub fn open_sharded_with(
         parts.targets,
         specs,
         Box::new(source),
-        parts.residual,
         options.prune,
     )
     .map_err(|e| format_err(&manifest_path, e))
@@ -1267,62 +1245,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Rewrites the manifest's equiv config with the four solver keys an
-    /// older writer recorded, and its fingerprint with `fingerprint`.
-    fn add_retired_solver_keys(dir: &Path, incremental: bool, fingerprint: u64) {
-        let path = dir.join(MANIFEST_FILE);
-        let default_fp = EngineConfig::default().fingerprint();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (fp_old, equiv_old) = (
-            format!("\"config_fingerprint\":{default_fp}"),
-            "\"max_mul_cost\":1100}",
-        );
-        assert!(
-            text.contains(&fp_old) && text.contains(equiv_old),
-            "manifest shape changed"
-        );
-        let text = text.replace(&fp_old, &format!("\"config_fingerprint\":{fingerprint}"));
-        let text = text.replace(
-            equiv_old,
-            &format!(
-                "\"max_mul_cost\":1100,\"incremental\":{incremental},\"solver_max_vars\":1200,\
-                 \"solver_max_clauses\":5000,\"reduce_learnts_at\":1000}}"
-            ),
-        );
-        std::fs::write(&path, text).unwrap();
-    }
-
-    #[test]
-    fn manifest_with_retired_solver_keys_still_opens() {
-        let engine = small_engine();
-        let dir = temp_dir("retired-keys");
-        write_sharded(&engine, &dir, 2).unwrap();
-        add_retired_solver_keys(&dir, true, engine.config().fingerprint());
-        let lazy = open_sharded(&dir).expect("unknown manifest keys are ignored");
-        assert_eq!(lazy.config().fingerprint(), engine.config().fingerprint());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn manifest_with_non_default_retired_knobs_is_rejected() {
-        // What an older writer recorded for the default config with the
-        // shared solver switched off (`incremental: false`).
-        const OLD_FRESH_FP: u64 = 17_652_901_017_515_691_063;
-        let engine = small_engine();
-        let dir = temp_dir("retired-knobs");
-        write_sharded(&engine, &dir, 2).unwrap();
-        add_retired_solver_keys(&dir, false, OLD_FRESH_FP);
-        match open_sharded(&dir) {
-            Err(IndexError::ConfigMismatch {
-                found: OLD_FRESH_FP,
-                expected,
-                ..
-            }) => assert_eq!(expected, engine.config().fingerprint()),
-            other => panic!("expected ConfigMismatch, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Drops every `"meta_checksum":N` field from a manifest's text.
     fn strip_meta_checksums(text: &str) -> String {
         let key = ",\"meta_checksum\":";
@@ -1351,15 +1273,20 @@ mod tests {
             [version.as_str(), &sketch, probe_knobs].iter().all(|k| text.contains(k)),
             "manifest shape changed"
         );
-        // A future version, and v6-shaped manifests: no structural shard
-        // checksums, with the tier recorded as `null` or its probe knobs
-        // as `null` — fields the v7 layout cannot decode, so only the
-        // version check can name what is wrong.
+        // A future version, a v7 manifest (the same fields plus each
+        // shard's whole-file `checksum`), and v6-shaped manifests: no
+        // structural shard checksums, with the tier recorded as `null` or
+        // its probe knobs as `null` — fields the v8 layout cannot decode,
+        // so only the version check can name what is wrong.
         let v6 = strip_meta_checksums(&text.replace(&version, "\"format_version\":6"));
         assert!(!v6.contains("meta_checksum"));
         let null_knobs = "\"ambiguity_window\":null,\"probe_vectors\":null,\"refine_top_k\":null";
+        let v7 = text
+            .replace(&version, "\"format_version\":7")
+            .replace(",\"meta_checksum\":", ",\"checksum\":1,\"meta_checksum\":");
         for (manifest, found) in [
             (text.replace(&version, "\"format_version\":9"), 9),
+            (v7, 7),
             (v6.replace(&sketch, "\"sketch\":null"), 6),
             (v6.replace(probe_knobs, null_knobs), 6),
         ] {
@@ -1440,13 +1367,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Indexes written before band summaries were derived at open carry
-    /// a `prune.bin` sidecar, and their manifests name their files. Both
-    /// are ignored. The manifest below names `/dev/zero` as its core file
-    /// and `../elsewhere` as every shard file. The sidecar is
-    /// checksum-consistent but claims every shard holds nothing (empty
-    /// Blooms, `complete = 1`, `min_digests = u64::MAX`); trusted, it
-    /// would skip every shard for every query. The index must still open
+    /// File names are fixed and band summaries are derived at open, so
+    /// manifest keys naming files and a `prune.bin` sidecar (what earlier
+    /// writers produced) are ignored. The manifest below names
+    /// `/dev/zero` as its core file and `../elsewhere` as every shard
+    /// file. The sidecar is checksum-consistent but claims every shard
+    /// holds nothing (empty Blooms, `complete = 1`, `min_digests =
+    /// u64::MAX`); trusted, it would skip every shard for every query. The index must still open
     /// and score bit-identically to the resident engine, with and
     /// without pruning.
     #[test]

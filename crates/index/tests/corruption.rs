@@ -230,9 +230,9 @@ fn blob_region(bytes: &[u8], records: usize) -> std::ops::Range<usize> {
 
 /// Checksums catch bytes changed after the manifest was written, not
 /// bytes that were wrong when it was: a record re-encoded with an
-/// out-of-range operand, with its offset-table checksum, the shard's
-/// structural `meta_checksum` and the file `checksum` in the manifest
-/// all recomputed, passes every checksum. Decoding must still refuse
+/// out-of-range operand, with its offset-table checksum and the shard's
+/// structural `meta_checksum` in the manifest recomputed, passes every
+/// checksum. Decoding must still refuse
 /// it — a typed `Corrupted` error naming the file, the class and the
 /// defect — while a query over a co-resident record keeps serving.
 #[test]
@@ -263,7 +263,6 @@ fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries()
     let mut bytes = std::fs::read(&shard_file).unwrap();
     let ranges = esh_index::shard_record_ranges(&dir, 0).unwrap();
     let blobs = blob_region(&bytes, ranges.len());
-    let old_sum = fnv(&[&bytes]);
     let old_meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
     let mut poisoned = 0usize;
     for (i, &(ci, start, len)) in ranges.iter().enumerate() {
@@ -293,13 +292,10 @@ fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries()
     std::fs::write(&shard_file, &bytes).unwrap();
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    let sum_key = format!("\"checksum\":{old_sum}");
     let meta_key = format!("\"meta_checksum\":{old_meta}");
-    assert!(text.contains(&sum_key) && text.contains(&meta_key), "manifest shape changed");
+    assert!(text.contains(&meta_key), "manifest shape changed");
     let meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
-    let text = text
-        .replace(&sum_key, &format!("\"checksum\":{}", fnv(&[&bytes])))
-        .replace(&meta_key, &format!("\"meta_checksum\":{meta}"));
+    let text = text.replace(&meta_key, &format!("\"meta_checksum\":{meta}"));
     std::fs::write(&manifest, text).unwrap();
 
     let lazy = open_sharded(&dir).unwrap();
@@ -537,12 +533,12 @@ fn rewriting_a_lazy_engine_with_a_corrupt_record_is_an_error() {
 /// Byte range of the first class's sketch in `core.bin`: its flag byte,
 /// then the digest and minhash vectors (each a `u32` count and that many
 /// `u64`s). The class row before it is the name (`u32` length + bytes),
-/// hash, vars, corpus count, then the signature's `u32` round count and
-/// its `u64` vectors.
+/// hash, vars, then the signature's `u32` round count and its `u64`
+/// vectors.
 fn first_sketch(core: &[u8]) -> std::ops::Range<usize> {
     let u32_at = |at: usize| u32::from_le_bytes(core[at..at + 4].try_into().unwrap()) as usize;
     let mut at = 8 + 16;
-    at += 4 + u32_at(at) + 24;
+    at += 4 + u32_at(at) + 16;
     let rounds = u32_at(at);
     at += 4;
     for _ in 0..rounds {
@@ -643,10 +639,11 @@ fn core_bin_of_the_wrong_size_is_refused_before_it_is_read() {
 /// Byte ranges of one class row's sorted vectors in `core.bin`: each
 /// signature round's words, then its sketch digests (when it has a
 /// sketch). The ranges hold the `u64` words only, after their `u32`
-/// counts.
+/// counts. `end` is where the next row starts.
 struct SortedVectors {
     rounds: Vec<std::ops::Range<usize>>,
     digests: Option<std::ops::Range<usize>>,
+    end: usize,
 }
 
 /// The sorted vectors of every class row in `core.bin`; see
@@ -662,7 +659,7 @@ fn sorted_vectors(core: &[u8]) -> Vec<SortedVectors> {
     };
     (0..classes)
         .map(|_| {
-            at += 4 + u32_at(at) + 24;
+            at += 4 + u32_at(at) + 16;
             let rounds = u32_at(at);
             at += 4;
             let rounds = (0..rounds).map(|_| words(&mut at)).collect();
@@ -672,7 +669,7 @@ fn sorted_vectors(core: &[u8]) -> Vec<SortedVectors> {
                 words(&mut at);
                 digests
             });
-            SortedVectors { rounds, digests }
+            SortedVectors { rounds, digests, end: at }
         })
         .collect()
 }
@@ -849,5 +846,180 @@ fn manifest_past_the_size_cap_is_refused_without_reading_it_whole() {
 
     std::fs::write(&path, &original).unwrap();
     assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Offset of every target row's `(class index, occurrences)` pairs in
+/// `core.bin`, after the class rows: each row is the target's name
+/// (`u32` length + bytes), then a `u32` pair count and the pairs, two
+/// `u64`s each.
+fn target_strands(core: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let u32_at = |at: usize| u32::from_le_bytes(core[at..at + 4].try_into().unwrap()) as usize;
+    let targets = u64::from_le_bytes(core[16..24].try_into().unwrap()) as usize;
+    let mut at = sorted_vectors(core).last().map_or(8 + 16, |row| row.end);
+    (0..targets)
+        .map(|_| {
+            at += 4 + u32_at(at);
+            let pairs = u32_at(at);
+            at += 4 + 16 * pairs;
+            at - 16 * pairs..at
+        })
+        .collect()
+}
+
+/// `core.bin` stores no corpus counts: each class's H0 weight is the sum
+/// of its occurrences over the target strand lists. Two targets sharing
+/// a class whose occurrence counts overflow `u64` when summed — the
+/// checksum recomputed, so every checksum passes — are a typed format
+/// error at open, never a panic or a wrapped sum.
+#[test]
+fn occurrence_counts_that_overflow_when_summed_are_a_format_error() {
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    // Two targets compiled from one function share every class.
+    let f = clang.compile_function(&demo::cve_functions()[0].1);
+    engine.add_target("a", &f);
+    engine.add_target("b", &f);
+    let dir = scratch("count-overflow");
+    write_sharded(&engine, &dir, 1).unwrap();
+    let core_path = dir.join("core.bin");
+    let pristine = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let checksum_key = |core: &[u8]| format!("\"core_checksum\":{}", fnv(&[core]));
+    assert!(text.contains(&checksum_key(&pristine)), "manifest shape changed");
+    let rows = target_strands(&pristine);
+    assert_eq!(rows.len(), 2);
+    assert_eq!(pristine[rows[0].clone()], pristine[rows[1].clone()], "same strand lists");
+    // The first pair's count: the second `u64` of the first target's row.
+    let count_at = rows[0].start + 8;
+    let mut core = pristine.clone();
+    core[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&core_path, &core).unwrap();
+    std::fs::write(&manifest, text.replace(&checksum_key(&pristine), &checksum_key(&core)))
+        .unwrap();
+    match open_sharded(&dir) {
+        Err(IndexError::Format { detail, .. }) => assert!(detail.contains("overflow"), "{detail}"),
+        Ok(_) => panic!("occurrence counts that overflow u64 opened"),
+        Err(e) => panic!("expected a format error, got {e}"),
+    }
+
+    std::fs::write(&core_path, &pristine).unwrap();
+    std::fs::write(&manifest, &text).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every checksum covers bytes, not meaning: a shard whose record for
+/// each class only the victim target owns is replaced by another class's
+/// record — the offset table's offsets, lengths and checksums and the
+/// manifest's `bytes` and `meta_checksum` recomputed — passes every
+/// checksum and decodes to a valid procedure. Unchecked, that strand
+/// would be verified, and its verdicts cached, under the wrong class's
+/// key. The record is checked against its class's structural hash and
+/// variable count as it decodes, so the victim's query fails with a
+/// typed error naming the shard and the class, while the co-resident
+/// healthy target keeps serving.
+#[test]
+fn record_swapped_for_another_class_fails_only_queries_decoding_it() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let (healthy_name, healthy_f) = &funcs[0];
+    let (victim_name, victim_f) = funcs.last().unwrap();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 2,
+        sketch: PrefilterConfig {
+            refine_top_k: 0,
+            ..PrefilterConfig::lsh_only()
+        },
+        ..EngineConfig::default()
+    });
+    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
+    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    let export = engine.export_corpus().unwrap();
+    let dir = scratch("swapped");
+    write_sharded(&engine, &dir, 2).unwrap();
+    drop(engine);
+
+    let healthy_classes: std::collections::BTreeSet<usize> =
+        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let shard_file = dir.join("shard-0000.bin");
+    let bytes = std::fs::read(&shard_file).unwrap();
+    let ranges = esh_index::shard_record_ranges(&dir, 0).unwrap();
+    let blobs = blob_region(&bytes, ranges.len());
+    let old_meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
+    let record = |start: u64, len: u64| bytes[start as usize..(start + len) as usize].to_vec();
+    let (_, donor_start, donor_len) = *ranges
+        .iter()
+        .find(|(ci, _, _)| healthy_classes.contains(ci))
+        .expect("the healthy target owns a record");
+    let mut swapped = 0usize;
+    let records: Vec<Vec<u8>> = ranges
+        .iter()
+        .map(|&(ci, start, len)| {
+            if healthy_classes.contains(&ci) {
+                record(start, len)
+            } else {
+                swapped += 1;
+                record(donor_start, donor_len)
+            }
+        })
+        .collect();
+    assert!(swapped > 0, "victim target shares every class");
+
+    // Re-lay the blob region and the offset table around the new records.
+    let table_at = |i: usize| 32 + 24 * i;
+    let mut out = bytes[..table_at(0)].to_vec();
+    let mut offset = 0u64;
+    for r in &records {
+        for word in [offset, r.len() as u64, fnv(&[r])] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        offset += r.len() as u64;
+    }
+    out.extend_from_slice(&offset.to_le_bytes());
+    let new_blobs = out.len()..out.len() + offset as usize;
+    out.extend(records.concat());
+    out.extend_from_slice(&bytes[blobs.end..]);
+    std::fs::write(&shard_file, &out).unwrap();
+
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let old_row = format!("\"bytes\":{},\"meta_checksum\":{old_meta}", bytes.len());
+    assert!(text.contains(&old_row), "manifest shape changed");
+    let meta = fnv(&[&out[..new_blobs.start], &out[new_blobs.end..]]);
+    let new_row = format!("\"bytes\":{},\"meta_checksum\":{meta}", out.len());
+    std::fs::write(&manifest, text.replace(&old_row, &new_row)).unwrap();
+
+    let lazy = open_sharded(&dir).unwrap();
+    let healthy_q = gcc.compile_function(healthy_f);
+    let ok = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("the healthy target's records are intact");
+    assert_eq!(ok.ranked()[0].name, format!("t-{healthy_name}"));
+
+    let poisoned_q = gcc.compile_function(victim_f);
+    match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
+        Err(QueryError::Corrupted(e)) => {
+            let msg = e.to_string();
+            assert_eq!(e.shard, 0, "error must name the shard: {msg}");
+            assert!(msg.contains("class "), "error must name the class: {msg}");
+            assert!(msg.contains("structural hash"), "error must say why: {msg}");
+        }
+        Ok(_) => panic!("a query over a swapped record reported success"),
+        Err(e) => panic!("expected Corrupted, got {e}"),
+    }
+
+    let again = lazy
+        .query_cancellable(&healthy_q, &CancelToken::new())
+        .expect("engine must survive a swapped-record error");
+    for (x, y) in ok.scores.iter().zip(&again.scores) {
+        assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }

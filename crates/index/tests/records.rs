@@ -118,6 +118,22 @@ fn every_scale_class_round_trips_through_its_record_and_the_index() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `core.bin` stores no corpus counts: the reopened engine sums each
+/// class's from the target strand lists, and must report exactly the
+/// counts (and so the H0 weights) of the engine it was written from.
+#[test]
+fn reopened_index_derives_every_corpus_count() {
+    let engine = scale_engine();
+    let dir = scratch("counts");
+    write_sharded(engine, &dir, 8).unwrap();
+    let reopened = open_sharded(&dir).unwrap();
+    assert_eq!(
+        reopened.common_classes(usize::MAX),
+        engine.common_classes(usize::MAX)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn writing_one_engine_twice_gives_identical_files() {
     let engine = scale_engine();
@@ -142,12 +158,12 @@ fn writing_one_engine_twice_gives_identical_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `core.bin` as the format-6 writer wrote it for this engine: the
-/// record layout changed only the shard files (and so the manifest's
-/// sizes and checksums).
+/// `core.bin` as the format-8 writer writes it for this engine: class
+/// rows without corpus counts, target rows without basic-block counts,
+/// and no residual cache section.
 #[test]
 fn core_bytes_are_pinned() {
-    const CORE_DIGEST: u64 = 0x0d73_613c_3e28_f96a;
+    const CORE_DIGEST: u64 = 0x8c57_d4b1_75f0_de54;
     let dir = scratch("pinned");
     write_sharded(scale_engine(), &dir, 8).unwrap();
     let core = digest(&dir.join("core.bin"));

@@ -90,17 +90,6 @@ impl EquivConfig {
             self.max_dag as u64,
             self.max_mem_cost as u64,
             self.max_mul_cost as u64,
-            // Four retired fields of the shared incremental solver, which
-            // has since been removed: `incremental`, `solver_max_vars`,
-            // `solver_max_clauses` and `reduce_learnts_at`. They are
-            // folded in as their old defaults so that every index written
-            // with the default config keeps its fingerprint and opens.
-            // An index written with other values records a fingerprint
-            // no current config reproduces, and is rejected.
-            1,
-            1_200,
-            5_000,
-            1_000,
         ] {
             for b in field.to_le_bytes() {
                 h ^= u64::from(b);

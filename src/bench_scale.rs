@@ -6,7 +6,7 @@
 //! ([`esh_corpus::scale::stream_scale_corpus_with_threads`]) straight
 //! into an engine running the pure-LSH scale profile
 //! ([`esh_core::PrefilterConfig::lsh_only`]), persists it as a sharded
-//! binary index (format v7), then measures what the scale tier exists to
+//! binary index (format v8), then measures what the scale tier exists to
 //! improve:
 //!
 //! * **build throughput** — procedures ingested per second (streamed
@@ -16,7 +16,8 @@
 //!   query needs them),
 //! * **query latency and shard fan-out** — ranked queries against the
 //!   lazily loaded engine under per-record demand decoding, with shard
-//!   residency, whole-shard prunes (the sketch-band sidecar), peak
+//!   residency, whole-shard prunes (the sketch-band summaries derived
+//!   at open), peak
 //!   resident bytes, and decoded bytes against the open shard files'
 //!   bytes reported,
 //! * **memory-bounded serving** — the same queries repeated under a
@@ -44,12 +45,12 @@ use esh_corpus::{Corpus, CorpusConfig};
 /// regression harness, not a fuzzer).
 const SEED: u64 = 0x5CA1E;
 
-/// Targets per shard for the persisted v7 indexes. Finer than the CLI
+/// Targets per shard for the persisted v8 indexes. Finer than the CLI
 /// default (64): whole-shard pruning is a per-shard all-or-nothing
 /// test, and on the digest-heavy synthetic corpus a 64-target shard
 /// almost always has at least one band collision with some query
 /// strand. Eight targets keeps shards coarse enough to amortize loads
-/// while leaving the sketch-band sidecar real work to do.
+/// while leaving the per-shard sketch-band summaries real work to do.
 const TARGETS_PER_SHARD: usize = 8;
 
 /// Ranked queries issued against each lazily loaded index.
@@ -101,7 +102,8 @@ fn scratch_dir() -> std::path::PathBuf {
 }
 
 /// The scale-tier engine profile: pure-LSH prefiltering, where the
-/// sketch-band sidecar can prove whole shards irrelevant before fan-out.
+/// per-shard sketch-band summaries can prove whole shards irrelevant
+/// before fan-out.
 fn scale_engine() -> SimilarityEngine {
     SimilarityEngine::new(EngineConfig {
         sketch: PrefilterConfig::lsh_only(),

@@ -21,7 +21,7 @@
 //!
 //! `index build` persists the engine's derived corpus state (strand
 //! classes, signatures, hashes, lifted procedures) as a sharded binary
-//! `.eshx` index (format v7); `query --index` opens it — skipping
+//! `.eshx` index (format v8); `query --index` opens it — skipping
 //! decomposition/lifting of every target — runs the query and reports
 //! VCP-cache statistics. Indexes are immutable once written: a warm
 //! cache belongs to a long-running `serve`.
@@ -48,7 +48,8 @@
 //! (10k+ procedures across the 21-configuration compiler matrix) without
 //! materializing it in memory (`--threads` caps the compile pool); index
 //! shards open lazily at query time and read and decode *per procedure*
-//! on demand, can be skipped wholesale by the sketch-band sidecar, and
+//! on demand, can be skipped wholesale by the per-shard sketch-band
+//! summaries the engine derives at open, and
 //! are evicted LRU under `serve --shard-budget-mb`; `bench-scale`
 //! measures build throughput, cold-load time, query latency, demand
 //! decoding, whole-shard pruning and budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
