@@ -95,7 +95,12 @@ impl VcpCache {
 
     /// Looks up a memoized result, counting the outcome.
     pub fn get(&self, key: &VcpKey) -> Option<VcpPair> {
-        let found = self.shard(key).lock().expect("cache shard").get(key).copied();
+        let found = self
+            .shard(key)
+            .lock()
+            .expect("cache shard")
+            .get(key)
+            .copied();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -110,12 +115,19 @@ impl VcpCache {
     /// those scans as misses would break the `misses == vcp_pair
     /// invocations` identity the benches report as `verifier_calls`.
     pub fn peek(&self, key: &VcpKey) -> Option<VcpPair> {
-        self.shard(key).lock().expect("cache shard").get(key).copied()
+        self.shard(key)
+            .lock()
+            .expect("cache shard")
+            .get(key)
+            .copied()
     }
 
     /// Memoizes one result.
     pub fn insert(&self, key: VcpKey, pair: VcpPair) {
-        self.shard(&key).lock().expect("cache shard").insert(key, pair);
+        self.shard(&key)
+            .lock()
+            .expect("cache shard")
+            .insert(key, pair);
     }
 
     /// Number of stored entries.
@@ -153,7 +165,12 @@ impl VcpCache {
             for (&(query_hash, class_hash, vcp_fingerprint), &pair) in
                 shard.lock().expect("cache shard").iter()
             {
-                out.push(VcpCacheEntry { query_hash, class_hash, vcp_fingerprint, pair });
+                out.push(VcpCacheEntry {
+                    query_hash,
+                    class_hash,
+                    vcp_fingerprint,
+                    pair,
+                });
             }
         }
         out.sort_by_key(|e| (e.query_hash, e.class_hash, e.vcp_fingerprint));
@@ -166,7 +183,10 @@ mod tests {
     use super::*;
 
     fn pair(q: f64, t: f64) -> VcpPair {
-        VcpPair { q_in_t: q, t_in_q: t }
+        VcpPair {
+            q_in_t: q,
+            t_in_q: t,
+        }
     }
 
     #[test]

@@ -518,7 +518,11 @@ impl SimilarityEngine {
         match &self.shards {
             Some(lazy) if ci < lazy.class_limit() => {
                 let expect = (self.classes[ci].hash, self.classes[ci].vars);
-                Ok(ClassProcRef::Shared(lazy.proc_ref(ci, expect, &self.cache)?))
+                Ok(ClassProcRef::Shared(lazy.proc_ref(
+                    ci,
+                    expect,
+                    &self.cache,
+                )?))
             }
             _ => Ok(ClassProcRef::Resident(&self.classes[ci].proc_)),
         }
@@ -559,7 +563,9 @@ impl SimilarityEngine {
     /// Shard counters: total/loaded shard counts and query fan-out. All
     /// zero for fully resident engines.
     pub fn shard_stats(&self) -> ShardStats {
-        self.shards.as_ref().map_or_else(ShardStats::default, |l| l.stats())
+        self.shards
+            .as_ref()
+            .map_or_else(ShardStats::default, |l| l.stats())
     }
 
     /// Dumps the whole corpus — config, materialized classes, targets,
@@ -658,11 +664,14 @@ impl SimilarityEngine {
         let mut corpus_counts = vec![0u64; classes.len()];
         for t in &targets {
             for &(ci, n) in &t.strands {
-                let count = corpus_counts
-                    .get_mut(ci)
-                    .ok_or_else(|| format!("target `{}` references a class out of range", t.name))?;
+                let count = corpus_counts.get_mut(ci).ok_or_else(|| {
+                    format!("target `{}` references a class out of range", t.name)
+                })?;
                 *count = count.checked_add(n).ok_or_else(|| {
-                    format!("class `{}`: its occurrence counts overflow u64", classes[ci].name)
+                    format!(
+                        "class `{}`: its occurrence counts overflow u64",
+                        classes[ci].name
+                    )
                 })?;
             }
         }
@@ -699,7 +708,10 @@ impl SimilarityEngine {
             let k = cfg.bands * cfg.rows;
             let bad = |c: &&LazyClassMeta| c.sketch.as_ref().is_some_and(|s| s.minhash.len() != k);
             if let Some(c) = classes.iter().find(bad) {
-                return Err(format!("class `{}`: sketch is not {k} minhash words", c.name));
+                return Err(format!(
+                    "class `{}`: sketch is not {k} minhash words",
+                    c.name
+                ));
             }
         }
         let summaries = config.active_sketch().filter(|_| prune).map(|cfg| {
@@ -734,7 +746,10 @@ impl SimilarityEngine {
             .collect();
         let targets = targets
             .into_iter()
-            .map(|t| TargetRecord { name: t.name, strands: t.strands })
+            .map(|t| TargetRecord {
+                name: t.name,
+                strands: t.strands,
+            })
             .collect();
         Ok(SimilarityEngine {
             config,
@@ -804,7 +819,10 @@ impl SimilarityEngine {
         // indexes would not be byte-reproducible).
         let mut strands: Vec<(usize, u64)> = per_class.into_iter().collect();
         strands.sort_unstable_by_key(|&(class, _)| class);
-        self.targets.push(TargetRecord { name: name.into(), strands });
+        self.targets.push(TargetRecord {
+            name: name.into(),
+            strands,
+        });
         id
     }
 
@@ -889,12 +907,13 @@ impl SimilarityEngine {
             Some(c) => c.signature.clone(),
             None => semantic_signature(lifted),
         };
-        let sketch = self.config.active_sketch().map(|cfg| {
-            match class.and_then(|c| c.sketch.as_ref()) {
-                Some(s) => s.clone(),
-                None => compute_sketch(lifted, cfg),
-            }
-        });
+        let sketch =
+            self.config
+                .active_sketch()
+                .map(|cfg| match class.and_then(|c| c.sketch.as_ref()) {
+                    Some(s) => s.clone(),
+                    None => compute_sketch(lifted, cfg),
+                });
         PreparedStrand {
             signature,
             sketch,
@@ -913,7 +932,11 @@ impl SimilarityEngine {
             let sketches = self
                 .classes
                 .iter()
-                .map(|c| c.sketch.clone().expect("an enabled sketch tier sketches every class"))
+                .map(|c| {
+                    c.sketch
+                        .clone()
+                        .expect("an enabled sketch tier sketches every class")
+                })
                 .collect();
             *slot = Some(Arc::new(SketchIndex::build(sketches, cfg)));
         }
@@ -1003,8 +1026,9 @@ impl SimilarityEngine {
         // Per-item shard-failure latch: the first corrupted-shard error an
         // item hits is kept, the item's remaining tiles are skipped, and
         // the caller fails that item alone — neighbours keep computing.
-        let shard_errors: Vec<std::sync::OnceLock<ShardError>> =
-            (0..queries.len()).map(|_| std::sync::OnceLock::new()).collect();
+        let shard_errors: Vec<std::sync::OnceLock<ShardError>> = (0..queries.len())
+            .map(|_| std::sync::OnceLock::new())
+            .collect();
         if total_tiles == 0 || nc == 0 {
             let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
             return (matrices, errors);
@@ -1049,18 +1073,22 @@ impl SimilarityEngine {
                     return None;
                 }
                 let limit = lazy.class_limit();
-                let class_shard: Vec<u32> =
-                    (0..limit).map(|ci| lazy.shard_of_class(ci) as u32).collect();
+                let class_shard: Vec<u32> = (0..limit)
+                    .map(|ci| lazy.shard_of_class(ci) as u32)
+                    .collect();
                 let skip: Vec<Vec<bool>> = queries
                     .iter()
                     .map(|q| {
-                        let sketches: Option<Vec<&SemanticSketch>> =
-                            q.as_ref().and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
+                        let sketches: Option<Vec<&SemanticSketch>> = q
+                            .as_ref()
+                            .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
                         let Some(sketches) = sketches else {
                             return vec![false; summaries.len()];
                         };
-                        let keys: Vec<Vec<u64>> =
-                            sketches.iter().map(|s| s.band_keys(cfg.bands, cfg.rows)).collect();
+                        let keys: Vec<Vec<u64>> = sketches
+                            .iter()
+                            .map(|s| s.band_keys(cfg.bands, cfg.rows))
+                            .collect();
                         let can_skip = |sum: &ShardBandSummary| {
                             let mut strands = sketches.iter().zip(&keys);
                             strands.all(|(s, k)| sum.can_skip(s, k, margin, window))
@@ -1117,9 +1145,7 @@ impl SimilarityEngine {
                                 // the per-cell sketch prune, decided without
                                 // touching the class.
                                 if let Some((class_shard, skip)) = shard_skip {
-                                    if ci < class_shard.len()
-                                        && skip[b][class_shard[ci] as usize]
-                                    {
+                                    if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
                                         continue;
                                     }
                                 }
@@ -1424,7 +1450,11 @@ impl SimilarityEngine {
     /// (weighted by class multiplicity). Pure in the matrix — the refine
     /// pass reuses the estimated matrix's accumulators verbatim so its
     /// scores stay a pure function of the query, corpus and config.
-    fn h0_accumulators(&self, query: &[QueryStrand], matrix: &[Vec<VcpPair>]) -> Vec<H0Accumulator> {
+    fn h0_accumulators(
+        &self,
+        query: &[QueryStrand],
+        matrix: &[Vec<VcpPair>],
+    ) -> Vec<H0Accumulator> {
         let mut h0: Vec<H0Accumulator> = vec![H0Accumulator::default(); query.len()];
         for (qi, row) in matrix.iter().enumerate() {
             for (ci, v) in row.iter().enumerate() {
@@ -1442,14 +1472,22 @@ impl SimilarityEngine {
         let h0 = self.h0_accumulators(query, matrix);
         // Each class's best VCP against any query strand (S-VCP).
         let max_t: Vec<f64> = (0..self.classes.len())
-            .map(|ci| matrix.iter().map(|row| row[ci].t_in_q).fold(0.0f64, f64::max))
+            .map(|ci| {
+                matrix
+                    .iter()
+                    .map(|row| row[ci].t_in_q)
+                    .fold(0.0f64, f64::max)
+            })
             .collect();
         let mut max_q = vec![0.0f64; query.len()];
         (0..self.targets.len())
             .map(|ti| {
                 let strands = &self.targets[ti].strands;
                 for (m, row) in max_q.iter_mut().zip(matrix) {
-                    *m = strands.iter().map(|&(ci, _)| row[ci].q_in_t).fold(0.0f64, f64::max);
+                    *m = strands
+                        .iter()
+                        .map(|&(ci, _)| row[ci].q_in_t)
+                        .fold(0.0f64, f64::max);
                 }
                 self.score_target(ti, query, &max_q, |ci| max_t[ci], &h0)
             })
@@ -1624,9 +1662,7 @@ impl SimilarityEngine {
                                     let ts = index.sketch(ci);
                                     (qs.containment_in(ts), ts.containment_in(qs))
                                 }
-                                Some(_) => {
-                                    self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?
-                                }
+                                Some(_) => self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?,
                                 None => (1.0, 1.0),
                             };
                             unknown.push((c_q, c_t, qi, ci));
@@ -1865,11 +1901,17 @@ mod tests {
         // default K=10 window, so refine would re-price every pair and
         // erase the solver saving this test asserts.
         let mut on = SimilarityEngine::new(EngineConfig {
-            sketch: PrefilterConfig { refine_top_k: 0, ..PrefilterConfig::default() },
+            sketch: PrefilterConfig {
+                refine_top_k: 0,
+                ..PrefilterConfig::default()
+            },
             ..quick_config()
         });
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
+            sketch: PrefilterConfig {
+                enabled: false,
+                ..PrefilterConfig::default()
+            },
             ..quick_config()
         });
         for (name, p) in &corpus {
@@ -1900,7 +1942,10 @@ mod tests {
         let f = demo::venom_like();
         let mut with = SimilarityEngine::new(quick_config());
         let mut without = SimilarityEngine::new(EngineConfig {
-            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
+            sketch: PrefilterConfig {
+                enabled: false,
+                ..PrefilterConfig::default()
+            },
             ..quick_config()
         });
         for (i, (_, p)) in demo::cve_functions().into_iter().enumerate() {
@@ -1930,7 +1975,10 @@ mod tests {
         let f = demo::heartbleed_like();
         let mut on = SimilarityEngine::new(quick_config());
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
+            sketch: PrefilterConfig {
+                enabled: false,
+                ..PrefilterConfig::default()
+            },
             ..quick_config()
         });
         for (name, p) in demo::cve_functions() {
@@ -1968,7 +2016,10 @@ mod tests {
             ..quick_config()
         });
         let mut off = SimilarityEngine::new(EngineConfig {
-            sketch: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
+            sketch: PrefilterConfig {
+                enabled: false,
+                ..PrefilterConfig::default()
+            },
             ..quick_config()
         });
         for (name, p) in demo::cve_functions() {
@@ -2023,11 +2074,20 @@ mod tests {
         // Every index written with these configs records these values; if
         // one changes, none of those indexes opens any more, so a value
         // moves here only together with the index format version.
-        let with_sketch = |sketch| EngineConfig { sketch, ..EngineConfig::default() };
-        let off = PrefilterConfig { enabled: false, ..PrefilterConfig::default() };
+        let with_sketch = |sketch| EngineConfig {
+            sketch,
+            ..EngineConfig::default()
+        };
+        let off = PrefilterConfig {
+            enabled: false,
+            ..PrefilterConfig::default()
+        };
         for (config, pinned) in [
             (EngineConfig::default(), 3_703_170_601_230_773_672),
-            (with_sketch(PrefilterConfig::lsh_only()), 16_594_287_068_245_332_234),
+            (
+                with_sketch(PrefilterConfig::lsh_only()),
+                16_594_287_068_245_332_234,
+            ),
             (with_sketch(off), 12_009_758_868_313_995_649),
         ] {
             assert_eq!(config.fingerprint(), pinned, "{:?}", config.sketch);

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use esh_ivl::{Proc, Sort};
-use esh_solver::eval::{eval_battery, cval_digest, Assignment};
+use esh_solver::eval::{cval_digest, eval_battery, Assignment};
 use esh_solver::TermPool;
 use esh_strands::{stable_hash64, stable_mix, STABLE_HASH_SEED};
 use esh_verifier::encode_proc;
@@ -157,7 +157,9 @@ impl PrefilterConfig {
     pub(crate) fn validate(&self) -> Result<(), String> {
         let (b, r, v, p) = (self.bands, self.rows, self.vectors, self.probe_vectors);
         if b.checked_mul(r).is_none_or(|k| k == 0) || v.checked_add(p).is_none() {
-            return Err(format!("unusable sketch shape: {b} × {r} minhash, {v} + {p} vectors"));
+            return Err(format!(
+                "unusable sketch shape: {b} × {r} minhash, {v} + {p} vectors"
+            ));
         }
         if !(self.exact_fallback_margin.is_finite() && self.ambiguity_window.is_finite()) {
             return Err("non-finite sketch margin or ambiguity window".into());
@@ -628,17 +630,44 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         seen.insert(base.fingerprint());
         for cfg in [
-            PrefilterConfig { enabled: false, ..base },
-            PrefilterConfig { vectors: 16, ..base },
+            PrefilterConfig {
+                enabled: false,
+                ..base
+            },
+            PrefilterConfig {
+                vectors: 16,
+                ..base
+            },
             PrefilterConfig { bands: 8, ..base },
             PrefilterConfig { rows: 3, ..base },
-            PrefilterConfig { exact_fallback_margin: 0.5, ..base },
-            PrefilterConfig { ambiguity_window: 0.3, ..base },
-            PrefilterConfig { ambiguity_window: 0.0, ..base },
-            PrefilterConfig { probe_vectors: 48, ..base },
-            PrefilterConfig { probe_vectors: 0, ..base },
-            PrefilterConfig { refine_top_k: 5, ..base },
-            PrefilterConfig { refine_top_k: 0, ..base },
+            PrefilterConfig {
+                exact_fallback_margin: 0.5,
+                ..base
+            },
+            PrefilterConfig {
+                ambiguity_window: 0.3,
+                ..base
+            },
+            PrefilterConfig {
+                ambiguity_window: 0.0,
+                ..base
+            },
+            PrefilterConfig {
+                probe_vectors: 48,
+                ..base
+            },
+            PrefilterConfig {
+                probe_vectors: 0,
+                ..base
+            },
+            PrefilterConfig {
+                refine_top_k: 5,
+                ..base
+            },
+            PrefilterConfig {
+                refine_top_k: 0,
+                ..base
+            },
         ] {
             assert!(seen.insert(cfg.fingerprint()), "collision for {cfg:?}");
         }
@@ -657,7 +686,11 @@ mod tests {
         assert_eq!(pa, pb);
         assert_eq!(pa.containment_in(&pb), 1.0);
         let base = compute_sketch(&a, &cfg);
-        assert_eq!(base.digests.len(), pa.digests.len(), "digests are per value");
+        assert_eq!(
+            base.digests.len(),
+            pa.digests.len(),
+            "digests are per value"
+        );
         assert_ne!(base.digests, pa.digests, "probe rounds fold into digests");
     }
 

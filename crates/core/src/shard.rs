@@ -119,7 +119,11 @@ pub struct ShardError {
 
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {} corrupted or unreadable: {}", self.shard, self.detail)
+        write!(
+            f,
+            "shard {} corrupted or unreadable: {}",
+            self.shard, self.detail
+        )
     }
 }
 
@@ -216,7 +220,8 @@ impl Bloom {
 
     /// True when `key` *may* have been inserted; `false` is definitive.
     fn may_contain(&self, key: u64) -> bool {
-        self.probes(key).all(|(word, mask)| self.bits[word] & mask != 0)
+        self.probes(key)
+            .all(|(word, mask)| self.bits[word] & mask != 0)
     }
 }
 
@@ -531,8 +536,7 @@ impl LazyShards {
             self.clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        if let Some(r) = self
-            .slots[shard]
+        if let Some(r) = self.slots[shard]
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
@@ -552,9 +556,12 @@ impl LazyShards {
         }
         let base = records.base_bytes();
         self.reserve(base, shard);
-        self.mapped.fetch_add(records.mapped_bytes(), Ordering::Relaxed);
+        self.mapped
+            .fetch_add(records.mapped_bytes(), Ordering::Relaxed);
         let resident = Arc::new(ShardResident {
-            slots: (0..records.class_count()).map(|_| RwLock::new(None)).collect(),
+            slots: (0..records.class_count())
+                .map(|_| RwLock::new(None))
+                .collect(),
             records,
             class_start: self.specs[shard].class_start,
             accounted: AtomicU64::new(base),
@@ -581,7 +588,11 @@ impl LazyShards {
         idx: usize,
         expect: (u64, usize),
     ) -> Result<Arc<Proc>, ShardError> {
-        if let Some(p) = r.slots[idx].read().unwrap_or_else(|e| e.into_inner()).as_ref() {
+        if let Some(p) = r.slots[idx]
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+        {
             return Ok(Arc::clone(p));
         }
         let mut slot = r.slots[idx].write().unwrap_or_else(|e| e.into_inner());
@@ -851,7 +862,10 @@ mod tests {
             .map(|i| stable_mix(13, i))
             .filter(|&k| !b.may_contain(k))
             .count();
-        assert!(misses > 1900, "false-positive rate too high: {misses}/2000 rejected");
+        assert!(
+            misses > 1900,
+            "false-positive rate too high: {misses}/2000 rejected"
+        );
     }
 
     #[test]

@@ -58,8 +58,18 @@ fn assert_scores_identical(a: &QueryScores, b: &QueryScores, what: &str) {
     for (x, y) in a.scores.iter().zip(&b.scores) {
         assert_eq!(x.target, y.target, "{what}: target order");
         assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{what}: GES {}", x.name);
-        assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{what}: S-LOG {}", x.name);
-        assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{what}: S-VCP {}", x.name);
+        assert_eq!(
+            x.s_log.to_bits(),
+            y.s_log.to_bits(),
+            "{what}: S-LOG {}",
+            x.name
+        );
+        assert_eq!(
+            x.s_vcp.to_bits(),
+            y.s_vcp.to_bits(),
+            "{what}: S-VCP {}",
+            x.name
+        );
     }
 }
 

@@ -21,16 +21,20 @@ use esh_strands::{extract_proc_strands, lift_strand, structural_hash};
 fn targets() -> Vec<(String, esh_asm::Procedure)> {
     let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
     let icc = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0));
-    [demo::saturating_sum(), demo::wget_like(), demo::heartbleed_like()]
-        .iter()
-        .enumerate()
-        .flat_map(|(i, f)| {
-            [
-                (format!("clang:{i}"), clang.compile_function(f)),
-                (format!("icc:{i}"), icc.compile_function(f)),
-            ]
-        })
-        .collect()
+    [
+        demo::saturating_sum(),
+        demo::wget_like(),
+        demo::heartbleed_like(),
+    ]
+    .iter()
+    .enumerate()
+    .flat_map(|(i, f)| {
+        [
+            (format!("clang:{i}"), clang.compile_function(f)),
+            (format!("icc:{i}"), icc.compile_function(f)),
+        ]
+    })
+    .collect()
 }
 
 fn build_engine() -> SimilarityEngine {
@@ -81,8 +85,7 @@ fn concurrent_queries_match_sequential_baseline() {
 
     // Sequential baselines on a private engine.
     let baseline_engine = build_engine();
-    let baselines: Vec<QueryScores> =
-        procs.iter().map(|p| baseline_engine.query(p)).collect();
+    let baselines: Vec<QueryScores> = procs.iter().map(|p| baseline_engine.query(p)).collect();
 
     // The same queries, each run from several threads at once against one
     // shared engine, racing on the VCP cache and the session pool.
@@ -98,11 +101,7 @@ fn concurrent_queries_match_sequential_baseline() {
         }
         for h in handles {
             let (qi, rep, scores) = h.join().expect("query thread panicked");
-            assert_bit_identical(
-                &baselines[qi],
-                &scores,
-                &format!("query {qi} repeat {rep}"),
-            );
+            assert_bit_identical(&baselines[qi], &scores, &format!("query {qi} repeat {rep}"));
         }
     });
 }
@@ -175,7 +174,10 @@ fn cache_counters_are_exact_under_contention() {
     assert!(sketched > 0, "the default window must probe something");
     // At most one per corpus class, plus one per foreign query strand
     // (no corpus class) per query, each query being its own batch.
-    let classes: HashSet<u64> = targets().iter().flat_map(|(_, p)| strand_hashes(p)).collect();
+    let classes: HashSet<u64> = targets()
+        .iter()
+        .flat_map(|(_, p)| strand_hashes(p))
+        .collect();
     assert_eq!(classes.len(), shared.class_count());
     let foreign: usize = procs
         .iter()

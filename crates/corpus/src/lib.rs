@@ -162,11 +162,7 @@ type SourceSpec = (String, String, Option<String>, PatchTag, Function, OptLevel)
 /// independent of `threads`, which is what keeps `--threads` a pure
 /// throughput knob: corpus proc order, and everything downstream of it,
 /// stays byte-identical.
-pub(crate) fn pooled<T: Send>(
-    n: usize,
-    threads: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+pub(crate) fn pooled<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -352,7 +348,10 @@ impl Corpus {
                 .procs
                 .push(p.proc_.clone());
         }
-        order.into_iter().map(|k| groups.remove(&k).expect("grouped")).collect()
+        order
+            .into_iter()
+            .map(|k| groups.remove(&k).expect("grouped"))
+            .collect()
     }
 
     /// Serializes to JSON.
@@ -474,7 +473,11 @@ mod tests {
         let n = 23;
         for threads in [1, 3, 8, 100] {
             let out = pooled(n, threads, |i| i * i);
-            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(
+                out,
+                (0..n).map(|i| i * i).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
         assert!(pooled(0, 4, |i| i).is_empty());
     }

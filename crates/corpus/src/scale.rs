@@ -68,10 +68,7 @@ impl ScaleConfig {
 /// compiled procedure in the deterministic source-major order. Returns
 /// the number of procedures emitted (== `config.procs`). Compiles with
 /// one thread per toolchain configuration (the historical default).
-pub fn stream_scale_corpus(
-    config: &ScaleConfig,
-    emit: impl FnMut(CompiledProc),
-) -> usize {
+pub fn stream_scale_corpus(config: &ScaleConfig, emit: impl FnMut(CompiledProc)) -> usize {
     stream_scale_corpus_with_threads(config, scale_matrix().len(), emit)
 }
 
@@ -98,12 +95,11 @@ pub fn stream_scale_corpus_with_threads(
 
         // The worker pool hands out matrix indices; collecting in
         // matrix order keeps the result deterministic.
-        let compiled: Vec<Vec<esh_asm::Procedure>> =
-            crate::pooled(matrix.len(), threads, |c| {
-                let tc = &matrix[c];
-                let cc = Compiler::with_opt(tc.vendor, tc.version, tc.opt);
-                sources.iter().map(|f| cc.compile_function(f)).collect()
-            });
+        let compiled: Vec<Vec<esh_asm::Procedure>> = crate::pooled(matrix.len(), threads, |c| {
+            let tc = &matrix[c];
+            let cc = Compiler::with_opt(tc.vendor, tc.version, tc.opt);
+            sources.iter().map(|f| cc.compile_function(f)).collect()
+        });
 
         'chunk: for (s, source) in sources.iter().enumerate() {
             for (c, tc) in matrix.iter().enumerate() {

@@ -172,7 +172,11 @@ mod tests {
         let r = ["a", "b", "c"];
         let p = ["c", "a"]; // b missing; shared items a, c are inverted
         assert_eq!(kendall_tau(&r, &p), -1.0);
-        assert_eq!(kendall_tau(&["a"], &["a"]), 1.0, "singleton is trivially ordered");
+        assert_eq!(
+            kendall_tau(&["a"], &["a"]),
+            1.0,
+            "singleton is trivially ordered"
+        );
     }
 
     #[test]

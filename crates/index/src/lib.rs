@@ -158,13 +158,21 @@ impl fmt::Display for IndexError {
             IndexError::Format { path, detail } => {
                 write!(f, "sharded index {}: malformed: {detail}", path.display())
             }
-            IndexError::VersionMismatch { path, found, expected } => write!(
+            IndexError::VersionMismatch {
+                path,
+                found,
+                expected,
+            } => write!(
                 f,
                 "sharded index {}: format version {found} is not supported \
                  (this build reads version {expected}); rebuild the index",
                 path.display()
             ),
-            IndexError::ConfigMismatch { path, found, expected } => write!(
+            IndexError::ConfigMismatch {
+                path,
+                found,
+                expected,
+            } => write!(
                 f,
                 "sharded index {}: recorded config fingerprint {found:#018x} \
                  does not match {expected:#018x} recomputed from the embedded \
@@ -239,11 +247,17 @@ impl WriteSummary {
 }
 
 fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> IndexError + '_ {
-    move |source| IndexError::Io { path: path.to_path_buf(), source }
+    move |source| IndexError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
 }
 
 fn format_err(path: &Path, detail: impl Into<String>) -> IndexError {
-    IndexError::Format { path: path.to_path_buf(), detail: detail.into() }
+    IndexError::Format {
+        path: path.to_path_buf(),
+        detail: detail.into(),
+    }
 }
 
 fn shard_file_name(i: usize) -> String {
@@ -283,7 +297,10 @@ fn decode_cache_entry(r: &mut Reader<'_>) -> Result<VcpCacheEntry, String> {
         query_hash: r.u64()?,
         class_hash: r.u64()?,
         vcp_fingerprint: r.u64()?,
-        pair: VcpPair { q_in_t: r.f64()?, t_in_q: r.f64()? },
+        pair: VcpPair {
+            q_in_t: r.f64()?,
+            t_in_q: r.f64()?,
+        },
     })
 }
 
@@ -344,10 +361,19 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
         let signature = decode_signature(&mut r)?;
         let sketch = match r.u8()? {
             0 => None,
-            1 => Some(esh_core::SemanticSketch { digests: r.u64s()?, minhash: r.u64s()? }),
+            1 => Some(esh_core::SemanticSketch {
+                digests: r.u64s()?,
+                minhash: r.u64s()?,
+            }),
             k => return Err(format!("bad sketch flag {k}")),
         };
-        classes.push(LazyClassMeta { name, signature, vars, hash, sketch });
+        classes.push(LazyClassMeta {
+            name,
+            signature,
+            vars,
+            hash,
+            sketch,
+        });
     }
     let mut targets = Vec::with_capacity(ntargets.min(r.remaining() / MIN_TARGET_ROW_BYTES));
     for _ in 0..ntargets {
@@ -360,7 +386,10 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
         targets.push(TargetExport { name, strands });
     }
     if !r.at_end() {
-        return Err(format!("{} trailing bytes after core document", bytes.len() - r.pos()));
+        return Err(format!(
+            "{} trailing bytes after core document",
+            bytes.len() - r.pos()
+        ));
     }
     Ok(CoreParts { classes, targets })
 }
@@ -400,8 +429,12 @@ const OP_LOAD: u8 = 23;
 const OP_STORE: u8 = 24;
 
 /// Input kinds in tag order, after tag 0 (a temporary).
-const INPUT_KINDS: [InputKind; 4] =
-    [InputKind::Register, InputKind::Memory, InputKind::CallResult, InputKind::Clobber];
+const INPUT_KINDS: [InputKind; 4] = [
+    InputKind::Register,
+    InputKind::Memory,
+    InputKind::CallResult,
+    InputKind::Clobber,
+];
 
 /// Smallest encodings, which cap every count read from a record.
 const MIN_VAR_BYTES: usize = 6;
@@ -531,14 +564,19 @@ pub fn decode_record(bytes: &[u8]) -> Result<Proc, String> {
             OP_EXTRACT => Op::Extract(r.u32()?, r.u32()?),
             OP_LOAD => Op::Load(r.u32()?),
             OP_STORE => Op::Store(r.u32()?),
-            t => *PLAIN_OPS.get(t as usize).ok_or_else(|| format!("bad op tag {t}"))?,
+            t => *PLAIN_OPS
+                .get(t as usize)
+                .ok_or_else(|| format!("bad op tag {t}"))?,
         };
         let nargs = r.u32()? as usize;
         let mut args = Vec::with_capacity(nargs.min(r.remaining() / MIN_OPERAND_BYTES));
         for _ in 0..nargs {
             args.push(match r.u8()? {
                 0 => Operand::Var(VarId(r.u32()?)),
-                1 => Operand::Const { value: r.u64()?, width: r.u32()? },
+                1 => Operand::Const {
+                    value: r.u64()?,
+                    width: r.u32()?,
+                },
                 t => return Err(format!("bad operand tag {t}")),
             });
         }
@@ -678,9 +716,11 @@ fn read_shard_structure(
         .filter(|&e| e <= file_len)
         .ok_or_else(|| truncated(&format!("blob region of {blob_len} bytes")))?;
     for (i, &(off, len, _)) in table.iter().enumerate() {
-        off.checked_add(len).filter(|&e| e <= blob_len).ok_or_else(|| {
-            format!("blob table entry {i} out of range ({off}+{len} > {blob_len})")
-        })?;
+        off.checked_add(len)
+            .filter(|&e| e <= blob_len)
+            .ok_or_else(|| {
+                format!("blob table entry {i} out of range ({off}+{len} > {blob_len})")
+            })?;
     }
     let tail = read_at(&mut file, blob_end, file_len - blob_end).map_err(|e| e.to_string())?;
     if checksum_parts(&[&head, &tail]) != m.meta_checksum {
@@ -695,9 +735,18 @@ fn read_shard_structure(
         cache.push(decode_cache_entry(&mut r).map_err(|e| format!("cache segment: {e}"))?);
     }
     if !r.at_end() {
-        return Err(format!("{} trailing bytes after shard document", tail.len() - r.pos()));
+        return Err(format!(
+            "{} trailing bytes after shard document",
+            tail.len() - r.pos()
+        ));
     }
-    Ok(ShardStructure { class_start, table, blob_start, blob_len, cache })
+    Ok(ShardStructure {
+        class_start,
+        table,
+        blob_start,
+        blob_len,
+        cache,
+    })
 }
 
 /// An open shard: structural parts decoded and verified, record blobs
@@ -953,11 +1002,15 @@ fn load_manifest(dir: &Path) -> Result<Manifest, IndexError> {
         .map_err(io_err(&manifest_path))?;
     let malformed = |e: &dyn fmt::Display| format_err(&manifest_path, e.to_string());
     if bytes.len() as u64 > MANIFEST_CAP {
-        return Err(malformed(&format!("larger than the {MANIFEST_CAP}-byte manifest cap")));
+        return Err(malformed(&format!(
+            "larger than the {MANIFEST_CAP}-byte manifest cap"
+        )));
     }
     let text = std::str::from_utf8(&bytes).map_err(|e| malformed(&e))?;
     let value: serde::Value = serde_json::from_str(text).map_err(|e| malformed(&e))?;
-    let fields = value.as_object().ok_or_else(|| malformed(&"expected a JSON object"))?;
+    let fields = value
+        .as_object()
+        .ok_or_else(|| malformed(&"expected a JSON object"))?;
     let found: u32 = serde::field(fields, "format_version").map_err(|e| malformed(&e))?;
     if found != SHARDED_FORMAT_VERSION {
         return Err(IndexError::VersionMismatch {
@@ -1035,13 +1088,15 @@ pub fn shard_record_ranges(
     let m = manifest.shards.get(shard).ok_or_else(|| {
         format_err(
             &dir.join(MANIFEST_FILE),
-            format!("shard {shard} out of range ({} shards)", manifest.shards.len()),
+            format!(
+                "shard {shard} out of range ({} shards)",
+                manifest.shards.len()
+            ),
         )
     })?;
     let path = dir.join(shard_file_name(shard));
     let s = read_shard_structure(&path, shard, m).map_err(|e| format_err(&path, e))?;
-    Ok(s
-        .table
+    Ok(s.table
         .iter()
         .enumerate()
         .map(|(i, &(off, len, _))| (s.class_start + i, s.blob_start + off, len))
@@ -1106,7 +1161,10 @@ pub fn open_sharded_with(
             target_end: m.target_end as usize,
         })
         .collect();
-    let source = FileShardSource { dir: dir.to_path_buf(), shards: manifest.shards };
+    let source = FileShardSource {
+        dir: dir.to_path_buf(),
+        shards: manifest.shards,
+    };
     SimilarityEngine::from_lazy_parts(
         manifest.config,
         parts.classes,
@@ -1201,7 +1259,10 @@ mod tests {
         }
         let stats = lazy.shard_stats();
         assert_eq!(stats.shards_total, summary.shards as u64);
-        assert!(stats.fanout_total > 0, "query consulted no shards: {stats:?}");
+        assert!(
+            stats.fanout_total > 0,
+            "query consulted no shards: {stats:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1221,7 +1282,10 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&victim, &bytes).unwrap();
         let lazy = open_sharded(&dir).expect("open is lazy; tamper undetected until load");
-        let source = FileShardSource { dir: dir.clone(), shards: manifest.shards.clone() };
+        let source = FileShardSource {
+            dir: dir.clone(),
+            shards: manifest.shards.clone(),
+        };
         let err = source.open_shard(manifest.shards.len() - 1).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
         drop(lazy);
@@ -1270,7 +1334,9 @@ mod tests {
         let sketch = format!("\"sketch\":{sketch}");
         let probe_knobs = "\"ambiguity_window\":0.2,\"probe_vectors\":24,\"refine_top_k\":10";
         assert!(
-            [version.as_str(), &sketch, probe_knobs].iter().all(|k| text.contains(k)),
+            [version.as_str(), &sketch, probe_knobs]
+                .iter()
+                .all(|k| text.contains(k)),
             "manifest shape changed"
         );
         // A future version, a v7 manifest (the same fields plus each
@@ -1292,7 +1358,9 @@ mod tests {
         ] {
             std::fs::write(&path, manifest).unwrap();
             match open_sharded(&dir) {
-                Err(IndexError::VersionMismatch { found: f, expected, .. }) if f == found => {
+                Err(IndexError::VersionMismatch {
+                    found: f, expected, ..
+                }) if f == found => {
                     assert_eq!(expected, SHARDED_FORMAT_VERSION);
                 }
                 other => panic!("v{found}: expected VersionMismatch, got {other:?}"),
@@ -1342,7 +1410,10 @@ mod tests {
             (ca2.hits - ca.hits, ca2.misses - ca.misses),
             (cb2.hits - cb.hits, cb2.misses - cb.misses)
         );
-        assert!(cb2.misses > cb.misses, "the second query must price uncached pairs");
+        assert!(
+            cb2.misses > cb.misses,
+            "the second query must price uncached pairs"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1460,11 +1531,22 @@ mod tests {
         let original = std::fs::read(&path).unwrap();
         let len = original.len() as u64;
         let s = read_shard_structure(&path, 0, &m).unwrap();
-        let rows: Vec<u64> = (0..s.table.len() as u64).map(|i| SHARD_HEAD + i * TABLE_ROW).collect();
+        let rows: Vec<u64> = (0..s.table.len() as u64)
+            .map(|i| SHARD_HEAD + i * TABLE_ROW)
+            .collect();
         let blob_len_at = s.blob_start - 8;
         let blob_end = s.blob_start + s.blob_len;
 
-        let mut cuts = vec![0, 8, 16, 24, SHARD_HEAD, blob_len_at, s.blob_start, blob_end];
+        let mut cuts = vec![
+            0,
+            8,
+            16,
+            24,
+            SHARD_HEAD,
+            blob_len_at,
+            s.blob_start,
+            blob_end,
+        ];
         cuts.extend([blob_end + 8, len - 1]);
         cuts.extend(rows.iter().flat_map(|&r| [r, r + 8, r + 16]));
         cuts.extend(s.table.iter().map(|&(off, _, _)| s.blob_start + off));
@@ -1477,7 +1559,10 @@ mod tests {
         }
         // A cut at the file's end (an empty cache segment) is no cut.
         cuts.retain(|&c| c < len);
-        let mut cases: Vec<Vec<u8>> = cuts.iter().map(|&c| original[..c as usize].to_vec()).collect();
+        let mut cases: Vec<Vec<u8>> = cuts
+            .iter()
+            .map(|&c| original[..c as usize].to_vec())
+            .collect();
         let mut fields = vec![24, blob_len_at];
         fields.extend(rows.iter().flat_map(|&r| [r, r + 8]));
         for &at in &fields {
@@ -1501,13 +1586,22 @@ mod tests {
             for recorded in [m.bytes, bytes.len() as u64] {
                 let source = FileShardSource {
                     dir: dir.clone(),
-                    shards: vec![ShardManifest { bytes: recorded, ..m.clone() }],
+                    shards: vec![ShardManifest {
+                        bytes: recorded,
+                        ..m.clone()
+                    }],
                 };
-                assert!(source.open_shard(0).is_err(), "case {k} (recorded {recorded}B) opened");
+                assert!(
+                    source.open_shard(0).is_err(),
+                    "case {k} (recorded {recorded}B) opened"
+                );
             }
         }
         std::fs::write(&path, &original).unwrap();
-        let source = FileShardSource { dir: dir.clone(), shards: vec![m] };
+        let source = FileShardSource {
+            dir: dir.clone(),
+            shards: vec![m],
+        };
         assert!(source.open_shard(0).is_ok(), "the restored shard must open");
         std::fs::remove_dir_all(&dir).ok();
     }

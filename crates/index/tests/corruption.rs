@@ -84,8 +84,14 @@ fn byte_flip_in_unloaded_shard_fails_only_queries_touching_it() {
     match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
         Err(QueryError::Corrupted(e)) => {
             let msg = e.to_string();
-            assert!(msg.contains(&victim_name), "error must name the shard file: {msg}");
-            assert!(msg.contains("checksum mismatch"), "error must say why: {msg}");
+            assert!(
+                msg.contains(&victim_name),
+                "error must name the shard file: {msg}"
+            );
+            assert!(
+                msg.contains("checksum mismatch"),
+                "error must say why: {msg}"
+            );
         }
         Ok(_) => panic!("query over a corrupted shard reported success"),
         Err(e) => panic!("expected Corrupted, got {e}"),
@@ -133,8 +139,14 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
         },
         ..EngineConfig::default()
     });
-    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
-    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    engine.add_target(
+        format!("t-{healthy_name}"),
+        &clang.compile_function(healthy_f),
+    );
+    engine.add_target(
+        format!("t-{victim_name}"),
+        &clang.compile_function(victim_f),
+    );
     let export = engine.export_corpus().unwrap();
     let dir = scratch("neighbour");
     write_sharded(&engine, &dir, 2).unwrap();
@@ -142,15 +154,21 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
 
     // Classes owned by the victim target and NOT by the healthy one —
     // the records whose bytes the healthy query must never checksum.
-    let healthy_classes: std::collections::BTreeSet<usize> =
-        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let healthy_classes: std::collections::BTreeSet<usize> = export.targets[0]
+        .strands
+        .iter()
+        .map(|&(ci, _)| ci)
+        .collect();
     let victim_classes: std::collections::BTreeSet<usize> = export.targets[1]
         .strands
         .iter()
         .map(|&(ci, _)| ci)
         .filter(|ci| !healthy_classes.contains(ci))
         .collect();
-    assert!(!victim_classes.is_empty(), "victim target shares every class");
+    assert!(
+        !victim_classes.is_empty(),
+        "victim target shares every class"
+    );
 
     // Flip a byte in the middle of every victim record, straight through
     // the published record ranges. The structural region (header, table,
@@ -184,9 +202,15 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
     match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
         Err(QueryError::Corrupted(e)) => {
             let msg = e.to_string();
-            assert!(msg.contains("shard-0000.bin"), "error must name the shard file: {msg}");
+            assert!(
+                msg.contains("shard-0000.bin"),
+                "error must name the shard file: {msg}"
+            );
             assert!(msg.contains("class "), "error must name the class: {msg}");
-            assert!(msg.contains("checksum mismatch"), "error must say why: {msg}");
+            assert!(
+                msg.contains("checksum mismatch"),
+                "error must say why: {msg}"
+            );
         }
         Ok(_) => panic!("query over a poisoned record reported success"),
         Err(e) => panic!("expected Corrupted, got {e}"),
@@ -250,15 +274,24 @@ fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries()
         },
         ..EngineConfig::default()
     });
-    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
-    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    engine.add_target(
+        format!("t-{healthy_name}"),
+        &clang.compile_function(healthy_f),
+    );
+    engine.add_target(
+        format!("t-{victim_name}"),
+        &clang.compile_function(victim_f),
+    );
     let export = engine.export_corpus().unwrap();
     let dir = scratch("reencoded");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
 
-    let healthy_classes: std::collections::BTreeSet<usize> =
-        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let healthy_classes: std::collections::BTreeSet<usize> = export.targets[0]
+        .strands
+        .iter()
+        .map(|&(ci, _)| ci)
+        .collect();
     let shard_file = dir.join("shard-0000.bin");
     let mut bytes = std::fs::read(&shard_file).unwrap();
     let ranges = esh_index::shard_record_ranges(&dir, 0).unwrap();
@@ -309,9 +342,15 @@ fn checksum_consistent_record_with_out_of_range_operand_fails_only_its_queries()
     match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
         Err(QueryError::Corrupted(e)) => {
             let msg = e.to_string();
-            assert!(msg.contains("shard-0000.bin"), "error must name the shard file: {msg}");
+            assert!(
+                msg.contains("shard-0000.bin"),
+                "error must name the shard file: {msg}"
+            );
             assert!(msg.contains("class "), "error must name the class: {msg}");
-            assert!(msg.contains("out-of-range var"), "error must say why: {msg}");
+            assert!(
+                msg.contains("out-of-range var"),
+                "error must say why: {msg}"
+            );
         }
         Ok(_) => panic!("query over an invalid record reported success"),
         Err(e) => panic!("expected Corrupted, got {e}"),
@@ -347,15 +386,24 @@ fn shard_truncated_after_open_fails_only_queries_reading_past_the_cut() {
         },
         ..EngineConfig::default()
     });
-    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
-    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    engine.add_target(
+        format!("t-{healthy_name}"),
+        &clang.compile_function(healthy_f),
+    );
+    engine.add_target(
+        format!("t-{victim_name}"),
+        &clang.compile_function(victim_f),
+    );
     let export = engine.export_corpus().unwrap();
     let dir = scratch("truncate");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
 
-    let healthy_classes: std::collections::BTreeSet<usize> =
-        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let healthy_classes: std::collections::BTreeSet<usize> = export.targets[0]
+        .strands
+        .iter()
+        .map(|&(ci, _)| ci)
+        .collect();
     let cut = esh_index::shard_record_ranges(&dir, 0)
         .unwrap()
         .into_iter()
@@ -383,7 +431,10 @@ fn shard_truncated_after_open_fails_only_queries_reading_past_the_cut() {
     match lazy.query_cancellable(&victim_q, &CancelToken::new()) {
         Err(QueryError::Corrupted(e)) => {
             let msg = e.to_string();
-            assert!(msg.contains("shard-0000.bin"), "error must name the shard file: {msg}");
+            assert!(
+                msg.contains("shard-0000.bin"),
+                "error must name the shard file: {msg}"
+            );
             assert!(msg.contains("class "), "error must name the class: {msg}");
             assert!(msg.contains("truncated"), "error must say why: {msg}");
         }
@@ -470,11 +521,37 @@ fn hostile_sketch_knobs_are_rejected_at_open() {
     let margin = "\"exact_fallback_margin\":0.7";
     let infinite = recorded.replace(margin, "\"exact_fallback_margin\":1e999");
     for (sketch, json, why) in [
-        (PrefilterConfig { bands: huge, rows: 0, ..base }, None, "shape"),
-        (PrefilterConfig { bands: huge, rows: huge, ..base }, None, "shape"),
-        (PrefilterConfig { vectors: usize::MAX, ..base }, None, "shape"),
         (
-            PrefilterConfig { exact_fallback_margin: f64::INFINITY, ..base },
+            PrefilterConfig {
+                bands: huge,
+                rows: 0,
+                ..base
+            },
+            None,
+            "shape",
+        ),
+        (
+            PrefilterConfig {
+                bands: huge,
+                rows: huge,
+                ..base
+            },
+            None,
+            "shape",
+        ),
+        (
+            PrefilterConfig {
+                vectors: usize::MAX,
+                ..base
+            },
+            None,
+            "shape",
+        ),
+        (
+            PrefilterConfig {
+                exact_fallback_margin: f64::INFINITY,
+                ..base
+            },
             Some(infinite),
             "finite",
         ),
@@ -482,7 +559,11 @@ fn hostile_sketch_knobs_are_rejected_at_open() {
         (PrefilterConfig { bands: 2, ..base }, None, "minhash words"),
     ] {
         let json = json.unwrap_or_else(|| serde_json::to_string(&sketch).unwrap());
-        let fp = EngineConfig { sketch, ..engine.config().clone() }.fingerprint();
+        let fp = EngineConfig {
+            sketch,
+            ..engine.config().clone()
+        }
+        .fingerprint();
         let text = pristine
             .replace(&recorded, &json)
             .replace(&recorded_fp, &format!("\"config_fingerprint\":{fp}"));
@@ -520,13 +601,22 @@ fn rewriting_a_lazy_engine_with_a_corrupt_record_is_an_error() {
     let lazy = open_sharded(dir.join("a.eshx")).unwrap();
     match write_sharded(&lazy, dir.join("b.eshx"), 2) {
         Err(IndexError::Format { detail, .. }) => {
-            assert!(detail.contains("shard-0000.bin"), "error must name the shard file: {detail}");
-            assert!(detail.contains("checksum mismatch"), "error must say why: {detail}");
+            assert!(
+                detail.contains("shard-0000.bin"),
+                "error must name the shard file: {detail}"
+            );
+            assert!(
+                detail.contains("checksum mismatch"),
+                "error must say why: {detail}"
+            );
         }
         Ok(_) => panic!("an index with a corrupt record was rewritten"),
         Err(e) => panic!("expected a format error, got {e}"),
     }
-    assert!(!dir.join("b.eshx").exists(), "a failed rewrite writes nothing");
+    assert!(
+        !dir.join("b.eshx").exists(),
+        "a failed rewrite writes nothing"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -575,11 +665,19 @@ fn sketchless_class_under_an_enabled_tier_is_rejected_at_open() {
     let mut core = std::fs::read(&core_path).unwrap();
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    let old = format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[&core]));
+    let old = format!(
+        "\"core_bytes\":{},\"core_checksum\":{}",
+        core.len(),
+        fnv(&[&core])
+    );
     assert!(text.contains(&old), "manifest shape changed");
     core.splice(first_sketch(&core), [0u8]);
     std::fs::write(&core_path, &core).unwrap();
-    let new = format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[&core]));
+    let new = format!(
+        "\"core_bytes\":{},\"core_checksum\":{}",
+        core.len(),
+        fnv(&[&core])
+    );
     std::fs::write(&manifest, text.replace(&old, &new)).unwrap();
     match open_sharded(&dir) {
         Err(IndexError::Format { detail, .. }) => {
@@ -669,7 +767,11 @@ fn sorted_vectors(core: &[u8]) -> Vec<SortedVectors> {
                 words(&mut at);
                 digests
             });
-            SortedVectors { rounds, digests, end: at }
+            SortedVectors {
+                rounds,
+                digests,
+                end: at,
+            }
         })
         .collect()
 }
@@ -708,12 +810,23 @@ fn unsorted_or_short_signatures_and_sketches_are_rejected_at_open() {
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
     let core_key = |core: &[u8]| {
-        format!("\"core_bytes\":{},\"core_checksum\":{}", core.len(), fnv(&[core]))
+        format!(
+            "\"core_bytes\":{},\"core_checksum\":{}",
+            core.len(),
+            fnv(&[core])
+        )
     };
-    assert!(text.contains(&core_key(&pristine)), "manifest shape changed");
+    assert!(
+        text.contains(&core_key(&pristine)),
+        "manifest shape changed"
+    );
     let expect_refused = |core: &[u8], why: &str| {
         std::fs::write(&core_path, core).unwrap();
-        std::fs::write(&manifest, text.replace(&core_key(&pristine), &core_key(core))).unwrap();
+        std::fs::write(
+            &manifest,
+            text.replace(&core_key(&pristine), &core_key(core)),
+        )
+        .unwrap();
         match open_sharded(&dir) {
             Err(IndexError::Format { detail, .. }) => assert!(detail.contains(why), "{detail}"),
             Ok(_) => panic!("`{why}` opened"),
@@ -722,7 +835,11 @@ fn unsorted_or_short_signatures_and_sketches_are_rejected_at_open() {
     };
     // A vector whose reversal is out of order: at least two distinct words.
     let unsorted_when_reversed = |r: &std::ops::Range<usize>| {
-        pristine[r.clone()].chunks_exact(8).collect::<std::collections::BTreeSet<_>>().len() > 1
+        pristine[r.clone()]
+            .chunks_exact(8)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+            > 1
     };
     let rows = sorted_vectors(&pristine);
 
@@ -782,18 +899,28 @@ fn huge_counts_in_core_bin_are_a_format_error() {
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
     let checksum_key = |core: &[u8]| format!("\"core_checksum\":{}", fnv(&[core]));
-    assert!(text.contains(&checksum_key(&pristine)), "manifest shape changed");
+    assert!(
+        text.contains(&checksum_key(&pristine)),
+        "manifest shape changed"
+    );
     let round_count_at = sorted_vectors(&pristine)[0].rounds[0].start - 8;
     for (what, at, word) in [
         ("class count", 8, (1u64 << 40).to_le_bytes().to_vec()),
         ("target count", 16, (1u64 << 40).to_le_bytes().to_vec()),
-        ("round count", round_count_at, u32::MAX.to_le_bytes().to_vec()),
+        (
+            "round count",
+            round_count_at,
+            u32::MAX.to_le_bytes().to_vec(),
+        ),
     ] {
         let mut core = pristine.clone();
         core[at..at + word.len()].copy_from_slice(&word);
         std::fs::write(&core_path, &core).unwrap();
-        std::fs::write(&manifest, text.replace(&checksum_key(&pristine), &checksum_key(&core)))
-            .unwrap();
+        std::fs::write(
+            &manifest,
+            text.replace(&checksum_key(&pristine), &checksum_key(&core)),
+        )
+        .unwrap();
         match open_sharded(&dir) {
             Err(IndexError::Format { path, .. }) => assert_eq!(path, core_path, "{what}"),
             Ok(_) => panic!("{what}: opened"),
@@ -824,7 +951,10 @@ fn manifest_past_the_size_cap_is_refused_without_reading_it_whole() {
     let path = dir.join("manifest.json");
     let original = std::fs::read(&path).unwrap();
     let expect_refused = |what: &str| {
-        for result in [open_sharded(&dir).map(drop), esh_index::read_manifest(&dir).map(drop)] {
+        for result in [
+            open_sharded(&dir).map(drop),
+            esh_index::read_manifest(&dir).map(drop),
+        ] {
             match result {
                 Err(IndexError::Format { path: p, detail }) => {
                     assert_eq!(p, path, "{what}");
@@ -841,7 +971,10 @@ fn manifest_past_the_size_cap_is_refused_without_reading_it_whole() {
     expect_refused("symlink to /dev/zero");
 
     std::fs::remove_file(&path).unwrap();
-    std::fs::File::create(&path).unwrap().set_len((64 << 20) + 1).unwrap();
+    std::fs::File::create(&path)
+        .unwrap()
+        .set_len((64 << 20) + 1)
+        .unwrap();
     expect_refused("sparse manifest one byte past the cap");
 
     std::fs::write(&path, &original).unwrap();
@@ -890,17 +1023,27 @@ fn occurrence_counts_that_overflow_when_summed_are_a_format_error() {
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
     let checksum_key = |core: &[u8]| format!("\"core_checksum\":{}", fnv(&[core]));
-    assert!(text.contains(&checksum_key(&pristine)), "manifest shape changed");
+    assert!(
+        text.contains(&checksum_key(&pristine)),
+        "manifest shape changed"
+    );
     let rows = target_strands(&pristine);
     assert_eq!(rows.len(), 2);
-    assert_eq!(pristine[rows[0].clone()], pristine[rows[1].clone()], "same strand lists");
+    assert_eq!(
+        pristine[rows[0].clone()],
+        pristine[rows[1].clone()],
+        "same strand lists"
+    );
     // The first pair's count: the second `u64` of the first target's row.
     let count_at = rows[0].start + 8;
     let mut core = pristine.clone();
     core[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     std::fs::write(&core_path, &core).unwrap();
-    std::fs::write(&manifest, text.replace(&checksum_key(&pristine), &checksum_key(&core)))
-        .unwrap();
+    std::fs::write(
+        &manifest,
+        text.replace(&checksum_key(&pristine), &checksum_key(&core)),
+    )
+    .unwrap();
     match open_sharded(&dir) {
         Err(IndexError::Format { detail, .. }) => assert!(detail.contains("overflow"), "{detail}"),
         Ok(_) => panic!("occurrence counts that overflow u64 opened"),
@@ -938,15 +1081,24 @@ fn record_swapped_for_another_class_fails_only_queries_decoding_it() {
         },
         ..EngineConfig::default()
     });
-    engine.add_target(format!("t-{healthy_name}"), &clang.compile_function(healthy_f));
-    engine.add_target(format!("t-{victim_name}"), &clang.compile_function(victim_f));
+    engine.add_target(
+        format!("t-{healthy_name}"),
+        &clang.compile_function(healthy_f),
+    );
+    engine.add_target(
+        format!("t-{victim_name}"),
+        &clang.compile_function(victim_f),
+    );
     let export = engine.export_corpus().unwrap();
     let dir = scratch("swapped");
     write_sharded(&engine, &dir, 2).unwrap();
     drop(engine);
 
-    let healthy_classes: std::collections::BTreeSet<usize> =
-        export.targets[0].strands.iter().map(|&(ci, _)| ci).collect();
+    let healthy_classes: std::collections::BTreeSet<usize> = export.targets[0]
+        .strands
+        .iter()
+        .map(|&(ci, _)| ci)
+        .collect();
     let shard_file = dir.join("shard-0000.bin");
     let bytes = std::fs::read(&shard_file).unwrap();
     let ranges = esh_index::shard_record_ranges(&dir, 0).unwrap();

@@ -53,8 +53,18 @@ fn assert_scores_identical(a: &QueryScores, b: &QueryScores, what: &str) {
     for (x, y) in a.scores.iter().zip(&b.scores) {
         assert_eq!(x.target, y.target, "{what}: target order");
         assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{what}: GES {}", x.name);
-        assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{what}: S-LOG {}", x.name);
-        assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{what}: S-VCP {}", x.name);
+        assert_eq!(
+            x.s_log.to_bits(),
+            y.s_log.to_bits(),
+            "{what}: S-LOG {}",
+            x.name
+        );
+        assert_eq!(
+            x.s_vcp.to_bits(),
+            y.s_vcp.to_bits(),
+            "{what}: S-VCP {}",
+            x.name
+        );
     }
 }
 
@@ -243,18 +253,18 @@ fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
     esh_index::write_sharded(&built, &dir, 1).unwrap();
     drop(built);
 
-    let full = esh_index::open_sharded_with(
-        &dir,
-        EshxOpenOptions { prune: false },
-    )
-    .unwrap();
+    let full = esh_index::open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
     let pruned = esh_index::open_sharded(&dir).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let a = full.query(q);
         let b = pruned.query(q);
         assert_scores_identical(&a, &b, &format!("lsh-profile query {i}"));
     }
-    assert_eq!(full.shard_stats().pruned_total, 0, "prune:false must not skip");
+    assert_eq!(
+        full.shard_stats().pruned_total,
+        0,
+        "prune:false must not skip"
+    );
     let stats = pruned.shard_stats();
     assert!(stats.shards_total >= 4, "fixture too small: {stats:?}");
     assert!(
@@ -286,9 +296,15 @@ fn tight_budget_evicts_and_still_scores_correctly() {
         assert_scores_identical(&a, &b, &format!("tight-budget query {i}"));
     }
     let s = budgeted.shard_stats();
-    assert!(s.evicted_total > 0, "a one-shard budget never evicted: {s:?}");
+    assert!(
+        s.evicted_total > 0,
+        "a one-shard budget never evicted: {s:?}"
+    );
     assert!(s.resident_bytes <= budget, "settled above budget: {s:?}");
-    assert!(s.shards_loaded < s.shards_total, "loaded gauge ignores evictions: {s:?}");
+    assert!(
+        s.shards_loaded < s.shards_total,
+        "loaded gauge ignores evictions: {s:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -339,6 +355,9 @@ fn repeat_pass_under_one_shard_budget_decodes_nothing() {
         s.classes_decoded_total, decoded,
         "the repeat pass decoded class records: {s:?}"
     );
-    assert!(s.evicted_total > 0, "a one-shard budget never evicted: {s:?}");
+    assert!(
+        s.evicted_total > 0,
+        "a one-shard budget never evicted: {s:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

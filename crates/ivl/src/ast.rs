@@ -520,7 +520,11 @@ mod tests {
                 }
                 _ => {
                     let m1 = p.declare("mem1", Sort::Mem, None);
-                    p.assign(m1, op, vec![Operand::Var(m), Operand::Var(a), Operand::Var(x)]);
+                    p.assign(
+                        m1,
+                        op,
+                        vec![Operand::Var(m), Operand::Var(a), Operand::Var(x)],
+                    );
                 }
             }
             p.validate()
@@ -531,7 +535,10 @@ mod tests {
         }
         for w in [0, 7, 12, 72] {
             assert!(!access(Op::Load(w), w.clamp(1, 64)).is_empty(), "load {w}");
-            assert!(!access(Op::Store(w), w.clamp(1, 64)).is_empty(), "store {w}");
+            assert!(
+                !access(Op::Store(w), w.clamp(1, 64)).is_empty(),
+                "store {w}"
+            );
         }
     }
 
@@ -543,7 +550,10 @@ mod tests {
         let v = p.declare("v", Sort::Bv(1), None);
         p.assign(v, Op::Concat, vec![Operand::Var(a), Operand::Var(b)]);
         let errs = p.validate();
-        assert!(errs.iter().any(|e| e.contains("concat width mismatch")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("concat width mismatch")),
+            "{errs:?}"
+        );
     }
 
     #[test]

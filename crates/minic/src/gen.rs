@@ -583,8 +583,9 @@ mod tests {
         }
         // Index-addressable: the same index yields the same function no
         // matter which window it is generated in — and names are unique.
-        let names: std::collections::HashSet<String> =
-            (0..48).map(|i| generate_scale_source(0xC0FFEE, i).name).collect();
+        let names: std::collections::HashSet<String> = (0..48)
+            .map(|i| generate_scale_source(0xC0FFEE, i).name)
+            .collect();
         assert_eq!(names.len(), 48);
         assert_ne!(
             generate_scale_source(1, 7),

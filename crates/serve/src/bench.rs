@@ -94,12 +94,16 @@ fn quantiles(what: &str, mut samples: Vec<Duration>) -> Result<[f64; 3], String>
     let n = samples.len() as f64;
     let q = [0.5, 0.99, 1.0].map(|p: f64| {
         let rank = (p * n).ceil().max(1.0) as usize;
-        samples.get(rank - 1).map_or(f64::NAN, |d| d.as_secs_f64() * 1e3)
+        samples
+            .get(rank - 1)
+            .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3)
     });
     if q[0] <= q[1] && q[1] <= q[2] {
         Ok(q)
     } else {
-        Err(format!("{what}: client latency quantiles {q:?} out of order"))
+        Err(format!(
+            "{what}: client latency quantiles {q:?} out of order"
+        ))
     }
 }
 
@@ -277,7 +281,9 @@ fn sustained_phase(
     let requests = clients * per_client;
     let sketched = probe_sketches(&addr)? - warm_sketches;
     if sketched > 0.0 {
-        return Err(format!("sustained {label} computed {sketched} probe sketches after warm-up"));
+        return Err(format!(
+            "sustained {label} computed {sketched} probe sketches after warm-up"
+        ));
     }
 
     let ack = remote_query(&addr, &QueryRequest::new("@shutdown"), CLIENT_TIMEOUT)
@@ -412,15 +418,17 @@ pub fn run(smoke: bool) -> Result<(), String> {
     let [p50, p99, max] = quantiles("load phase", samples)?;
 
     // Phase 5a (same server, still warm): observability probes.
-    let (status, body) = http_get(&addr, "/healthz", CLIENT_TIMEOUT)
-        .map_err(|e| format!("healthz probe: {e}"))?;
+    let (status, body) =
+        http_get(&addr, "/healthz", CLIENT_TIMEOUT).map_err(|e| format!("healthz probe: {e}"))?;
     if status != 200 || body.trim() != "ok" {
         return Err(format!("healthz returned {status} {body:?}"));
     }
-    let (status, metrics) = http_get(&addr, "/metrics", CLIENT_TIMEOUT)
-        .map_err(|e| format!("metrics probe: {e}"))?;
+    let (status, metrics) =
+        http_get(&addr, "/metrics", CLIENT_TIMEOUT).map_err(|e| format!("metrics probe: {e}"))?;
     if status != 200 || !metrics.contains("esh_requests_total{outcome=\"ok\"}") {
-        return Err(format!("metrics returned {status} without request counters"));
+        return Err(format!(
+            "metrics returned {status} without request counters"
+        ));
     }
 
     // Phase 5b: graceful drain over the wire.
@@ -464,7 +472,14 @@ pub fn run(smoke: bool) -> Result<(), String> {
              unbatched then batched)..."
         );
         let unbatched = sustained_phase(
-            &corpus, &queries, &baselines, top_n, label, sustained_clients, reps, 1,
+            &corpus,
+            &queries,
+            &baselines,
+            top_n,
+            label,
+            sustained_clients,
+            reps,
+            1,
         )?;
         let batched = sustained_phase(
             &corpus,
@@ -480,7 +495,9 @@ pub fn run(smoke: bool) -> Result<(), String> {
         eprintln!(
             "bench-serve: sustained {label} ok (unbatched {:.1} req/s, batched {:.1} req/s, \
              {speedup:.2}x, avg occupancy {:.1}, coalesced {})",
-            unbatched.throughput_rps, batched.throughput_rps, batched.avg_occupancy,
+            unbatched.throughput_rps,
+            batched.throughput_rps,
+            batched.avg_occupancy,
             batched.coalesced
         );
         if batched.coalesced == 0 {

@@ -120,7 +120,8 @@ impl ServerStats {
     /// collapsed to `unique` distinct engine queries.
     pub fn record_batch(&self, size: usize, unique: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries.fetch_add(size as u64, Ordering::Relaxed);
+        self.batched_queries
+            .fetch_add(size as u64, Ordering::Relaxed);
         self.coalesced_queries
             .fetch_add(size.saturating_sub(unique) as u64, Ordering::Relaxed);
         self.batch_occupancy_hwm
@@ -189,7 +190,10 @@ impl ServerStats {
         }
         out.push_str(&format!("esh_http_requests_total {}\n", s.http));
         out.push_str(&format!("esh_queue_depth {queue_depth}\n"));
-        out.push_str(&format!("esh_queue_depth_high_water {}\n", s.queue_depth_hwm));
+        out.push_str(&format!(
+            "esh_queue_depth_high_water {}\n",
+            s.queue_depth_hwm
+        ));
         out.push_str(&format!(
             "esh_request_latency_ms{{quantile=\"0.5\"}} {}\n",
             s.p50_ms
@@ -201,7 +205,10 @@ impl ServerStats {
         out.push_str(&format!("esh_request_latency_ms_max {}\n", s.max_ms));
         out.push_str(&format!("esh_batch_queue_depth {pending_depth}\n"));
         out.push_str(&format!("esh_batches_total {}\n", s.batches));
-        out.push_str(&format!("esh_batched_queries_total {}\n", s.batched_queries));
+        out.push_str(&format!(
+            "esh_batched_queries_total {}\n",
+            s.batched_queries
+        ));
         out.push_str(&format!(
             "esh_coalesced_queries_total {}\n",
             s.coalesced_queries
@@ -227,10 +234,7 @@ impl ServerStats {
         out.push_str(&format!("esh_vcp_cache_hits_total {}\n", cache.hits));
         out.push_str(&format!("esh_vcp_cache_misses_total {}\n", cache.misses));
         out.push_str(&format!("esh_vcp_cache_entries {}\n", cache.entries));
-        out.push_str(&format!(
-            "esh_vcp_cache_hit_rate {:.6}\n",
-            cache.hit_rate()
-        ));
+        out.push_str(&format!("esh_vcp_cache_hit_rate {:.6}\n", cache.hit_rate()));
         for (layer, n) in equiv.decisions() {
             out.push_str(&format!(
                 "esh_equiv_decisions_total{{layer=\"{layer}\"}} {n}\n"
@@ -284,10 +288,7 @@ impl ServerStats {
         // tier enabled (band summaries derived at open).
         out.push_str(&format!("esh_shards_total {}\n", shards.shards_total));
         out.push_str(&format!("esh_shards_loaded {}\n", shards.shards_loaded));
-        out.push_str(&format!(
-            "esh_shard_fanout_total {}\n",
-            shards.fanout_total
-        ));
+        out.push_str(&format!("esh_shard_fanout_total {}\n", shards.fanout_total));
         out.push_str(&format!(
             "esh_shards_evicted_total {}\n",
             shards.evicted_total
@@ -312,18 +313,12 @@ impl ServerStats {
             "esh_shard_decoded_bytes {}\n",
             shards.decoded_bytes
         ));
-        out.push_str(&format!(
-            "esh_shard_mapped_bytes {}\n",
-            shards.mapped_bytes
-        ));
+        out.push_str(&format!("esh_shard_mapped_bytes {}\n", shards.mapped_bytes));
         out.push_str(&format!(
             "esh_classes_decoded_total {}\n",
             shards.classes_decoded_total
         ));
-        out.push_str(&format!(
-            "esh_shards_partial {}\n",
-            shards.shards_partial
-        ));
+        out.push_str(&format!("esh_shards_partial {}\n", shards.shards_partial));
         out
     }
 }

@@ -230,8 +230,7 @@ pub fn remote_query(
     writer.flush()?;
     let mut line = String::new();
     BufReader::new(stream).read_line(&mut line)?;
-    decode_line(&line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode_line(&line).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Minimal HTTP/1.1 GET against the daemon's metrics shim. Returns the
@@ -239,7 +238,10 @@ pub fn remote_query(
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: esh\r\nConnection: close\r\n\r\n")?;
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: esh\r\nConnection: close\r\n\r\n"
+    )?;
     stream.flush()?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
@@ -248,7 +250,10 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed HTTP status line")
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "malformed HTTP status line",
+            )
         })?;
     let body = raw
         .split_once("\r\n\r\n")

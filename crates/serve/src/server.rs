@@ -461,7 +461,11 @@ fn serve_connection(shared: &Shared, job: Job) {
             // The first request's deadline budget starts at admission
             // (queue wait counts); later pipelined requests start their
             // clock when their line arrives.
-            let request_admitted = if first_request { admitted } else { Instant::now() };
+            let request_admitted = if first_request {
+                admitted
+            } else {
+                Instant::now()
+            };
             if first_request && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
                 shared.stats.record_http();
                 respond_http(shared, &conn, &line);
@@ -476,7 +480,9 @@ fn serve_connection(shared: &Shared, job: Job) {
         if scanned > MAX_LINE_BYTES {
             let response = QueryResponse::status(
                 Outcome::BadRequest,
-                Some(format!("bad request: line longer than {MAX_LINE_BYTES} bytes")),
+                Some(format!(
+                    "bad request: line longer than {MAX_LINE_BYTES} bytes"
+                )),
             );
             respond_now(shared, &conn, conn.alloc_seq(), Instant::now(), response);
             return;
@@ -510,12 +516,7 @@ fn serve_connection(shared: &Shared, job: Job) {
 /// right here through the reorder buffer; real queries join the batch
 /// queue. Returns `false` when the connection should stop reading
 /// (an `@shutdown` acknowledgement).
-fn process_request(
-    shared: &Shared,
-    conn: &Arc<ConnWriter>,
-    line: &str,
-    admitted: Instant,
-) -> bool {
+fn process_request(shared: &Shared, conn: &Arc<ConnWriter>, line: &str, admitted: Instant) -> bool {
     let seq = conn.alloc_seq();
     let request = match serde_json::from_str::<QueryRequest>(line) {
         Err(e) => {
@@ -652,7 +653,10 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         if started >= p.deadline {
             let response = QueryResponse::status(
                 Outcome::DeadlineExceeded,
-                Some(format!("deadline of {}ms expired in the queue", p.budget_ms)),
+                Some(format!(
+                    "deadline of {}ms expired in the queue",
+                    p.budget_ms
+                )),
             );
             finish(shared, &p, started, response);
         } else {
@@ -713,8 +717,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                 // Only the members whose scoring touched the bad shard
                 // fail; batch-mates over healthy shards got Ok above.
                 for p in members {
-                    let response =
-                        QueryResponse::status(Outcome::Internal, Some(e.to_string()));
+                    let response = QueryResponse::status(Outcome::Internal, Some(e.to_string()));
                     finish(shared, &p, started, response);
                 }
             }
@@ -775,9 +778,8 @@ fn reject(shared: &Shared, mut stream: TcpStream, outcome: Outcome, detail: &str
         let _ = BufReader::new(reader).read_line(&mut line);
     }
     if line.starts_with("GET ") || line.starts_with("HEAD ") {
-        let _ = stream.write_all(
-            http_payload("503 Service Unavailable", &format!("{detail}\n")).as_bytes(),
-        );
+        let _ = stream
+            .write_all(http_payload("503 Service Unavailable", &format!("{detail}\n")).as_bytes());
     } else {
         let response = QueryResponse::status(outcome, Some(detail.to_string()));
         let _ = stream.write_all(encode_line(&response).as_bytes());
@@ -793,7 +795,11 @@ mod tests {
     fn take_batch_takes_the_head_and_what_is_queued_up_to_the_cap() {
         let mut pending: VecDeque<u32> = (0..5).collect();
         assert_eq!(take_batch(&mut pending, 3), [0, 1, 2]);
-        assert_eq!(take_batch(&mut pending, 3), [3, 4], "never waits to fill the cap");
+        assert_eq!(
+            take_batch(&mut pending, 3),
+            [3, 4],
+            "never waits to fill the cap"
+        );
         assert!(take_batch(&mut pending, 3).is_empty());
         // A cap of 0 still makes progress; a cap of 1 never coalesces.
         let mut pending: VecDeque<u32> = (0..2).collect();
@@ -819,7 +825,11 @@ mod tests {
         assert_eq!(keys, [0, 1, 2, 3], "groups keep first-seen order");
         for (qi, members) in &groups {
             let seqs: Vec<u64> = members.iter().map(|&(seq, _)| seq).collect();
-            assert_eq!(seqs, [*qi as u64, *qi as u64 + 4], "members keep queue order");
+            assert_eq!(
+                seqs,
+                [*qi as u64, *qi as u64 + 4],
+                "members keep queue order"
+            );
         }
         let stats = ServerStats::new();
         stats.record_batch(size, groups.len());

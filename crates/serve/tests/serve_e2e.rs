@@ -72,7 +72,11 @@ fn served_rankings_are_byte_identical_to_offline() {
     let corpus = tiny_corpus();
     let offline = engine_over(&corpus);
     let needle = &corpus.procs[0].display();
-    let expected = ranked_matches(&offline.query(&corpus.procs[0].proc_), Some(TargetId(0)), 10);
+    let expected = ranked_matches(
+        &offline.query(&corpus.procs[0].proc_),
+        Some(TargetId(0)),
+        10,
+    );
 
     let (server, addr) = start(2, 8, 2_000);
     let resp = remote_query(&addr, &QueryRequest::new(needle), TIMEOUT).unwrap();
@@ -129,8 +133,7 @@ fn malformed_line_is_bad_request() {
     w.write_all(b"this is not json\n").unwrap();
     let mut line = String::new();
     std::io::BufRead::read_line(&mut std::io::BufReader::new(stream), &mut line).unwrap();
-    let resp: esh_serve::protocol::QueryResponse =
-        esh_serve::protocol::decode_line(&line).unwrap();
+    let resp: esh_serve::protocol::QueryResponse = esh_serve::protocol::decode_line(&line).unwrap();
     assert_eq!(resp.outcome, Outcome::BadRequest);
     server.shutdown();
 }
@@ -183,8 +186,7 @@ fn deeply_nested_json_is_bad_request_and_the_daemon_keeps_serving() {
     let mut payload = vec![b'['; 60_000];
     payload.push(b'\n');
     let (line, rest) = hostile_exchange(&addr, payload);
-    let resp: esh_serve::protocol::QueryResponse =
-        esh_serve::protocol::decode_line(&line).unwrap();
+    let resp: esh_serve::protocol::QueryResponse = esh_serve::protocol::decode_line(&line).unwrap();
     assert_eq!(resp.outcome, Outcome::BadRequest);
     assert!(resp.error.unwrap().contains("nesting"));
     assert!(rest.is_empty());
@@ -197,8 +199,7 @@ fn deeply_nested_json_is_bad_request_and_the_daemon_keeps_serving() {
 fn unterminated_line_is_bad_request_and_closes_only_that_connection() {
     let (server, addr) = start(1, 8, 2_000);
     let (line, rest) = hostile_exchange(&addr, vec![b'x'; 1 << 20]);
-    let resp: esh_serve::protocol::QueryResponse =
-        esh_serve::protocol::decode_line(&line).unwrap();
+    let resp: esh_serve::protocol::QueryResponse = esh_serve::protocol::decode_line(&line).unwrap();
     assert_eq!(resp.outcome, Outcome::BadRequest);
     assert!(resp.error.unwrap().contains("line longer than"));
     assert!(rest.is_empty(), "one response, then the connection closes");
@@ -285,10 +286,8 @@ fn shutdown_drains_admitted_requests() {
         let stream = TcpStream::connect(&addr).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
         let mut w = stream.try_clone().unwrap();
-        w.write_all(
-            esh_serve::protocol::encode_line(&QueryRequest::new(q)).as_bytes(),
-        )
-        .unwrap();
+        w.write_all(esh_serve::protocol::encode_line(&QueryRequest::new(q)).as_bytes())
+            .unwrap();
         stream
     };
     let pending = [send("ftp_syst"), send("saturating_sum [icc")];
@@ -359,7 +358,12 @@ fn pipelined_requests_answer_in_order_and_match_offline() {
         client.send(&QueryRequest::new(name)).unwrap();
     }
     client.send(&QueryRequest::new("no-such-proc")).unwrap();
-    expect_in_order(&mut client, &names, &expected, (0..names.len()).chain(0..names.len()));
+    expect_in_order(
+        &mut client,
+        &names,
+        &expected,
+        (0..names.len()).chain(0..names.len()),
+    );
     let resp = client.recv().unwrap();
     assert_eq!(resp.outcome, Outcome::NotFound);
     drop(client);
@@ -414,7 +418,9 @@ fn deadline_expiry_interleaves_with_live_pipelined_requests() {
             deadline_ms: Some(0),
         })
         .unwrap();
-    client.send(&QueryRequest::new("saturating_sum [clang")).unwrap();
+    client
+        .send(&QueryRequest::new("saturating_sum [clang"))
+        .unwrap();
     let first = client.recv().unwrap();
     let second = client.recv().unwrap();
     let third = client.recv().unwrap();
@@ -446,7 +452,9 @@ fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
             deadline_ms: Some(3),
         })
         .unwrap();
-    client.send(&QueryRequest::new("saturating_sum [clang")).unwrap();
+    client
+        .send(&QueryRequest::new("saturating_sum [clang"))
+        .unwrap();
     let tight = client.recv().unwrap();
     assert!(
         matches!(tight.outcome, Outcome::Ok | Outcome::DeadlineExceeded),
@@ -543,7 +551,11 @@ fn serving_from_a_sharded_index_is_lazy_and_identical() {
     lazy.set_threads(1);
 
     let needle = corpus.procs[0].display();
-    let expected = ranked_matches(&resident.query(&corpus.procs[0].proc_), Some(TargetId(0)), 10);
+    let expected = ranked_matches(
+        &resident.query(&corpus.procs[0].proc_),
+        Some(TargetId(0)),
+        10,
+    );
 
     let server = Server::start(
         lazy,
@@ -585,7 +597,10 @@ fn serving_from_a_sharded_index_is_lazy_and_identical() {
         loaded < total,
         "serving one query loaded every shard ({loaded}/{total}) — lazy loading is broken"
     );
-    assert!(fanout > 0 && fanout <= loaded, "fanout {fanout} vs loaded {loaded}");
+    assert!(
+        fanout > 0 && fanout <= loaded,
+        "fanout {fanout} vs loaded {loaded}"
+    );
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -633,7 +648,11 @@ fn shard_budget_mb_caps_residency_while_serving_identically() {
         .map(|&qi| {
             (
                 corpus.procs[qi].display(),
-                ranked_matches(&resident.query(&corpus.procs[qi].proc_), Some(TargetId(qi)), 10),
+                ranked_matches(
+                    &resident.query(&corpus.procs[qi].proc_),
+                    Some(TargetId(qi)),
+                    10,
+                ),
             )
         })
         .collect();
@@ -678,7 +697,10 @@ fn shard_budget_mb_caps_residency_while_serving_identically() {
     let peak = metric("esh_shards_resident_bytes_peak");
     let decoded = metric("esh_shard_decoded_bytes");
     let mapped = metric("esh_shard_mapped_bytes");
-    assert!(evicted > 0, "the serve-configured budget never evicted a shard");
+    assert!(
+        evicted > 0,
+        "the serve-configured budget never evicted a shard"
+    );
     assert!(
         resident_bytes <= budget_bytes,
         "settled residency {resident_bytes}B exceeds the {budget_bytes}B budget"

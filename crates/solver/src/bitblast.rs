@@ -389,8 +389,7 @@ impl BitBlaster {
                 // Multiplication by the all-ones constant is negation —
                 // cheaper than a full multiplier and very common because
                 // the normalizer encodes subtraction that way.
-                if data.args.len() == 2
-                    && pool.as_const(data.args[0]) == Some(crate::term::mask(w))
+                if data.args.len() == 2 && pool.as_const(data.args[0]) == Some(crate::term::mask(w))
                 {
                     let b = self.blast(pool, data.args[1]);
                     self.neg_bits(&b)
@@ -536,7 +535,13 @@ impl BitBlaster {
     /// Checks the validity of `a == b` (same width) with a conflict budget:
     /// `Some(true)` = valid, `Some(false)` = counterexample, `None` =
     /// budget exhausted.
-    pub fn prove_equal(&mut self, pool: &TermPool, a: TermId, b: TermId, budget: u64) -> Option<bool> {
+    pub fn prove_equal(
+        &mut self,
+        pool: &TermPool,
+        a: TermId,
+        b: TermId,
+        budget: u64,
+    ) -> Option<bool> {
         let eq = self.eq_lit(pool, a, b);
         match self.sat.solve_with_budget(&[eq.negate()], budget) {
             SatResult::Unsat => Some(true),
@@ -563,7 +568,9 @@ mod tests {
     /// against the evaluator without normalization collapsing both sides.
     fn check_equiv_decision(pool: &mut TermPool, a: TermId, b: TermId, expect_equal: bool) {
         let mut bb = BitBlaster::new();
-        let got = bb.prove_equal(pool, a, b, 1_000_000).expect("within budget");
+        let got = bb
+            .prove_equal(pool, a, b, 1_000_000)
+            .expect("within budget");
         assert_eq!(got, expect_equal);
     }
 

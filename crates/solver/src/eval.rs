@@ -212,9 +212,9 @@ impl EvalPlan {
             let arg = |i: usize| -> &CVal { &vals[self.slot[data.args[i].index()] as usize] };
             let abv = |i: usize| -> u64 { arg(i).bv() };
             let fold = |init: u64, f: fn(u64, u64) -> u64| -> u64 {
-                data.args
-                    .iter()
-                    .fold(init, |acc, x| f(acc, vals[self.slot[x.index()] as usize].bv()))
+                data.args.iter().fold(init, |acc, x| {
+                    f(acc, vals[self.slot[x.index()] as usize].bv())
+                })
             };
             let out = match data.op {
                 TermOp::Var(id) => CVal::Bv(a.var_value(id) & m),
@@ -561,9 +561,15 @@ mod tests {
         assert_ne!(cval_digest(&CVal::Bv(7)), cval_digest(&CVal::Bv(8)));
         // A bitvector and a memory with a coinciding seed must not collide
         // by construction (distinct kind tags are folded in first).
-        let mem = CVal::Mem(MemRep { seed: 7, stores: Vec::new() });
+        let mem = CVal::Mem(MemRep {
+            seed: 7,
+            stores: Vec::new(),
+        });
         assert_ne!(cval_digest(&CVal::Bv(7)), cval_digest(&mem));
-        let stored = CVal::Mem(MemRep { seed: 7, stores: vec![(0x10, 64, 42)] });
+        let stored = CVal::Mem(MemRep {
+            seed: 7,
+            stores: vec![(0x10, 64, 42)],
+        });
         assert_ne!(cval_digest(&mem), cval_digest(&stored));
     }
 

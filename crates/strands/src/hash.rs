@@ -296,11 +296,18 @@ mod tests {
             let b = random_signature(&mut rng);
             for &t in &thresholds {
                 let want = reference_reaches(&a, &b, t);
-                assert_eq!(a.either_overlap_reaches(&b, t), want, "{a:?} vs {b:?} at t = {t}");
+                assert_eq!(
+                    a.either_overlap_reaches(&b, t),
+                    want,
+                    "{a:?} vs {b:?} at t = {t}"
+                );
                 outcomes[usize::from(want)] += 1;
             }
         }
-        assert!(outcomes.iter().all(|&n| n > 10_000), "both outcomes exercised: {outcomes:?}");
+        assert!(
+            outcomes.iter().all(|&n| n > 10_000),
+            "both outcomes exercised: {outcomes:?}"
+        );
     }
 
     #[test]
@@ -318,19 +325,28 @@ mod tests {
             "mov byte ptr [r13+0x1], al\nmov byte ptr [r13+0x2], r12b",
             "mov rax, rdi",
         ];
-        let sigs: Vec<Signature> =
-            texts.iter().map(|t| semantic_signature(&lift_text(t))).collect();
+        let sigs: Vec<Signature> = texts
+            .iter()
+            .map(|t| semantic_signature(&lift_text(t)))
+            .collect();
         let mut outcomes = [0usize; 2];
         for a in &sigs {
             for b in &sigs {
                 for &t in &THRESHOLDS {
                     let want = reference_reaches(a, b, t);
-                    assert_eq!(a.either_overlap_reaches(b, t), want, "{a:?} vs {b:?} at t = {t}");
+                    assert_eq!(
+                        a.either_overlap_reaches(b, t),
+                        want,
+                        "{a:?} vs {b:?} at t = {t}"
+                    );
                     outcomes[usize::from(want)] += 1;
                 }
             }
         }
-        assert!(outcomes.iter().all(|&n| n > 0), "both outcomes exercised: {outcomes:?}");
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "both outcomes exercised: {outcomes:?}"
+        );
     }
 
     #[test]

@@ -27,8 +27,8 @@ mod hash;
 
 pub use extract::{extract_block_strands, extract_proc_strands, strand_stats, Strand, StrandStats};
 pub use hash::{
-    semantic_signature, stable_hash64, stable_mix, structural_hash, Signature,
-    SIGNATURE_SEEDS, STABLE_HASH_SEED,
+    semantic_signature, stable_hash64, stable_mix, structural_hash, Signature, SIGNATURE_SEEDS,
+    STABLE_HASH_SEED,
 };
 
 use esh_ivl::Proc;

@@ -172,9 +172,19 @@ pub fn run() -> Result<(), String> {
     let top10_mean = mean(&top10);
     let top10_min = top10.iter().copied().fold(f64::INFINITY, f64::min);
     let tau_mean = mean(&taus);
-    let roc_off = mean(&per_query.iter().map(|c| c.roc_exhaustive).collect::<Vec<_>>());
+    let roc_off = mean(
+        &per_query
+            .iter()
+            .map(|c| c.roc_exhaustive)
+            .collect::<Vec<_>>(),
+    );
     let roc_on = mean(&per_query.iter().map(|c| c.roc_pruned).collect::<Vec<_>>());
-    let croc_off = mean(&per_query.iter().map(|c| c.croc_exhaustive).collect::<Vec<_>>());
+    let croc_off = mean(
+        &per_query
+            .iter()
+            .map(|c| c.croc_exhaustive)
+            .collect::<Vec<_>>(),
+    );
     let croc_on = mean(&per_query.iter().map(|c| c.croc_pruned).collect::<Vec<_>>());
     let sat_reduction = if off.sat_queries > 0 {
         1.0 - on.sat_queries as f64 / off.sat_queries as f64

@@ -144,7 +144,10 @@ fn assert_identical(a: &QueryScores, b: &QueryScores, what: &str) -> Result<(), 
     }
     for (x, y) in ra.iter().zip(&rb) {
         if x.name != y.name || x.ges.to_bits() != y.ges.to_bits() {
-            return Err(format!("{what}: ranking diverges at `{}` vs `{}`", x.name, y.name));
+            return Err(format!(
+                "{what}: ranking diverges at `{}` vs `{}`",
+                x.name, y.name
+            ));
         }
     }
     Ok(())
@@ -165,8 +168,8 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
     let build_ms = t0.elapsed().as_millis();
     assert_eq!(emitted, procs);
 
-    let summary =
-        esh_index::write_sharded(&engine, &eshx_path, TARGETS_PER_SHARD).map_err(|e| e.to_string())?;
+    let summary = esh_index::write_sharded(&engine, &eshx_path, TARGETS_PER_SHARD)
+        .map_err(|e| e.to_string())?;
     drop(engine);
 
     eprintln!(
@@ -227,7 +230,11 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
     budgeted.set_shard_budget(budget_bytes);
     for (i, q) in queries.iter().enumerate() {
         let scores = budgeted.query(q);
-        assert_identical(&baselines[i], &scores, &format!("[{procs}] budgeted query {i}"))?;
+        assert_identical(
+            &baselines[i],
+            &scores,
+            &format!("[{procs}] budgeted query {i}"),
+        )?;
     }
     let bstats = budgeted.shard_stats();
     drop(budgeted);
@@ -263,7 +270,11 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
 /// output must equal the resident engine it was written from, bit for
 /// bit, scores and order alike. Returns `(corpus procs, queries checked)`.
 fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
-    let corpus_config = if smoke { CorpusConfig::small() } else { CorpusConfig::default() };
+    let corpus_config = if smoke {
+        CorpusConfig::small()
+    } else {
+        CorpusConfig::default()
+    };
     let corpus = Corpus::build(&corpus_config);
     eprintln!(
         "bench-scale: identity check on the {}-procedure compiler matrix...",
@@ -370,17 +381,29 @@ fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
 /// decoding, eviction under budget, or ranked-output identity.
 pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let t0 = Instant::now();
-    let ladder: &[usize] = if opts.smoke { &[1000] } else { &[1000, 5000, 10_000, 100_000] };
+    let ladder: &[usize] = if opts.smoke {
+        &[1000]
+    } else {
+        &[1000, 5000, 10_000, 100_000]
+    };
     let sizes: Vec<usize> = match opts.max_procs {
         0 => ladder.to_vec(),
         cap => {
             let kept: Vec<usize> = ladder.iter().copied().filter(|&n| n <= cap).collect();
             // A cap below the smallest rung still runs that rung — an
             // empty bench would trivially "pass" every gate.
-            if kept.is_empty() { vec![ladder[0]] } else { kept }
+            if kept.is_empty() {
+                vec![ladder[0]]
+            } else {
+                kept
+            }
         }
     };
-    let threads = if opts.threads == 0 { scale_matrix().len() } else { opts.threads };
+    let threads = if opts.threads == 0 {
+        scale_matrix().len()
+    } else {
+        opts.threads
+    };
     let mut runs = Vec::with_capacity(sizes.len());
     for &n in &sizes {
         runs.push(measure_size(n, threads)?);

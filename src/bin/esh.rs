@@ -240,12 +240,22 @@ fn corpus_cmd(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--procs" => {
-                procs = Some(value("--procs")?.parse::<usize>().map_err(|e| format!("--procs: {e}"))?)
+                procs = Some(
+                    value("--procs")?
+                        .parse::<usize>()
+                        .map_err(|e| format!("--procs: {e}"))?,
+                )
             }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seed" => {
+                seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
+            }
             "--out" => out = Some(value("--out")?.to_string()),
             "--threads" => {
-                threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
+                threads = value("--threads")?
+                    .parse()
+                    .map_err(|e| format!("--threads: {e}"))?
             }
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
@@ -253,7 +263,11 @@ fn corpus_cmd(args: &[String]) -> Result<(), String> {
     let procs = procs.ok_or("corpus gen needs --procs N")?;
     // `--threads 0` (the default) means one compile thread per matrix
     // configuration; the emitted stream is byte-identical either way.
-    let threads = if threads == 0 { esh::corpus::scale::scale_matrix().len() } else { threads };
+    let threads = if threads == 0 {
+        esh::corpus::scale::scale_matrix().len()
+    } else {
+        threads
+    };
     let config = esh::corpus::scale::ScaleConfig::new(procs, seed);
     let sink: Box<dyn std::io::Write> = match &out {
         Some(path) => Box::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?),
@@ -304,7 +318,9 @@ fn query(args: &[String]) -> Result<(), String> {
         .filter(|a| *a != "--json" && *a != "--no-prefilter")
         .collect();
     if no_prefilter && args.first().map(|a| a.as_str()) == Some("--remote") {
-        return Err("--no-prefilter applies to --index queries (the daemon owns its engine)".into());
+        return Err(
+            "--no-prefilter applies to --index queries (the daemon owns its engine)".into(),
+        );
     }
     match args.as_slice() {
         [flag, index, corpus, needle] if *flag == "--index" => {
@@ -325,10 +341,12 @@ fn query(args: &[String]) -> Result<(), String> {
             n.parse().map_err(|_| format!("bad top_n `{n}`"))?,
             json,
         ),
-        _ => Err("query takes --index <index.eshx> <corpus.json> <query-substring> [top_n] \
+        _ => Err(
+            "query takes --index <index.eshx> <corpus.json> <query-substring> [top_n] \
                   [--json] [--no-prefilter], or --remote <addr> <query-substring> [top_n] \
                   [--json]"
-            .into()),
+                .into(),
+        ),
     }
 }
 
@@ -409,9 +427,8 @@ fn query_remote(addr: &str, needle: &str, top_n: usize, json: bool) -> Result<()
         top_n: Some(top_n as u64),
         deadline_ms: None,
     };
-    let response =
-        esh::serve::remote_query(addr, &request, std::time::Duration::from_secs(60))
-            .map_err(|e| format!("querying {addr}: {e}"))?;
+    let response = esh::serve::remote_query(addr, &request, std::time::Duration::from_secs(60))
+        .map_err(|e| format!("querying {addr}: {e}"))?;
     if json {
         print!("{}", esh::serve::encode_line(&response));
         return Ok(());
@@ -451,11 +468,14 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--index" => index_path = Some(value("--index")?.to_string()),
             "--addr" => config.addr = value("--addr")?.to_string(),
             "--workers" => {
-                config.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
+                config.workers = value("--workers")?
+                    .parse()
+                    .map_err(|e| format!("--workers: {e}"))?
             }
             "--queue" => {
-                config.queue_capacity =
-                    value("--queue")?.parse().map_err(|e| format!("--queue: {e}"))?
+                config.queue_capacity = value("--queue")?
+                    .parse()
+                    .map_err(|e| format!("--queue: {e}"))?
             }
             "--batch-max" => {
                 config.batch_max = value("--batch-max")?
@@ -468,7 +488,9 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("--deadline-ms: {e}"))?
             }
             "--threads" => {
-                threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
+                threads = value("--threads")?
+                    .parse()
+                    .map_err(|e| format!("--threads: {e}"))?
             }
             "--shard-budget-mb" => {
                 config.shard_budget_mb = Some(

@@ -41,15 +41,24 @@ fn digest(bytes: &[u8]) -> u64 {
 /// Compares `(name, digest)` pairs with `tests/golden/<file>`, or rewrites
 /// that file when `ESH_BLESS=1`.
 fn check(file: &str, actual: &[(String, u64)]) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
-    let render: String = actual.iter().map(|(name, d)| format!("{name} {d:016x}\n")).collect();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let render: String = actual
+        .iter()
+        .map(|(name, d)| format!("{name} {d:016x}\n"))
+        .collect();
     if std::env::var_os("ESH_BLESS").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, render).unwrap();
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with ESH_BLESS=1 to create it)", path.display()));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (run with ESH_BLESS=1 to create it)",
+            path.display()
+        )
+    });
     let mut moved = Vec::new();
     let lines: Vec<&str> = expected.lines().collect();
     for (name, d) in actual {
@@ -62,9 +71,17 @@ fn check(file: &str, actual: &[(String, u64)]) {
         }
     }
     if lines.len() != actual.len() {
-        moved.push(format!("{} golden entries, {} now", lines.len(), actual.len()));
+        moved.push(format!(
+            "{} golden entries, {} now",
+            lines.len(),
+            actual.len()
+        ));
     }
-    assert!(moved.is_empty(), "{file}: digests moved:\n  {}", moved.join("\n  "));
+    assert!(
+        moved.is_empty(),
+        "{file}: digests moved:\n  {}",
+        moved.join("\n  ")
+    );
 }
 
 /// Digest of a driver result as the driver writes it.
@@ -80,18 +97,30 @@ fn paper_driver_smoke_json_is_golden() {
     let engine = build_engine(&corpus, EngineConfig::default());
     let indices = fig6_indices(&corpus, 40);
     let actual = vec![
-        ("table1.json".to_string(), json!(run_table1(&corpus, &engine))),
-        ("table2.json".to_string(), json!(run_table2(&corpus, EngineConfig::default()))),
+        (
+            "table1.json".to_string(),
+            json!(run_table1(&corpus, &engine)),
+        ),
+        (
+            "table2.json".to_string(),
+            json!(run_table2(&corpus, EngineConfig::default())),
+        ),
         ("table3.json".to_string(), json!(run_table3(24))),
         ("fig5.json".to_string(), json!(run_fig5(&corpus, &engine))),
-        ("fig6.json".to_string(), json!(run_fig6(&corpus, &indices, EngineConfig::default()))),
+        (
+            "fig6.json".to_string(),
+            json!(run_fig6(&corpus, &indices, EngineConfig::default())),
+        ),
     ];
     check("paper_drivers.txt", &actual);
 }
 
 /// Runs the shipped `esh` binary and returns its stdout.
 fn esh(args: &[&str]) -> Vec<u8> {
-    let out = Command::new(env!("CARGO_BIN_EXE_esh")).args(args).output().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_esh"))
+        .args(args)
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "esh {args:?} failed: {}",
@@ -131,14 +160,19 @@ fn seed7_index_and_rankings_are_golden() {
     let corpus = dir.join("g.json");
     let index = dir.join("g.eshx");
     let (corpus_s, index_s) = (corpus.to_str().unwrap(), index.to_str().unwrap());
-    esh(&["corpus", "gen", "--procs", "200", "--seed", "7", "--out", corpus_s]);
+    esh(&[
+        "corpus", "gen", "--procs", "200", "--seed", "7", "--out", corpus_s,
+    ]);
     esh(&["index", "build", corpus_s, index_s, "16"]);
 
     let mut files: Vec<(String, u64)> = std::fs::read_dir(&index)
         .unwrap()
         .map(|e| {
             let e = e.unwrap();
-            (e.file_name().into_string().unwrap(), digest(&std::fs::read(e.path()).unwrap()))
+            (
+                e.file_name().into_string().unwrap(),
+                digest(&std::fs::read(e.path()).unwrap()),
+            )
         })
         .collect();
     files.sort();
