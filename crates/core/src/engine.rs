@@ -29,13 +29,13 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 use crate::prefilter::{
     bounds_decision, compute_probe_sketch, compute_sketch, PrefilterConfig, PrefilterStats,
-    PrefilterStatsSnapshot, SemanticSketch, SketchDecision, SketchIndex,
+    PrefilterStatsSnapshot, RungCounts, SemanticSketch, SketchDecision, SketchIndex,
 };
 use crate::shard::{
     ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary, ShardError,
     ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
-use crate::stats::{ges, les, likelihood, H0Accumulator, ScoringMode};
+use crate::stats::{ges, likelihood, H0Accumulator, ScoringMode};
 use crate::vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};
 
 /// Engine configuration.
@@ -180,6 +180,75 @@ struct BatchPass<'a> {
     queries: Vec<Option<Vec<QueryStrand>>>,
     /// Which shards each item consulted, for the fan-out counter.
     touched: ShardTouch,
+}
+
+/// Which rung of the pricing ladder decided a matrix cell. The matrix
+/// pass records it beside each [`VcpPair`], and the refine pass reads it
+/// instead of pricing the cell a second time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Rung {
+    /// Never priced: whole-shard pruning skipped the cell's shard (or the
+    /// item failed or was cancelled, and is never refined).
+    Unpriced,
+    /// Dropped by the size-ratio or signature filter.
+    Filtered,
+    /// Dropped by the sketch rung.
+    Pruned,
+    /// Priced exactly, from the cache or the verifier; the cell's shard
+    /// is marked in the item's fan-out.
+    Exact,
+}
+
+/// One batch item's VCP matrix (`query strand × corpus class`) with the
+/// rung that decided each cell.
+struct ItemMatrix {
+    vcp: Vec<Vec<VcpPair>>,
+    rung: Vec<Vec<Rung>>,
+}
+
+/// One query strand's side of Eq. 5, frozen at the estimated matrix: the
+/// logs of its H0 means (GES and S-LOG), its occurrence weight, and its
+/// two terms for a target whose best VCP for it is zero, the common case.
+struct StrandH0 {
+    ln_pr: f64,
+    ln_vcp: f64,
+    weight: f64,
+    zero_terms: (f64, f64),
+}
+
+impl StrandH0 {
+    fn new(h0: &H0Accumulator, count: u64) -> StrandH0 {
+        let ln_pr = h0.mean_pr().max(1e-12).ln();
+        let ln_vcp = h0.mean_vcp().max(1e-12).ln();
+        let weight = count as f64;
+        StrandH0 {
+            ln_pr,
+            ln_vcp,
+            weight,
+            zero_terms: (
+                (likelihood(0.0).max(1e-12).ln() - ln_pr) * weight,
+                (1e-12f64.ln() - ln_vcp) * weight,
+            ),
+        }
+    }
+
+    /// The strand's GES term, `les(likelihood(v), mean_pr) × weight`
+    /// with `les`'s operations in `les`'s order.
+    fn ges_term(&self, v: f64) -> f64 {
+        if v == 0.0 {
+            return self.zero_terms.0;
+        }
+        (likelihood(v).max(1e-12).ln() - self.ln_pr) * self.weight
+    }
+
+    /// The strand's S-LOG term, `les(v.max(1e-12), mean_vcp) × weight`.
+    fn slog_term(&self, v: f64) -> f64 {
+        if v == 0.0 {
+            return self.zero_terms.1;
+        }
+        (v.max(1e-12).ln() - self.ln_vcp) * self.weight
+    }
 }
 
 /// One query in a [`SimilarityEngine::query_batch`] call: the procedure
@@ -995,10 +1064,12 @@ impl SimilarityEngine {
     /// copy-back below is the merge step — because shards partition the
     /// class index space in order, it concatenates per-shard submatrices
     /// into exactly the matrix a resident engine computes, bit for bit.
+    /// Each cell's [`Rung`] rides along; the sketch rung's outcome counts
+    /// are kept per worker and added to the engine's counters once.
     fn vcp_matrix_batch(
         &self,
         batch: &BatchPass<'_>,
-    ) -> (Vec<Vec<Vec<VcpPair>>>, Vec<Option<ShardError>>) {
+    ) -> (Vec<ItemMatrix>, Vec<Option<ShardError>>) {
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -1008,9 +1079,15 @@ impl SimilarityEngine {
         };
         let queries = &batch.queries;
         let nc = self.classes.len();
-        let mut matrices: Vec<Vec<Vec<VcpPair>>> = queries
+        let mut matrices: Vec<ItemMatrix> = queries
             .iter()
-            .map(|q| vec![vec![VcpPair::default(); nc]; q.as_ref().map_or(0, |q| q.len())])
+            .map(|q| {
+                let nq = q.as_ref().map_or(0, |q| q.len());
+                ItemMatrix {
+                    vcp: vec![vec![VcpPair::default(); nc]; nq],
+                    rung: vec![vec![Rung::Unpriced; nc]; nq],
+                }
+            })
             .collect();
         let tiles_per_query = nc.div_ceil(Self::VCP_TILE);
         // Tile-space offsets per batch item: item `b` owns the global
@@ -1105,14 +1182,16 @@ impl SimilarityEngine {
             });
         let shard_skip = &shard_skip;
         let shard_errors_ref = &shard_errors;
-        let tiles: Vec<(usize, usize, usize, Vec<VcpPair>)> = std::thread::scope(|scope| {
+        type Tile = (usize, usize, usize, Vec<VcpPair>, Vec<Rung>);
+        let tiles: Vec<Tile> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
                     scope.spawn(move || {
                         let mut session = self.checkout_session();
                         let stats0 = session.stats();
-                        let mut out: Vec<(usize, usize, usize, Vec<VcpPair>)> = Vec::new();
+                        let mut counts = RungCounts::default();
+                        let mut out: Vec<Tile> = Vec::new();
                         loop {
                             let tile = cursor.fetch_add(1, Ordering::Relaxed);
                             if tile >= total_tiles {
@@ -1140,7 +1219,9 @@ impl SimilarityEngine {
                                 masks[b][qi].as_deref().map(|mask| (&**index, mask))
                             });
                             let mut row = vec![VcpPair::default(); end - start];
-                            for (cell, ci) in row.iter_mut().zip(start..end) {
+                            let mut rungs = vec![Rung::Unpriced; end - start];
+                            for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end)
+                            {
                                 // Whole-shard prune: provably equivalent to
                                 // the per-cell sketch prune, decided without
                                 // touching the class.
@@ -1149,15 +1230,25 @@ impl SimilarityEngine {
                                         continue;
                                     }
                                 }
-                                match self.price_cell(batch, lsh, &mut session, b, q, ci) {
-                                    Ok(v) => *cell = v,
+                                let priced = self.price_cell(
+                                    batch,
+                                    lsh,
+                                    &mut session,
+                                    &mut counts,
+                                    b,
+                                    q,
+                                    ci,
+                                );
+                                match priced {
+                                    Ok((r, v)) => (*rung, *cell) = (r, v),
                                     Err(e) => {
                                         let _ = shard_errors_ref[b].set(e);
                                     }
                                 }
                             }
-                            out.push((b, qi, start, row));
+                            out.push((b, qi, start, row, rungs));
                         }
+                        self.prefilter_stats.add_rungs(&counts);
                         self.solver.add(&session.stats().delta_since(&stats0));
                         self.return_session(session);
                         out
@@ -1169,8 +1260,10 @@ impl SimilarityEngine {
                 .flat_map(|h| h.join().expect("worker panicked"))
                 .collect()
         });
-        for (b, qi, start, row) in tiles {
-            matrices[b][qi][start..start + row.len()].copy_from_slice(&row);
+        for (b, qi, start, row, rungs) in tiles {
+            let end = start + row.len();
+            matrices[b].vcp[qi][start..end].copy_from_slice(&row);
+            matrices[b].rung[qi][start..end].copy_from_slice(&rungs);
         }
         let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
         (matrices, errors)
@@ -1178,32 +1271,36 @@ impl SimilarityEngine {
 
     /// Prices one matrix cell down the ladder: the cheap filters, the
     /// sketch rung (when the query strand carries an LSH candidate mask,
-    /// `lsh`), then the exact step behind a counted cache lookup. A pair
-    /// dropped by any rung prices as the zero pair.
+    /// `lsh`), then the exact step behind a counted cache lookup. Returns
+    /// the rung that decided the cell with its value; a pair dropped by
+    /// any rung prices as the zero pair.
+    #[allow(clippy::too_many_arguments)]
     fn price_cell(
         &self,
         batch: &BatchPass<'_>,
         lsh: Option<(&SketchIndex, &[bool])>,
         session: &mut VerifierSession,
+        counts: &mut RungCounts,
         item: usize,
         q: &QueryStrand,
         ci: usize,
-    ) -> Result<VcpPair, ShardError> {
+    ) -> Result<(Rung, VcpPair), ShardError> {
         let class = &self.classes[ci];
         if !self.passes_cheap_filters(q.vars, &q.signature, class) {
-            return Ok(VcpPair::default());
+            return Ok((Rung::Filtered, VcpPair::default()));
         }
-        if let Some((index, mask)) = lsh {
-            if !self.sketch_rung(batch, index, mask, item, q, ci)? {
-                return Ok(VcpPair::default());
+        if let Some(lsh) = lsh {
+            if !self.sketch_rung(batch, lsh, counts, item, q, ci)? {
+                return Ok((Rung::Pruned, VcpPair::default()));
             }
         }
         self.open_cell(ci, item, &batch.touched)?;
         let key = (q.hash, class.hash, self.config.vcp.fingerprint());
-        match self.cache.get(&key) {
-            Some(v) => Ok(v),
-            None => self.verify_cell(session, &q.proc_, ci, key),
-        }
+        let v = match self.cache.get(&key) {
+            Some(v) => v,
+            None => self.verify_cell(session, &q.proc_, ci, key)?,
+        };
+        Ok((Rung::Exact, v))
     }
 
     /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
@@ -1211,8 +1308,9 @@ impl SimilarityEngine {
     /// overlap falls below the threshold in both directions. Both
     /// directions come from one merge per signature round
     /// ([`Signature::either_overlap_reaches`]), which stops at the first
-    /// round where both are below. The matrix pass and the served-window
-    /// refine both price cells through here.
+    /// round where both are below. The matrix pass prices every cell it
+    /// reaches through here; refine runs it only on cells whole-shard
+    /// pruning left unpriced.
     fn passes_cheap_filters(
         &self,
         vars: usize,
@@ -1235,12 +1333,13 @@ impl SimilarityEngine {
     /// under the pre-probe rule (no ambiguity window) a collision still
     /// forces exact verification, while staged pricing lets the margin
     /// prune spurious band matches too (a true same-source pair has bound
-    /// 1.0 and always verifies either way).
+    /// 1.0 and always verifies either way). Outcomes are tallied in the
+    /// calling worker's `counts`.
     fn sketch_rung(
         &self,
         batch: &BatchPass<'_>,
-        index: &SketchIndex,
-        mask: &[bool],
+        (index, mask): (&SketchIndex, &[bool]),
+        counts: &mut RungCounts,
         item: usize,
         q: &QueryStrand,
         ci: usize,
@@ -1248,36 +1347,33 @@ impl SimilarityEngine {
         let (Some(cfg), Some(qs)) = (self.config.active_sketch(), &q.sketch) else {
             return Ok(true);
         };
-        let stats = &self.prefilter_stats;
         let collided = mask[ci];
-        if collided {
-            stats.record_collision();
-        }
+        counts.collisions += u64::from(collided);
         let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
         if collided && window <= 0.0 {
             return Ok(true);
         }
-        let ts = index.sketch(ci);
-        match bounds_decision(qs.containment_in(ts), ts.containment_in(qs), margin, window) {
+        let (c_q, c_t) = qs.containment_both(index.sketch(ci));
+        match bounds_decision(c_q, c_t, margin, window) {
             SketchDecision::Prune => {
-                stats.record_pruned();
+                counts.pruned += 1;
                 return Ok(false);
             }
             SketchDecision::Probe => {
-                stats.record_probe();
+                counts.probes += 1;
                 let (r_q, r_t) = self.probe_bounds(cfg, q, ci, || {
                     self.open_cell(ci, item, &batch.touched)?;
                     self.class_proc(ci)
                 })?;
                 if r_q < margin && r_t < margin {
-                    stats.record_pruned();
+                    counts.pruned += 1;
                     return Ok(false);
                 }
-                stats.record_probe_escalation();
+                counts.escalations += 1;
             }
             SketchDecision::Exact => {}
         }
-        stats.record_fallback();
+        counts.fallbacks += 1;
         Ok(true)
     }
 
@@ -1295,7 +1391,7 @@ impl SimilarityEngine {
         let stats = &self.prefilter_stats;
         let pq = probe_sketch(&q.probe, cfg, stats, || Ok(&q.proc_))?;
         let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, class_proc)?;
-        Ok((pq.containment_in(pt), pt.containment_in(pq)))
+        Ok(pq.containment_both(pt))
     }
 
     /// Opens class `ci`'s shard for batch item `item` and records the
@@ -1423,10 +1519,11 @@ impl SimilarityEngine {
                 results.push(Err(QueryError::Cancelled));
                 continue;
             }
-            let mut scores = self.score_targets(query, matrix);
+            let h0 = self.strand_h0(query, &matrix.vcp);
+            let mut scores = self.score_targets(&matrix.vcp, &h0);
             let refined = match &mut refine_session {
                 Some((session, _)) => {
-                    self.refine_served_window(&batch, i, query, matrix, &mut scores, session)
+                    self.refine_served_window(&batch, i, query, matrix, &h0, &mut scores, session)
                 }
                 None => Ok(()),
             };
@@ -1446,40 +1543,45 @@ impl SimilarityEngine {
         results
     }
 
-    /// H0 per query strand: corpus-wide mean over every strand occurrence
-    /// (weighted by class multiplicity). Pure in the matrix — the refine
-    /// pass reuses the estimated matrix's accumulators verbatim so its
-    /// scores stay a pure function of the query, corpus and config.
-    fn h0_accumulators(
-        &self,
-        query: &[QueryStrand],
-        matrix: &[Vec<VcpPair>],
-    ) -> Vec<H0Accumulator> {
-        let mut h0: Vec<H0Accumulator> = vec![H0Accumulator::default(); query.len()];
-        for (qi, row) in matrix.iter().enumerate() {
-            for (ci, v) in row.iter().enumerate() {
-                h0[qi].add(v.q_in_t, self.classes[ci].corpus_count);
-            }
-        }
-        h0
+    /// H0 per query strand, built once per query from the estimated
+    /// matrix and shared by scoring and refine: the corpus-wide mean over
+    /// every strand occurrence (weighted by class multiplicity), kept as
+    /// the logs Eq. 5 subtracts, beside the strand's occurrence weight.
+    /// Pure in the matrix, so refined scores stay a pure function of the
+    /// query, corpus and config. Zero cells, the bulk of a matrix, share
+    /// one `likelihood(0.0)`; the sums run in [`H0Accumulator::add`]'s
+    /// order, so the bits are those of a per-cell `add`.
+    fn strand_h0(&self, query: &[QueryStrand], matrix: &[Vec<VcpPair>]) -> Vec<StrandH0> {
+        let zero_pr = likelihood(0.0);
+        query
+            .iter()
+            .zip(matrix)
+            .map(|(q, row)| {
+                let mut h0 = H0Accumulator::default();
+                for (v, class) in row.iter().zip(&self.classes) {
+                    let vcp = v.q_in_t;
+                    let pr = if vcp == 0.0 { zero_pr } else { likelihood(vcp) };
+                    h0.add_likelihood(vcp, pr, class.corpus_count);
+                }
+                StrandH0::new(&h0, q.count)
+            })
+            .collect()
     }
 
     /// Scores every target from a computed VCP matrix. Pure in the matrix;
     /// float summation order must stay fixed (targets in insertion order,
     /// query strands in canonical hash order) so concurrent and offline
     /// rankings agree bit-for-bit.
-    fn score_targets(&self, query: &[QueryStrand], matrix: &[Vec<VcpPair>]) -> Vec<TargetScore> {
-        let h0 = self.h0_accumulators(query, matrix);
-        // Each class's best VCP against any query strand (S-VCP).
-        let max_t: Vec<f64> = (0..self.classes.len())
-            .map(|ci| {
-                matrix
-                    .iter()
-                    .map(|row| row[ci].t_in_q)
-                    .fold(0.0f64, f64::max)
-            })
-            .collect();
-        let mut max_q = vec![0.0f64; query.len()];
+    fn score_targets(&self, matrix: &[Vec<VcpPair>], h0: &[StrandH0]) -> Vec<TargetScore> {
+        // Each class's best VCP against any query strand (S-VCP), folded
+        // over the rows in order.
+        let mut max_t = vec![0.0f64; self.classes.len()];
+        for row in matrix {
+            for (m, v) in max_t.iter_mut().zip(row) {
+                *m = m.max(v.t_in_q);
+            }
+        }
+        let mut max_q = vec![0.0f64; matrix.len()];
         (0..self.targets.len())
             .map(|ti| {
                 let strands = &self.targets[ti].strands;
@@ -1489,7 +1591,7 @@ impl SimilarityEngine {
                         .map(|&(ci, _)| row[ci].q_in_t)
                         .fold(0.0f64, f64::max);
                 }
-                self.score_target(ti, query, &max_q, |ci| max_t[ci], &h0)
+                self.score_target(ti, &max_q, |ci| max_t[ci], h0)
             })
             .collect()
     }
@@ -1503,18 +1605,14 @@ impl SimilarityEngine {
     fn score_target(
         &self,
         ti: usize,
-        query: &[QueryStrand],
         max_q: &[f64],
         max_t: impl Fn(usize) -> f64,
-        h0: &[H0Accumulator],
+        h0: &[StrandH0],
     ) -> TargetScore {
         let target = &self.targets[ti];
-        let mut ges_terms = Vec::with_capacity(query.len());
-        let mut slog_terms = Vec::with_capacity(query.len());
-        for ((q, &max_vcp), h0) in query.iter().zip(max_q).zip(h0) {
-            ges_terms.push(les(likelihood(max_vcp), h0.mean_pr()) * q.count as f64);
-            slog_terms.push(les(max_vcp.max(1e-12), h0.mean_vcp()) * q.count as f64);
-        }
+        let terms = || max_q.iter().zip(h0);
+        let ges_score = ges(terms().map(|(&v, h)| h.ges_term(v)));
+        let s_log = ges(terms().map(|(&v, h)| h.slog_term(v)));
         // S-VCP: Σ over target strand occurrences of the best VCP of
         // that strand against any query strand (no statistics).
         let mut s_vcp = 0.0;
@@ -1524,8 +1622,8 @@ impl SimilarityEngine {
         TargetScore {
             target: TargetId(ti),
             name: target.name.clone(),
-            ges: ges(ges_terms),
-            s_log: ges(slog_terms),
+            ges: ges_score,
+            s_log,
             s_vcp,
         }
     }
@@ -1536,24 +1634,30 @@ impl SimilarityEngine {
     /// re-ranks — to a fixpoint, since exact repricing can pull new
     /// targets into the window.
     ///
-    /// For each window target, cells already verified (band collisions,
-    /// margin fallbacks, earlier queries) are pulled from the [`VcpCache`]
-    /// — no solver work. Remaining cells were sketch-pruned; they are
-    /// verified in descending-bound order, but **only while their
-    /// containment bound can still beat the target's current exact
-    /// maximum** (per query strand for GES/S-LOG, per class for S-VCP).
-    /// A skipped cell provably cannot change either maximum — the bound
-    /// never underestimates VCP — so each window target's final maxima are
-    /// its true maxima, whatever subset of cells the cache already knew.
+    /// Each window target's cells are read off the matrix pass's rung
+    /// record rather than priced again. Filtered cells stay zero. Exact
+    /// cells take their verdict straight from the matrix, with no cache
+    /// lookup and no shard open: the matrix pass opened the shard and
+    /// marked the fan-out. Sketch-pruned cells are checked in the
+    /// [`VcpCache`] (other queries may have verified them), and cells
+    /// whole-shard pruning left unpriced first pass the cheap filters,
+    /// then go the same way. The pruned cells still unknown are verified
+    /// in descending-bound order, but **only while their containment
+    /// bound can still beat the target's current exact maximum** (per
+    /// query strand for GES/S-LOG, per class for S-VCP). A skipped cell
+    /// provably cannot change either maximum — the bound never
+    /// underestimates VCP — so each window target's final maxima are its
+    /// true maxima, whatever subset of cells the cache already knew.
     ///
     /// Scores are rebuilt from those maxima via
-    /// [`SimilarityEngine::score_target`], with the H0
-    /// accumulators **frozen at the estimated matrix**. The matrix itself
-    /// is never mutated: which cells the pass verifies (and which it
-    /// dominance-skips or finds pre-cached) depends on cross-query cache
-    /// state, so folding those values back into H0 would make served GES
-    /// depend on engine history — the serving layer's byte-identity
-    /// contract (`bench-serve`) demands that a query's response be a pure
+    /// [`SimilarityEngine::score_target`] against `h0`, the query's H0
+    /// **frozen at the estimated matrix** (the same values
+    /// [`Self::score_targets`] used). The matrix itself is never mutated:
+    /// which cells the pass verifies (and which it dominance-skips or
+    /// finds pre-cached) depends on cross-query cache state, so folding
+    /// those values back into H0 would make served GES depend on engine
+    /// history — the serving layer's byte-identity contract
+    /// (`bench-serve`) demands that a query's response be a pure
     /// function of the query, corpus and config. With frozen H0 and true
     /// maxima, it is. The served window's internal order equals the
     /// exhaustive engine's relative order of those targets: LES
@@ -1564,12 +1668,14 @@ impl SimilarityEngine {
     /// Terminates because the refined-target set grows monotonically and
     /// is bounded by the corpus. Runs only when the sketch tier and
     /// [`PrefilterConfig::refine_top_k`] are on (`query_batch` checks).
+    #[allow(clippy::too_many_arguments)]
     fn refine_served_window(
         &self,
         batch: &BatchPass<'_>,
         item: usize,
         query: &[QueryStrand],
-        matrix: &[Vec<VcpPair>],
+        matrix: &ItemMatrix,
+        h0: &[StrandH0],
         scores: &mut [TargetScore],
         session: &mut VerifierSession,
     ) -> Result<(), QueryError> {
@@ -1581,13 +1687,15 @@ impl SimilarityEngine {
             return Ok(());
         }
         let cancel = &batch.items[item].cancel;
-        // Frozen at the estimated matrix (see the method docs): every
-        // refined score shares these accumulators, keeping responses
-        // cache-state-independent.
-        let h0 = self.h0_accumulators(query, matrix);
         let vcp_fp = self.config.vcp.fingerprint();
         let mut refined_targets = vec![false; self.targets.len()];
         let mut refined_pairs = 0u64;
+        // Per-target scratch, reset after each target: exact maxima per
+        // query strand (drives GES/S-LOG) and per class (drives S-VCP),
+        // and the pruned cells still unknown, `(bound_q, bound_t, qi, ci)`.
+        let mut max_q = vec![0.0f64; query.len()];
+        let mut max_t = vec![0.0f64; self.classes.len()];
+        let mut unknown: Vec<(f64, f64, usize, usize)> = Vec::new();
         self.prefilter_stats.record_refine_pass();
         let mut refine = || -> Result<(), QueryError> {
             loop {
@@ -1623,19 +1731,24 @@ impl SimilarityEngine {
                     if cancel.is_cancelled() {
                         return Err(QueryError::Cancelled);
                     }
-                    // Exact maxima this target already has: per query
-                    // strand (drives GES/S-LOG) and per class (drives
-                    // S-VCP). Seeded from cache-known cells; unknown cells
-                    // are sketch-pruned.
-                    let mut max_q = vec![0.0f64; query.len()];
-                    let mut max_t: HashMap<usize, f64> = HashMap::new();
-                    // Sketch-pruned cells: `(bound_q, bound_t, qi, ci)`.
-                    let mut unknown: Vec<(f64, f64, usize, usize)> = Vec::new();
-                    for &(ci, _) in &self.targets[ti].strands {
+                    let strands = &self.targets[ti].strands;
+                    for &(ci, _) in strands {
                         let class = &self.classes[ci];
                         for (qi, q) in query.iter().enumerate() {
-                            if !self.passes_cheap_filters(q.vars, &q.signature, class) {
-                                continue;
+                            match matrix.rung[qi][ci] {
+                                Rung::Filtered => continue,
+                                Rung::Exact => {
+                                    let v = matrix.vcp[qi][ci];
+                                    max_q[qi] = max_q[qi].max(v.q_in_t);
+                                    max_t[ci] = max_t[ci].max(v.t_in_q);
+                                    continue;
+                                }
+                                Rung::Unpriced
+                                    if !self.passes_cheap_filters(q.vars, &q.signature, class) =>
+                                {
+                                    continue
+                                }
+                                Rung::Unpriced | Rung::Pruned => {}
                             }
                             // The window scan must see the persisted cache
                             // segment of every class it peeks, and counts
@@ -1648,8 +1761,7 @@ impl SimilarityEngine {
                             // calls.
                             if let Some(v) = self.cache.peek(&key) {
                                 max_q[qi] = max_q[qi].max(v.q_in_t);
-                                let m = max_t.entry(ci).or_insert(0.0);
-                                *m = m.max(v.t_in_q);
+                                max_t[ci] = max_t[ci].max(v.t_in_q);
                                 continue;
                             }
                             // Probe-sketch bounds are the tightest
@@ -1659,8 +1771,7 @@ impl SimilarityEngine {
                             // sketch. No sketch to bound with: always verify.
                             let (c_q, c_t) = match &q.sketch {
                                 Some(qs) if cfg.probe_window() == 0.0 => {
-                                    let ts = index.sketch(ci);
-                                    (qs.containment_in(ts), ts.containment_in(qs))
+                                    qs.containment_both(index.sketch(ci))
                                 }
                                 Some(_) => self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?,
                                 None => (1.0, 1.0),
@@ -1677,8 +1788,8 @@ impl SimilarityEngine {
                             .then(a.2.cmp(&b.2))
                             .then(a.3.cmp(&b.3))
                     });
-                    for (c_q, c_t, qi, ci) in unknown {
-                        if c_q <= max_q[qi] && c_t <= *max_t.get(&ci).unwrap_or(&0.0) {
+                    for (c_q, c_t, qi, ci) in unknown.drain(..) {
+                        if c_q <= max_q[qi] && c_t <= max_t[ci] {
                             // True VCP ≤ bound ≤ an exact value already in
                             // the matrix: this cell cannot move any maximum.
                             continue;
@@ -1704,15 +1815,17 @@ impl SimilarityEngine {
                             }
                         };
                         max_q[qi] = max_q[qi].max(v.q_in_t);
-                        let m = max_t.entry(ci).or_insert(0.0);
-                        *m = m.max(v.t_in_q);
+                        max_t[ci] = max_t[ci].max(v.t_in_q);
                     }
                     // Exact maxima in hand: rebuild this target's score
                     // against the frozen H0. `scores` is in target order
                     // (score_targets builds it that way), so `ti` indexes
                     // it.
-                    let max_t = |ci| max_t.get(&ci).copied().unwrap_or(0.0);
-                    scores[ti] = self.score_target(ti, query, &max_q, max_t, &h0);
+                    scores[ti] = self.score_target(ti, &max_q, |ci| max_t[ci], h0);
+                    max_q.fill(0.0);
+                    for &(ci, _) in strands {
+                        max_t[ci] = 0.0;
+                    }
                 }
             }
         };

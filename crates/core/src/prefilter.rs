@@ -278,6 +278,43 @@ impl SemanticSketch {
         matched as f64 / self.digests.len() as f64
     }
 
+    /// Both containment bounds `(self in other, other in self)` from one
+    /// merge: exactly `(self.containment_in(other),
+    /// other.containment_in(self))`, bit for bit.
+    ///
+    /// Each side counts its own entries, duplicates included, whose
+    /// digest occurs anywhere on the other side. When the merge steps
+    /// past an entry, the other side's current and last passed values
+    /// bracket it, so it occurs there iff it equals one of them. Once one
+    /// side runs out, the rest of the other side can only match its last
+    /// value (the duplicate tail).
+    pub fn containment_both(&self, other: &SemanticSketch) -> (f64, f64) {
+        let (a, b) = (&self.digests[..], &other.digests[..]);
+        let (mut i, mut j, mut a_in_b, mut b_in_a) = (0, 0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            let x_seen = (x == y) | ((j > 0) & (b[j.saturating_sub(1)] == x));
+            let y_seen = (x == y) | ((i > 0) & (a[i.saturating_sub(1)] == y));
+            let (step_i, step_j) = (x <= y, y <= x);
+            a_in_b += usize::from(step_i & x_seen);
+            b_in_a += usize::from(step_j & y_seen);
+            i += usize::from(step_i);
+            j += usize::from(step_j);
+        }
+        let tail =
+            |rest: &[u64], last: Option<&u64>| rest.iter().filter(|&d| Some(d) == last).count();
+        a_in_b += tail(&a[i..], b.last());
+        b_in_a += tail(&b[j..], a.last());
+        let ratio = |matched: usize, len: usize| {
+            if len == 0 {
+                0.0
+            } else {
+                matched as f64 / len as f64
+            }
+        };
+        (ratio(a_in_b, a.len()), ratio(b_in_a, b.len()))
+    }
+
     /// The LSH band keys of this sketch under the given banding shape.
     pub fn band_keys(&self, bands: usize, rows: usize) -> Vec<u64> {
         (0..bands)
@@ -456,33 +493,36 @@ pub struct PrefilterStats {
     refine_passes: AtomicU64,
 }
 
+/// The sketch rung's outcome counts over one stretch of work, kept by
+/// each tile worker in plain integers and added to [`PrefilterStats`]
+/// once, when the worker finishes.
+#[derive(Debug, Default)]
+pub(crate) struct RungCounts {
+    /// Pairs priced by their sketch bounds (solver skipped).
+    pub(crate) pruned: u64,
+    /// Pairs retrieved as LSH candidates (band collision).
+    pub(crate) collisions: u64,
+    /// Non-candidate pairs whose bounds reached the margin and were
+    /// verified exactly anyway (probe escalations included).
+    pub(crate) fallbacks: u64,
+    /// Pairs whose base bounds landed in the ambiguity window and were
+    /// re-sketched on extra probe vectors.
+    pub(crate) probes: u64,
+    /// Probed pairs whose refined bounds still reached the margin.
+    pub(crate) escalations: u64,
+}
+
 impl PrefilterStats {
-    /// Counts one pair priced by its sketch bound (solver skipped).
-    pub fn record_pruned(&self) {
-        self.pairs_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one pair retrieved as an LSH candidate (band collision).
-    pub fn record_collision(&self) {
-        self.sketch_collisions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one non-candidate pair whose bound reached the margin and
-    /// was verified exactly anyway.
-    pub fn record_fallback(&self) {
-        self.exact_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one pair whose base bounds landed in the ambiguity window
-    /// and was re-sketched on extra probe vectors.
-    pub fn record_probe(&self) {
-        self.ambiguous_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one probed pair whose refined bounds still reached the
-    /// margin and escalated to exact verification.
-    pub fn record_probe_escalation(&self) {
-        self.probe_escalations.fetch_add(1, Ordering::Relaxed);
+    /// Adds one worker's sketch-rung outcome counts.
+    pub(crate) fn add_rungs(&self, c: &RungCounts) {
+        self.pairs_pruned.fetch_add(c.pruned, Ordering::Relaxed);
+        self.sketch_collisions
+            .fetch_add(c.collisions, Ordering::Relaxed);
+        self.exact_fallbacks
+            .fetch_add(c.fallbacks, Ordering::Relaxed);
+        self.ambiguous_probes.fetch_add(c.probes, Ordering::Relaxed);
+        self.probe_escalations
+            .fetch_add(c.escalations, Ordering::Relaxed);
     }
 
     /// Counts one probe sketch stored in its strand's slot.
@@ -603,13 +643,13 @@ mod tests {
     #[test]
     fn stats_counters_accumulate() {
         let stats = PrefilterStats::default();
-        stats.record_pruned();
-        stats.record_pruned();
-        stats.record_collision();
-        stats.record_fallback();
-        stats.record_probe();
-        stats.record_probe();
-        stats.record_probe_escalation();
+        stats.add_rungs(&RungCounts {
+            pruned: 2,
+            collisions: 1,
+            fallbacks: 1,
+            probes: 2,
+            escalations: 1,
+        });
         stats.record_probe_sketch();
         stats.record_refined_pairs(5);
         stats.record_refine_pass();
@@ -710,6 +750,42 @@ mod tests {
         // Zero window reduces to the legacy two-way margin rule.
         assert_eq!(bounds_decision(0.59, 0.0, m, 0.0), SketchDecision::Prune);
         assert_eq!(bounds_decision(0.61, 0.0, m, 0.0), SketchDecision::Exact);
+    }
+
+    #[test]
+    fn one_merge_containment_matches_two_containment_in_calls() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Small alphabets force duplicates on both sides, runs that end
+        // either side and partial overlaps; lengths of 0–8 cover empty
+        // sides and every ratio with a small denominator.
+        let mut rng = StdRng::seed_from_u64(0xc04a_1b07);
+        let random_sketch = |rng: &mut StdRng| {
+            let alphabet = rng.gen_range(1u64..=6);
+            let mut digests: Vec<u64> = (0..rng.gen_range(0..=8usize))
+                .map(|_| rng.gen_range(0..alphabet))
+                .collect();
+            digests.sort_unstable();
+            SemanticSketch {
+                digests,
+                minhash: Vec::new(),
+            }
+        };
+        let (mut partial, mut duplicated) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            let a = random_sketch(&mut rng);
+            let b = random_sketch(&mut rng);
+            let (ab, ba) = a.containment_both(&b);
+            let (want_ab, want_ba) = (a.containment_in(&b), b.containment_in(&a));
+            assert_eq!(ab.to_bits(), want_ab.to_bits(), "{a:?} in {b:?}");
+            assert_eq!(ba.to_bits(), want_ba.to_bits(), "{b:?} in {a:?}");
+            partial += usize::from(0.0 < want_ab && want_ab < 1.0);
+            duplicated += usize::from(a.digests.windows(2).any(|w| w[0] == w[1]));
+        }
+        assert!(
+            partial > 1_000 && duplicated > 1_000,
+            "partial overlaps {partial}, duplicated sides {duplicated}"
+        );
     }
 
     #[test]

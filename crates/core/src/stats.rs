@@ -58,7 +58,13 @@ impl H0Accumulator {
     /// Adds one corpus strand's VCP (weighted by `multiplicity` identical
     /// occurrences).
     pub fn add(&mut self, vcp: f64, multiplicity: u64) {
-        self.sum_pr += likelihood(vcp) * multiplicity as f64;
+        self.add_likelihood(vcp, likelihood(vcp), multiplicity);
+    }
+
+    /// [`Self::add`] with `pr = likelihood(vcp)` already computed, for
+    /// callers that reuse one value across many equal VCPs.
+    pub fn add_likelihood(&mut self, vcp: f64, pr: f64, multiplicity: u64) {
+        self.sum_pr += pr * multiplicity as f64;
         self.sum_vcp += vcp * multiplicity as f64;
         self.count += multiplicity;
     }

@@ -292,15 +292,25 @@ fn encode_cache_entry(w: &mut Writer, e: &VcpCacheEntry) {
     w.f64(e.pair.t_in_q);
 }
 
+/// One persisted verdict. Both VCPs must lie in `[0, 1]`: a NaN or an
+/// out-of-range value that passes the checksums would otherwise flow
+/// into H0 and into the GES of every query that prices the cell.
 fn decode_cache_entry(r: &mut Reader<'_>) -> Result<VcpCacheEntry, String> {
+    let (query_hash, class_hash, vcp_fingerprint) = (r.u64()?, r.u64()?, r.u64()?);
+    let pair = VcpPair {
+        q_in_t: r.f64()?,
+        t_in_q: r.f64()?,
+    };
+    for v in [pair.q_in_t, pair.t_in_q] {
+        if !(0.0..=1.0).contains(&v) {
+            return Err(format!("verdict {v} is outside [0, 1]"));
+        }
+    }
     Ok(VcpCacheEntry {
-        query_hash: r.u64()?,
-        class_hash: r.u64()?,
-        vcp_fingerprint: r.u64()?,
-        pair: VcpPair {
-            q_in_t: r.f64()?,
-            t_in_q: r.f64()?,
-        },
+        query_hash,
+        class_hash,
+        vcp_fingerprint,
+        pair,
     })
 }
 

@@ -1175,3 +1175,80 @@ fn record_swapped_for_another_class_fails_only_queries_decoding_it() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A persisted verdict is a VCP, a fraction in `[0, 1]`. A cache entry
+/// rewritten to NaN or to a value past 1, with the shard's structural
+/// `meta_checksum` in the manifest recomputed, passes every checksum;
+/// the shard open must still refuse it with a typed `Corrupted` error,
+/// or the value would flow into H0 and every GES of a query pricing the
+/// cell. Queries that never open the shard keep serving.
+#[test]
+fn out_of_range_persisted_verdict_fails_only_queries_opening_its_shard() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let healthy_q = gcc.compile_function(&funcs[0].1);
+    let poisoned_q = gcc.compile_function(&funcs.last().unwrap().1);
+    for (tag, bad) in [("nan", f64::NAN), ("big", 1.5), ("neg", -0.25)] {
+        // The same LSH-only profile as the byte-flip case: the healthy
+        // query's fan-out provably misses the last target's shard.
+        let mut engine = SimilarityEngine::new(EngineConfig {
+            threads: 2,
+            sketch: PrefilterConfig {
+                refine_top_k: 0,
+                ..PrefilterConfig::lsh_only()
+            },
+            ..EngineConfig::default()
+        });
+        for (name, f) in &funcs {
+            engine.add_target(format!("t-{name}"), &clang.compile_function(f));
+        }
+        // The poisoned query's own class verifies exactly, so its
+        // verdict lands in the last shard's cache segment.
+        engine.query(&poisoned_q);
+        let dir = scratch(&format!("verdict-{tag}"));
+        write_sharded(&engine, &dir, 1).unwrap();
+        drop(engine);
+
+        let last = funcs.len() - 1;
+        let shard_file = dir.join(format!("shard-{last:04}.bin"));
+        let mut bytes = std::fs::read(&shard_file).unwrap();
+        let records = esh_index::shard_record_ranges(&dir, last).unwrap().len();
+        let blobs = blob_region(&bytes, records);
+        let old_meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
+        // The tail is the entry count, then 40-byte entries: three key
+        // words, `q_in_t`, `t_in_q`.
+        let count = u64::from_le_bytes(bytes[blobs.end..blobs.end + 8].try_into().unwrap());
+        assert!(count > 0, "the warmed shard persists no verdict");
+        let q_in_t = blobs.end + 8 + 24;
+        bytes[q_in_t..q_in_t + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        std::fs::write(&shard_file, &bytes).unwrap();
+        let manifest = dir.join("manifest.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let old_row = format!("\"meta_checksum\":{old_meta}");
+        assert!(text.contains(&old_row), "manifest shape changed");
+        let meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
+        let new_row = format!("\"meta_checksum\":{meta}");
+        std::fs::write(&manifest, text.replace(&old_row, &new_row)).unwrap();
+
+        let lazy = open_sharded(&dir).unwrap();
+        let ok = lazy
+            .query_cancellable(&healthy_q, &CancelToken::new())
+            .expect("healthy shards must keep serving");
+        assert_eq!(ok.ranked()[0].name, format!("t-{}", funcs[0].0));
+        match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
+            Err(QueryError::Corrupted(e)) => {
+                let msg = e.to_string();
+                assert_eq!(e.shard, last, "error must name the shard: {msg}");
+                assert!(msg.contains("cache segment"), "{tag}: {msg}");
+                assert!(msg.contains("outside [0, 1]"), "{tag}: {msg}");
+            }
+            Ok(s) => panic!(
+                "{tag}: a query over an out-of-range verdict reported success, top GES {}",
+                s.ranked()[0].ges
+            ),
+            Err(e) => panic!("{tag}: expected Corrupted, got {e}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

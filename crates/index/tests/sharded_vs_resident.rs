@@ -236,10 +236,17 @@ proptest! {
 /// silent — at least one shard must actually be skipped, the pruned
 /// counter must say so, and every score must stay byte-identical to an
 /// engine opened with pruning disabled.
+///
+/// The refine window (twice `refine_top_k`) covers the whole corpus, so
+/// refine reads every cell of every skipped shard — cells the matrix
+/// pass left unpriced, which refine filters and bounds itself. Its work
+/// must match the full fan-out's exactly: cache counters, refined pairs
+/// and shard fan-out, after every query of a cold pass and a warm one.
 #[test]
 fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
     use esh_core::PrefilterConfig;
     let (corpus, queries) = corpus_and_queries();
+    assert!(corpus.len() <= 2 * PrefilterConfig::lsh_only().refine_top_k);
     let mut built = SimilarityEngine::new(EngineConfig {
         threads: 2,
         sketch: PrefilterConfig::lsh_only(),
@@ -255,10 +262,25 @@ fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
 
     let full = esh_index::open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
     let pruned = esh_index::open_sharded(&dir).unwrap();
-    for (i, q) in queries.iter().enumerate() {
-        let a = full.query(q);
-        let b = pruned.query(q);
-        assert_scores_identical(&a, &b, &format!("lsh-profile query {i}"));
+    let work = |e: &SimilarityEngine| {
+        let p = e.prefilter_stats();
+        let (hits, misses) = counters(e);
+        (
+            hits,
+            misses,
+            p.refined_pairs,
+            p.refine_passes,
+            e.shard_stats().fanout_total,
+        )
+    };
+    for pass in ["cold", "warm"] {
+        for (i, q) in queries.iter().enumerate() {
+            let a = full.query(q);
+            let b = pruned.query(q);
+            let what = format!("lsh-profile {pass} query {i}");
+            assert_scores_identical(&a, &b, &what);
+            assert_eq!(work(&full), work(&pruned), "{what}: work diverged");
+        }
     }
     assert_eq!(
         full.shard_stats().pruned_total,
