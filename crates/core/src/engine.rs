@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -57,7 +57,11 @@ pub struct EngineConfig {
     /// and prunes no pair by sketch, and the tier's other knobs leave the
     /// fingerprint alone.
     pub sketch: PrefilterConfig,
-    /// Worker threads (0 = use available parallelism).
+    /// Threads that price one matrix pass (0 = use available
+    /// parallelism). The calling thread prices tiles itself and spawns
+    /// at most `threads - 1` helpers, one fewer for every other query
+    /// batch already running in the same engine, so concurrent batches
+    /// share the cores instead of each claiming all of them.
     pub threads: usize,
 }
 
@@ -148,10 +152,21 @@ pub(crate) struct TargetRecord {
     pub(crate) strands: Vec<(usize, u64)>,
 }
 
+/// Where a query strand's lifted procedure comes from.
+#[derive(Debug)]
+enum StrandProc {
+    /// Lifted from the query's own assembly.
+    Lifted(Proc),
+    /// The corpus class the strand is; resolved through
+    /// [`SimilarityEngine::class_proc`] only when a cell misses the cache
+    /// or the class's probe slot is empty.
+    Class(usize),
+}
+
 /// A prepared query strand.
 #[derive(Debug)]
 struct QueryStrand {
-    proc_: Proc,
+    proc_: StrandProc,
     signature: Signature,
     sketch: Option<SemanticSketch>,
     probe: ProbeSlot,
@@ -175,6 +190,10 @@ struct PreparedStrand {
 /// matrix pass and its refine pass.
 struct BatchPass<'a> {
     items: &'a [BatchQuery<'a>],
+    /// The VCP config's fingerprint, the third part of every cache key.
+    vcp_fp: u64,
+    /// Other batches running in this engine when this one started.
+    others: usize,
     /// Prepared strands per item; `None` for items cancelled before
     /// preparation.
     queries: Vec<Option<Vec<QueryStrand>>>,
@@ -251,14 +270,34 @@ impl StrandH0 {
     }
 }
 
-/// One query in a [`SimilarityEngine::query_batch`] call: the procedure
-/// to score plus its own cancellation token. Tokens are per-item so one
-/// expired deadline abandons only its own query — the rest of the batch
-/// keeps running.
+/// What one batch item scores against the corpus.
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// A procedure, split into strands and lifted.
+    Procedure(&'a Procedure),
+    /// A corpus member, prepared from its target record: its strand
+    /// classes' stored signatures, sketches and probe slots, with no
+    /// strand extraction or lifting. Scores equal those of a
+    /// [`Query::Procedure`] naming the procedure the target was added
+    /// from, bit for bit. [`SimilarityEngine::query_batch`] panics on an
+    /// id that is not a target of the engine.
+    Target(TargetId),
+}
+
+impl<'a> From<&'a Procedure> for Query<'a> {
+    fn from(p: &'a Procedure) -> Query<'a> {
+        Query::Procedure(p)
+    }
+}
+
+/// One query in a [`SimilarityEngine::query_batch`] call: what to score
+/// plus its own cancellation token. Tokens are per-item so one expired
+/// deadline abandons only its own query — the rest of the batch keeps
+/// running.
 #[derive(Debug)]
 pub struct BatchQuery<'a> {
-    /// The procedure to score against the corpus.
-    pub proc_: &'a Procedure,
+    /// The procedure or corpus member to score against the corpus.
+    pub query: Query<'a>,
     /// Cancellation/deadline handle for this item alone.
     pub cancel: CancelToken,
 }
@@ -486,6 +525,23 @@ pub struct SimilarityEngine {
     /// `.eshx` index: class procedures and per-segment cache entries load on
     /// first use. `None` for fully resident engines.
     shards: Option<LazyShards>,
+    /// [`Self::query_batch`] calls running now; each one's matrix pass
+    /// spawns fewer helpers for every other (see
+    /// [`EngineConfig::threads`]). A scheduling hint that publishes no
+    /// data, hence `Relaxed`.
+    passes: AtomicUsize,
+    /// Query strands lifted from a procedure's assembly, engine lifetime.
+    lifted: AtomicU64,
+}
+
+/// Holds one batch in [`SimilarityEngine::passes`] and releases it on
+/// drop, also when the batch unwinds.
+struct PassGuard<'a>(&'a AtomicUsize);
+
+impl Drop for PassGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Engine-lifetime decision counters: the sum of the [`EquivStats`]
@@ -518,6 +574,8 @@ impl SimilarityEngine {
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
             shards: None,
+            passes: AtomicUsize::new(0),
+            lifted: AtomicU64::new(0),
         }
     }
 
@@ -555,6 +613,13 @@ impl SimilarityEngine {
     /// fallbacks).
     pub fn prefilter_stats(&self) -> PrefilterStatsSnapshot {
         self.prefilter_stats.snapshot()
+    }
+
+    /// Query strands lifted from procedure assembly over the engine's
+    /// lifetime. A [`Query::Target`] lifts none, so a daemon that serves
+    /// corpus members keeps this flat.
+    pub fn query_strands_lifted(&self) -> u64 {
+        self.lifted.load(Ordering::Relaxed)
     }
 
     /// Switches the sketch prefilter tier off for subsequent queries
@@ -831,12 +896,23 @@ impl SimilarityEngine {
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
             shards: Some(LazyShards::new(specs, source, summaries)),
+            passes: AtomicUsize::new(0),
+            lifted: AtomicU64::new(0),
         })
     }
 
     /// Number of targets.
     pub fn target_count(&self) -> usize {
         self.targets.len()
+    }
+
+    /// The name target `t` was added under.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is not a target of this engine.
+    pub fn target_name(&self, t: TargetId) -> &str {
+        &self.targets[t.0].name
     }
 
     /// Number of deduplicated strand classes across the corpus.
@@ -923,7 +999,10 @@ impl SimilarityEngine {
         memo: &mut HashMap<u64, PreparedStrand>,
     ) -> Vec<QueryStrand> {
         let mut by_hash: HashMap<u64, QueryStrand> = HashMap::new();
-        for strand in extract_proc_strands(proc_) {
+        let strands = extract_proc_strands(proc_);
+        self.lifted
+            .fetch_add(strands.len() as u64, Ordering::Relaxed);
+        for strand in strands {
             let lifted = lift_strand(&strand);
             let vars = lifted.vars.len();
             if vars < self.config.vcp.min_strand_vars {
@@ -948,7 +1027,7 @@ impl SimilarityEngine {
                     signature: prep.signature,
                     sketch: prep.sketch,
                     probe: prep.probe,
-                    proc_: lifted,
+                    proc_: StrandProc::Lifted(lifted),
                     vars,
                     hash: h,
                     count: 1,
@@ -962,6 +1041,42 @@ impl SimilarityEngine {
         let mut strands: Vec<QueryStrand> = by_hash.into_values().collect();
         strands.sort_by_key(|s| s.hash);
         strands
+    }
+
+    /// Target `t`'s query strands, read off its record: one per strand
+    /// class, with the class's stored signature, sketch and probe slot,
+    /// in the canonical hash order. The record lists exactly the strands
+    /// [`Self::prepare_query_memo`] keeps of the procedure the target was
+    /// added from (same `min_strand_vars` filter, same dedup key), so the
+    /// two preparations score identically; this one lifts nothing.
+    fn prepare_target(&self, t: TargetId) -> Vec<QueryStrand> {
+        let mut strands: Vec<QueryStrand> = self.targets[t.0]
+            .strands
+            .iter()
+            .map(|&(ci, count)| {
+                let c = &self.classes[ci];
+                QueryStrand {
+                    proc_: StrandProc::Class(ci),
+                    signature: c.signature.clone(),
+                    sketch: c.sketch.clone(),
+                    probe: Arc::clone(&c.probe),
+                    vars: c.vars,
+                    hash: c.hash,
+                    count,
+                }
+            })
+            .collect();
+        strands.sort_by_key(|s| s.hash);
+        strands
+    }
+
+    /// The lifted procedure behind query strand `q`, decoding its class
+    /// record when the strand names one.
+    fn strand_proc<'s>(&'s self, q: &'s QueryStrand) -> Result<ClassProcRef<'s>, ShardError> {
+        match &q.proc_ {
+            StrandProc::Lifted(p) => Ok(ClassProcRef::Resident(p)),
+            StrandProc::Class(ci) => self.class_proc(*ci),
+        }
     }
 
     /// Signature, sketch and probe slot for one query strand. When the
@@ -1053,6 +1168,10 @@ impl SimilarityEngine {
     /// prefilter rejections, cache hits) immediately steal more instead of
     /// idling behind a static split — and tiles of different batch items
     /// interleave freely. Every cell is priced by [`Self::price_cell`].
+    /// The calling thread is a worker itself; it spawns
+    /// `min(threads, tiles) − 1` helpers, less one for every other batch
+    /// running in this engine, so a lone query gets every core, batches
+    /// that overlap get about one each, and `threads == 1` spawns none.
     /// Cancellation stays per-item: a cancelled item's remaining tiles are
     /// skipped while the rest of the batch keeps computing; its partial
     /// matrix is discarded by the caller.
@@ -1112,7 +1231,10 @@ impl SimilarityEngine {
         }
         let offsets = &offsets;
         let cursor = AtomicUsize::new(0);
-        let workers = threads.max(1).min(total_tiles);
+        let helpers = threads
+            .max(1)
+            .min(total_tiles)
+            .saturating_sub(1 + batch.others);
         // The sketch rung's inputs, resolved once before the workers
         // spawn: the LSH index over corpus sketches and one candidate
         // mask per query strand of every item (mask[ci] = class ci
@@ -1183,82 +1305,65 @@ impl SimilarityEngine {
         let shard_skip = &shard_skip;
         let shard_errors_ref = &shard_errors;
         type Tile = (usize, usize, usize, Vec<VcpPair>, Vec<Rung>);
-        let tiles: Vec<Tile> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut session = self.checkout_session();
-                        let stats0 = session.stats();
-                        let mut counts = RungCounts::default();
-                        let mut out: Vec<Tile> = Vec::new();
-                        loop {
-                            let tile = cursor.fetch_add(1, Ordering::Relaxed);
-                            if tile >= total_tiles {
-                                break;
-                            }
-                            // Decode (item, strand, class-range) from the
-                            // flat tile id.
-                            let b = offsets.partition_point(|&o| o <= tile) - 1;
-                            // Poll cancellation (and the shard-failure
-                            // latch) between tiles: a timed-out, abandoned
-                            // or corruption-failed item stops issuing
-                            // verifier work within one tile's latency
-                            // while the rest of the batch keeps going.
-                            if batch.items[b].cancel.is_cancelled()
-                                || shard_errors_ref[b].get().is_some()
-                            {
-                                continue;
-                            }
-                            let local = tile - offsets[b];
-                            let qi = local / tiles_per_query;
-                            let start = (local % tiles_per_query) * Self::VCP_TILE;
-                            let end = (start + Self::VCP_TILE).min(nc);
-                            let q = &queries[b].as_ref().expect("tiles only for live items")[qi];
-                            let lsh = sketch.as_ref().and_then(|(index, masks)| {
-                                masks[b][qi].as_deref().map(|mask| (&**index, mask))
-                            });
-                            let mut row = vec![VcpPair::default(); end - start];
-                            let mut rungs = vec![Rung::Unpriced; end - start];
-                            for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end)
-                            {
-                                // Whole-shard prune: provably equivalent to
-                                // the per-cell sketch prune, decided without
-                                // touching the class.
-                                if let Some((class_shard, skip)) = shard_skip {
-                                    if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
-                                        continue;
-                                    }
-                                }
-                                let priced = self.price_cell(
-                                    batch,
-                                    lsh,
-                                    &mut session,
-                                    &mut counts,
-                                    b,
-                                    q,
-                                    ci,
-                                );
-                                match priced {
-                                    Ok((r, v)) => (*rung, *cell) = (r, v),
-                                    Err(e) => {
-                                        let _ = shard_errors_ref[b].set(e);
-                                    }
-                                }
-                            }
-                            out.push((b, qi, start, row, rungs));
+        let work = || -> Vec<Tile> {
+            let mut session = self.checkout_session();
+            let stats0 = session.stats();
+            let mut counts = RungCounts::default();
+            let mut out: Vec<Tile> = Vec::new();
+            loop {
+                let tile = cursor.fetch_add(1, Ordering::Relaxed);
+                if tile >= total_tiles {
+                    break;
+                }
+                // Decode (item, strand, class-range) from the flat tile id.
+                let b = offsets.partition_point(|&o| o <= tile) - 1;
+                // Poll cancellation (and the shard-failure latch) between
+                // tiles: a timed-out, abandoned or corruption-failed item
+                // stops issuing verifier work within one tile's latency
+                // while the rest of the batch keeps going.
+                if batch.items[b].cancel.is_cancelled() || shard_errors_ref[b].get().is_some() {
+                    continue;
+                }
+                let local = tile - offsets[b];
+                let qi = local / tiles_per_query;
+                let start = (local % tiles_per_query) * Self::VCP_TILE;
+                let end = (start + Self::VCP_TILE).min(nc);
+                let q = &queries[b].as_ref().expect("tiles only for live items")[qi];
+                let lsh = sketch.as_ref().and_then(|(index, masks)| {
+                    masks[b][qi].as_deref().map(|mask| (&**index, mask))
+                });
+                let mut row = vec![VcpPair::default(); end - start];
+                let mut rungs = vec![Rung::Unpriced; end - start];
+                for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end) {
+                    // Whole-shard prune: provably equivalent to the
+                    // per-cell sketch prune, decided without touching the
+                    // class.
+                    if let Some((class_shard, skip)) = shard_skip {
+                        if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
+                            continue;
                         }
-                        self.prefilter_stats.add_rungs(&counts);
-                        self.solver.add(&session.stats().delta_since(&stats0));
-                        self.return_session(session);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
+                    }
+                    match self.price_cell(batch, lsh, &mut session, &mut counts, b, q, ci) {
+                        Ok((r, v)) => (*rung, *cell) = (r, v),
+                        Err(e) => {
+                            let _ = shard_errors_ref[b].set(e);
+                        }
+                    }
+                }
+                out.push((b, qi, start, row, rungs));
+            }
+            self.prefilter_stats.add_rungs(&counts);
+            self.solver.add(&session.stats().delta_since(&stats0));
+            self.return_session(session);
+            out
+        };
+        let tiles: Vec<Tile> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+            let mut tiles = work();
+            for h in handles {
+                tiles.extend(h.join().expect("worker panicked"));
+            }
+            tiles
         });
         for (b, qi, start, row, rungs) in tiles {
             let end = start + row.len();
@@ -1295,10 +1400,10 @@ impl SimilarityEngine {
             }
         }
         self.open_cell(ci, item, &batch.touched)?;
-        let key = (q.hash, class.hash, self.config.vcp.fingerprint());
+        let key = (q.hash, class.hash, batch.vcp_fp);
         let v = match self.cache.get(&key) {
             Some(v) => v,
-            None => self.verify_cell(session, &q.proc_, ci, key)?,
+            None => self.verify_cell(session, q, ci, key)?,
         };
         Ok((Rung::Exact, v))
     }
@@ -1389,7 +1494,7 @@ impl SimilarityEngine {
         class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
     ) -> Result<(f64, f64), ShardError> {
         let stats = &self.prefilter_stats;
-        let pq = probe_sketch(&q.probe, cfg, stats, || Ok(&q.proc_))?;
+        let pq = probe_sketch(&q.probe, cfg, stats, || self.strand_proc(q))?;
         let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, class_proc)?;
         Ok(pq.containment_both(pt))
     }
@@ -1406,17 +1511,19 @@ impl SimilarityEngine {
         Ok(())
     }
 
-    /// Prices one cache-missed cell exactly: decodes class `ci`, runs the
-    /// verifier against `q` and memoizes the verdict under `key`.
+    /// Prices one cache-missed cell exactly: decodes class `ci` (and the
+    /// query strand's own class, when it names one), runs the verifier
+    /// and memoizes the verdict under `key`.
     fn verify_cell(
         &self,
         session: &mut VerifierSession,
-        q: &Proc,
+        q: &QueryStrand,
         ci: usize,
         key: VcpKey,
     ) -> Result<VcpPair, ShardError> {
+        let query = self.strand_proc(q)?;
         let class = self.class_proc(ci)?;
-        let v = vcp_pair(session, q, &class, &self.config.vcp);
+        let v = vcp_pair(session, &query, &class, &self.config.vcp);
         self.cache.insert(key, v);
         Ok(v)
     }
@@ -1447,7 +1554,7 @@ impl SimilarityEngine {
         cancel: &CancelToken,
     ) -> Result<QueryScores, QueryError> {
         self.query_batch(&[BatchQuery {
-            proc_,
+            query: Query::Procedure(proc_),
             cancel: cancel.clone(),
         }])
         .pop()
@@ -1477,14 +1584,20 @@ impl SimilarityEngine {
     /// without disturbing its neighbours (queries that avoid the bad
     /// shard keep serving).
     pub fn query_batch(&self, items: &[BatchQuery<'_>]) -> Vec<Result<QueryScores, QueryError>> {
+        let others = self.passes.fetch_add(1, Ordering::Relaxed);
+        let _pass = PassGuard(&self.passes);
         let mut prep_memo: HashMap<u64, PreparedStrand> = HashMap::new();
         let batch = BatchPass {
             items,
+            others,
+            vcp_fp: self.config.vcp.fingerprint(),
             queries: items
                 .iter()
                 .map(|it| {
-                    (!it.cancel.is_cancelled())
-                        .then(|| self.prepare_query_memo(it.proc_, &mut prep_memo))
+                    (!it.cancel.is_cancelled()).then(|| match it.query {
+                        Query::Procedure(p) => self.prepare_query_memo(p, &mut prep_memo),
+                        Query::Target(t) => self.prepare_target(t),
+                    })
                 })
                 .collect(),
             touched: ShardTouch::new(
@@ -1687,7 +1800,6 @@ impl SimilarityEngine {
             return Ok(());
         }
         let cancel = &batch.items[item].cancel;
-        let vcp_fp = self.config.vcp.fingerprint();
         let mut refined_targets = vec![false; self.targets.len()];
         let mut refined_pairs = 0u64;
         // Per-target scratch, reset after each target: exact maxima per
@@ -1754,7 +1866,7 @@ impl SimilarityEngine {
                             // segment of every class it peeks, and counts
                             // toward this item's fan-out.
                             self.open_cell(ci, item, &batch.touched)?;
-                            let key = (q.hash, class.hash, vcp_fp);
+                            let key = (q.hash, class.hash, batch.vcp_fp);
                             // `peek`, not `get`: this scan separates known
                             // from pruned cells and must not distort the
                             // miss counter the benches report as verifier
@@ -1798,7 +1910,7 @@ impl SimilarityEngine {
                             return Err(QueryError::Cancelled);
                         }
                         let q = &query[qi];
-                        let key = (q.hash, self.classes[ci].hash, vcp_fp);
+                        let key = (q.hash, self.classes[ci].hash, batch.vcp_fp);
                         // `peek` again (see above): refine's lookups are
                         // state-dependent (a warm repeat verifies nothing),
                         // so counting them would make the hit/miss totals
@@ -1809,7 +1921,7 @@ impl SimilarityEngine {
                         let v = match self.cache.peek(&key) {
                             Some(v) => v,
                             None => {
-                                let v = self.verify_cell(session, &q.proc_, ci, key)?;
+                                let v = self.verify_cell(session, q, ci, key)?;
                                 refined_pairs += 1;
                                 v
                             }
@@ -1834,12 +1946,12 @@ impl SimilarityEngine {
         outcome
     }
 
-    /// Overrides the worker-thread count for subsequent queries. Threads
-    /// only change scheduling, never scores (the VCP matrix is a pure
-    /// function per cell), so this is safe to adjust after opening an
-    /// index — a daemon running N concurrent queries over one shared
-    /// engine caps each query's parallelism this way instead of letting
-    /// every request claim the whole machine.
+    /// Overrides [`EngineConfig::threads`] for subsequent queries: at
+    /// most this many threads price one matrix pass, the caller
+    /// included. Threads only change scheduling, never scores (the VCP
+    /// matrix is a pure function per cell), so this is safe to adjust
+    /// after opening an index. Concurrent batches need no cap of their
+    /// own: each spawns fewer helpers while others run.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
     }
@@ -2255,5 +2367,78 @@ mod tests {
             assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
             assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
         }
+    }
+
+    /// A shard source whose every shard fails to open.
+    #[derive(Debug)]
+    struct Unreadable;
+
+    impl ShardSource for Unreadable {
+        fn open_shard(&self, _: usize) -> Result<Box<dyn crate::ShardRecords>, String> {
+            Err("unreadable".into())
+        }
+    }
+
+    #[test]
+    fn pass_count_returns_to_zero_after_cancelled_and_corrupted_items() {
+        let f = demo::heartbleed_like();
+        let mut engine = SimilarityEngine::new(quick_config());
+        engine.add_target("tp", &clang().compile_function(&f));
+        engine.add_target("fp", &clang().compile_function(&demo::venom_like()));
+        let q = gcc().compile_function(&f);
+        let dead = CancelToken::new();
+        dead.cancel();
+        let items = [
+            BatchQuery {
+                query: Query::Procedure(&q),
+                cancel: dead.clone(),
+            },
+            BatchQuery {
+                query: Query::Target(TargetId(1)),
+                cancel: CancelToken::new(),
+            },
+        ];
+        let results = engine.query_batch(&items);
+        assert!(matches!(results[0], Err(QueryError::Cancelled)));
+        assert!(results[1].is_ok());
+        assert_eq!(engine.passes.load(Ordering::Relaxed), 0);
+        assert!(engine.query_cancellable(&q, &dead).is_err());
+        assert_eq!(engine.passes.load(Ordering::Relaxed), 0);
+
+        // The same corpus over a source that cannot open its one shard.
+        let export = engine.export_corpus().unwrap();
+        let classes = export
+            .classes
+            .into_iter()
+            .map(|c| LazyClassMeta {
+                name: c.name,
+                signature: c.signature,
+                vars: c.vars,
+                hash: c.hash,
+                sketch: c.sketch,
+            })
+            .collect::<Vec<_>>();
+        let spec = ShardSpec {
+            class_start: 0,
+            class_end: classes.len(),
+            target_start: 0,
+            target_end: export.targets.len(),
+        };
+        let lazy = SimilarityEngine::from_lazy_parts(
+            export.config,
+            classes,
+            export.targets,
+            vec![spec],
+            Box::new(Unreadable),
+            false,
+        )
+        .unwrap();
+        let item = BatchQuery {
+            query: Query::Target(TargetId(0)),
+            cancel: CancelToken::new(),
+        };
+        let result = lazy.query_batch(&[item]).pop().unwrap();
+        assert!(matches!(result, Err(QueryError::Corrupted(_))));
+        assert_eq!(lazy.passes.load(Ordering::Relaxed), 0);
     }
 }

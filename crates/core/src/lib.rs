@@ -71,8 +71,8 @@ mod vcp;
 
 pub use cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 pub use engine::{
-    BatchQuery, CancelToken, EngineConfig, QueryError, QueryScores, SimilarityEngine, TargetId,
-    TargetScore,
+    BatchQuery, CancelToken, EngineConfig, Query, QueryError, QueryScores, SimilarityEngine,
+    TargetId, TargetScore,
 };
 pub use esh_solver::{EquivStats, SolverPerf};
 pub use prefilter::{

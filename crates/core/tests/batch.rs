@@ -10,7 +10,9 @@
 
 use esh_asm::Procedure;
 use esh_cc::{Compiler, Vendor, VendorVersion};
-use esh_core::{BatchQuery, CancelToken, EngineConfig, QueryScores, SimilarityEngine};
+use esh_core::{
+    BatchQuery, CancelToken, EngineConfig, Query, QueryScores, SimilarityEngine, TargetId,
+};
 use esh_minic::demo;
 use proptest::prelude::*;
 
@@ -86,7 +88,7 @@ fn batch_results_match_sequential_queries_bitwise() {
         .iter()
         .chain(queries.iter().take(2)) // repeat two queries in-batch
         .map(|proc_| BatchQuery {
-            proc_,
+            query: proc_.into(),
             cancel: CancelToken::new(),
         })
         .collect();
@@ -105,7 +107,7 @@ fn batch_results_are_cache_state_independent() {
     let cold_items: Vec<BatchQuery> = queries
         .iter()
         .map(|proc_| BatchQuery {
-            proc_,
+            query: proc_.into(),
             cancel: CancelToken::new(),
         })
         .collect();
@@ -120,7 +122,7 @@ fn batch_results_are_cache_state_independent() {
         .iter()
         .rev()
         .map(|proc_| BatchQuery {
-            proc_,
+            query: proc_.into(),
             cancel: CancelToken::new(),
         })
         .collect();
@@ -144,19 +146,19 @@ fn cancelled_items_fail_alone_and_leave_neighbours_identical() {
     let expired = CancelToken::with_deadline(std::time::Instant::now());
     let items = vec![
         BatchQuery {
-            proc_: &queries[0],
+            query: Query::Procedure(&queries[0]),
             cancel: CancelToken::new(),
         },
         BatchQuery {
-            proc_: &queries[1],
+            query: Query::Procedure(&queries[1]),
             cancel: dead,
         },
         BatchQuery {
-            proc_: &queries[2],
+            query: Query::Procedure(&queries[2]),
             cancel: expired,
         },
         BatchQuery {
-            proc_: &queries[3],
+            query: Query::Procedure(&queries[3]),
             cancel: CancelToken::new(),
         },
     ];
@@ -195,7 +197,7 @@ fn batch_cache_counters_equal_the_sum_of_per_item_lookups() {
     let items: Vec<BatchQuery> = queries
         .iter()
         .map(|proc_| BatchQuery {
-            proc_,
+            query: proc_.into(),
             cancel: CancelToken::new(),
         })
         .collect();
@@ -227,27 +229,39 @@ proptest! {
     /// The serve byte-identity contract, extended to batched execution:
     /// whatever subset of queries lands in one batch, in whatever order
     /// and multiplicity, every response is bit-identical to a sequential
-    /// `query` of the same procedure on a fresh engine.
+    /// `query` of the same procedure on a fresh engine. Items mix the two
+    /// kinds: foreign procedures, corpus members named by procedure and
+    /// the same members named by [`TargetId`]; every batch also carries
+    /// one member in both forms.
     #[test]
     fn any_batch_composition_matches_sequential_bitwise(
-        picks in prop::collection::vec(0usize..4, 1..6)
+        picks in prop::collection::vec((0usize..3, 0usize..4), 1..6),
+        both in 0usize..4,
     ) {
         let (corpus, queries) = corpus_and_queries();
         let sequential = engine_over(&corpus);
-        let expected: Vec<QueryScores> =
-            queries.iter().map(|q| sequential.query(q)).collect();
         let batched = engine_over(&corpus);
-        let items: Vec<BatchQuery> = picks
+        // (what to batch, the procedure a sequential query scores).
+        let member = |t: usize| (Query::Target(TargetId(t)), &corpus[t].1);
+        let picked = picks.iter().map(|&(kind, i)| match kind {
+            0 => (Query::Procedure(&queries[i]), &queries[i]),
+            1 => member(i),
+            _ => (Query::Procedure(&corpus[i].1), &corpus[i].1),
+        });
+        let both = [member(both), (Query::Procedure(&corpus[both].1), &corpus[both].1)];
+        let items: Vec<(Query, &Procedure)> = picked.chain(both).collect();
+        let batch: Vec<BatchQuery> = items
             .iter()
-            .map(|&i| BatchQuery {
-                proc_: &queries[i],
+            .map(|&(query, _)| BatchQuery {
+                query,
                 cancel: CancelToken::new(),
             })
             .collect();
-        let results = batched.query_batch(&items);
-        for (slot, &i) in picks.iter().enumerate() {
-            let scores = results[slot].as_ref().expect("live token");
-            assert_scores_identical(scores, &expected[i], &format!("pick {slot}→{i}"));
+        let results = batched.query_batch(&batch);
+        for (slot, (result, (query, proc_))) in results.iter().zip(&items).enumerate() {
+            let scores = result.as_ref().expect("live token");
+            let expected = sequential.query(proc_);
+            assert_scores_identical(scores, &expected, &format!("item {slot}: {query:?}"));
         }
     }
 }

@@ -53,7 +53,7 @@ fn run(engine: &SimilarityEngine) -> (PrefilterStatsSnapshot, CacheStats, EquivS
         .iter()
         .chain(&queries[..1])
         .map(|proc_| BatchQuery {
-            proc_,
+            query: proc_.into(),
             cancel: CancelToken::new(),
         })
         .collect();

@@ -10,8 +10,9 @@
 //!    16× the phase-1 concurrency, run once with coalescing disabled
 //!    (`batch_max = 1`) and once batched, on identically warmed servers.
 //!    Every batched response must stay byte-identical to the offline
-//!    baseline, no run may compute a probe sketch after its warm-up
-//!    (the hot path stays free of concrete evaluation), every batched
+//!    baseline, no run may compute a probe sketch or lift a query
+//!    strand after its warm-up (the hot path stays free of concrete
+//!    evaluation and of strand extraction), every batched
 //!    run must coalesce at least one request (the daemon holds no
 //!    timed window, so coalescing rests on queueing alone), and in full
 //!    mode the batched 16× run must deliver ≥ 2× the unbatched
@@ -29,8 +30,8 @@
 //! nearest rank. Results land in `BENCH_serve.json` in the working
 //! directory.
 //! `--smoke` shrinks the client counts for CI but keeps a short
-//! sustained phase (batching enabled) so the byte-identity and
-//! probe-sketch gates cover batched execution on every CI run.
+//! sustained phase (batching enabled) so the byte-identity, probe-sketch
+//! and lifted-strand gates cover batched execution on every CI run.
 
 use std::time::{Duration, Instant};
 
@@ -46,12 +47,11 @@ use crate::server::{ServeConfig, Server};
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Builds the engine the daemon serves — one target per corpus
-/// procedure, in corpus order (the contract [`Server::start`] checks).
-fn engine_over(corpus: &Corpus, threads: usize) -> SimilarityEngine {
-    let mut engine = SimilarityEngine::new(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    });
+/// procedure, in corpus order, named by display name (the mirror
+/// [`Server::start`] checks) — with the shipped configuration, so its
+/// matrix passes share the cores the way `esh serve`'s do.
+fn engine_over(corpus: &Corpus) -> SimilarityEngine {
+    let mut engine = SimilarityEngine::new(EngineConfig::default());
     for p in &corpus.procs {
         engine.add_target(p.display(), &p.proc_);
     }
@@ -113,12 +113,20 @@ fn metric(text: &str, name: &str) -> Option<f64> {
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
 }
 
-/// The daemon's probe-sketch counter, scraped from `/metrics`.
-fn probe_sketches(addr: &str) -> Result<f64, String> {
+/// Counters a warmed daemon must hold still: serving never computes a
+/// probe sketch (every probed class keeps its own) and never lifts a
+/// query strand (corpus members are scored from their target records).
+const STILL_AFTER_WARMUP: [&str; 2] = [
+    "esh_prefilter_probe_sketches_total",
+    "esh_query_strands_lifted_total",
+];
+
+/// The daemon's [`STILL_AFTER_WARMUP`] counters, scraped from `/metrics`.
+fn still_counters(addr: &str) -> Result<[f64; 2], String> {
     let (_, body) =
         http_get(addr, "/metrics", CLIENT_TIMEOUT).map_err(|e| format!("metrics probe: {e}"))?;
-    metric(&body, "esh_prefilter_probe_sketches_total")
-        .ok_or_else(|| "/metrics has no probe-sketch counter".into())
+    let get = |name: &str| metric(&body, name).ok_or_else(|| format!("/metrics has no {name}"));
+    Ok([get(STILL_AFTER_WARMUP[0])?, get(STILL_AFTER_WARMUP[1])?])
 }
 
 /// One sustained-load run: fixed client count, fixed batching mode.
@@ -168,7 +176,7 @@ impl Sustained {
 /// warmed with one pass over the query set first, so batched and
 /// unbatched runs compare steady-state serving rather than first-touch
 /// verifier cost — and the run fails if it computes a single probe
-/// sketch after that pass.
+/// sketch or lifts a single query strand after that pass.
 #[allow(clippy::too_many_arguments)]
 fn sustained_phase(
     corpus: &Corpus,
@@ -189,7 +197,7 @@ fn sustained_phase(
         deadline_ms: Some(600_000),
     };
     let server = Server::start(
-        engine_over(corpus, 1),
+        engine_over(corpus),
         corpus.clone(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -216,7 +224,7 @@ fn sustained_phase(
         }
     }
     drop(warm);
-    let warm_sketches = probe_sketches(&addr)?;
+    let warm_counters = still_counters(&addr)?;
 
     let per_client = reps * queries.len();
     let t0 = Instant::now();
@@ -279,11 +287,14 @@ fn sustained_phase(
     })?;
     let elapsed = t0.elapsed();
     let requests = clients * per_client;
-    let sketched = probe_sketches(&addr)? - warm_sketches;
-    if sketched > 0.0 {
-        return Err(format!(
-            "sustained {label} computed {sketched} probe sketches after warm-up"
-        ));
+    let after = still_counters(&addr)?;
+    for ((name, before), after) in STILL_AFTER_WARMUP.iter().zip(warm_counters).zip(after) {
+        if after > before {
+            return Err(format!(
+                "sustained {label}: {name} rose by {} after warm-up",
+                after - before
+            ));
+        }
     }
 
     let ack = remote_query(&addr, &QueryRequest::new("@shutdown"), CLIENT_TIMEOUT)
@@ -339,7 +350,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
 
     // Offline baseline: the rankings `esh query` would print.
     eprintln!("bench-serve: computing offline baselines...");
-    let offline = engine_over(&corpus, 0);
+    let offline = engine_over(&corpus);
     let baselines: Vec<Vec<RankedMatch>> = queries
         .iter()
         .map(|q| {
@@ -359,7 +370,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         queries.len()
     );
     let server = Server::start(
-        engine_over(&corpus, 1),
+        engine_over(&corpus),
         corpus.clone(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -525,7 +536,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     // request must be rejected as Overloaded.
     eprintln!("bench-serve: overload phase...");
     let server = Server::start(
-        engine_over(&corpus, 1),
+        engine_over(&corpus),
         corpus.clone(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -571,7 +582,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     // Phase 4: deadlines. A zero-budget request expires in the queue.
     eprintln!("bench-serve: deadline phase...");
     let server = Server::start(
-        engine_over(&corpus, 1),
+        engine_over(&corpus),
         corpus.clone(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),

@@ -2,10 +2,13 @@
 
 //! # esh-serve — the serving layer
 //!
-//! A long-running query daemon over the similarity engine: load a corpus
-//! and the engine over it — built in memory or opened from a sharded
-//! `.eshx` index — once, then answer many queries
-//! concurrently behind a *bounded* admission queue. The paper frames Esh
+//! A long-running query daemon over the similarity engine: load the
+//! engine — built in memory or opened from a sharded `.eshx` index —
+//! once, check it against the corpus it was built from, then answer
+//! many queries concurrently behind a *bounded* admission queue. A
+//! query names a corpus member, which the engine scores from its
+//! target record, so serving keeps no corpus procedure and lifts no
+//! strand. The paper frames Esh
 //! as a search engine over binaries (§1); this crate supplies the
 //! missing operational half — admission control, per-request deadlines,
 //! live metrics and graceful drain — using only `std::net`, because the
@@ -33,7 +36,8 @@
 //! use esh_serve::protocol::{remote_query, QueryRequest};
 //! use esh_serve::server::{ServeConfig, Server};
 //!
-//! // A tiny corpus and its engine, targets in corpus order.
+//! // A tiny corpus and its engine: targets in corpus order, named by
+//! // display name (the mirror `Server::start` checks).
 //! let corpus = Corpus::build(&CorpusConfig {
 //!     distractors: 0,
 //!     template_family: 0,
@@ -42,7 +46,7 @@
 //!     toolchains: vec![esh_cc::Toolchain::paper_matrix()[2]],
 //!     ..CorpusConfig::default()
 //! });
-//! let mut engine = SimilarityEngine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+//! let mut engine = SimilarityEngine::new(EngineConfig::default());
 //! for p in &corpus.procs {
 //!     engine.add_target(p.display(), &p.proc_);
 //! }
@@ -69,4 +73,4 @@ pub use protocol::{
     decode_line, encode_line, http_get, ranked_matches, remote_query, Outcome, PipelinedClient,
     QueryRequest, QueryResponse, RankedMatch,
 };
-pub use server::{ServeConfig, Server};
+pub use server::{check_mirror, ServeConfig, Server};

@@ -164,14 +164,16 @@ impl ServerStats {
 
     /// Renders the Prometheus-style `/metrics` payload, folding in the
     /// engine's VCP-cache, equivalence-decision, SAT-solver,
-    /// sketch-prefilter and lazy-shard counters so one scrape shows the
-    /// whole serving stack.
+    /// sketch-prefilter and lazy-shard counters and its count of lifted
+    /// query strands, so one scrape shows the whole serving stack.
+    #[allow(clippy::too_many_arguments)]
     pub fn render(
         &self,
         cache: &CacheStats,
         equiv: &EquivStats,
         prefilter: &PrefilterStatsSnapshot,
         shards: &ShardStats,
+        query_strands_lifted: u64,
         queue_depth: usize,
         pending_depth: usize,
     ) -> String {
@@ -319,6 +321,11 @@ impl ServerStats {
             shards.classes_decoded_total
         ));
         out.push_str(&format!("esh_shards_partial {}\n", shards.shards_partial));
+        // Strands lifted from query assembly: a daemon scores corpus
+        // members from their target records, so this stays flat.
+        out.push_str(&format!(
+            "esh_query_strands_lifted_total {query_strands_lifted}\n"
+        ));
         out
     }
 }
@@ -466,6 +473,7 @@ mod tests {
             &ShardStats::default(),
             0,
             0,
+            0,
         );
         assert!(text.contains("esh_request_latency_ms_bucket{le=\"3\"} 1\n"));
         assert!(text.contains("esh_request_latency_ms_bucket{le=\"5\"} 1\n"));
@@ -495,9 +503,11 @@ mod tests {
                 refine_passes: 2,
             },
             &ShardStats::default(),
+            19,
             0,
             0,
         );
+        assert!(text.contains("esh_query_strands_lifted_total 19\n"));
         assert!(text.contains("esh_prefilter_pairs_pruned_total 41\n"));
         assert!(text.contains("esh_prefilter_sketch_collisions_total 7\n"));
         assert!(text.contains("esh_prefilter_exact_fallbacks_total 3\n"));
@@ -529,6 +539,7 @@ mod tests {
             &equiv,
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
+            0,
             0,
             0,
         );
@@ -569,6 +580,7 @@ mod tests {
             &EquivStats::default(),
             &PrefilterStatsSnapshot::default(),
             &shards,
+            0,
             0,
             0,
         );
@@ -625,6 +637,7 @@ mod tests {
             &EquivStats::default(),
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
+            0,
             0,
             3,
         );

@@ -23,11 +23,13 @@
 //! [`ServeConfig::batch_max`] requests) and submits one
 //! [`SimilarityEngine::query_batch`] call at once, without waiting for
 //! more. Coalescing therefore comes only from work that queued while
-//! every executor was busy. Requests naming the same
-//! corpus procedure collapse into a single engine item (their responses
-//! are built from the one shared score set, which batching keeps
-//! byte-identical to a sequential query), and distinct queries share the
-//! batch's strand preparation and verifier session (and the engine's
+//! every executor was busy. Each request names a
+//! corpus member, which the engine scores from its target record
+//! ([`Query::Target`]: no strand is extracted or lifted per request).
+//! Requests naming the same member collapse into a single engine item
+//! (their responses are built from the one shared score set, which
+//! batching keeps byte-identical to a sequential query), and distinct
+//! queries share the batch's verifier session (and the engine's
 //! per-class probe sketches, which outlive every batch).
 //!
 //! Deadlines are measured from *admission*, so queue wait counts against
@@ -55,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use esh_core::{BatchQuery, CancelToken, QueryError, SimilarityEngine, TargetId};
+use esh_core::{BatchQuery, CancelToken, Query, QueryError, SimilarityEngine, TargetId};
 use esh_corpus::Corpus;
 
 use crate::metrics::{ServerStats, StatsSnapshot};
@@ -208,7 +210,7 @@ impl ConnWriter {
 struct Pending {
     conn: Arc<ConnWriter>,
     seq: u64,
-    /// Resolved corpus index (also the self-filter exclusion).
+    /// Resolved target index (also the self-filter exclusion).
     qi: usize,
     top_n: usize,
     admitted: Instant,
@@ -219,11 +221,9 @@ struct Pending {
 /// State shared by the acceptor, readers, executors and the [`Server`]
 /// handle.
 struct Shared {
+    /// The engine, whose target names requests resolve against and
+    /// responses echo.
     engine: SimilarityEngine,
-    corpus: Corpus,
-    /// Every corpus procedure's display name, formatted once: requests
-    /// resolve against these, and responses echo them.
-    names: Vec<String>,
     config: ServeConfig,
     stats: ServerStats,
     queue: Mutex<VecDeque<Job>>,
@@ -262,6 +262,32 @@ impl Shared {
     }
 }
 
+/// Checks that `corpus` is the corpus `engine`'s targets were built
+/// from, in order: as many procedures as targets, and each procedure's
+/// display name equal to its target's name. A mismatch is an
+/// [`std::io::ErrorKind::InvalidInput`] error naming the first
+/// disagreement, since queries resolved against one and scored against
+/// the other would silently answer for the wrong procedure.
+pub fn check_mirror(engine: &SimilarityEngine, corpus: &Corpus) -> std::io::Result<()> {
+    let invalid = |msg: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+    if engine.target_count() != corpus.procs.len() {
+        return invalid(format!(
+            "the engine has {} targets but the corpus has {} procedures",
+            engine.target_count(),
+            corpus.procs.len()
+        ));
+    }
+    for (t, p) in corpus.procs.iter().enumerate() {
+        let (target, name) = (engine.target_name(TargetId(t)), p.display());
+        if target != name {
+            return invalid(format!(
+                "target {t} is `{target}` but corpus procedure {t} is `{name}`"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// A running daemon. Dropping the handle without calling
 /// [`Server::shutdown`] or [`Server::join`] leaves the threads serving —
 /// always drain explicitly.
@@ -276,19 +302,24 @@ impl Server {
     /// Binds `config.addr` and starts serving `engine` over `corpus`.
     ///
     /// The corpus must be the one the engine's targets were built from,
-    /// in order — query substrings resolve against corpus display names,
-    /// and the matching corpus index is excluded from that query's
-    /// results (the offline CLI's self-filter).
+    /// in order ([`check_mirror`]); the daemon keeps none of it. Query
+    /// substrings resolve against the engine's target names, a match is
+    /// scored from its target record, and the matched target is
+    /// excluded from that query's results (the offline CLI's
+    /// self-filter).
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`] when the corpus does not
+    /// mirror the engine's targets; otherwise whatever binding fails
+    /// with (an unparseable address is `InvalidInput` too, so callers
+    /// that must tell the two apart run [`check_mirror`] first).
     pub fn start(
         engine: SimilarityEngine,
         corpus: Corpus,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
-        assert_eq!(
-            engine.target_count(),
-            corpus.procs.len(),
-            "engine targets must mirror the corpus, in order"
-        );
+        check_mirror(&engine, &corpus)?;
         if let Some(mb) = config.shard_budget_mb {
             engine.set_shard_budget(mb.saturating_mul(1024 * 1024));
         }
@@ -296,11 +327,8 @@ impl Server {
         let addr = listener.local_addr()?;
         let readers = config.workers.max(1);
         let executors = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let names = corpus.procs.iter().map(|p| p.display()).collect();
         let shared = Arc::new(Shared {
             engine,
-            corpus,
-            names,
             config,
             stats: ServerStats::new(),
             queue: Mutex::new(VecDeque::new()),
@@ -533,10 +561,9 @@ fn process_request(shared: &Shared, conn: &Arc<ConnWriter>, line: &str, admitted
         respond_now(shared, conn, seq, admitted, response);
         return false;
     }
-    let Some(qi) = shared
-        .names
-        .iter()
-        .position(|name| name.contains(&request.query))
+    let engine = &shared.engine;
+    let Some(qi) = (0..engine.target_count())
+        .position(|t| engine.target_name(TargetId(t)).contains(&request.query))
     else {
         let response = QueryResponse::status(
             Outcome::NotFound,
@@ -628,7 +655,7 @@ fn take_batch<T>(pending: &mut VecDeque<T>, batch_max: usize) -> Vec<T> {
     pending.drain(..n).collect()
 }
 
-/// Collapses batch members naming the same corpus procedure (`qi`) into
+/// Collapses batch members naming the same target (`qi`) into
 /// one group, groups in first-seen order, members in queue order.
 fn group_by_proc<T>(members: Vec<T>, qi: impl Fn(&T) -> usize) -> Vec<(usize, Vec<T>)> {
     let mut groups: Vec<(usize, Vec<T>)> = Vec::new();
@@ -643,7 +670,7 @@ fn group_by_proc<T>(members: Vec<T>, qi: impl Fn(&T) -> usize) -> Vec<(usize, Ve
 }
 
 /// Runs one coalesced batch: expires dead requests, collapses members
-/// naming the same corpus procedure into a single engine item, submits
+/// naming the same target into a single engine item, submits
 /// one [`SimilarityEngine::query_batch`] pass, and fans the shared
 /// scores back out to every member.
 fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
@@ -680,7 +707,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                 .max()
                 .expect("groups are non-empty");
             BatchQuery {
-                proc_: &shared.corpus.procs[*qi].proc_,
+                query: Query::Target(TargetId(*qi)),
                 cancel: CancelToken::with_deadline(deadline),
             }
         })
@@ -693,7 +720,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                     let response = QueryResponse {
                         outcome: Outcome::Ok,
                         error: None,
-                        query: Some(shared.names[qi].clone()),
+                        query: Some(shared.engine.target_name(TargetId(qi)).to_string()),
                         matches: ranked_matches(&scores, Some(TargetId(qi)), p.top_n),
                         queue_ms: 0,
                         latency_ms: 0,
@@ -754,6 +781,7 @@ fn render_metrics(shared: &Shared) -> String {
         &shared.engine.equiv_stats(),
         &shared.engine.prefilter_stats(),
         &shared.engine.shard_stats(),
+        shared.engine.query_strands_lifted(),
         queue_depth,
         pending_depth,
     )

@@ -10,8 +10,8 @@
 //!           [top_n] [--json] [--no-prefilter]
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
 //! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
-//!           [--queue N] [--deadline-ms N] [--threads N]
-//!           [--batch-max N] [--shard-budget-mb N]
+//!           [--queue N] [--deadline-ms N] [--batch-max N]
+//!           [--shard-budget-mb N]
 //! esh bench-serve [--smoke]
 //! esh bench-rankquality
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
@@ -21,16 +21,19 @@
 //!
 //! `index build` persists the engine's derived corpus state (strand
 //! classes, signatures, hashes, lifted procedures) as a sharded binary
-//! `.eshx` index (format v8); `query --index` opens it — skipping
-//! decomposition/lifting of every target — runs the query and reports
-//! VCP-cache statistics. Indexes are immutable once written: a warm
-//! cache belongs to a long-running `serve`.
+//! `.eshx` index (format v8); `query --index` opens it, checks that the
+//! corpus names the index's targets in order, and scores the matching
+//! member from its target record — no target or query strand is
+//! decomposed or lifted — then reports VCP-cache statistics. Indexes
+//! are immutable once written: a warm cache belongs to a long-running
+//! `serve`.
 //!
 //! `serve` turns the same engine into a long-running daemon: index
 //! opened once, queries answered concurrently over pipelined
 //! newline-delimited JSON with bounded admission, per-request deadlines,
 //! one batch executor per core coalescing whatever queued while every
-//! executor was busy (up to `--batch-max`), and `/metrics`.
+//! executor was busy (up to `--batch-max`), and `/metrics`. A lone
+//! query's matrix pass uses every core; passes that overlap share them.
 //! `query --remote` is the matching client; `--json` prints the shared
 //! machine-readable response schema from either path. `bench-serve`
 //! load-tests the daemon over loopback and writes `BENCH_serve.json`;
@@ -69,8 +72,8 @@ fn usage() -> ExitCode {
          \x20         [top_n] [--json] [--no-prefilter]\n  \
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
          esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
-         \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
-         \x20         [--batch-max N] [--shard-budget-mb N]\n  \
+         \x20         [--queue N] [--deadline-ms N] [--batch-max N]\n  \
+         \x20         [--shard-budget-mb N]\n  \
          esh bench-serve [--smoke]\n  \
          esh bench-rankquality\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
@@ -371,12 +374,22 @@ fn query_index(
         find_proc(&corpus, needle).ok_or_else(|| format!("no procedure matching `{needle}`"))?;
     eprintln!("query: {}", corpus.procs[qi].display());
     let mut engine = esh::index::open_sharded(index_path).map_err(|e| e.to_string())?;
+    esh::serve::check_mirror(&engine, &corpus)
+        .map_err(|e| mismatch(index_path, corpus_path, &e))?;
     // The escape hatch: answer this one query with the exhaustive engine.
     if no_prefilter {
         engine.disable_prefilter();
     }
     let started = std::time::Instant::now();
-    let scores = engine.query(&corpus.procs[qi].proc_);
+    let item = esh::core::BatchQuery {
+        query: esh::core::Query::Target(esh::core::TargetId(qi)),
+        cancel: esh::core::CancelToken::new(),
+    };
+    let scores = engine
+        .query_batch(&[item])
+        .pop()
+        .expect("one item, one result")
+        .map_err(|e| e.to_string())?;
     let matches = esh::serve::ranked_matches(&scores, Some(esh::core::TargetId(qi)), top_n);
     if json {
         // The wire schema, verbatim: offline and remote output are
@@ -421,6 +434,11 @@ fn query_index(
     Ok(())
 }
 
+/// The error for a corpus that does not name an index's targets in order.
+fn mismatch(index_path: &str, corpus_path: &str, e: &std::io::Error) -> String {
+    format!("index {index_path} does not match {corpus_path}: {e} — rebuild with `esh index build`")
+}
+
 fn query_remote(addr: &str, needle: &str, top_n: usize, json: bool) -> Result<(), String> {
     let request = esh::serve::QueryRequest {
         query: needle.to_string(),
@@ -456,7 +474,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut index_path = None;
     let mut corpus_path = None;
     let mut config = esh::serve::ServeConfig::default();
-    let mut threads = 1usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -487,11 +504,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--deadline-ms: {e}"))?
             }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--shard-budget-mb" => {
                 config.shard_budget_mb = Some(
                     value("--shard-budget-mb")?
@@ -509,21 +521,9 @@ fn serve(args: &[String]) -> Result<(), String> {
     let corpus_path = corpus_path.ok_or("serve needs <corpus.json>")?;
 
     let corpus = load(&corpus_path)?;
-    let mut engine = esh::index::open_sharded(&index_path).map_err(|e| e.to_string())?;
-    if engine.target_count() != corpus.procs.len() {
-        return Err(format!(
-            "index {} has {} targets but {} has {} procedures — rebuild with `esh index build`",
-            index_path,
-            engine.target_count(),
-            corpus_path,
-            corpus.procs.len(),
-        ));
-    }
-    // Batches already run on one executor per core, so per-query
-    // parallelism multiplies: keep each query narrow by default and let
-    // concurrency come from requests.
-    engine.set_threads(threads);
-
+    let engine = esh::index::open_sharded(&index_path).map_err(|e| e.to_string())?;
+    esh::serve::check_mirror(&engine, &corpus)
+        .map_err(|e| mismatch(&index_path, &corpus_path, &e))?;
     let server = esh::serve::Server::start(engine, corpus, config.clone())
         .map_err(|e| format!("binding {}: {e}", config.addr))?;
     let addr = server.local_addr();
