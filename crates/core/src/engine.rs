@@ -9,6 +9,15 @@
 //! [`VcpCache`]. Corpus state persists as a sharded `.eshx` index
 //! (the `esh-index` crate), built from [`SimilarityEngine::export_corpus`]
 //! and reopened through [`SimilarityEngine::from_lazy_parts`].
+//!
+//! This module holds the public API, opening, export, `add_target` and
+//! query preparation; one submodule per phase of a query does the rest:
+//! `matrix` (the tiled matrix pass and its workers), `ladder` (how one
+//! cell is priced) and `score` (H0, GES and the served-window refine).
+
+mod ladder;
+mod matrix;
+mod score;
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,22 +30,23 @@ use esh_ivl::Proc;
 use esh_solver::{EquivConfig, EquivStats, SolverPerf};
 use esh_strands::{
     extract_proc_strands, lift_strand, semantic_signature, stable_hash64, structural_hash,
-    Signature, SIGNATURE_SEEDS,
+    Signature,
 };
 use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
+use crate::cache::{CacheStats, VcpCache, VcpCacheEntry};
 use crate::prefilter::{
-    bounds_decision, compute_probe_sketch, compute_sketch, PrefilterConfig, PrefilterStats,
-    PrefilterStatsSnapshot, RungCounts, SemanticSketch, SketchDecision, SketchIndex,
+    compute_sketch, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
+    SketchIndex,
 };
 use crate::shard::{
-    ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary, ShardError,
-    ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
+    check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary,
+    ShardError, ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
-use crate::stats::{ges, likelihood, H0Accumulator, ScoringMode};
-use crate::vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};
+use crate::vcp::VcpConfig;
+
+pub use score::{QueryScores, TargetScore};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -124,26 +134,9 @@ pub(crate) struct StrandClass {
     pub(crate) probe: ProbeSlot,
 }
 
-/// A strand's probe-sketch slot; see [`probe_sketch`].
+/// A strand's probe-sketch slot, filled by the first ambiguous pair the
+/// strand takes part in (see `ladder`).
 type ProbeSlot = Arc<OnceLock<SemanticSketch>>;
-
-/// The probe sketch in `slot`, computed from the fallible `proc_` on first
-/// use and outside any lock: workers racing on one slot compute the same
-/// pure value, and only the one that stores it counts it.
-fn probe_sketch<'s, P: std::ops::Deref<Target = Proc>>(
-    slot: &'s OnceLock<SemanticSketch>,
-    cfg: &PrefilterConfig,
-    stats: &PrefilterStats,
-    proc_: impl FnOnce() -> Result<P, ShardError>,
-) -> Result<&'s SemanticSketch, ShardError> {
-    if let Some(s) = slot.get() {
-        return Ok(s);
-    }
-    if slot.set(compute_probe_sketch(&*proc_()?, cfg)).is_ok() {
-        stats.record_probe_sketch();
-    }
-    Ok(slot.get().expect("slot filled above"))
-}
 
 #[derive(Debug, Clone)]
 pub(crate) struct TargetRecord {
@@ -201,73 +194,26 @@ struct BatchPass<'a> {
     touched: ShardTouch,
 }
 
-/// Which rung of the pricing ladder decided a matrix cell. The matrix
-/// pass records it beside each [`VcpPair`], and the refine pass reads it
-/// instead of pricing the cell a second time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Rung {
-    /// Never priced: whole-shard pruning skipped the cell's shard (or the
-    /// item failed or was cancelled, and is never refined).
-    Unpriced,
-    /// Dropped by the size-ratio or signature filter.
-    Filtered,
-    /// Dropped by the sketch rung.
-    Pruned,
-    /// Priced exactly, from the cache or the verifier; the cell's shard
-    /// is marked in the item's fan-out.
-    Exact,
+impl<'a> BatchPass<'a> {
+    /// Item `item` as the ladder and refine see it, or `None` when it was
+    /// cancelled before preparation.
+    fn item(&'a self, item: usize) -> Option<ItemPass<'a>> {
+        let strands = self.queries[item].as_deref()?;
+        Some(ItemPass {
+            batch: self,
+            item,
+            strands,
+        })
+    }
 }
 
-/// One batch item's VCP matrix (`query strand × corpus class`) with the
-/// rung that decided each cell.
-struct ItemMatrix {
-    vcp: Vec<Vec<VcpPair>>,
-    rung: Vec<Vec<Rung>>,
-}
-
-/// One query strand's side of Eq. 5, frozen at the estimated matrix: the
-/// logs of its H0 means (GES and S-LOG), its occurrence weight, and its
-/// two terms for a target whose best VCP for it is zero, the common case.
-struct StrandH0 {
-    ln_pr: f64,
-    ln_vcp: f64,
-    weight: f64,
-    zero_terms: (f64, f64),
-}
-
-impl StrandH0 {
-    fn new(h0: &H0Accumulator, count: u64) -> StrandH0 {
-        let ln_pr = h0.mean_pr().max(1e-12).ln();
-        let ln_vcp = h0.mean_vcp().max(1e-12).ln();
-        let weight = count as f64;
-        StrandH0 {
-            ln_pr,
-            ln_vcp,
-            weight,
-            zero_terms: (
-                (likelihood(0.0).max(1e-12).ln() - ln_pr) * weight,
-                (1e-12f64.ln() - ln_vcp) * weight,
-            ),
-        }
-    }
-
-    /// The strand's GES term, `les(likelihood(v), mean_pr) × weight`
-    /// with `les`'s operations in `les`'s order.
-    fn ges_term(&self, v: f64) -> f64 {
-        if v == 0.0 {
-            return self.zero_terms.0;
-        }
-        (likelihood(v).max(1e-12).ln() - self.ln_pr) * self.weight
-    }
-
-    /// The strand's S-LOG term, `les(v.max(1e-12), mean_vcp) × weight`.
-    fn slog_term(&self, v: f64) -> f64 {
-        if v == 0.0 {
-            return self.zero_terms.1;
-        }
-        (v.max(1e-12).ln() - self.ln_vcp) * self.weight
-    }
+/// One live batch item: its position in the batch, its prepared strands
+/// and the batch state it shares — the context every pricing and refine
+/// step of the item takes.
+struct ItemPass<'a> {
+    batch: &'a BatchPass<'a>,
+    item: usize,
+    strands: &'a [QueryStrand],
 }
 
 /// What one batch item scores against the corpus.
@@ -300,88 +246,6 @@ pub struct BatchQuery<'a> {
     pub query: Query<'a>,
     /// Cancellation/deadline handle for this item alone.
     pub cancel: CancelToken,
-}
-
-/// The score of one target for one query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TargetScore {
-    /// Target identity.
-    pub target: TargetId,
-    /// Target name (ground-truth bookkeeping only).
-    pub name: String,
-    /// Full-method GES (Equation 1).
-    pub ges: f64,
-    /// S-LOG ablation score (statistics without the sigmoid).
-    pub s_log: f64,
-    /// S-VCP ablation score (no statistics).
-    pub s_vcp: f64,
-}
-
-impl TargetScore {
-    /// The score under `mode`.
-    pub fn score(&self, mode: ScoringMode) -> f64 {
-        match mode {
-            ScoringMode::Esh => self.ges,
-            ScoringMode::SLog => self.s_log,
-            ScoringMode::SVcp => self.s_vcp,
-        }
-    }
-}
-
-/// All per-target scores for one query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueryScores {
-    /// One entry per target, in insertion order.
-    pub scores: Vec<TargetScore>,
-    /// Number of *deduplicated* query strand classes that participated
-    /// (after §5.5 filtering). Each class is counted once regardless of
-    /// how many times it occurs in the query procedure.
-    pub query_strands: usize,
-    /// Total query strand occurrences behind those classes — the weight
-    /// mass the GES sum runs over.
-    pub query_strand_occurrences: usize,
-}
-
-impl QueryScores {
-    /// Targets sorted by descending GES.
-    pub fn ranked(&self) -> Vec<&TargetScore> {
-        self.ranked_by(ScoringMode::Esh)
-    }
-
-    /// Targets sorted by descending score under `mode`. Exact score ties
-    /// break by ascending [`TargetId`]: `sort_by` is stable but upstream
-    /// callers (serving layer, benches) compare rankings across engines
-    /// whose score vectors were built independently, so the order must be
-    /// a pure function of the scores themselves.
-    pub fn ranked_by(&self, mode: ScoringMode) -> Vec<&TargetScore> {
-        let mut v: Vec<&TargetScore> = self.scores.iter().collect();
-        v.sort_by(|a, b| {
-            b.score(mode)
-                .partial_cmp(&a.score(mode))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.target.cmp(&b.target))
-        });
-        v
-    }
-
-    /// Min-max normalized GES per target (the scale of Figure 5).
-    pub fn normalized(&self) -> Vec<(TargetId, f64)> {
-        let min = self
-            .scores
-            .iter()
-            .map(|s| s.ges)
-            .fold(f64::INFINITY, f64::min);
-        let max = self
-            .scores
-            .iter()
-            .map(|s| s.ges)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let span = (max - min).max(1e-12);
-        self.scores
-            .iter()
-            .map(|s| (s.target, (s.ges - min) / span))
-            .collect()
-    }
 }
 
 /// Cooperative cancellation handle for [`SimilarityEngine::query_cancellable`].
@@ -534,16 +398,6 @@ pub struct SimilarityEngine {
     lifted: AtomicU64,
 }
 
-/// Holds one batch in [`SimilarityEngine::passes`] and releases it on
-/// drop, also when the batch unwinds.
-struct PassGuard<'a>(&'a AtomicUsize);
-
-impl Drop for PassGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Engine-lifetime decision counters: the sum of the [`EquivStats`]
 /// deltas of every worker session, added once per tile run or refine
 /// pass rather than once per pair.
@@ -662,28 +516,6 @@ impl SimilarityEngine {
         }
     }
 
-    /// Opens class `ci`'s shard (bringing its persisted cache segment
-    /// with it) and returns the shard index, or `None` when the class is
-    /// resident. Must run before the first counted cache lookup touching
-    /// `ci` — the open-before-lookup invariant that keeps sharded
-    /// hit/miss counters identical to a fully resident engine's. (The
-    /// invariant survives eviction: a reopen re-inserts the same segment
-    /// idempotently before the next counted lookup.) Procedure records
-    /// are *not* decoded here: that happens per class at proc-need time
-    /// via [`Self::class_proc`], after the counted lookup — the
-    /// decode-before-lookup rule degenerates to decode-*on-miss*, which
-    /// is safe because a decode never touches a counter.
-    fn ensure_class_shard(&self, ci: usize) -> Result<Option<usize>, ShardError> {
-        match &self.shards {
-            Some(lazy) if ci < lazy.class_limit() => {
-                let shard = lazy.shard_of_class(ci);
-                lazy.ensure_loaded(shard, &self.cache)?;
-                Ok(Some(shard))
-            }
-            _ => Ok(None),
-        }
-    }
-
     /// Sets the resident-bytes budget for lazily-loaded shards (0 =
     /// unbounded): least-recently-used shards are evicted — and reloaded
     /// on the next touch — to keep resident payload bytes at or under
@@ -750,7 +582,7 @@ impl SimilarityEngine {
     /// zero, that class hashes are unique, that target strand
     /// references are in range and no class's occurrences overflow a
     /// `u64` when summed, that every class signature has one
-    /// sorted round per [`SIGNATURE_SEEDS`] entry and every sketch sorted
+    /// sorted round per [`esh_strands::SIGNATURE_SEEDS`] entry and every sketch sorted
     /// digests (the prefilter merges assume both), that classes carry
     /// sketches exactly when the sketch tier is on, and, under an enabled
     /// tier, that its knobs are usable and every sketch has its
@@ -769,85 +601,7 @@ impl SimilarityEngine {
         source: Box<dyn ShardSource>,
         prune: bool,
     ) -> Result<SimilarityEngine, String> {
-        let mut class_cursor = 0usize;
-        let mut target_cursor = 0usize;
-        for (i, s) in specs.iter().enumerate() {
-            if s.class_start != class_cursor || s.target_start != target_cursor {
-                return Err(format!("shard {i} does not tile contiguously"));
-            }
-            if s.class_end < s.class_start || s.target_end < s.target_start {
-                return Err(format!("shard {i} has an inverted range"));
-            }
-            class_cursor = s.class_end;
-            target_cursor = s.target_end;
-        }
-        if class_cursor != classes.len() || target_cursor != targets.len() {
-            return Err(format!(
-                "shards cover {class_cursor} classes / {target_cursor} targets, \
-                 index has {} / {}",
-                classes.len(),
-                targets.len()
-            ));
-        }
-        let mut class_by_hash = HashMap::with_capacity(classes.len());
-        for (i, c) in classes.iter().enumerate() {
-            if class_by_hash.insert(c.hash, i).is_some() {
-                return Err("duplicate strand-class hashes".into());
-            }
-        }
-        let mut corpus_counts = vec![0u64; classes.len()];
-        for t in &targets {
-            for &(ci, n) in &t.strands {
-                let count = corpus_counts.get_mut(ci).ok_or_else(|| {
-                    format!("target `{}` references a class out of range", t.name)
-                })?;
-                *count = count.checked_add(n).ok_or_else(|| {
-                    format!(
-                        "class `{}`: its occurrence counts overflow u64",
-                        classes[ci].name
-                    )
-                })?;
-            }
-        }
-        let tier = config.active_sketch().is_some();
-        if let Some(c) = classes.iter().find(|c| c.sketch.is_some() != tier) {
-            let why = if tier {
-                "has no sketch under an enabled"
-            } else {
-                "has a sketch under a disabled"
-            };
-            return Err(format!("class `{}` {why} sketch tier", c.name));
-        }
-        // The signature and sketch-containment merges assume sorted
-        // input; unsorted rounds or digests would silently flip prune
-        // decisions.
-        let rounds = SIGNATURE_SEEDS.len();
-        for c in &classes {
-            if c.signature.rounds.len() != rounds {
-                return Err(format!(
-                    "class `{}`: signature has {} rounds, not {rounds}",
-                    c.name,
-                    c.signature.rounds.len()
-                ));
-            }
-            if !c.signature.rounds.iter().all(|r| r.is_sorted()) {
-                return Err(format!("class `{}`: signature round is not sorted", c.name));
-            }
-            if c.sketch.as_ref().is_some_and(|s| !s.digests.is_sorted()) {
-                return Err(format!("class `{}`: sketch digests are not sorted", c.name));
-            }
-        }
-        if let Some(cfg) = config.active_sketch() {
-            cfg.validate()?;
-            let k = cfg.bands * cfg.rows;
-            let bad = |c: &&LazyClassMeta| c.sketch.as_ref().is_some_and(|s| s.minhash.len() != k);
-            if let Some(c) = classes.iter().find(bad) {
-                return Err(format!(
-                    "class `{}`: sketch is not {k} minhash words",
-                    c.name
-                ));
-            }
-        }
+        let (class_by_hash, corpus_counts) = check_lazy_parts(&config, &classes, &targets, &specs)?;
         let summaries = config.active_sketch().filter(|_| prune).map(|cfg| {
             specs
                 .iter()
@@ -886,18 +640,11 @@ impl SimilarityEngine {
             })
             .collect();
         Ok(SimilarityEngine {
-            config,
             classes,
             class_by_hash,
             targets,
-            cache: VcpCache::new(),
-            sessions: Mutex::new(Vec::new()),
-            solver: SolverCounters::default(),
-            prefilter_stats: PrefilterStats::default(),
-            sketch_index: Mutex::new(None),
             shards: Some(LazyShards::new(specs, source, summaries)),
-            passes: AtomicUsize::new(0),
-            lifted: AtomicU64::new(0),
+            ..SimilarityEngine::new(config)
         })
     }
 
@@ -1070,15 +817,6 @@ impl SimilarityEngine {
         strands
     }
 
-    /// The lifted procedure behind query strand `q`, decoding its class
-    /// record when the strand names one.
-    fn strand_proc<'s>(&'s self, q: &'s QueryStrand) -> Result<ClassProcRef<'s>, ShardError> {
-        match &q.proc_ {
-            StrandProc::Lifted(p) => Ok(ClassProcRef::Resident(p)),
-            StrandProc::Class(ci) => self.class_proc(*ci),
-        }
-    }
-
     /// Signature, sketch and probe slot for one query strand. When the
     /// strand is already a corpus class (equal structural hash — the same
     /// identity the dedup and cache layers rely on), the class's stored
@@ -1125,407 +863,6 @@ impl SimilarityEngine {
             *slot = Some(Arc::new(SketchIndex::build(sketches, cfg)));
         }
         slot.clone()
-    }
-
-    /// Classes per work-stealing tile. Small enough that a tile of
-    /// expensive verifier calls cannot straggle the whole matrix, large
-    /// enough that queue contention on the atomic cursor is negligible.
-    const VCP_TILE: usize = 32;
-
-    /// A verifier session whose term pool has grown past this many terms
-    /// is dropped at query end instead of returned to the session pool.
-    const SESSION_TERM_CAP: usize = 2_000_000;
-
-    /// Checks a verifier session out of the engine-owned pool so its term
-    /// pool and verdict cache stay warm across queries — not just across
-    /// one query's tiles.
-    fn checkout_session(&self) -> VerifierSession {
-        self.sessions
-            .lock()
-            .expect("session pool poisoned")
-            .pop()
-            .unwrap_or_else(|| VerifierSession::with_config(self.config.equiv))
-    }
-
-    /// Returns a session for later queries unless its term pool outgrew
-    /// the cap — past that point the memory cost outweighs what the warm
-    /// caches save.
-    fn return_session(&self, session: VerifierSession) {
-        if session.pool().len() <= Self::SESSION_TERM_CAP {
-            self.sessions
-                .lock()
-                .expect("session pool poisoned")
-                .push(session);
-        }
-    }
-
-    /// Computes the VCP matrices `query strand × corpus class` for a whole
-    /// batch of prepared queries in one shared pass.
-    ///
-    /// Work is distributed dynamically: the flattened `(batch item, query
-    /// strand, class-range)` tile space is consumed through one atomic
-    /// cursor, so workers that land on cheap tiles (size-ratio or
-    /// prefilter rejections, cache hits) immediately steal more instead of
-    /// idling behind a static split — and tiles of different batch items
-    /// interleave freely. Every cell is priced by [`Self::price_cell`].
-    /// The calling thread is a worker itself; it spawns
-    /// `min(threads, tiles) − 1` helpers, less one for every other batch
-    /// running in this engine, so a lone query gets every core, batches
-    /// that overlap get about one each, and `threads == 1` spawns none.
-    /// Cancellation stays per-item: a cancelled item's remaining tiles are
-    /// skipped while the rest of the batch keeps computing; its partial
-    /// matrix is discarded by the caller.
-    /// On a lazily backed engine the same pass is the **fan-out** step:
-    /// the flat tile space already spans every shard's class range, a
-    /// pair that survives pricing pulls its shard into memory (and its
-    /// record is decoded on a cache miss), and `batch.touched` records
-    /// which `(item, shard)` pairs were consulted. The final row
-    /// copy-back below is the merge step — because shards partition the
-    /// class index space in order, it concatenates per-shard submatrices
-    /// into exactly the matrix a resident engine computes, bit for bit.
-    /// Each cell's [`Rung`] rides along; the sketch rung's outcome counts
-    /// are kept per worker and added to the engine's counters once.
-    fn vcp_matrix_batch(
-        &self,
-        batch: &BatchPass<'_>,
-    ) -> (Vec<ItemMatrix>, Vec<Option<ShardError>>) {
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            self.config.threads
-        };
-        let queries = &batch.queries;
-        let nc = self.classes.len();
-        let mut matrices: Vec<ItemMatrix> = queries
-            .iter()
-            .map(|q| {
-                let nq = q.as_ref().map_or(0, |q| q.len());
-                ItemMatrix {
-                    vcp: vec![vec![VcpPair::default(); nc]; nq],
-                    rung: vec![vec![Rung::Unpriced; nc]; nq],
-                }
-            })
-            .collect();
-        let tiles_per_query = nc.div_ceil(Self::VCP_TILE);
-        // Tile-space offsets per batch item: item `b` owns the global
-        // tiles `[offsets[b], offsets[b + 1])`. Cancelled-at-prepare items
-        // (`None`) own zero tiles.
-        let mut offsets = Vec::with_capacity(queries.len() + 1);
-        offsets.push(0usize);
-        for q in queries {
-            let nq = q.as_ref().map_or(0, |q| q.len());
-            offsets.push(offsets.last().unwrap() + nq * tiles_per_query);
-        }
-        let total_tiles = *offsets.last().unwrap();
-        // Per-item shard-failure latch: the first corrupted-shard error an
-        // item hits is kept, the item's remaining tiles are skipped, and
-        // the caller fails that item alone — neighbours keep computing.
-        let shard_errors: Vec<std::sync::OnceLock<ShardError>> = (0..queries.len())
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        if total_tiles == 0 || nc == 0 {
-            let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
-            return (matrices, errors);
-        }
-        let offsets = &offsets;
-        let cursor = AtomicUsize::new(0);
-        let helpers = threads
-            .max(1)
-            .min(total_tiles)
-            .saturating_sub(1 + batch.others);
-        // The sketch rung's inputs, resolved once before the workers
-        // spawn: the LSH index over corpus sketches and one candidate
-        // mask per query strand of every item (mask[ci] = class ci
-        // shares a band).
-        let sketch = self.ensure_sketch_index().map(|index| {
-            let masks: Vec<Vec<Option<Vec<bool>>>> = queries
-                .iter()
-                .map(|q| {
-                    q.as_ref().map_or_else(Vec::new, |q| {
-                        q.iter()
-                            .map(|s| s.sketch.as_ref().map(|s| index.candidates(s)))
-                            .collect()
-                    })
-                })
-                .collect();
-            (index, masks)
-        });
-        let sketch = &sketch;
-        // Whole-shard pruning (sub-linear fan-out): when the engine holds
-        // per-shard band summaries, decide per `(item, shard)` — before
-        // any per-cell work — whether every cell of the shard is provably
-        // sketch-pruned ([`ShardBandSummary::can_skip`]). Skipped cells
-        // stay at `VcpPair::default()`, exactly the value the per-cell
-        // Prune path leaves, so matrices, H0 and scores are byte-identical
-        // to the full fan-out; only the pricing CPU (and the prefilter
-        // observability counters) are saved. The proof needs every strand
-        // of the item sketched and `margin > window`; anything else keeps
-        // the full fan-out.
-        let shard_skip: Option<(Vec<u32>, Vec<Vec<bool>>)> =
-            self.shards.as_ref().and_then(|lazy| {
-                let summaries = lazy.summaries.as_ref()?;
-                let cfg = self.config.active_sketch()?;
-                let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
-                if margin <= window {
-                    return None;
-                }
-                let limit = lazy.class_limit();
-                let class_shard: Vec<u32> = (0..limit)
-                    .map(|ci| lazy.shard_of_class(ci) as u32)
-                    .collect();
-                let skip: Vec<Vec<bool>> = queries
-                    .iter()
-                    .map(|q| {
-                        let sketches: Option<Vec<&SemanticSketch>> = q
-                            .as_ref()
-                            .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
-                        let Some(sketches) = sketches else {
-                            return vec![false; summaries.len()];
-                        };
-                        let keys: Vec<Vec<u64>> = sketches
-                            .iter()
-                            .map(|s| s.band_keys(cfg.bands, cfg.rows))
-                            .collect();
-                        let can_skip = |sum: &ShardBandSummary| {
-                            let mut strands = sketches.iter().zip(&keys);
-                            strands.all(|(s, k)| sum.can_skip(s, k, margin, window))
-                        };
-                        summaries.iter().map(can_skip).collect()
-                    })
-                    .collect();
-                let pruned: u64 = skip
-                    .iter()
-                    .map(|row| row.iter().filter(|&&s| s).count() as u64)
-                    .sum();
-                lazy.add_pruned(pruned);
-                Some((class_shard, skip))
-            });
-        let shard_skip = &shard_skip;
-        let shard_errors_ref = &shard_errors;
-        type Tile = (usize, usize, usize, Vec<VcpPair>, Vec<Rung>);
-        let work = || -> Vec<Tile> {
-            let mut session = self.checkout_session();
-            let stats0 = session.stats();
-            let mut counts = RungCounts::default();
-            let mut out: Vec<Tile> = Vec::new();
-            loop {
-                let tile = cursor.fetch_add(1, Ordering::Relaxed);
-                if tile >= total_tiles {
-                    break;
-                }
-                // Decode (item, strand, class-range) from the flat tile id.
-                let b = offsets.partition_point(|&o| o <= tile) - 1;
-                // Poll cancellation (and the shard-failure latch) between
-                // tiles: a timed-out, abandoned or corruption-failed item
-                // stops issuing verifier work within one tile's latency
-                // while the rest of the batch keeps going.
-                if batch.items[b].cancel.is_cancelled() || shard_errors_ref[b].get().is_some() {
-                    continue;
-                }
-                let local = tile - offsets[b];
-                let qi = local / tiles_per_query;
-                let start = (local % tiles_per_query) * Self::VCP_TILE;
-                let end = (start + Self::VCP_TILE).min(nc);
-                let q = &queries[b].as_ref().expect("tiles only for live items")[qi];
-                let lsh = sketch.as_ref().and_then(|(index, masks)| {
-                    masks[b][qi].as_deref().map(|mask| (&**index, mask))
-                });
-                let mut row = vec![VcpPair::default(); end - start];
-                let mut rungs = vec![Rung::Unpriced; end - start];
-                for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end) {
-                    // Whole-shard prune: provably equivalent to the
-                    // per-cell sketch prune, decided without touching the
-                    // class.
-                    if let Some((class_shard, skip)) = shard_skip {
-                        if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
-                            continue;
-                        }
-                    }
-                    match self.price_cell(batch, lsh, &mut session, &mut counts, b, q, ci) {
-                        Ok((r, v)) => (*rung, *cell) = (r, v),
-                        Err(e) => {
-                            let _ = shard_errors_ref[b].set(e);
-                        }
-                    }
-                }
-                out.push((b, qi, start, row, rungs));
-            }
-            self.prefilter_stats.add_rungs(&counts);
-            self.solver.add(&session.stats().delta_since(&stats0));
-            self.return_session(session);
-            out
-        };
-        let tiles: Vec<Tile> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-            let mut tiles = work();
-            for h in handles {
-                tiles.extend(h.join().expect("worker panicked"));
-            }
-            tiles
-        });
-        for (b, qi, start, row, rungs) in tiles {
-            let end = start + row.len();
-            matrices[b].vcp[qi][start..end].copy_from_slice(&row);
-            matrices[b].rung[qi][start..end].copy_from_slice(&rungs);
-        }
-        let errors = shard_errors.into_iter().map(|l| l.into_inner()).collect();
-        (matrices, errors)
-    }
-
-    /// Prices one matrix cell down the ladder: the cheap filters, the
-    /// sketch rung (when the query strand carries an LSH candidate mask,
-    /// `lsh`), then the exact step behind a counted cache lookup. Returns
-    /// the rung that decided the cell with its value; a pair dropped by
-    /// any rung prices as the zero pair.
-    #[allow(clippy::too_many_arguments)]
-    fn price_cell(
-        &self,
-        batch: &BatchPass<'_>,
-        lsh: Option<(&SketchIndex, &[bool])>,
-        session: &mut VerifierSession,
-        counts: &mut RungCounts,
-        item: usize,
-        q: &QueryStrand,
-        ci: usize,
-    ) -> Result<(Rung, VcpPair), ShardError> {
-        let class = &self.classes[ci];
-        if !self.passes_cheap_filters(q.vars, &q.signature, class) {
-            return Ok((Rung::Filtered, VcpPair::default()));
-        }
-        if let Some(lsh) = lsh {
-            if !self.sketch_rung(batch, lsh, counts, item, q, ci)? {
-                return Ok((Rung::Pruned, VcpPair::default()));
-            }
-        }
-        self.open_cell(ci, item, &batch.touched)?;
-        let key = (q.hash, class.hash, batch.vcp_fp);
-        let v = match self.cache.get(&key) {
-            Some(v) => v,
-            None => self.verify_cell(session, q, ci, key)?,
-        };
-        Ok((Rung::Exact, v))
-    }
-
-    /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
-    /// semantic-signature bound, which rejects a pair only when its
-    /// overlap falls below the threshold in both directions. Both
-    /// directions come from one merge per signature round
-    /// ([`Signature::either_overlap_reaches`]), which stops at the first
-    /// round where both are below. The matrix pass prices every cell it
-    /// reaches through here; refine runs it only on cells whole-shard
-    /// pruning left unpriced.
-    fn passes_cheap_filters(
-        &self,
-        vars: usize,
-        signature: &Signature,
-        class: &StrandClass,
-    ) -> bool {
-        size_ratio_ok(&self.config.vcp, vars, class.vars)
-            && signature.either_overlap_reaches(&class.signature, self.config.prefilter_threshold)
-    }
-
-    /// The sketch rung for one cell; `Ok(false)` prunes the pair. Every
-    /// pair is priced by its containment bounds: both below the margin
-    /// prunes it (sound: the bounds never underestimate VCP, so no pair
-    /// at or above the margin is ever skipped, and a below-margin pair
-    /// contributes the no-evidence likelihood floor rather than an
-    /// inflated estimate). Bounds inside the ambiguity window around the
-    /// margin re-sketch both strands on extra probe vectors and re-apply
-    /// the margin to the refined bounds; anything else goes to the exact
-    /// verifier. An LSH band collision is recorded for observability;
-    /// under the pre-probe rule (no ambiguity window) a collision still
-    /// forces exact verification, while staged pricing lets the margin
-    /// prune spurious band matches too (a true same-source pair has bound
-    /// 1.0 and always verifies either way). Outcomes are tallied in the
-    /// calling worker's `counts`.
-    fn sketch_rung(
-        &self,
-        batch: &BatchPass<'_>,
-        (index, mask): (&SketchIndex, &[bool]),
-        counts: &mut RungCounts,
-        item: usize,
-        q: &QueryStrand,
-        ci: usize,
-    ) -> Result<bool, ShardError> {
-        let (Some(cfg), Some(qs)) = (self.config.active_sketch(), &q.sketch) else {
-            return Ok(true);
-        };
-        let collided = mask[ci];
-        counts.collisions += u64::from(collided);
-        let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
-        if collided && window <= 0.0 {
-            return Ok(true);
-        }
-        let (c_q, c_t) = qs.containment_both(index.sketch(ci));
-        match bounds_decision(c_q, c_t, margin, window) {
-            SketchDecision::Prune => {
-                counts.pruned += 1;
-                return Ok(false);
-            }
-            SketchDecision::Probe => {
-                counts.probes += 1;
-                let (r_q, r_t) = self.probe_bounds(cfg, q, ci, || {
-                    self.open_cell(ci, item, &batch.touched)?;
-                    self.class_proc(ci)
-                })?;
-                if r_q < margin && r_t < margin {
-                    counts.pruned += 1;
-                    return Ok(false);
-                }
-                counts.escalations += 1;
-            }
-            SketchDecision::Exact => {}
-        }
-        counts.fallbacks += 1;
-        Ok(true)
-    }
-
-    /// The refined containment bounds `(q in t, t in q)` of query strand
-    /// `q` against class `ci`, from both sides' probe sketches.
-    /// `class_proc` runs only while the class's slot is empty, so a filled
-    /// slot never loads or decodes a shard.
-    fn probe_bounds<'p>(
-        &'p self,
-        cfg: &PrefilterConfig,
-        q: &QueryStrand,
-        ci: usize,
-        class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
-    ) -> Result<(f64, f64), ShardError> {
-        let stats = &self.prefilter_stats;
-        let pq = probe_sketch(&q.probe, cfg, stats, || self.strand_proc(q))?;
-        let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, class_proc)?;
-        Ok(pq.containment_both(pt))
-    }
-
-    /// Opens class `ci`'s shard for batch item `item` and records the
-    /// fan-out. Runs before any cache lookup on the cell, so the
-    /// persisted cache segment can answer it (see
-    /// [`Self::ensure_class_shard`]); the class record itself is only
-    /// decoded on a miss — a cache hit never pays the decode.
-    fn open_cell(&self, ci: usize, item: usize, touched: &ShardTouch) -> Result<(), ShardError> {
-        if let Some(shard) = self.ensure_class_shard(ci)? {
-            touched.mark(item, shard);
-        }
-        Ok(())
-    }
-
-    /// Prices one cache-missed cell exactly: decodes class `ci` (and the
-    /// query strand's own class, when it names one), runs the verifier
-    /// and memoizes the verdict under `key`.
-    fn verify_cell(
-        &self,
-        session: &mut VerifierSession,
-        q: &QueryStrand,
-        ci: usize,
-        key: VcpKey,
-    ) -> Result<VcpPair, ShardError> {
-        let query = self.strand_proc(q)?;
-        let class = self.class_proc(ci)?;
-        let v = vcp_pair(session, &query, &class, &self.config.vcp);
-        self.cache.insert(key, v);
-        Ok(v)
     }
 
     /// Scores every target against `proc_`.
@@ -1584,8 +921,7 @@ impl SimilarityEngine {
     /// without disturbing its neighbours (queries that avoid the bad
     /// shard keep serving).
     pub fn query_batch(&self, items: &[BatchQuery<'_>]) -> Vec<Result<QueryScores, QueryError>> {
-        let others = self.passes.fetch_add(1, Ordering::Relaxed);
-        let _pass = PassGuard(&self.passes);
+        let (others, _pass) = self.enter_pass();
         let mut prep_memo: HashMap<u64, PreparedStrand> = HashMap::new();
         let batch = BatchPass {
             items,
@@ -1606,21 +942,17 @@ impl SimilarityEngine {
             ),
         };
         let (matrices, shard_errors) = self.vcp_matrix_batch(&batch);
-        // One verifier session refines the whole batch.
-        let refine_enabled = self
+        // Refine runs when the sketch tier and its window are on; one
+        // worker refines the whole batch.
+        let mut refiner = (self
             .config
             .active_sketch()
             .is_some_and(|cfg| cfg.refine_top_k > 0)
-            && !self.targets.is_empty()
-            && self.ensure_sketch_index().is_some();
-        let mut refine_session = refine_enabled.then(|| {
-            let s = self.checkout_session();
-            let stats0 = s.stats();
-            (s, stats0)
-        });
+            && !self.targets.is_empty())
+        .then(|| self.checkout_worker());
         let mut results = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
-            let (Some(query), matrix) = (&batch.queries[i], &matrices[i]) else {
+        for (i, (it, matrix)) in items.iter().zip(&matrices).enumerate() {
+            let Some(item) = batch.item(i) else {
                 results.push(Err(QueryError::Cancelled));
                 continue;
             };
@@ -1632,12 +964,11 @@ impl SimilarityEngine {
                 results.push(Err(QueryError::Cancelled));
                 continue;
             }
+            let query = item.strands;
             let h0 = self.strand_h0(query, &matrix.vcp);
             let mut scores = self.score_targets(&matrix.vcp, &h0);
-            let refined = match &mut refine_session {
-                Some((session, _)) => {
-                    self.refine_served_window(&batch, i, query, matrix, &h0, &mut scores, session)
-                }
+            let refined = match &mut refiner {
+                Some(w) => self.refine_served_window(&item, matrix, &h0, &mut scores, w),
                 None => Ok(()),
             };
             results.push(refined.map(|()| QueryScores {
@@ -1646,304 +977,13 @@ impl SimilarityEngine {
                 query_strand_occurrences: query.iter().map(|q| q.count as usize).sum(),
             }));
         }
-        if let Some((session, stats0)) = refine_session {
-            self.solver.add(&session.stats().delta_since(&stats0));
-            self.return_session(session);
+        if let Some(w) = refiner {
+            self.return_worker(w);
         }
         if let Some(lazy) = &self.shards {
             lazy.add_fanout(batch.touched.count());
         }
         results
-    }
-
-    /// H0 per query strand, built once per query from the estimated
-    /// matrix and shared by scoring and refine: the corpus-wide mean over
-    /// every strand occurrence (weighted by class multiplicity), kept as
-    /// the logs Eq. 5 subtracts, beside the strand's occurrence weight.
-    /// Pure in the matrix, so refined scores stay a pure function of the
-    /// query, corpus and config. Zero cells, the bulk of a matrix, share
-    /// one `likelihood(0.0)`; the sums run in [`H0Accumulator::add`]'s
-    /// order, so the bits are those of a per-cell `add`.
-    fn strand_h0(&self, query: &[QueryStrand], matrix: &[Vec<VcpPair>]) -> Vec<StrandH0> {
-        let zero_pr = likelihood(0.0);
-        query
-            .iter()
-            .zip(matrix)
-            .map(|(q, row)| {
-                let mut h0 = H0Accumulator::default();
-                for (v, class) in row.iter().zip(&self.classes) {
-                    let vcp = v.q_in_t;
-                    let pr = if vcp == 0.0 { zero_pr } else { likelihood(vcp) };
-                    h0.add_likelihood(vcp, pr, class.corpus_count);
-                }
-                StrandH0::new(&h0, q.count)
-            })
-            .collect()
-    }
-
-    /// Scores every target from a computed VCP matrix. Pure in the matrix;
-    /// float summation order must stay fixed (targets in insertion order,
-    /// query strands in canonical hash order) so concurrent and offline
-    /// rankings agree bit-for-bit.
-    fn score_targets(&self, matrix: &[Vec<VcpPair>], h0: &[StrandH0]) -> Vec<TargetScore> {
-        // Each class's best VCP against any query strand (S-VCP), folded
-        // over the rows in order.
-        let mut max_t = vec![0.0f64; self.classes.len()];
-        for row in matrix {
-            for (m, v) in max_t.iter_mut().zip(row) {
-                *m = m.max(v.t_in_q);
-            }
-        }
-        let mut max_q = vec![0.0f64; matrix.len()];
-        (0..self.targets.len())
-            .map(|ti| {
-                let strands = &self.targets[ti].strands;
-                for (m, row) in max_q.iter_mut().zip(matrix) {
-                    *m = strands
-                        .iter()
-                        .map(|&(ci, _)| row[ci].q_in_t)
-                        .fold(0.0f64, f64::max);
-                }
-                self.score_target(ti, &max_q, |ci| max_t[ci], h0)
-            })
-            .collect()
-    }
-
-    /// One target's scores from its VCP maxima: `max_q[qi]`, the best
-    /// VCP of query strand `qi` in any of the target's classes (GES and
-    /// S-LOG, Eq. 1's LES terms against H0), and `max_t(ci)`, the best
-    /// VCP of class `ci` against any query strand (S-VCP). The matrix
-    /// pass and the refine pass both score through here, so two sets of
-    /// equal maxima give bit-identical scores.
-    fn score_target(
-        &self,
-        ti: usize,
-        max_q: &[f64],
-        max_t: impl Fn(usize) -> f64,
-        h0: &[StrandH0],
-    ) -> TargetScore {
-        let target = &self.targets[ti];
-        let terms = || max_q.iter().zip(h0);
-        let ges_score = ges(terms().map(|(&v, h)| h.ges_term(v)));
-        let s_log = ges(terms().map(|(&v, h)| h.slog_term(v)));
-        // S-VCP: Σ over target strand occurrences of the best VCP of
-        // that strand against any query strand (no statistics).
-        let mut s_vcp = 0.0;
-        for &(ci, n) in &target.strands {
-            s_vcp += max_t(ci) * n as f64;
-        }
-        TargetScore {
-            target: TargetId(ti),
-            name: target.name.clone(),
-            ges: ges_score,
-            s_log,
-            s_vcp,
-        }
-    }
-
-    /// The refine-top-K second pass: makes every score behind the served
-    /// ranking window **exact** (scanning 2× the served depth so rank-K
-    /// membership is decided among exact scores, not estimates), then
-    /// re-ranks — to a fixpoint, since exact repricing can pull new
-    /// targets into the window.
-    ///
-    /// Each window target's cells are read off the matrix pass's rung
-    /// record rather than priced again. Filtered cells stay zero. Exact
-    /// cells take their verdict straight from the matrix, with no cache
-    /// lookup and no shard open: the matrix pass opened the shard and
-    /// marked the fan-out. Sketch-pruned cells are checked in the
-    /// [`VcpCache`] (other queries may have verified them), and cells
-    /// whole-shard pruning left unpriced first pass the cheap filters,
-    /// then go the same way. The pruned cells still unknown are verified
-    /// in descending-bound order, but **only while their containment
-    /// bound can still beat the target's current exact maximum** (per
-    /// query strand for GES/S-LOG, per class for S-VCP). A skipped cell
-    /// provably cannot change either maximum — the bound never
-    /// underestimates VCP — so each window target's final maxima are its
-    /// true maxima, whatever subset of cells the cache already knew.
-    ///
-    /// Scores are rebuilt from those maxima via
-    /// [`SimilarityEngine::score_target`] against `h0`, the query's H0
-    /// **frozen at the estimated matrix** (the same values
-    /// [`Self::score_targets`] used). The matrix itself is never mutated:
-    /// which cells the pass verifies (and which it dominance-skips or
-    /// finds pre-cached) depends on cross-query cache state, so folding
-    /// those values back into H0 would make served GES depend on engine
-    /// history — the serving layer's byte-identity contract
-    /// (`bench-serve`) demands that a query's response be a pure
-    /// function of the query, corpus and config. With frozen H0 and true
-    /// maxima, it is. The served window's internal order equals the
-    /// exhaustive engine's relative order of those targets: LES
-    /// differences between targets share the per-strand H0 term, which
-    /// cancels (absolute GES still differs from the exhaustive engine by
-    /// that H0 offset, identically for every window target).
-    ///
-    /// Terminates because the refined-target set grows monotonically and
-    /// is bounded by the corpus. Runs only when the sketch tier and
-    /// [`PrefilterConfig::refine_top_k`] are on (`query_batch` checks).
-    #[allow(clippy::too_many_arguments)]
-    fn refine_served_window(
-        &self,
-        batch: &BatchPass<'_>,
-        item: usize,
-        query: &[QueryStrand],
-        matrix: &ItemMatrix,
-        h0: &[StrandH0],
-        scores: &mut [TargetScore],
-        session: &mut VerifierSession,
-    ) -> Result<(), QueryError> {
-        let (Some(cfg), Some(index)) = (self.config.active_sketch(), self.ensure_sketch_index())
-        else {
-            return Ok(());
-        };
-        if query.is_empty() {
-            return Ok(());
-        }
-        let cancel = &batch.items[item].cancel;
-        let mut refined_targets = vec![false; self.targets.len()];
-        let mut refined_pairs = 0u64;
-        // Per-target scratch, reset after each target: exact maxima per
-        // query strand (drives GES/S-LOG) and per class (drives S-VCP),
-        // and the pruned cells still unknown, `(bound_q, bound_t, qi, ci)`.
-        let mut max_q = vec![0.0f64; query.len()];
-        let mut max_t = vec![0.0f64; self.classes.len()];
-        let mut unknown: Vec<(f64, f64, usize, usize)> = Vec::new();
-        self.prefilter_stats.record_refine_pass();
-        let mut refine = || -> Result<(), QueryError> {
-            loop {
-                // The served window under the current scores — the same
-                // order `QueryScores::ranked` serves (GES desc, TargetId
-                // asc).
-                let mut order: Vec<usize> = (0..scores.len()).collect();
-                order.sort_by(|&a, &b| {
-                    scores[b]
-                        .ges
-                        .partial_cmp(&scores[a].ges)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(scores[a].target.cmp(&scores[b].target))
-                });
-                // 2× slack: refining only the estimated top-K decides the
-                // window *boundary* on estimated scores — a target whose
-                // pruned evidence would lift it from rank 12 to rank 8
-                // never enters the window. Scanning twice the served depth
-                // prices the contenders exactly too, so membership at
-                // rank K is decided among exact scores (bounded, and
-                // deterministic because the scan depth depends only on
-                // config).
-                let pending: Vec<usize> = order
-                    .into_iter()
-                    .take(cfg.refine_top_k.saturating_mul(2))
-                    .filter(|&ti| !refined_targets[ti])
-                    .collect();
-                if pending.is_empty() {
-                    return Ok(());
-                }
-                for ti in pending {
-                    refined_targets[ti] = true;
-                    if cancel.is_cancelled() {
-                        return Err(QueryError::Cancelled);
-                    }
-                    let strands = &self.targets[ti].strands;
-                    for &(ci, _) in strands {
-                        let class = &self.classes[ci];
-                        for (qi, q) in query.iter().enumerate() {
-                            match matrix.rung[qi][ci] {
-                                Rung::Filtered => continue,
-                                Rung::Exact => {
-                                    let v = matrix.vcp[qi][ci];
-                                    max_q[qi] = max_q[qi].max(v.q_in_t);
-                                    max_t[ci] = max_t[ci].max(v.t_in_q);
-                                    continue;
-                                }
-                                Rung::Unpriced
-                                    if !self.passes_cheap_filters(q.vars, &q.signature, class) =>
-                                {
-                                    continue
-                                }
-                                Rung::Unpriced | Rung::Pruned => {}
-                            }
-                            // The window scan must see the persisted cache
-                            // segment of every class it peeks, and counts
-                            // toward this item's fan-out.
-                            self.open_cell(ci, item, &batch.touched)?;
-                            let key = (q.hash, class.hash, batch.vcp_fp);
-                            // `peek`, not `get`: this scan separates known
-                            // from pruned cells and must not distort the
-                            // miss counter the benches report as verifier
-                            // calls.
-                            if let Some(v) = self.cache.peek(&key) {
-                                max_q[qi] = max_q[qi].max(v.q_in_t);
-                                max_t[ci] = max_t[ci].max(v.t_in_q);
-                                continue;
-                            }
-                            // Probe-sketch bounds are the tightest
-                            // available: every tightened bound is another
-                            // chance to dominance-skip a verification. With
-                            // probing off (`lsh_only`) that is the base
-                            // sketch. No sketch to bound with: always verify.
-                            let (c_q, c_t) = match &q.sketch {
-                                Some(qs) if cfg.probe_window() == 0.0 => {
-                                    qs.containment_both(index.sketch(ci))
-                                }
-                                Some(_) => self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?,
-                                None => (1.0, 1.0),
-                            };
-                            unknown.push((c_q, c_t, qi, ci));
-                        }
-                    }
-                    // Verify pruned cells best-bound-first so early exact
-                    // results raise the maxima and dominate the rest away.
-                    unknown.sort_by(|a, b| {
-                        b.0.max(b.1)
-                            .partial_cmp(&a.0.max(a.1))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.2.cmp(&b.2))
-                            .then(a.3.cmp(&b.3))
-                    });
-                    for (c_q, c_t, qi, ci) in unknown.drain(..) {
-                        if c_q <= max_q[qi] && c_t <= max_t[ci] {
-                            // True VCP ≤ bound ≤ an exact value already in
-                            // the matrix: this cell cannot move any maximum.
-                            continue;
-                        }
-                        if cancel.is_cancelled() {
-                            return Err(QueryError::Cancelled);
-                        }
-                        let q = &query[qi];
-                        let key = (q.hash, self.classes[ci].hash, batch.vcp_fp);
-                        // `peek` again (see above): refine's lookups are
-                        // state-dependent (a warm repeat verifies nothing),
-                        // so counting them would make the hit/miss totals
-                        // nondeterministic. [`PrefilterStats::refined_pairs`]
-                        // carries refine's verifier work instead. The
-                        // re-peek also picks up a value a concurrent query
-                        // inserted since the scan.
-                        let v = match self.cache.peek(&key) {
-                            Some(v) => v,
-                            None => {
-                                let v = self.verify_cell(session, q, ci, key)?;
-                                refined_pairs += 1;
-                                v
-                            }
-                        };
-                        max_q[qi] = max_q[qi].max(v.q_in_t);
-                        max_t[ci] = max_t[ci].max(v.t_in_q);
-                    }
-                    // Exact maxima in hand: rebuild this target's score
-                    // against the frozen H0. `scores` is in target order
-                    // (score_targets builds it that way), so `ti` indexes
-                    // it.
-                    scores[ti] = self.score_target(ti, &max_q, |ci| max_t[ci], h0);
-                    max_q.fill(0.0);
-                    for &(ci, _) in strands {
-                        max_t[ci] = 0.0;
-                    }
-                }
-            }
-        };
-        let outcome = refine();
-        self.prefilter_stats.record_refined_pairs(refined_pairs);
-        outcome
     }
 
     /// Overrides [`EngineConfig::threads`] for subsequent queries: at
@@ -1960,6 +1000,7 @@ impl SimilarityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ScoringMode;
     use esh_cc::{Compiler, Vendor, VendorVersion};
     use esh_minic::demo;
 

@@ -44,12 +44,13 @@
 //!   the engine is built over its shards, never read from a file, so a
 //!   summary cannot disagree with the classes it summarises.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use esh_ivl::Proc;
-use esh_strands::{stable_mix, structural_hash, Signature, STABLE_HASH_SEED};
+use esh_strands::{stable_mix, structural_hash, Signature, SIGNATURE_SEEDS, STABLE_HASH_SEED};
 
 use crate::cache::{VcpCache, VcpCacheEntry};
 use crate::engine::EngineConfig;
@@ -841,6 +842,98 @@ pub struct CorpusExport {
     pub targets: Vec<TargetExport>,
     /// Every memoized VCP-cache entry, sorted by key.
     pub cache: Vec<VcpCacheEntry>,
+}
+
+/// Checks the parts of a sharded index against each other and against
+/// `config` (see `SimilarityEngine::from_lazy_parts`). Returns the class
+/// index of each structural hash and each class's corpus count, the sum
+/// of its occurrences over the target strand lists.
+pub(crate) fn check_lazy_parts(
+    config: &EngineConfig,
+    classes: &[LazyClassMeta],
+    targets: &[TargetExport],
+    specs: &[ShardSpec],
+) -> Result<(HashMap<u64, usize>, Vec<u64>), String> {
+    let mut class_cursor = 0usize;
+    let mut target_cursor = 0usize;
+    for (i, s) in specs.iter().enumerate() {
+        if s.class_start != class_cursor || s.target_start != target_cursor {
+            return Err(format!("shard {i} does not tile contiguously"));
+        }
+        if s.class_end < s.class_start || s.target_end < s.target_start {
+            return Err(format!("shard {i} has an inverted range"));
+        }
+        class_cursor = s.class_end;
+        target_cursor = s.target_end;
+    }
+    if class_cursor != classes.len() || target_cursor != targets.len() {
+        return Err(format!(
+            "shards cover {class_cursor} classes / {target_cursor} targets, \
+             index has {} / {}",
+            classes.len(),
+            targets.len()
+        ));
+    }
+    let mut class_by_hash = HashMap::with_capacity(classes.len());
+    for (i, c) in classes.iter().enumerate() {
+        if class_by_hash.insert(c.hash, i).is_some() {
+            return Err("duplicate strand-class hashes".into());
+        }
+    }
+    let mut corpus_counts = vec![0u64; classes.len()];
+    for t in targets {
+        for &(ci, n) in &t.strands {
+            let count = corpus_counts
+                .get_mut(ci)
+                .ok_or_else(|| format!("target `{}` references a class out of range", t.name))?;
+            *count = count.checked_add(n).ok_or_else(|| {
+                format!(
+                    "class `{}`: its occurrence counts overflow u64",
+                    classes[ci].name
+                )
+            })?;
+        }
+    }
+    let tier = config.active_sketch().is_some();
+    if let Some(c) = classes.iter().find(|c| c.sketch.is_some() != tier) {
+        let why = if tier {
+            "has no sketch under an enabled"
+        } else {
+            "has a sketch under a disabled"
+        };
+        return Err(format!("class `{}` {why} sketch tier", c.name));
+    }
+    // The signature and sketch-containment merges assume sorted
+    // input; unsorted rounds or digests would silently flip prune
+    // decisions.
+    let rounds = SIGNATURE_SEEDS.len();
+    for c in classes {
+        if c.signature.rounds.len() != rounds {
+            return Err(format!(
+                "class `{}`: signature has {} rounds, not {rounds}",
+                c.name,
+                c.signature.rounds.len()
+            ));
+        }
+        if !c.signature.rounds.iter().all(|r| r.is_sorted()) {
+            return Err(format!("class `{}`: signature round is not sorted", c.name));
+        }
+        if c.sketch.as_ref().is_some_and(|s| !s.digests.is_sorted()) {
+            return Err(format!("class `{}`: sketch digests are not sorted", c.name));
+        }
+    }
+    if let Some(cfg) = config.active_sketch() {
+        cfg.validate()?;
+        let k = cfg.bands * cfg.rows;
+        let bad = |c: &&LazyClassMeta| c.sketch.as_ref().is_some_and(|s| s.minhash.len() != k);
+        if let Some(c) = classes.iter().find(bad) {
+            return Err(format!(
+                "class `{}`: sketch is not {k} minhash words",
+                c.name
+            ));
+        }
+    }
+    Ok((class_by_hash, corpus_counts))
 }
 
 #[cfg(test)]
