@@ -41,7 +41,7 @@ use crate::prefilter::{
     SketchIndex,
 };
 use crate::shard::{
-    check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary,
+    band_summaries, check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards,
     ShardError, ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
 use crate::vcp::VcpConfig;
@@ -503,16 +503,17 @@ impl SimilarityEngine {
     /// at proc-need time, not at shard open — so the checksum error
     /// surfaces as a typed [`ShardError`], never a panic.
     fn class_proc(&self, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
+        let class = &self.classes[ci];
         match &self.shards {
-            Some(lazy) if ci < lazy.class_limit() => {
-                let expect = (self.classes[ci].hash, self.classes[ci].vars);
+            Some(lazy) => {
+                let expect = (class.hash, class.vars);
                 Ok(ClassProcRef::Shared(lazy.proc_ref(
                     ci,
                     expect,
                     &self.cache,
                 )?))
             }
-            _ => Ok(ClassProcRef::Resident(&self.classes[ci].proc_)),
+            None => Ok(ClassProcRef::Resident(&class.proc_)),
         }
     }
 
@@ -588,11 +589,14 @@ impl SimilarityEngine {
     /// tier, that its knobs are usable and every sketch has its
     /// `bands × rows` minhash words.
     ///
-    /// With `prune` set and the sketch tier on, it then derives one band
-    /// summary per shard from the validated class sketches, so queries
-    /// skip shards whose every cell is provably sketch-pruned. Pruning
-    /// never moves a score; `prune: false` keeps the full fan-out as a
-    /// reference.
+    /// With `prune` set, the sketch tier on and a config under which every
+    /// non-candidate pair prunes (`margin − window > 1.0`, the pure-LSH
+    /// profile), it then derives one LSH band summary per shard from the
+    /// validated class sketches, so queries skip shards none of whose
+    /// classes shares a band with them. Pruning never moves a score;
+    /// `prune: false` keeps the full fan-out as a reference.
+    ///
+    /// The engine is immutable: see [`SimilarityEngine::add_target`].
     pub fn from_lazy_parts(
         config: EngineConfig,
         classes: Vec<LazyClassMeta>,
@@ -602,19 +606,10 @@ impl SimilarityEngine {
         prune: bool,
     ) -> Result<SimilarityEngine, String> {
         let (class_by_hash, corpus_counts) = check_lazy_parts(&config, &classes, &targets, &specs)?;
-        let summaries = config.active_sketch().filter(|_| prune).map(|cfg| {
-            specs
-                .iter()
-                .map(|s| {
-                    let members = classes[s.class_start..s.class_end].iter().map(|c| {
-                        c.sketch
-                            .as_ref()
-                            .expect("an enabled sketch tier sketches every class")
-                    });
-                    ShardBandSummary::build(members, cfg.bands, cfg.rows)
-                })
-                .collect()
-        });
+        let summaries = config
+            .active_sketch()
+            .filter(|_| prune)
+            .and_then(|cfg| band_summaries(cfg, &classes, &specs));
         let classes = classes
             .into_iter()
             .zip(corpus_counts)
@@ -668,7 +663,17 @@ impl SimilarityEngine {
     }
 
     /// Adds a target procedure, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine opened over a sharded index
+    /// ([`SimilarityEngine::from_lazy_parts`]): an opened index is
+    /// immutable. Add targets to a resident engine and write a new index.
     pub fn add_target(&mut self, name: impl Into<String>, proc_: &Procedure) -> TargetId {
+        assert!(
+            self.shards.is_none(),
+            "add_target on an engine opened over a sharded index, which is immutable"
+        );
         let mut per_class: HashMap<usize, u64> = HashMap::new();
         for strand in extract_proc_strands(proc_) {
             let lifted = lift_strand(&strand);
@@ -1420,6 +1425,47 @@ mod tests {
         }
     }
 
+    /// `engine`'s corpus reopened as one shard over [`Unreadable`].
+    fn reopen_unreadable(engine: &SimilarityEngine) -> SimilarityEngine {
+        let export = engine.export_corpus().unwrap();
+        let classes = export
+            .classes
+            .into_iter()
+            .map(|c| LazyClassMeta {
+                name: c.name,
+                signature: c.signature,
+                vars: c.vars,
+                hash: c.hash,
+                sketch: c.sketch,
+            })
+            .collect::<Vec<_>>();
+        let spec = ShardSpec {
+            class_start: 0,
+            class_end: classes.len(),
+            target_start: 0,
+            target_end: export.targets.len(),
+        };
+        let source = Box::new(Unreadable);
+        SimilarityEngine::from_lazy_parts(
+            export.config,
+            classes,
+            export.targets,
+            vec![spec],
+            source,
+            false,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "immutable")]
+    fn add_target_on_an_opened_index_panics() {
+        let mut engine = SimilarityEngine::new(quick_config());
+        engine.add_target("tp", &clang().compile_function(&demo::heartbleed_like()));
+        let mut lazy = reopen_unreadable(&engine);
+        lazy.add_target("late", &gcc().compile_function(&demo::venom_like()));
+    }
+
     #[test]
     fn pass_count_returns_to_zero_after_cancelled_and_corrupted_items() {
         let f = demo::heartbleed_like();
@@ -1447,33 +1493,7 @@ mod tests {
         assert_eq!(engine.passes.load(Ordering::Relaxed), 0);
 
         // The same corpus over a source that cannot open its one shard.
-        let export = engine.export_corpus().unwrap();
-        let classes = export
-            .classes
-            .into_iter()
-            .map(|c| LazyClassMeta {
-                name: c.name,
-                signature: c.signature,
-                vars: c.vars,
-                hash: c.hash,
-                sketch: c.sketch,
-            })
-            .collect::<Vec<_>>();
-        let spec = ShardSpec {
-            class_start: 0,
-            class_end: classes.len(),
-            target_start: 0,
-            target_end: export.targets.len(),
-        };
-        let lazy = SimilarityEngine::from_lazy_parts(
-            export.config,
-            classes,
-            export.targets,
-            vec![spec],
-            Box::new(Unreadable),
-            false,
-        )
-        .unwrap();
+        let lazy = reopen_unreadable(&engine);
         let item = BatchQuery {
             query: Query::Target(TargetId(0)),
             cancel: CancelToken::new(),

@@ -238,15 +238,12 @@ impl SimilarityEngine {
     /// [`SimilarityEngine::class_proc`], after the lookup, so a cache hit
     /// never pays the decode.
     fn open_cell(&self, it: &ItemPass<'_>, ci: usize) -> Result<(), ShardError> {
-        match &self.shards {
-            Some(lazy) if ci < lazy.class_limit() => {
-                let shard = lazy.shard_of_class(ci);
-                lazy.ensure_loaded(shard, &self.cache)?;
-                it.batch.touched.mark(it.item, shard);
-                Ok(())
-            }
-            _ => Ok(()),
+        if let Some(lazy) = &self.shards {
+            let shard = lazy.shard_of_class(ci);
+            lazy.ensure_loaded(shard, &self.cache)?;
+            it.batch.touched.mark(it.item, shard);
         }
+        Ok(())
     }
 
     /// The cache key of cell `(qi, ci)` of item `it`.

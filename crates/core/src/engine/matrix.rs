@@ -10,8 +10,8 @@ use esh_verifier::VerifierSession;
 
 use super::ladder::Rung;
 use super::{BatchPass, SimilarityEngine};
-use crate::prefilter::{RungCounts, SemanticSketch};
-use crate::shard::{ShardBandSummary, ShardError};
+use crate::prefilter::RungCounts;
+use crate::shard::ShardError;
 use crate::vcp::VcpPair;
 
 /// Classes per work-stealing tile. Small enough that a tile of
@@ -174,56 +174,20 @@ impl SimilarityEngine {
                 .collect()
         });
         let masks = &masks;
-        // Whole-shard pruning (sub-linear fan-out): when the engine holds
-        // per-shard band summaries, decide per `(item, shard)` — before
-        // any per-cell work — whether every cell of the shard is provably
-        // sketch-pruned ([`ShardBandSummary::can_skip`]). Skipped cells
-        // stay at `VcpPair::default()`, exactly the value the per-cell
-        // Prune path leaves, so matrices, H0 and scores are byte-identical
-        // to the full fan-out; only the pricing CPU (and the prefilter
-        // observability counters) are saved. The proof needs every strand
-        // of the item sketched and `margin > window`; anything else keeps
-        // the full fan-out.
-        let shard_skip: Option<(Vec<u32>, Vec<Vec<bool>>)> =
-            self.shards.as_ref().and_then(|lazy| {
-                let summaries = lazy.summaries.as_ref()?;
-                let cfg = self.config.active_sketch()?;
-                let (margin, window) = (cfg.exact_fallback_margin, cfg.probe_window());
-                if margin <= window {
-                    return None;
-                }
-                let limit = lazy.class_limit();
-                let class_shard: Vec<u32> = (0..limit)
-                    .map(|ci| lazy.shard_of_class(ci) as u32)
-                    .collect();
-                let skip: Vec<Vec<bool>> = queries
-                    .iter()
-                    .map(|q| {
-                        let sketches: Option<Vec<&SemanticSketch>> = q
-                            .as_ref()
-                            .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
-                        let Some(sketches) = sketches else {
-                            return vec![false; summaries.len()];
-                        };
-                        let keys: Vec<Vec<u64>> = sketches
-                            .iter()
-                            .map(|s| s.band_keys(cfg.bands, cfg.rows))
-                            .collect();
-                        let can_skip = |sum: &ShardBandSummary| {
-                            let mut strands = sketches.iter().zip(&keys);
-                            strands.all(|(s, k)| sum.can_skip(s, k, margin, window))
-                        };
-                        summaries.iter().map(can_skip).collect()
-                    })
-                    .collect();
-                let pruned: u64 = skip
-                    .iter()
-                    .map(|row| row.iter().filter(|&&s| s).count() as u64)
-                    .sum();
-                lazy.add_pruned(pruned);
-                Some((class_shard, skip))
+        // Whole-shard pruning: the shards each item provably skips,
+        // decided before any per-cell work (see `LazyShards::skip_plan`).
+        let skip = self
+            .shards
+            .as_ref()
+            .zip(self.config.active_sketch())
+            .and_then(|(lazy, cfg)| {
+                let sketches = queries.iter().map(|q| {
+                    q.as_ref()
+                        .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect())
+                });
+                lazy.skip_plan(cfg, sketches)
             });
-        let shard_skip = &shard_skip;
+        let skip = &skip;
         let shard_errors_ref = &shard_errors;
         type Tile = (usize, usize, usize, Vec<VcpPair>, Vec<Rung>);
         let work = || -> Vec<Tile> {
@@ -252,13 +216,8 @@ impl SimilarityEngine {
                 let mut row = vec![VcpPair::default(); end - start];
                 let mut rungs = vec![Rung::Unpriced; end - start];
                 for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end) {
-                    // Whole-shard prune: provably equivalent to the
-                    // per-cell sketch prune, decided without touching the
-                    // class.
-                    if let Some((class_shard, skip)) = shard_skip {
-                        if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
-                            continue;
-                        }
+                    if skip.as_ref().is_some_and(|p| p.skips(b, ci)) {
+                        continue;
                     }
                     match self.price_cell(&it, qi, ci, mask, &mut w) {
                         Ok((r, v)) => (*rung, *cell) = (r, v),

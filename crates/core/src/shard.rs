@@ -54,7 +54,7 @@ use esh_strands::{stable_mix, structural_hash, Signature, SIGNATURE_SEEDS, STABL
 
 use crate::cache::{VcpCache, VcpCacheEntry};
 use crate::engine::EngineConfig;
-use crate::prefilter::SemanticSketch;
+use crate::prefilter::{PrefilterConfig, SemanticSketch};
 
 /// The contiguous target and class ranges one shard owns. Ranges are
 /// half-open (`start..end`); consecutive shards tile both index spaces
@@ -226,136 +226,80 @@ impl Bloom {
     }
 }
 
-/// Per-shard sketch-band summary: Bloom filters over every member
-/// class's sketch digests and LSH band keys, plus the two scalars the
-/// class-side containment bound needs. The engine builds one per shard
-/// from the class sketches when it is opened over a sharded index (see
-/// `SimilarityEngine::from_lazy_parts`) and consults them at query time
-/// to skip whole shards before fan-out.
+/// Per-shard band summary: a Bloom filter over the LSH band keys of
+/// every member class's sketch. The engine builds one per shard from the
+/// class sketches when it is opened over a sharded index, and only under
+/// a config where whole-shard pruning can fire (see [`band_summaries`]).
 #[derive(Debug)]
 pub(crate) struct ShardBandSummary {
-    /// Bloom over the sketch digests of every class in the shard.
-    digests: Bloom,
-    /// Bloom over the LSH band keys of every class in the shard.
     bands: Bloom,
-    /// Smallest digest count over member classes with a non-empty digest
-    /// list (`u64::MAX` when every member is empty) — the denominator of
-    /// the class-side containment bound.
-    min_digests: u64,
-    /// Largest multiplicity of a single digest value *within one* member
-    /// class — the multiplier of the class-side containment bound.
-    max_mult: u64,
 }
 
 impl ShardBandSummary {
     /// Builds a summary over `sketches` (one per class in the shard) with
     /// LSH geometry `bands × rows`.
-    pub(crate) fn build<'a>(
-        sketches: impl Iterator<Item = &'a SemanticSketch>,
+    fn build<'a>(
+        sketches: impl ExactSizeIterator<Item = &'a SemanticSketch>,
         bands: usize,
         rows: usize,
     ) -> ShardBandSummary {
-        let sketches: Vec<&SemanticSketch> = sketches.collect();
-        let digest_keys: usize = sketches.iter().map(|s| s.digests.len()).sum();
         let mut summary = ShardBandSummary {
-            digests: Bloom::with_capacity(digest_keys),
             bands: Bloom::with_capacity(sketches.len() * bands),
-            min_digests: u64::MAX,
-            max_mult: 0,
         };
         for s in sketches {
-            for &d in &s.digests {
-                summary.digests.insert(d);
-            }
             for k in s.band_keys(bands, rows) {
                 summary.bands.insert(k);
-            }
-            if !s.digests.is_empty() {
-                summary.min_digests = summary.min_digests.min(s.digests.len() as u64);
-                // Digests are sorted, so multiplicity is run length.
-                let (mut run, mut mult) = (1u64, 1u64);
-                for w in s.digests.windows(2) {
-                    if w[0] == w[1] {
-                        run += 1;
-                        mult = mult.max(run);
-                    } else {
-                        run = 1;
-                    }
-                }
-                summary.max_mult = summary.max_mult.max(mult);
             }
         }
         summary
     }
 
-    /// Whether every cell pairing `sketch` with this shard's classes is
-    /// guaranteed to be sketch-pruned, so the shard can be skipped for
-    /// this strand without touching it.
-    ///
-    /// The proof mirrors the staged pricing ladder (`bounds_decision`,
-    /// which prunes a cell when both containment bounds fall below
-    /// `margin - window`) by *counting* possibly-shared digests instead
-    /// of demanding zero intersection. For any member class `t` and the
-    /// query strand `q`:
-    ///
-    /// * query-side: every digest entry of `q` matched inside `t` has a
-    ///   value the digest Bloom contains (no false negatives), so
-    ///   `c_q = matched/|q| <= hits/|q|` where `hits` counts `q`'s
-    ///   entries (with multiplicity) the Bloom may contain;
-    /// * class-side: every entry of `t` matched inside `q` has a value
-    ///   that is both a distinct Bloom-positive digest of `q` and repeats
-    ///   at most [`ShardBandSummary::max_mult`] times within `t`, so
-    ///   `c_t = matched/|t| <= distinct_hits * max_mult / min_digests`
-    ///   (classes with no digests have `c_t = 0` by definition).
-    ///
-    /// Both bounds below the threshold proves every cell prices to
-    /// `Prune`. Under the pre-probe rule (`window == 0`) *collided* cells
-    /// skip pricing and go straight to the exact path, so the band Bloom
-    /// must additionally prove no class shares an LSH band with the
-    /// query.
-    ///
-    /// Bloom false positives only ever answer "may collide", which keeps
-    /// the shard in the fan-out — pruning is conservative by
-    /// construction.
-    pub(crate) fn can_skip(
-        &self,
-        sketch: &SemanticSketch,
-        band_keys: &[u64],
-        margin: f64,
-        window: f64,
-    ) -> bool {
-        let threshold = margin - window;
-        if threshold <= 0.0 {
-            return false;
-        }
-        let ds = &sketch.digests;
-        let (mut hits, mut distinct_hits) = (0u64, 0u64);
-        let mut i = 0;
-        while i < ds.len() {
-            let mut j = i + 1;
-            while j < ds.len() && ds[j] == ds[i] {
-                j += 1;
-            }
-            if self.digests.may_contain(ds[i]) {
-                hits += (j - i) as u64;
-                distinct_hits += 1;
-            }
-            i = j;
-        }
-        let c_q = if ds.is_empty() {
-            0.0
-        } else {
-            hits as f64 / ds.len() as f64
-        };
-        let c_t = if self.min_digests == u64::MAX {
-            0.0
-        } else {
-            ((distinct_hits * self.max_mult) as f64 / self.min_digests as f64).min(1.0)
-        };
-        if c_q.max(c_t) >= threshold {
-            return false;
-        }
-        window > 0.0 || band_keys.iter().all(|k| !self.bands.may_contain(*k))
+    /// Whether some member class may share an LSH band with a query
+    /// strand whose band keys are `keys`; `false` is definitive.
+    fn may_collide(&self, keys: &[u64]) -> bool {
+        keys.iter().any(|&k| self.bands.may_contain(k))
+    }
+}
+
+/// One band summary per shard of `specs`, or `None` when whole-shard
+/// pruning cannot fire under `cfg`. A shard can be skipped for a query
+/// item only when every cell it holds would price to `Prune` anyway. That
+/// holds for every non-candidate pair exactly when `margin − window >
+/// 1.0`, since containment bounds never exceed 1.0 (`bounds_decision`
+/// prunes below `margin − window`); the pure-LSH profile
+/// ([`PrefilterConfig::lsh_only`]) is such a config. At any lower
+/// threshold some pair of a shard may reach it, and no summary is built.
+pub(crate) fn band_summaries(
+    cfg: &PrefilterConfig,
+    classes: &[LazyClassMeta],
+    specs: &[ShardSpec],
+) -> Option<Vec<ShardBandSummary>> {
+    if cfg.exact_fallback_margin - cfg.probe_window() <= 1.0 {
+        return None;
+    }
+    let summaries = specs.iter().map(|s| {
+        let members = classes[s.class_start..s.class_end].iter().map(|c| {
+            c.sketch
+                .as_ref()
+                .expect("an enabled sketch tier sketches every class")
+        });
+        ShardBandSummary::build(members, cfg.bands, cfg.rows)
+    });
+    Some(summaries.collect())
+}
+
+/// Which shards each item of one query batch skips, item-major (see
+/// [`LazyShards::skip_plan`]).
+#[derive(Debug)]
+pub(crate) struct SkipPlan<'a> {
+    lazy: &'a LazyShards,
+    skip: Vec<bool>,
+}
+
+impl SkipPlan<'_> {
+    /// Whether batch item `item` skips class `ci`'s shard.
+    pub(crate) fn skips(&self, item: usize, ci: usize) -> bool {
+        self.skip[item * self.lazy.specs.len() + self.lazy.shard_of_class(ci)]
     }
 }
 
@@ -417,7 +361,7 @@ pub(crate) struct LazyShards {
     source: Box<dyn ShardSource>,
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
     /// Per-shard band summaries, one per spec (`None`: pruning off).
-    pub(crate) summaries: Option<Vec<ShardBandSummary>>,
+    summaries: Option<Vec<ShardBandSummary>>,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,
     /// Monotonic LRU clock; `stamps[i]` is shard `i`'s last touch.
@@ -462,19 +406,11 @@ impl LazyShards {
         }
     }
 
-    /// One past the highest class index any shard owns. Classes at or
-    /// beyond this (added after the index was opened) are resident in
-    /// the engine itself.
-    pub(crate) fn class_limit(&self) -> usize {
-        self.specs.last().map_or(0, |s| s.class_end)
-    }
-
     pub(crate) fn shard_count(&self) -> usize {
         self.specs.len()
     }
 
-    /// The shard owning class `ci` (callers guarantee `ci <
-    /// class_limit()`).
+    /// The shard owning class `ci`.
     pub(crate) fn shard_of_class(&self, ci: usize) -> usize {
         self.specs.partition_point(|s| s.class_end <= ci)
     }
@@ -716,8 +652,41 @@ impl LazyShards {
         self.fanout.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_pruned(&self, n: u64) {
-        self.pruned.fetch_add(n, Ordering::Relaxed);
+    /// The skip plan of one query batch, or `None` when this engine keeps
+    /// no band summaries. `items` yields each batch item's query-strand
+    /// sketches; `None` (an item cancelled before preparation, or with a
+    /// strand the tier did not sketch) skips nothing. Under `cfg`, for
+    /// which the summaries were built, every non-candidate cell prices to
+    /// `Prune`, so an item skips a shard when no strand of it shares an
+    /// LSH band with any of the shard's classes — and skips every shard
+    /// when the tier probes (`window > 0`), since then band candidates
+    /// are priced by their bounds and prune too. Skipped cells stay at
+    /// `VcpPair::default()`, the value the per-cell prune leaves, so
+    /// matrices, H0 and scores are byte-identical to the full fan-out;
+    /// only the pricing work and the prefilter counters of those cells
+    /// are saved. Adds the skipped `(item, shard)` pairs to the pruned
+    /// counter.
+    pub(crate) fn skip_plan<'q>(
+        &self,
+        cfg: &PrefilterConfig,
+        items: impl Iterator<Item = Option<Vec<&'q SemanticSketch>>>,
+    ) -> Option<SkipPlan<'_>> {
+        let summaries = self.summaries.as_ref()?;
+        let window = cfg.probe_window();
+        let mut skip = Vec::new();
+        for sketches in items {
+            let keys: Option<Vec<Vec<u64>>> = sketches.map(|sketches| {
+                let keys = sketches.iter().map(|s| s.band_keys(cfg.bands, cfg.rows));
+                keys.collect()
+            });
+            skip.extend(summaries.iter().map(|sum| {
+                keys.as_ref()
+                    .is_some_and(|keys| window > 0.0 || keys.iter().all(|k| !sum.may_collide(k)))
+            }));
+        }
+        let pruned = skip.iter().filter(|&&s| s).count() as u64;
+        self.pruned.fetch_add(pruned, Ordering::Relaxed);
+        Some(SkipPlan { lazy: self, skip })
     }
 
     pub(crate) fn stats(&self) -> ShardStats {
@@ -961,100 +930,57 @@ mod tests {
         );
     }
 
+    fn sketch(digests: Vec<u64>, minhash: u64) -> SemanticSketch {
+        SemanticSketch {
+            digests,
+            minhash: vec![minhash; 16],
+        }
+    }
+
     #[test]
-    fn summary_skips_disjoint_sketches_and_keeps_overlapping_ones() {
-        let member = SemanticSketch {
-            digests: vec![10, 20, 30],
-            minhash: vec![3; 16],
-        };
+    fn band_summary_sees_collisions_whatever_the_digests() {
+        let member = sketch(vec![10, 20, 30], 3);
         let summary = ShardBandSummary::build([&member].into_iter(), 4, 4);
-        assert_eq!(summary.min_digests, 3);
-        assert_eq!(summary.max_mult, 1);
-
-        let disjoint = SemanticSketch {
-            digests: vec![100, 200],
-            minhash: vec![4; 16],
-        };
-        // window > 0: digest disjointness is what proves the prune.
-        assert!(summary.can_skip(&disjoint, &disjoint.band_keys(4, 4), 0.7, 0.2));
-        // window == 0: identical minhash rows collide on every band, so
-        // the shard must stay in the fan-out for the member itself.
-        assert!(!summary.can_skip(&member, &member.band_keys(4, 4), 0.7, 0.0));
-        // Sharing two of three digests pushes the class-side bound to
-        // 2/3 >= 0.5, which keeps the shard (window > 0).
-        let overlapping = SemanticSketch {
-            digests: vec![20, 30, 999],
-            minhash: vec![4; 16],
-        };
-        assert!(!summary.can_skip(&overlapping, &overlapping.band_keys(4, 4), 0.7, 0.2));
+        // Identical minhash rows collide on every band.
+        assert!(summary.may_collide(&member.band_keys(4, 4)));
+        // Full digest overlap but disjoint bands: no collision. Under the
+        // pure-LSH profile every non-candidate cell prices to Prune
+        // whatever its containment bound, so digests play no part.
+        let contained = sketch(vec![10, 20, 30], 9);
+        assert!(!summary.may_collide(&contained.band_keys(4, 4)));
     }
 
     #[test]
-    fn counting_rule_skips_small_overlap_but_respects_tiny_classes() {
-        // One ten-digest class: a single shared digest gives bounds
-        // c_q <= 1/5 and c_t <= 1/10, both under 0.7 - 0.2.
-        let wide = SemanticSketch {
-            digests: (0..10).map(|i| 100 + i).collect(),
-            minhash: vec![3; 16],
+    fn summaries_are_built_only_where_every_non_candidate_prunes() {
+        let classes: Vec<LazyClassMeta> = (0..4u64)
+            .map(|i| LazyClassMeta {
+                name: format!("c{i}"),
+                signature: Signature { rounds: Vec::new() },
+                vars: 2,
+                hash: i,
+                sketch: Some(sketch(vec![i], i)),
+            })
+            .collect();
+        let specs: Vec<ShardSpec> = (0..2)
+            .map(|s| ShardSpec {
+                class_start: 2 * s,
+                class_end: 2 * s + 2,
+                target_start: s,
+                target_end: s + 1,
+            })
+            .collect();
+        let lsh = PrefilterConfig::lsh_only();
+        let summaries = band_summaries(&lsh, &classes, &specs).expect("margin − window = 2.0");
+        assert_eq!(summaries.len(), specs.len());
+        // The shipped default (0.7 − 0.2) and the pure-LSH margin with a
+        // window reaching back to 1.0 build nothing.
+        let default = PrefilterConfig::default();
+        assert!(band_summaries(&default, &classes, &specs).is_none());
+        let wide = PrefilterConfig {
+            ambiguity_window: 1.0,
+            probe_vectors: 24,
+            ..lsh
         };
-        let summary = ShardBandSummary::build([&wide].into_iter(), 4, 4);
-        let query = SemanticSketch {
-            digests: vec![100, 900, 901, 902, 903],
-            minhash: vec![4; 16],
-        };
-        assert!(summary.can_skip(&query, &query.band_keys(4, 4), 0.7, 0.2));
-
-        // Adding a two-digest member drops min_digests to 2: the same
-        // single shared digest now allows c_t = 1/2, at the threshold —
-        // the shard must stay.
-        let tiny = SemanticSketch {
-            digests: vec![100, 101],
-            minhash: vec![5; 16],
-        };
-        let summary = ShardBandSummary::build([&wide, &tiny].into_iter(), 4, 4);
-        assert_eq!(summary.min_digests, 2);
-        assert!(!summary.can_skip(&query, &query.band_keys(4, 4), 0.7, 0.2));
-    }
-
-    #[test]
-    fn repeated_digests_raise_the_class_side_bound() {
-        // max_mult = 3: one Bloom-positive distinct digest can match
-        // three entries of a member class, so c_t <= 3/4 blocks the skip
-        // even though the query-side bound 1/6 is tiny.
-        let repeated = SemanticSketch {
-            digests: vec![7, 7, 7, 8],
-            minhash: vec![6; 16],
-        };
-        let summary = ShardBandSummary::build([&repeated].into_iter(), 4, 4);
-        assert_eq!(summary.max_mult, 3);
-        let query = SemanticSketch {
-            digests: vec![7, 900, 901, 902, 903, 904],
-            minhash: vec![4; 16],
-        };
-        assert!(!summary.can_skip(&query, &query.band_keys(4, 4), 0.7, 0.2));
-    }
-
-    #[test]
-    fn pre_probe_skip_needs_band_disjointness_and_bounded_containment() {
-        // Pure-LSH profile (margin past any containment bound, no
-        // window): only band disjointness decides, because non-collided
-        // cells always price under the margin.
-        let member = SemanticSketch {
-            digests: vec![10, 20, 30],
-            minhash: vec![3; 16],
-        };
-        let summary = ShardBandSummary::build([&member].into_iter(), 4, 4);
-        let contained = SemanticSketch {
-            digests: vec![10, 20, 30],
-            minhash: vec![9; 16],
-        };
-        // Full digest overlap (c_q = c_t = 1) but disjoint bands: under
-        // margin 2.0 every non-collided cell still prices to Prune.
-        assert!(summary.can_skip(&contained, &contained.band_keys(4, 4), 2.0, 0.0));
-        // At margin 0.7 the containment bound blocks the same skip: a
-        // non-collided cell could price Exact.
-        assert!(!summary.can_skip(&contained, &contained.band_keys(4, 4), 0.7, 0.0));
-        // Band collision blocks the skip whatever the margin.
-        assert!(!summary.can_skip(&member, &member.band_keys(4, 4), 2.0, 0.0));
+        assert!(band_summaries(&wide, &classes, &specs).is_none());
     }
 }

@@ -16,7 +16,7 @@
 
 use esh_asm::Procedure;
 use esh_cc::{Compiler, Vendor, VendorVersion};
-use esh_core::{EngineConfig, QueryScores, SimilarityEngine};
+use esh_core::{EngineConfig, PrefilterConfig, QueryScores, SimilarityEngine};
 use esh_index::EshxOpenOptions;
 use esh_minic::demo;
 use proptest::prelude::*;
@@ -38,8 +38,13 @@ fn corpus_and_queries() -> (Vec<(String, Procedure)>, Vec<Procedure>) {
 }
 
 fn build_engine(corpus: &[(String, Procedure)]) -> SimilarityEngine {
+    build_engine_with(corpus, PrefilterConfig::default())
+}
+
+fn build_engine_with(corpus: &[(String, Procedure)], sketch: PrefilterConfig) -> SimilarityEngine {
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
+        sketch,
         ..EngineConfig::default()
     });
     for (name, p) in corpus {
@@ -145,21 +150,22 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Sketch-band shard pruning may only skip work that contributes
-    /// nothing: for any shard granularity and query sequence, the pruned
-    /// engine's rankings, H0 statistics (already folded into the scores)
-    /// and VCP cache counters are byte-identical to the unpruned
-    /// engine's after every step.
+    /// Band-summary shard pruning may only skip work that contributes
+    /// nothing. Under the pure-LSH profile, the one where it fires, the
+    /// pruned engine's rankings, H0 statistics (already folded into the
+    /// scores) and VCP cache counters are byte-identical to the unpruned
+    /// engine's after every step of any query sequence, and every step
+    /// skips at least one shard. One target per shard: on this fixture
+    /// every coarser shard shares an LSH band with every query.
     #[test]
     fn pruned_fanout_is_bitwise_identical_to_full_fanout(
-        targets_per_shard in 1usize..5,
         picks in prop::collection::vec(0usize..4, 1..6),
     ) {
         let (corpus, queries) = corpus_and_queries();
-        let built = build_engine(&corpus);
-        let dir = scratch(&format!("prune-{targets_per_shard}-{}", picks.len()));
+        let built = build_engine_with(&corpus, PrefilterConfig::lsh_only());
+        let dir = scratch(&format!("prune-{}", picks.len()));
         std::fs::remove_dir_all(&dir).ok();
-        esh_index::write_sharded(&built, &dir, targets_per_shard).unwrap();
+        esh_index::write_sharded(&built, &dir, 1).unwrap();
         drop(built);
 
         let full = esh_index::open_sharded_with(
@@ -170,16 +176,23 @@ proptest! {
         let pruned = esh_index::open_sharded(&dir).unwrap();
 
         for (step, &i) in picks.iter().enumerate() {
+            let skipped = pruned.shard_stats().pruned_total;
             let a = full.query(&queries[i]);
             let b = pruned.query(&queries[i]);
             assert_scores_identical(&a, &b, &format!("prune step {step} query {i}"));
             prop_assert_eq!(
                 counters(&full),
                 counters(&pruned),
-                "cache counters diverged after step {} (query {}, shard size {})",
-                step, i, targets_per_shard
+                "cache counters diverged after step {} (query {})",
+                step, i
+            );
+            prop_assert!(
+                pruned.shard_stats().pruned_total > skipped,
+                "step {} (query {}) skipped no shard",
+                step, i
             );
         }
+        prop_assert_eq!(full.shard_stats().pruned_total, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -294,6 +307,34 @@ fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
         "no shard was ever pruned across {} queries: {stats:?}",
         queries.len()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Under the shipped default profile (margin 0.7, window 0.2) some pair of
+/// any shard may reach the margin, so opening builds no band summary and
+/// pruning skips nothing: with `prune` on, every score, every VCP-cache
+/// and prefilter counter and the fan-out equal those of `prune: false`.
+#[test]
+fn default_profile_skips_no_shard_and_keeps_the_full_fanout_counters() {
+    let (corpus, queries) = corpus_and_queries();
+    let dir = scratch("prune-default");
+    std::fs::remove_dir_all(&dir).ok();
+    esh_index::write_sharded(&build_engine(&corpus), &dir, 1).unwrap();
+
+    let full = esh_index::open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
+    let pruned = esh_index::open_sharded(&dir).unwrap();
+    for (i, q) in queries.iter().enumerate() {
+        let what = format!("default profile query {i}");
+        assert_scores_identical(&full.query(q), &pruned.query(q), &what);
+        assert_eq!(counters(&full), counters(&pruned), "{what}: cache");
+        assert_eq!(
+            full.prefilter_stats(),
+            pruned.prefilter_stats(),
+            "{what}: prefilter"
+        );
+        assert_eq!(full.shard_stats(), pruned.shard_stats(), "{what}: shards");
+    }
+    assert_eq!(pruned.shard_stats().pruned_total, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
