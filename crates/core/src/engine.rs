@@ -35,14 +35,14 @@ use esh_strands::{
 use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, VcpCache, VcpCacheEntry};
+use crate::cache::{CacheStats, VcpCache};
 use crate::prefilter::{
     compute_sketch, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
     SketchIndex,
 };
 use crate::shard::{
     band_summaries, check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards,
-    ShardError, ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
+    ShardError, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
 use crate::vcp::VcpConfig;
 
@@ -332,7 +332,7 @@ impl From<ShardError> for QueryError {
 /// [`Proc`].
 enum ClassProcRef<'a> {
     Resident(&'a Proc),
-    Shared(ShardProcRef),
+    Shared(Arc<Proc>),
 }
 
 impl std::ops::Deref for ClassProcRef<'_> {
@@ -379,12 +379,15 @@ pub struct SimilarityEngine {
     /// across one query's tiles. SAT queries never share a solver: each
     /// runs on its own fresh blaster.
     sessions: Mutex<Vec<VerifierSession>>,
-    solver: SolverCounters,
+    /// Engine-lifetime decision counters: the sum of the [`EquivStats`]
+    /// deltas of every worker session, added once per worker rather than
+    /// once per pair.
+    solver: Mutex<EquivStats>,
     prefilter_stats: PrefilterStats,
     /// Banded LSH index over the corpus classes' sketches, built on the
     /// first sketch-enabled query from the sketches every class carries
     /// under the tier, and dropped whenever the corpus changes.
-    sketch_index: Mutex<Option<Arc<SketchIndex>>>,
+    sketch_index: OnceLock<SketchIndex>,
     /// Lazy backing store when the engine was opened from a sharded
     /// `.eshx` index: class procedures and per-segment cache entries load on
     /// first use. `None` for fully resident engines.
@@ -398,22 +401,6 @@ pub struct SimilarityEngine {
     lifted: AtomicU64,
 }
 
-/// Engine-lifetime decision counters: the sum of the [`EquivStats`]
-/// deltas of every worker session, added once per tile run or refine
-/// pass rather than once per pair.
-#[derive(Debug, Default)]
-struct SolverCounters(Mutex<EquivStats>);
-
-impl SolverCounters {
-    fn add(&self, d: &EquivStats) {
-        self.0.lock().expect("solver counters poisoned").add(d);
-    }
-
-    fn snapshot(&self) -> EquivStats {
-        *self.0.lock().expect("solver counters poisoned")
-    }
-}
-
 impl SimilarityEngine {
     /// Creates an engine.
     pub fn new(config: EngineConfig) -> SimilarityEngine {
@@ -424,9 +411,9 @@ impl SimilarityEngine {
             targets: Vec::new(),
             cache: VcpCache::new(),
             sessions: Mutex::new(Vec::new()),
-            solver: SolverCounters::default(),
+            solver: Mutex::default(),
             prefilter_stats: PrefilterStats::default(),
-            sketch_index: Mutex::new(None),
+            sketch_index: OnceLock::new(),
             shards: None,
             passes: AtomicUsize::new(0),
             lifted: AtomicU64::new(0),
@@ -452,14 +439,14 @@ impl SimilarityEngine {
     /// engine has run (CNF-cache hits, conflicts, search time — see
     /// [`SolverPerf`]).
     pub fn solver_stats(&self) -> SolverPerf {
-        self.solver.snapshot().solver
+        self.equiv_stats().solver
     }
 
     /// Aggregate decision counters across all worker sessions this engine
     /// has run: how many term pairs each layer of the equivalence checker
     /// decided, plus the SAT counters of [`Self::solver_stats`].
     pub fn equiv_stats(&self) -> EquivStats {
-        self.solver.snapshot()
+        *self.solver.lock().expect("solver counters poisoned")
     }
 
     /// Engine-lifetime counters of the semantic-sketch prefilter tier
@@ -483,17 +470,11 @@ impl SimilarityEngine {
     /// estimated VCP values.
     pub fn disable_prefilter(&mut self) {
         self.config.sketch.enabled = false;
-        *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
+        self.sketch_index.take();
         for class in &mut self.classes {
             class.sketch = None;
             class.probe = ProbeSlot::default();
         }
-    }
-
-    /// Every memoized VCP-cache entry, sorted by key — what the
-    /// sharded-index writer segments.
-    pub fn cache_entries(&self) -> Vec<VcpCacheEntry> {
-        self.cache.entries()
     }
 
     /// The lifted procedure of class `ci`, pulling its shard into memory
@@ -708,7 +689,7 @@ impl SimilarityEngine {
             *per_class.entry(idx).or_default() += 1;
         }
         // New classes invalidate the lazily-built LSH index.
-        *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
+        self.sketch_index.take();
         let id = TargetId(self.targets.len());
         // Canonical class order: S-VCP sums floats over this list, so it
         // must not inherit HashMap iteration order — two engines built
@@ -852,22 +833,16 @@ impl SimilarityEngine {
     /// on first use. Every class carries its sketch while the tier is on:
     /// `add_target` computes it, and `from_lazy_parts` refuses an index
     /// whose classes lack one.
-    fn ensure_sketch_index(&self) -> Option<Arc<SketchIndex>> {
+    fn ensure_sketch_index(&self) -> Option<&SketchIndex> {
         let cfg = self.config.active_sketch()?;
-        let mut slot = self.sketch_index.lock().expect("sketch index poisoned");
-        if slot.is_none() {
-            let sketches = self
-                .classes
-                .iter()
-                .map(|c| {
-                    c.sketch
-                        .clone()
-                        .expect("an enabled sketch tier sketches every class")
-                })
-                .collect();
-            *slot = Some(Arc::new(SketchIndex::build(sketches, cfg)));
-        }
-        slot.clone()
+        Some(self.sketch_index.get_or_init(|| {
+            let sketches = self.classes.iter().map(|c| {
+                c.sketch
+                    .as_ref()
+                    .expect("an enabled sketch tier sketches every class")
+            });
+            SketchIndex::build(sketches, cfg)
+        }))
     }
 
     /// Scores every target against `proc_`.

@@ -25,7 +25,6 @@ use crate::vcp::{size_ratio_ok, vcp_pair, VcpPair};
 /// pass records it beside each [`VcpPair`], and the refine pass reads it
 /// instead of pricing the cell a second time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub(super) enum Rung {
     /// Never priced: whole-shard pruning skipped the cell's shard (or the
     /// item failed or was cancelled, and is never refined).

@@ -80,7 +80,11 @@ impl SimilarityEngine {
     /// the pool unless its term pool outgrew [`SESSION_TERM_CAP`].
     pub(super) fn return_worker(&self, w: Worker) {
         self.prefilter_stats.add_rungs(&w.counts);
-        self.solver.add(&w.session.stats().delta_since(&w.stats0));
+        let delta = w.session.stats().delta_since(&w.stats0);
+        self.solver
+            .lock()
+            .expect("solver counters poisoned")
+            .add(&delta);
         if w.session.pool().len() <= SESSION_TERM_CAP {
             self.sessions
                 .lock()

@@ -42,6 +42,7 @@
 //! and a zero `refine_top_k` turns refinement off. A disabled tier and
 //! zero knobs fold nothing into the config fingerprint.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -175,7 +176,8 @@ impl PrefilterConfig {
     /// the classic sub-linear trade — which is also what makes
     /// whole-shard band pruning effective: a shard none of whose classes
     /// shares a band with the query provably contributes nothing, so the
-    /// fan-out skips it without loading it (see `ShardBandSummary`).
+    /// fan-out skips it without loading it. It is the one shipped profile
+    /// under which the engine builds shard band summaries.
     /// The refine-top-K pass stays on to re-price the served window
     /// exactly.
     pub fn lsh_only() -> PrefilterConfig {
@@ -418,56 +420,47 @@ fn compute_sketch_rounds(proc_: &Proc, config: &PrefilterConfig, vectors: usize)
     SemanticSketch { digests, minhash }
 }
 
-/// The banded LSH index over every corpus strand class's sketch.
+/// The banded LSH index over every corpus strand class's sketch: the
+/// band buckets only, since the classes keep their sketches.
 ///
-/// Built lazily on the first prefilter-enabled query (so classes
-/// without persisted sketches just rebuild them) and invalidated whenever
-/// a target is added.
+/// Built lazily on the first prefilter-enabled query and invalidated
+/// whenever a target is added.
 #[derive(Debug)]
 pub struct SketchIndex {
     bands: usize,
     rows: usize,
-    sketches: Vec<SemanticSketch>,
+    classes: usize,
     buckets: HashMap<u64, Vec<usize>>,
 }
 
 impl SketchIndex {
-    /// Builds the index over per-class sketches.
-    pub fn build(sketches: Vec<SemanticSketch>, config: &PrefilterConfig) -> SketchIndex {
+    /// Builds the index over per-class sketches, class `i` being the
+    /// `i`-th.
+    pub fn build<S: Borrow<SemanticSketch>>(
+        sketches: impl IntoIterator<Item = S>,
+        config: &PrefilterConfig,
+    ) -> SketchIndex {
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, s) in sketches.iter().enumerate() {
-            for key in s.band_keys(config.bands, config.rows) {
+        let mut classes = 0;
+        for (i, s) in sketches.into_iter().enumerate() {
+            for key in s.borrow().band_keys(config.bands, config.rows) {
                 buckets.entry(key).or_default().push(i);
             }
+            classes = i + 1;
         }
         SketchIndex {
             bands: config.bands,
             rows: config.rows,
-            sketches,
+            classes,
             buckets,
         }
-    }
-
-    /// Number of indexed classes.
-    pub fn len(&self) -> usize {
-        self.sketches.len()
-    }
-
-    /// True when no classes are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
-    }
-
-    /// The sketch of class `i`.
-    pub fn sketch(&self, i: usize) -> &SemanticSketch {
-        &self.sketches[i]
     }
 
     /// Candidate mask for a query sketch: `mask[i]` is true when class
     /// `i` shares at least one LSH band with the query — those pairs go
     /// straight to the exact verifier.
     pub fn candidates(&self, query: &SemanticSketch) -> Vec<bool> {
-        let mut mask = vec![false; self.sketches.len()];
+        let mut mask = vec![false; self.classes];
         for key in query.band_keys(self.bands, self.rows) {
             if let Some(bucket) = self.buckets.get(&key) {
                 for &i in bucket {

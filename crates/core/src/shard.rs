@@ -36,13 +36,15 @@
 //!   float sum (H0, GES, S-VCP) runs in the same order and produces the
 //!   same bits.
 //! * **Pruning may only skip certain misses.** A shard may be skipped for
-//!   a query item only when its band summary proves every one of its
-//!   cells would have been sketch-pruned anyway (see
-//!   [`ShardBandSummary::can_skip`]) — the skipped cells stay at
-//!   `VcpPair::default()` exactly as the priced path would have left
-//!   them. Summaries are derived from the resident class sketches when
-//!   the engine is built over its shards, never read from a file, so a
-//!   summary cannot disagree with the classes it summarises.
+//!   a query item only when every one of its cells would have been
+//!   sketch-pruned anyway: under a config where every non-candidate pair
+//!   prunes, when no class of the shard shares an LSH band with the
+//!   item (see [`band_summaries`] and [`LazyShards::skip_plan`]). The
+//!   skipped cells stay at `VcpPair::default()` exactly as the priced
+//!   path would have left them. Summaries are derived from the resident
+//!   class sketches when the engine is built over its shards, never read
+//!   from a file, so a summary cannot disagree with the classes it
+//!   summarises.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -226,42 +228,8 @@ impl Bloom {
     }
 }
 
-/// Per-shard band summary: a Bloom filter over the LSH band keys of
-/// every member class's sketch. The engine builds one per shard from the
-/// class sketches when it is opened over a sharded index, and only under
-/// a config where whole-shard pruning can fire (see [`band_summaries`]).
-#[derive(Debug)]
-pub(crate) struct ShardBandSummary {
-    bands: Bloom,
-}
-
-impl ShardBandSummary {
-    /// Builds a summary over `sketches` (one per class in the shard) with
-    /// LSH geometry `bands × rows`.
-    fn build<'a>(
-        sketches: impl ExactSizeIterator<Item = &'a SemanticSketch>,
-        bands: usize,
-        rows: usize,
-    ) -> ShardBandSummary {
-        let mut summary = ShardBandSummary {
-            bands: Bloom::with_capacity(sketches.len() * bands),
-        };
-        for s in sketches {
-            for k in s.band_keys(bands, rows) {
-                summary.bands.insert(k);
-            }
-        }
-        summary
-    }
-
-    /// Whether some member class may share an LSH band with a query
-    /// strand whose band keys are `keys`; `false` is definitive.
-    fn may_collide(&self, keys: &[u64]) -> bool {
-        keys.iter().any(|&k| self.bands.may_contain(k))
-    }
-}
-
-/// One band summary per shard of `specs`, or `None` when whole-shard
+/// One band summary per shard of `specs` — a Bloom filter over the LSH
+/// band keys of every member class's sketch — or `None` when whole-shard
 /// pruning cannot fire under `cfg`. A shard can be skipped for a query
 /// item only when every cell it holds would price to `Prune` anyway. That
 /// holds for every non-candidate pair exactly when `margin − window >
@@ -273,17 +241,21 @@ pub(crate) fn band_summaries(
     cfg: &PrefilterConfig,
     classes: &[LazyClassMeta],
     specs: &[ShardSpec],
-) -> Option<Vec<ShardBandSummary>> {
+) -> Option<Vec<Bloom>> {
     if cfg.exact_fallback_margin - cfg.probe_window() <= 1.0 {
         return None;
     }
     let summaries = specs.iter().map(|s| {
-        let members = classes[s.class_start..s.class_end].iter().map(|c| {
-            c.sketch
-                .as_ref()
-                .expect("an enabled sketch tier sketches every class")
-        });
-        ShardBandSummary::build(members, cfg.bands, cfg.rows)
+        let members = &classes[s.class_start..s.class_end];
+        let mut bands = Bloom::with_capacity(members.len() * cfg.bands);
+        for c in members {
+            let sketch = c.sketch.as_ref();
+            let sketch = sketch.expect("an enabled sketch tier sketches every class");
+            for k in sketch.band_keys(cfg.bands, cfg.rows) {
+                bands.insert(k);
+            }
+        }
+        bands
     });
     Some(summaries.collect())
 }
@@ -330,28 +302,6 @@ pub(crate) struct ShardResident {
     retired: std::sync::atomic::AtomicBool,
 }
 
-impl ShardResident {
-    fn decoded_slot_count(&self) -> u64 {
-        self.decoded_slots.load(Ordering::Relaxed)
-    }
-}
-
-/// A checked-out reference to one demand-decoded procedure. Dereferences
-/// to [`Proc`]; holding it pins the decoded record (not its shard slot)
-/// in memory across evictions.
-#[derive(Debug)]
-pub(crate) struct ShardProcRef {
-    proc_: Arc<Proc>,
-}
-
-impl std::ops::Deref for ShardProcRef {
-    type Target = Proc;
-
-    fn deref(&self) -> &Proc {
-        &self.proc_
-    }
-}
-
 /// The engine's view of a sharded backing store: specs, one slot per
 /// shard (evictable under a byte budget), band summaries for pruning,
 /// and the gauges `/metrics` exports.
@@ -361,7 +311,7 @@ pub(crate) struct LazyShards {
     source: Box<dyn ShardSource>,
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
     /// Per-shard band summaries, one per spec (`None`: pruning off).
-    summaries: Option<Vec<ShardBandSummary>>,
+    summaries: Option<Vec<Bloom>>,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,
     /// Monotonic LRU clock; `stamps[i]` is shard `i`'s last touch.
@@ -382,7 +332,7 @@ impl LazyShards {
     pub(crate) fn new(
         specs: Vec<ShardSpec>,
         source: Box<dyn ShardSource>,
-        summaries: Option<Vec<ShardBandSummary>>,
+        summaries: Option<Vec<Bloom>>,
     ) -> LazyShards {
         let slots = (0..specs.len()).map(|_| RwLock::new(None)).collect();
         let stamps = (0..specs.len()).map(|_| AtomicU64::new(0)).collect();
@@ -633,19 +583,19 @@ impl LazyShards {
         any
     }
 
-    /// A pinned reference to the lifted procedure of class `ci`, whose
-    /// structural hash and variable count are `expect`, opening its shard
-    /// (again, if evicted) and demand-decoding exactly that record.
+    /// The lifted procedure of class `ci`, whose structural hash and
+    /// variable count are `expect`, opening its shard (again, if evicted)
+    /// and demand-decoding exactly that record. Holding it pins the
+    /// decoded record (not its shard slot) in memory across evictions.
     pub(crate) fn proc_ref(
         &self,
         ci: usize,
         expect: (u64, usize),
         cache: &VcpCache,
-    ) -> Result<ShardProcRef, ShardError> {
+    ) -> Result<Arc<Proc>, ShardError> {
         let shard = self.shard_of_class(ci);
         let resident = self.ensure_loaded(shard, cache)?;
-        let proc_ = self.decode_slot(shard, &resident, ci - resident.class_start, expect)?;
-        Ok(ShardProcRef { proc_ })
+        self.decode_slot(shard, &resident, ci - resident.class_start, expect)
     }
 
     pub(crate) fn add_fanout(&self, n: u64) {
@@ -675,13 +625,13 @@ impl LazyShards {
         let window = cfg.probe_window();
         let mut skip = Vec::new();
         for sketches in items {
-            let keys: Option<Vec<Vec<u64>>> = sketches.map(|sketches| {
+            let keys: Option<Vec<u64>> = sketches.map(|sketches| {
                 let keys = sketches.iter().map(|s| s.band_keys(cfg.bands, cfg.rows));
-                keys.collect()
+                keys.flatten().collect()
             });
-            skip.extend(summaries.iter().map(|sum| {
+            skip.extend(summaries.iter().map(|bands| {
                 keys.as_ref()
-                    .is_some_and(|keys| window > 0.0 || keys.iter().all(|k| !sum.may_collide(k)))
+                    .is_some_and(|keys| window > 0.0 || keys.iter().all(|&k| !bands.may_contain(k)))
             }));
         }
         let pruned = skip.iter().filter(|&&s| s).count() as u64;
@@ -697,7 +647,7 @@ impl LazyShards {
         for slot in &self.slots {
             if let Ok(g) = slot.try_read() {
                 if let Some(r) = g.as_ref() {
-                    let d = r.decoded_slot_count() as usize;
+                    let d = r.decoded_slots.load(Ordering::Relaxed) as usize;
                     if d > 0 && d < r.records.class_count() {
                         partial += 1;
                     }
@@ -937,22 +887,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn band_summary_sees_collisions_whatever_the_digests() {
-        let member = sketch(vec![10, 20, 30], 3);
-        let summary = ShardBandSummary::build([&member].into_iter(), 4, 4);
-        // Identical minhash rows collide on every band.
-        assert!(summary.may_collide(&member.band_keys(4, 4)));
-        // Full digest overlap but disjoint bands: no collision. Under the
-        // pure-LSH profile every non-candidate cell prices to Prune
-        // whatever its containment bound, so digests play no part.
-        let contained = sketch(vec![10, 20, 30], 9);
-        assert!(!summary.may_collide(&contained.band_keys(4, 4)));
-    }
-
-    #[test]
-    fn summaries_are_built_only_where_every_non_candidate_prunes() {
-        let classes: Vec<LazyClassMeta> = (0..4u64)
+    /// Classes `0..n`, class `i` with digest `i` and minhash rows all `i`,
+    /// two per shard.
+    fn two_per_shard(n: u64) -> (Vec<LazyClassMeta>, Vec<ShardSpec>) {
+        let classes = (0..n)
             .map(|i| LazyClassMeta {
                 name: format!("c{i}"),
                 signature: Signature { rounds: Vec::new() },
@@ -961,7 +899,7 @@ mod tests {
                 sketch: Some(sketch(vec![i], i)),
             })
             .collect();
-        let specs: Vec<ShardSpec> = (0..2)
+        let specs = (0..n as usize / 2)
             .map(|s| ShardSpec {
                 class_start: 2 * s,
                 class_end: 2 * s + 2,
@@ -969,9 +907,32 @@ mod tests {
                 target_end: s + 1,
             })
             .collect();
+        (classes, specs)
+    }
+
+    #[test]
+    fn band_summary_sees_collisions_whatever_the_digests() {
+        let (classes, specs) = two_per_shard(4);
         let lsh = PrefilterConfig::lsh_only();
         let summaries = band_summaries(&lsh, &classes, &specs).expect("margin − window = 2.0");
         assert_eq!(summaries.len(), specs.len());
+        let collides = |shard: usize, s: &SemanticSketch| {
+            let keys = s.band_keys(lsh.bands, lsh.rows);
+            keys.iter().any(|&k| summaries[shard].may_contain(k))
+        };
+        // Identical minhash rows collide on every band, in the member's
+        // shard only.
+        assert!(collides(0, &sketch(vec![99], 1)));
+        assert!(!collides(1, &sketch(vec![99], 1)));
+        // Full digest overlap but disjoint bands: no collision. Every
+        // non-candidate cell prices to Prune under this profile whatever
+        // its containment bound, so digests play no part.
+        assert!(!collides(0, &sketch(vec![0], 9)));
+    }
+
+    #[test]
+    fn summaries_are_built_only_where_every_non_candidate_prunes() {
+        let (classes, specs) = two_per_shard(4);
         // The shipped default (0.7 − 0.2) and the pure-LSH margin with a
         // window reaching back to 1.0 build nothing.
         let default = PrefilterConfig::default();
@@ -979,7 +940,7 @@ mod tests {
         let wide = PrefilterConfig {
             ambiguity_window: 1.0,
             probe_vectors: 24,
-            ..lsh
+            ..PrefilterConfig::lsh_only()
         };
         assert!(band_summaries(&wide, &classes, &specs).is_none());
     }

@@ -64,10 +64,10 @@
 //!
 //! **Nothing derived is stored, and the manifest names no files.** Each
 //! class's corpus count (its H0 weight) is the sum of its occurrences
-//! over the target strand lists, and the per-shard sketch-band summaries
-//! that let queries skip whole shards are a pure function of the class
-//! sketches, so the engine derives both at open (see
-//! [`EshxOpenOptions::prune`]) instead of trusting a second copy. File
+//! over the target strand lists, and the per-shard band summaries that
+//! let queries skip whole shards under the pure-LSH profile are a pure
+//! function of the class sketches, so the engine derives both at open
+//! (see [`EshxOpenOptions::prune`]) instead of trusting a second copy. File
 //! names are fixed: [`CORE_FILE`] and `shard-NNNN.bin` for shard `NNNN`;
 //! unknown manifest keys are ignored.
 
@@ -960,9 +960,13 @@ pub fn write_sharded(
 /// pruning's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EshxOpenOptions {
-    /// Build per-shard sketch-band summaries from the class sketches at
-    /// open (when the sketch tier is on), so queries can skip whole
-    /// shards with zero sketch collisions before fan-out.
+    /// Build per-shard band summaries from the class sketches at open,
+    /// so queries skip, before fan-out, every shard none of whose
+    /// classes shares an LSH band with them. Summaries are built only
+    /// when the sketch tier is on and every non-candidate pair prices to
+    /// `Prune` (`margin − window > 1.0`, as under
+    /// [`esh_core::PrefilterConfig::lsh_only`]); under any other config,
+    /// the default included, this flag changes nothing.
     pub prune: bool,
 }
 
@@ -1123,12 +1127,14 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
 
 /// Opens a sharded v8 index directory as a lazily backed
 /// [`SimilarityEngine`]: the manifest and `core.bin` load now (and, with
-/// [`EshxOpenOptions::prune`], the engine derives its shard band
-/// summaries from the class sketches), shard files load on first use,
+/// [`EshxOpenOptions::prune`] under a config where whole shards can
+/// prune, the engine derives its shard band summaries from the class
+/// sketches), shard files load on first use,
 /// each checksum-verified at that first touch. Pruning is
 /// behaviour-preserving: rankings, H0 and VCP cache counters are
 /// byte-identical with and without it (pinned by this crate's
-/// round-trip proptests).
+/// round-trip proptests). The engine is immutable: its
+/// `add_target` panics.
 pub fn open_sharded_with(
     dir: impl AsRef<Path>,
     options: EshxOpenOptions,

@@ -51,8 +51,9 @@
 //! (10k+ procedures across the 21-configuration compiler matrix) without
 //! materializing it in memory (`--threads` caps the compile pool); index
 //! shards open lazily at query time and read and decode *per procedure*
-//! on demand, can be skipped wholesale by the per-shard sketch-band
-//! summaries the engine derives at open, and
+//! on demand, can be skipped wholesale under the pure-LSH profile by
+//! the per-shard band summaries the engine derives at open (the default
+//! profile builds none: whole shards never prune under it), and
 //! are evicted LRU under `serve --shard-budget-mb`; `bench-scale`
 //! measures build throughput, cold-load time, query latency, demand
 //! decoding, whole-shard pruning and budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
