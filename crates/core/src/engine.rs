@@ -563,9 +563,9 @@ impl SimilarityEngine {
     /// Validates that `specs` tile both index spaces contiguously from
     /// zero, that class hashes are unique, that target strand
     /// references are in range and no class's occurrences overflow a
-    /// `u64` when summed, that every class signature has one
-    /// sorted round per [`esh_strands::SIGNATURE_SEEDS`] entry and every sketch sorted
-    /// digests (the prefilter merges assume both), that classes carry
+    /// `u64` when summed, that every class signature has one sorted
+    /// round per [`esh_strands::SIGNATURE_SEEDS`] entry and every sketch
+    /// sorted digests (the prefilter merges assume both), that classes carry
     /// sketches exactly when the sketch tier is on, and, under an enabled
     /// tier, that its knobs are usable and every sketch has its
     /// `bands × rows` minhash words.
