@@ -36,6 +36,7 @@ use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, VcpCache};
+use crate::coded::{CodedClasses, CodedStrand, StrandTable};
 use crate::prefilter::{
     compute_sketch, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
     SketchIndex,
@@ -160,8 +161,10 @@ enum StrandProc {
 #[derive(Debug)]
 struct QueryStrand {
     proc_: StrandProc,
-    signature: Signature,
     sketch: Option<SemanticSketch>,
+    /// The semantic signature and base sketch, coded against the batch's
+    /// dictionary for the cheap rungs' table kernel.
+    coded: CodedStrand,
     probe: ProbeSlot,
     vars: usize,
     hash: u64,
@@ -172,17 +175,30 @@ struct QueryStrand {
 /// structural hash): all are pure functions of the lifted strand.
 #[derive(Debug, Clone)]
 struct PreparedStrand {
-    signature: Signature,
     sketch: Option<SemanticSketch>,
+    coded: CodedStrand,
     /// The corpus class's slot when the strand is one, else a slot
     /// shared by the batch.
     probe: ProbeSlot,
+}
+
+/// What queries derive from the corpus classes: built on the first
+/// query, in one slot that every change to the classes empties.
+#[derive(Debug)]
+struct Derived {
+    /// The banded LSH index over the class sketches, under an enabled
+    /// sketch tier.
+    sketch_index: Option<SketchIndex>,
+    /// The class signatures and base sketches, dictionary-coded for the
+    /// cheap rungs.
+    codes: CodedClasses,
 }
 
 /// What one [`SimilarityEngine::query_batch`] call shares between its
 /// matrix pass and its refine pass.
 struct BatchPass<'a> {
     items: &'a [BatchQuery<'a>],
+    derived: &'a Derived,
     /// The VCP config's fingerprint, the third part of every cache key.
     vcp_fp: u64,
     /// Other batches running in this engine when this one started.
@@ -376,18 +392,19 @@ pub struct SimilarityEngine {
     cache: VcpCache,
     /// Idle verifier sessions, checked out one per worker thread so term
     /// pools and pair-verdict caches survive across queries — not just
-    /// across one query's tiles. SAT queries never share a solver: each
-    /// runs on its own fresh blaster.
-    sessions: Mutex<Vec<VerifierSession>>,
+    /// across one query's tiles — each with its worker's strand table.
+    /// SAT queries never share a solver: each runs on its own fresh
+    /// blaster.
+    sessions: Mutex<Vec<(VerifierSession, StrandTable)>>,
     /// Engine-lifetime decision counters: the sum of the [`EquivStats`]
     /// deltas of every worker session, added once per worker rather than
     /// once per pair.
     solver: Mutex<EquivStats>,
     prefilter_stats: PrefilterStats,
-    /// Banded LSH index over the corpus classes' sketches, built on the
-    /// first sketch-enabled query from the sketches every class carries
-    /// under the tier, and dropped whenever the corpus changes.
-    sketch_index: OnceLock<SketchIndex>,
+    /// The LSH index and the coded classes, built on the first query
+    /// from the signatures and sketches every class carries, and dropped
+    /// whenever the classes change (`add_target`, `disable_prefilter`).
+    derived: OnceLock<Derived>,
     /// Lazy backing store when the engine was opened from a sharded
     /// `.eshx` index: class procedures and per-segment cache entries load on
     /// first use. `None` for fully resident engines.
@@ -413,7 +430,7 @@ impl SimilarityEngine {
             sessions: Mutex::new(Vec::new()),
             solver: Mutex::default(),
             prefilter_stats: PrefilterStats::default(),
-            sketch_index: OnceLock::new(),
+            derived: OnceLock::new(),
             shards: None,
             passes: AtomicUsize::new(0),
             lifted: AtomicU64::new(0),
@@ -470,7 +487,7 @@ impl SimilarityEngine {
     /// estimated VCP values.
     pub fn disable_prefilter(&mut self) {
         self.config.sketch.enabled = false;
-        self.sketch_index.take();
+        self.derived.take();
         for class in &mut self.classes {
             class.sketch = None;
             class.probe = ProbeSlot::default();
@@ -688,8 +705,8 @@ impl SimilarityEngine {
             self.classes[idx].corpus_count += 1;
             *per_class.entry(idx).or_default() += 1;
         }
-        // New classes invalidate the lazily-built LSH index.
-        self.sketch_index.take();
+        // New classes invalidate the derived LSH index and codes.
+        self.derived.take();
         let id = TargetId(self.targets.len());
         // Canonical class order: S-VCP sums floats over this list, so it
         // must not inherit HashMap iteration order — two engines built
@@ -729,6 +746,7 @@ impl SimilarityEngine {
     fn prepare_query_memo(
         &self,
         proc_: &Procedure,
+        codes: &CodedClasses,
         memo: &mut HashMap<u64, PreparedStrand>,
     ) -> Vec<QueryStrand> {
         let mut by_hash: HashMap<u64, QueryStrand> = HashMap::new();
@@ -749,7 +767,7 @@ impl SimilarityEngine {
             let prep = match memo.get(&h) {
                 Some(p) => p.clone(),
                 None => {
-                    let p = self.prepare_strand(h, &lifted);
+                    let p = self.prepare_strand(h, &lifted, codes);
                     memo.insert(h, p.clone());
                     p
                 }
@@ -757,8 +775,8 @@ impl SimilarityEngine {
             by_hash.insert(
                 h,
                 QueryStrand {
-                    signature: prep.signature,
                     sketch: prep.sketch,
+                    coded: prep.coded,
                     probe: prep.probe,
                     proc_: StrandProc::Lifted(lifted),
                     vars,
@@ -782,7 +800,7 @@ impl SimilarityEngine {
     /// [`Self::prepare_query_memo`] keeps of the procedure the target was
     /// added from (same `min_strand_vars` filter, same dedup key), so the
     /// two preparations score identically; this one lifts nothing.
-    fn prepare_target(&self, t: TargetId) -> Vec<QueryStrand> {
+    fn prepare_target(&self, t: TargetId, codes: &CodedClasses) -> Vec<QueryStrand> {
         let mut strands: Vec<QueryStrand> = self.targets[t.0]
             .strands
             .iter()
@@ -790,8 +808,8 @@ impl SimilarityEngine {
                 let c = &self.classes[ci];
                 QueryStrand {
                     proc_: StrandProc::Class(ci),
-                    signature: c.signature.clone(),
                     sketch: c.sketch.clone(),
+                    coded: codes.code(&c.signature, c.sketch.as_ref()),
                     probe: Arc::clone(&c.probe),
                     vars: c.vars,
                     hash: c.hash,
@@ -803,17 +821,21 @@ impl SimilarityEngine {
         strands
     }
 
-    /// Signature, sketch and probe slot for one query strand. When the
-    /// strand is already a corpus class (equal structural hash — the same
-    /// identity the dedup and cache layers rely on), the class's stored
-    /// artifacts and its probe slot are reused instead of recomputed; all
-    /// are pure functions of the lifted strand, so the values are
-    /// identical either way.
-    fn prepare_strand(&self, h: u64, lifted: &Proc) -> PreparedStrand {
+    /// Sketch, coded signature and sketch, and probe slot for one query
+    /// strand. When the strand is already a corpus class (equal
+    /// structural hash — the same identity the dedup and cache layers
+    /// rely on), the class's stored artifacts and its probe slot are
+    /// reused instead of recomputed; all are pure functions of the lifted
+    /// strand, so the values are identical either way.
+    fn prepare_strand(&self, h: u64, lifted: &Proc, codes: &CodedClasses) -> PreparedStrand {
         let class = self.class_by_hash.get(&h).map(|&i| &self.classes[i]);
+        let computed;
         let signature = match class {
-            Some(c) => c.signature.clone(),
-            None => semantic_signature(lifted),
+            Some(c) => &c.signature,
+            None => {
+                computed = semantic_signature(lifted);
+                &computed
+            }
         };
         let sketch =
             self.config
@@ -823,26 +845,35 @@ impl SimilarityEngine {
                     None => compute_sketch(lifted, cfg),
                 });
         PreparedStrand {
-            signature,
+            coded: codes.code(signature, sketch.as_ref()),
             sketch,
             probe: class.map_or_else(ProbeSlot::default, |c| Arc::clone(&c.probe)),
         }
     }
 
-    /// Returns the banded LSH index over the corpus sketches, building it
-    /// on first use. Every class carries its sketch while the tier is on:
-    /// `add_target` computes it, and `from_lazy_parts` refuses an index
-    /// whose classes lack one.
-    fn ensure_sketch_index(&self) -> Option<&SketchIndex> {
-        let cfg = self.config.active_sketch()?;
-        Some(self.sketch_index.get_or_init(|| {
-            let sketches = self.classes.iter().map(|c| {
-                c.sketch
-                    .as_ref()
-                    .expect("an enabled sketch tier sketches every class")
+    /// Returns what queries derive from the classes, building it on first
+    /// use: the banded LSH index over the class sketches (under an
+    /// enabled tier) and the dictionary-coded signatures and sketches.
+    /// Every class carries its sketch while the tier is on: `add_target`
+    /// computes it, and `from_lazy_parts` refuses an index whose classes
+    /// lack one.
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            let sketch_index = self.config.active_sketch().map(|cfg| {
+                let sketches = self.classes.iter().map(|c| {
+                    c.sketch
+                        .as_ref()
+                        .expect("an enabled sketch tier sketches every class")
+                });
+                SketchIndex::build(sketches, cfg)
             });
-            SketchIndex::build(sketches, cfg)
-        }))
+            let classes = self.classes.iter();
+            let codes = CodedClasses::build(classes.map(|c| (&c.signature, c.sketch.as_ref())));
+            Derived {
+                sketch_index,
+                codes,
+            }
+        })
     }
 
     /// Scores every target against `proc_`.
@@ -902,17 +933,20 @@ impl SimilarityEngine {
     /// shard keep serving).
     pub fn query_batch(&self, items: &[BatchQuery<'_>]) -> Vec<Result<QueryScores, QueryError>> {
         let (others, _pass) = self.enter_pass();
+        let derived = self.derived();
+        let codes = &derived.codes;
         let mut prep_memo: HashMap<u64, PreparedStrand> = HashMap::new();
         let batch = BatchPass {
             items,
+            derived,
             others,
             vcp_fp: self.config.vcp.fingerprint(),
             queries: items
                 .iter()
                 .map(|it| {
                     (!it.cancel.is_cancelled()).then(|| match it.query {
-                        Query::Procedure(p) => self.prepare_query_memo(p, &mut prep_memo),
-                        Query::Target(t) => self.prepare_target(t),
+                        Query::Procedure(p) => self.prepare_query_memo(p, codes, &mut prep_memo),
+                        Query::Target(t) => self.prepare_target(t, codes),
                     })
                 })
                 .collect(),
@@ -1208,6 +1242,118 @@ mod tests {
             assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits());
         }
         assert_eq!(with.prefilter_stats(), PrefilterStatsSnapshot::default());
+    }
+
+    /// Asserts two score lists are equal bit for bit.
+    fn assert_same_scores(a: &QueryScores, b: &QueryScores) {
+        assert_eq!(a.scores.len(), b.scores.len());
+        for (x, y) in a.scores.iter().zip(&b.scores) {
+            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+            assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+            assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
+        }
+    }
+
+    /// Counted VCP-cache lookups: one per cell the matrix pass priced
+    /// exactly, whatever the cache already held.
+    fn lookups(engine: &SimilarityEngine) -> u64 {
+        let s = engine.cache_stats();
+        s.hits + s.misses
+    }
+
+    #[test]
+    fn add_target_after_a_query_rebuilds_the_derived_slot() {
+        // The first query builds the LSH index and the coded classes over
+        // three targets; growing the corpus must drop both, so the grown
+        // engine prices every cell as an engine built from the whole
+        // corpus at once.
+        let corpus: Vec<_> = demo::cve_functions()
+            .into_iter()
+            .map(|(name, p)| (name, clang().compile_function(&p)))
+            .collect();
+        let q = gcc().compile_function(&demo::heartbleed_like());
+        let mut grown = SimilarityEngine::new(quick_config());
+        for (name, p) in &corpus[..3] {
+            grown.add_target(*name, p);
+        }
+        grown.query(&q);
+        let before = grown.prefilter_stats();
+        for (name, p) in &corpus[3..] {
+            grown.add_target(*name, p);
+        }
+        grown.reset_cache_counters();
+        let a = grown.query(&q);
+        let mut fresh = SimilarityEngine::new(quick_config());
+        for (name, p) in &corpus {
+            fresh.add_target(*name, p);
+        }
+        let b = fresh.query(&q);
+        assert_same_scores(&a, &b);
+        assert_eq!(lookups(&grown), lookups(&fresh));
+        let (g, f) = (grown.prefilter_stats(), fresh.prefilter_stats());
+        assert!(f.pairs_pruned > 0 && f.sketch_collisions > 0, "{f:?}");
+        assert_eq!(g.pairs_pruned - before.pairs_pruned, f.pairs_pruned);
+        assert_eq!(
+            g.sketch_collisions - before.sketch_collisions,
+            f.sketch_collisions
+        );
+        assert_eq!(
+            g.exact_fallbacks - before.exact_fallbacks,
+            f.exact_fallbacks
+        );
+        assert_eq!(
+            g.ambiguous_probes - before.ambiguous_probes,
+            f.ambiguous_probes
+        );
+        assert_eq!(
+            g.probe_escalations - before.probe_escalations,
+            f.probe_escalations
+        );
+    }
+
+    #[test]
+    fn disable_prefilter_after_a_query_rebuilds_the_derived_slot() {
+        // Switching the tier off after a query drops the derived slot with
+        // the sketches: the rebuilt dictionary codes signature values
+        // only, and the engine prices like one that never had the tier.
+        let corpus: Vec<_> = demo::cve_functions()
+            .into_iter()
+            .map(|(name, p)| (name, gcc().compile_function(&p)))
+            .collect();
+        let q = clang().compile_function(&demo::venom_like());
+        let mut with = SimilarityEngine::new(quick_config());
+        let mut without = SimilarityEngine::new(EngineConfig {
+            sketch: PrefilterConfig {
+                enabled: false,
+                ..PrefilterConfig::default()
+            },
+            ..quick_config()
+        });
+        for (name, p) in &corpus {
+            with.add_target(*name, p);
+            without.add_target(*name, p);
+        }
+        with.query(&q);
+        let coded_with_sketches = with.derived.get().expect("queried").codes.len();
+        let counters = with.prefilter_stats();
+        with.disable_prefilter();
+        with.reset_cache_counters();
+        let a = with.query(&q);
+        let b = without.query(&q);
+        assert_same_scores(&a, &b);
+        assert_eq!(lookups(&with), lookups(&without));
+        assert_eq!(with.prefilter_stats(), counters, "no sketch rung ran");
+        let signature_values: std::collections::HashSet<u64> = with
+            .classes
+            .iter()
+            .flat_map(|c| c.signature.rounds.iter().flatten().copied())
+            .collect();
+        let coded = with.derived.get().expect("queried").codes.len();
+        assert_eq!(coded, signature_values.len(), "signature values only");
+        assert!(
+            coded < coded_with_sketches,
+            "{coded} vs {coded_with_sketches}"
+        );
     }
 
     #[test]

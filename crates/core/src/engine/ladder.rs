@@ -5,6 +5,8 @@
 //! through [`SimilarityEngine::price_cell`]; refine re-prices the cells
 //! the matrix pass left pruned or unpriced through
 //! [`SimilarityEngine::reprice`] and [`SimilarityEngine::exact_cell`].
+//! The signature filter and the base containment bounds count over the
+//! query strand's [`StrandTable`] (see [`crate::coded`]).
 
 use std::sync::OnceLock;
 
@@ -14,6 +16,7 @@ use esh_verifier::VerifierSession;
 use super::matrix::Worker;
 use super::{ClassProcRef, ItemPass, QueryStrand, SimilarityEngine, StrandProc};
 use crate::cache::VcpKey;
+use crate::coded::StrandTable;
 use crate::prefilter::{
     bounds_decision, compute_probe_sketch, PrefilterConfig, PrefilterStats, RungCounts,
     SemanticSketch, SketchDecision,
@@ -68,6 +71,17 @@ fn probe_sketch<'s, P: std::ops::Deref<Target = Proc>>(
     Ok(slot.get().expect("slot filled above"))
 }
 
+/// `table`, loaded with query strand `qi` of item `it` unless it holds
+/// that strand already.
+fn load_strand<'t>(it: &ItemPass<'_>, qi: usize, table: &'t mut StrandTable) -> &'t StrandTable {
+    table.load(
+        (it.item, qi),
+        &it.batch.derived.codes,
+        &it.strands[qi].coded,
+    );
+    table
+}
+
 impl SimilarityEngine {
     /// Prices cell `(qi, ci)` of item `it` down the ladder: the cheap
     /// filters, the sketch rung (when the query strand carries an LSH
@@ -82,11 +96,12 @@ impl SimilarityEngine {
         mask: Option<&[bool]>,
         w: &mut Worker,
     ) -> Result<(Rung, VcpPair), ShardError> {
-        if !self.passes_cheap_filters(&it.strands[qi], ci) {
+        let table = load_strand(it, qi, &mut w.table);
+        if !self.passes_cheap_filters(it, qi, ci, table) {
             return Ok((Rung::Filtered, VcpPair::default()));
         }
         if let Some(mask) = mask {
-            if !self.sketch_rung(it, qi, ci, mask[ci], &mut w.counts)? {
+            if !self.sketch_rung(it, qi, ci, mask[ci], table, &mut w.counts)? {
                 return Ok((Rung::Pruned, VcpPair::default()));
             }
         }
@@ -106,16 +121,20 @@ impl SimilarityEngine {
     /// available — both sides' probe sketches when probing is on, the
     /// base sketches otherwise — since every tightened bound is another
     /// chance for refine to skip a verification. A query strand without
-    /// a sketch bounds nothing, `(1.0, 1.0)`.
+    /// a sketch bounds nothing, `(1.0, 1.0)`. `table` is loaded with
+    /// query strand `qi` only when a cheap rung needs it.
     pub(super) fn reprice(
         &self,
         it: &ItemPass<'_>,
         qi: usize,
         ci: usize,
         rung: Rung,
+        table: &mut StrandTable,
     ) -> Result<Reprice, ShardError> {
         let q = &it.strands[qi];
-        if rung == Rung::Unpriced && !self.passes_cheap_filters(q, ci) {
+        if rung == Rung::Unpriced
+            && !self.passes_cheap_filters(it, qi, ci, load_strand(it, qi, table))
+        {
             return Ok(Reprice::Filtered);
         }
         self.open_cell(it, ci)?;
@@ -123,8 +142,8 @@ impl SimilarityEngine {
             return Ok(Reprice::Known(v));
         }
         let (c_q, c_t) = match (self.config.active_sketch(), &q.sketch) {
-            (Some(cfg), Some(qs)) if cfg.probe_window() == 0.0 => {
-                qs.containment_both(self.class_sketch(ci))
+            (Some(cfg), Some(_)) if cfg.probe_window() == 0.0 => {
+                load_strand(it, qi, table).containment_both(&it.batch.derived.codes, ci)
             }
             (Some(cfg), Some(_)) => self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?,
             _ => (1.0, 1.0),
@@ -135,14 +154,21 @@ impl SimilarityEngine {
     /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
     /// semantic-signature bound, which rejects a pair only when its
     /// overlap falls below the threshold in both directions. Both
-    /// directions come from one merge per signature round
-    /// ([`esh_strands::Signature::either_overlap_reaches`]), which stops
-    /// at the first round where both are below.
-    fn passes_cheap_filters(&self, q: &QueryStrand, ci: usize) -> bool {
-        let class = &self.classes[ci];
-        size_ratio_ok(&self.config.vcp, q.vars, class.vars)
-            && q.signature
-                .either_overlap_reaches(&class.signature, self.config.prefilter_threshold)
+    /// directions come from one table count per signature round
+    /// ([`StrandTable::signature_reaches`], exactly
+    /// [`esh_strands::Signature::either_overlap_reaches`]), which stops
+    /// at the first round where both are below. `table` holds query
+    /// strand `qi`.
+    fn passes_cheap_filters(
+        &self,
+        it: &ItemPass<'_>,
+        qi: usize,
+        ci: usize,
+        table: &StrandTable,
+    ) -> bool {
+        let threshold = self.config.prefilter_threshold;
+        size_ratio_ok(&self.config.vcp, it.strands[qi].vars, self.classes[ci].vars)
+            && table.signature_reaches(&it.batch.derived.codes, ci, threshold)
     }
 
     /// The sketch rung for one cell; `Ok(false)` prunes the pair. Every
@@ -158,17 +184,23 @@ impl SimilarityEngine {
     /// collision still forces exact verification, while staged pricing
     /// lets the margin prune spurious band matches too (a true
     /// same-source pair has bound 1.0 and always verifies either way).
-    /// Outcomes are tallied in the calling worker's `counts`.
+    /// Under a config whose bounds can never reach the margin
+    /// ([`PrefilterConfig::bounds_always_prune`], the pure-LSH profile)
+    /// every pair that gets this far prunes without its bounds. The base
+    /// bounds are counted over `table`, which holds query strand `qi`
+    /// ([`StrandTable::containment_both`]). Outcomes are tallied in the
+    /// calling worker's `counts`.
     fn sketch_rung(
         &self,
         it: &ItemPass<'_>,
         qi: usize,
         ci: usize,
         collided: bool,
+        table: &StrandTable,
         counts: &mut RungCounts,
     ) -> Result<bool, ShardError> {
         let q = &it.strands[qi];
-        let (Some(cfg), Some(qs)) = (self.config.active_sketch(), &q.sketch) else {
+        let (Some(cfg), Some(_)) = (self.config.active_sketch(), &q.sketch) else {
             return Ok(true);
         };
         counts.collisions += u64::from(collided);
@@ -176,7 +208,11 @@ impl SimilarityEngine {
         if collided && window <= 0.0 {
             return Ok(true);
         }
-        let (c_q, c_t) = qs.containment_both(self.class_sketch(ci));
+        if cfg.bounds_always_prune() {
+            counts.pruned += 1;
+            return Ok(false);
+        }
+        let (c_q, c_t) = table.containment_both(&it.batch.derived.codes, ci);
         match bounds_decision(c_q, c_t, margin, window) {
             SketchDecision::Prune => {
                 counts.pruned += 1;
@@ -198,15 +234,6 @@ impl SimilarityEngine {
         }
         counts.fallbacks += 1;
         Ok(true)
-    }
-
-    /// Class `ci`'s base sketch; only the sketch rungs ask, and they run
-    /// only under an enabled tier, which sketches every class.
-    fn class_sketch(&self, ci: usize) -> &SemanticSketch {
-        self.classes[ci]
-            .sketch
-            .as_ref()
-            .expect("an enabled sketch tier sketches every class")
     }
 
     /// The refined containment bounds `(q in t, t in q)` of query strand

@@ -10,6 +10,7 @@ use esh_verifier::VerifierSession;
 
 use super::ladder::Rung;
 use super::{BatchPass, SimilarityEngine};
+use crate::coded::StrandTable;
 use crate::prefilter::RungCounts;
 use crate::shard::ShardError;
 use crate::vcp::VcpPair;
@@ -31,14 +32,18 @@ pub(super) struct ItemMatrix {
     pub(super) rung: Vec<Vec<Rung>>,
 }
 
-/// A pricing thread's private state: a verifier session checked out of
-/// the engine's pool (so term pools and verdict caches stay warm across
-/// queries, not just across one query's tiles), the session's counters
-/// at checkout, and the sketch rung's outcome counts.
+/// A pricing thread's private state: a verifier session and a strand
+/// table checked out of the engine's pool (so term pools and verdict
+/// caches stay warm across queries, not just across one query's tiles,
+/// and the table's allocation is reused), the session's counters at
+/// checkout, and the sketch rung's outcome counts.
 /// [`SimilarityEngine::return_worker`] adds both to the engine's
 /// counters once, rather than once per pair.
 pub(super) struct Worker {
     pub(super) session: VerifierSession,
+    /// The cheap rungs' table of the query strand being priced, loaded
+    /// when the worker moves to a new `(item, strand)`.
+    pub(super) table: StrandTable,
     stats0: EquivStats,
     pub(super) counts: RungCounts,
 }
@@ -61,24 +66,31 @@ impl SimilarityEngine {
         (others, PassGuard(&self.passes))
     }
 
-    /// Checks a worker's verifier session out of the engine-owned pool.
+    /// Checks a worker's verifier session and strand table out of the
+    /// engine-owned pool.
     pub(super) fn checkout_worker(&self) -> Worker {
-        let session = self
+        let (session, table) = self
             .sessions
             .lock()
             .expect("session pool poisoned")
             .pop()
-            .unwrap_or_else(|| VerifierSession::with_config(self.config.equiv));
+            .unwrap_or_else(|| {
+                let session = VerifierSession::with_config(self.config.equiv);
+                (session, StrandTable::default())
+            });
         Worker {
             stats0: session.stats(),
             session,
+            table,
             counts: RungCounts::default(),
         }
     }
 
-    /// Adds a worker's counts to the engine's and returns its session to
-    /// the pool unless its term pool outgrew [`SESSION_TERM_CAP`].
-    pub(super) fn return_worker(&self, w: Worker) {
+    /// Adds a worker's counts to the engine's and returns its session,
+    /// with its table cleared, to the pool unless its term pool outgrew
+    /// [`SESSION_TERM_CAP`].
+    pub(super) fn return_worker(&self, mut w: Worker) {
+        w.table.clear();
         self.prefilter_stats.add_rungs(&w.counts);
         let delta = w.session.stats().delta_since(&w.stats0);
         self.solver
@@ -89,7 +101,7 @@ impl SimilarityEngine {
             self.sessions
                 .lock()
                 .expect("session pool poisoned")
-                .push(w.session);
+                .push((w.session, w.table));
         }
     }
 
@@ -165,7 +177,8 @@ impl SimilarityEngine {
         // The sketch rung's LSH candidate masks, resolved once before the
         // workers spawn: one per query strand of every item (mask[ci] =
         // class ci shares a band).
-        let masks: Option<Vec<Vec<Option<Vec<bool>>>>> = self.ensure_sketch_index().map(|index| {
+        let index = batch.derived.sketch_index.as_ref();
+        let masks: Option<Vec<Vec<Option<Vec<bool>>>>> = index.map(|index| {
             queries
                 .iter()
                 .map(|q| {

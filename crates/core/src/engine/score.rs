@@ -331,7 +331,7 @@ impl SimilarityEngine {
                             let v = match rungs[ci] {
                                 Rung::Filtered => continue,
                                 Rung::Exact => matrix.vcp[qi][ci],
-                                rung => match self.reprice(it, qi, ci, rung)? {
+                                rung => match self.reprice(it, qi, ci, rung, &mut w.table)? {
                                     Reprice::Filtered => continue,
                                     Reprice::Known(v) => v,
                                     Reprice::Bounded(c_q, c_t) => {

@@ -63,6 +63,7 @@
 //! ```
 
 mod cache;
+mod coded;
 mod engine;
 pub mod prefilter;
 mod shard;

@@ -20,7 +20,12 @@
 //!    *candidates* and go straight to the exact verifier.
 //!
 //! 3. **Pricing.** For a non-candidate pair the sketch containment bound
-//!    is computed (cheap multiset arithmetic). The bound is a true upper
+//!    is computed: the engine counts it over dictionary-coded digests, a
+//!    table read per distinct class digest (`crate::coded`), equal bit
+//!    for bit to [`SemanticSketch::containment_both`]'s merge. Under a
+//!    config whose bounds can never reach the margin
+//!    ([`PrefilterConfig::bounds_always_prune`]) it is skipped and the
+//!    pair pruned outright. The bound is a true upper
 //!    bound on VCP: a verified variable match implies equal values on
 //!    every uniform round, hence equal digests. If both directions fall
 //!    below [`PrefilterConfig::exact_fallback_margin`] the pair is
@@ -148,6 +153,14 @@ impl PrefilterConfig {
         } else {
             0.0
         }
+    }
+
+    /// True when no containment bound can reach the margin's window
+    /// (`margin − window > 1.0`; bounds never exceed 1.0), so
+    /// [`bounds_decision`] prunes every pair whatever its bounds. The
+    /// pure-LSH profile ([`PrefilterConfig::lsh_only`]) is such a config.
+    pub fn bounds_always_prune(&self) -> bool {
+        self.exact_fallback_margin - self.probe_window() > 1.0
     }
 
     /// Checks the knobs a persisted config can carry against what the
@@ -282,7 +295,10 @@ impl SemanticSketch {
 
     /// Both containment bounds `(self in other, other in self)` from one
     /// merge: exactly `(self.containment_in(other),
-    /// other.containment_in(self))`, bit for bit.
+    /// other.containment_in(self))`, bit for bit. The engine's sketch
+    /// rung counts the same bounds over dictionary-coded digests; this
+    /// merge is the reference its tests hold it to, and what probe
+    /// sketches are compared with.
     ///
     /// Each side counts its own entries, duplicates included, whose
     /// digest occurs anywhere on the other side. When the merge steps

@@ -242,7 +242,7 @@ pub(crate) fn band_summaries(
     classes: &[LazyClassMeta],
     specs: &[ShardSpec],
 ) -> Option<Vec<Bloom>> {
-    if cfg.exact_fallback_margin - cfg.probe_window() <= 1.0 {
+    if !cfg.bounds_always_prune() {
         return None;
     }
     let summaries = specs.iter().map(|s| {

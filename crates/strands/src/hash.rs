@@ -87,8 +87,9 @@ pub struct Signature {
 impl Signature {
     /// Upper bound on the fraction of `self`'s values that can be matched
     /// in `other` (per-round minimum; an empty round of `self` bounds it
-    /// at 0). This is the per-direction bound; the engine's prefilter asks
-    /// [`either_overlap_reaches`](Self::either_overlap_reaches) instead.
+    /// at 0). This is the per-direction bound; the engine's prefilter
+    /// decides [`either_overlap_reaches`](Self::either_overlap_reaches)
+    /// instead.
     pub fn overlap_bound(&self, other: &Signature) -> f64 {
         let mut bound: f64 = 1.0;
         for (a, b) in self.rounds.iter().zip(&other.rounds) {
@@ -105,7 +106,9 @@ impl Signature {
     /// for every input, in one merge per round. A round's multiset
     /// intersection is symmetric, so one count gives both directions'
     /// ratios; the running minima can only fall, so the pair is rejected
-    /// as soon as both are below `t`, without reading later rounds.
+    /// as soon as both are below `t`, without reading later rounds. The
+    /// engine (`esh-core`) counts the same decision over dictionary-coded
+    /// values; this merge is the reference its tests hold it to.
     pub fn either_overlap_reaches(&self, other: &Signature, t: f64) -> bool {
         // No bound falls below a NaN or non-positive threshold, and none
         // exceeds 1.
