@@ -42,8 +42,8 @@ use crate::prefilter::{
     SketchIndex,
 };
 use crate::shard::{
-    band_summaries, check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards,
-    ShardError, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
+    check_lazy_parts, ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardError,
+    ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
 use crate::vcp::VcpConfig;
 
@@ -203,6 +203,10 @@ struct BatchPass<'a> {
     vcp_fp: u64,
     /// Other batches running in this engine when this one started.
     others: usize,
+    /// Whether every LSH non-candidate prunes whatever its bounds
+    /// ([`PrefilterConfig::bounds_always_prune`]), so the ladder settles
+    /// it from the candidate mask before any other rung.
+    mask_settles: bool,
     /// Prepared strands per item; `None` for items cancelled before
     /// preparation.
     queries: Vec<Option<Vec<QueryStrand>>>,
@@ -550,7 +554,6 @@ impl SimilarityEngine {
                 .enumerate()
                 .map(|(i, c)| {
                     Ok(ClassExport {
-                        name: c.proc_.name.clone(),
                         proc_: self.class_proc(i)?.clone(),
                         signature: c.signature.clone(),
                         vars: c.vars,
@@ -587,12 +590,9 @@ impl SimilarityEngine {
     /// tier, that its knobs are usable and every sketch has its
     /// `bands × rows` minhash words.
     ///
-    /// With `prune` set, the sketch tier on and a config under which every
-    /// non-candidate pair prunes (`margin − window > 1.0`, the pure-LSH
-    /// profile), it then derives one LSH band summary per shard from the
-    /// validated class sketches, so queries skip shards none of whose
-    /// classes shares a band with them. Pruning never moves a score;
-    /// `prune: false` keeps the full fan-out as a reference.
+    /// Queries price every cell through the resident engine's ladder, so
+    /// scores and every cache and prefilter counter equal the resident
+    /// engine's; a shard opens only for a cell that needs its payload.
     ///
     /// The engine is immutable: see [`SimilarityEngine::add_target`].
     pub fn from_lazy_parts(
@@ -601,13 +601,8 @@ impl SimilarityEngine {
         targets: Vec<TargetExport>,
         specs: Vec<ShardSpec>,
         source: Box<dyn ShardSource>,
-        prune: bool,
     ) -> Result<SimilarityEngine, String> {
         let (class_by_hash, corpus_counts) = check_lazy_parts(&config, &classes, &targets, &specs)?;
-        let summaries = config
-            .active_sketch()
-            .filter(|_| prune)
-            .and_then(|cfg| band_summaries(cfg, &classes, &specs));
         let classes = classes
             .into_iter()
             .zip(corpus_counts)
@@ -636,7 +631,7 @@ impl SimilarityEngine {
             classes,
             class_by_hash,
             targets,
-            shards: Some(LazyShards::new(specs, source, summaries)),
+            shards: Some(LazyShards::new(specs, source)),
             ..SimilarityEngine::new(config)
         })
     }
@@ -940,6 +935,10 @@ impl SimilarityEngine {
             items,
             derived,
             others,
+            mask_settles: self
+                .config
+                .active_sketch()
+                .is_some_and(PrefilterConfig::bounds_always_prune),
             vcp_fp: self.config.vcp.fingerprint(),
             queries: items
                 .iter()
@@ -995,7 +994,8 @@ impl SimilarityEngine {
             self.return_worker(w);
         }
         if let Some(lazy) = &self.shards {
-            lazy.add_fanout(batch.touched.count());
+            let live = batch.queries.iter().filter(|q| q.is_some()).count();
+            lazy.add_batch(live, batch.touched.count());
         }
         results
     }
@@ -1553,7 +1553,7 @@ mod tests {
             .classes
             .into_iter()
             .map(|c| LazyClassMeta {
-                name: c.name,
+                name: c.proc_.name,
                 signature: c.signature,
                 vars: c.vars,
                 hash: c.hash,
@@ -1573,7 +1573,6 @@ mod tests {
             export.targets,
             vec![spec],
             source,
-            false,
         )
         .unwrap()
     }

@@ -29,8 +29,10 @@ use crate::vcp::{size_ratio_ok, vcp_pair, VcpPair};
 /// instead of pricing the cell a second time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Rung {
-    /// Never priced: whole-shard pruning skipped the cell's shard (or the
-    /// item failed or was cancelled, and is never refined).
+    /// Never priced: an LSH non-candidate under a config where every
+    /// non-candidate prunes, settled (and counted as pruned) before the
+    /// cheap filters, which refine runs on it — or a cell of an item that
+    /// failed or was cancelled, and is never refined.
     Unpriced,
     /// Dropped by the size-ratio or signature filter.
     Filtered,
@@ -87,7 +89,10 @@ impl SimilarityEngine {
     /// filters, the sketch rung (when the query strand carries an LSH
     /// candidate mask), then the exact step behind a counted cache
     /// lookup. Returns the rung that decided the cell with its value; a
-    /// pair dropped by any rung prices as the zero pair.
+    /// pair dropped by any rung prices as the zero pair. When every
+    /// non-candidate prunes ([`PrefilterConfig::bounds_always_prune`]),
+    /// the mask comes first: a non-candidate is counted as pruned and
+    /// left `Unpriced`, with no filter work and no shard opened.
     pub(super) fn price_cell(
         &self,
         it: &ItemPass<'_>,
@@ -96,6 +101,10 @@ impl SimilarityEngine {
         mask: Option<&[bool]>,
         w: &mut Worker,
     ) -> Result<(Rung, VcpPair), ShardError> {
+        if it.batch.mask_settles && mask.is_some_and(|m| !m[ci]) {
+            w.counts.pruned += 1;
+            return Ok((Rung::Unpriced, VcpPair::default()));
+        }
         let table = load_strand(it, qi, &mut w.table);
         if !self.passes_cheap_filters(it, qi, ci, table) {
             return Ok((Rung::Filtered, VcpPair::default()));
@@ -186,7 +195,9 @@ impl SimilarityEngine {
     /// same-source pair has bound 1.0 and always verifies either way).
     /// Under a config whose bounds can never reach the margin
     /// ([`PrefilterConfig::bounds_always_prune`], the pure-LSH profile)
-    /// every pair that gets this far prunes without its bounds. The base
+    /// only band candidates get this far ([`Self::price_cell`] settles
+    /// the rest), and each prunes without its bounds unless the
+    /// collision forces verification. The base
     /// bounds are counted over `table`, which holds query strand `qi`
     /// ([`StrandTable::containment_both`]). Outcomes are tallied in the
     /// calling worker's `counts`.

@@ -191,20 +191,6 @@ impl SimilarityEngine {
                 .collect()
         });
         let masks = &masks;
-        // Whole-shard pruning: the shards each item provably skips,
-        // decided before any per-cell work (see `LazyShards::skip_plan`).
-        let skip = self
-            .shards
-            .as_ref()
-            .zip(self.config.active_sketch())
-            .and_then(|(lazy, cfg)| {
-                let sketches = queries.iter().map(|q| {
-                    q.as_ref()
-                        .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect())
-                });
-                lazy.skip_plan(cfg, sketches)
-            });
-        let skip = &skip;
         let shard_errors_ref = &shard_errors;
         type Tile = (usize, usize, usize, Vec<VcpPair>, Vec<Rung>);
         let work = || -> Vec<Tile> {
@@ -233,9 +219,6 @@ impl SimilarityEngine {
                 let mut row = vec![VcpPair::default(); end - start];
                 let mut rungs = vec![Rung::Unpriced; end - start];
                 for ((cell, rung), ci) in row.iter_mut().zip(&mut rungs).zip(start..end) {
-                    if skip.as_ref().is_some_and(|p| p.skips(b, ci)) {
-                        continue;
-                    }
                     match self.price_cell(&it, qi, ci, mask, &mut w) {
                         Ok((r, v)) => (*rung, *cell) = (r, v),
                         Err(e) => {

@@ -186,11 +186,9 @@ impl PrefilterConfig {
     /// non-candidate pair is pruned outright, however high its
     /// containment bound (the margin sits above any reachable bound, and
     /// probing is off). Recall rests entirely on the banded minhash —
-    /// the classic sub-linear trade — which is also what makes
-    /// whole-shard band pruning effective: a shard none of whose classes
-    /// shares a band with the query provably contributes nothing, so the
-    /// fan-out skips it without loading it. It is the one shipped profile
-    /// under which the engine builds shard band summaries.
+    /// the classic sub-linear trade. The ladder settles each non-candidate
+    /// from the candidate mask alone, so a shard none of whose classes
+    /// shares a band with the query is never opened for it.
     /// The refine-top-K pass stays on to re-price the served window
     /// exactly.
     pub fn lsh_only() -> PrefilterConfig {

@@ -35,16 +35,15 @@
 //!   order, so the fanned-out VCP matrix is the unsharded matrix: every
 //!   float sum (H0, GES, S-VCP) runs in the same order and produces the
 //!   same bits.
-//! * **Pruning may only skip certain misses.** A shard may be skipped for
-//!   a query item only when every one of its cells would have been
-//!   sketch-pruned anyway: under a config where every non-candidate pair
-//!   prunes, when no class of the shard shares an LSH band with the
-//!   item (see [`band_summaries`] and [`LazyShards::skip_plan`]). The
-//!   skipped cells stay at `VcpPair::default()` exactly as the priced
-//!   path would have left them. Summaries are derived from the resident
-//!   class sketches when the engine is built over its shards, never read
-//!   from a file, so a summary cannot disagree with the classes it
-//!   summarises.
+//! * **A shard opens only for a cell that needs its payload.** There is
+//!   no whole-shard skip: every cell is priced by the same ladder as on a
+//!   resident engine, and only a cell that reaches the cache lookup, a
+//!   class's first probe sketch or a refine scan opens its shard. Under
+//!   a config where every LSH non-candidate prunes, the ladder settles
+//!   such a cell from the resident candidate mask alone, so a shard
+//!   holding no band candidate of a query stays closed for it; the
+//!   `(item, shard)` pairs an item never opened are counted as
+//!   [`ShardStats::pruned_total`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -52,11 +51,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use esh_ivl::Proc;
-use esh_strands::{stable_mix, structural_hash, Signature, SIGNATURE_SEEDS, STABLE_HASH_SEED};
+use esh_strands::{structural_hash, Signature, SIGNATURE_SEEDS};
 
 use crate::cache::{VcpCache, VcpCacheEntry};
 use crate::engine::EngineConfig;
-use crate::prefilter::{PrefilterConfig, SemanticSketch};
+use crate::prefilter::SemanticSketch;
 
 /// The contiguous target and class ranges one shard owns. Ranges are
 /// half-open (`start..end`); consecutive shards tile both index spaces
@@ -164,8 +163,9 @@ pub struct ShardStats {
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes`.
     pub resident_bytes_peak: u64,
-    /// `(query item, shard)` pairs skipped entirely by band-summary
-    /// pruning (cumulative).
+    /// `(query item, shard)` pairs a prepared query item never consulted
+    /// (cumulative): live items × shards − fan-out. A shard stays closed
+    /// for an item when no cell of it needed the shard's payload.
     pub pruned_total: u64,
     /// Encoded bytes of the class records currently decoded (excludes
     /// the structural base `resident_bytes` also carries).
@@ -179,100 +179,6 @@ pub struct ShardStats {
     /// Currently-open shards with at least one decoded and at least one
     /// still-raw record — direct evidence decode stayed sub-shard.
     pub shards_partial: u64,
-}
-
-/// A compact Bloom filter over 64-bit keys, used for shard band
-/// summaries. No false negatives: [`Bloom::may_contain`] returning
-/// `false` proves the key was never inserted.
-#[derive(Debug)]
-pub(crate) struct Bloom {
-    /// The bit array, 64 bits per word (never empty).
-    bits: Vec<u64>,
-}
-
-/// Bloom probe count. With ~12 bits per key (see [`Bloom::with_capacity`])
-/// four probes put the false-positive rate near 0.5% — a false positive
-/// only costs a missed prune, never correctness.
-const BLOOM_PROBES: u64 = 4;
-
-impl Bloom {
-    /// An empty filter sized for `keys` insertions at ~12 bits per key
-    /// (minimum one word).
-    fn with_capacity(keys: usize) -> Bloom {
-        let words = (keys * 12).div_ceil(64).max(1);
-        Bloom {
-            bits: vec![0u64; words],
-        }
-    }
-
-    fn probes(&self, key: u64) -> impl Iterator<Item = (usize, u64)> {
-        let nbits = self.bits.len() as u64 * 64;
-        let h1 = stable_mix(STABLE_HASH_SEED ^ 0xb10f_11a5, key);
-        let h2 = stable_mix(STABLE_HASH_SEED ^ 0x5eed_b055, key) | 1;
-        (0..BLOOM_PROBES).map(move |i| {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % nbits;
-            ((bit / 64) as usize, 1u64 << (bit % 64))
-        })
-    }
-
-    fn insert(&mut self, key: u64) {
-        for (word, mask) in self.probes(key) {
-            self.bits[word] |= mask;
-        }
-    }
-
-    /// True when `key` *may* have been inserted; `false` is definitive.
-    fn may_contain(&self, key: u64) -> bool {
-        self.probes(key)
-            .all(|(word, mask)| self.bits[word] & mask != 0)
-    }
-}
-
-/// One band summary per shard of `specs` — a Bloom filter over the LSH
-/// band keys of every member class's sketch — or `None` when whole-shard
-/// pruning cannot fire under `cfg`. A shard can be skipped for a query
-/// item only when every cell it holds would price to `Prune` anyway. That
-/// holds for every non-candidate pair exactly when `margin − window >
-/// 1.0`, since containment bounds never exceed 1.0 (`bounds_decision`
-/// prunes below `margin − window`); the pure-LSH profile
-/// ([`PrefilterConfig::lsh_only`]) is such a config. At any lower
-/// threshold some pair of a shard may reach it, and no summary is built.
-pub(crate) fn band_summaries(
-    cfg: &PrefilterConfig,
-    classes: &[LazyClassMeta],
-    specs: &[ShardSpec],
-) -> Option<Vec<Bloom>> {
-    if !cfg.bounds_always_prune() {
-        return None;
-    }
-    let summaries = specs.iter().map(|s| {
-        let members = &classes[s.class_start..s.class_end];
-        let mut bands = Bloom::with_capacity(members.len() * cfg.bands);
-        for c in members {
-            let sketch = c.sketch.as_ref();
-            let sketch = sketch.expect("an enabled sketch tier sketches every class");
-            for k in sketch.band_keys(cfg.bands, cfg.rows) {
-                bands.insert(k);
-            }
-        }
-        bands
-    });
-    Some(summaries.collect())
-}
-
-/// Which shards each item of one query batch skips, item-major (see
-/// [`LazyShards::skip_plan`]).
-#[derive(Debug)]
-pub(crate) struct SkipPlan<'a> {
-    lazy: &'a LazyShards,
-    skip: Vec<bool>,
-}
-
-impl SkipPlan<'_> {
-    /// Whether batch item `item` skips class `ci`'s shard.
-    pub(crate) fn skips(&self, item: usize, ci: usize) -> bool {
-        self.skip[item * self.lazy.specs.len() + self.lazy.shard_of_class(ci)]
-    }
 }
 
 /// One open shard: the records handle plus a per-class slot table. Each
@@ -303,15 +209,13 @@ pub(crate) struct ShardResident {
 }
 
 /// The engine's view of a sharded backing store: specs, one slot per
-/// shard (evictable under a byte budget), band summaries for pruning,
-/// and the gauges `/metrics` exports.
+/// shard (evictable under a byte budget), and the gauges `/metrics`
+/// exports.
 #[derive(Debug)]
 pub(crate) struct LazyShards {
     specs: Vec<ShardSpec>,
     source: Box<dyn ShardSource>,
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
-    /// Per-shard band summaries, one per spec (`None`: pruning off).
-    summaries: Option<Vec<Bloom>>,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,
     /// Monotonic LRU clock; `stamps[i]` is shard `i`'s last touch.
@@ -329,18 +233,13 @@ pub(crate) struct LazyShards {
 }
 
 impl LazyShards {
-    pub(crate) fn new(
-        specs: Vec<ShardSpec>,
-        source: Box<dyn ShardSource>,
-        summaries: Option<Vec<Bloom>>,
-    ) -> LazyShards {
+    pub(crate) fn new(specs: Vec<ShardSpec>, source: Box<dyn ShardSource>) -> LazyShards {
         let slots = (0..specs.len()).map(|_| RwLock::new(None)).collect();
         let stamps = (0..specs.len()).map(|_| AtomicU64::new(0)).collect();
         LazyShards {
             specs,
             source,
             slots,
-            summaries,
             budget: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             stamps,
@@ -598,45 +497,13 @@ impl LazyShards {
         self.decode_slot(shard, &resident, ci - resident.class_start, expect)
     }
 
-    pub(crate) fn add_fanout(&self, n: u64) {
-        self.fanout.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The skip plan of one query batch, or `None` when this engine keeps
-    /// no band summaries. `items` yields each batch item's query-strand
-    /// sketches; `None` (an item cancelled before preparation, or with a
-    /// strand the tier did not sketch) skips nothing. Under `cfg`, for
-    /// which the summaries were built, every non-candidate cell prices to
-    /// `Prune`, so an item skips a shard when no strand of it shares an
-    /// LSH band with any of the shard's classes — and skips every shard
-    /// when the tier probes (`window > 0`), since then band candidates
-    /// are priced by their bounds and prune too. Skipped cells stay at
-    /// `VcpPair::default()`, the value the per-cell prune leaves, so
-    /// matrices, H0 and scores are byte-identical to the full fan-out;
-    /// only the pricing work and the prefilter counters of those cells
-    /// are saved. Adds the skipped `(item, shard)` pairs to the pruned
-    /// counter.
-    pub(crate) fn skip_plan<'q>(
-        &self,
-        cfg: &PrefilterConfig,
-        items: impl Iterator<Item = Option<Vec<&'q SemanticSketch>>>,
-    ) -> Option<SkipPlan<'_>> {
-        let summaries = self.summaries.as_ref()?;
-        let window = cfg.probe_window();
-        let mut skip = Vec::new();
-        for sketches in items {
-            let keys: Option<Vec<u64>> = sketches.map(|sketches| {
-                let keys = sketches.iter().map(|s| s.band_keys(cfg.bands, cfg.rows));
-                keys.flatten().collect()
-            });
-            skip.extend(summaries.iter().map(|bands| {
-                keys.as_ref()
-                    .is_some_and(|keys| window > 0.0 || keys.iter().all(|&k| !bands.may_contain(k)))
-            }));
-        }
-        let pruned = skip.iter().filter(|&&s| s).count() as u64;
-        self.pruned.fetch_add(pruned, Ordering::Relaxed);
-        Some(SkipPlan { lazy: self, skip })
+    /// Counts one batch: `touched` distinct `(item, shard)` pairs
+    /// consulted by its `live` prepared items go to the fan-out, every
+    /// other pair of those items to the pruned counter.
+    pub(crate) fn add_batch(&self, live: usize, touched: u64) {
+        self.fanout.fetch_add(touched, Ordering::Relaxed);
+        let pairs = (live * self.specs.len()) as u64;
+        self.pruned.fetch_add(pairs - touched, Ordering::Relaxed);
     }
 
     pub(crate) fn stats(&self) -> ShardStats {
@@ -708,9 +575,8 @@ impl ShardTouch {
 /// One strand class, fully materialized — the unit `esh-index` writes.
 #[derive(Debug, Clone)]
 pub struct ClassExport {
-    /// Display name (the lifted procedure's diagnostic name).
-    pub name: String,
-    /// The lifted IVL procedure (the shard-resident payload).
+    /// The lifted IVL procedure (the shard-resident payload); its
+    /// `name` is the class's display name.
     pub proc_: Proc,
     /// Semantic signature (eager pricing metadata).
     pub signature: Signature,
@@ -853,95 +719,4 @@ pub(crate) fn check_lazy_parts(
         }
     }
     Ok((class_by_hash, corpus_counts))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bloom_has_no_false_negatives_and_empty_contains_nothing() {
-        let mut b = Bloom::with_capacity(100);
-        let keys: Vec<u64> = (0..100u64).map(|i| stable_mix(7, i)).collect();
-        for &k in &keys {
-            b.insert(k);
-        }
-        assert!(keys.iter().all(|&k| b.may_contain(k)));
-        assert!(!Bloom::with_capacity(0).may_contain(42));
-        // With ~12 bits/key the filter must reject the vast majority of
-        // absent keys.
-        let misses = (1000..3000u64)
-            .map(|i| stable_mix(13, i))
-            .filter(|&k| !b.may_contain(k))
-            .count();
-        assert!(
-            misses > 1900,
-            "false-positive rate too high: {misses}/2000 rejected"
-        );
-    }
-
-    fn sketch(digests: Vec<u64>, minhash: u64) -> SemanticSketch {
-        SemanticSketch {
-            digests,
-            minhash: vec![minhash; 16],
-        }
-    }
-
-    /// Classes `0..n`, class `i` with digest `i` and minhash rows all `i`,
-    /// two per shard.
-    fn two_per_shard(n: u64) -> (Vec<LazyClassMeta>, Vec<ShardSpec>) {
-        let classes = (0..n)
-            .map(|i| LazyClassMeta {
-                name: format!("c{i}"),
-                signature: Signature { rounds: Vec::new() },
-                vars: 2,
-                hash: i,
-                sketch: Some(sketch(vec![i], i)),
-            })
-            .collect();
-        let specs = (0..n as usize / 2)
-            .map(|s| ShardSpec {
-                class_start: 2 * s,
-                class_end: 2 * s + 2,
-                target_start: s,
-                target_end: s + 1,
-            })
-            .collect();
-        (classes, specs)
-    }
-
-    #[test]
-    fn band_summary_sees_collisions_whatever_the_digests() {
-        let (classes, specs) = two_per_shard(4);
-        let lsh = PrefilterConfig::lsh_only();
-        let summaries = band_summaries(&lsh, &classes, &specs).expect("margin − window = 2.0");
-        assert_eq!(summaries.len(), specs.len());
-        let collides = |shard: usize, s: &SemanticSketch| {
-            let keys = s.band_keys(lsh.bands, lsh.rows);
-            keys.iter().any(|&k| summaries[shard].may_contain(k))
-        };
-        // Identical minhash rows collide on every band, in the member's
-        // shard only.
-        assert!(collides(0, &sketch(vec![99], 1)));
-        assert!(!collides(1, &sketch(vec![99], 1)));
-        // Full digest overlap but disjoint bands: no collision. Every
-        // non-candidate cell prices to Prune under this profile whatever
-        // its containment bound, so digests play no part.
-        assert!(!collides(0, &sketch(vec![0], 9)));
-    }
-
-    #[test]
-    fn summaries_are_built_only_where_every_non_candidate_prunes() {
-        let (classes, specs) = two_per_shard(4);
-        // The shipped default (0.7 − 0.2) and the pure-LSH margin with a
-        // window reaching back to 1.0 build nothing.
-        let default = PrefilterConfig::default();
-        assert!(band_summaries(&default, &classes, &specs).is_none());
-        let wide = PrefilterConfig {
-            ambiguity_window: 1.0,
-            probe_vectors: 24,
-            ..PrefilterConfig::lsh_only()
-        };
-        assert!(band_summaries(&wide, &classes, &specs).is_none());
-    }
 }

@@ -129,7 +129,7 @@ fn lsh_only_profile_counters_are_pinned() {
     assert_eq!(
         prefilter,
         PrefilterStatsSnapshot {
-            pairs_pruned: 1200,
+            pairs_pruned: 7950,
             sketch_collisions: 496,
             exact_fallbacks: 0,
             ambiguous_probes: 0,

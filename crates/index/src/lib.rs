@@ -64,12 +64,10 @@
 //!
 //! **Nothing derived is stored, and the manifest names no files.** Each
 //! class's corpus count (its H0 weight) is the sum of its occurrences
-//! over the target strand lists, and the per-shard band summaries that
-//! let queries skip whole shards under the pure-LSH profile are a pure
-//! function of the class sketches, so the engine derives both at open
-//! (see [`EshxOpenOptions::prune`]) instead of trusting a second copy. File
-//! names are fixed: [`CORE_FILE`] and `shard-NNNN.bin` for shard `NNNN`;
-//! unknown manifest keys are ignored.
+//! over the target strand lists, so the engine derives it at open
+//! instead of trusting a second copy. File names are fixed:
+//! [`CORE_FILE`] and `shard-NNNN.bin` for shard `NNNN`; unknown manifest
+//! keys are ignored.
 
 use std::fmt;
 use std::fs::File;
@@ -320,7 +318,7 @@ fn encode_core(export: &CorpusExport) -> Vec<u8> {
     w.u64(export.classes.len() as u64);
     w.u64(export.targets.len() as u64);
     for c in &export.classes {
-        w.str(&c.name);
+        w.str(&c.proc_.name);
         w.u64(c.hash);
         w.u64(c.vars as u64);
         encode_signature(&mut w, &c.signature);
@@ -955,26 +953,13 @@ pub fn write_sharded(
 // Open
 // ---------------------------------------------------------------------
 
-/// How [`open_sharded_with`] prices an index directory. The default is
-/// the fast path; the flag exists so benches and tests can pin down
-/// pruning's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EshxOpenOptions {
-    /// Build per-shard band summaries from the class sketches at open,
-    /// so queries skip, before fan-out, every shard none of whose
-    /// classes shares an LSH band with them. Summaries are built only
-    /// when the sketch tier is on and every non-candidate pair prices to
-    /// `Prune` (`margin − window > 1.0`, as under
-    /// [`esh_core::PrefilterConfig::lsh_only`]); under any other config,
-    /// the default included, this flag changes nothing.
-    pub prune: bool,
-}
-
-impl Default for EshxOpenOptions {
-    fn default() -> EshxOpenOptions {
-        EshxOpenOptions { prune: true }
-    }
-}
+/// Options for [`open_sharded_with`]. There are none left: an opened
+/// index prices every cell as the resident engine does, so nothing about
+/// an open is optional. Kept, and built with `Default`, for callers of
+/// [`open_sharded_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct EshxOpenOptions {}
 
 /// What [`read_manifest`] reports about an index directory without
 /// touching `core.bin` or any shard file.
@@ -1118,27 +1103,13 @@ pub fn shard_record_ranges(
 }
 
 /// Opens a sharded v8 index directory as a lazily backed
-/// [`SimilarityEngine`] with default options (pruning on).
-/// Ranked responses are byte-identical to the resident engine the index
-/// was written from.
+/// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
+/// files load on first use, each checksum-verified at that first touch.
+/// Ranked responses, VCP cache counters and prefilter counters are
+/// byte-identical to the resident engine the index was written from
+/// (pinned by this crate's round-trip proptests). The engine is
+/// immutable: its `add_target` panics.
 pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexError> {
-    open_sharded_with(dir, EshxOpenOptions::default())
-}
-
-/// Opens a sharded v8 index directory as a lazily backed
-/// [`SimilarityEngine`]: the manifest and `core.bin` load now (and, with
-/// [`EshxOpenOptions::prune`] under a config where whole shards can
-/// prune, the engine derives its shard band summaries from the class
-/// sketches), shard files load on first use,
-/// each checksum-verified at that first touch. Pruning is
-/// behaviour-preserving: rankings, H0 and VCP cache counters are
-/// byte-identical with and without it (pinned by this crate's
-/// round-trip proptests). The engine is immutable: its
-/// `add_target` panics.
-pub fn open_sharded_with(
-    dir: impl AsRef<Path>,
-    options: EshxOpenOptions,
-) -> Result<SimilarityEngine, IndexError> {
     let dir = dir.as_ref();
     let manifest_path = dir.join(MANIFEST_FILE);
     let manifest = load_manifest(dir)?;
@@ -1187,9 +1158,17 @@ pub fn open_sharded_with(
         parts.targets,
         specs,
         Box::new(source),
-        options.prune,
     )
     .map_err(|e| format_err(&manifest_path, e))
+}
+
+/// [`open_sharded`]; `options` holds no setting (see
+/// [`EshxOpenOptions`]).
+pub fn open_sharded_with(
+    dir: impl AsRef<Path>,
+    _options: EshxOpenOptions,
+) -> Result<SimilarityEngine, IndexError> {
+    open_sharded(dir)
 }
 
 /// Reads `core.bin`, whose size the manifest records as `expect` bytes.
@@ -1454,15 +1433,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// File names are fixed and band summaries are derived at open, so
-    /// manifest keys naming files and a `prune.bin` sidecar (what earlier
-    /// writers produced) are ignored. The manifest below names
+    /// File names are fixed and no shard is skipped on a summary's word,
+    /// so manifest keys naming files and a `prune.bin` sidecar (what
+    /// earlier writers produced) are ignored. The manifest below names
     /// `/dev/zero` as its core file and `../elsewhere` as every shard
     /// file. The sidecar is checksum-consistent but claims every shard
-    /// holds nothing (empty Blooms, `complete = 1`, `min_digests =
-    /// u64::MAX`); trusted, it would skip every shard for every query. The index must still open
-    /// and score bit-identically to the resident engine, with and
-    /// without pruning.
+    /// holds nothing (empty band filters, `complete = 1`, `min_digests =
+    /// u64::MAX`); trusted, it would skip every shard for every query. The
+    /// index must still open and score bit-identically to the resident
+    /// engine.
     #[test]
     fn retired_file_keys_and_a_hostile_prune_sidecar_are_ignored() {
         let engine = small_engine();
@@ -1470,7 +1449,7 @@ mod tests {
         let summary = write_sharded(&engine, &dir, 1).unwrap();
         assert!(!dir.join("prune.bin").exists());
         // The retired sidecar layout: magic and shard count, then per
-        // shard the complete flag, min_digests, max_mult and two Bloom
+        // shard the complete flag, min_digests, max_mult and two band-filter
         // word vectors.
         let mut w = Writer::new();
         w.raw(b"ESHXPRN1");
@@ -1509,21 +1488,16 @@ mod tests {
         let q = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5))
             .compile_function(&demo::heartbleed_like());
         let resident = engine.query(&q);
-        for prune in [true, false] {
-            let lazy = open_sharded_with(&dir, EshxOpenOptions { prune }).unwrap();
-            let b = lazy.query(&q);
-            assert_eq!(resident.scores.len(), b.scores.len());
-            for (x, y) in resident.scores.iter().zip(&b.scores) {
-                assert_eq!(x.name, y.name);
-                assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
-                assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
-                assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
-            }
-            assert!(
-                lazy.shard_stats().fanout_total > 0,
-                "prune {prune}: no shard consulted"
-            );
+        let lazy = open_sharded(&dir).unwrap();
+        let b = lazy.query(&q);
+        assert_eq!(resident.scores.len(), b.scores.len());
+        for (x, y) in resident.scores.iter().zip(&b.scores) {
+            assert_eq!(x.name, y.name);
+            assert_eq!(x.ges.to_bits(), y.ges.to_bits(), "{}", x.name);
+            assert_eq!(x.s_log.to_bits(), y.s_log.to_bits(), "{}", x.name);
+            assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits(), "{}", x.name);
         }
+        assert!(lazy.shard_stats().fanout_total > 0, "no shard consulted");
         std::fs::remove_dir_all(&dir).ok();
     }
 

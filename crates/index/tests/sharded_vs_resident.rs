@@ -17,7 +17,6 @@
 use esh_asm::Procedure;
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{EngineConfig, PrefilterConfig, QueryScores, SimilarityEngine};
-use esh_index::EshxOpenOptions;
 use esh_minic::demo;
 use proptest::prelude::*;
 
@@ -150,52 +149,6 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Band-summary shard pruning may only skip work that contributes
-    /// nothing. Under the pure-LSH profile, the one where it fires, the
-    /// pruned engine's rankings, H0 statistics (already folded into the
-    /// scores) and VCP cache counters are byte-identical to the unpruned
-    /// engine's after every step of any query sequence, and every step
-    /// skips at least one shard. One target per shard: on this fixture
-    /// every coarser shard shares an LSH band with every query.
-    #[test]
-    fn pruned_fanout_is_bitwise_identical_to_full_fanout(
-        picks in prop::collection::vec(0usize..4, 1..6),
-    ) {
-        let (corpus, queries) = corpus_and_queries();
-        let built = build_engine_with(&corpus, PrefilterConfig::lsh_only());
-        let dir = scratch(&format!("prune-{}", picks.len()));
-        std::fs::remove_dir_all(&dir).ok();
-        esh_index::write_sharded(&built, &dir, 1).unwrap();
-        drop(built);
-
-        let full = esh_index::open_sharded_with(
-            &dir,
-            EshxOpenOptions { prune: false },
-        )
-        .unwrap();
-        let pruned = esh_index::open_sharded(&dir).unwrap();
-
-        for (step, &i) in picks.iter().enumerate() {
-            let skipped = pruned.shard_stats().pruned_total;
-            let a = full.query(&queries[i]);
-            let b = pruned.query(&queries[i]);
-            assert_scores_identical(&a, &b, &format!("prune step {step} query {i}"));
-            prop_assert_eq!(
-                counters(&full),
-                counters(&pruned),
-                "cache counters diverged after step {} (query {})",
-                step, i
-            );
-            prop_assert!(
-                pruned.shard_stats().pruned_total > skipped,
-                "step {} (query {}) skipped no shard",
-                step, i
-            );
-        }
-        prop_assert_eq!(full.shard_stats().pruned_total, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A memory-bounded engine (budget ≈ two shards) answers any query
     /// sequence bitwise-identically to an unbounded engine, with cache
     /// counters unchanged — eviction plus reload must be invisible to
@@ -244,97 +197,49 @@ proptest! {
 }
 
 /// Under the scale tier's pure-LSH profile
-/// ([`esh_core::PrefilterConfig::lsh_only`]) with one target per shard,
-/// shards none of whose classes band-collide with the query are provably
-/// silent — at least one shard must actually be skipped, the pruned
-/// counter must say so, and every score must stay byte-identical to an
-/// engine opened with pruning disabled.
-///
-/// The refine window (twice `refine_top_k`) covers the whole corpus, so
-/// refine reads every cell of every skipped shard — cells the matrix
-/// pass left unpriced, which refine filters and bounds itself. Its work
-/// must match the full fan-out's exactly: cache counters, refined pairs
-/// and shard fan-out, after every query of a cold pass and a warm one.
+/// ([`esh_core::PrefilterConfig::lsh_only`]) the ladder settles every LSH
+/// non-candidate from the resident candidate mask, so with one target
+/// per shard each query leaves some shard unopened — and the sharded
+/// engine still does exactly the resident engine's work. After every
+/// query of a cold pass and a warm one, scores match bit for bit, and so
+/// do the cache hits and misses and every prefilter counter (refined
+/// pairs included). A refine window of four targets (twice
+/// `refine_top_k`) reads the unpriced non-candidate cells of half the
+/// corpus; a window over the whole corpus would open every shard that
+/// holds a cell passing the cheap filters.
 #[test]
-fn pruning_skips_shards_under_the_lsh_profile_with_identical_scores() {
-    use esh_core::PrefilterConfig;
+fn lsh_profile_matches_resident_counters_and_leaves_shards_unopened() {
     let (corpus, queries) = corpus_and_queries();
-    assert!(corpus.len() <= 2 * PrefilterConfig::lsh_only().refine_top_k);
-    let mut built = SimilarityEngine::new(EngineConfig {
-        threads: 2,
-        sketch: PrefilterConfig::lsh_only(),
-        ..EngineConfig::default()
-    });
-    for (name, p) in &corpus {
-        built.add_target(name.clone(), p);
-    }
-    let dir = scratch("prune-gate");
-    std::fs::remove_dir_all(&dir).ok();
-    esh_index::write_sharded(&built, &dir, 1).unwrap();
-    drop(built);
-
-    let full = esh_index::open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
-    let pruned = esh_index::open_sharded(&dir).unwrap();
-    let work = |e: &SimilarityEngine| {
-        let p = e.prefilter_stats();
-        let (hits, misses) = counters(e);
-        (
-            hits,
-            misses,
-            p.refined_pairs,
-            p.refine_passes,
-            e.shard_stats().fanout_total,
-        )
+    let sketch = PrefilterConfig {
+        refine_top_k: 2,
+        ..PrefilterConfig::lsh_only()
     };
+    assert_eq!(corpus.len(), 4 * sketch.refine_top_k);
+    let resident = build_engine_with(&corpus, sketch);
+    let dir = scratch("lsh-profile");
+    std::fs::remove_dir_all(&dir).ok();
+    esh_index::write_sharded(&resident, &dir, 1).unwrap();
+    let sharded = esh_index::open_sharded(&dir).unwrap();
+    let shards = sharded.shard_stats().shards_total;
+    assert!(shards >= 4, "fixture too small: {shards} shards");
     for pass in ["cold", "warm"] {
         for (i, q) in queries.iter().enumerate() {
-            let a = full.query(q);
-            let b = pruned.query(q);
             let what = format!("lsh-profile {pass} query {i}");
-            assert_scores_identical(&a, &b, &what);
-            assert_eq!(work(&full), work(&pruned), "{what}: work diverged");
+            let fanout = sharded.shard_stats().fanout_total;
+            assert_scores_identical(&resident.query(q), &sharded.query(q), &what);
+            assert_eq!(counters(&resident), counters(&sharded), "{what}: cache");
+            assert_eq!(
+                resident.prefilter_stats(),
+                sharded.prefilter_stats(),
+                "{what}: prefilter"
+            );
+            let opened = sharded.shard_stats().fanout_total - fanout;
+            assert!(opened < shards, "{what}: opened all {shards} shards");
         }
     }
-    assert_eq!(
-        full.shard_stats().pruned_total,
-        0,
-        "prune:false must not skip"
-    );
-    let stats = pruned.shard_stats();
-    assert!(stats.shards_total >= 4, "fixture too small: {stats:?}");
-    assert!(
-        stats.pruned_total > 0,
-        "no shard was ever pruned across {} queries: {stats:?}",
-        queries.len()
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Under the shipped default profile (margin 0.7, window 0.2) some pair of
-/// any shard may reach the margin, so opening builds no band summary and
-/// pruning skips nothing: with `prune` on, every score, every VCP-cache
-/// and prefilter counter and the fan-out equal those of `prune: false`.
-#[test]
-fn default_profile_skips_no_shard_and_keeps_the_full_fanout_counters() {
-    let (corpus, queries) = corpus_and_queries();
-    let dir = scratch("prune-default");
-    std::fs::remove_dir_all(&dir).ok();
-    esh_index::write_sharded(&build_engine(&corpus), &dir, 1).unwrap();
-
-    let full = esh_index::open_sharded_with(&dir, EshxOpenOptions { prune: false }).unwrap();
-    let pruned = esh_index::open_sharded(&dir).unwrap();
-    for (i, q) in queries.iter().enumerate() {
-        let what = format!("default profile query {i}");
-        assert_scores_identical(&full.query(q), &pruned.query(q), &what);
-        assert_eq!(counters(&full), counters(&pruned), "{what}: cache");
-        assert_eq!(
-            full.prefilter_stats(),
-            pruned.prefilter_stats(),
-            "{what}: prefilter"
-        );
-        assert_eq!(full.shard_stats(), pruned.shard_stats(), "{what}: shards");
-    }
-    assert_eq!(pruned.shard_stats().pruned_total, 0);
+    let stats = sharded.shard_stats();
+    let items = 2 * queries.len() as u64;
+    assert_eq!(stats.pruned_total, items * shards - stats.fanout_total);
     std::fs::remove_dir_all(&dir).ok();
 }
 

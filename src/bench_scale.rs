@@ -16,24 +16,28 @@
 //!   query needs them),
 //! * **query latency and shard fan-out** — ranked queries against the
 //!   lazily loaded engine under per-record demand decoding, with shard
-//!   residency, whole-shard prunes (the sketch-band summaries derived
-//!   at open), peak
-//!   resident bytes, and decoded bytes against the open shard files'
-//!   bytes reported,
+//!   residency, the shards each query left unopened (under this profile
+//!   the ladder settles every LSH non-candidate cell without opening
+//!   its shard), peak resident bytes, and decoded bytes against the open
+//!   shard files' bytes reported,
 //! * **memory-bounded serving** — the same queries repeated under a
-//!   one-shard [`set_shard_budget`](esh_core::SimilarityEngine::set_shard_budget),
-//!   gated on evictions happening, settled residency staying under the
-//!   budget, and the ranked output staying bit-identical to the
-//!   unbudgeted run.
+//!   one-shard [`set_shard_budget`](esh_core::SimilarityEngine::set_shard_budget)
+//!   on one pricing thread, so the eviction order is a pure function of
+//!   the corpus; gated on evictions happening, settled residency staying
+//!   under the budget, and the ranked output staying bit-identical to
+//!   the unbudgeted run.
 //!
-//! The bench *gates* on: at least one whole shard pruned per query;
-//! demand decoding decoding strictly fewer bytes than the shards it
-//! opened hold, with at least one partially-decoded shard after every
-//! query; the budgeted invariants above; and a byte-identity check —
-//! the ranked output of a sharded engine must equal the resident engine
-//! it was written from, bit for bit, on the cross-compiler paper corpus
-//! (371 procedures; `--smoke` uses the small 28-procedure matrix).
-//! Results land in `BENCH_scale.json` in the working directory.
+//! The bench *gates* on: the queries leaving whole shards unopened, at
+//! least one `(query, shard)` pair per query; demand decoding decoding
+//! strictly fewer bytes than the shards it opened hold, with at least
+//! one partially-decoded shard after every query; the budgeted
+//! invariants above; and an identity check — under the shipped default
+//! and under the pure-LSH profile, the ranked output of a sharded engine
+//! must equal the resident engine it was written from, bit for bit, and
+//! so must its cache hits and misses and every prefilter counter, on the
+//! cross-compiler paper corpus (371 procedures; `--smoke` uses the small
+//! 28-procedure matrix). Results land in `BENCH_scale.json` in the
+//! working directory.
 
 use std::time::Instant;
 
@@ -46,12 +50,18 @@ use esh_corpus::{Corpus, CorpusConfig};
 const SEED: u64 = 0x5CA1E;
 
 /// Targets per shard for the persisted v8 indexes. Finer than the CLI
-/// default (64): whole-shard pruning is a per-shard all-or-nothing
-/// test, and on the digest-heavy synthetic corpus a 64-target shard
-/// almost always has at least one band collision with some query
-/// strand. Eight targets keeps shards coarse enough to amortize loads
-/// while leaving the per-shard sketch-band summaries real work to do.
+/// default (64): a shard stays closed for a query only when none of its
+/// classes is an LSH band candidate of any query strand, and on the
+/// digest-heavy synthetic corpus a 64-target shard almost always holds
+/// one. Eight targets keeps shards coarse enough to amortize loads while
+/// the fan-out, and the shards it leaves unopened, still show how
+/// little of the index a query reads.
 const TARGETS_PER_SHARD: usize = 8;
+
+/// Targets per shard for the identity check's indexes: fine enough that
+/// even the 28-procedure smoke matrix spans several shards, some of which
+/// a pure-LSH query leaves unopened.
+const IDENTITY_TARGETS_PER_SHARD: usize = 4;
 
 /// Ranked queries issued against each lazily loaded index.
 const QUERIES_PER_SIZE: usize = 2;
@@ -101,9 +111,8 @@ fn scratch_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("esh-bench-scale-{}", std::process::id()))
 }
 
-/// The scale-tier engine profile: pure-LSH prefiltering, where the
-/// per-shard sketch-band summaries can prove whole shards irrelevant
-/// before fan-out.
+/// The scale-tier engine profile: pure-LSH prefiltering, under which a
+/// shard holding no band candidate of a query is never opened for it.
 fn scale_engine() -> SimilarityEngine {
     SimilarityEngine::new(EngineConfig {
         sketch: PrefilterConfig::lsh_only(),
@@ -186,7 +195,7 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
     let queries = query_battery();
     let open = || esh_index::open_sharded(&eshx_path).map_err(|e| e.to_string());
 
-    // Unbudgeted pass: latency, whole-shard prunes, peak residency,
+    // Unbudgeted pass: latency, shards left unopened, peak residency,
     // decoded bytes against the open shard files' bytes.
     // `shards_partial_min` is the smallest count of partially-decoded
     // resident shards observed after any query — the gate that demand
@@ -222,11 +231,13 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
 
     // Budgeted pass: one-shard budget, same queries. Evictions must
     // happen, settled residency must respect the budget, and the ranked
-    // output must not move by a bit.
+    // output must not move by a bit. One pricing thread touches shards
+    // in one order, so evictions and the resident peak repeat exactly.
     let budget_bytes = esh_index::read_manifest(&eshx_path)
         .map_err(|e| e.to_string())?
         .largest_shard_bytes;
-    let budgeted = open()?;
+    let mut budgeted = open()?;
+    budgeted.set_threads(1);
     budgeted.set_shard_budget(budget_bytes);
     for (i, q) in queries.iter().enumerate() {
         let scores = budgeted.query(q);
@@ -266,9 +277,12 @@ fn measure_size(procs: usize, threads: usize) -> Result<SizeRun, String> {
     })
 }
 
-/// Byte-identity on the cross-compiler matrix: a sharded engine's ranked
-/// output must equal the resident engine it was written from, bit for
-/// bit, scores and order alike. Returns `(corpus procs, queries checked)`.
+/// Identity on the cross-compiler matrix, under the shipped default and
+/// under the pure-LSH profile: a sharded engine's ranked output must
+/// equal the resident engine it was written from, bit for bit, scores
+/// and order alike, and so must its cache hits and misses and every
+/// prefilter counter. Returns `(corpus procs, queries checked per
+/// profile)`.
 fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
     let corpus_config = if smoke {
         CorpusConfig::small()
@@ -276,20 +290,6 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
         CorpusConfig::default()
     };
     let corpus = Corpus::build(&corpus_config);
-    eprintln!(
-        "bench-scale: identity check on the {}-procedure compiler matrix...",
-        corpus.procs.len()
-    );
-    let mut resident = SimilarityEngine::new(esh_core::EngineConfig::default());
-    for p in &corpus.procs {
-        resident.add_target(p.display(), &p.proc_);
-    }
-    let dir = scratch_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let eshx_path = dir.join("identity.eshx");
-    esh_index::write_sharded(&resident, &eshx_path, 32).map_err(|e| e.to_string())?;
-    let from_shards = esh_index::open_sharded(&eshx_path).map_err(|e| e.to_string())?;
-
     let queries: Vec<usize> = corpus
         .procs
         .iter()
@@ -299,38 +299,72 @@ fn check_identity(smoke: bool) -> Result<(usize, usize), String> {
         .step_by(7)
         .take(3)
         .collect();
-    for &qi in &queries {
-        let a = resident.query(&corpus.procs[qi].proc_);
-        let b = from_shards.query(&corpus.procs[qi].proc_);
-        let ra = a.ranked();
-        let rb = b.ranked();
-        if ra.len() != rb.len() {
-            return Err(format!("identity: ranked lengths differ on query {qi}"));
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    let profiles = [
+        ("default", PrefilterConfig::default()),
+        ("lsh_only", PrefilterConfig::lsh_only()),
+    ];
+    for (profile, sketch) in profiles {
+        eprintln!(
+            "bench-scale: identity check ({profile}) on the {}-procedure compiler matrix...",
+            corpus.procs.len()
+        );
+        let mut resident = SimilarityEngine::new(EngineConfig {
+            sketch,
+            ..EngineConfig::default()
+        });
+        for p in &corpus.procs {
+            resident.add_target(p.display(), &p.proc_);
         }
-        for (x, y) in ra.iter().zip(&rb) {
-            if x.name != y.name
-                || x.ges.to_bits() != y.ges.to_bits()
-                || x.s_log.to_bits() != y.s_log.to_bits()
-                || x.s_vcp.to_bits() != y.s_vcp.to_bits()
-            {
+        let eshx_path = dir.join(format!("identity-{profile}.eshx"));
+        esh_index::write_sharded(&resident, &eshx_path, IDENTITY_TARGETS_PER_SHARD)
+            .map_err(|e| e.to_string())?;
+        let from_shards = esh_index::open_sharded(&eshx_path).map_err(|e| e.to_string())?;
+        for &qi in &queries {
+            let a = resident.query(&corpus.procs[qi].proc_);
+            let b = from_shards.query(&corpus.procs[qi].proc_);
+            let ra = a.ranked();
+            let rb = b.ranked();
+            if ra.len() != rb.len() {
                 return Err(format!(
-                    "identity: sharded ranking diverges on query {qi} at `{}` vs `{}`",
-                    x.name, y.name
+                    "identity ({profile}): ranked lengths differ on query {qi}"
                 ));
             }
+            for (x, y) in ra.iter().zip(&rb) {
+                if x.name != y.name
+                    || x.ges.to_bits() != y.ges.to_bits()
+                    || x.s_log.to_bits() != y.s_log.to_bits()
+                    || x.s_vcp.to_bits() != y.s_vcp.to_bits()
+                {
+                    return Err(format!(
+                        "identity ({profile}): sharded ranking diverges on query {qi} at `{}` \
+                         vs `{}`",
+                        x.name, y.name
+                    ));
+                }
+            }
         }
+        // The counter contract too: both engines saw the same queries, so
+        // their hit/miss and prefilter counters must agree exactly.
+        let ca = resident.cache_stats();
+        let cb = from_shards.cache_stats();
+        if (ca.hits, ca.misses) != (cb.hits, cb.misses) {
+            return Err(format!(
+                "identity ({profile}): cache counters diverge — resident {}h/{}m, sharded \
+                 {}h/{}m",
+                ca.hits, ca.misses, cb.hits, cb.misses
+            ));
+        }
+        let (pa, pb) = (resident.prefilter_stats(), from_shards.prefilter_stats());
+        if pa != pb {
+            return Err(format!(
+                "identity ({profile}): prefilter counters diverge — resident {pa:?}, sharded \
+                 {pb:?}"
+            ));
+        }
+        std::fs::remove_dir_all(&eshx_path).ok();
     }
-    // The counter contract too: both engines saw the same queries, so
-    // their hit/miss counters must agree exactly.
-    let ca = resident.cache_stats();
-    let cb = from_shards.cache_stats();
-    if (ca.hits, ca.misses) != (cb.hits, cb.misses) {
-        return Err(format!(
-            "identity: cache counters diverge — resident {}h/{}m, sharded {}h/{}m",
-            ca.hits, ca.misses, cb.hits, cb.misses
-        ));
-    }
-    std::fs::remove_dir_all(&eshx_path).ok();
     Ok((corpus.procs.len(), queries.len()))
 }
 
@@ -377,8 +411,8 @@ fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
 
 /// Runs the scale bench and writes `BENCH_scale.json`. `--smoke` keeps
 /// the 1k size and the small identity matrix for CI. Returns an error
-/// when any gate fails — whole-shard pruning, demand
-/// decoding, eviction under budget, or ranked-output identity.
+/// when any gate fails — unopened shards, demand decoding, eviction
+/// under budget, or sharded-vs-resident identity.
 pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
     let t0 = Instant::now();
     let ladder: &[usize] = if opts.smoke {

@@ -50,14 +50,14 @@
 //! The **scale tier**: `corpus gen` streams a seeded synthetic corpus
 //! (10k+ procedures across the 21-configuration compiler matrix) without
 //! materializing it in memory (`--threads` caps the compile pool); index
-//! shards open lazily at query time and read and decode *per procedure*
-//! on demand, can be skipped wholesale under the pure-LSH profile by
-//! the per-shard band summaries the engine derives at open (the default
-//! profile builds none: whole shards never prune under it), and
-//! are evicted LRU under `serve --shard-budget-mb`; `bench-scale`
-//! measures build throughput, cold-load time, query latency, demand
-//! decoding, whole-shard pruning and budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
-//! and writes `BENCH_scale.json`.
+//! shards open lazily at query time — only for a cell that needs the
+//! shard's payload, so under the pure-LSH profile a shard holding no band
+//! candidate of the query stays closed — read and decode *per procedure*
+//! on demand, and are evicted LRU under `serve --shard-budget-mb`;
+//! `bench-scale` measures build throughput, cold-load time, query
+//! latency, shard fan-out, demand decoding and budgeted eviction at
+//! 1k/5k/10k/100k (`--max-procs` trims the ladder) and writes
+//! `BENCH_scale.json`.
 
 use esh::prelude::*;
 use esh_eval::experiments::Scale;
