@@ -12,7 +12,11 @@
 //! The map is sharded: workers in the work-stealing VCP scheduler hit
 //! disjoint shards most of the time, so a single global lock would
 //! serialize exactly the part of the pipeline the paper parallelizes
-//! (§5.5). Hit/miss counters are atomic and exact.
+//! (§5.5). The hit/miss counters are exact but not written per lookup:
+//! the engine's pricing workers look up with [`VcpCache::peek`], tally
+//! hits and misses in plain integers, and add them once per worker
+//! through [`VcpCache::record_lookups`], so a warm cell writes no line
+//! that other workers share. [`VcpCache::get`] counts its own lookup.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +99,7 @@ impl VcpCache {
 
     /// Looks up a memoized result, counting the outcome.
     pub fn get(&self, key: &VcpKey) -> Option<VcpPair> {
-        let found = self
-            .shard(key)
-            .lock()
-            .expect("cache shard")
-            .get(key)
-            .copied();
+        let found = self.peek(key);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -114,12 +113,21 @@ impl VcpCache {
     /// cache-known values from candidates for re-verification; counting
     /// those scans as misses would break the `misses == vcp_pair
     /// invocations` identity the benches report as `verifier_calls`.
+    /// The matrix pass's lookups are counted, but by the worker that
+    /// makes them ([`VcpCache::record_lookups`]).
     pub fn peek(&self, key: &VcpKey) -> Option<VcpPair> {
         self.shard(key)
             .lock()
             .expect("cache shard")
             .get(key)
             .copied()
+    }
+
+    /// Adds `hits` and `misses` counted lookups that a caller tallied
+    /// over [`VcpCache::peek`].
+    pub fn record_lookups(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Memoizes one result.

@@ -192,6 +192,11 @@ struct Derived {
     /// The class signatures and base sketches, dictionary-coded for the
     /// cheap rungs.
     codes: CodedClasses,
+    /// Class ids sorted by `(vars, id)`, and their variable counts in the
+    /// same order: a query strand's size-ratio window is one range of
+    /// them ([`crate::vcp::size_ratio_window`]).
+    by_size: Vec<usize>,
+    sorted_vars: Vec<usize>,
 }
 
 /// What one [`SimilarityEngine::query_batch`] call shares between its
@@ -210,7 +215,8 @@ struct BatchPass<'a> {
     /// Prepared strands per item; `None` for items cancelled before
     /// preparation.
     queries: Vec<Option<Vec<QueryStrand>>>,
-    /// Which shards each item consulted, for the fan-out counter.
+    /// Which shards each item opened, for the fan-out counter and so that
+    /// each item opens a shard once.
     touched: ShardTouch,
 }
 
@@ -848,7 +854,8 @@ impl SimilarityEngine {
 
     /// Returns what queries derive from the classes, building it on first
     /// use: the banded LSH index over the class sketches (under an
-    /// enabled tier) and the dictionary-coded signatures and sketches.
+    /// enabled tier), the dictionary-coded signatures and sketches, and
+    /// the classes in size order.
     /// Every class carries its sketch while the tier is on: `add_target`
     /// computes it, and `from_lazy_parts` refuses an index whose classes
     /// lack one.
@@ -864,9 +871,14 @@ impl SimilarityEngine {
             });
             let classes = self.classes.iter();
             let codes = CodedClasses::build(classes.map(|c| (&c.signature, c.sketch.as_ref())));
+            let mut by_size: Vec<usize> = (0..self.classes.len()).collect();
+            by_size.sort_unstable_by_key(|&ci| (self.classes[ci].vars, ci));
+            let sorted_vars = by_size.iter().map(|&ci| self.classes[ci].vars).collect();
             Derived {
                 sketch_index,
                 codes,
+                by_size,
+                sorted_vars,
             }
         })
     }
@@ -910,14 +922,14 @@ impl SimilarityEngine {
     /// Per-item work is amortized across the batch everywhere the result
     /// cannot tell: strand classes are prepared once per distinct strand
     /// (signatures and sketches are pure functions of the lifted strand),
-    /// the VCP matrices compute in a single work-stealing pass over the
-    /// flattened `(item, strand, class-range)` tile space, and the refine
-    /// pass checks out one verifier session for the whole batch. Probe
-    /// sketches outlive the batch: a corpus class's is computed once per
-    /// engine and kept on the class, and a strand that is no corpus class
-    /// is probe-sketched at most once per batch. Every item's
-    /// scores are still built from its own matrix with its own frozen H0,
-    /// so each result is byte-identical to what a sequential
+    /// the VCP matrices compute in a single work-stealing pass over every
+    /// item's `(strand, size window)` rows and their survivors' tiles, and
+    /// the refine pass checks out one verifier session for the whole
+    /// batch. Probe sketches outlive the batch: a corpus class's is
+    /// computed once per engine and kept on the class, and a strand that
+    /// is no corpus class is probe-sketched at most once per batch. Every
+    /// item's scores are still built from its own matrix with its own
+    /// frozen H0, so each result is byte-identical to what a sequential
     /// [`query`](Self::query) of that procedure would return — the serve
     /// byte-identity contract extends to batched execution.
     ///

@@ -1,17 +1,20 @@
 //! The pricing ladder: each `(query strand, corpus class)` cell is
 //! priced by the cheapest rung that decides it — the size-ratio and
 //! signature filters, the sketch rung's containment bounds, then the
-//! exact step behind the VCP cache. The matrix pass prices every cell
-//! through [`SimilarityEngine::price_cell`]; refine re-prices the cells
-//! the matrix pass left pruned or unpriced through
+//! exact step behind the VCP cache. The matrix pass runs the cheap rungs
+//! over a whole row at once through [`SimilarityEngine::row_survivors`]
+//! (the size-ratio filter is a window of the classes in size order, so a
+//! row never visits a class outside it) and prices each survivor through
+//! [`SimilarityEngine::price_survivor`]; refine re-prices the cells the
+//! matrix pass left pruned or unpriced through
 //! [`SimilarityEngine::reprice`] and [`SimilarityEngine::exact_cell`].
 //! The signature filter and the base containment bounds count over the
 //! query strand's [`StrandTable`] (see [`crate::coded`]).
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use esh_ivl::Proc;
-use esh_verifier::VerifierSession;
 
 use super::matrix::Worker;
 use super::{ClassProcRef, ItemPass, QueryStrand, SimilarityEngine, StrandProc};
@@ -31,10 +34,10 @@ use crate::vcp::{size_ratio_ok, vcp_pair, VcpPair};
 pub(super) enum Rung {
     /// Never priced: an LSH non-candidate under a config where every
     /// non-candidate prunes, settled (and counted as pruned) before the
-    /// cheap filters, which refine runs on it — or a cell of an item that
-    /// failed or was cancelled, and is never refined.
+    /// cheap filters, which refine runs on it.
     Unpriced,
-    /// Dropped by the size-ratio or signature filter.
+    /// Dropped by the size-ratio or signature filter — and every cell of
+    /// an item that failed or was cancelled, which is never refined.
     Filtered,
     /// Dropped by the sketch rung.
     Pruned,
@@ -85,15 +88,46 @@ fn load_strand<'t>(it: &ItemPass<'_>, qi: usize, table: &'t mut StrandTable) -> 
 }
 
 impl SimilarityEngine {
-    /// Prices cell `(qi, ci)` of item `it` down the ladder: the cheap
-    /// filters, the sketch rung (when the query strand carries an LSH
-    /// candidate mask), then the exact step behind a counted cache
-    /// lookup. Returns the rung that decided the cell with its value; a
-    /// pair dropped by any rung prices as the zero pair. When every
-    /// non-candidate prunes ([`PrefilterConfig::bounds_always_prune`]),
-    /// the mask comes first: a non-candidate is counted as pruned and
-    /// left `Unpriced`, with no filter work and no shard opened.
-    pub(super) fn price_cell(
+    /// The cheap rungs over row `qi` of item `it`: the classes at
+    /// `window`, positions of [`super::Derived::by_size`] (the row's
+    /// size-ratio window), that pass the signature filter, in ascending
+    /// class order. Every other cell of the row is dropped unvisited.
+    /// When every non-candidate prunes
+    /// ([`PrefilterConfig::bounds_always_prune`]), the mask comes first:
+    /// each LSH non-candidate of the row, inside the window or not, is
+    /// counted as pruned and left to the caller to record `Unpriced`,
+    /// with no filter work and no shard opened.
+    pub(super) fn row_survivors(
+        &self,
+        it: &ItemPass<'_>,
+        qi: usize,
+        window: Range<usize>,
+        mask: Option<&[bool]>,
+        w: &mut Worker,
+    ) -> Vec<usize> {
+        let settled = mask.filter(|_| it.batch.mask_settles);
+        if let Some(mask) = settled {
+            w.counts.pruned += mask.iter().filter(|&&c| !c).count() as u64;
+        }
+        let derived = it.batch.derived;
+        let table = load_strand(it, qi, &mut w.table);
+        let threshold = self.config.prefilter_threshold;
+        let mut survivors: Vec<usize> = derived.by_size[window]
+            .iter()
+            .copied()
+            .filter(|&ci| settled.is_none_or(|m| m[ci]))
+            .filter(|&ci| table.signature_reaches(&derived.codes, ci, threshold))
+            .collect();
+        survivors.sort_unstable();
+        survivors
+    }
+
+    /// Prices a cell that passed the cheap rungs ([`Self::row_survivors`]):
+    /// the sketch rung, when the query strand carries an LSH candidate
+    /// mask, then the exact step behind a lookup counted on the worker.
+    /// Returns the rung that decided the cell with its value; a pair
+    /// the sketch rung drops prices as the zero pair.
+    pub(super) fn price_survivor(
         &self,
         it: &ItemPass<'_>,
         qi: usize,
@@ -101,21 +135,14 @@ impl SimilarityEngine {
         mask: Option<&[bool]>,
         w: &mut Worker,
     ) -> Result<(Rung, VcpPair), ShardError> {
-        if it.batch.mask_settles && mask.is_some_and(|m| !m[ci]) {
-            w.counts.pruned += 1;
-            return Ok((Rung::Unpriced, VcpPair::default()));
-        }
-        let table = load_strand(it, qi, &mut w.table);
-        if !self.passes_cheap_filters(it, qi, ci, table) {
-            return Ok((Rung::Filtered, VcpPair::default()));
-        }
         if let Some(mask) = mask {
+            let table = load_strand(it, qi, &mut w.table);
             if !self.sketch_rung(it, qi, ci, mask[ci], table, &mut w.counts)? {
                 return Ok((Rung::Pruned, VcpPair::default()));
             }
         }
         self.open_cell(it, ci)?;
-        let (v, _) = self.exact_cell(it, qi, ci, &mut w.session, true)?;
+        let (v, _) = self.exact_cell(it, qi, ci, w, true)?;
         Ok((Rung::Exact, v))
     }
 
@@ -160,11 +187,11 @@ impl SimilarityEngine {
         Ok(Reprice::Bounded(c_q, c_t))
     }
 
-    /// The ladder's cheap rungs: the §5.5 size-ratio filter, then the
-    /// semantic-signature bound, which rejects a pair only when its
-    /// overlap falls below the threshold in both directions. Both
-    /// directions come from one table count per signature round
-    /// ([`StrandTable::signature_reaches`], exactly
+    /// The ladder's cheap rungs for one cell, as refine runs them: the
+    /// §5.5 size-ratio filter, then the semantic-signature bound, which
+    /// rejects a pair only when its overlap falls below the threshold in
+    /// both directions. Both directions come from one table count per
+    /// signature round ([`StrandTable::signature_reaches`], exactly
     /// [`esh_strands::Signature::either_overlap_reaches`]), which stops
     /// at the first round where both are below. `table` holds query
     /// strand `qi`.
@@ -195,7 +222,7 @@ impl SimilarityEngine {
     /// same-source pair has bound 1.0 and always verifies either way).
     /// Under a config whose bounds can never reach the margin
     /// ([`PrefilterConfig::bounds_always_prune`], the pure-LSH profile)
-    /// only band candidates get this far ([`Self::price_cell`] settles
+    /// only band candidates get this far ([`Self::row_survivors`] settles
     /// the rest), and each prunes without its bounds unless the
     /// collision forces verification. The base
     /// bounds are counted over `table`, which holds query strand `qi`
@@ -264,21 +291,24 @@ impl SimilarityEngine {
         Ok(pq.containment_both(pt))
     }
 
-    /// Opens class `ci`'s shard for item `it` and records the fan-out.
-    /// Must run before the first counted cache lookup touching `ci` — the
-    /// open-before-lookup invariant that keeps sharded hit/miss counters
-    /// identical to a fully resident engine's, since opening inserts the
-    /// shard's persisted cache segment. (The invariant survives eviction:
-    /// a reopen re-inserts the same segment idempotently before the next
-    /// counted lookup.) Procedure records are *not* decoded here: that
-    /// happens per class at proc-need time via
+    /// Opens class `ci`'s shard for item `it`, once per item and shard,
+    /// and records the fan-out. Must run before the first counted cache
+    /// lookup touching `ci` — the open-before-lookup invariant that keeps
+    /// sharded hit/miss counters identical to a fully resident engine's,
+    /// since opening inserts the shard's persisted cache segment. Once is
+    /// enough: the item's [`ShardTouch`](crate::shard::ShardTouch) flag is
+    /// set after the open, and an evicted shard's segment stays in the
+    /// cache (a reopen re-inserts it idempotently). Procedure records are
+    /// *not* decoded here: that happens per class at proc-need time via
     /// [`SimilarityEngine::class_proc`], after the lookup, so a cache hit
     /// never pays the decode.
     fn open_cell(&self, it: &ItemPass<'_>, ci: usize) -> Result<(), ShardError> {
         if let Some(lazy) = &self.shards {
             let shard = lazy.shard_of_class(ci);
-            lazy.ensure_loaded(shard, &self.cache)?;
-            it.batch.touched.mark(it.item, shard);
+            if !it.batch.touched.is_marked(it.item, shard) {
+                lazy.ensure_loaded(shard, &self.cache)?;
+                it.batch.touched.mark(it.item, shard);
+            }
         }
         Ok(())
     }
@@ -290,33 +320,35 @@ impl SimilarityEngine {
 
     /// The ladder's exact step for cell `(qi, ci)`, whose shard is open:
     /// the VCP cache, then on a miss the verifier, whose verdict is
-    /// memoized. The matrix pass's lookup is `counted`; refine's is not,
-    /// since which of its cells the cache already knows depends on engine
-    /// history (a warm repeat verifies nothing), and counting them would
-    /// make the hit/miss totals nondeterministic — refine's verifier work
-    /// is counted as refined pairs instead. Returns the VCP and whether
-    /// the verifier ran, decoding class `ci` (and the query strand's own
-    /// class, when it names one) only then.
+    /// memoized. The matrix pass's lookup is `counted`, on the worker `w`;
+    /// refine's is not, since which of its cells the cache already knows
+    /// depends on engine history (a warm repeat verifies nothing), and
+    /// counting them would make the hit/miss totals nondeterministic —
+    /// refine's verifier work is counted as refined pairs instead.
+    /// Returns the VCP and whether the verifier ran, decoding class `ci`
+    /// (and the query strand's own class, when it names one) only then.
     pub(super) fn exact_cell(
         &self,
         it: &ItemPass<'_>,
         qi: usize,
         ci: usize,
-        session: &mut VerifierSession,
+        w: &mut Worker,
         counted: bool,
     ) -> Result<(VcpPair, bool), ShardError> {
         let key = self.cell_key(it, qi, ci);
-        let known = if counted {
-            self.cache.get(&key)
-        } else {
-            self.cache.peek(&key)
-        };
+        let known = self.cache.peek(&key);
+        if counted {
+            match known {
+                Some(_) => w.cache_hits += 1,
+                None => w.cache_misses += 1,
+            }
+        }
         if let Some(v) = known {
             return Ok((v, false));
         }
         let query = self.strand_proc(&it.strands[qi])?;
         let class = self.class_proc(ci)?;
-        let v = vcp_pair(session, &query, &class, &self.config.vcp);
+        let v = vcp_pair(&mut w.session, &query, &class, &self.config.vcp);
         self.cache.insert(key, v);
         Ok((v, true))
     }

@@ -79,6 +79,14 @@ impl QueryScores {
         v
     }
 
+    /// The first `n` targets of [`QueryScores::ranked`], or all of them
+    /// when `n` exceeds the count, without sorting the rest.
+    pub fn top(&self, n: usize) -> Vec<&TargetScore> {
+        select_top(self.scores.iter().collect(), n, |a, b| {
+            a.rank_cmp(b, ScoringMode::Esh)
+        })
+    }
+
     /// Min-max normalized GES per target (the scale of Figure 5).
     pub fn normalized(&self) -> Vec<(TargetId, f64)> {
         let min = self
@@ -97,6 +105,21 @@ impl QueryScores {
             .map(|s| (s.target, (s.ges - min) / span))
             .collect()
     }
+}
+
+/// The first `n` elements of `v` in `cmp` order, the rest dropped: a
+/// selection moves the `n` least to the front, and only they are sorted.
+/// `cmp` is total ([`TargetScore::rank_cmp`] breaks ties by target), so
+/// the result is the prefix a full sort would give, element for element.
+fn select_top<T>(mut v: Vec<T>, n: usize, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    if n < v.len() {
+        if let Some(last) = n.checked_sub(1) {
+            v.select_nth_unstable_by(last, &cmp);
+        }
+        v.truncate(n);
+    }
+    v.sort_unstable_by(cmp);
+    v
 }
 
 /// One query strand's side of Eq. 5, frozen at the estimated matrix: the
@@ -241,7 +264,10 @@ impl SimilarityEngine {
     /// ranking window **exact** (scanning 2× the served depth so rank-K
     /// membership is decided among exact scores, not estimates), then
     /// re-ranks — to a fixpoint, since exact repricing can pull new
-    /// targets into the window.
+    /// targets into the window. Each round selects the scan window's
+    /// targets and sorts only them, in served order: the order is total
+    /// (ties by target), so the window is the full ranking's prefix,
+    /// target for target, whatever the corpus size.
     ///
     /// Each window target's cells are read off the matrix pass's rung
     /// record rather than priced again. Filtered cells stay zero. Exact
@@ -308,13 +334,13 @@ impl SimilarityEngine {
         self.prefilter_stats.record_refine_pass();
         let mut refine = || -> Result<(), QueryError> {
             loop {
-                // The served window under the current scores, in the
-                // order `QueryScores::ranked` serves.
-                let mut order: Vec<usize> = (0..scores.len()).collect();
-                order.sort_by(|&a, &b| scores[a].rank_cmp(&scores[b], ScoringMode::Esh));
+                // The scan window under the current scores, in the order
+                // `QueryScores::ranked` serves; only the window is sorted.
+                let order = select_top((0..scores.len()).collect(), depth, |&a, &b| {
+                    scores[a].rank_cmp(&scores[b], ScoringMode::Esh)
+                });
                 let pending: Vec<usize> = order
                     .into_iter()
-                    .take(depth)
                     .filter(|&ti| !refined_targets[ti])
                     .collect();
                 if pending.is_empty() {
@@ -364,7 +390,7 @@ impl SimilarityEngine {
                         }
                         // The lookup again (uncounted): it picks up a value
                         // a concurrent query inserted since the scan.
-                        let (v, verified) = self.exact_cell(it, qi, ci, &mut w.session, false)?;
+                        let (v, verified) = self.exact_cell(it, qi, ci, w, false)?;
                         refined_pairs += u64::from(verified);
                         max_q[qi] = max_q[qi].max(v.q_in_t);
                         max_t[ci] = max_t[ci].max(v.t_in_q);
@@ -384,5 +410,61 @@ impl SimilarityEngine {
         let outcome = refine();
         self.prefilter_stats.record_refined_pairs(refined_pairs);
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    use super::*;
+
+    /// `n` targets whose scores come from a few values, so most GES are
+    /// exact ties, in a shuffled target order so that ties fall back on
+    /// the target id.
+    fn tied_scores(rng: &mut StdRng, n: usize) -> QueryScores {
+        const VALUES: [f64; 5] = [-1.5, -0.0, 0.0, 2.25, 7.0];
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        let mut pick = || *VALUES.choose(rng).expect("values");
+        let scores = ids
+            .into_iter()
+            .map(|id| TargetScore {
+                target: TargetId(id),
+                name: format!("t{id}"),
+                ges: pick(),
+                s_log: pick(),
+                s_vcp: pick(),
+            })
+            .collect();
+        QueryScores {
+            scores,
+            query_strands: 0,
+            query_strand_occurrences: 0,
+        }
+    }
+
+    #[test]
+    fn top_is_the_ranked_prefix_bit_for_bit() {
+        let bits = |v: &[&TargetScore]| -> Vec<(usize, String, u64, u64, u64)> {
+            v.iter()
+                .map(|s| {
+                    let t = (s.ges.to_bits(), s.s_log.to_bits(), s.s_vcp.to_bits());
+                    (s.target.0, s.name.clone(), t.0, t.1, t.2)
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(0x70b5);
+        for len in [0, 1, 2, 17, 300] {
+            let scores = tied_scores(&mut rng, len);
+            let ranked = scores.ranked();
+            for n in [0, 1, 10, len.saturating_sub(1), len, len + 5] {
+                let want = &ranked[..n.min(len)];
+                assert_eq!(bits(&scores.top(n)), bits(want), "len {len}, n {n}");
+            }
+        }
     }
 }

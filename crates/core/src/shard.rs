@@ -538,9 +538,14 @@ impl LazyShards {
 }
 
 /// Per-batch fan-out bookkeeping: one flag per `(batch item, shard)`
-/// pair, set when that item's pricing survives into the shard's payload
-/// (cache lookup, first probe sketch or refine scan). Counted once per
-/// pair at batch end, whatever order the work-stealing workers touched it in.
+/// pair, set once the item has opened the shard for a cell whose pricing
+/// survives into its payload (cache lookup, first probe sketch or refine
+/// scan). Counted once per pair at batch end, whatever order the
+/// work-stealing workers touched it in. The flag is also what lets an
+/// item open each shard once: a worker that sees it set (Acquire, paired
+/// with the Release in [`ShardTouch::mark`]) also sees the shard's cache
+/// segment inserted, and the segment stays in the cache after an
+/// eviction, so every later lookup of the item still follows the open.
 #[derive(Debug)]
 pub(crate) struct ShardTouch {
     flags: Vec<std::sync::atomic::AtomicBool>,
@@ -557,10 +562,16 @@ impl ShardTouch {
         }
     }
 
+    /// Marks `shard` opened for `item`; call it after the open.
     pub(crate) fn mark(&self, item: usize, shard: usize) {
         if self.nshards != 0 {
-            self.flags[item * self.nshards + shard].store(true, Ordering::Relaxed);
+            self.flags[item * self.nshards + shard].store(true, Ordering::Release);
         }
+    }
+
+    /// Whether `item` has opened `shard` in this batch.
+    pub(crate) fn is_marked(&self, item: usize, shard: usize) -> bool {
+        self.nshards != 0 && self.flags[item * self.nshards + shard].load(Ordering::Acquire)
     }
 
     /// Distinct `(item, shard)` pairs touched.

@@ -71,8 +71,35 @@ pub fn size_ratio_ok(config: &VcpConfig, q_vars: usize, t_vars: usize) -> bool {
     if q_vars == 0 || t_vars == 0 {
         return false;
     }
-    let r = q_vars as f64 / t_vars as f64;
+    let r = var_ratio(q_vars, t_vars);
     r >= config.size_ratio && r <= 1.0 / config.size_ratio
+}
+
+/// The ratio the size-ratio filter bounds. Correctly rounded division is
+/// monotone, so it never rises as `t_vars` grows.
+fn var_ratio(q_vars: usize, t_vars: usize) -> f64 {
+    q_vars as f64 / t_vars as f64
+}
+
+/// The positions in `t_vars`, which must be sorted ascending, whose
+/// counts pass [`size_ratio_ok`] against `q_vars`. They form one range:
+/// with the ratio non-increasing in `t_vars`, each of the filter's two
+/// comparisons flips at most once along the slice, so each end is one
+/// binary search over the filter's own expressions.
+pub(crate) fn size_ratio_window(
+    config: &VcpConfig,
+    q_vars: usize,
+    t_vars: &[usize],
+) -> std::ops::Range<usize> {
+    if q_vars == 0 {
+        return 0..0;
+    }
+    let at_most_max = |t| var_ratio(q_vars, t) <= 1.0 / config.size_ratio;
+    let at_least_min = |t| var_ratio(q_vars, t) >= config.size_ratio;
+    // Zero-variable classes sort first and never pass.
+    let start = t_vars.partition_point(|&t| t == 0 || !at_most_max(t));
+    let len = t_vars[start..].partition_point(|&t| at_least_min(t));
+    start..start + len
 }
 
 /// Groups input ids of a procedure by sort, in sort order: the γ cross
@@ -428,6 +455,38 @@ mod tests {
         assert!(!size_ratio_ok(&c, 10, 21));
         assert!(!size_ratio_ok(&c, 21, 10));
         assert!(!size_ratio_ok(&c, 0, 10));
+    }
+
+    #[test]
+    fn size_ratio_window_is_the_brute_force_scan() {
+        // Class counts sorted ascending, with runs of equal counts and
+        // zero-variable classes; query counts across the same span.
+        let mut t_vars: Vec<usize> = (0..=300).chain([0, 0, 7, 7, 7, 150, 300]).collect();
+        t_vars.sort_unstable();
+        for size_ratio in [0.5, 0.3, 0.75, 1.0, 0.0, 1.5] {
+            let c = VcpConfig {
+                size_ratio,
+                ..VcpConfig::default()
+            };
+            for q_vars in 0..=300 {
+                let w = size_ratio_window(&c, q_vars, &t_vars);
+                for (i, &t) in t_vars.iter().enumerate() {
+                    assert_eq!(
+                        w.contains(&i),
+                        size_ratio_ok(&c, q_vars, t),
+                        "ratio {size_ratio}, q {q_vars}, t {t} at {i}, window {w:?}"
+                    );
+                }
+                if q_vars == 0 || size_ratio > 1.0 {
+                    assert!(w.is_empty(), "ratio {size_ratio}, q {q_vars}: {w:?}");
+                }
+            }
+        }
+        // Slices holding only zero-variable classes, or nothing, give an
+        // empty window.
+        let c = VcpConfig::default();
+        assert!(size_ratio_window(&c, 10, &[0, 0]).is_empty());
+        assert!(size_ratio_window(&c, 10, &[]).is_empty());
     }
 
     #[test]

@@ -127,14 +127,16 @@ impl QueryResponse {
 ///
 /// `exclude` drops one target (the query procedure itself when it is a
 /// member of the served corpus, matching the offline CLI's self-filter);
-/// `top_n` caps the list length.
+/// `top_n` caps the list length. Only the `top_n + 1` best targets, all
+/// the list can draw on, are selected and sorted
+/// ([`QueryScores::top`]).
 pub fn ranked_matches(
     scores: &QueryScores,
     exclude: Option<TargetId>,
     top_n: usize,
 ) -> Vec<RankedMatch> {
     scores
-        .ranked()
+        .top(top_n.saturating_add(1))
         .iter()
         .filter(|s| Some(s.target) != exclude)
         .take(top_n)
