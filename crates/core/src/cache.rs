@@ -16,7 +16,7 @@
 //! the engine's pricing workers look up with [`VcpCache::peek`], tally
 //! hits and misses in plain integers, and add them once per worker
 //! through [`VcpCache::record_lookups`], so a warm cell writes no line
-//! that other workers share. [`VcpCache::get`] counts its own lookup.
+//! that other workers share.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,16 +95,6 @@ impl VcpCache {
         // spread keys without re-hashing.
         let mix = key.0 ^ key.1.rotate_left(17) ^ key.2.rotate_left(43);
         &self.shards[(mix as usize) % SHARDS]
-    }
-
-    /// Looks up a memoized result, counting the outcome.
-    pub fn get(&self, key: &VcpKey) -> Option<VcpPair> {
-        let found = self.peek(key);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
     }
 
     /// Looks up a memoized result **without** counting the outcome.
@@ -198,12 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn get_counts_hits_and_misses() {
+    fn recorded_lookups_count_hits_and_misses() {
         let cache = VcpCache::new();
-        assert_eq!(cache.get(&(1, 2, 3)), None);
+        assert_eq!(cache.peek(&(1, 2, 3)), None);
         cache.insert((1, 2, 3), pair(0.5, 0.25));
-        assert_eq!(cache.get(&(1, 2, 3)), Some(pair(0.5, 0.25)));
-        assert_eq!(cache.get(&(1, 2, 3)), Some(pair(0.5, 0.25)));
+        assert_eq!(cache.peek(&(1, 2, 3)), Some(pair(0.5, 0.25)));
+        assert_eq!(cache.peek(&(1, 2, 3)), Some(pair(0.5, 0.25)));
+        let unrecorded = cache.stats();
+        assert_eq!((unrecorded.hits, unrecorded.misses), (0, 0));
+        cache.record_lookups(2, 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -221,8 +214,8 @@ mod tests {
         for e in &entries {
             rebuilt.insert((e.query_hash, e.class_hash, e.vcp_fingerprint), e.pair);
         }
-        assert_eq!(rebuilt.get(&(9, 1, 7)), Some(pair(1.0, 0.0)));
-        assert_eq!(rebuilt.get(&(2, 5, 7)), Some(pair(0.0, 1.0)));
+        assert_eq!(rebuilt.peek(&(9, 1, 7)), Some(pair(1.0, 0.0)));
+        assert_eq!(rebuilt.peek(&(2, 5, 7)), Some(pair(0.0, 1.0)));
         assert_eq!(rebuilt.stats().entries, 2);
     }
 
@@ -230,7 +223,7 @@ mod tests {
     fn reset_keeps_entries() {
         let cache = VcpCache::new();
         cache.insert((1, 1, 1), pair(0.5, 0.5));
-        let _ = cache.get(&(1, 1, 1));
+        cache.record_lookups(1, 1);
         cache.reset_counters();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
@@ -244,10 +237,13 @@ mod tests {
             for w in 0..4u64 {
                 let cache = &cache;
                 scope.spawn(move || {
+                    let mut hits = 0;
                     for i in 0..256u64 {
                         cache.insert((w, i, 0), pair(w as f64, i as f64));
-                        assert!(cache.get(&(w, i, 0)).is_some());
+                        assert!(cache.peek(&(w, i, 0)).is_some());
+                        hits += 1;
                     }
+                    cache.record_lookups(hits, 0);
                 });
             }
         });

@@ -290,8 +290,8 @@ impl SimilarityEngine {
     /// which cells the pass verifies (and which it dominance-skips or
     /// finds pre-cached) depends on cross-query cache state, so folding
     /// those values back into H0 would make served GES depend on engine
-    /// history — the serving layer's byte-identity contract
-    /// (`bench-serve`) demands that a query's response be a pure
+    /// history — the serving layer's byte-identity contract (pinned by
+    /// esh-serve's end-to-end tests) demands that a query's response be a pure
     /// function of the query, corpus and config. With frozen H0 and true
     /// maxima, it is. The served window's internal order equals the
     /// exhaustive engine's relative order of those targets: LES

@@ -23,10 +23,11 @@
 //! cap) and scores them in one shared `query_batch` pass at once, so
 //! requests coalesce only when they queued behind busy executors — no
 //! timed window. Load, latency and batch occupancy are
-//! observable via [`metrics`]; `esh bench-serve` ([`mod@bench`]) drives a
-//! loopback load test whose acceptance property is that concurrent —
-//! and batched — responses are *byte-identical* to offline `esh query`
-//! rankings.
+//! observable via [`metrics`]. The crate's end-to-end tests
+//! (`tests/serve_e2e.rs`) drive the daemon over loopback and hold
+//! concurrent — and batched — responses *byte-identical* to offline
+//! `esh query` rankings; the repository benchmark (`perfbench`, workload
+//! hot-serve) measures its throughput and client-side latency.
 //!
 //! ## Quickstart
 //!
@@ -63,7 +64,6 @@
 //! server.shutdown();
 //! ```
 
-pub mod bench;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -331,7 +331,7 @@ impl ServerStats {
 }
 
 /// A plain copy of the counters at one instant — what the daemon prints
-/// at shutdown and what `bench-serve` records.
+/// at shutdown and what the end-to-end tests and `perfbench` read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Completed queries.

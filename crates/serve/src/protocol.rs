@@ -312,6 +312,84 @@ mod tests {
         assert_eq!(a.s_vcp.to_bits(), b.s_vcp.to_bits());
     }
 
+    /// xorshift64: a seeded, dependency-free byte source.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn hostile_request_lines_decode_to_an_error_or_a_well_formed_request() {
+        let valid = [
+            encode_line(&QueryRequest::new("openssl")),
+            encode_line(&QueryRequest {
+                query: "ftp_syst [clang 3.5".into(),
+                top_n: Some(u64::MAX),
+                deadline_ms: Some(0),
+            }),
+            "{\"query\":\"\\u00e9\\ud83d\\ude00\",\"top_n\":null}\n".into(),
+            "{\"deadline_ms\":1e3,\"query\":\"x\",\"extra\":[{}]}\n".into(),
+            "{\"query\":\"@shutdown\"}\n".into(),
+        ];
+        // Bytes that steer random lines toward JSON structure, plus
+        // lone continuation, overlong and surrogate-range UTF-8 bytes.
+        let alphabet =
+            b"{}[]\":,.-+eE0123456789 \\nulltruefalsequery\x80\xbf\xc0\xc3\xed\xa0\xf4\xff";
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut parsed = 0;
+        for case in 0..12_000 {
+            let base = valid[rng.below(valid.len())].as_bytes();
+            let mut raw: Vec<u8> = match case % 4 {
+                0 => (0..rng.below(96))
+                    .map(|_| alphabet[rng.below(alphabet.len())])
+                    .collect(),
+                1 => base[..rng.below(base.len() + 1)].to_vec(),
+                2 => {
+                    let mut b = base.to_vec();
+                    for _ in 0..1 + rng.below(4) {
+                        let at = rng.below(b.len());
+                        b[at] ^= 1 << rng.below(8);
+                    }
+                    b
+                }
+                _ => {
+                    let mut b = base.to_vec();
+                    let at = rng.below(b.len() + 1);
+                    let junk = (0..1 + rng.below(4)).map(|_| 0x80 | rng.next() as u8);
+                    b.splice(at..at, junk);
+                    b
+                }
+            };
+            raw.push(b'\n');
+            // The daemon's reader splits on newlines and decodes each line
+            // exactly like this.
+            for piece in raw.split(|&b| b == b'\n') {
+                let line = String::from_utf8_lossy(piece).trim().to_string();
+                if let Ok(req) = decode_line::<QueryRequest>(&line) {
+                    let back: QueryRequest = decode_line(&encode_line(&req)).unwrap();
+                    assert_eq!(
+                        (back.query, back.top_n, back.deadline_ms),
+                        (req.query, req.top_n, req.deadline_ms),
+                        "{line:?}"
+                    );
+                    parsed += 1;
+                }
+            }
+        }
+        // The mutations keep some lines valid, so both arms ran.
+        assert!(parsed > 0);
+    }
+
     #[test]
     fn outcomes_serialize_as_plain_strings() {
         let line = encode_line(&Outcome::Overloaded);

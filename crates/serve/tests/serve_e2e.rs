@@ -179,33 +179,38 @@ fn assert_still_serves(addr: &str) {
 }
 
 #[test]
-fn deeply_nested_json_is_bad_request_and_the_daemon_keeps_serving() {
-    // Under the line cap, but deep enough to overflow a reader's stack
-    // if the parser recursed without a depth limit.
-    let (server, addr) = start(1, 8, 2_000);
-    let mut payload = vec![b'['; 60_000];
-    payload.push(b'\n');
-    let (line, rest) = hostile_exchange(&addr, payload);
-    let resp: esh_serve::protocol::QueryResponse = esh_serve::protocol::decode_line(&line).unwrap();
-    assert_eq!(resp.outcome, Outcome::BadRequest);
-    assert!(resp.error.unwrap().contains("nesting"));
-    assert!(rest.is_empty());
-    assert_still_serves(&addr);
-    let stats = server.shutdown();
-    assert_eq!((stats.bad_request, stats.ok), (1, 1));
-}
-
-#[test]
-fn unterminated_line_is_bad_request_and_closes_only_that_connection() {
-    let (server, addr) = start(1, 8, 2_000);
-    let (line, rest) = hostile_exchange(&addr, vec![b'x'; 1 << 20]);
-    let resp: esh_serve::protocol::QueryResponse = esh_serve::protocol::decode_line(&line).unwrap();
-    assert_eq!(resp.outcome, Outcome::BadRequest);
-    assert!(resp.error.unwrap().contains("line longer than"));
-    assert!(rest.is_empty(), "one response, then the connection closes");
-    assert_still_serves(&addr);
-    let stats = server.shutdown();
-    assert_eq!((stats.bad_request, stats.ok), (1, 1));
+fn hostile_lines_are_bad_requests_and_the_daemon_keeps_serving() {
+    let mut nested = vec![b'['; 60_000];
+    nested.push(b'\n');
+    let cases: [(&str, Vec<u8>, &str); 3] = [
+        // Under the line cap, but deep enough to overflow a reader's
+        // stack if the parser recursed without a depth limit.
+        ("deep nesting", nested, "nesting"),
+        // No newline: one response, then the daemon closes only this
+        // connection.
+        ("unterminated line", vec![b'x'; 1 << 20], "line longer than"),
+        // Invalid UTF-8 outside any JSON string: the reader's lossy
+        // decode leaves replacement characters, which no request parses
+        // from.
+        (
+            "non-UTF-8 line",
+            vec![0xff, 0xfe, b'{', 0x80, 0xc3, b'\n'],
+            "unexpected input",
+        ),
+    ];
+    for (what, payload, error) in cases {
+        let (server, addr) = start(1, 8, 2_000);
+        let (line, rest) = hostile_exchange(&addr, payload);
+        let resp: esh_serve::protocol::QueryResponse =
+            esh_serve::protocol::decode_line(&line).unwrap();
+        assert_eq!(resp.outcome, Outcome::BadRequest, "{what}");
+        let detail = resp.error.unwrap();
+        assert!(detail.contains(error), "{what}: {detail}");
+        assert!(rest.is_empty(), "{what}: one response, then EOF");
+        assert_still_serves(&addr);
+        let stats = server.shutdown();
+        assert_eq!((stats.bad_request, stats.ok), (1, 1), "{what}");
+    }
 }
 
 #[test]
@@ -400,6 +405,75 @@ fn concurrent_pipelines_complete_out_of_order_and_answer_in_order() {
     let stats = server.shutdown();
     assert_eq!(stats.ok, 4 * 2 * names.len() as u64);
     assert_eq!(stats.batched_queries, stats.ok);
+}
+
+/// The value of the label-free series `name` in the daemon's `/metrics`
+/// rendering, read in-process.
+fn metric(server: &Server, name: &str) -> u64 {
+    let text = server.metrics();
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("metric {name} missing:\n{text}"))
+}
+
+/// Sustained pipelined load on a warmed daemon. One pass over the query
+/// set warms it; then a burst of `8 × executors` requests per connection
+/// on four connections cycles through the corpus names, so same-name
+/// requests queue behind busy executors. Gates:
+/// - every batched response is bit-identical to the offline ranking;
+/// - at least one request coalesces (`esh_coalesced_queries_total` > 0;
+///   the daemon holds no timed window, so coalescing rests on queueing
+///   alone);
+/// - after warm-up the daemon computes no probe sketch
+///   (`esh_prefilter_probe_sketches_total`) and lifts no query strand
+///   (`esh_query_strands_lifted_total`): the hot path stays free of
+///   concrete evaluation and of strand extraction.
+#[test]
+fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() {
+    const CONNECTIONS: usize = 4;
+    const STILL: [&str; 2] = [
+        "esh_prefilter_probe_sketches_total",
+        "esh_query_strands_lifted_total",
+    ];
+    let corpus = tiny_corpus();
+    let expected = offline_top10(&corpus);
+    let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
+    let (server, addr) = start(CONNECTIONS, 8, 2_000);
+
+    let mut warm = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
+    for name in &names {
+        warm.send(&QueryRequest::new(name)).unwrap();
+    }
+    expect_in_order(&mut warm, &names, &expected, 0..names.len());
+    drop(warm);
+    let warmed = STILL.map(|name| metric(&server, name));
+
+    let burst = 8 * server.executors();
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let (addr, names, expected) = (&addr, &names, &expected);
+            scope.spawn(move || {
+                // Offset per connection: different names are in flight
+                // at once, so batches mix names as well as repeat them.
+                let order = || (0..burst).map(move |i| (c + i) % names.len());
+                let mut client = PipelinedClient::connect(addr, TIMEOUT).unwrap();
+                for qi in order() {
+                    client.send(&QueryRequest::new(&names[qi])).unwrap();
+                }
+                expect_in_order(&mut client, names, expected, order());
+            });
+        }
+    });
+
+    assert!(
+        metric(&server, "esh_coalesced_queries_total") > 0,
+        "no request coalesced under a pipelined burst"
+    );
+    for (name, before) in STILL.iter().zip(warmed) {
+        assert_eq!(metric(&server, name), before, "{name} rose after warm-up");
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.ok, (names.len() + CONNECTIONS * burst) as u64);
 }
 
 #[test]

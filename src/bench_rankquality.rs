@@ -106,8 +106,7 @@ pub fn run() -> Result<(), String> {
         .iter()
         .map(|p| (p.display(), p.func.as_str()))
         .collect();
-    // Distinct CVE procedures, by corpus index — the bench-serve query
-    // set.
+    // Distinct CVE procedures, by corpus index.
     let mut names: Vec<String> = corpus
         .procs
         .iter()

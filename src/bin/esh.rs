@@ -12,7 +12,6 @@
 //! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
 //!           [--queue N] [--deadline-ms N] [--batch-max N]
 //!           [--shard-budget-mb N]
-//! esh bench-serve [--smoke]
 //! esh bench-rankquality
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
 //! esh stats <corpus.json>
@@ -35,8 +34,7 @@
 //! executor was busy (up to `--batch-max`), and `/metrics`. A lone
 //! query's matrix pass uses every core; passes that overlap share them.
 //! `query --remote` is the matching client; `--json` prints the shared
-//! machine-readable response schema from either path. `bench-serve`
-//! load-tests the daemon over loopback and writes `BENCH_serve.json`;
+//! machine-readable response schema from either path.
 //! `bench-rankquality` scores the pruned ranking against the exhaustive
 //! one (top-1 identity, top-K agreement, Kendall tau, ROC/CROC — see
 //! `docs/RANK_QUALITY.md`) and writes `BENCH_rankquality.json`. Every
@@ -75,7 +73,6 @@ fn usage() -> ExitCode {
          esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
          \x20         [--queue N] [--deadline-ms N] [--batch-max N]\n  \
          \x20         [--shard-budget-mb N]\n  \
-         esh bench-serve [--smoke]\n  \
          esh bench-rankquality\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
@@ -105,7 +102,6 @@ fn main() -> ExitCode {
         Some("index") => index(&args[1..]),
         Some("query") => query(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("bench-serve") => bench_serve(&args[1..]),
         Some("bench-rankquality") => bench_rankquality(&args[1..]),
         Some("bench-scale") => bench_scale(&args[1..]),
         Some("stats") => stats(&args[1..]),
@@ -152,11 +148,7 @@ fn search(args: &[String]) -> Result<(), String> {
     let qi =
         find_proc(&corpus, needle).ok_or_else(|| format!("no procedure matching `{needle}`"))?;
     eprintln!("query: {}", corpus.procs[qi].display());
-    let mut engine = SimilarityEngine::new(EngineConfig::default());
-    for p in &corpus.procs {
-        engine.add_target(p.display(), &p.proc_);
-    }
-    let scores = engine.query(&corpus.procs[qi].proc_);
+    let scores = engine_over_corpus(&corpus).query(&corpus.procs[qi].proc_);
     println!("{:>10}  procedure", "GES");
     for s in scores
         .ranked()
@@ -554,15 +546,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         stats.p99_ms,
     );
     Ok(())
-}
-
-fn bench_serve(args: &[String]) -> Result<(), String> {
-    let smoke = match args {
-        [] => false,
-        [flag] if flag == "--smoke" => true,
-        _ => return Err("bench-serve takes [--smoke]".into()),
-    };
-    esh::serve::bench::run(smoke)
 }
 
 fn bench_rankquality(args: &[String]) -> Result<(), String> {
