@@ -39,10 +39,17 @@ fn tiny_corpus() -> Corpus {
 }
 
 fn engine_over(corpus: &Corpus) -> SimilarityEngine {
-    let mut engine = SimilarityEngine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    });
+    engine_with(
+        corpus,
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+fn engine_with(corpus: &Corpus, config: EngineConfig) -> SimilarityEngine {
+    let mut engine = SimilarityEngine::new(config);
     for p in &corpus.procs {
         engine.add_target(p.display(), &p.proc_);
     }
@@ -416,16 +423,23 @@ fn metric(server: &Server, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name} missing:\n{text}"))
 }
 
-/// Sustained pipelined load on a warmed daemon. One pass over the query
-/// set warms it; then a burst of `8 × executors` requests per connection
-/// on four connections cycles through the corpus names, so same-name
-/// requests queue behind busy executors. Gates:
-/// - every batched response is bit-identical to the offline ranking;
+/// Sustained pipelined load on a warmed daemon that runs the shipped
+/// engine setting (`EngineConfig::default()`: concurrent batches share
+/// the matrix pass's helper threads). One pass over the query set warms
+/// it; then a burst of `8 × executors` requests per connection on four
+/// connections cycles through the corpus names, so same-name requests
+/// queue behind busy executors. The batch queue is sized from the burst
+/// (its bound is `queue_capacity × PENDING_FACTOR`, at least
+/// `queue_capacity`), so no core count can push a request into
+/// `Overloaded`. Gates:
+/// - every batched response is bit-identical to the single-threaded
+///   offline ranking;
 /// - at least one request coalesces (`esh_coalesced_queries_total` > 0;
 ///   the daemon holds no timed window, so coalescing rests on queueing
 ///   alone);
-/// - after warm-up the daemon computes no probe sketch
-///   (`esh_prefilter_probe_sketches_total`) and lifts no query strand
+/// - the warm-up computes probe sketches
+///   (`esh_prefilter_probe_sketches_total` > 0), and after it the daemon
+///   computes none and lifts no query strand
 ///   (`esh_query_strands_lifted_total`): the hot path stays free of
 ///   concrete evaluation and of strand extraction.
 #[test]
@@ -438,7 +452,21 @@ fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() 
     let corpus = tiny_corpus();
     let expected = offline_top10(&corpus);
     let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
-    let (server, addr) = start(CONNECTIONS, 8, 2_000);
+    let burst = 8 * std::thread::available_parallelism().map_or(1, |n| n.get());
+    let server = Server::start(
+        engine_with(&corpus, EngineConfig::default()),
+        corpus,
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: CONNECTIONS,
+            queue_capacity: CONNECTIONS * burst,
+            read_timeout_ms: 2_000,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    assert_eq!(server.executors() * 8, burst);
+    let addr = server.local_addr().to_string();
 
     let mut warm = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     for name in &names {
@@ -447,8 +475,8 @@ fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() 
     expect_in_order(&mut warm, &names, &expected, 0..names.len());
     drop(warm);
     let warmed = STILL.map(|name| metric(&server, name));
+    assert!(warmed[0] > 0, "the warm-up computed no probe sketch");
 
-    let burst = 8 * server.executors();
     std::thread::scope(|scope| {
         for c in 0..CONNECTIONS {
             let (addr, names, expected) = (&addr, &names, &expected);
