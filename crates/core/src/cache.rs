@@ -6,8 +6,8 @@
 //! thresholds, and both sides are deduplicated by structural hash — so the
 //! pair `(query hash, class hash, config fingerprint)` fully determines
 //! the answer. This module memoizes that function across `query()` calls
-//! (and, via the persisted cache segments of a sharded index, across
-//! processes).
+//! (and, via the verdicts a sharded index persists in its `core.bin`,
+//! across processes).
 //!
 //! The map is sharded: workers in the work-stealing VCP scheduler hit
 //! disjoint shards most of the time, so a single global lock would
@@ -28,7 +28,7 @@ use crate::vcp::VcpPair;
 /// VcpConfig fingerprint)`.
 pub type VcpKey = (u64, u64, u64);
 
-/// One persisted cache entry (a row of an index's cache segment).
+/// One persisted cache entry (a row of an index's verdict table).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcpCacheEntry {
     /// Structural hash of the query strand.

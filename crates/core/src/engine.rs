@@ -35,7 +35,7 @@ use esh_strands::{
 use esh_verifier::VerifierSession;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, VcpCache};
+use crate::cache::{CacheStats, VcpCache, VcpCacheEntry};
 use crate::coded::{CodedClasses, CodedStrand, StrandTable};
 use crate::prefilter::{
     compute_sketch, PrefilterConfig, PrefilterStats, PrefilterStatsSnapshot, SemanticSketch,
@@ -114,10 +114,12 @@ impl EngineConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TargetId(pub usize);
 
-/// One deduplicated strand shape.
+/// One deduplicated strand shape. Its lifted procedure is not part of
+/// it: [`SimilarityEngine::class_proc`] reads it from [`ClassProcs`].
 #[derive(Debug, Clone)]
 pub(crate) struct StrandClass {
-    pub(crate) proc_: Proc,
+    /// Display name, the name of the strand's lifted procedure.
+    pub(crate) name: String,
     pub(crate) signature: Signature,
     pub(crate) vars: usize,
     /// Structural hash — the dedup key, kept so an index can rebuild the
@@ -138,6 +140,17 @@ pub(crate) struct StrandClass {
 /// A strand's probe-sketch slot, filled by the first ambiguous pair the
 /// strand takes part in (see `ladder`).
 type ProbeSlot = Arc<OnceLock<SemanticSketch>>;
+
+/// Where the classes' lifted procedures live.
+#[derive(Debug)]
+enum ClassProcs {
+    /// In memory, one per class in class order: an engine `add_target`
+    /// builds.
+    Resident(Vec<Proc>),
+    /// Behind a sharded index, each decoded on first use: an engine
+    /// [`SimilarityEngine::from_lazy_parts`] opens.
+    Sharded(LazyShards),
+}
 
 #[derive(Debug, Clone)]
 pub(crate) struct TargetRecord {
@@ -215,8 +228,8 @@ struct BatchPass<'a> {
     /// Prepared strands per item; `None` for items cancelled before
     /// preparation.
     queries: Vec<Option<Vec<QueryStrand>>>,
-    /// Which shards each item opened, for the fan-out counter and so that
-    /// each item opens a shard once.
+    /// Which shards each item read a class record from, for the fan-out
+    /// counter.
     touched: ShardTouch,
 }
 
@@ -415,10 +428,9 @@ pub struct SimilarityEngine {
     /// from the signatures and sketches every class carries, and dropped
     /// whenever the classes change (`add_target`, `disable_prefilter`).
     derived: OnceLock<Derived>,
-    /// Lazy backing store when the engine was opened from a sharded
-    /// `.eshx` index: class procedures and per-segment cache entries load on
-    /// first use. `None` for fully resident engines.
-    shards: Option<LazyShards>,
+    /// The classes' lifted procedures: resident, or decoded on first use
+    /// from a sharded `.eshx` index.
+    procs: ClassProcs,
     /// [`Self::query_batch`] calls running now; each one's matrix pass
     /// spawns fewer helpers for every other (see
     /// [`EngineConfig::threads`]). A scheduling hint that publishes no
@@ -441,7 +453,7 @@ impl SimilarityEngine {
             solver: Mutex::default(),
             prefilter_stats: PrefilterStats::default(),
             derived: OnceLock::new(),
-            shards: None,
+            procs: ClassProcs::Resident(Vec::new()),
             passes: AtomicUsize::new(0),
             lifted: AtomicU64::new(0),
         }
@@ -505,23 +517,28 @@ impl SimilarityEngine {
     }
 
     /// The lifted procedure of class `ci`, pulling its shard into memory
-    /// (again, if evicted) on demand when the engine is lazily backed.
-    /// Under per-record demand decoding a corrupt record is only
-    /// discovered when its class is first decoded — which happens *here*,
-    /// at proc-need time, not at shard open — so the checksum error
-    /// surfaces as a typed [`ShardError`], never a panic.
+    /// (again, if evicted) on demand when the engine is lazily backed —
+    /// the only place a shard opens. Under per-record demand decoding a
+    /// corrupt record is only discovered when its class is first decoded,
+    /// here, at proc-need time, so the checksum error surfaces as a typed
+    /// [`ShardError`], never a panic.
     fn class_proc(&self, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
-        let class = &self.classes[ci];
-        match &self.shards {
-            Some(lazy) => {
+        match &self.procs {
+            ClassProcs::Resident(procs) => Ok(ClassProcRef::Resident(&procs[ci])),
+            ClassProcs::Sharded(lazy) => {
+                let class = &self.classes[ci];
                 let expect = (class.hash, class.vars);
-                Ok(ClassProcRef::Shared(lazy.proc_ref(
-                    ci,
-                    expect,
-                    &self.cache,
-                )?))
+                let proc_ = lazy.proc_ref(ci, expect, &class.name)?;
+                Ok(ClassProcRef::Shared(proc_))
             }
-            None => Ok(ClassProcRef::Resident(&class.proc_)),
+        }
+    }
+
+    /// The lazy backing store of an engine opened from a sharded index.
+    fn shards(&self) -> Option<&LazyShards> {
+        match &self.procs {
+            ClassProcs::Resident(_) => None,
+            ClassProcs::Sharded(lazy) => Some(lazy),
         }
     }
 
@@ -530,7 +547,7 @@ impl SimilarityEngine {
     /// on the next touch — to keep resident payload bytes at or under
     /// the budget. No effect on fully resident engines.
     pub fn set_shard_budget(&self, bytes: u64) {
-        if let Some(lazy) = &self.shards {
+        if let Some(lazy) = self.shards() {
             lazy.set_budget(bytes);
         }
     }
@@ -538,9 +555,8 @@ impl SimilarityEngine {
     /// Shard counters: total/loaded shard counts and query fan-out. All
     /// zero for fully resident engines.
     pub fn shard_stats(&self) -> ShardStats {
-        self.shards
-            .as_ref()
-            .map_or_else(ShardStats::default, |l| l.stats())
+        self.shards()
+            .map_or_else(ShardStats::default, LazyShards::stats)
     }
 
     /// Dumps the whole corpus — config, materialized classes, targets,
@@ -581,10 +597,11 @@ impl SimilarityEngine {
     }
 
     /// Builds an engine over a lazily-loaded sharded backing store: class
-    /// pricing metadata and targets are resident, procedures and
-    /// per-segment cache entries come from `source` on demand. Each
-    /// class's corpus count, its H0 weight, is the sum of its occurrences
-    /// over the target strand lists.
+    /// pricing metadata, targets and the persisted VCP verdicts `cache`
+    /// are resident — the verdicts inserted now, without touching the
+    /// hit/miss counters — and procedures come from `source` on demand.
+    /// Each class's corpus count, its H0 weight, is the sum of its
+    /// occurrences over the target strand lists.
     ///
     /// Validates that `specs` tile both index spaces contiguously from
     /// zero, that class hashes are unique, that target strand
@@ -598,13 +615,15 @@ impl SimilarityEngine {
     ///
     /// Queries price every cell through the resident engine's ladder, so
     /// scores and every cache and prefilter counter equal the resident
-    /// engine's; a shard opens only for a cell that needs its payload.
+    /// engine's; a shard opens only for a cell that needs a class's
+    /// procedure.
     ///
     /// The engine is immutable: see [`SimilarityEngine::add_target`].
     pub fn from_lazy_parts(
         config: EngineConfig,
         classes: Vec<LazyClassMeta>,
         targets: Vec<TargetExport>,
+        cache: Vec<VcpCacheEntry>,
         specs: Vec<ShardSpec>,
         source: Box<dyn ShardSource>,
     ) -> Result<SimilarityEngine, String> {
@@ -613,11 +632,7 @@ impl SimilarityEngine {
             .into_iter()
             .zip(corpus_counts)
             .map(|(c, corpus_count)| StrandClass {
-                // Placeholder body; every code path that needs the real
-                // procedure goes through `class_proc`. The name is kept so
-                // diagnostics (`common_classes`) stay useful without a
-                // shard load.
-                proc_: Proc::new(c.name),
+                name: c.name,
                 signature: c.signature,
                 vars: c.vars,
                 hash: c.hash,
@@ -633,13 +648,18 @@ impl SimilarityEngine {
                 strands: t.strands,
             })
             .collect();
-        Ok(SimilarityEngine {
+        let engine = SimilarityEngine {
             classes,
             class_by_hash,
             targets,
-            shards: Some(LazyShards::new(specs, source)),
+            procs: ClassProcs::Sharded(LazyShards::new(specs, source)),
             ..SimilarityEngine::new(config)
-        })
+        };
+        for e in cache {
+            let key = (e.query_hash, e.class_hash, e.vcp_fingerprint);
+            engine.cache.insert(key, e.pair);
+        }
+        Ok(engine)
     }
 
     /// Number of targets.
@@ -669,10 +689,9 @@ impl SimilarityEngine {
     /// ([`SimilarityEngine::from_lazy_parts`]): an opened index is
     /// immutable. Add targets to a resident engine and write a new index.
     pub fn add_target(&mut self, name: impl Into<String>, proc_: &Procedure) -> TargetId {
-        assert!(
-            self.shards.is_none(),
-            "add_target on an engine opened over a sharded index, which is immutable"
-        );
+        let ClassProcs::Resident(procs) = &mut self.procs else {
+            panic!("add_target on an engine opened over a sharded index, which is immutable");
+        };
         let mut per_class: HashMap<usize, u64> = HashMap::new();
         for strand in extract_proc_strands(proc_) {
             let lifted = lift_strand(&strand);
@@ -691,7 +710,7 @@ impl SimilarityEngine {
                         .map(|cfg| compute_sketch(&lifted, cfg));
                     let i = self.classes.len();
                     self.classes.push(StrandClass {
-                        proc_: lifted,
+                        name: lifted.name.clone(),
                         signature,
                         vars,
                         hash: h,
@@ -699,6 +718,7 @@ impl SimilarityEngine {
                         sketch,
                         probe: ProbeSlot::default(),
                     });
+                    procs.push(lifted);
                     self.class_by_hash.insert(h, i);
                     i
                 }
@@ -731,7 +751,7 @@ impl SimilarityEngine {
         let mut out: Vec<(u64, usize, String)> = self
             .classes
             .iter()
-            .map(|c| (c.corpus_count, c.vars, c.proc_.name.clone()))
+            .map(|c| (c.corpus_count, c.vars, c.name.clone()))
             .collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.0));
         out.truncate(top);
@@ -963,7 +983,7 @@ impl SimilarityEngine {
                 .collect(),
             touched: ShardTouch::new(
                 items.len(),
-                self.shards.as_ref().map_or(0, |l| l.shard_count()),
+                self.shards().map_or(0, LazyShards::shard_count),
             ),
         };
         let (matrices, shard_errors) = self.vcp_matrix_batch(&batch);
@@ -1005,7 +1025,7 @@ impl SimilarityEngine {
         if let Some(w) = refiner {
             self.return_worker(w);
         }
-        if let Some(lazy) = &self.shards {
+        if let Some(lazy) = self.shards() {
             let live = batch.queries.iter().filter(|q| q.is_some()).count();
             lazy.add_batch(live, batch.touched.count());
         }
@@ -1583,6 +1603,7 @@ mod tests {
             export.config,
             classes,
             export.targets,
+            Vec::new(),
             vec![spec],
             source,
         )

@@ -41,8 +41,7 @@ pub(super) enum Rung {
     Filtered,
     /// Dropped by the sketch rung.
     Pruned,
-    /// Priced exactly, from the cache or the verifier; the cell's shard
-    /// is marked in the item's fan-out.
+    /// Priced exactly, from the cache or the verifier.
     Exact,
 }
 
@@ -96,7 +95,7 @@ impl SimilarityEngine {
     /// ([`PrefilterConfig::bounds_always_prune`]), the mask comes first:
     /// each LSH non-candidate of the row, inside the window or not, is
     /// counted as pruned and left to the caller to record `Unpriced`,
-    /// with no filter work and no shard opened.
+    /// with no filter work.
     pub(super) fn row_survivors(
         &self,
         it: &ItemPass<'_>,
@@ -141,16 +140,13 @@ impl SimilarityEngine {
                 return Ok((Rung::Pruned, VcpPair::default()));
             }
         }
-        self.open_cell(it, ci)?;
         let (v, _) = self.exact_cell(it, qi, ci, w, true)?;
         Ok((Rung::Exact, v))
     }
 
     /// Refine's entry to the ladder for a cell the matrix pass left
     /// `Pruned` or `Unpriced` (`rung`). An unpriced cell first passes the
-    /// cheap filters. The cell's shard is then opened, so the scan sees
-    /// the persisted cache segment of every class it peeks and counts
-    /// toward the item's fan-out. The lookup is uncounted: this scan
+    /// cheap filters. The lookup is uncounted: this scan
     /// separates known from pruned cells and must not distort the miss
     /// counter the benches report as verifier calls. A cell the cache
     /// does not know is bounded by the tightest containment bounds
@@ -173,7 +169,6 @@ impl SimilarityEngine {
         {
             return Ok(Reprice::Filtered);
         }
-        self.open_cell(it, ci)?;
         if let Some(v) = self.cache.peek(&self.cell_key(it, qi, ci)) {
             return Ok(Reprice::Known(v));
         }
@@ -181,7 +176,7 @@ impl SimilarityEngine {
             (Some(cfg), Some(_)) if cfg.probe_window() == 0.0 => {
                 load_strand(it, qi, table).containment_both(&it.batch.derived.codes, ci)
             }
-            (Some(cfg), Some(_)) => self.probe_bounds(cfg, q, ci, || self.class_proc(ci))?,
+            (Some(cfg), Some(_)) => self.probe_bounds(cfg, it, qi, ci)?,
             _ => (1.0, 1.0),
         };
         Ok(Reprice::Bounded(c_q, c_t))
@@ -258,10 +253,7 @@ impl SimilarityEngine {
             }
             SketchDecision::Probe => {
                 counts.probes += 1;
-                let (r_q, r_t) = self.probe_bounds(cfg, q, ci, || {
-                    self.open_cell(it, ci)?;
-                    self.class_proc(ci)
-                })?;
+                let (r_q, r_t) = self.probe_bounds(cfg, it, qi, ci)?;
                 if r_q < margin && r_t < margin {
                     counts.pruned += 1;
                     return Ok(false);
@@ -275,42 +267,32 @@ impl SimilarityEngine {
     }
 
     /// The refined containment bounds `(q in t, t in q)` of query strand
-    /// `q` against class `ci`, from both sides' probe sketches.
-    /// `class_proc` runs only while the class's slot is empty, so a filled
-    /// slot never loads or decodes a shard.
-    fn probe_bounds<'p>(
-        &'p self,
+    /// `qi` of item `it` against class `ci`, from both sides' probe
+    /// sketches. A procedure is read only while its slot is empty, so a
+    /// filled slot never loads or decodes a shard.
+    fn probe_bounds(
+        &self,
         cfg: &PrefilterConfig,
-        q: &QueryStrand,
+        it: &ItemPass<'_>,
+        qi: usize,
         ci: usize,
-        class_proc: impl FnOnce() -> Result<ClassProcRef<'p>, ShardError>,
     ) -> Result<(f64, f64), ShardError> {
         let stats = &self.prefilter_stats;
-        let pq = probe_sketch(&q.probe, cfg, stats, || self.strand_proc(q))?;
-        let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, class_proc)?;
+        let q = &it.strands[qi];
+        let pq = probe_sketch(&q.probe, cfg, stats, || self.strand_proc(it, q))?;
+        let pt = probe_sketch(&self.classes[ci].probe, cfg, stats, || {
+            self.read_class(it, ci)
+        })?;
         Ok(pq.containment_both(pt))
     }
 
-    /// Opens class `ci`'s shard for item `it`, once per item and shard,
-    /// and records the fan-out. Must run before the first counted cache
-    /// lookup touching `ci` — the open-before-lookup invariant that keeps
-    /// sharded hit/miss counters identical to a fully resident engine's,
-    /// since opening inserts the shard's persisted cache segment. Once is
-    /// enough: the item's [`ShardTouch`](crate::shard::ShardTouch) flag is
-    /// set after the open, and an evicted shard's segment stays in the
-    /// cache (a reopen re-inserts it idempotently). Procedure records are
-    /// *not* decoded here: that happens per class at proc-need time via
-    /// [`SimilarityEngine::class_proc`], after the lookup, so a cache hit
-    /// never pays the decode.
-    fn open_cell(&self, it: &ItemPass<'_>, ci: usize) -> Result<(), ShardError> {
-        if let Some(lazy) = &self.shards {
-            let shard = lazy.shard_of_class(ci);
-            if !it.batch.touched.is_marked(it.item, shard) {
-                lazy.ensure_loaded(shard, &self.cache)?;
-                it.batch.touched.mark(it.item, shard);
-            }
+    /// The lifted procedure of class `ci`, read for item `it`: on a
+    /// sharded engine the class's shard counts toward the item's fan-out.
+    fn read_class(&self, it: &ItemPass<'_>, ci: usize) -> Result<ClassProcRef<'_>, ShardError> {
+        if let Some(lazy) = self.shards() {
+            it.batch.touched.mark(it.item, lazy.shard_of_class(ci));
         }
-        Ok(())
+        self.class_proc(ci)
     }
 
     /// The cache key of cell `(qi, ci)` of item `it`.
@@ -318,8 +300,8 @@ impl SimilarityEngine {
         (it.strands[qi].hash, self.classes[ci].hash, it.batch.vcp_fp)
     }
 
-    /// The ladder's exact step for cell `(qi, ci)`, whose shard is open:
-    /// the VCP cache, then on a miss the verifier, whose verdict is
+    /// The ladder's exact step for cell `(qi, ci)`: the VCP cache, then on
+    /// a miss the verifier, whose verdict is
     /// memoized. The matrix pass's lookup is `counted`, on the worker `w`;
     /// refine's is not, since which of its cells the cache already knows
     /// depends on engine history (a warm repeat verifies nothing), and
@@ -346,19 +328,23 @@ impl SimilarityEngine {
         if let Some(v) = known {
             return Ok((v, false));
         }
-        let query = self.strand_proc(&it.strands[qi])?;
-        let class = self.class_proc(ci)?;
+        let query = self.strand_proc(it, &it.strands[qi])?;
+        let class = self.read_class(it, ci)?;
         let v = vcp_pair(&mut w.session, &query, &class, &self.config.vcp);
         self.cache.insert(key, v);
         Ok((v, true))
     }
 
-    /// The lifted procedure behind query strand `q`, decoding its class
-    /// record when the strand names one.
-    fn strand_proc<'s>(&'s self, q: &'s QueryStrand) -> Result<ClassProcRef<'s>, ShardError> {
+    /// The lifted procedure behind query strand `q` of item `it`, reading
+    /// its class record when the strand names one.
+    fn strand_proc<'s>(
+        &'s self,
+        it: &ItemPass<'_>,
+        q: &'s QueryStrand,
+    ) -> Result<ClassProcRef<'s>, ShardError> {
         match &q.proc_ {
             StrandProc::Lifted(p) => Ok(ClassProcRef::Resident(p)),
-            StrandProc::Class(ci) => self.class_proc(*ci),
+            StrandProc::Class(ci) => self.read_class(it, *ci),
         }
     }
 }

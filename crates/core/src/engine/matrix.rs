@@ -199,9 +199,9 @@ impl SimilarityEngine {
     /// rest of the batch keeps computing; its partial matrix is discarded
     /// by the caller.
     /// On a lazily backed engine the same pass is the **fan-out** step:
-    /// a pair that survives pricing pulls its shard into memory (once per
-    /// item and shard; its record is decoded on a cache miss), and
-    /// `batch.touched` records which `(item, shard)` pairs were opened.
+    /// a cell whose verify or probe sketch needs a class's procedure
+    /// decodes that one record, opening its shard if need be, and
+    /// `batch.touched` records which `(item, shard)` pairs were read.
     /// Shards partition the class index space in order, so the cells
     /// written back form exactly the matrix a resident engine computes,
     /// bit for bit. Each cell's [`Rung`] rides along.

@@ -272,8 +272,7 @@ impl SimilarityEngine {
     /// Each window target's cells are read off the matrix pass's rung
     /// record rather than priced again. Filtered cells stay zero. Exact
     /// cells take their verdict straight from the matrix, with no cache
-    /// lookup and no shard open: the matrix pass opened the shard and
-    /// marked the fan-out. Pruned and unpriced cells go to the ladder's
+    /// lookup. Pruned and unpriced cells go to the ladder's
     /// [`SimilarityEngine::reprice`], which filters, looks up or bounds
     /// them. The bounded cells are verified through the ladder's exact
     /// step in descending-bound order, but **only while their bound can

@@ -5,45 +5,24 @@
 //! **target segments**. Because strand classes are created in target
 //! insertion order, each segment also owns a contiguous range of class
 //! indices: the classes first introduced by its targets. Everything a
-//! query needs to *price* a pair — structural hash, variable count,
-//! semantic signature, sketch — stays eagerly loaded, while
-//! the heavyweight per-class payload (the lifted IVL procedure and the
-//! segment's slice of the persisted VCP cache) lives behind a
-//! [`ShardSource`] and is pulled in only when some pair of that segment
-//! survives pricing and actually needs the verifier or its memoized
-//! result. Residency is two-level: *opening* a shard decodes only its
-//! structural parts (offset table, cache segment) and keeps the record
-//! bytes raw behind a [`ShardRecords`] handle; each class record is
-//! checksummed, decoded and checked against its class's structural hash
-//! and variable count individually, on first demand, into a per-class
-//! slot table.
+//! query needs to *price* a pair — name, structural hash, variable count,
+//! semantic signature, sketch — stays eagerly loaded, and so does every
+//! persisted VCP verdict, inserted into the cache when the index opens.
+//! A shard holds one thing: the lifted IVL procedure of each of its
+//! classes, behind a [`ShardSource`]. A shard opens only when some cell
+//! needs a procedure — a cache miss's verify, or a class's first probe
+//! sketch. Residency is two-level: *opening* a shard decodes only its
+//! offset table and keeps the record bytes raw behind a [`ShardRecords`]
+//! handle; each class record is checksummed, decoded and checked against
+//! its class's structural hash and variable count individually, on first
+//! demand, into a per-class slot table.
 //!
-//! Invariants the engine relies on (and the round-trip proptests pin):
-//!
-//! * **Open-before-lookup.** A shard's persisted cache entries are
-//!   inserted (counter-neutrally) the moment the shard opens, and the
-//!   engine always opens a class's shard *before* the first counted
-//!   cache lookup touching that class — so hit/miss counters are
-//!   identical to an engine that had every entry resident from the start.
-//!   Procedure records then decode strictly later, on the first cell
-//!   that actually needs the verifier (a decode never touches a
-//!   counter), which is what makes per-record demand decoding invisible
-//!   to the counters. Re-inserting the same segment after an
-//!   eviction/reopen cycle is idempotent (same keys, same deterministic
-//!   values), so the rule survives memory-bounded serving unchanged.
-//! * **Merge = concatenation.** Shards partition the class index space in
-//!   order, so the fanned-out VCP matrix is the unsharded matrix: every
-//!   float sum (H0, GES, S-VCP) runs in the same order and produces the
-//!   same bits.
-//! * **A shard opens only for a cell that needs its payload.** There is
-//!   no whole-shard skip: every cell is priced by the same ladder as on a
-//!   resident engine, and only a cell that reaches the cache lookup, a
-//!   class's first probe sketch or a refine scan opens its shard. Under
-//!   a config where every LSH non-candidate prunes, the ladder settles
-//!   such a cell from the resident candidate mask alone, so a shard
-//!   holding no band candidate of a query stays closed for it; the
-//!   `(item, shard)` pairs an item never opened are counted as
-//!   [`ShardStats::pruned_total`].
+//! Shards partition the class index space in order, so the fanned-out
+//! VCP matrix is the unsharded matrix: every float sum (H0, GES, S-VCP)
+//! runs in the same order and produces the same bits. Cache lookups never
+//! touch a shard, so the cache counters are the resident engine's
+//! whatever a query decodes. The `(item, shard)` pairs an item read no
+//! record from are counted as [`ShardStats::pruned_total`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -53,7 +32,7 @@ use std::sync::{Arc, RwLock};
 use esh_ivl::Proc;
 use esh_strands::{structural_hash, Signature, SIGNATURE_SEEDS};
 
-use crate::cache::{VcpCache, VcpCacheEntry};
+use crate::cache::VcpCacheEntry;
 use crate::engine::EngineConfig;
 use crate::prefilter::SemanticSketch;
 
@@ -72,10 +51,9 @@ pub struct ShardSpec {
     pub target_end: usize,
 }
 
-/// An opened shard: the structural parts (offset table, persisted cache
-/// segment) are decoded eagerly, the per-class procedure records stay
-/// undecoded — for the on-disk format, unread on disk — until
-/// [`ShardRecords::decode_record`] is asked for one.
+/// An opened shard: the offset table is decoded eagerly, the per-class
+/// procedure records stay undecoded — for the on-disk format, unread on
+/// disk — until [`ShardRecords::decode_record`] is asked for one.
 ///
 /// A handle is held resident for as long as its shard occupies a slot;
 /// a file-backed handle reads each demanded record from its file then.
@@ -83,14 +61,8 @@ pub trait ShardRecords: Send + Sync + fmt::Debug {
     /// Number of class records in the shard (its spec's class range).
     fn class_count(&self) -> usize;
 
-    /// Persisted VCP-cache entries keyed into this segment, decoded at
-    /// open so load-before-lookup can insert them before any counted
-    /// lookup touches the segment.
-    fn cache_entries(&self) -> &[VcpCacheEntry];
-
-    /// Bytes decoded eagerly at open (header, offset table, cache
-    /// segment) — accounted against the residency budget when the shard
-    /// is opened.
+    /// Bytes decoded eagerly at open (header and offset table) —
+    /// accounted against the residency budget when the shard is opened.
     fn base_bytes(&self) -> u64;
 
     /// Bytes of the open shard's backing file — the whole file for the
@@ -104,7 +76,8 @@ pub trait ShardRecords: Send + Sync + fmt::Debug {
 
     /// Reads, checksum-verifies and decodes record `i` (class
     /// `class_start + i`), leaving every neighbour record untouched.
-    /// Errors name the backing file and the class for file-backed
+    /// A record stores no name: the engine names the procedure after its
+    /// class. Errors name the backing file and the class for file-backed
     /// sources.
     fn decode_record(&self, i: usize) -> Result<Proc, String>;
 }
@@ -151,9 +124,8 @@ pub struct ShardStats {
     /// Shards currently resident in memory (loads minus evictions).
     pub shards_loaded: u64,
     /// Total (query, shard) consultations: for each query (or batch
-    /// item), every distinct shard whose payload the query needed —
-    /// surviving pricing into a cache lookup, a class's first probe
-    /// sketch, or a refine-window scan.
+    /// item), every distinct shard it read a class record from — for a
+    /// cache miss's verify or a class's first probe sketch.
     pub fanout_total: u64,
     /// Shards evicted to stay under the memory budget (cumulative).
     pub evicted_total: u64,
@@ -164,8 +136,8 @@ pub struct ShardStats {
     /// High-water mark of `resident_bytes`.
     pub resident_bytes_peak: u64,
     /// `(query item, shard)` pairs a prepared query item never consulted
-    /// (cumulative): live items × shards − fan-out. A shard stays closed
-    /// for an item when no cell of it needed the shard's payload.
+    /// (cumulative): live items × shards − fan-out, the shards an item
+    /// read no class record from.
     pub pruned_total: u64,
     /// Encoded bytes of the class records currently decoded (excludes
     /// the structural base `resident_bytes` also carries).
@@ -306,18 +278,11 @@ impl LazyShards {
         }
     }
 
-    /// Opens shard `shard` if it is not resident — structural parts
-    /// decoded and checksummed, every procedure record left raw —
-    /// inserting its persisted cache entries counter-neutrally
-    /// (load-before-lookup covers the cache segment, which is why opening
-    /// alone satisfies the invariant), and returns a handle pinning the
-    /// records. Only the structural base is budget-accounted here;
-    /// records account as they decode.
-    pub(crate) fn ensure_loaded(
-        &self,
-        shard: usize,
-        cache: &VcpCache,
-    ) -> Result<Arc<ShardResident>, ShardError> {
+    /// Opens shard `shard` if it is not resident — offset table decoded
+    /// and checksummed, every procedure record left raw — and returns a
+    /// handle pinning the records. Only the structural base is
+    /// budget-accounted here; records account as they decode.
+    fn ensure_loaded(&self, shard: usize) -> Result<Arc<ShardResident>, ShardError> {
         self.stamps[shard].store(
             self.clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
@@ -337,9 +302,6 @@ impl LazyShards {
             .source
             .open_shard(shard)
             .map_err(|detail| ShardError { shard, detail })?;
-        for e in records.cache_entries() {
-            cache.insert((e.query_hash, e.class_hash, e.vcp_fingerprint), e.pair);
-        }
         let base = records.base_bytes();
         self.reserve(base, shard);
         self.mapped
@@ -362,17 +324,19 @@ impl LazyShards {
 
     /// Checksum-verifies and decodes record `idx` of an open shard if its
     /// slot is still raw, accounting the record's encoded bytes against
-    /// the budget (evicting other shards as needed). The decoded strand
-    /// must have the class's structural hash and variable count
-    /// (`expect`): a record holding another strand would otherwise be
-    /// verified, and cached, under this class's key. A decode error is
-    /// returned — never latched — so a repaired file recovers on retry.
+    /// the budget (evicting other shards as needed), and names the
+    /// procedure `name`, its class's. The decoded strand must have the
+    /// class's structural hash and variable count (`expect`): a record
+    /// holding another strand would otherwise be verified, and cached,
+    /// under this class's key. A decode error is returned — never latched
+    /// — so a repaired file recovers on retry.
     fn decode_slot(
         &self,
         shard: usize,
         r: &Arc<ShardResident>,
         idx: usize,
         expect: (u64, usize),
+        name: &str,
     ) -> Result<Arc<Proc>, ShardError> {
         if let Some(p) = r.slots[idx]
             .read()
@@ -390,7 +354,10 @@ impl LazyShards {
         let checked = r.records.decode_record(idx).and_then(|p| {
             let found = (structural_hash(&p), p.vars.len());
             if found == expect {
-                return Ok(p);
+                return Ok(Proc {
+                    name: name.to_owned(),
+                    ..p
+                });
             }
             Err(format!(
                 "class {}: the record holds a strand with structural hash {:#018x} \
@@ -483,18 +450,20 @@ impl LazyShards {
     }
 
     /// The lifted procedure of class `ci`, whose structural hash and
-    /// variable count are `expect`, opening its shard (again, if evicted)
-    /// and demand-decoding exactly that record. Holding it pins the
-    /// decoded record (not its shard slot) in memory across evictions.
+    /// variable count are `expect` and whose name is `name`, opening its
+    /// shard (again, if evicted) and demand-decoding exactly that record.
+    /// Holding it pins the decoded record (not its shard slot) in memory
+    /// across evictions.
     pub(crate) fn proc_ref(
         &self,
         ci: usize,
         expect: (u64, usize),
-        cache: &VcpCache,
+        name: &str,
     ) -> Result<Arc<Proc>, ShardError> {
         let shard = self.shard_of_class(ci);
-        let resident = self.ensure_loaded(shard, cache)?;
-        self.decode_slot(shard, &resident, ci - resident.class_start, expect)
+        let resident = self.ensure_loaded(shard)?;
+        let idx = ci - resident.class_start;
+        self.decode_slot(shard, &resident, idx, expect, name)
     }
 
     /// Counts one batch: `touched` distinct `(item, shard)` pairs
@@ -538,14 +507,9 @@ impl LazyShards {
 }
 
 /// Per-batch fan-out bookkeeping: one flag per `(batch item, shard)`
-/// pair, set once the item has opened the shard for a cell whose pricing
-/// survives into its payload (cache lookup, first probe sketch or refine
-/// scan). Counted once per pair at batch end, whatever order the
-/// work-stealing workers touched it in. The flag is also what lets an
-/// item open each shard once: a worker that sees it set (Acquire, paired
-/// with the Release in [`ShardTouch::mark`]) also sees the shard's cache
-/// segment inserted, and the segment stays in the cache after an
-/// eviction, so every later lookup of the item still follows the open.
+/// pair, set when the item reads a class record from the shard. Counted
+/// once per pair at batch end, whatever order the work-stealing workers
+/// touched it in. The flags publish nothing else, hence `Relaxed`.
 #[derive(Debug)]
 pub(crate) struct ShardTouch {
     flags: Vec<std::sync::atomic::AtomicBool>,
@@ -562,16 +526,9 @@ impl ShardTouch {
         }
     }
 
-    /// Marks `shard` opened for `item`; call it after the open.
+    /// Marks `shard` read by `item`.
     pub(crate) fn mark(&self, item: usize, shard: usize) {
-        if self.nshards != 0 {
-            self.flags[item * self.nshards + shard].store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether `item` has opened `shard` in this batch.
-    pub(crate) fn is_marked(&self, item: usize, shard: usize) -> bool {
-        self.nshards != 0 && self.flags[item * self.nshards + shard].load(Ordering::Acquire)
+        self.flags[item * self.nshards + shard].store(true, Ordering::Relaxed);
     }
 
     /// Distinct `(item, shard)` pairs touched.

@@ -1,51 +1,54 @@
 #![warn(missing_docs)]
 
-//! # esh-index — the engine's on-disk format (v8)
+//! # esh-index — the engine's on-disk format (v9)
 //!
 //! The offline phase decomposes, lifts and hashes every target once; this
 //! crate persists the result as a compact binary, **segment-sharded**
-//! layout that loads the pricing metadata eagerly and everything else
+//! layout that loads the pricing metadata eagerly and the procedures
 //! lazily, so a 10k-procedure corpus opens in milliseconds instead of
 //! being rebuilt:
 //!
 //! ```text
 //! index.eshx/
 //!   manifest.json    — format version, config + fingerprint, shard table
-//!   core.bin         — per-class pricing metadata (hash, vars,
-//!                      signature, sketch, name) + target records; fixed
-//!                      little-endian layout, loaded at open
+//!   core.bin         — per-class pricing metadata (name, hash, vars,
+//!                      signature, sketch), target records and the
+//!                      persisted VCP verdicts; fixed little-endian
+//!                      layout, loaded at open
 //!   shard-0000.bin   — one per target segment: the segment's lifted
 //!   shard-0001.bin     procedures as fixed-layout binary records behind
-//!   ...                a per-class offset table, plus the VCP-cache
-//!                      entries keyed into the segment
+//!   ...                a per-class offset table
 //! ```
+//!
+//! Each fact is stored once. A class's name lives in its `core.bin` row,
+//! not in its record; every persisted verdict lives in `core.bin`'s
+//! verdict table.
 //!
 //! **Sharding rule.** Targets are split into contiguous segments of
 //! `targets_per_shard`. Strand classes are created in target insertion
 //! order, so each segment owns the contiguous class-index range its
 //! targets introduced (computed as a cumulative maximum over the
-//! segment's class references). A persisted VCP-cache entry lives in the
-//! shard owning the class its `class_hash` names. Every lookup keys on a
-//! corpus class's hash, so an entry naming no class could never be read:
-//! the writer drops it.
+//! segment's class references). Every cache lookup keys on a corpus
+//! class's hash, so a VCP-cache entry naming no class could never be
+//! read: the writer drops it.
 //!
-//! **Lazy-load contract.** [`open_sharded`] returns a
-//! [`SimilarityEngine`] whose shards *open* on first use, through the
-//! engine's open-before-lookup rule: a shard's structural parts —
-//! header, per-record offset table, VCP-cache segment — decode when the
-//! shard is first touched, before the first counted cache lookup into
-//! the segment, while the procedure records stay on disk until a
-//! query's pricing actually demands one (demand decoding). Every read
-//! is a positioned read of exactly the bytes being decoded: the shard
-//! open reads the structural parts, each demanded record reads its own
-//! byte range, and an open shard holds no file descriptor or file
-//! buffer in between — its memory is its structural base plus its
-//! decoded records, the two quantities the residency budget counts. A
-//! file that shrinks under an open shard fails the next record read
-//! past the cut with a typed error naming the file and the class, and
-//! so does a record whose bytes decode to a procedure that fails
-//! [`Proc::validate`], or to a strand whose structural hash or variable
-//! count is not its class's.
+//! **Lazy-load contract.** [`open_sharded`] reads the manifest and
+//! `core.bin`, range-checks every persisted verdict and inserts it into
+//! the engine's cache, without counting a lookup, before it returns. A
+//! shard then opens only when a query needs one of its classes'
+//! procedures — a cache miss's verify, or a class's first probe sketch —
+//! and the opening decodes only its header and per-record offset table,
+//! while the procedure records stay on disk until each is demanded
+//! (demand decoding). Every read is a positioned read of exactly the
+//! bytes being decoded: the shard open reads the structural parts, each
+//! demanded record reads its own byte range, and an open shard holds no
+//! file descriptor or file buffer in between — its memory is its
+//! structural base plus its decoded records, the two quantities the
+//! residency budget counts. A file that shrinks under an open shard fails
+//! the next record read past the cut with a typed error naming the file
+//! and the class, and so does a record whose bytes decode to a procedure
+//! that fails [`Proc::validate`], or to a strand whose structural hash or
+//! variable count is not its class's.
 //! Ranked responses and cache hit/miss counters are byte-identical to
 //! the resident engine the index was written from — pinned by this
 //! crate's round-trip proptests.
@@ -55,12 +58,12 @@
 //! covered by exactly one of them. `core.bin` has a whole-file
 //! `core_checksum`, verified at open after its size is checked against
 //! the manifest, so an oversized or endless file is refused before it
-//! is read; each shard has a structural `meta_checksum` covering every
-//! byte *except* the record-blob region, verified when the shard opens;
-//! and the shard's offset table carries one checksum per procedure
-//! record, verified when that record is first decoded. A byte flip inside one record therefore fails only the
-//! queries that decode that record, with an error naming the file and
-//! the class.
+//! is read; each shard has a structural `meta_checksum` covering its
+//! header and offset table, verified when the shard opens; and the
+//! offset table carries one checksum per procedure record, verified when
+//! that record is first decoded. A byte flip inside one record therefore
+//! fails only the queries that decode that record, with an error naming
+//! the file and the class. A damaged verdict in `core.bin` fails the open.
 //!
 //! **Nothing derived is stored, and the manifest names no files.** Each
 //! class's corpus count (its H0 weight) is the sum of its occurrences
@@ -84,7 +87,7 @@ use serde::{Deserialize, Serialize};
 
 mod wire;
 
-use wire::{checksum, checksum_parts, Reader, Writer};
+use wire::{checksum, Reader, Writer};
 
 /// Format version of the sharded directory layout. Versions 2–4 were a
 /// retired JSON snapshot format; version 5 introduced the binary layout
@@ -94,8 +97,10 @@ use wire::{checksum, checksum_parts, Reader, Writer};
 /// record in the binary layout of [`encode_record`] instead of JSON, and
 /// version 8 stores nothing a reader derives or never reads: no class
 /// corpus counts, target basic-block counts, residual cache section or
-/// whole-file shard checksums.
-pub const SHARDED_FORMAT_VERSION: u32 = 8;
+/// whole-file shard checksums, and version 9 stores each fact once: class
+/// names only in `core.bin`'s class rows, and every persisted VCP verdict
+/// in `core.bin` instead of beside the shard records.
+pub const SHARDED_FORMAT_VERSION: u32 = 9;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -103,8 +108,8 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// Core (eager) file name inside an index directory.
 pub const CORE_FILE: &str = "core.bin";
 
-const CORE_MAGIC: &[u8; 8] = b"ESHXCOR2";
-const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD3";
+const CORE_MAGIC: &[u8; 8] = b"ESHXCOR3";
+const SHARD_MAGIC: &[u8; 8] = b"ESHXSHD4";
 
 /// Why a sharded index failed to write or open.
 #[derive(Debug)]
@@ -200,10 +205,10 @@ struct ShardManifest {
     target_end: u64,
     bytes: u64,
     // Structural checksum: FNV-1a over the file minus its record-blob
-    // region. Verified at shard *open*, so header, offset table and
-    // cache segment are trusted before any record decodes — the record
-    // blobs themselves are covered one by one by the per-record
-    // checksums in the offset table.
+    // region. Verified at shard *open*, so header and offset table are
+    // trusted before any record decodes — the record blobs themselves
+    // are covered one by one by the per-record checksums in the offset
+    // table.
     meta_checksum: u64,
 }
 
@@ -233,7 +238,7 @@ pub struct WriteSummary {
     pub classes: usize,
     /// Targets persisted.
     pub targets: usize,
-    /// VCP-cache entries persisted across the shard cache segments.
+    /// VCP-cache entries persisted in `core.bin`'s verdict table.
     pub cache_entries: usize,
 }
 
@@ -312,7 +317,9 @@ fn decode_cache_entry(r: &mut Reader<'_>) -> Result<VcpCacheEntry, String> {
     })
 }
 
-fn encode_core(export: &CorpusExport) -> Vec<u8> {
+/// `core.bin`: the class rows, the target rows, then the verdict table
+/// (`cache`, the entries that name a class).
+fn encode_core(export: &CorpusExport, cache: &[VcpCacheEntry]) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(CORE_MAGIC);
     w.u64(export.classes.len() as u64);
@@ -339,20 +346,27 @@ fn encode_core(export: &CorpusExport) -> Vec<u8> {
             w.u64(n);
         }
     }
+    w.u64(cache.len() as u64);
+    for e in cache {
+        encode_cache_entry(&mut w, e);
+    }
     w.into_bytes()
 }
 
 struct CoreParts {
     classes: Vec<LazyClassMeta>,
     targets: Vec<TargetExport>,
+    cache: Vec<VcpCacheEntry>,
 }
 
 /// Smallest encodings of a `core.bin` class row (name length, hash,
-/// vars, round count, sketch flag) and target row (name length, strand
-/// count), which cap the counts read from `core.bin`: no count sizes an
-/// allocation beyond what the remaining bytes could hold.
+/// vars, round count, sketch flag), target row (name length, strand
+/// count) and verdict (three key words, two VCPs), which cap the counts
+/// read from `core.bin`: no count sizes an allocation beyond what the
+/// remaining bytes could hold.
 const MIN_CLASS_ROW_BYTES: usize = 25;
 const MIN_TARGET_ROW_BYTES: usize = 8;
+const VERDICT_BYTES: usize = 40;
 
 fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
     let mut r = Reader::new(bytes);
@@ -393,13 +407,22 @@ fn decode_core(bytes: &[u8]) -> Result<CoreParts, String> {
         }
         targets.push(TargetExport { name, strands });
     }
+    let nverdicts = r.u64()? as usize;
+    let mut cache = Vec::with_capacity(nverdicts.min(r.remaining() / VERDICT_BYTES));
+    for _ in 0..nverdicts {
+        cache.push(decode_cache_entry(&mut r).map_err(|e| format!("verdict table: {e}"))?);
+    }
     if !r.at_end() {
         return Err(format!(
             "{} trailing bytes after core document",
             bytes.len() - r.pos()
         ));
     }
-    Ok(CoreParts { classes, targets })
+    Ok(CoreParts {
+        classes,
+        targets,
+        cache,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -480,13 +503,13 @@ fn op_tag(op: Op) -> u8 {
 }
 
 /// Encodes one class's lifted procedure as a shard record (layout in
-/// docs/ARCHITECTURE.md, "On-disk index format"): the name; per
-/// variable its name, sort tag (+ width) and input-kind tag; per
-/// statement `dst`, op tag (+ `u32` immediates) and operands, each a
-/// var id or a `(value, width)` constant. Little-endian, counts `u32`.
+/// docs/ARCHITECTURE.md, "On-disk index format"): per variable its name,
+/// sort tag (+ width) and input-kind tag; per statement `dst`, op tag
+/// (+ `u32` immediates) and operands, each a var id or a `(value, width)`
+/// constant. Little-endian, counts `u32`. The procedure's name is not
+/// stored: it is its class's name, in `core.bin`.
 pub fn encode_record(p: &Proc) -> Vec<u8> {
     let mut w = Writer::new();
-    w.str(&p.name);
     w.u32(p.vars.len() as u32);
     for v in &p.vars {
         w.str(&v.name);
@@ -535,14 +558,14 @@ pub fn encode_record(p: &Proc) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a record written by [`encode_record`]. Every tag is checked,
-/// no count sizes an allocation beyond what the remaining bytes could
-/// hold, trailing bytes are refused, and the result must pass
+/// Decodes a record written by [`encode_record`], into a procedure with
+/// an empty name (the engine names it after its class). Every tag is
+/// checked, no count sizes an allocation beyond what the remaining bytes
+/// could hold, trailing bytes are refused, and the result must pass
 /// [`Proc::validate`] — so hostile bytes give `Err`, never a panic or an
 /// ill-formed procedure.
 pub fn decode_record(bytes: &[u8]) -> Result<Proc, String> {
     let mut r = Reader::new(bytes);
-    let name = r.str()?;
     let nvars = r.u32()? as usize;
     let mut vars = Vec::with_capacity(nvars.min(r.remaining() / MIN_VAR_BYTES));
     for _ in 0..nvars {
@@ -593,7 +616,11 @@ pub fn decode_record(bytes: &[u8]) -> Result<Proc, String> {
     if !r.at_end() {
         return Err(format!("{} trailing bytes after record", r.remaining()));
     }
-    let p = Proc { name, vars, stmts };
+    let p = Proc {
+        name: String::new(),
+        vars,
+        stmts,
+    };
     let errors = p.validate();
     match errors.first() {
         None => Ok(p),
@@ -604,12 +631,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<Proc, String> {
     }
 }
 
-fn encode_shard(
-    index: usize,
-    spec: &ShardSpec,
-    procs: &[&Proc],
-    cache: &[VcpCacheEntry],
-) -> (Vec<u8>, u64) {
+fn encode_shard(index: usize, spec: &ShardSpec, procs: &[&Proc]) -> (Vec<u8>, u64) {
     let mut blobs = Writer::new();
     let mut table: Vec<(u64, u64, u64)> = Vec::with_capacity(procs.len());
     for p in procs {
@@ -629,15 +651,9 @@ fn encode_shard(
     }
     let blobs = blobs.into_bytes();
     w.u64(blobs.len() as u64);
-    let blob_start = w.len();
-    w.raw(&blobs);
-    let blob_end = w.len();
-    w.u64(cache.len() as u64);
-    for e in cache {
-        encode_cache_entry(&mut w, e);
-    }
-    let bytes = w.into_bytes();
-    let meta = checksum_parts(&[&bytes[..blob_start], &bytes[blob_end..]]);
+    let mut bytes = w.into_bytes();
+    let meta = checksum(&bytes);
+    bytes.extend(blobs);
     (bytes, meta)
 }
 
@@ -650,7 +666,6 @@ struct ShardStructure {
     /// Absolute file offset where the blob region starts.
     blob_start: u64,
     blob_len: u64,
-    cache: Vec<VcpCacheEntry>,
 }
 
 /// Shard header: magic, shard index, first class, record count.
@@ -666,15 +681,13 @@ fn read_at(file: &mut File, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Reads a shard file's structural parts (header, offset table, cache
-/// segment) with positioned reads, leaving the record blobs on disk.
-/// The file's size must match the manifest's `bytes`, and every length
-/// field is checked against it before anything is allocated, so a
-/// damaged or shrunken file is an `Err`, never a huge read. The
-/// manifest's structural checksum covers exactly the bytes read and is
-/// verified *before* the cache segment is parsed, so a corrupted cache
-/// region reports "checksum mismatch" rather than whatever decode error
-/// the garbage happens to produce.
+/// Reads a shard file's structural parts (header and offset table) with
+/// positioned reads, leaving the record blobs on disk. The file's size
+/// must match the manifest's `bytes`, and every length field is checked
+/// against it before anything is allocated, so a damaged or shrunken
+/// file is an `Err`, never a huge read. The blob region must end the
+/// file, and the manifest's structural checksum covers exactly the bytes
+/// read.
 fn read_shard_structure(
     path: &Path,
     expect_index: usize,
@@ -723,6 +736,12 @@ fn read_shard_structure(
         .checked_add(blob_len)
         .filter(|&e| e <= file_len)
         .ok_or_else(|| truncated(&format!("blob region of {blob_len} bytes")))?;
+    if blob_end != file_len {
+        return Err(format!(
+            "{} trailing bytes after shard document",
+            file_len - blob_end
+        ));
+    }
     for (i, &(off, len, _)) in table.iter().enumerate() {
         off.checked_add(len)
             .filter(|&e| e <= blob_len)
@@ -730,30 +749,16 @@ fn read_shard_structure(
                 format!("blob table entry {i} out of range ({off}+{len} > {blob_len})")
             })?;
     }
-    let tail = read_at(&mut file, blob_end, file_len - blob_end).map_err(|e| e.to_string())?;
-    if checksum_parts(&[&head, &tail]) != m.meta_checksum {
+    if checksum(&head) != m.meta_checksum {
         return Err("checksum mismatch — the shard's structural bytes were \
                     modified after the manifest was written"
             .into());
-    }
-    let mut r = Reader::new(&tail);
-    let ncache = r.u64()? as usize;
-    let mut cache = Vec::with_capacity(ncache.min(tail.len() / 8));
-    for _ in 0..ncache {
-        cache.push(decode_cache_entry(&mut r).map_err(|e| format!("cache segment: {e}"))?);
-    }
-    if !r.at_end() {
-        return Err(format!(
-            "{} trailing bytes after shard document",
-            tail.len() - r.pos()
-        ));
     }
     Ok(ShardStructure {
         class_start,
         table,
         blob_start,
         blob_len,
-        cache,
     })
 }
 
@@ -769,7 +774,6 @@ struct EshxShardRecords {
     class_start: usize,
     table: Vec<(u64, u64, u64)>,
     blob_start: u64,
-    cache: Vec<VcpCacheEntry>,
     /// Structural bytes (file minus blob region): decoded eagerly at
     /// open, so accounted against the residency budget up front.
     base: u64,
@@ -778,10 +782,6 @@ struct EshxShardRecords {
 impl ShardRecords for EshxShardRecords {
     fn class_count(&self) -> usize {
         self.table.len()
-    }
-
-    fn cache_entries(&self) -> &[VcpCacheEntry] {
-        &self.cache
     }
 
     fn base_bytes(&self) -> u64 {
@@ -866,7 +866,7 @@ fn partition(export: &CorpusExport, targets_per_shard: usize) -> Vec<ShardSpec> 
 // Write
 // ---------------------------------------------------------------------
 
-/// Writes `engine`'s corpus as a sharded v8 index into directory `dir`
+/// Writes `engine`'s corpus as a sharded v9 index into directory `dir`
 /// (created if missing; existing index files are overwritten), with at
 /// most `targets_per_shard` targets per shard. A lazily backed engine
 /// loads every record first; a corrupt one fails the write with a
@@ -883,23 +883,17 @@ pub fn write_sharded(
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let specs = partition(&export, targets_per_shard);
 
-    // Assign each cache entry to the shard owning its class hash. An
-    // entry naming no class could never be looked up, so it is dropped.
-    let shard_of_class = |ci: usize| specs.partition_point(|s| s.class_end <= ci);
-    let class_of_hash: std::collections::HashMap<u64, usize> = export
-        .classes
+    // An entry naming no class could never be looked up, so it is dropped.
+    let class_hashes: std::collections::HashSet<u64> =
+        export.classes.iter().map(|c| c.hash).collect();
+    let cache: Vec<VcpCacheEntry> = export
+        .cache
         .iter()
-        .enumerate()
-        .map(|(i, c)| (c.hash, i))
+        .filter(|e| class_hashes.contains(&e.class_hash))
+        .copied()
         .collect();
-    let mut segmented: Vec<Vec<VcpCacheEntry>> = vec![Vec::new(); specs.len()];
-    for e in &export.cache {
-        if let Some(&ci) = class_of_hash.get(&e.class_hash) {
-            segmented[shard_of_class(ci)].push(*e);
-        }
-    }
 
-    let core_bytes = encode_core(&export);
+    let core_bytes = encode_core(&export, &cache);
     let core_path = dir.join(CORE_FILE);
     std::fs::write(&core_path, &core_bytes).map_err(io_err(&core_path))?;
 
@@ -910,7 +904,7 @@ pub fn write_sharded(
             .iter()
             .map(|c| &c.proc_)
             .collect();
-        let (bytes, meta) = encode_shard(i, spec, &procs, &segmented[i]);
+        let (bytes, meta) = encode_shard(i, spec, &procs);
         let path = dir.join(shard_file_name(i));
         std::fs::write(&path, &bytes).map_err(io_err(&path))?;
         shard_total += bytes.len() as u64;
@@ -945,7 +939,7 @@ pub fn write_sharded(
         shard_bytes: shard_total,
         classes: export.classes.len(),
         targets: export.targets.len(),
-        cache_entries: segmented.iter().map(Vec::len).sum(),
+        cache_entries: cache.len(),
     })
 }
 
@@ -1047,8 +1041,8 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ManifestSummary, IndexErro
 }
 
 /// Opens shard files on demand: reads each file's structural parts and
-/// verifies their checksum (everything but the record-blob region)
-/// against the manifest at open. Records are read later, one positioned
+/// verifies their checksum (header and offset table) against the
+/// manifest at open. Records are read later, one positioned
 /// read each, and verified against their own per-record checksums.
 #[derive(Debug)]
 struct FileShardSource {
@@ -1068,7 +1062,6 @@ impl ShardSource for FileShardSource {
             class_start: s.class_start,
             table: s.table,
             blob_start: s.blob_start,
-            cache: s.cache,
             base: m.bytes - s.blob_len,
         }))
     }
@@ -1102,9 +1095,11 @@ pub fn shard_record_ranges(
         .collect())
 }
 
-/// Opens a sharded v8 index directory as a lazily backed
-/// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
-/// files load on first use, each checksum-verified at that first touch.
+/// Opens a sharded v9 index directory as a lazily backed
+/// [`SimilarityEngine`]: the manifest and `core.bin` load now, and every
+/// persisted verdict is range-checked and inserted into the engine's
+/// cache; shard files load on first use, each checksum-verified at that
+/// first touch.
 /// Ranked responses, VCP cache counters and prefilter counters are
 /// byte-identical to the resident engine the index was written from
 /// (pinned by this crate's round-trip proptests). The engine is
@@ -1156,6 +1151,7 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
         manifest.config,
         parts.classes,
         parts.targets,
+        parts.cache,
         specs,
         Box::new(source),
     )
@@ -1266,8 +1262,10 @@ mod tests {
         let engine = small_engine();
         let dir = temp_dir("tamper-shard");
         write_sharded(&engine, &dir, 1).unwrap();
-        // Flip one byte of the last shard: open() must still succeed
-        // (the file is lazy), the load must fail loudly.
+        // Flip the last byte of the last shard, inside its last record:
+        // open() must still succeed (the file is lazy), and so must the
+        // shard's open (its structural bytes are intact); decoding the
+        // record must fail loudly.
         let manifest: Manifest =
             serde_json::from_str(&std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap())
                 .unwrap();
@@ -1281,7 +1279,10 @@ mod tests {
             dir: dir.clone(),
             shards: manifest.shards.clone(),
         };
-        let err = source.open_shard(manifest.shards.len() - 1).unwrap_err();
+        let records = source.open_shard(manifest.shards.len() - 1).unwrap();
+        let err = records
+            .decode_record(records.class_count() - 1)
+            .unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
         drop(lazy);
         std::fs::remove_dir_all(&dir).ok();
@@ -1334,11 +1335,12 @@ mod tests {
                 .all(|k| text.contains(k)),
             "manifest shape changed"
         );
-        // A future version, a v7 manifest (the same fields plus each
-        // shard's whole-file `checksum`), and v6-shaped manifests: no
-        // structural shard checksums, with the tier recorded as `null` or
-        // its probe knobs as `null` — fields the v8 layout cannot decode,
-        // so only the version check can name what is wrong.
+        // A future version, a v8 manifest (the same fields; only its data
+        // files differ), a v7 manifest (the same fields plus each shard's
+        // whole-file `checksum`), and v6-shaped manifests: no structural
+        // shard checksums, with the tier recorded as `null` or its probe
+        // knobs as `null` — fields the v9 layout cannot decode, so only
+        // the version check can name what is wrong.
         let v6 = strip_meta_checksums(&text.replace(&version, "\"format_version\":6"));
         assert!(!v6.contains("meta_checksum"));
         let null_knobs = "\"ambiguity_window\":null,\"probe_vectors\":null,\"refine_top_k\":null";
@@ -1346,7 +1348,8 @@ mod tests {
             .replace(&version, "\"format_version\":7")
             .replace(",\"meta_checksum\":", ",\"checksum\":1,\"meta_checksum\":");
         for (manifest, found) in [
-            (text.replace(&version, "\"format_version\":9"), 9),
+            (text.replace(&version, "\"format_version\":10"), 10),
+            (text.replace(&version, "\"format_version\":8"), 8),
             (v7, 7),
             (v6.replace(&sketch, "\"sketch\":null"), 6),
             (v6.replace(probe_knobs, null_knobs), 6),
@@ -1366,11 +1369,12 @@ mod tests {
 
     #[test]
     fn rewriting_a_lazy_engine_materializes_procedures() {
-        // A lazily backed engine must never serialize placeholder
-        // procedures: an index rewritten from it — at a different shard
-        // size, warmed cache included — has to score like the resident
-        // engine it descends from, both on the query its cache covers
-        // and on one that must price class procedures afresh.
+        // A lazily backed engine serializes the procedures it decodes,
+        // named after their classes: an index rewritten from it — at a
+        // different shard size, warmed cache included — has to score like
+        // the resident engine it descends from, both on the query its
+        // cache covers and on one that must price class procedures
+        // afresh.
         let engine = small_engine();
         let q = Compiler::new(Vendor::Icc, VendorVersion::new(15, 0))
             .compile_function(&demo::venom_like());
@@ -1537,7 +1541,7 @@ mod tests {
             s.blob_start,
             blob_end,
         ];
-        cuts.extend([blob_end + 8, len - 1]);
+        cuts.push(len - 1);
         cuts.extend(rows.iter().flat_map(|&r| [r, r + 8, r + 16]));
         cuts.extend(s.table.iter().map(|&(off, _, _)| s.blob_start + off));
         let mut x = 0x5EED_0FF5_E7E7_0001u64;
@@ -1547,7 +1551,7 @@ mod tests {
             x ^= x << 17;
             cuts.push(x % len);
         }
-        // A cut at the file's end (an empty cache segment) is no cut.
+        // The blob region ends the file: a cut there is no cut.
         cuts.retain(|&c| c < len);
         let mut cases: Vec<Vec<u8>> = cuts
             .iter()

@@ -172,24 +172,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over raw bytes — the whole-file checksum recorded in the
-/// manifest (the file does not checksum itself, so writing stays
+/// FNV-1a over raw bytes — the checksums recorded in the manifest and
+/// in a shard's offset table (no file checksums itself, so writing stays
 /// single-pass).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    checksum_parts(&[bytes])
-}
-
-/// FNV-1a over the concatenation of `parts` — equal to [`checksum`] of
-/// the joined bytes, without materializing the join. Used for the shard
-/// *meta* checksum, which covers a file minus its record-blob region
-/// (the two slices around the hole).
-pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }

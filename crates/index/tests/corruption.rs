@@ -8,12 +8,18 @@
 //! file and the class. A shard file cut short after it opened fails the
 //! same way, on the first record read past the cut. Corruption is a
 //! per-item failure, never a poisoned engine.
+//!
+//! `core.bin` — class rows, target rows and every persisted verdict —
+//! is checked whole at open, so damage there, checksums re-signed, is a
+//! typed `IndexError` from `open_sharded` and never a panic.
 
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{CancelToken, EngineConfig, PrefilterConfig, QueryError, SimilarityEngine};
 use esh_index::{open_sharded, write_sharded, IndexError};
 use esh_ivl::{Operand, VarId};
 use esh_minic::demo;
+
+mod support;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let p = std::env::temp_dir().join(format!("esh-corrupt-{tag}-{}", std::process::id()));
@@ -1176,79 +1182,272 @@ fn record_swapped_for_another_class_fails_only_queries_decoding_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A persisted verdict is a VCP, a fraction in `[0, 1]`. A cache entry
-/// rewritten to NaN or to a value past 1, with the shard's structural
-/// `meta_checksum` in the manifest recomputed, passes every checksum;
-/// the shard open must still refuse it with a typed `Corrupted` error,
-/// or the value would flow into H0 and every GES of a query pricing the
-/// cell. Queries that never open the shard keep serving.
+/// A persisted verdict is a VCP, a fraction in `[0, 1]`. A verdict in
+/// `core.bin` rewritten to NaN or to a value outside `[0, 1]`, with the
+/// manifest's `core_checksum` recomputed, passes every checksum; the
+/// open must still refuse it with a typed format error naming
+/// `core.bin`, or the value would flow into H0 and every GES of a query
+/// pricing the cell. Verdicts load at open, so a bad one fails the whole
+/// open rather than only the queries that read it.
 #[test]
-fn out_of_range_persisted_verdict_fails_only_queries_opening_its_shard() {
+fn out_of_range_persisted_verdict_is_refused_at_open() {
     let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
     let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
     let funcs = demo::cve_functions();
-    let healthy_q = gcc.compile_function(&funcs[0].1);
-    let poisoned_q = gcc.compile_function(&funcs.last().unwrap().1);
+    let (name, f) = funcs.last().unwrap();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    engine.add_target(format!("t-{name}"), &clang.compile_function(f));
+    // The query's own class verifies exactly, so its verdict persists.
+    engine.query(&gcc.compile_function(f));
+    let dir = scratch("verdict");
+    write_sharded(&engine, &dir, 1).unwrap();
+    drop(engine);
+
+    let core_path = dir.join("core.bin");
+    let pristine = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let checksum_key = |core: &[u8]| format!("\"core_checksum\":{}", fnv(&[core]));
+    assert!(
+        text.contains(&checksum_key(&pristine)),
+        "manifest shape changed"
+    );
+    // The verdict table is the entry count, then 40-byte entries: three
+    // key words, `q_in_t`, `t_in_q`.
+    let table = verdict_table(&pristine);
+    let count = u64::from_le_bytes(pristine[table..table + 8].try_into().unwrap());
+    assert!(count > 0, "the warmed index persists no verdict");
+    let q_in_t = table + 8 + 24;
     for (tag, bad) in [("nan", f64::NAN), ("big", 1.5), ("neg", -0.25)] {
-        // The same LSH-only profile as the byte-flip case: the healthy
-        // query's fan-out provably misses the last target's shard.
-        let mut engine = SimilarityEngine::new(EngineConfig {
-            threads: 2,
-            sketch: PrefilterConfig {
-                refine_top_k: 0,
-                ..PrefilterConfig::lsh_only()
-            },
-            ..EngineConfig::default()
-        });
-        for (name, f) in &funcs {
-            engine.add_target(format!("t-{name}"), &clang.compile_function(f));
-        }
-        // The poisoned query's own class verifies exactly, so its
-        // verdict lands in the last shard's cache segment.
-        engine.query(&poisoned_q);
-        let dir = scratch(&format!("verdict-{tag}"));
-        write_sharded(&engine, &dir, 1).unwrap();
-        drop(engine);
-
-        let last = funcs.len() - 1;
-        let shard_file = dir.join(format!("shard-{last:04}.bin"));
-        let mut bytes = std::fs::read(&shard_file).unwrap();
-        let records = esh_index::shard_record_ranges(&dir, last).unwrap().len();
-        let blobs = blob_region(&bytes, records);
-        let old_meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
-        // The tail is the entry count, then 40-byte entries: three key
-        // words, `q_in_t`, `t_in_q`.
-        let count = u64::from_le_bytes(bytes[blobs.end..blobs.end + 8].try_into().unwrap());
-        assert!(count > 0, "the warmed shard persists no verdict");
-        let q_in_t = blobs.end + 8 + 24;
-        bytes[q_in_t..q_in_t + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
-        std::fs::write(&shard_file, &bytes).unwrap();
-        let manifest = dir.join("manifest.json");
-        let text = std::fs::read_to_string(&manifest).unwrap();
-        let old_row = format!("\"meta_checksum\":{old_meta}");
-        assert!(text.contains(&old_row), "manifest shape changed");
-        let meta = fnv(&[&bytes[..blobs.start], &bytes[blobs.end..]]);
-        let new_row = format!("\"meta_checksum\":{meta}");
-        std::fs::write(&manifest, text.replace(&old_row, &new_row)).unwrap();
-
-        let lazy = open_sharded(&dir).unwrap();
-        let ok = lazy
-            .query_cancellable(&healthy_q, &CancelToken::new())
-            .expect("healthy shards must keep serving");
-        assert_eq!(ok.ranked()[0].name, format!("t-{}", funcs[0].0));
-        match lazy.query_cancellable(&poisoned_q, &CancelToken::new()) {
-            Err(QueryError::Corrupted(e)) => {
-                let msg = e.to_string();
-                assert_eq!(e.shard, last, "error must name the shard: {msg}");
-                assert!(msg.contains("cache segment"), "{tag}: {msg}");
-                assert!(msg.contains("outside [0, 1]"), "{tag}: {msg}");
+        let mut core = pristine.clone();
+        core[q_in_t..q_in_t + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        std::fs::write(&core_path, &core).unwrap();
+        std::fs::write(
+            &manifest,
+            text.replace(&checksum_key(&pristine), &checksum_key(&core)),
+        )
+        .unwrap();
+        match open_sharded(&dir) {
+            Err(IndexError::Format { path, detail }) => {
+                assert_eq!(path, core_path, "{tag}: error must name core.bin");
+                assert!(detail.contains("verdict table"), "{tag}: {detail}");
+                assert!(detail.contains("outside [0, 1]"), "{tag}: {detail}");
             }
-            Ok(s) => panic!(
-                "{tag}: a query over an out-of-range verdict reported success, top GES {}",
-                s.ranked()[0].ges
-            ),
-            Err(e) => panic!("{tag}: expected Corrupted, got {e}"),
+            Ok(_) => panic!("{tag}: an index with an out-of-range verdict opened"),
+            Err(e) => panic!("{tag}: expected a format error, got {e}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
+    std::fs::write(&core_path, &pristine).unwrap();
+    std::fs::write(&manifest, &text).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Offset of the verdict table in `core.bin`: it follows the last target
+/// row.
+fn verdict_table(core: &[u8]) -> usize {
+    target_strands(core).last().expect("a target row").end
+}
+
+/// xorshift64: a seeded, dependency-free source of mutations.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Every count, length and index field of `core.bin`, as `(offset,
+/// width)`: the class and target counts; per class row its name length,
+/// vars, signature round count and round lengths, sketch flag and sketch
+/// vector lengths; per target row its name length, strand count and each
+/// pair's class index; and the verdict count.
+fn core_fields(core: &[u8]) -> Vec<(usize, usize)> {
+    let u32_at = |at: usize| u32::from_le_bytes(core[at..at + 4].try_into().unwrap()) as usize;
+    let mut fields = vec![(8, 8), (16, 8)];
+    let mut at = 24;
+    let vectors = |at: &mut usize, fields: &mut Vec<(usize, usize)>| {
+        fields.push((*at, 4));
+        *at += 4 + 8 * u32_at(*at);
+    };
+    for _ in 0..u64::from_le_bytes(core[8..16].try_into().unwrap()) {
+        fields.push((at, 4));
+        at += 4 + u32_at(at);
+        fields.push((at + 8, 8));
+        at += 16;
+        fields.push((at, 4));
+        let rounds = u32_at(at);
+        at += 4;
+        for _ in 0..rounds {
+            vectors(&mut at, &mut fields);
+        }
+        fields.push((at, 1));
+        at += 1;
+        if core[at - 1] == 1 {
+            vectors(&mut at, &mut fields);
+            vectors(&mut at, &mut fields);
+        }
+    }
+    for _ in 0..u64::from_le_bytes(core[16..24].try_into().unwrap()) {
+        fields.push((at, 4));
+        at += 4 + u32_at(at);
+        fields.push((at, 4));
+        let pairs = u32_at(at);
+        at += 4;
+        for _ in 0..pairs {
+            fields.push((at, 8));
+            at += 16;
+        }
+    }
+    assert_eq!(at, verdict_table(core), "core.bin layout changed");
+    fields.push((at, 8));
+    fields
+}
+
+/// A seeded, std-only mutation loop over a cache-primed `core.bin`:
+/// truncations at every field boundary and at seeded offsets, seeded
+/// 1–4 bit flips (verdict table included), and every count, length and
+/// index field rewritten to 0, 1, the file length ± 1, half and all of
+/// its width's range, and its own value ± 1. The manifest's `core_bytes`
+/// and `core_checksum` are re-signed for each case, so every edit gets
+/// past the size and checksum checks. Each case must open `Ok` or fail
+/// with a typed `IndexError` — no panic, and no single allocation larger
+/// than a small multiple of the file's size (a decoded row is wider than
+/// its encoding: a 4-byte signature round becomes a 24-byte vector).
+#[test]
+fn hostile_core_bin_opens_or_is_a_typed_error() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in funcs.iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    engine.query(&gcc.compile_function(&funcs[0].1));
+    let dir = scratch("hostile-core");
+    write_sharded(&engine, &dir, 1).unwrap();
+    drop(engine);
+    let core_path = dir.join("core.bin");
+    let pristine = std::fs::read(&core_path).unwrap();
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let core_key = |core: &[u8]| {
+        format!(
+            "\"core_bytes\":{},\"core_checksum\":{}",
+            core.len(),
+            fnv(&[core])
+        )
+    };
+    assert!(
+        text.contains(&core_key(&pristine)),
+        "manifest shape changed"
+    );
+    let table = verdict_table(&pristine);
+    assert!(
+        pristine[table..table + 8] != [0; 8],
+        "the primed index persists no verdict"
+    );
+    let fields = core_fields(&pristine);
+    let len = pristine.len();
+    let mut rng = XorShift(0x5EED_C0DE_0B1E_0009);
+
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut cuts: Vec<usize> = fields.iter().flat_map(|&(at, w)| [at, at + w]).collect();
+    cuts.extend([0, 4, table + 8, table + 8 + 20, len - 1]);
+    cuts.extend((0..64).map(|_| rng.below(len)));
+    cuts.retain(|&c| c < len);
+    for cut in cuts {
+        cases.push((format!("cut at {cut}"), pristine[..cut].to_vec()));
+    }
+    for k in 0..256 {
+        let mut core = pristine.clone();
+        // Every fourth set lands in the verdict table.
+        let (lo, span) = if k % 4 == 0 {
+            (table, len - table)
+        } else {
+            (0, len)
+        };
+        for _ in 0..1 + rng.below(4) {
+            core[lo + rng.below(span)] ^= 1 << rng.below(8);
+        }
+        cases.push((format!("flip set {k}"), core));
+    }
+    for &(at, width) in &fields {
+        let old = match width {
+            1 => u64::from(pristine[at]),
+            4 => u64::from(u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap())),
+            _ => u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap()),
+        };
+        let max = if width == 8 {
+            u64::MAX
+        } else {
+            (1u64 << (8 * width)) - 1
+        };
+        let n = len as u64;
+        for v in [
+            0,
+            1,
+            n - 1,
+            n,
+            n + 1,
+            max / 2,
+            max,
+            old.wrapping_add(1),
+            old.wrapping_sub(1),
+        ] {
+            let v = v & max;
+            let mut core = pristine.clone();
+            core[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+            if core != pristine {
+                cases.push((format!("{width}-byte field at {at} = {v}"), core));
+            }
+        }
+    }
+
+    let (mut opened, mut refused) = (0usize, 0usize);
+    for (case, core) in &cases {
+        std::fs::write(&core_path, core).unwrap();
+        std::fs::write(
+            &manifest,
+            text.replace(&core_key(&pristine), &core_key(core)),
+        )
+        .unwrap();
+        let (out, largest) =
+            support::largest_alloc(|| std::panic::catch_unwind(|| open_sharded(&dir).map(drop)));
+        let out = out.unwrap_or_else(|_| panic!("{case}: open panicked"));
+        assert!(
+            largest <= 8 * len + 4096,
+            "{case}: a {}-byte core.bin allocated {largest} bytes at once",
+            core.len()
+        );
+        match out {
+            Ok(()) => opened += 1,
+            Err(IndexError::Format { .. }) => refused += 1,
+            Err(e) => panic!("{case}: expected Ok or a format error, got {e}"),
+        }
+    }
+    assert!(cases.len() > 1000, "only {} cases ran", cases.len());
+    assert!(
+        opened > 0 && refused > 0,
+        "{opened} opened, {refused} refused"
+    );
+
+    std::fs::write(&core_path, &pristine).unwrap();
+    std::fs::write(&manifest, &text).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
 }

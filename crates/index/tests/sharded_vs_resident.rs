@@ -5,14 +5,13 @@
 //! byte-identical scores AND identical VCP-cache hit/miss counters,
 //! whatever the query sequence and whatever the shard granularity.
 //!
-//! The counter half is the subtle one. A lazily backed engine inserts
-//! each shard's persisted cache segment at shard-open time; if any
-//! counted lookup could run before the owning shard's segment was
-//! resident, a persisted entry would be re-counted as a miss and the
-//! counters would drift. The engine's open-before-lookup rule is exactly
-//! what this property exercises, across shard sizes 1..4 and arbitrary
-//! query subsets with repetition — under per-record demand decoding,
-//! where a touched shard decodes only the classes a query prices.
+//! The counter half holds by construction: every persisted verdict is in
+//! the cache from the moment the index opens, and a cache lookup never
+//! touches a shard, so the counters cannot depend on which shards or
+//! records a query decodes. These properties pin it across shard sizes
+//! 1..4 and arbitrary query subsets with repetition — under per-record
+//! demand decoding, where a shard opens only to decode a record a query
+//! needs.
 
 use esh_asm::Procedure;
 use esh_cc::{Compiler, Vendor, VendorVersion};
@@ -116,37 +115,57 @@ proptest! {
     }
 
     /// Warmed caches survive the round trip with the counter contract
-    /// intact: queries answered from persisted cache segments count as
-    /// hits on the lazy engine exactly as they do on the warmed resident
-    /// one (counted from the moment the index was written).
+    /// intact: queries answered from persisted verdicts count as hits on
+    /// the lazy engine exactly as they do on the warmed resident one
+    /// (counted from the moment the index was written). The verdicts load
+    /// with `core.bin`, so under configs whose warm pass needs no probe
+    /// sketch — the sketch tier off, and `lsh_only` — a pass whose cells
+    /// are all cached loads no shard, decodes no record and fans out to
+    /// none.
     #[test]
-    fn persisted_cache_segments_replay_as_hits(
+    fn persisted_verdicts_replay_as_hits_without_opening_a_shard(
         targets_per_shard in 1usize..4,
     ) {
         let (corpus, queries) = corpus_and_queries();
-        let warmed = build_engine(&corpus);
-        for q in &queries {
-            warmed.query(q);
-        }
-        let dir = scratch(&format!("warm-{targets_per_shard}"));
-        std::fs::remove_dir_all(&dir).ok();
-        esh_index::write_sharded(&warmed, &dir, targets_per_shard).unwrap();
-        let sharded = esh_index::open_sharded(&dir).unwrap();
-        let (h0, m0) = counters(&warmed);
+        let off = PrefilterConfig {
+            enabled: false,
+            ..PrefilterConfig::default()
+        };
+        for (tag, sketch) in [("off", off), ("lsh", PrefilterConfig::lsh_only())] {
+            let warmed = build_engine_with(&corpus, sketch);
+            for q in &queries {
+                warmed.query(q);
+            }
+            let dir = scratch(&format!("warm-{tag}-{targets_per_shard}"));
+            std::fs::remove_dir_all(&dir).ok();
+            esh_index::write_sharded(&warmed, &dir, targets_per_shard).unwrap();
+            let sharded = esh_index::open_sharded(&dir).unwrap();
+            let (h0, m0) = counters(&warmed);
 
-        for (i, q) in queries.iter().enumerate() {
-            let a = warmed.query(q);
-            let b = sharded.query(q);
-            assert_scores_identical(&a, &b, &format!("warm query {i}"));
+            for (i, q) in queries.iter().enumerate() {
+                let a = warmed.query(q);
+                let b = sharded.query(q);
+                assert_scores_identical(&a, &b, &format!("{tag}: warm query {i}"));
+            }
+            let (h1, m1) = counters(&warmed);
+            let (hits, misses) = counters(&sharded);
+            prop_assert_eq!((h1 - h0, m1 - m0), (hits, misses), "{}", tag);
+            prop_assert!(
+                hits > 0,
+                "{}: warmed cache produced no hits at all — the fixture is too weak",
+                tag
+            );
+            prop_assert_eq!(misses, 0, "{}: the warm pass missed the cache", tag);
+            let s = sharded.shard_stats();
+            prop_assert_eq!(
+                (s.shards_loaded, s.classes_decoded_total, s.fanout_total),
+                (0, 0, 0),
+                "{}: an all-cached pass read a shard: {:?}",
+                tag,
+                s
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let (h1, m1) = counters(&warmed);
-        let (hits, misses) = counters(&sharded);
-        prop_assert_eq!((h1 - h0, m1 - m0), (hits, misses));
-        prop_assert!(
-            hits > 0,
-            "warmed cache produced no hits at all — the fixture is too weak"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A memory-bounded engine (budget ≈ two shards) answers any query

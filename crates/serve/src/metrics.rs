@@ -286,8 +286,8 @@ impl ServerStats {
         // all-zero; a lazy `.eshx` index reports loaded < total until queries
         // have touched every segment, evictions and resident bytes only
         // move under a `--shard-budget-mb` cap, and the pruned counter
-        // adds, per query, the shards the query never opened (shards −
-        // that query's fan-out).
+        // adds, per query, the shards the query read no class record
+        // from (shards − that query's fan-out).
         out.push_str(&format!("esh_shards_total {}\n", shards.shards_total));
         out.push_str(&format!("esh_shards_loaded {}\n", shards.shards_loaded));
         out.push_str(&format!("esh_shard_fanout_total {}\n", shards.fanout_total));

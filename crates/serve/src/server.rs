@@ -20,7 +20,7 @@
 //! Between the readers and the engine sits the batching tier: parsed
 //! queries land in a pending queue, and an idle executor takes the
 //! oldest one plus whatever is already queued behind it (at most
-//! [`ServeConfig::batch_max`] requests) and submits one
+//! `BATCH_MAX`, 8, requests) and submits one
 //! [`SimilarityEngine::query_batch`] call at once, without waiting for
 //! more. Coalescing therefore comes only from work that queued while
 //! every executor was busy. Each request names a
@@ -77,6 +77,9 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 /// connection gets typed `Overloaded` responses past the bound.
 const PENDING_FACTOR: usize = 8;
 
+/// Most requests one engine batch carries.
+const BATCH_MAX: usize = 8;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -96,14 +99,10 @@ pub struct ServeConfig {
     /// How long a reader tolerates a silent connection (no bytes, no
     /// responses owed) before closing it, in milliseconds.
     pub read_timeout_ms: u64,
-    /// Most requests one engine batch may carry. `1` disables
-    /// coalescing entirely (every request is its own engine pass).
-    pub batch_max: usize,
     /// Memory budget for lazily loaded index shards, in mebibytes.
     /// `None` (the default) never evicts; `Some(mb)` bounds resident
-    /// shard payload bytes, evicting least-recently-used shards under
-    /// the engine's load-before-lookup rule. Only meaningful when
-    /// serving a sharded `.eshx` index.
+    /// shard payload bytes, evicting least-recently-used shards. Only
+    /// meaningful when serving a sharded `.eshx` index.
     pub shard_budget_mb: Option<u64>,
 }
 
@@ -116,7 +115,6 @@ impl Default for ServeConfig {
             default_deadline_ms: 10_000,
             default_top_n: 10,
             read_timeout_ms: 2_000,
-            batch_max: 8,
             shard_budget_mb: None,
         }
     }
@@ -621,13 +619,12 @@ fn respond_now(
 /// once. Exits only when the daemon is draining and no reader could
 /// still submit work.
 fn executor_loop(shared: &Shared) {
-    let batch_max = shared.config.batch_max;
     loop {
         let batch = {
             let mut pending = shared.pending.lock().expect("pending poisoned");
             loop {
                 if !pending.is_empty() {
-                    break take_batch(&mut pending, batch_max);
+                    break take_batch(&mut pending);
                 }
                 if shared.shutdown.load(Ordering::SeqCst)
                     && shared.active_conns.load(Ordering::SeqCst) == 0
@@ -647,11 +644,11 @@ fn executor_loop(shared: &Shared) {
 }
 
 /// Assembles one batch: the oldest pending request plus every request
-/// already queued behind it, up to `batch_max` (at least one). Never
-/// waits for more — coalescing comes only from work that queued while
-/// every executor was busy.
-fn take_batch<T>(pending: &mut VecDeque<T>, batch_max: usize) -> Vec<T> {
-    let n = pending.len().min(batch_max.max(1));
+/// already queued behind it, up to [`BATCH_MAX`]. Never waits for more —
+/// coalescing comes only from work that queued while every executor was
+/// busy.
+fn take_batch<T>(pending: &mut VecDeque<T>) -> Vec<T> {
+    let n = pending.len().min(BATCH_MAX);
     pending.drain(..n).collect()
 }
 
@@ -821,18 +818,14 @@ mod tests {
 
     #[test]
     fn take_batch_takes_the_head_and_what_is_queued_up_to_the_cap() {
-        let mut pending: VecDeque<u32> = (0..5).collect();
-        assert_eq!(take_batch(&mut pending, 3), [0, 1, 2]);
+        let mut pending: VecDeque<usize> = (0..BATCH_MAX + 2).collect();
+        assert_eq!(take_batch(&mut pending), Vec::from_iter(0..BATCH_MAX));
         assert_eq!(
-            take_batch(&mut pending, 3),
-            [3, 4],
+            take_batch(&mut pending),
+            [BATCH_MAX, BATCH_MAX + 1],
             "never waits to fill the cap"
         );
-        assert!(take_batch(&mut pending, 3).is_empty());
-        // A cap of 0 still makes progress; a cap of 1 never coalesces.
-        let mut pending: VecDeque<u32> = (0..2).collect();
-        assert_eq!(take_batch(&mut pending, 0), [0]);
-        assert_eq!(take_batch(&mut pending, 1), [1]);
+        assert!(take_batch(&mut pending).is_empty());
     }
 
     #[test]
@@ -845,7 +838,7 @@ mod tests {
             .enumerate()
             .map(|(seq, qi)| (seq as u64, qi))
             .collect();
-        let batch = take_batch(&mut pending, 8);
+        let batch = take_batch(&mut pending);
         assert!(pending.is_empty());
         let size = batch.len();
         let groups = group_by_proc(batch, |&(_, qi)| qi);

@@ -6,7 +6,7 @@
 //! ([`esh_corpus::scale::stream_scale_corpus_with_threads`]) straight
 //! into an engine running the pure-LSH scale profile
 //! ([`esh_core::PrefilterConfig::lsh_only`]), persists it as a sharded
-//! binary index (format v8), then measures what the scale tier exists to
+//! binary index (format v9), then measures what the scale tier exists to
 //! improve:
 //!
 //! * **build throughput** — procedures ingested per second (streamed
@@ -17,9 +17,10 @@
 //! * **query latency and shard fan-out** — ranked queries against the
 //!   lazily loaded engine under per-record demand decoding, each first
 //!   cold and then as a warm repeat on the same engine, with shard
-//!   residency, the shards each query left unopened (under this profile
-//!   the ladder settles every LSH non-candidate cell without opening
-//!   its shard), peak resident bytes, and decoded bytes against the open
+//!   residency, the shards each query left unopened (a shard opens
+//!   only to decode a record, and under this profile the ladder settles
+//!   every LSH non-candidate cell from the candidate mask), peak
+//!   resident bytes, and decoded bytes against the open
 //!   shard files' bytes reported,
 //! * **memory-bounded serving** — the same queries repeated under a
 //!   one-shard [`set_shard_budget`](esh_core::SimilarityEngine::set_shard_budget)
@@ -50,7 +51,7 @@ use esh_corpus::{Corpus, CorpusConfig};
 /// regression harness, not a fuzzer).
 const SEED: u64 = 0x5CA1E;
 
-/// Targets per shard for the persisted v8 indexes. Finer than the CLI
+/// Targets per shard for the persisted v9 indexes. Finer than the CLI
 /// default (64): a shard stays closed for a query only when none of its
 /// classes is an LSH band candidate of any query strand, and on the
 /// digest-heavy synthetic corpus a 64-target shard almost always holds

@@ -10,8 +10,7 @@
 //!           [top_n] [--json] [--no-prefilter]
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
 //! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
-//!           [--queue N] [--deadline-ms N] [--batch-max N]
-//!           [--shard-budget-mb N]
+//!           [--queue N] [--deadline-ms N] [--shard-budget-mb N]
 //! esh bench-rankquality
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
 //! esh stats <corpus.json>
@@ -20,7 +19,7 @@
 //!
 //! `index build` persists the engine's derived corpus state (strand
 //! classes, signatures, hashes, lifted procedures) as a sharded binary
-//! `.eshx` index (format v8); `query --index` opens it, checks that the
+//! `.eshx` index (format v9); `query --index` opens it, checks that the
 //! corpus names the index's targets in order, and scores the matching
 //! member from its target record — no target or query strand is
 //! decomposed or lifted — then reports VCP-cache statistics. Indexes
@@ -31,7 +30,7 @@
 //! opened once, queries answered concurrently over pipelined
 //! newline-delimited JSON with bounded admission, per-request deadlines,
 //! one batch executor per core coalescing whatever queued while every
-//! executor was busy (up to `--batch-max`), and `/metrics`. A lone
+//! executor was busy (up to 8 requests a batch), and `/metrics`. A lone
 //! query's matrix pass uses every core; passes that overlap share them.
 //! `query --remote` is the matching client; `--json` prints the shared
 //! machine-readable response schema from either path.
@@ -71,8 +70,7 @@ fn usage() -> ExitCode {
          \x20         [top_n] [--json] [--no-prefilter]\n  \
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
          esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
-         \x20         [--queue N] [--deadline-ms N] [--batch-max N]\n  \
-         \x20         [--shard-budget-mb N]\n  \
+         \x20         [--queue N] [--deadline-ms N] [--shard-budget-mb N]\n  \
          esh bench-rankquality\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
@@ -487,11 +485,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--queue: {e}"))?
             }
-            "--batch-max" => {
-                config.batch_max = value("--batch-max")?
-                    .parse()
-                    .map_err(|e| format!("--batch-max: {e}"))?
-            }
             "--deadline-ms" => {
                 config.default_deadline_ms = value("--deadline-ms")?
                     .parse()
@@ -522,12 +515,11 @@ fn serve(args: &[String]) -> Result<(), String> {
     let addr = server.local_addr();
     eprintln!(
         "esh serve: listening on {addr} ({} workers, queue {}, default deadline {}ms, \
-         {} executors, batch max {})",
+         {} executors)",
         config.workers,
         config.queue_capacity,
         config.default_deadline_ms,
-        server.executors(),
-        config.batch_max
+        server.executors()
     );
     eprintln!("esh serve: GET /healthz and /metrics on the same port");
     eprintln!("esh serve: send {{\"query\":\"@shutdown\"}} to drain and exit");
