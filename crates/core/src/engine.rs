@@ -921,8 +921,8 @@ impl SimilarityEngine {
     /// cache, so a retried query resumes from where the deadline struck.
     ///
     /// Implemented as a batch of one: single queries and batched queries
-    /// run the exact same code path, which is what makes the serving
-    /// layer's batched responses byte-identical to one-shot `esh query`.
+    /// run the exact same code path, which keeps batched results
+    /// byte-identical to one-shot `esh query`.
     pub fn query_cancellable(
         &self,
         proc_: &Procedure,
@@ -936,8 +936,10 @@ impl SimilarityEngine {
         .expect("one batch item, one result")
     }
 
-    /// Scores a whole batch of queries in one shared engine pass — the
-    /// serving layer's coalescing entry point.
+    /// Scores a whole batch of queries in one shared engine pass. The
+    /// serving layer calls it with one item per request, a
+    /// [`Query::Target`] carrying that request's deadline; only tests
+    /// pass several items.
     ///
     /// Per-item work is amortized across the batch everywhere the result
     /// cannot tell: strand classes are prepared once per distinct strand
@@ -1036,8 +1038,9 @@ impl SimilarityEngine {
     /// most this many threads price one matrix pass, the caller
     /// included. Threads only change scheduling, never scores (the VCP
     /// matrix is a pure function per cell), so this is safe to adjust
-    /// after opening an index. Concurrent batches need no cap of their
-    /// own: each spawns fewer helpers while others run.
+    /// after opening an index. Concurrent passes — a daemon's
+    /// connections each run one — need no cap of their own: each spawns
+    /// fewer helpers while others run.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
     }

@@ -1451,3 +1451,171 @@ fn hostile_core_bin_opens_or_is_a_typed_error() {
     assert!(open_sharded(&dir).is_ok(), "the restored index must open");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every JSON number outside a string in `text`, as a byte range.
+fn json_numbers(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let (mut numbers, mut at, mut in_string) = (Vec::new(), 0, false);
+    while at < bytes.len() {
+        match bytes[at] {
+            b'\\' if in_string => at += 1,
+            b'"' => in_string = !in_string,
+            b'-' | b'0'..=b'9' if !in_string => {
+                let start = at;
+                while bytes
+                    .get(at)
+                    .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+                {
+                    at += 1;
+                }
+                numbers.push(start..at);
+                continue;
+            }
+            _ => {}
+        }
+        at += 1;
+    }
+    numbers
+}
+
+/// The byte range of the value of `"config_fingerprint"` in `text`.
+fn fingerprint_range(text: &str) -> std::ops::Range<usize> {
+    const KEY: &str = "\"config_fingerprint\":";
+    let start = text.find(KEY).expect("a fingerprint") + KEY.len();
+    start..start + json_numbers(&text[start..])[0].end
+}
+
+/// A seeded, std-only mutation loop over `manifest.json`: truncations at
+/// every number's boundaries and at seeded offsets, seeded 1–4 bit
+/// flips, and every number — format version, fingerprint, counts,
+/// sizes, checksums, shard-table entries and configuration knobs —
+/// rewritten to 0, 1, −1, `u64::MAX` and its own value ± 1. A rewritten
+/// knob gets its fingerprint re-signed, so it reaches the checks past
+/// the fingerprint. Each case must open `Ok` (and then answer a query
+/// `Ok` or with a typed `Corrupted`) or fail with a typed `IndexError`
+/// — no panic, and no single allocation larger than a small multiple of
+/// the index's bytes on disk.
+#[test]
+fn hostile_manifest_opens_or_is_a_typed_error() {
+    let gcc = Compiler::new(Vendor::Gcc, VendorVersion::new(4, 9));
+    let clang = Compiler::new(Vendor::Clang, VendorVersion::new(3, 5));
+    let funcs = demo::cve_functions();
+    let mut engine = SimilarityEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    for (name, f) in funcs.iter().take(2) {
+        engine.add_target(*name, &clang.compile_function(f));
+    }
+    let probe = gcc.compile_function(&funcs[0].1);
+    engine.query(&probe);
+    let dir = scratch("hostile-manifest");
+    write_sharded(&engine, &dir, 1).unwrap();
+    drop(engine);
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let disk: usize = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len() as usize)
+        .sum();
+    let numbers = json_numbers(&text);
+    let fingerprint = fingerprint_range(&text);
+    assert!(numbers.len() > 20, "only {} numbers", numbers.len());
+    let len = text.len();
+    let mut rng = XorShift(0x5EED_C0DE_0B1E_000A);
+
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut re_signed = 0;
+    let mut cuts: Vec<usize> = numbers.iter().flat_map(|r| [r.start, r.end]).collect();
+    cuts.extend([0, 1, len - 1]);
+    cuts.extend((0..64).map(|_| rng.below(len)));
+    cuts.retain(|&c| c < len);
+    for cut in cuts {
+        cases.push((format!("cut at {cut}"), text.as_bytes()[..cut].to_vec()));
+    }
+    for k in 0..256 {
+        let mut bytes = text.clone().into_bytes();
+        for _ in 0..1 + rng.below(4) {
+            bytes[rng.below(len)] ^= 1 << rng.below(8);
+        }
+        cases.push((format!("flip set {k}"), bytes));
+    }
+    for (i, r) in numbers.iter().enumerate() {
+        let old = &text[r.clone()];
+        let mut values = vec![
+            "0".to_string(),
+            "1".to_string(),
+            "-1".to_string(),
+            u64::MAX.to_string(),
+        ];
+        if let Ok(n) = old.parse::<u64>() {
+            values.extend([
+                (u128::from(n) + 1).to_string(),
+                (i128::from(n) - 1).to_string(),
+            ]);
+        } else if let Ok(x) = old.parse::<f64>() {
+            values.extend([(x + 1.0).to_string(), (x - 1.0).to_string()]);
+        }
+        for v in values.into_iter().filter(|v| v != old) {
+            let edited = format!("{}{v}{}", &text[..r.start], &text[r.end..]);
+            // A rewritten knob changes the fingerprint the open
+            // recomputes: a copy with it re-signed reaches the checks
+            // past the fingerprint.
+            std::fs::write(&manifest, &edited).unwrap();
+            if let (false, Ok(Err(IndexError::ConfigMismatch { expected, .. }))) = (
+                *r == fingerprint,
+                std::panic::catch_unwind(|| open_sharded(&dir).map(drop)),
+            ) {
+                let range = fingerprint_range(&edited);
+                let signed = format!(
+                    "{}{expected}{}",
+                    &edited[..range.start],
+                    &edited[range.end..]
+                );
+                cases.push((
+                    format!("number {i} ({old}) = {v}, re-signed"),
+                    signed.into_bytes(),
+                ));
+                re_signed += 1;
+            }
+            cases.push((format!("number {i} ({old}) = {v}"), edited.into_bytes()));
+        }
+    }
+
+    let (mut opened, mut refused) = (0usize, 0usize);
+    for (case, bytes) in &cases {
+        std::fs::write(&manifest, bytes).unwrap();
+        let (out, largest) = support::largest_alloc(|| {
+            std::panic::catch_unwind(|| {
+                open_sharded(&dir).map(|engine| {
+                    engine
+                        .query_cancellable(&probe, &CancelToken::new())
+                        .map(drop)
+                })
+            })
+        });
+        let out = out.unwrap_or_else(|_| panic!("{case}: open or query panicked"));
+        assert!(
+            largest <= 8 * disk + 4096,
+            "{case}: a {disk}-byte index allocated {largest} bytes at once"
+        );
+        match out {
+            Ok(Ok(()) | Err(QueryError::Corrupted(_))) => opened += 1,
+            Ok(Err(e)) => panic!("{case}: the query failed with {e}"),
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(cases.len() > 500, "only {} cases ran", cases.len());
+    assert!(
+        re_signed > 0,
+        "no knob reached the checks past the fingerprint"
+    );
+    assert!(
+        opened > 0 && refused > 0,
+        "{opened} opened, {refused} refused"
+    );
+
+    std::fs::write(&manifest, &text).unwrap();
+    assert!(open_sharded(&dir).is_ok(), "the restored index must open");
+    std::fs::remove_dir_all(&dir).ok();
+}

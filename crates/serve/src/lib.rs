@@ -5,7 +5,7 @@
 //! A long-running query daemon over the similarity engine: load the
 //! engine — built in memory or opened from a sharded `.eshx` index —
 //! once, check it against the corpus it was built from, then answer
-//! many queries concurrently behind a *bounded* admission queue. A
+//! many queries concurrently over a *bounded* number of connections. A
 //! query names a corpus member, which the engine scores from its
 //! target record, so serving keeps no corpus procedure and lifts no
 //! strand. The paper frames Esh
@@ -18,14 +18,13 @@
 //! connections — any number of requests per socket, responses in
 //! request order ([`protocol`]) — with a minimal HTTP/1.1 shim on the
 //! same port for `GET /healthz` and `GET /metrics` ([`server`]).
-//! Between admission and the engine sit the batch executors, one per
-//! core: an idle executor takes every request already queued (up to a
-//! cap) and scores them in one shared `query_batch` pass at once, so
-//! requests coalesce only when they queued behind busy executors — no
-//! timed window. Load, latency and batch occupancy are
-//! observable via [`metrics`]. The crate's end-to-end tests
-//! (`tests/serve_e2e.rs`) drive the daemon over loopback and hold
-//! concurrent — and batched — responses *byte-identical* to offline
+//! Each admitted connection has its own thread, which reads, scores and
+//! answers its requests one after another; a connection arriving while
+//! `workers` are open is answered `Overloaded` at once. Load, latency
+//! and open connections are observable via [`metrics`]. The crate's
+//! end-to-end tests (`tests/serve_e2e.rs`) drive the daemon over
+//! loopback and hold one-shot, pipelined and concurrent responses
+//! *byte-identical* to offline
 //! `esh query` rankings; the repository benchmark (`perfbench`, workload
 //! hot-serve) measures its throughput and client-side latency.
 //!

@@ -1,9 +1,9 @@
-//! Live server metrics: outcome counters, queue-depth high-water mark,
-//! batch-coalescing counters, a fixed-bucket latency histogram and an
-//! exact max-latency gauge.
+//! Live server metrics: outcome counters, the open-connections
+//! high-water mark, a count of scored requests, a fixed-bucket latency
+//! histogram and an exact max-latency gauge.
 //!
-//! Everything is lock-free atomics so the hot path (workers recording an
-//! outcome per request) never contends with scrapes of `/metrics`. The
+//! Everything is lock-free atomics so the hot path (connection threads
+//! recording an outcome per request) never contends with scrapes of `/metrics`. The
 //! histogram trades exactness for bounded memory: latencies are counted
 //! into fixed millisecond buckets and quantiles report the upper bound of
 //! the bucket containing the requested rank — the standard
@@ -36,7 +36,8 @@ pub const LATENCY_BUCKETS_MS: [u64; 25] = [
 const OVERFLOW_MS: u64 = 300_000;
 
 /// Concurrently-updatable server counters. One instance lives for the
-/// whole daemon; workers record into it and `/metrics` renders it.
+/// whole daemon; connection threads record into it and `/metrics`
+/// renders it.
 #[derive(Debug)]
 pub struct ServerStats {
     ok: AtomicU64,
@@ -47,14 +48,11 @@ pub struct ServerStats {
     shutting_down: AtomicU64,
     internal: AtomicU64,
     http: AtomicU64,
-    queue_depth_hwm: AtomicU64,
+    connections_hwm: AtomicU64,
     /// Exact maximum observed latency — the histogram's quantiles round
     /// up to bucket bounds, which hides the true tail.
     max_ms: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
-    coalesced_queries: AtomicU64,
-    batch_occupancy_hwm: AtomicU64,
+    scored: AtomicU64,
     buckets: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
 }
 
@@ -76,12 +74,9 @@ impl ServerStats {
             shutting_down: AtomicU64::new(0),
             internal: AtomicU64::new(0),
             http: AtomicU64::new(0),
-            queue_depth_hwm: AtomicU64::new(0),
+            connections_hwm: AtomicU64::new(0),
             max_ms: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
-            coalesced_queries: AtomicU64::new(0),
-            batch_occupancy_hwm: AtomicU64::new(0),
+            scored: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -105,7 +100,7 @@ impl ServerStats {
         self.http.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds one admission-to-response latency to the histogram and
+    /// Adds one request-to-response latency to the histogram and
     /// raises the exact max gauge.
     pub fn record_latency_ms(&self, ms: u64) {
         let idx = LATENCY_BUCKETS_MS
@@ -116,23 +111,16 @@ impl ServerStats {
         self.max_ms.fetch_max(ms, Ordering::Relaxed);
     }
 
-    /// Counts one executed batch of `size` member requests that
-    /// collapsed to `unique` distinct engine queries.
-    pub fn record_batch(&self, size: usize, unique: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.coalesced_queries
-            .fetch_add(size.saturating_sub(unique) as u64, Ordering::Relaxed);
-        self.batch_occupancy_hwm
-            .fetch_max(size as u64, Ordering::Relaxed);
+    /// Counts one request handed to the engine (one engine pass).
+    pub fn record_scored(&self) {
+        self.scored.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Raises the queue-depth high-water mark to `depth` if it is a new
-    /// maximum.
-    pub fn observe_queue_depth(&self, depth: usize) {
-        self.queue_depth_hwm
-            .fetch_max(depth as u64, Ordering::Relaxed);
+    /// Raises the open-connections high-water mark to `open` if it is a
+    /// new maximum.
+    pub fn observe_connections(&self, open: usize) {
+        self.connections_hwm
+            .fetch_max(open as u64, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every counter, with quantiles resolved.
@@ -142,6 +130,7 @@ impl ServerStats {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
+        let scored = self.scored.load(Ordering::Relaxed);
         StatsSnapshot {
             ok: self.ok.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
@@ -151,22 +140,21 @@ impl ServerStats {
             shutting_down: self.shutting_down.load(Ordering::Relaxed),
             internal: self.internal.load(Ordering::Relaxed),
             http: self.http.load(Ordering::Relaxed),
-            queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
+            connections_hwm: self.connections_hwm.load(Ordering::Relaxed),
             p50_ms: quantile(&buckets, 0.50),
             p99_ms: quantile(&buckets, 0.99),
             max_ms: self.max_ms.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
-            coalesced_queries: self.coalesced_queries.load(Ordering::Relaxed),
-            batch_occupancy_hwm: self.batch_occupancy_hwm.load(Ordering::Relaxed),
+            batches: scored,
+            batched_queries: scored,
+            coalesced_queries: 0,
         }
     }
 
     /// Renders the Prometheus-style `/metrics` payload, folding in the
     /// engine's VCP-cache, equivalence-decision, SAT-solver,
     /// sketch-prefilter and lazy-shard counters and its count of lifted
-    /// query strands, so one scrape shows the whole serving stack.
-    #[allow(clippy::too_many_arguments)]
+    /// query strands, and the `open_connections` gauge, so one scrape
+    /// shows the whole serving stack.
     pub fn render(
         &self,
         cache: &CacheStats,
@@ -174,8 +162,7 @@ impl ServerStats {
         prefilter: &PrefilterStatsSnapshot,
         shards: &ShardStats,
         query_strands_lifted: u64,
-        queue_depth: usize,
-        pending_depth: usize,
+        open_connections: usize,
     ) -> String {
         let s = self.snapshot();
         let mut out = String::new();
@@ -191,10 +178,10 @@ impl ServerStats {
             out.push_str(&format!("esh_requests_total{{outcome=\"{label}\"}} {v}\n"));
         }
         out.push_str(&format!("esh_http_requests_total {}\n", s.http));
-        out.push_str(&format!("esh_queue_depth {queue_depth}\n"));
+        out.push_str(&format!("esh_open_connections {open_connections}\n"));
         out.push_str(&format!(
-            "esh_queue_depth_high_water {}\n",
-            s.queue_depth_hwm
+            "esh_open_connections_high_water {}\n",
+            s.connections_hwm
         ));
         out.push_str(&format!(
             "esh_request_latency_ms{{quantile=\"0.5\"}} {}\n",
@@ -205,20 +192,6 @@ impl ServerStats {
             s.p99_ms
         ));
         out.push_str(&format!("esh_request_latency_ms_max {}\n", s.max_ms));
-        out.push_str(&format!("esh_batch_queue_depth {pending_depth}\n"));
-        out.push_str(&format!("esh_batches_total {}\n", s.batches));
-        out.push_str(&format!(
-            "esh_batched_queries_total {}\n",
-            s.batched_queries
-        ));
-        out.push_str(&format!(
-            "esh_coalesced_queries_total {}\n",
-            s.coalesced_queries
-        ));
-        out.push_str(&format!(
-            "esh_batch_occupancy_high_water {}\n",
-            s.batch_occupancy_hwm
-        ));
         // Full cumulative histogram. The `+Inf` bucket is rendered as its
         // own series (not folded into the last finite bound) so overflow
         // is visible as the gap between `le="120000"` and `le="+Inf"`.
@@ -336,7 +309,7 @@ impl ServerStats {
 pub struct StatsSnapshot {
     /// Completed queries.
     pub ok: u64,
-    /// Requests rejected because the admission queue was full.
+    /// Connections rejected because every connection slot was open.
     pub overloaded: u64,
     /// Requests whose deadline expired before or during scoring.
     pub deadline_exceeded: u64,
@@ -350,23 +323,21 @@ pub struct StatsSnapshot {
     pub internal: u64,
     /// HTTP requests served by the metrics shim.
     pub http: u64,
-    /// Deepest the admission queue ever got.
-    pub queue_depth_hwm: u64,
-    /// Median admission-to-response latency (bucket upper bound).
+    /// Most connections ever open at once.
+    pub connections_hwm: u64,
+    /// Median request-to-response latency (bucket upper bound).
     pub p50_ms: u64,
     /// 99th-percentile latency (bucket upper bound).
     pub p99_ms: u64,
     /// Exact maximum latency observed (not a bucket bound).
     pub max_ms: u64,
-    /// Engine batches executed by the coalescing tier.
+    /// Engine calls: every scored request is one single-item call.
     pub batches: u64,
-    /// Requests that went through a batch (sum of batch sizes).
+    /// Scored requests, equal to `batches`.
     pub batched_queries: u64,
-    /// Requests that shared another member's engine pass (same corpus
-    /// procedure in the same batch).
+    /// Requests that shared another request's engine pass: always 0,
+    /// since no two requests share one.
     pub coalesced_queries: u64,
-    /// Largest batch ever executed.
-    pub batch_occupancy_hwm: u64,
 }
 
 impl StatsSnapshot {
@@ -473,7 +444,6 @@ mod tests {
             &ShardStats::default(),
             0,
             0,
-            0,
         );
         assert!(text.contains("esh_request_latency_ms_bucket{le=\"3\"} 1\n"));
         assert!(text.contains("esh_request_latency_ms_bucket{le=\"5\"} 1\n"));
@@ -504,7 +474,6 @@ mod tests {
             },
             &ShardStats::default(),
             19,
-            0,
             0,
         );
         assert!(text.contains("esh_query_strands_lifted_total 19\n"));
@@ -539,7 +508,6 @@ mod tests {
             &equiv,
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
-            0,
             0,
             0,
         );
@@ -582,7 +550,6 @@ mod tests {
             &shards,
             0,
             0,
-            0,
         );
         assert!(text.contains("esh_shards_total 9\n"));
         assert!(text.contains("esh_shards_loaded 4\n"));
@@ -619,15 +586,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_accumulate_and_render() {
+    fn connection_gauge_and_scored_counters_render() {
         let stats = ServerStats::new();
-        stats.record_batch(6, 4); // 6 riders, 4 engine items → 2 coalesced
-        stats.record_batch(1, 1);
+        stats.observe_connections(2);
+        stats.observe_connections(5);
+        stats.observe_connections(1);
+        stats.record_scored();
+        stats.record_scored();
         let s = stats.snapshot();
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.batched_queries, 7);
-        assert_eq!(s.coalesced_queries, 2);
-        assert_eq!(s.batch_occupancy_hwm, 6);
+        assert_eq!(s.connections_hwm, 5);
+        assert_eq!(
+            (s.batches, s.batched_queries, s.coalesced_queries),
+            (2, 2, 0)
+        );
         let text = stats.render(
             &CacheStats {
                 hits: 0,
@@ -638,24 +609,21 @@ mod tests {
             &PrefilterStatsSnapshot::default(),
             &ShardStats::default(),
             0,
-            0,
             3,
         );
-        assert!(text.contains("esh_batches_total 2\n"));
-        assert!(text.contains("esh_batched_queries_total 7\n"));
-        assert!(text.contains("esh_coalesced_queries_total 2\n"));
-        assert!(text.contains("esh_batch_occupancy_high_water 6\n"));
-        assert!(text.contains("esh_batch_queue_depth 3\n"));
+        assert!(text.contains("esh_open_connections 3\n"));
+        assert!(text.contains("esh_open_connections_high_water 5\n"));
+        assert!(!text.contains("batch"), "no batch series:\n{text}");
         assert!(text.contains("esh_request_latency_ms_max 0\n"));
     }
 
     #[test]
     fn high_water_mark_is_monotone() {
         let stats = ServerStats::new();
-        stats.observe_queue_depth(3);
-        stats.observe_queue_depth(7);
-        stats.observe_queue_depth(2);
-        assert_eq!(stats.snapshot().queue_depth_hwm, 7);
+        stats.observe_connections(3);
+        stats.observe_connections(7);
+        stats.observe_connections(2);
+        assert_eq!(stats.snapshot().connections_hwm, 7);
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub struct QueryRequest {
     pub query: String,
     /// Maximum number of matches to return (server default when absent).
     pub top_n: Option<u64>,
-    /// Per-request deadline in milliseconds, measured from admission;
-    /// time spent waiting in the queue counts against it (server default
-    /// when absent).
+    /// Per-request deadline in milliseconds, measured from when the
+    /// daemon parses the request's line — from admission, for a
+    /// connection's first request (server default when absent).
     pub deadline_ms: Option<u64>,
 }
 
@@ -55,7 +55,7 @@ impl QueryRequest {
 pub enum Outcome {
     /// The query ran to completion; `matches` is populated.
     Ok,
-    /// Rejected at admission: the bounded request queue was full.
+    /// Rejected at admission: every connection slot was open.
     Overloaded,
     /// The deadline expired before or during scoring.
     DeadlineExceeded,
@@ -101,9 +101,12 @@ pub struct QueryResponse {
     pub query: Option<String>,
     /// Ranked matches, best first; empty unless `outcome` is `Ok`.
     pub matches: Vec<RankedMatch>,
-    /// Milliseconds the request waited in the admission queue.
+    /// Milliseconds from parsing the request to the start of its
+    /// scoring: about 0, since a connection scores each request as soon
+    /// as it has read it.
     pub queue_ms: u64,
-    /// Milliseconds from admission to response.
+    /// Milliseconds from the request's arrival (admission, for a
+    /// connection's first request) to its response.
     pub latency_ms: u64,
 }
 
@@ -168,8 +171,9 @@ pub fn decode_line<T: Deserialize>(line: &str) -> Result<T, String> {
 /// [`PipelinedClient::send`] may be called any number of times before
 /// the first [`PipelinedClient::recv`]; the daemon answers in request
 /// order, so the `n`-th `recv` always pairs with the `n`-th `send`.
-/// Keeping many requests in flight on one socket is what lets the
-/// daemon's coalescing tier batch them into shared engine passes.
+/// Keeping requests in flight on one socket saves a round trip per
+/// request: the daemon reads the next line as soon as it has answered
+/// the last.
 pub struct PipelinedClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,

@@ -1,10 +1,14 @@
 //! End-to-end daemon tests over real loopback sockets: correctness vs
 //! the offline engine, typed rejections, deadlines, the HTTP shim and
 //! graceful drain.
+//!
+//! A connection's slot frees when the daemon sees the client close, so
+//! tests that open one-shot connections one after another run with a
+//! cap above 1.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use esh_cc::{Compiler, Vendor, VendorVersion};
 use esh_core::{EngineConfig, SimilarityEngine, TargetId};
@@ -56,7 +60,7 @@ fn engine_with(corpus: &Corpus, config: EngineConfig) -> SimilarityEngine {
     engine
 }
 
-fn start(workers: usize, queue_capacity: usize, read_timeout_ms: u64) -> (Server, String) {
+fn start(workers: usize, read_timeout_ms: u64) -> (Server, String) {
     let corpus = tiny_corpus();
     let server = Server::start(
         engine_over(&corpus),
@@ -64,7 +68,6 @@ fn start(workers: usize, queue_capacity: usize, read_timeout_ms: u64) -> (Server
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers,
-            queue_capacity,
             read_timeout_ms,
             ..ServeConfig::default()
         },
@@ -85,7 +88,7 @@ fn served_rankings_are_byte_identical_to_offline() {
         10,
     );
 
-    let (server, addr) = start(2, 8, 2_000);
+    let (server, addr) = start(2, 2_000);
     let resp = remote_query(&addr, &QueryRequest::new(needle), TIMEOUT).unwrap();
     assert_eq!(resp.outcome, Outcome::Ok);
     assert_eq!(resp.query.as_deref(), Some(needle.as_str()));
@@ -104,7 +107,7 @@ fn served_rankings_are_byte_identical_to_offline() {
 
 #[test]
 fn top_n_caps_the_match_list() {
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(1, 2_000);
     let resp = remote_query(
         &addr,
         &QueryRequest {
@@ -123,7 +126,7 @@ fn top_n_caps_the_match_list() {
 
 #[test]
 fn unknown_query_is_not_found() {
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(1, 2_000);
     let resp = remote_query(&addr, &QueryRequest::new("no-such-proc"), TIMEOUT).unwrap();
     assert_eq!(resp.outcome, Outcome::NotFound);
     assert!(resp.error.unwrap().contains("no-such-proc"));
@@ -133,7 +136,7 @@ fn unknown_query_is_not_found() {
 
 #[test]
 fn malformed_line_is_bad_request() {
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(1, 2_000);
     let stream = TcpStream::connect(&addr).unwrap();
     stream.set_read_timeout(Some(TIMEOUT)).unwrap();
     let mut w = stream.try_clone().unwrap();
@@ -206,7 +209,7 @@ fn hostile_lines_are_bad_requests_and_the_daemon_keeps_serving() {
         ),
     ];
     for (what, payload, error) in cases {
-        let (server, addr) = start(1, 8, 2_000);
+        let (server, addr) = start(2, 2_000);
         let (line, rest) = hostile_exchange(&addr, payload);
         let resp: esh_serve::protocol::QueryResponse =
             esh_serve::protocol::decode_line(&line).unwrap();
@@ -222,7 +225,7 @@ fn hostile_lines_are_bad_requests_and_the_daemon_keeps_serving() {
 
 #[test]
 fn zero_deadline_expires_in_the_queue() {
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(1, 2_000);
     let resp = remote_query(
         &addr,
         &QueryRequest {
@@ -241,7 +244,7 @@ fn zero_deadline_expires_in_the_queue() {
 
 #[test]
 fn healthz_and_metrics_answer_over_http() {
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(2, 2_000);
     let (status, body) = http_get(&addr, "/healthz", TIMEOUT).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body.trim(), "ok");
@@ -260,22 +263,21 @@ fn healthz_and_metrics_answer_over_http() {
 }
 
 #[test]
-fn full_queue_yields_typed_overload_rejections() {
-    // One worker, one queue slot. Two idle connections (they send
-    // nothing) pin the worker and fill the slot for the duration of the
-    // read timeout, so a real request must be rejected at admission.
-    let (server, addr) = start(1, 1, 3_000);
-    let _stall_worker = TcpStream::connect(&addr).unwrap();
-    // Stagger the stalls: the worker must pop the first before the second
-    // arrives, so the second occupies the queue slot rather than racing
-    // the pop.
-    std::thread::sleep(Duration::from_millis(200));
-    let _stall_queue = TcpStream::connect(&addr).unwrap();
-    std::thread::sleep(Duration::from_millis(200));
+fn all_slots_open_yields_typed_overload_rejections() {
+    // One connection slot. An idle connection (it sends nothing) holds
+    // it for the duration of the read timeout, so a real request must be
+    // rejected at admission.
+    let (server, addr) = start(1, 3_000);
+    // Accepted in connection order, so it holds the slot before the query
+    // arrives.
+    let _stall = TcpStream::connect(&addr).unwrap();
 
     let resp = remote_query(&addr, &QueryRequest::new("ftp_syst"), TIMEOUT).unwrap();
     assert_eq!(resp.outcome, Outcome::Overloaded);
-    assert!(resp.error.unwrap().contains("queue full"));
+    assert!(resp
+        .error
+        .unwrap()
+        .contains("connection limit of 1 reached"));
 
     // An HTTP probe during overload is load-shed in its own dialect.
     let (status, _) = http_get(&addr, "/healthz", TIMEOUT).unwrap();
@@ -283,15 +285,76 @@ fn full_queue_yields_typed_overload_rejections() {
 
     let stats = server.shutdown();
     assert!(stats.overloaded >= 2);
-    assert!(stats.queue_depth_hwm <= 1, "queue bound was violated");
+    assert!(stats.connections_hwm <= 1, "connection bound was violated");
+}
+
+#[test]
+fn connections_beyond_workers_are_refused_at_once_and_served_once_a_slot_frees() {
+    // Two slots held by long-lived pipelined connections. Two more
+    // connections must be answered `Overloaded` at once — a client read
+    // timeout of 1 s, well under the read timeout and the default
+    // deadline, turns a silent wait into a failure — and once a served
+    // connection closes, a new one must be served.
+    const PATIENCE: Duration = Duration::from_secs(1);
+    let corpus = tiny_corpus();
+    let expected = offline_top10(&corpus);
+    let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
+    let (server, addr) = start(2, 5_000);
+    let pipeline = |client: &mut PipelinedClient| {
+        for name in &names {
+            client.send(&QueryRequest::new(name)).unwrap();
+        }
+        expect_in_order(client, &names, &expected, 0..names.len());
+    };
+    let mut served: Vec<PipelinedClient> = (0..2)
+        .map(|_| PipelinedClient::connect(&addr, TIMEOUT).unwrap())
+        .collect();
+    for client in &mut served {
+        pipeline(client);
+    }
+
+    for k in 0..2 {
+        let asked = Instant::now();
+        let mut client = PipelinedClient::connect(&addr, PATIENCE).unwrap();
+        let resp = client
+            .query(&QueryRequest::new("ftp_syst"))
+            .unwrap_or_else(|e| panic!("connection {k} beyond the cap was left waiting: {e}"));
+        assert_eq!(resp.outcome, Outcome::Overloaded, "connection {k}");
+        assert!(asked.elapsed() < PATIENCE, "connection {k}");
+    }
+    // The refusals cost the served connections nothing.
+    for client in &mut served {
+        pipeline(client);
+    }
+
+    drop(served.pop());
+    let polled = Instant::now();
+    loop {
+        let mut client = PipelinedClient::connect(&addr, PATIENCE).unwrap();
+        let resp = client.query(&QueryRequest::new(&names[0])).unwrap();
+        if resp.outcome == Outcome::Ok {
+            pipeline(&mut client);
+            break;
+        }
+        assert_eq!(resp.outcome, Outcome::Overloaded);
+        assert!(
+            polled.elapsed() < Duration::from_secs(2),
+            "no slot freed after a served connection closed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(served);
+    let stats = server.shutdown();
+    assert!(stats.overloaded >= 2);
+    assert!(stats.connections_hwm <= 2, "connection bound was violated");
 }
 
 #[test]
 fn shutdown_drains_admitted_requests() {
-    // One worker pinned by an idle connection; two real requests queue
-    // up behind it. Shutdown must still answer both (drain), not drop
+    // An idle connection and two real requests, each on its own
+    // connection. Shutdown must still answer both (drain), not drop
     // them.
-    let (server, addr) = start(1, 8, 1_000);
+    let (server, addr) = start(3, 1_000);
     let _stall = TcpStream::connect(&addr).unwrap();
 
     let send = |q: &str| {
@@ -358,13 +421,11 @@ fn expect_in_order(
 fn pipelined_requests_answer_in_order_and_match_offline() {
     let corpus = tiny_corpus();
     let expected = offline_top10(&corpus);
-    let (server, addr) = start(1, 8, 2_000);
+    let (server, addr) = start(1, 2_000);
     let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     // Write the whole pipeline before reading anything: every corpus
-    // procedure twice, plus an unknown name in the middle. However the
-    // executors split these into batches, they must come back in request
-    // order. (That queued duplicates share one engine item is pinned by
-    // the server's `queued_duplicate_names_share_one_engine_item`.)
+    // procedure twice, then an unknown name. They must come back in
+    // request order.
     let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
     for name in names.iter().chain(names.iter()) {
         client.send(&QueryRequest::new(name)).unwrap();
@@ -382,20 +443,18 @@ fn pipelined_requests_answer_in_order_and_match_offline() {
     let stats = server.shutdown();
     assert_eq!(stats.ok, 8);
     assert_eq!(stats.not_found, 1);
-    assert!(stats.batches >= 1, "the batching tier never ran");
+    assert_eq!(stats.batches, 8, "one engine call per scored request");
 }
 
 #[test]
-fn concurrent_pipelines_complete_out_of_order_and_answer_in_order() {
+fn concurrent_pipelines_each_answer_in_order_and_match_offline() {
     // Four pipelined connections, each naming every corpus procedure
-    // twice, against a daemon with one executor per core: batches from
-    // different connections run concurrently, so a connection's later
-    // requests can finish before its earlier ones. The reorder buffer
-    // must still answer each socket in request order, bit-identical to
-    // the offline ranking.
+    // twice: their engine passes run concurrently, and each socket must
+    // still be answered in request order, bit-identical to the offline
+    // ranking.
     let corpus = tiny_corpus();
     let expected = offline_top10(&corpus);
-    let (server, addr) = start(4, 8, 2_000);
+    let (server, addr) = start(4, 2_000);
     let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
     let order = || (0..names.len()).chain(0..names.len());
     std::thread::scope(|scope| {
@@ -424,27 +483,22 @@ fn metric(server: &Server, name: &str) -> u64 {
 }
 
 /// Sustained pipelined load on a warmed daemon that runs the shipped
-/// engine setting (`EngineConfig::default()`: concurrent batches share
+/// engine setting (`EngineConfig::default()`: concurrent passes share
 /// the matrix pass's helper threads). One pass over the query set warms
-/// it; then a burst of `8 × executors` requests per connection on four
-/// connections cycles through the corpus names, so same-name requests
-/// queue behind busy executors. The batch queue is sized from the burst
-/// (its bound is `queue_capacity × PENDING_FACTOR`, at least
-/// `queue_capacity`), so no core count can push a request into
-/// `Overloaded`. Gates:
-/// - every batched response is bit-identical to the single-threaded
-///   offline ranking;
-/// - at least one request coalesces (`esh_coalesced_queries_total` > 0;
-///   the daemon holds no timed window, so coalescing rests on queueing
-///   alone);
+/// it; then a burst of `BURST` requests per connection on four
+/// connections cycles through the corpus names, so the same names are
+/// scored concurrently. Gates:
+/// - every response is bit-identical to the single-threaded offline
+///   ranking;
 /// - the warm-up computes probe sketches
 ///   (`esh_prefilter_probe_sketches_total` > 0), and after it the daemon
 ///   computes none and lifts no query strand
 ///   (`esh_query_strands_lifted_total`): the hot path stays free of
 ///   concrete evaluation and of strand extraction.
 #[test]
-fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() {
+fn warmed_pipelined_burst_answers_identically_without_new_sketches_or_lifts() {
     const CONNECTIONS: usize = 4;
+    const BURST: usize = 16;
     const STILL: [&str; 2] = [
         "esh_prefilter_probe_sketches_total",
         "esh_query_strands_lifted_total",
@@ -452,20 +506,19 @@ fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() 
     let corpus = tiny_corpus();
     let expected = offline_top10(&corpus);
     let names: Vec<String> = corpus.procs.iter().map(|p| p.display()).collect();
-    let burst = 8 * std::thread::available_parallelism().map_or(1, |n| n.get());
     let server = Server::start(
         engine_with(&corpus, EngineConfig::default()),
         corpus,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: CONNECTIONS,
-            queue_capacity: CONNECTIONS * burst,
+            // The warm-up connection's slot frees only once the daemon
+            // reads its close, which may come after the burst connects.
+            workers: CONNECTIONS + 1,
             read_timeout_ms: 2_000,
             ..ServeConfig::default()
         },
     )
     .expect("bind loopback");
-    assert_eq!(server.executors() * 8, burst);
     let addr = server.local_addr().to_string();
 
     let mut warm = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
@@ -482,8 +535,8 @@ fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() 
             let (addr, names, expected) = (&addr, &names, &expected);
             scope.spawn(move || {
                 // Offset per connection: different names are in flight
-                // at once, so batches mix names as well as repeat them.
-                let order = || (0..burst).map(move |i| (c + i) % names.len());
+                // at once.
+                let order = || (0..BURST).map(move |i| (c + i) % names.len());
                 let mut client = PipelinedClient::connect(addr, TIMEOUT).unwrap();
                 for qi in order() {
                     client.send(&QueryRequest::new(&names[qi])).unwrap();
@@ -493,24 +546,20 @@ fn warmed_pipelined_burst_coalesces_identically_without_new_sketches_or_lifts() 
         }
     });
 
-    assert!(
-        metric(&server, "esh_coalesced_queries_total") > 0,
-        "no request coalesced under a pipelined burst"
-    );
     for (name, before) in STILL.iter().zip(warmed) {
         assert_eq!(metric(&server, name), before, "{name} rose after warm-up");
     }
     let stats = server.shutdown();
-    assert_eq!(stats.ok, (names.len() + CONNECTIONS * burst) as u64);
+    assert_eq!(stats.ok, (names.len() + CONNECTIONS * BURST) as u64);
 }
 
 #[test]
 fn deadline_expiry_interleaves_with_live_pipelined_requests() {
-    // A zero budget has expired by the time any executor takes the
-    // request, whichever batch it lands in: the zero-budget member must
-    // expire at batch assembly while the requests around it complete,
-    // and order on the wire is preserved.
-    let (server, addr) = start(1, 8, 2_000);
+    // A zero budget has expired by the time its connection comes to
+    // score it: the zero-budget request must expire before scoring while
+    // the requests around it complete, and order on the wire is
+    // preserved.
+    let (server, addr) = start(1, 2_000);
     let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     client.send(&QueryRequest::new("ftp_syst")).unwrap();
     client
@@ -539,13 +588,12 @@ fn deadline_expiry_interleaves_with_live_pipelined_requests() {
 }
 
 #[test]
-fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
-    // A 3ms budget expires either at batch assembly or mid-scoring
+fn tight_deadline_cancels_cooperatively_without_wedging_the_connection() {
+    // A 3ms budget expires either before scoring or mid-scoring
     // (cooperative cancellation between VCP tiles) — both are legal, but
     // the server must answer it *and* the unconstrained request behind
-    // it (a batch-mate or not), and a follow-up request on the same
-    // socket must still work.
-    let (server, addr) = start(1, 8, 2_000);
+    // it, and a follow-up request on the same socket must still work.
+    let (server, addr) = start(1, 2_000);
     let mut client = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     client
         .send(&QueryRequest {
@@ -564,7 +612,7 @@ fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
         tight.outcome
     );
     let mate = client.recv().unwrap();
-    assert_eq!(mate.outcome, Outcome::Ok, "batch-mate must survive");
+    assert_eq!(mate.outcome, Outcome::Ok, "the request behind must survive");
     let retry = client.query(&QueryRequest::new("ftp_syst [icc")).unwrap();
     assert_eq!(retry.outcome, Outcome::Ok, "connection stays usable");
     drop(client);
@@ -572,15 +620,15 @@ fn tight_deadline_cancels_cooperatively_without_wedging_the_batch() {
 }
 
 #[test]
-fn shutdown_drains_a_batch_in_flight() {
-    // Requests pipelined on connections a reader already owns, then an
-    // immediate drain while they are queued or being scored: every
-    // admitted request must be answered before join returns, and the
-    // responses stay in order.
-    let (server, addr) = start(2, 8, 2_000);
+fn shutdown_drains_pipelined_requests_in_flight() {
+    // Requests pipelined on admitted connections, then an immediate
+    // drain while they are unread or being scored: every request sent
+    // on an admitted connection must be answered before join returns,
+    // and the responses stay in order.
+    let (server, addr) = start(2, 2_000);
     let mut a = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
     let mut b = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
-    // One unscored round trip each proves a reader owns the connection.
+    // One unscored round trip each proves the connection was admitted.
     for c in [&mut a, &mut b] {
         let resp = c.query(&QueryRequest::new("no-such-proc")).unwrap();
         assert_eq!(resp.outcome, Outcome::NotFound);
@@ -590,7 +638,11 @@ fn shutdown_drains_a_batch_in_flight() {
     b.send(&QueryRequest::new("saturating_sum [clang")).unwrap();
     server.request_shutdown();
     for resp in [a.recv().unwrap(), a.recv().unwrap(), b.recv().unwrap()] {
-        assert_eq!(resp.outcome, Outcome::Ok, "in-flight batch was dropped");
+        assert_eq!(
+            resp.outcome,
+            Outcome::Ok,
+            "an in-flight request was dropped"
+        );
     }
     drop(a);
     drop(b);
@@ -601,7 +653,7 @@ fn shutdown_drains_a_batch_in_flight() {
 
 #[test]
 fn wire_shutdown_acknowledges_and_drains() {
-    let (server, addr) = start(2, 8, 2_000);
+    let (server, addr) = start(2, 2_000);
     remote_query(&addr, &QueryRequest::new("ftp_syst"), TIMEOUT).unwrap();
     let ack = remote_query(&addr, &QueryRequest::new("@shutdown"), TIMEOUT).unwrap();
     assert_eq!(ack.outcome, Outcome::ShuttingDown);
@@ -664,8 +716,7 @@ fn serving_from_a_sharded_index_is_lazy_and_identical() {
         corpus,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 1,
-            queue_capacity: 8,
+            workers: 2,
             read_timeout_ms: 2_000,
             ..ServeConfig::default()
         },
@@ -764,8 +815,7 @@ fn shard_budget_mb_caps_residency_while_serving_identically() {
         corpus,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 1,
-            queue_capacity: 8,
+            workers: 2,
             read_timeout_ms: 2_000,
             shard_budget_mb: Some(BUDGET_MB),
             ..ServeConfig::default()

@@ -38,8 +38,9 @@
 //! must equal the resident engine it was written from, bit for bit, and
 //! so must its cache hits and misses and every prefilter counter, on the
 //! cross-compiler paper corpus (371 procedures; `--smoke` uses the small
-//! 28-procedure matrix). Results land in `BENCH_scale.json` in the
-//! working directory.
+//! 28-procedure matrix). A full run writes its results to
+//! `BENCH_scale.json` in the working directory; a `--smoke` run only
+//! prints them, so it never overwrites the committed record.
 
 use std::time::Instant;
 
@@ -434,8 +435,9 @@ fn apply_gates(runs: &[SizeRun]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the scale bench and writes `BENCH_scale.json`. `--smoke` keeps
-/// the 1k size and the small identity matrix for CI. Returns an error
+/// Runs the scale bench, prints its report and, unless `--smoke`, writes
+/// it to `BENCH_scale.json`. `--smoke` keeps the 1k size and the small
+/// identity matrix for CI. Returns an error
 /// when any gate fails — unopened shards, demand decoding, eviction
 /// under budget, or sharded-vs-resident identity.
 pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
@@ -523,8 +525,10 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
         iq = identity_queries,
         elapsed = t0.elapsed().as_millis(),
     );
-    std::fs::write("BENCH_scale.json", &json).map_err(|e| e.to_string())?;
-    eprintln!("bench-scale: wrote BENCH_scale.json");
+    if !opts.smoke {
+        std::fs::write("BENCH_scale.json", &json).map_err(|e| e.to_string())?;
+        eprintln!("bench-scale: wrote BENCH_scale.json");
+    }
     print!("{json}");
     Ok(())
 }

@@ -10,7 +10,7 @@
 //!           [top_n] [--json] [--no-prefilter]
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
 //! esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]
-//!           [--queue N] [--deadline-ms N] [--shard-budget-mb N]
+//!           [--deadline-ms N] [--shard-budget-mb N]
 //! esh bench-rankquality
 //! esh bench-scale [--smoke] [--threads N] [--max-procs N]
 //! esh stats <corpus.json>
@@ -28,16 +28,18 @@
 //!
 //! `serve` turns the same engine into a long-running daemon: index
 //! opened once, queries answered concurrently over pipelined
-//! newline-delimited JSON with bounded admission, per-request deadlines,
-//! one batch executor per core coalescing whatever queued while every
-//! executor was busy (up to 8 requests a batch), and `/metrics`. A lone
-//! query's matrix pass uses every core; passes that overlap share them.
+//! newline-delimited JSON, one thread per connection scoring its
+//! requests in order, at most `--workers` connections open (the rest are
+//! answered `Overloaded` at once), per-request deadlines and `/metrics`.
+//! A lone query's matrix pass uses every core; passes that overlap share
+//! them.
 //! `query --remote` is the matching client; `--json` prints the shared
 //! machine-readable response schema from either path.
 //! `bench-rankquality` scores the pruned ranking against the exhaustive
 //! one (top-1 identity, top-K agreement, Kendall tau, ROC/CROC — see
 //! `docs/RANK_QUALITY.md`) and writes `BENCH_rankquality.json`. Every
-//! `bench-*` writes its `BENCH_*.json` to the working directory.
+//! `bench-*` writes its `BENCH_*.json` to the working directory, except
+//! `bench-scale --smoke`, which only prints its report.
 //!
 //! `query --index ... --no-prefilter` disables the semantic-sketch tier
 //! for that one query — the escape hatch when a sketch-estimated pair
@@ -70,7 +72,7 @@ fn usage() -> ExitCode {
          \x20         [top_n] [--json] [--no-prefilter]\n  \
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
          esh serve --index <index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
-         \x20         [--queue N] [--deadline-ms N] [--shard-budget-mb N]\n  \
+         \x20         [--deadline-ms N] [--shard-budget-mb N]\n  \
          esh bench-rankquality\n  \
          esh bench-scale [--smoke] [--threads N] [--max-procs N]\n  \
          esh stats <corpus.json>\n  \
@@ -480,11 +482,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--queue" => {
-                config.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
             "--deadline-ms" => {
                 config.default_deadline_ms = value("--deadline-ms")?
                     .parse()
@@ -514,26 +511,22 @@ fn serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("binding {}: {e}", config.addr))?;
     let addr = server.local_addr();
     eprintln!(
-        "esh serve: listening on {addr} ({} workers, queue {}, default deadline {}ms, \
-         {} executors)",
-        config.workers,
-        config.queue_capacity,
-        config.default_deadline_ms,
-        server.executors()
+        "esh serve: listening on {addr} ({} connections at most, default deadline {}ms)",
+        config.workers, config.default_deadline_ms,
     );
     eprintln!("esh serve: GET /healthz and /metrics on the same port");
     eprintln!("esh serve: send {{\"query\":\"@shutdown\"}} to drain and exit");
     let stats = server.join();
     eprintln!(
         "esh serve: drained — {} ok, {} overloaded, {} deadline-exceeded, {} not-found, \
-         {} bad, {} http; queue high-water {}, p50 {}ms, p99 {}ms",
+         {} bad, {} http; connections high-water {}, p50 {}ms, p99 {}ms",
         stats.ok,
         stats.overloaded,
         stats.deadline_exceeded,
         stats.not_found,
         stats.bad_request,
         stats.http,
-        stats.queue_depth_hwm,
+        stats.connections_hwm,
         stats.p50_ms,
         stats.p99_ms,
     );
